@@ -30,6 +30,7 @@ from .clustering import (
     ClusterAssignment,
     KMeansModel,
     KMeansParams,
+    assign,
     confidence,
     fit,
     predict,

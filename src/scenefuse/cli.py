@@ -1,9 +1,11 @@
 """Command-line surface: train, predict, fuse, synth, action.
 
-Exit codes: 0 success, 1 usage or bad parameters, 2 missing model or
-modality, 3 input file failed to decode.  Every run with identical inputs,
-flags, and seeds produces byte-identical stdout and output files; warnings
-go to stderr.
+Exit codes: 0 success; 3 for an input error (a file that will not read or
+decode, a bad bundle or script, or a failed write); 1 for a usage error (bad
+flags, parameters or training data); 2 for a missing bundle, or a bundle
+without the classifier or net the command needs.  Every run with identical
+inputs, flags, and seeds produces byte-identical stdout and output files;
+warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -31,31 +33,13 @@ from .audio_pipeline import (
 )
 from .clustering import KMeansParams
 from .errors import (
-    BadHeader,
-    BadMagic,
     BadProfile,
     BadSpec,
-    BadVersion,
-    ClipTooShort,
-    ClockSkew,
-    ConflictingExamples,
-    DegenerateImage,
-    DimensionMismatch,
-    EmptyData,
-    EmptyTrainingSet,
-    InconsistentDims,
+    InputError,
     IoError,
-    MalformedRiff,
     MissingClassifier,
-    ModalityMismatch,
+    SceneFuseError,
     SchemaError,
-    TooFewExamples,
-    TooFewPoints,
-    TruncatedPixelData,
-    UnknownLabel,
-    UnsupportedFormat,
-    UnsupportedMaxval,
-    ZeroK,
 )
 from .features import ACOUSTIC, VISUAL
 from .fusion import IDENTIFIED, NO_SCENE, initial_state, on_acoustic, on_visual_photo
@@ -79,8 +63,6 @@ from .vision_pipeline import (
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_NO_MODEL = 2
-EXIT_BAD_INPUT = 3
 
 WINDOW_SECONDS = 5.0
 DEFAULT_COLOR_COUNT = 3
@@ -104,36 +86,6 @@ _IMAGE_PRESETS = {
     ),
 }
 
-_DECODE_ERRORS = (
-    MalformedRiff,
-    UnsupportedFormat,
-    EmptyData,
-    ClipTooShort,
-    BadMagic,
-    BadHeader,
-    TruncatedPixelData,
-    UnsupportedMaxval,
-    DegenerateImage,
-    IoError,
-    SchemaError,
-    BadVersion,
-)
-_USAGE_ERRORS = (
-    BadSpec,
-    BadProfile,
-    TooFewExamples,
-    TooFewPoints,
-    InconsistentDims,
-    ModalityMismatch,
-    DimensionMismatch,
-    ConflictingExamples,
-    EmptyTrainingSet,
-    UnknownLabel,
-    ZeroK,
-    ClockSkew,
-    ValueError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped onto exit code 1."""
@@ -155,43 +107,39 @@ def _read_bytes(path: str) -> bytes:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_wav(path: str):
+def _write_bytes(path, data: bytes) -> None:
     try:
-        return decode_wav(_read_bytes(path), source_id=path)
-    except (MalformedRiff, UnsupportedFormat, EmptyData) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_ppm(path: str):
+def _features(modality, path, color_count, params, dump_spectrum=None):
+    """Decode one input file into its feature vector, plus its sample rate.
+
+    Acoustic files become the spectrum of their first WINDOW_SECONDS, which
+    `dump_spectrum` (a CSV path) also receives when given; visual files
+    become a palette of `color_count` colors fitted with `params`, and
+    report a sample rate of None.  Acoustic decoding ignores `color_count`
+    and `params`.  Decode failures name the file.
+    """
+    data = _read_bytes(path)
     try:
-        return decode_ppm(_read_bytes(path))
-    except (BadMagic, BadHeader, TruncatedPixelData, UnsupportedMaxval) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
-def _audio_vector(path: str, dump_spectrum: str | None = None):
-    clip = _read_wav(path)
-    try:
+        if modality == VISUAL:
+            image = decode_ppm(data)
+            return palette_features(dominant_colors(image, color_count, params)), None
+        clip = decode_wav(data, source_id=path)
         spectrum = magnitude_spectrum(analysis_window(clip, WINDOW_SECONDS))
-    except ClipTooShort as exc:
-        raise ClipTooShort(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     if dump_spectrum is not None:
         lines = ["freq_hz,amplitude"]
         lines += [
             f"{float(f)!r},{float(a)!r}"
             for f, a in zip(spectrum.freqs_hz, spectrum.amps)
         ]
-        Path(dump_spectrum).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return acoustic_features(spectrum)
-
-
-def _visual_vector(path: str, color_count: int, params: KMeansParams):
-    image = _read_ppm(path)
-    try:
-        palette = dominant_colors(image, color_count, params)
-    except DegenerateImage as exc:
-        raise DegenerateImage(f"{path}: {exc}") from exc
-    return palette_features(palette)
+        _write_bytes(dump_spectrum, ("\n".join(lines) + "\n").encode("utf-8"))
+    return acoustic_features(spectrum), clip.sample_rate_hz
 
 
 def _load_or_new_bundle(path: str) -> ModelBundle:
@@ -216,27 +164,18 @@ def cmd_train(args) -> int:
         groups.append((entry[0], entry[1:]))
 
     params = KMeansParams(k=1, seed=args.seed, scale=args.scale)
+    if args.modality == ACOUSTIC and args.k_override is not None:
+        _warn("--k-override only affects visual training; ignored")
+    color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
     items = []
-    if args.modality == ACOUSTIC:
-        if args.k_override is not None:
-            _warn("--k-override only affects visual training; ignored")
-        rates: set[int] = set()
-        for scene, files in groups:
-            for path in files:
-                clip = _read_wav(path)
-                rates.add(clip.sample_rate_hz)
-                try:
-                    spectrum = magnitude_spectrum(analysis_window(clip, WINDOW_SECONDS))
-                except ClipTooShort as exc:
-                    raise ClipTooShort(f"{path}: {exc}") from exc
-                items.append((scene, acoustic_features(spectrum)))
-        if len(rates) > 1:
-            _warn(f"mixed sample rates across training files: {sorted(rates)}")
-    else:
-        color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
-        for scene, files in groups:
-            for path in files:
-                items.append((scene, _visual_vector(path, color_count, params)))
+    rates: set[int | None] = set()
+    for scene, files in groups:
+        for path in files:
+            vector, rate = _features(args.modality, path, color_count, params)
+            items.append((scene, vector))
+            rates.add(rate)
+    if len(rates) > 1:
+        _warn(f"mixed sample rates across training files: {sorted(rates)}")
 
     training_set = TrainingSet(modality=args.modality, items=tuple(items))
     classifier = train_classifier(training_set, params)
@@ -264,13 +203,15 @@ def cmd_predict(args) -> int:
     classifier = getattr(bundle, args.modality)
     if classifier is None:
         raise MissingClassifier(f"bundle has no {args.modality} classifier")
-    if args.modality == ACOUSTIC:
-        vector = _audio_vector(args.file, args.dump_spectrum)
-    else:
-        if args.dump_spectrum is not None:
-            _warn("--dump-spectrum only applies to acoustic prediction; ignored")
-        color_count = classifier.feature_dim // 3
-        vector = _visual_vector(args.file, color_count, classifier.model.params)
+    if args.modality == VISUAL and args.dump_spectrum is not None:
+        _warn("--dump-spectrum only applies to acoustic prediction; ignored")
+    vector, _ = _features(
+        args.modality,
+        args.file,
+        classifier.feature_dim // 3,
+        classifier.model.params,
+        args.dump_spectrum,
+    )
     prediction = classify(classifier, vector, now=0.0)
     print(f"scene={prediction.scene} confidence={prediction.confidence:.3f}")
     return EXIT_OK
@@ -303,14 +244,11 @@ def cmd_fuse(args) -> int:
         path = Path(event.path)
         if not path.is_absolute():
             path = script_dir / path
-        if event.kind == "audio":
-            vector = _audio_vector(str(path))
-            prediction = classify(bundle.acoustic, vector, now=event.at)
-            state, decision = on_acoustic(state, prediction, config)
-        else:
-            vector = _visual_vector(str(path), color_count, bundle.visual.model.params)
-            prediction = classify(bundle.visual, vector, now=event.at)
-            state, decision = on_visual_photo(state, prediction, config)
+        modality = ACOUSTIC if event.kind == "audio" else VISUAL
+        vector, _ = _features(modality, str(path), color_count, bundle.visual.model.params)
+        prediction = classify(getattr(bundle, modality), vector, now=event.at)
+        step = on_acoustic if modality == ACOUSTIC else on_visual_photo
+        state, decision = step(state, prediction, config)
         if decision.kind == IDENTIFIED:
             print(
                 f"{decision.scene.capitalize()}Scene detected "
@@ -364,7 +302,7 @@ def cmd_synth_audio(args) -> int:
     clip = synth_ambient(
         profile, args.seconds, args.rate, args.seed, components_per_band=args.components
     )
-    Path(args.out).write_bytes(encode_wav(clip))
+    _write_bytes(args.out, encode_wav(clip))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -377,7 +315,7 @@ def cmd_synth_image(args) -> int:
     else:
         raise BadSpec("give either --preset or at least one --color")
     image = synth_scene_image(spec, args.width, args.height, args.seed)
-    Path(args.out).write_bytes(encode_ppm(image))
+    _write_bytes(args.out, encode_ppm(image))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -391,13 +329,15 @@ def _shifted_fractions(spec, step: int):
 
 def cmd_synth_matrix(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
     written: list[str] = []
 
     def emit(name: str, payload: bytes) -> None:
-        target = out_dir / name
-        target.write_bytes(payload)
-        written.append(str(target))
+        _write_bytes(out_dir / name, payload)
+        written.append(str(out_dir / name))
 
     scenes = tuple(sorted(_AUDIO_PRESETS))
     for offset, scene in enumerate(scenes):
@@ -427,12 +367,10 @@ def cmd_synth_matrix(args) -> int:
                 events.append(
                     ScriptEvent(at=base + 4.0 + i, kind="image", path=f"test_{visual_scene}_{i}.ppm")
                 )
-        name = f"script_{audio_scene}_{visual_scene}.tsv"
         body = f"# audio={audio_scene} visual={visual_scene}\n" + format_event_script(
             EventScript(events=tuple(events))
         )
-        (out_dir / name).write_text(body, encoding="utf-8")
-        written.append(str(out_dir / name))
+        emit(f"script_{audio_scene}_{visual_scene}.tsv", body.encode("utf-8"))
 
     for path in written:
         print(f"wrote {path}")
@@ -442,10 +380,7 @@ def cmd_synth_matrix(args) -> int:
 # --- action ----------------------------------------------------------------
 
 def _read_pairs(path: str) -> list[ActionExample]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read pairs file {path}: {exc}") from exc
+    text = _read_bytes(path).decode("utf-8")
     pairs: list[ActionExample] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -624,13 +559,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except MissingClassifier as exc:
+    except SceneFuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_MODEL
-    except _DECODE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except _USAGE_ERRORS as exc:
+        return exc.exit_code
+    except ValueError as exc:  # a dataclass validator rejected a flag value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

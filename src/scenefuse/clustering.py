@@ -8,6 +8,7 @@ rule that hands an empty cluster the single worst-represented point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ class KMeansParams:
             raise ZeroK(f"k must be at least 1, got {self.k}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol < 0.0:
-            raise ValueError("tol cannot be negative")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError("tol must be finite and not negative")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError("scale must be finite and positive")
         if self.n_init < 1:
             raise ValueError("n_init must be at least 1")
 
@@ -87,8 +88,14 @@ def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels (ties to the lowest index) plus all sq-dists."""
+def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label each point with its nearest centroid, ties to the lowest index.
+
+    `points` is (n, d) and `centroids` is (k, d).  Returns the (n,) labels
+    and the (n, k) squared distances they were chosen from.  Unlike the
+    labels inside `fit`, these are never repaired: a centroid may own no
+    point, which is exactly how `predict` routes new vectors.
+    """
     sq = _sq_distances(points, centroids)
     return sq.argmin(axis=1), sq
 
@@ -154,7 +161,7 @@ def _lloyd_run(
     history: list[float] = []
 
     for _ in range(params.max_iters):
-        labels, sq = _assign(matrix, centroids)
+        labels, sq = assign(matrix, centroids)
         _repair_empties(matrix, centroids, labels, sq)
         history.append(float(sq[np.arange(n), labels].sum()))
 
@@ -170,7 +177,7 @@ def _lloyd_run(
 
     # one closing assignment against the final centroids, repaired so that
     # every cluster owns at least one point
-    labels, sq = _assign(matrix, centroids)
+    labels, sq = assign(matrix, centroids)
     _repair_empties(matrix, centroids, labels, sq)
     history.append(float(sq[np.arange(n), labels].sum()))
     return centroids, history

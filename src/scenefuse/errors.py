@@ -2,126 +2,146 @@
 
 Each condition a caller can reasonably branch on gets its own class; all of
 them derive from :class:`SceneFuseError` so blanket handling stays easy.
+Every class also belongs to one family whose ``exit_code`` the command line
+returns: :class:`InputError` (3) for a file that cannot be read, written or
+decoded, :class:`UsageError` (1) for bad flags, parameters or data, and
+:class:`MissingClassifier` (2) for a bundle without the needed part.
 """
 
 
 class SceneFuseError(Exception):
     """Base class for all scenefuse domain errors."""
 
+    exit_code: int
+
+
+class InputError(SceneFuseError):
+    """An input or output file could not be read, written or decoded."""
+
+    exit_code = 3
+
+
+class UsageError(SceneFuseError):
+    """Flags, parameters or training data the operation cannot accept."""
+
+    exit_code = 1
+
 
 # --- audio ingestion -------------------------------------------------------
 
-class MalformedRiff(SceneFuseError):
+class MalformedRiff(InputError):
     """RIFF/WAVE container is structurally broken (magic, chunk sizes)."""
 
 
-class UnsupportedFormat(SceneFuseError):
+class UnsupportedFormat(InputError):
     """WAV is intact but not 16-bit integer PCM with 1-2 channels."""
 
 
-class EmptyData(SceneFuseError):
+class EmptyData(InputError):
     """WAV data chunk holds zero samples."""
 
 
-class ClipTooShort(SceneFuseError):
+class ClipTooShort(InputError):
     """Clip is shorter than the requested analysis window."""
 
 
-class BadProfile(SceneFuseError):
+class BadProfile(UsageError):
     """Synthesis envelope is empty or has an invalid band/gain."""
 
 
 # --- clustering ------------------------------------------------------------
 
-class ZeroK(SceneFuseError):
+class ZeroK(UsageError):
     """Requested cluster count is below one."""
 
 
-class TooFewPoints(SceneFuseError):
+class TooFewPoints(UsageError):
     """Fewer training points than clusters."""
 
 
-class DimensionMismatch(SceneFuseError):
+class DimensionMismatch(UsageError):
     """Vectors of different lengths were mixed together."""
 
 
 # --- image ingestion -------------------------------------------------------
 
-class BadMagic(SceneFuseError):
+class BadMagic(InputError):
     """Image bytes do not start with the P6 magic."""
 
 
-class BadHeader(SceneFuseError):
+class BadHeader(InputError):
     """PPM header fields are unparseable or out of range."""
 
 
-class UnsupportedMaxval(SceneFuseError):
+class UnsupportedMaxval(InputError):
     """PPM maxval other than 255."""
 
 
-class TruncatedPixelData(SceneFuseError):
+class TruncatedPixelData(InputError):
     """Pixel payload length disagrees with the header dimensions."""
 
 
-class DegenerateImage(SceneFuseError):
+class DegenerateImage(InputError):
     """Image has fewer distinct colors than the palette asks for."""
 
 
-class BadSpec(SceneFuseError):
+class BadSpec(UsageError):
     """Synthetic image spec has bad colors or fractions not summing to 1."""
 
 
 # --- scene model -----------------------------------------------------------
 
-class InconsistentDims(SceneFuseError):
+class InconsistentDims(UsageError):
     """Training vectors do not all share one length."""
 
 
-class TooFewExamples(SceneFuseError):
+class TooFewExamples(UsageError):
     """Not enough labeled examples to fit one cluster per scene."""
 
 
-class ModalityMismatch(SceneFuseError):
+class ModalityMismatch(UsageError):
     """Acoustic data handed to a visual consumer or vice versa."""
 
 
 # --- fusion ----------------------------------------------------------------
 
-class ClockSkew(SceneFuseError):
+class ClockSkew(UsageError):
     """An event carried a timestamp earlier than one already observed."""
 
 
 # --- action learning -------------------------------------------------------
 
-class EmptyTrainingSet(SceneFuseError):
+class EmptyTrainingSet(UsageError):
     """No scene/action pairs were provided."""
 
 
-class ConflictingExamples(SceneFuseError):
+class ConflictingExamples(UsageError):
     """The same scene label maps to two different action codes."""
 
 
-class UnknownLabel(SceneFuseError):
+class UnknownLabel(UsageError):
     """Scene label absent from the trained vocabulary."""
 
 
 # --- persistence / CLI -----------------------------------------------------
 
-class IoError(SceneFuseError):
-    """Bundle or script file could not be read or written.
+class IoError(InputError):
+    """A bundle, script, input or output file could not be read or written.
 
     Distinct from the builtin ``IOError`` alias; this one is raised only by
-    scenefuse persistence helpers and wraps the underlying ``OSError``.
+    scenefuse persistence and CLI helpers and wraps the underlying ``OSError``.
     """
 
 
-class BadVersion(SceneFuseError):
+class BadVersion(InputError):
     """Bundle format_version is not one this build understands."""
 
 
-class SchemaError(SceneFuseError):
+class SchemaError(InputError):
     """Bundle or event script parsed but does not match the schema."""
 
 
 class MissingClassifier(SceneFuseError):
     """Bundle lacks the classifier or net the command needs."""
+
+    exit_code = 2

@@ -18,6 +18,7 @@ operations return a fresh state, leaving their argument untouched.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -41,8 +42,9 @@ class FusionConfig:
     min_combined_confidence: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.acoustic_visual_window_s <= 0.0 or self.photo_window_s <= 0.0:
-            raise ValueError("windows must be positive")
+        windows = (self.acoustic_visual_window_s, self.photo_window_s)
+        if not all(math.isfinite(w) and w > 0.0 for w in windows):
+            raise ValueError("windows must be finite and positive")
         if self.photo_window_s > self.acoustic_visual_window_s:
             raise ValueError("photo window cannot exceed the acoustic-visual window")
         if self.photos_required < 1:

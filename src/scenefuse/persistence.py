@@ -13,6 +13,7 @@ is `audio` or `image`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,13 +123,22 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 # --- bundle reading --------------------------------------------------------
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _need(mapping: dict, key: str, kind: type, where: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError(f"{where} is missing {key!r}")
     value = mapping[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{where}.{key} must be a number")
+        if not _is_finite_number(value):
+            raise SchemaError(f"{where}.{key} must be a finite number")
         return float(value)
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
         raise SchemaError(f"{where}.{key} must be an integer")
@@ -154,10 +164,12 @@ def _params_from_dict(raw: dict, where: str) -> KMeansParams:
 def _float_matrix(raw, where: str) -> np.ndarray:
     try:
         matrix = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where} is not a numeric matrix: {exc}") from exc
     if matrix.ndim != 2:
         raise SchemaError(f"{where} must be a 2-D matrix")
+    if not np.isfinite(matrix).all():
+        raise SchemaError(f"{where} holds a non-finite number")
     return matrix
 
 
@@ -176,8 +188,8 @@ def _classifier_from_dict(raw: dict, where: str) -> SceneClassifier:
             f"k={params.k}, dim={dim}, feature_dim={feature_dim}"
         )
     history = _need(model_raw, "inertia_history", list, f"{where}.model")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in history):
-        raise SchemaError(f"{where}.model.inertia_history must hold numbers")
+    if not all(_is_finite_number(v) for v in history):
+        raise SchemaError(f"{where}.model.inertia_history must hold finite numbers")
     names_raw = _need(raw, "cluster_names", dict, where)
     try:
         cluster_names = {int(label): str(name) for label, name in names_raw.items()}
@@ -186,13 +198,16 @@ def _classifier_from_dict(raw: dict, where: str) -> SceneClassifier:
     if sorted(cluster_names) != list(range(params.k)):
         raise SchemaError(f"{where}.cluster_names must cover labels 0..{params.k - 1}")
     warnings = _need(raw, "warnings", list, where)
-    model = KMeansModel(
-        centroids=centroids,
-        dim=dim,
-        params=params,
-        inertia=_need(model_raw, "inertia", float, f"{where}.model"),
-        inertia_history=tuple(float(v) for v in history),
-    )
+    try:
+        model = KMeansModel(
+            centroids=centroids,
+            dim=dim,
+            params=params,
+            inertia=_need(model_raw, "inertia", float, f"{where}.model"),
+            inertia_history=tuple(float(v) for v in history),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{where}.model: {exc}") from exc
     return SceneClassifier(
         modality=modality,
         model=model,
@@ -273,7 +288,7 @@ def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
 
     Raises SchemaError on malformed lines, unknown kinds, or timestamps
-    that decrease.
+    that are not finite or that decrease.
     """
     events: list[ScriptEvent] = []
     previous = float("-inf")
@@ -289,6 +304,8 @@ def parse_event_script(text: str) -> EventScript:
             at = float(at_text)
         except ValueError:
             raise SchemaError(f"line {lineno}: bad timestamp {at_text!r}") from None
+        if not math.isfinite(at):
+            raise SchemaError(f"line {lineno}: timestamp {at_text!r} is not finite")
         if kind not in EVENT_KINDS:
             raise SchemaError(f"line {lineno}: kind must be one of {EVENT_KINDS}, got {kind!r}")
         if not path:

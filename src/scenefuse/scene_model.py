@@ -99,7 +99,7 @@ def train_classifier(
     names = [name for name, _ in training_set.items]
     matrix = np.vstack([vec.values for _, vec in training_set.items])
     model = clustering.fit(matrix, params)
-    labels, sq = clustering._assign(matrix, model.centroids)
+    labels, sq = clustering.assign(matrix, model.centroids)
 
     warnings: list[str] = []
     cluster_names: dict[int, str] = {}

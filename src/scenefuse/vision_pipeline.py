@@ -168,7 +168,7 @@ def dominant_colors(
 
     points = sample.astype(np.float64)
     model = clustering.fit(points, params)
-    labels, _ = clustering._assign(points, model.centroids)
+    labels, _ = clustering.assign(points, model.centroids)
     counts = np.bincount(labels, minlength=params.k)
     weights = counts / counts.sum()
 

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import io
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from scenefuse.audio_pipeline import (
     magnitude_spectrum,
     synth_ambient,
 )
+from scenefuse import cli
 from scenefuse.cli import main
+from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.persistence import load_bundle
 from scenefuse.vision_pipeline import decode_ppm
 
@@ -148,6 +152,9 @@ def test_fuse_flag_overrides_change_the_outcome(matrix_workspace, capsys):
     # requiring a fourth photo starves every trial of a decision
     assert main(base + ["--photos-required", "4"]) == 0
     assert capsys.readouterr().out == ""
+    # a window that never expires is refused
+    assert main(base + ["--window-av", "nan"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_dump_spectrum_matches_the_library_numbers(matrix_workspace, capsys, tmp_path):
@@ -193,6 +200,24 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                 "solo",
                 "--out",
                 str(tmp_path / "b.json"),
+            ]
+        )
+        == 1
+    )
+    # a non-finite confidence divisor is refused before any file is read
+    assert (
+        main(
+            [
+                "train",
+                "--modality",
+                "acoustic",
+                "--scene",
+                "solo",
+                "a.wav",
+                "--out",
+                str(tmp_path / "b.json"),
+                "--scale",
+                "nan",
             ]
         )
         == 1
@@ -252,6 +277,82 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["predict", "--modality", "acoustic", "--bundle", "{bundle}", "{wav}",
+         "--dump-spectrum", "{nodir}/x.csv"],
+        ["synth", "audio", "--preset", "coffee", "--seconds", "1", "--out", "{nodir}/x.wav"],
+        ["synth", "image", "--preset", "coffee", "--out", "{nodir}/x.ppm"],
+        ["synth", "matrix", "--out-dir", "{file}/sub"],
+    ],
+    ids=["dump-spectrum", "synth-audio", "synth-image", "synth-matrix"],
+)
+def test_failed_writes_exit_three(args, matrix_workspace, tmp_path, capsys):
+    blocker = tmp_path / "plain_file"
+    blocker.write_bytes(b"")
+    places = {
+        "bundle": str(matrix_workspace.bundle),
+        "wav": str(matrix_workspace.data / "test_coffee_1.wav"),
+        "nodir": str(tmp_path / "nodir"),
+        "file": str(blocker),
+    }
+    assert main([arg.format(**places) for arg in args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ")
+    assert "Traceback" not in err
+
+
+# exit code of each error family
+FAMILY_EXIT_CODES = {InputError: 3, UsageError: 1, MissingClassifier: 2}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+CONCRETE_ERRORS = sorted(
+    (cls for cls in _subclasses(SceneFuseError) if cls not in (InputError, UsageError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_every_error_class_belongs_to_exactly_one_family():
+    by_code = {1: set(), 2: set(), 3: set()}
+    for cls in CONCRETE_ERRORS:
+        families = [family for family in FAMILY_EXIT_CODES if issubclass(cls, family)]
+        assert len(families) == 1, cls
+        assert cls.exit_code == FAMILY_EXIT_CODES[families[0]]
+        by_code[cls.exit_code].add(cls.__name__)
+    assert by_code == {
+        3: {
+            "MalformedRiff", "UnsupportedFormat", "EmptyData", "ClipTooShort",
+            "BadMagic", "BadHeader", "TruncatedPixelData", "UnsupportedMaxval",
+            "DegenerateImage", "IoError", "SchemaError", "BadVersion",
+        },
+        1: {
+            "BadSpec", "BadProfile", "TooFewExamples", "TooFewPoints",
+            "InconsistentDims", "ModalityMismatch", "DimensionMismatch",
+            "ConflictingExamples", "EmptyTrainingSet", "UnknownLabel", "ZeroK",
+            "ClockSkew",
+        },
+        2: {"MissingClassifier"},
+    }
+
+
+@pytest.mark.parametrize("error", CONCRETE_ERRORS, ids=lambda cls: cls.__name__)
+def test_main_returns_the_family_exit_code(error, monkeypatch, capsys):
+    def handler(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_action_predict", handler)
+    family = next(f for f in FAMILY_EXIT_CODES if issubclass(error, f))
+    assert main(["action", "predict", "coffee", "--bundle", "b.json"]) == FAMILY_EXIT_CODES[family]
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 def test_bad_synth_parameters_exit_one(tmp_path, capsys):
     rc = main(
         ["synth", "audio", "--band", "900:100:1", "--out", str(tmp_path / "x.wav")]
@@ -262,6 +363,29 @@ def test_bad_synth_parameters_exit_one(tmp_path, capsys):
     )
     assert rc == 1  # fractions sum to 0.4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["audio", "--band", "100"],
+        ["audio", "--band", "a:b:c"],
+        ["audio"],
+        ["image", "--color", "red"],
+        ["image", "--color", "1,2:0.5"],
+        ["image", "--color", "a,b,c:x"],
+        ["image"],
+    ],
+    ids=["band-one-field", "band-not-numbers", "no-band", "color-no-fraction",
+         "color-two-channels", "color-not-numbers", "no-color"],
+)
+def test_malformed_synth_flags_exit_one(tmp_path, capsys, flags):
+    rc = main(["synth", *flags, "--out", str(tmp_path / "x.out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.out").exists()
 
 
 # --- synthesis --------------------------------------------------------------
@@ -400,6 +524,19 @@ def test_action_train_conflicting_pairs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["coffee\t42\ngym\n", "coffee\t42\n\t10\n"])
+def test_action_train_malformed_pairs_exit_three(tmp_path, capsys, text):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(text, encoding="utf-8")
+    rc = main(
+        ["action", "train", "--pairs", str(pairs), "--out", str(tmp_path / "x.json")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: {pairs} line 2: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_action_repl_via_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("coffee\n42\ngym\n10\n\ngym\n\n"))
     out = tmp_path / "repl.json"
@@ -413,11 +550,16 @@ def test_action_repl_via_stdin(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entrypoint_prints_usage():
+    # The child must import the same package as this suite, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "scenefuse", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("usage: scenefuse")

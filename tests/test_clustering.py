@@ -105,6 +105,11 @@ def test_fit_input_validation():
         KMeansParams(k=1, scale=0.0)
     with pytest.raises(ValueError):
         KMeansParams(k=1, n_init=0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            KMeansParams(k=1, scale=value)
+        with pytest.raises(ValueError):
+            KMeansParams(k=1, tol=value)
 
 
 def test_predict_validates_dimensions():

@@ -282,6 +282,13 @@ def test_config_validation():
         FusionConfig(photos_required=0)
     with pytest.raises(ValueError):
         FusionConfig(min_combined_confidence=101.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FusionConfig(acoustic_visual_window_s=value)
+        with pytest.raises(ValueError):
+            FusionConfig(photo_window_s=value)
+        with pytest.raises(ValueError):
+            FusionConfig(min_combined_confidence=value)
 
 
 def test_random_event_streams_match_the_reference_replay():

@@ -133,6 +133,14 @@ def test_missing_file_raises_io_error(tmp_path):
         lambda raw: raw.pop("acoustic"),
         lambda raw: raw["fusion_config"].__setitem__("photos_required", "three"),
         lambda raw: raw.__setitem__("acoustic", {"modality": "acoustic"}),
+        # values the model itself refuses, or that would classify as nonsense
+        lambda raw: raw["acoustic"]["model"].__setitem__("inertia", -1.0),
+        lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, float("nan")),
+        lambda raw: raw["acoustic"]["model"]["inertia_history"].append(float("inf")),
+        lambda raw: raw["fusion_config"].__setitem__("photo_window_s", float("nan")),
+        # integers too large for a float
+        lambda raw: raw["acoustic"]["model"].__setitem__("inertia", 10**400),
+        lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, 10**400),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):
@@ -200,6 +208,9 @@ def test_format_and_parse_are_inverse():
         "0.0\taudio\ta.wav\textra",    # too many fields
         "zero\taudio\ta.wav",          # unparsable timestamp
         "0.0\taudio\t",                # empty path
+        "nan\taudio\ta.wav",           # timestamp that is not a number
+        "inf\taudio\ta.wav",           # timestamp that never arrives
+        "1.0\taudio\ta.wav\nnan\timage\tb.ppm\n0.0\timage\tc.ppm",  # nan hides a decrease
     ],
 )
 def test_malformed_script_lines_raise(line):
