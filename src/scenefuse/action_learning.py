@@ -41,6 +41,12 @@ class ActionNet:
     learning_rate: float = 0.5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.weights_ih.shape != (len(self.scene_vocab), self.hidden_size) or (
+            self.weights_ho.shape != (self.hidden_size, len(self.action_vocab))
+        ):
+            raise ValueError("weight shapes disagree with the vocabularies")
+
 
 @dataclass(frozen=True)
 class TrainingTrace:

@@ -17,12 +17,7 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
-from .action_learning import (
-    ActionExample,
-    action_repl,
-    predict_action,
-    train_actions,
-)
+from .action_learning import action_repl, predict_action, train_actions
 from .audio_pipeline import (
     acoustic_features,
     analysis_window,
@@ -39,7 +34,6 @@ from .errors import (
     IoError,
     MissingClassifier,
     SceneFuseError,
-    SchemaError,
 )
 from .features import ACOUSTIC, VISUAL
 from .fusion import IDENTIFIED, NO_SCENE, initial_state, on_acoustic, on_visual_photo
@@ -50,6 +44,7 @@ from .persistence import (
     format_event_script,
     load_bundle,
     load_event_script,
+    load_pairs,
     save_bundle,
 )
 from .scene_model import TrainingSet, classify, train_classifier
@@ -379,30 +374,13 @@ def cmd_synth_matrix(args) -> int:
 
 # --- action ----------------------------------------------------------------
 
-def _read_pairs(path: str) -> list[ActionExample]:
-    text = _read_bytes(path).decode("utf-8")
-    pairs: list[ActionExample] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = raw_line.split("\t")
-        if len(parts) != 2:
-            raise SchemaError(f"{path} line {lineno}: expected scene<TAB>action")
-        scene, action = (part.strip() for part in parts)
-        if not scene or not action:
-            raise SchemaError(f"{path} line {lineno}: empty field")
-        pairs.append(ActionExample(scene_label=scene, action_code=action))
-    return pairs
-
-
 def _save_net(net, out: str) -> None:
     bundle = replace(_load_or_new_bundle(out), action=net)
     save_bundle(bundle, out)
 
 
 def cmd_action_train(args) -> int:
-    pairs = _read_pairs(args.pairs)
+    pairs = load_pairs(args.pairs)
     net, trace = train_actions(
         pairs,
         args.iterations,

@@ -63,6 +63,11 @@ class KMeansModel:
     def __post_init__(self) -> None:
         if self.inertia < 0.0:
             raise ValueError("inertia cannot be negative")
+        if self.centroids.shape != (self.params.k, self.dim):
+            raise ValueError(
+                f"centroid shape {self.centroids.shape} disagrees with "
+                f"k={self.params.k}, dim={self.dim}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,14 +77,15 @@ class ClusterAssignment:
 
 
 def _as_matrix(points) -> np.ndarray:
-    rows = [np.asarray(p, dtype=np.float64) for p in points]
-    if not rows:
+    try:
+        matrix = np.asarray(points, dtype=np.float64)
+    except ValueError as exc:  # ragged rows, or text
+        raise DimensionMismatch(f"points must form one (n, d) matrix: {exc}") from exc
+    if matrix.size == 0:
         raise TooFewPoints("no points at all")
-    dim = rows[0].size
-    for r in rows:
-        if r.ndim != 1 or r.size != dim:
-            raise DimensionMismatch("points do not all share one dimension")
-    return np.vstack(rows)
+    if matrix.ndim != 2:
+        raise DimensionMismatch(f"points must form one (n, d) matrix, not shape {matrix.shape}")
+    return matrix
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -193,7 +199,7 @@ def fit(points, params: KMeansParams) -> KMeansModel:
 
     Raises:
         TooFewPoints: fewer points than clusters.
-        DimensionMismatch: points of mixed lengths.
+        DimensionMismatch: points of mixed lengths, or not one (n, d) matrix.
     """
     matrix = _as_matrix(points)
     n = matrix.shape[0]

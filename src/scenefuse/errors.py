@@ -106,7 +106,7 @@ class ModalityMismatch(UsageError):
 # --- fusion ----------------------------------------------------------------
 
 class ClockSkew(UsageError):
-    """An event carried a timestamp earlier than one already observed."""
+    """An event timestamp is not finite, or precedes one already observed."""
 
 
 # --- action learning -------------------------------------------------------

@@ -12,8 +12,9 @@ window expiring under a tick — resolves to "no scene" with a combined
 confidence of exactly 0, and the machine restarts.
 
 Time is injected by the caller through event timestamps and tick() and must
-never run backward; a stale timestamp raises ClockSkew.  All three
-operations return a fresh state, leaving their argument untouched.
+be finite and never run backward; a stale or non-finite timestamp raises
+ClockSkew.  All three operations return a fresh state, leaving their
+argument untouched.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def initial_state() -> FusionState:
 
 
 def _check_clock(state: FusionState, at: float) -> None:
+    if not math.isfinite(at):
+        raise ClockSkew(f"timestamp {at} is not finite")
     if at < state.last_at:
         raise ClockSkew(f"timestamp {at} precedes already-seen {state.last_at}")
 

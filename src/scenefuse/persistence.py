@@ -1,27 +1,34 @@
-"""Saving and loading trained state, plus the fuse replay script format.
+"""Saving and loading trained state, plus the replay and pairs text formats.
 
 Bundles are UTF-8 JSON documents — a human-readable key/value tree with
-arrays of decimal numbers.  Floats are written with full repr precision, so
-a save/load round trip reproduces every number exactly and classification
-behavior is preserved bit for bit.  `format_version` gates compatibility.
+arrays of decimal numbers.  The schema is the fields of the dataclasses
+themselves: `ModelBundle` and everything it holds is written field by field
+under the field's own name, and read back by walking the same type hints.
+Floats are written with full repr precision, so a save/load round trip
+reproduces every number exactly and classification behavior is preserved
+bit for bit.  `format_version` gates compatibility.  The reader ignores
+keys it does not know and converts no value, so a hand-edited value must
+already have the JSON type its field asks for; only matrix entries go
+through NumPy's float conversion.
 
-Event scripts are tab-separated lines `at<TAB>kind<TAB>path` with `#`
-comments and blank lines allowed; timestamps must never decrease and `kind`
-is `audio` or `image`.
+Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
+pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
+Script timestamps must never decrease and `kind` is `audio` or `image`.
+Every file is read as UTF-8 text; one that is not raises SchemaError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .action_learning import ActionNet
-from .clustering import KMeansModel, KMeansParams
-from .errors import BadVersion, IoError, SchemaError
-from .features import MODALITIES
+from .action_learning import ActionExample, ActionNet
+from .errors import BadVersion, IoError, SchemaError, UsageError
 from .fusion import FusionConfig
 from .scene_model import SceneClassifier
 
@@ -53,67 +60,93 @@ class EventScript:
     events: tuple[ScriptEvent, ...]
 
 
-# --- bundle writing --------------------------------------------------------
-
-def _params_to_dict(params: KMeansParams) -> dict:
-    return {
-        "k": params.k,
-        "max_iters": params.max_iters,
-        "tol": params.tol,
-        "seed": params.seed,
-        "scale": params.scale,
-        "n_init": params.n_init,
-    }
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of a file; IoError if unreadable, SchemaError if not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
-def _classifier_to_dict(classifier: SceneClassifier) -> dict:
-    model = classifier.model
-    return {
-        "modality": classifier.modality,
-        "feature_dim": classifier.feature_dim,
-        "cluster_names": {str(label): name for label, name in classifier.cluster_names.items()},
-        "warnings": list(classifier.warnings),
-        "model": {
-            "centroids": model.centroids.tolist(),
-            "dim": model.dim,
-            "inertia": model.inertia,
-            "inertia_history": list(model.inertia_history),
-            "params": _params_to_dict(model.params),
-        },
-    }
+# --- bundles ---------------------------------------------------------------
+
+def _encode(value):
+    """The JSON form of a value: dataclasses become objects keyed by field name."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _encode(item) for key, item in value.items()}
+    return value
 
 
-def _net_to_dict(net: ActionNet) -> dict:
-    return {
-        "scene_vocab": list(net.scene_vocab),
-        "action_vocab": list(net.action_vocab),
-        "weights_ih": net.weights_ih.tolist(),
-        "weights_ho": net.weights_ho.tolist(),
-        "hidden_size": net.hidden_size,
-        "learning_rate": net.learning_rate,
-        "seed": net.seed,
-    }
+def _decode(hint, raw, where: str):
+    """Build a value of type `hint` from its JSON form `raw`, found at `where`.
 
-
-def _config_to_dict(config: FusionConfig) -> dict:
-    return {
-        "acoustic_visual_window_s": config.acoustic_visual_window_s,
-        "photo_window_s": config.photo_window_s,
-        "photos_required": config.photos_required,
-        "min_combined_confidence": config.min_combined_confidence,
-    }
+    Raises SchemaError on a missing key, a value of the wrong JSON type, a
+    non-finite number, or a value the type's own constructor refuses.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # `X | None`
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return None if raw is None else _decode(inner, raw, where)
+    if is_dataclass(hint):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where} must be an object")
+        hints = get_type_hints(hint)
+        values = {}
+        for f in fields(hint):
+            if f.name not in raw:
+                raise SchemaError(f"{where} is missing {f.name!r}")
+            values[f.name] = _decode(hints[f.name], raw[f.name], f"{where}.{f.name}")
+        try:
+            return hint(**values)
+        except (ValueError, UsageError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    if hint is np.ndarray:
+        try:
+            matrix = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{where} is not a numeric matrix: {exc}") from exc
+        if matrix.ndim != 2 or not np.isfinite(matrix).all():
+            raise SchemaError(f"{where} must be a 2-D matrix of finite numbers")
+        return matrix
+    if origin is tuple:  # `tuple[X, ...]`
+        if not isinstance(raw, list):
+            raise SchemaError(f"{where} must be a list")
+        return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
+    if origin is dict:
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where} must be an object")
+        key_type, value_type = args
+        decoded = {}
+        for key, item in raw.items():
+            try:
+                decoded[key_type(key)] = _decode(value_type, item, f"{where}.{key}")
+            except ValueError:
+                raise SchemaError(f"{where} key {key!r} is not a {key_type.__name__}") from None
+        return decoded
+    if hint is float:
+        try:
+            if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
+                return float(raw)
+        except OverflowError:  # an integer too large for a float
+            pass
+        raise SchemaError(f"{where} must be a finite number")
+    if not isinstance(raw, hint) or (hint is int and isinstance(raw, bool)):
+        raise SchemaError(f"{where} must be of type {hint.__name__}")
+    return raw
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Write the bundle as indented JSON.  Raises IoError on write failure."""
-    document = {
-        "format_version": bundle.format_version,
-        "fusion_config": _config_to_dict(bundle.fusion_config),
-        "acoustic": _classifier_to_dict(bundle.acoustic) if bundle.acoustic else None,
-        "visual": _classifier_to_dict(bundle.visual) if bundle.visual else None,
-        "action": _net_to_dict(bundle.action) if bundle.action else None,
-    }
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_encode(bundle), indent=2, sort_keys=True) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -121,168 +154,38 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         raise IoError(f"cannot write bundle {path}: {exc}") from exc
 
 
-# --- bundle reading --------------------------------------------------------
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _need(mapping: dict, key: str, kind: type, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise SchemaError(f"{where} is missing {key!r}")
-    value = mapping[key]
-    if kind is float:
-        if not _is_finite_number(value):
-            raise SchemaError(f"{where}.{key} must be a finite number")
-        return float(value)
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise SchemaError(f"{where}.{key} must be an integer")
-    if kind in (str, list, dict) and not isinstance(value, kind):
-        raise SchemaError(f"{where}.{key} must be a {kind.__name__}")
-    return value
-
-
-def _params_from_dict(raw: dict, where: str) -> KMeansParams:
-    try:
-        return KMeansParams(
-            k=_need(raw, "k", int, where),
-            max_iters=_need(raw, "max_iters", int, where),
-            tol=_need(raw, "tol", float, where),
-            seed=_need(raw, "seed", int, where),
-            scale=_need(raw, "scale", float, where),
-            n_init=_need(raw, "n_init", int, where),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _float_matrix(raw, where: str) -> np.ndarray:
-    try:
-        matrix = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{where} is not a numeric matrix: {exc}") from exc
-    if matrix.ndim != 2:
-        raise SchemaError(f"{where} must be a 2-D matrix")
-    if not np.isfinite(matrix).all():
-        raise SchemaError(f"{where} holds a non-finite number")
-    return matrix
-
-
-def _classifier_from_dict(raw: dict, where: str) -> SceneClassifier:
-    modality = _need(raw, "modality", str, where)
-    if modality not in MODALITIES:
-        raise SchemaError(f"{where}.modality {modality!r} is unknown")
-    feature_dim = _need(raw, "feature_dim", int, where)
-    model_raw = _need(raw, "model", dict, where)
-    centroids = _float_matrix(_need(model_raw, "centroids", list, f"{where}.model"), f"{where}.model.centroids")
-    params = _params_from_dict(_need(model_raw, "params", dict, f"{where}.model"), f"{where}.model.params")
-    dim = _need(model_raw, "dim", int, f"{where}.model")
-    if centroids.shape != (params.k, dim) or dim != feature_dim:
-        raise SchemaError(
-            f"{where}: centroid shape {centroids.shape} disagrees with "
-            f"k={params.k}, dim={dim}, feature_dim={feature_dim}"
-        )
-    history = _need(model_raw, "inertia_history", list, f"{where}.model")
-    if not all(_is_finite_number(v) for v in history):
-        raise SchemaError(f"{where}.model.inertia_history must hold finite numbers")
-    names_raw = _need(raw, "cluster_names", dict, where)
-    try:
-        cluster_names = {int(label): str(name) for label, name in names_raw.items()}
-    except ValueError as exc:
-        raise SchemaError(f"{where}.cluster_names keys must be integers") from exc
-    if sorted(cluster_names) != list(range(params.k)):
-        raise SchemaError(f"{where}.cluster_names must cover labels 0..{params.k - 1}")
-    warnings = _need(raw, "warnings", list, where)
-    try:
-        model = KMeansModel(
-            centroids=centroids,
-            dim=dim,
-            params=params,
-            inertia=_need(model_raw, "inertia", float, f"{where}.model"),
-            inertia_history=tuple(float(v) for v in history),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}.model: {exc}") from exc
-    return SceneClassifier(
-        modality=modality,
-        model=model,
-        cluster_names=cluster_names,
-        feature_dim=feature_dim,
-        warnings=tuple(str(w) for w in warnings),
-    )
-
-
-def _net_from_dict(raw: dict, where: str) -> ActionNet:
-    scene_vocab = tuple(str(v) for v in _need(raw, "scene_vocab", list, where))
-    action_vocab = tuple(str(v) for v in _need(raw, "action_vocab", list, where))
-    weights_ih = _float_matrix(_need(raw, "weights_ih", list, where), f"{where}.weights_ih")
-    weights_ho = _float_matrix(_need(raw, "weights_ho", list, where), f"{where}.weights_ho")
-    hidden_size = _need(raw, "hidden_size", int, where)
-    if weights_ih.shape != (len(scene_vocab), hidden_size) or weights_ho.shape != (
-        hidden_size,
-        len(action_vocab),
-    ):
-        raise SchemaError(f"{where}: weight shapes disagree with the vocabularies")
-    return ActionNet(
-        scene_vocab=scene_vocab,
-        action_vocab=action_vocab,
-        weights_ih=weights_ih,
-        weights_ho=weights_ho,
-        hidden_size=hidden_size,
-        learning_rate=_need(raw, "learning_rate", float, where),
-        seed=_need(raw, "seed", int, where),
-    )
-
-
-def _config_from_dict(raw: dict) -> FusionConfig:
-    try:
-        return FusionConfig(
-            acoustic_visual_window_s=_need(raw, "acoustic_visual_window_s", float, "fusion_config"),
-            photo_window_s=_need(raw, "photo_window_s", float, "fusion_config"),
-            photos_required=_need(raw, "photos_required", int, "fusion_config"),
-            min_combined_confidence=_need(raw, "min_combined_confidence", float, "fusion_config"),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"fusion_config: {exc}") from exc
-
-
 def load_bundle(path) -> ModelBundle:
     """Read a bundle back.  Raises IoError, BadVersion, or SchemaError."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise IoError(f"cannot read bundle {path}: {exc}") from exc
+    text = _read_text(path, "bundle")
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"bundle {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("bundle document must be a JSON object")
-    version = _need(document, "format_version", int, "bundle")
+    version = _decode(int, document.get("format_version"), "bundle.format_version")
     if version != FORMAT_VERSION:
         raise BadVersion(f"format_version {version} unsupported (expected {FORMAT_VERSION})")
-    for key in ("fusion_config", "acoustic", "visual", "action"):
-        if key not in document:
-            raise SchemaError(f"bundle is missing {key!r}")
-    acoustic = document["acoustic"]
-    visual = document["visual"]
-    action = document["action"]
-    return ModelBundle(
-        acoustic=_classifier_from_dict(acoustic, "acoustic") if acoustic is not None else None,
-        visual=_classifier_from_dict(visual, "visual") if visual is not None else None,
-        action=_net_from_dict(action, "action") if action is not None else None,
-        fusion_config=_config_from_dict(document["fusion_config"]),
-        format_version=version,
-    )
+    return _decode(ModelBundle, document, "bundle")
 
 
-# --- event scripts ---------------------------------------------------------
+# --- event scripts and action pairs ----------------------------------------
+
+def _tsv_rows(text: str, layout: str):
+    """(line number, stripped fields) for each line that is not blank or `#`.
+
+    Raises SchemaError when a line does not have the fields `layout` names.
+    """
+    width = layout.count("<TAB>") + 1
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = raw_line.split("\t")
+        if len(parts) != width:
+            raise SchemaError(f"line {lineno}: expected {layout}")
+        yield lineno, [part.strip() for part in parts]
+
 
 def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
@@ -292,14 +195,7 @@ def parse_event_script(text: str) -> EventScript:
     """
     events: list[ScriptEvent] = []
     previous = float("-inf")
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = raw_line.split("\t")
-        if len(parts) != 3:
-            raise SchemaError(f"line {lineno}: expected at<TAB>kind<TAB>path")
-        at_text, kind, path = (part.strip() for part in parts)
+    for lineno, (at_text, kind, path) in _tsv_rows(text, "at<TAB>kind<TAB>path"):
         try:
             at = float(at_text)
         except ValueError:
@@ -318,14 +214,23 @@ def parse_event_script(text: str) -> EventScript:
 
 
 def load_event_script(path) -> EventScript:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise IoError(f"cannot read event script {path}: {exc}") from exc
-    return parse_event_script(text)
+    return parse_event_script(_read_text(path, "event script"))
 
 
 def format_event_script(script: EventScript) -> str:
     lines = [f"{event.at!r}\t{event.kind}\t{event.path}" for event in script.events]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def load_pairs(path) -> list[ActionExample]:
+    """Read `scene<TAB>action` lines into examples.  Errors name the file."""
+    text = _read_text(path, "pairs file")
+    pairs: list[ActionExample] = []
+    try:
+        for lineno, (scene, action) in _tsv_rows(text, "scene<TAB>action"):
+            if not scene or not action:
+                raise SchemaError(f"line {lineno}: empty field")
+            pairs.append(ActionExample(scene_label=scene, action_code=action))
+    except SchemaError as exc:
+        raise SchemaError(f"{path} {exc}") from None
+    return pairs

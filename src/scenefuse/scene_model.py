@@ -62,6 +62,16 @@ class SceneClassifier:
     feature_dim: int
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.modality not in MODALITIES:
+            raise ValueError(f"unknown modality {self.modality!r}")
+        if self.feature_dim != self.model.dim:
+            raise ValueError(
+                f"feature_dim {self.feature_dim} disagrees with model dim {self.model.dim}"
+            )
+        if sorted(self.cluster_names) != list(range(self.model.params.k)):
+            raise ValueError(f"cluster_names must cover labels 0..{self.model.params.k - 1}")
+
 
 @dataclass(frozen=True)
 class ScenePrediction:

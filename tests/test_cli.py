@@ -276,6 +276,21 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
     assert rc == 3
     capsys.readouterr()
 
+    # text files that are not UTF-8
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(b"coffee\t42\ngym\t\xff\n")
+    script = tmp_path / "script.tsv"
+    script.write_bytes(b"0.0\taudio\t\xff.wav\n")
+    for argv in (
+        ["predict", "--modality", "acoustic", "--bundle", str(utf16), str(junk)],
+        ["action", "train", "--pairs", str(pairs), "--out", str(tmp_path / "x.json")],
+        ["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(script)],
+    ):
+        assert main(argv) == 3
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "args",

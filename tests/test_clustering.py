@@ -99,6 +99,10 @@ def test_fit_input_validation():
         fit([], KMeansParams(k=1))
     with pytest.raises(DimensionMismatch):
         fit([(0.0, 0.0), (1.0, 1.0, 1.0)], KMeansParams(k=1))
+    with pytest.raises(DimensionMismatch):  # one flat vector, not a list of points
+        fit([0.0, 1.0, 2.0], KMeansParams(k=1))
+    with pytest.raises(DimensionMismatch):  # points that are matrices
+        fit(np.zeros((3, 2, 2)), KMeansParams(k=1))
     with pytest.raises(ValueError):
         KMeansParams(k=1, max_iters=0)
     with pytest.raises(ValueError):

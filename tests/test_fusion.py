@@ -243,12 +243,19 @@ def test_photos_required_is_configurable():
 def test_time_running_backward_raises():
     state = initial_state()
     state, _ = on_acoustic(state, ap("a", 90.0, 10.0), CONFIG)
-    with pytest.raises(ClockSkew):
-        on_acoustic(state, ap("a", 90.0, 9.0), CONFIG)
-    with pytest.raises(ClockSkew):
-        on_visual_photo(state, vp("a", 90.0, 9.0), CONFIG)
-    with pytest.raises(ClockSkew):
-        tick(state, 9.0, CONFIG)
+    # a time that is not finite cannot be ordered, so it is refused as well
+    for bad in (9.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ClockSkew):
+            on_acoustic(state, ap("a", 90.0, bad), CONFIG)
+        with pytest.raises(ClockSkew):
+            on_visual_photo(state, vp("a", 90.0, bad), CONFIG)
+        with pytest.raises(ClockSkew):
+            tick(state, bad, CONFIG)
+    for bad in (float("nan"), float("inf")):  # even before any event
+        with pytest.raises(ClockSkew):
+            on_acoustic(initial_state(), ap("a", 90.0, bad), CONFIG)
+        with pytest.raises(ClockSkew):
+            tick(initial_state(), bad, CONFIG)
     # equal timestamps are fine
     _, decision = tick(state, 10.0, CONFIG)
     assert decision.kind == PENDING

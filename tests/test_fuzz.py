@@ -1,0 +1,88 @@
+"""Fuzzed file loaders: any input gives a value or a SceneFuseError, nothing else."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from scenefuse.errors import SceneFuseError
+from scenefuse.persistence import load_bundle, load_event_script, load_pairs, save_bundle
+from test_persistence import _full_bundle
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# any JSON value, including the ones Python's json module writes for nan/inf
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+SCRIPT_WORDS = ["0", "1.5", "-2", "nan", "inf", "1e999", "audio", "image", "a.wav", "", "#", " ", "\xe9"]
+TSV_TEXT = st.lists(
+    st.lists(st.sampled_from(SCRIPT_WORDS), max_size=4).map("\t".join), max_size=5
+).map("\n".join)
+
+
+def _paths(node, prefix=()):
+    """The key path of every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def document(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.json"
+    save_bundle(_full_bundle(), path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _loads_or_refuses(load, path):
+    try:
+        load(path)
+    except SceneFuseError:
+        pass
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES, delete=st.booleans())
+def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_path, data, value, delete):
+    raw = json.loads(json.dumps(document))
+    *parents, key = data.draw(st.sampled_from(sorted(_paths(raw), key=repr)))
+    holder = raw
+    for step in parents:
+        holder = holder[step]
+    if delete and isinstance(holder, dict):
+        del holder[key]
+    else:
+        holder[key] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    _loads_or_refuses(load_bundle, path)
+
+
+@FUZZ
+@given(payload=st.binary(max_size=300) | TSV_TEXT.map(str.encode))
+def test_arbitrary_bytes_load_or_raise_scenefuse_error(tmp_path, payload):
+    path = tmp_path / "input"
+    path.write_bytes(payload)
+    for load in (load_bundle, load_event_script, load_pairs):
+        _loads_or_refuses(load, path)

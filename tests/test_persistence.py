@@ -1,6 +1,7 @@
 """Bundle serialization and event-script parsing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,11 +142,21 @@ def test_missing_file_raises_io_error(tmp_path):
         # integers too large for a float
         lambda raw: raw["acoustic"]["model"].__setitem__("inertia", 10**400),
         lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, 10**400),
+        # values of the wrong JSON type are refused, never converted
+        lambda raw: raw["acoustic"]["model"]["params"].__setitem__("k", True),
+        lambda raw: raw["acoustic"]["warnings"].append(7),
+        lambda raw: raw["action"]["scene_vocab"].__setitem__(0, 7),
+        lambda raw: raw["acoustic"]["cluster_names"].__setitem__("x", "near"),
+        # checks that span fields, and a value the constructor refuses
+        lambda raw: raw["action"].__setitem__("weights_ih", [[0.5]]),
+        lambda raw: raw["acoustic"].__setitem__("feature_dim", 5),
+        lambda raw: raw["acoustic"]["model"]["params"].__setitem__("k", 0),
+        lambda raw: raw["action"].pop("seed"),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):
     path = tmp_path / "bundle.json"
-    save_bundle(ModelBundle(acoustic=_classifier()), path)
+    save_bundle(_full_bundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
     mutate(raw)
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -153,10 +164,58 @@ def test_structural_damage_raises_schema_error(tmp_path, mutate):
         load_bundle(path)
 
 
+def test_reload_and_save_writes_the_same_bytes(tmp_path):
+    bundle = _full_bundle()
+    twelve = TrainingSet(
+        modality=VISUAL,
+        items=tuple(
+            (f"scene{i:02d}", FeatureVector(np.full(3, 20.0 * i), VISUAL)) for i in range(12)
+        ),
+    )
+    bundle = replace(bundle, visual=train_classifier(twelve, KMeansParams(k=12)))
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    save_bundle(bundle, first)
+    save_bundle(load_bundle(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    # labels are keyed by their decimal strings, in string order
+    names = json.loads(first.read_text(encoding="utf-8"))["visual"]["cluster_names"]
+    assert list(names)[:4] == ["0", "1", "10", "11"]
+
+
+def test_types_check_what_spans_their_fields():
+    classifier = _classifier()
+    model = classifier.model
+    with pytest.raises(ValueError):
+        replace(model, centroids=model.centroids[:1])
+    with pytest.raises(ValueError):
+        replace(model, dim=model.dim + 1)
+    with pytest.raises(ValueError):
+        replace(classifier, modality="tactile")
+    with pytest.raises(ValueError):
+        replace(classifier, feature_dim=classifier.feature_dim + 2)
+    with pytest.raises(ValueError):
+        replace(classifier, cluster_names={0: "near"})
+    with pytest.raises(ValueError):
+        replace(classifier, cluster_names={0: "near", 2: "far"})
+    net = _full_bundle().action
+    with pytest.raises(ValueError):
+        replace(net, weights_ih=net.weights_ih[:1])
+    with pytest.raises(ValueError):
+        replace(net, weights_ho=net.weights_ho.T)
+    with pytest.raises(ValueError):
+        replace(net, action_vocab=net.action_vocab + ("extra",))
+    with pytest.raises(ValueError):
+        replace(net, hidden_size=net.hidden_size + 1)
+
+
 def test_truncated_json_raises_schema_error(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(SchemaError):
+        load_bundle(path)
+    path.write_bytes(b"[" * 100000)  # nested deeper than the JSON parser recurses
     with pytest.raises(SchemaError):
         load_bundle(path)
 
