@@ -309,7 +309,7 @@ def cmd_synth_image(args) -> int:
         spec = [_parse_color(text) for text in args.color]
     else:
         raise BadSpec("give either --preset or at least one --color")
-    image = synth_scene_image(spec, args.width, args.height, args.seed)
+    image = synth_scene_image(spec, args.width, args.height)
     _write_bytes(args.out, encode_ppm(image))
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -349,7 +349,7 @@ def cmd_synth_matrix(args) -> int:
             emit(f"test_{scene}_{t}.wav", encode_wav(clip))
         for i in range(1, 4):
             spec = _shifted_fractions(_IMAGE_PRESETS[scene], i - 1)
-            image = synth_scene_image(spec, 60, 40, seed=args.seed)
+            image = synth_scene_image(spec, 60, 40)
             emit(f"train_{scene}_{i}.ppm", encode_ppm(image))
             emit(f"test_{scene}_{i}.ppm", encode_ppm(image))
 
@@ -488,7 +488,6 @@ def _build_parser() -> _Parser:
     synth_image.add_argument("--out", required=True)
     synth_image.add_argument("--width", type=int, default=64)
     synth_image.add_argument("--height", type=int, default=48)
-    synth_image.add_argument("--seed", type=int, default=0)
     synth_image.set_defaults(handler=cmd_synth_image)
 
     synth_matrix = synth_kinds.add_parser(

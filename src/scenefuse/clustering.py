@@ -4,6 +4,11 @@ One engine serves every caller: acoustic feature vectors, palette vectors,
 and raw pixel triples.  Everything is deterministic given the seed — the
 k-means++ draw, the lowest-index tie-break on assignment, and the repair
 rule that hands an empty cluster the single worst-represented point.
+
+Every squared distance goes through `_sq_distances`, which fills its
+(n, k) result one centroid at a time, so a pass needs O(n·d) scratch
+memory rather than an (n, k, d) temporary.  Points and query vectors must
+be finite: NaN or inf is refused with ValueError at the boundary.
 """
 
 from __future__ import annotations
@@ -61,8 +66,10 @@ class KMeansModel:
     inertia_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.inertia < 0.0:
-            raise ValueError("inertia cannot be negative")
+        if not (math.isfinite(self.inertia) and self.inertia >= 0.0):
+            raise ValueError("inertia must be finite and not negative")
+        if not np.isfinite(self.centroids).all():
+            raise ValueError("centroids must be finite")
         if self.centroids.shape != (self.params.k, self.dim):
             raise ValueError(
                 f"centroid shape {self.centroids.shape} disagrees with "
@@ -85,13 +92,23 @@ def _as_matrix(points) -> np.ndarray:
         raise TooFewPoints("no points at all")
     if matrix.ndim != 2:
         raise DimensionMismatch(f"points must form one (n, d) matrix, not shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("points must be finite, not NaN or inf")
     return matrix
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every point to every centroid."""
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """Squared Euclidean distance from every point to every centroid.
+
+    `points` is (n, d), `centroids` is (k, d), the result is (n, k).  One
+    centroid column at a time, so the scratch is a single (n, d) difference.
+    """
+    sq = np.empty((points.shape[0], centroids.shape[0]), dtype=np.float64)
+    diff = np.empty(points.shape, dtype=np.float64)
+    for j, centroid in enumerate(centroids):
+        np.subtract(points, centroid, out=diff)
+        sq[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return sq
 
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +129,7 @@ def _init_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     chosen = np.empty((k, points.shape[1]), dtype=np.float64)
     idx = int(rng.integers(n))
     chosen[0] = points[idx]
-    closest_sq = ((points - chosen[0]) ** 2).sum(axis=1)
+    closest_sq = _sq_distances(points, chosen[0:1])[:, 0]
     for j in range(1, k):
         total = float(closest_sq.sum())
         if total > 0.0:
@@ -123,7 +140,7 @@ def _init_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         else:
             idx = int(rng.integers(n))
         chosen[j] = points[idx]
-        closest_sq = np.minimum(closest_sq, ((points - chosen[j]) ** 2).sum(axis=1))
+        closest_sq = np.minimum(closest_sq, _sq_distances(points, chosen[j : j + 1])[:, 0])
     return chosen
 
 
@@ -132,17 +149,17 @@ def _repair_empties(
     centroids: np.ndarray,
     labels: np.ndarray,
     sq: np.ndarray,
-) -> bool:
+) -> None:
     """Give every empty cluster the point farthest from its current centroid.
 
     Empty clusters are visited in ascending index order; each seizes the
     worst-represented point whose own cluster still has another member
-    (ties broken by the lowest point index).  Returns True when anything
-    moved.  Inertia can only drop: the seized point's distance becomes 0.
+    (ties broken by the lowest point index).  `centroids`, `labels` and
+    `sq` are updated in place.  Inertia can only drop: the seized point's
+    distance becomes 0.
     """
     k = centroids.shape[0]
     counts = np.bincount(labels, minlength=k)
-    changed = False
     for empty in np.flatnonzero(counts == 0):
         point_sq = sq[np.arange(points.shape[0]), labels]
         donors = counts[labels] > 1
@@ -154,9 +171,7 @@ def _repair_empties(
         labels[victim] = empty
         counts[empty] = 1
         centroids[empty] = points[victim]
-        sq[:, empty] = ((points - centroids[empty]) ** 2).sum(axis=1)
-        changed = True
-    return changed
+        sq[:, empty] = _sq_distances(points, centroids[empty : empty + 1])[:, 0]
 
 
 def _lloyd_run(
@@ -200,6 +215,8 @@ def fit(points, params: KMeansParams) -> KMeansModel:
     Raises:
         TooFewPoints: fewer points than clusters.
         DimensionMismatch: points of mixed lengths, or not one (n, d) matrix.
+        ValueError: a NaN or infinite coordinate, or points so large that
+            a centroid or the inertia overflows.
     """
     matrix = _as_matrix(points)
     n = matrix.shape[0]
@@ -224,15 +241,21 @@ def fit(points, params: KMeansParams) -> KMeansModel:
 
 
 def predict(model: KMeansModel, point) -> ClusterAssignment:
-    """Nearest centroid for one vector; ties go to the lowest label."""
+    """Nearest centroid for one vector; ties go to the lowest label.
+
+    Raises DimensionMismatch for a vector of the wrong length and
+    ValueError for a NaN or infinite coordinate.
+    """
     vec = np.asarray(point, dtype=np.float64)
     if vec.ndim != 1 or vec.size != model.dim:
         raise DimensionMismatch(
             f"point has {vec.size} dims, model expects {model.dim}"
         )
-    sq = ((model.centroids - vec[None, :]) ** 2).sum(axis=1)
-    label = int(sq.argmin())
-    return ClusterAssignment(label=label, distance=float(np.sqrt(sq[label])))
+    if not np.isfinite(vec).all():
+        raise ValueError("point must be finite, not NaN or inf")
+    labels, sq = assign(vec[None, :], model.centroids)
+    label = int(labels[0])
+    return ClusterAssignment(label=label, distance=float(np.sqrt(sq[0, label])))
 
 
 def confidence(distance: float, scale: float = 10000.0) -> float:
@@ -241,8 +264,8 @@ def confidence(distance: float, scale: float = 10000.0) -> float:
     Zero distance scores a perfect 100; anything at or past 100*scale floors
     at 0 rather than going negative.
     """
-    if distance < 0.0:
-        raise ValueError("distance cannot be negative")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not distance >= 0.0:
+        raise ValueError("distance must be a number, not negative or NaN")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError("scale must be finite and positive")
     return min(100.0, max(0.0, 100.0 - distance / scale))

@@ -192,15 +192,12 @@ def palette_features(palette: ColorPalette) -> FeatureVector:
 PaletteSpec = Sequence[tuple[tuple[int, int, int], float]]
 
 
-def synth_scene_image(
-    palette_spec: PaletteSpec, width: int, height: int, seed: int = 0
-) -> Image:
+def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Image:
     """Render a synthetic scene as contiguous row-major color blocks.
 
     Pixel counts follow the requested fractions to within one pixel
     (largest-remainder rounding, ties to the earlier entry).  The layout is
-    fully determined by the spec and dimensions; `seed` is accepted to keep
-    the synthesizer interfaces uniform but does not alter the pixels.
+    fully determined by the spec and dimensions.
 
     Raises BadSpec for an empty spec, out-of-range colors or fractions, or
     fractions that do not sum to 1.

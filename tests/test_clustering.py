@@ -1,11 +1,14 @@
 """Clustering engine: worked cases, optimality, determinism, confidence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_inertia, nearest_centroid_scan
 from scenefuse.clustering import (
     KMeansParams,
+    assign,
     confidence,
     fit,
     predict,
@@ -90,6 +93,34 @@ def test_predict_breaks_ties_toward_the_lower_label():
     assert assignment.label == min(equally_near)
 
 
+def test_assign_scratch_memory_stays_within_one_points_matrix():
+    rng = np.random.default_rng(7)
+    points = rng.standard_normal((64, 8192))
+    centroids = rng.standard_normal((16, 8192))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        labels, sq = assign(points, centroids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (64,) and sq.shape == (64, 16)
+    # one (n, d) difference plus the results, never an (n, k, d) array; the
+    # 16 KiB cover array headers and einsum's (n,) column before it is copied
+    assert peak <= points.nbytes + sq.nbytes + labels.nbytes + 16_384
+
+
+def test_predict_distance_is_the_square_root_of_assigns_entry():
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.0, 1.0, (12, 8192))
+    model = fit(points, KMeansParams(k=3, seed=2, n_init=1))
+    for vec in rng.uniform(0.0, 1.0, (5, 8192)):
+        assignment = predict(model, vec)
+        labels, sq = assign(vec[None, :], model.centroids)
+        assert assignment.label == int(labels[0])
+        assert assignment.distance == float(np.sqrt(sq[0, assignment.label]))
+
+
 def test_fit_input_validation():
     with pytest.raises(ZeroK):
         KMeansParams(k=0)
@@ -114,12 +145,20 @@ def test_fit_input_validation():
             KMeansParams(k=1, scale=value)
         with pytest.raises(ValueError):
             KMeansParams(k=1, tol=value)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):  # NaN would become a centroid and the inertia
+            fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))
+    with pytest.raises(ValueError), np.errstate(all="ignore"):  # the mean overflows to inf
+        fit([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)], KMeansParams(k=1))
 
 
 def test_predict_validates_dimensions():
     model = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
     with pytest.raises(DimensionMismatch):
         predict(model, (0.0, 0.0, 0.0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            predict(model, (bad, 0.0))
 
 
 def test_confidence_anchor_points():
@@ -146,3 +185,8 @@ def test_confidence_rejects_bad_arguments():
         confidence(-1.0)
     with pytest.raises(ValueError):
         confidence(1.0, scale=-2.0)
+    with pytest.raises(ValueError):
+        confidence(float("nan"))
+    for scale in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            confidence(1.0, scale=scale)

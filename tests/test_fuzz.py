@@ -1,13 +1,16 @@
-"""Fuzzed file loaders: any input gives a value or a SceneFuseError, nothing else."""
+"""Fuzzed file loaders and decoders: any input gives a value or a SceneFuseError, nothing else."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from scenefuse.audio_pipeline import AudioClip, decode_wav, encode_wav
 from scenefuse.errors import SceneFuseError
 from scenefuse.persistence import load_bundle, load_event_script, load_pairs, save_bundle
+from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
 from test_persistence import _full_bundle
 
 FUZZ = settings(
@@ -34,6 +37,17 @@ TSV_TEXT = st.lists(
     st.lists(st.sampled_from(SCRIPT_WORDS), max_size=4).map("\t".join), max_size=5
 ).map("\n".join)
 
+VALID_WAV = encode_wav(AudioClip(samples=np.linspace(-0.5, 0.5, 12), sample_rate_hz=8000))
+VALID_PPM = encode_ppm(Image(width=3, height=2, pixels=np.arange(18).reshape(6, 3)))
+
+
+def _damaged(valid: bytes):
+    """`valid` with one byte replaced, or with its tail cut off."""
+    replaced = st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+        lambda at: valid[: at[0]] + bytes([at[1]]) + valid[at[0] + 1 :]
+    )
+    return replaced | st.integers(0, len(valid) - 1).map(lambda cut: valid[:cut])
+
 
 def _paths(node, prefix=()):
     """The key path of every node below the root of a JSON document."""
@@ -55,9 +69,9 @@ def document(tmp_path_factory):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _loads_or_refuses(load, path):
+def _returns_or_refuses(call, arg):
     try:
-        load(path)
+        call(arg)
     except SceneFuseError:
         pass
 
@@ -76,7 +90,7 @@ def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_p
         holder[key] = value
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    _loads_or_refuses(load_bundle, path)
+    _returns_or_refuses(load_bundle, path)
 
 
 @FUZZ
@@ -85,4 +99,16 @@ def test_arbitrary_bytes_load_or_raise_scenefuse_error(tmp_path, payload):
     path = tmp_path / "input"
     path.write_bytes(payload)
     for load in (load_bundle, load_event_script, load_pairs):
-        _loads_or_refuses(load, path)
+        _returns_or_refuses(load, path)
+    for decode in (decode_wav, decode_ppm):
+        _returns_or_refuses(decode, payload)
+
+
+@pytest.mark.parametrize(
+    "decode, valid", [(decode_wav, VALID_WAV), (decode_ppm, VALID_PPM)], ids=["wav", "ppm"]
+)
+@FUZZ
+@given(data=st.data())
+def test_damaged_media_decode_or_raise_scenefuse_error(decode, valid, data):
+    decode(valid)
+    _returns_or_refuses(decode, data.draw(_damaged(valid)))

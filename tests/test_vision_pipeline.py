@@ -188,13 +188,6 @@ def test_synth_pixel_counts_match_fractions_within_one():
     assert counts.sum() == 100
 
 
-def test_synth_seed_does_not_change_the_pixels():
-    spec = [((10, 10, 10), 0.25), ((20, 20, 20), 0.75)]
-    a = synth_scene_image(spec, 16, 16, seed=0)
-    b = synth_scene_image(spec, 16, 16, seed=999)
-    assert np.array_equal(a.pixels, b.pixels)
-
-
 @pytest.mark.parametrize(
     "spec, width, height",
     [
