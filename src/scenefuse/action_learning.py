@@ -11,6 +11,7 @@ sampled every 1000 iterations, starting at iteration 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -33,19 +34,20 @@ class ActionExample:
 
 @dataclass(frozen=True, eq=False)
 class ActionNet:
+    """Trained weights over the two vocabularies; the hidden width is their shared axis."""
+
     scene_vocab: tuple[str, ...]
     action_vocab: tuple[str, ...]
-    weights_ih: np.ndarray  # (len(scene_vocab), hidden_size)
-    weights_ho: np.ndarray  # (hidden_size, len(action_vocab))
-    hidden_size: int = 8
-    learning_rate: float = 0.5
-    seed: int = 0
+    weights_ih: np.ndarray  # (len(scene_vocab), hidden)
+    weights_ho: np.ndarray  # (hidden, len(action_vocab))
 
     def __post_init__(self) -> None:
-        if self.weights_ih.shape != (len(self.scene_vocab), self.hidden_size) or (
-            self.weights_ho.shape != (self.hidden_size, len(self.action_vocab))
+        if self.weights_ih.ndim != 2 or self.weights_ih.shape[0] != len(self.scene_vocab) or (
+            self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):
             raise ValueError("weight shapes disagree with the vocabularies")
+        if not (np.isfinite(self.weights_ih).all() and np.isfinite(self.weights_ho).all()):
+            raise ValueError("weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,8 @@ def train_actions(
     Raises:
         EmptyTrainingSet: no examples.
         ConflictingExamples: one scene label mapped to two action codes.
+        ValueError: a non-finite learning rate, or one so large that the
+            weights overflow.
     """
     examples = list(examples)
     if not examples:
@@ -152,6 +156,8 @@ def train_actions(
         raise ValueError("iterations must be at least 1")
     if hidden_size < 1:
         raise ValueError("hidden_size must be at least 1")
+    if not math.isfinite(learning_rate):
+        raise ValueError("learning_rate must be finite")
     seen: dict[str, str] = {}
     for example in examples:
         known = seen.setdefault(example.scene_label, example.action_code)
@@ -183,9 +189,6 @@ def train_actions(
         action_vocab=action_vocab,
         weights_ih=weights_ih,
         weights_ho=weights_ho,
-        hidden_size=hidden_size,
-        learning_rate=learning_rate,
-        seed=seed,
     )
     return net, TrainingTrace(errors=tuple(trace))
 

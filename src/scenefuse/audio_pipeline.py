@@ -43,7 +43,7 @@ class AudioClip:
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("clip must hold at least one sample")
-        if float(np.max(np.abs(samples))) > 1.0:
+        if not (np.abs(samples) <= 1.0).all():  # NaN fails too
             raise ValueError("samples must lie within [-1, 1]")
 
     @property
@@ -65,6 +65,8 @@ class Spectrum:
         object.__setattr__(self, "amps", amps)
         if freqs.ndim != 1 or freqs.size == 0 or freqs.shape != amps.shape:
             raise ValueError("freqs and amps must be matching non-empty 1-D arrays")
+        if not (np.isfinite(freqs).all() and np.isfinite(amps).all()):
+            raise ValueError("frequencies and amplitudes must be finite")
         if freqs[0] != 0.0 or np.any(np.diff(freqs) <= 0.0):
             raise ValueError("frequencies must start at 0 and ascend strictly")
         if np.any(amps < 0.0):
@@ -229,13 +231,14 @@ def synth_ambient(
     phase and amplitude gain / components_per_band.  The sum is clipped into
     [-1, 1].  Same arguments, same seed: bit-identical samples.
 
-    Raises BadProfile for an empty envelope, negative gains, inverted bands,
-    bands beyond the Nyquist frequency, or a zero-length clip.
+    Raises BadProfile for an empty envelope, negative or non-finite gains,
+    inverted bands, bands beyond the Nyquist frequency, or a duration that
+    is not finite or rounds to zero samples.
     """
     if components_per_band < 1:
         raise BadProfile("need at least one component per band")
-    if rate <= 0 or seconds <= 0.0:
-        raise BadProfile("rate and duration must be positive")
+    if rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
+        raise BadProfile("rate and duration must be finite and positive")
     n = int(seconds * rate)
     if n < 1:
         raise BadProfile("duration rounds to zero samples")
@@ -249,8 +252,8 @@ def synth_ambient(
     nyquist = rate / 2.0
     m = components_per_band
     for (low, high), gain in bands:
-        if gain < 0.0:
-            raise BadProfile(f"negative gain {gain}")
+        if not (math.isfinite(gain) and gain >= 0.0):
+            raise BadProfile(f"gain {gain} must be finite and not negative")
         if not (0.0 <= low <= high <= nyquist):
             raise BadProfile(f"band ({low}, {high}) outside [0, {nyquist}]")
         freqs = low + (np.arange(m) + 0.5) / m * (high - low)

@@ -503,21 +503,19 @@ def _build_parser() -> _Parser:
     action = commands.add_parser("action", help="scene-to-action net")
     action_kinds = action.add_subparsers(dest="action_kind", required=True, parser_class=_Parser)
 
-    action_train = action_kinds.add_parser("train")
+    training = _Parser(add_help=False)  # the flags train and repl share
+    training.add_argument("--iterations", type=int, default=100000)
+    training.add_argument("--hidden", type=int, default=8)
+    training.add_argument("--lr", type=float, default=0.5)
+    training.add_argument("--seed", type=int, default=0)
+
+    action_train = action_kinds.add_parser("train", parents=[training])
     action_train.add_argument("--pairs", required=True, help="TSV of scene<TAB>action")
     action_train.add_argument("--out", required=True)
-    action_train.add_argument("--iterations", type=int, default=100000)
-    action_train.add_argument("--hidden", type=int, default=8)
-    action_train.add_argument("--lr", type=float, default=0.5)
-    action_train.add_argument("--seed", type=int, default=0)
     action_train.set_defaults(handler=cmd_action_train)
 
-    action_repl_parser = action_kinds.add_parser("repl")
+    action_repl_parser = action_kinds.add_parser("repl", parents=[training])
     action_repl_parser.add_argument("--out", default=None)
-    action_repl_parser.add_argument("--iterations", type=int, default=100000)
-    action_repl_parser.add_argument("--hidden", type=int, default=8)
-    action_repl_parser.add_argument("--lr", type=float, default=0.5)
-    action_repl_parser.add_argument("--seed", type=int, default=0)
     action_repl_parser.set_defaults(handler=cmd_action_repl)
 
     action_predict = action_kinds.add_parser("predict")

@@ -21,33 +21,31 @@ import numpy as np
 from .errors import DimensionMismatch, TooFewPoints, ZeroK
 
 
+_MAX_ITERS = 300  # Lloyd iterations per run, at most
+_TOL = 1e-6  # a run has converged once no centroid coordinate moves further
+_N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
+
+
 @dataclass(frozen=True)
 class KMeansParams:
-    """Knobs for one fit.  `scale` feeds the confidence score downstream.
+    """What a fit is asked for: `k` clusters from the stream seeded by `seed`.
 
-    A fit restarts `n_init` times from fresh k-means++ draws of one seeded
+    `scale` is the divisor of the confidence score downstream.  The restart
+    count, iteration cap and convergence tolerance are module constants: a
+    fit restarts `_N_INIT` times from fresh k-means++ draws of one seeded
     stream and keeps the lowest-inertia run, so results stay deterministic
     while single-start local minima get smoothed out.
     """
 
     k: int
-    max_iters: int = 300
-    tol: float = 1e-6
     seed: int = 0
     scale: float = 10000.0
-    n_init: int = 10
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ZeroK(f"k must be at least 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError("tol must be finite and not negative")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError("scale must be finite and positive")
-        if self.n_init < 1:
-            raise ValueError("n_init must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,25 +54,33 @@ class KMeansModel:
 
     inertia_history holds the within-cluster sum of squared distances
     measured after every assignment pass, final pass included; it never
-    increases, and its last entry equals `inertia`.
+    increases.  The width `dim` and the final `inertia` are read off
+    `centroids` and `inertia_history`, so they are stored nowhere else.
     """
 
-    centroids: np.ndarray  # shape (k, dim)
-    dim: int
+    centroids: np.ndarray  # shape (params.k, dim)
     params: KMeansParams
-    inertia: float
     inertia_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not self.inertia_history:
+            raise ValueError("inertia_history cannot be empty")
         if not (math.isfinite(self.inertia) and self.inertia >= 0.0):
             raise ValueError("inertia must be finite and not negative")
         if not np.isfinite(self.centroids).all():
             raise ValueError("centroids must be finite")
-        if self.centroids.shape != (self.params.k, self.dim):
+        if self.centroids.ndim != 2 or self.centroids.shape[0] != self.params.k:
             raise ValueError(
-                f"centroid shape {self.centroids.shape} disagrees with "
-                f"k={self.params.k}, dim={self.dim}"
+                f"centroid shape {self.centroids.shape} is not {self.params.k} rows of a matrix"
             )
+
+    @property
+    def dim(self) -> int:
+        return int(self.centroids.shape[1])
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_history[-1]
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def _lloyd_run(
     centroids = _init_pp(matrix, params.k, rng)
     history: list[float] = []
 
-    for _ in range(params.max_iters):
+    for _ in range(_MAX_ITERS):
         labels, sq = assign(matrix, centroids)
         _repair_empties(matrix, centroids, labels, sq)
         history.append(float(sq[np.arange(n), labels].sum()))
@@ -193,7 +199,7 @@ def _lloyd_run(
                 updated[c] = members.mean(axis=0)
         shift = float(np.max(np.abs(updated - centroids)))
         centroids = updated
-        if shift <= params.tol:
+        if shift <= _TOL:
             break
 
     # one closing assignment against the final centroids, repaired so that
@@ -209,7 +215,7 @@ def fit(points, params: KMeansParams) -> KMeansModel:
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
-    moved more than params.tol (infinity norm) in one update; across runs,
+    moved more than `_TOL` (infinity norm) in one update; across runs,
     the lowest final inertia wins, earliest run on a tie.
 
     Raises:
@@ -225,19 +231,13 @@ def fit(points, params: KMeansParams) -> KMeansModel:
 
     rng = np.random.default_rng(params.seed)
     best: tuple[np.ndarray, list[float]] | None = None
-    for _ in range(params.n_init):
+    for _ in range(_N_INIT):
         centroids, history = _lloyd_run(matrix, params, rng)
         if best is None or history[-1] < best[1][-1]:
             best = (centroids, history)
     centroids, history = best
 
-    return KMeansModel(
-        centroids=centroids,
-        dim=int(matrix.shape[1]),
-        params=params,
-        inertia=history[-1],
-        inertia_history=tuple(history),
-    )
+    return KMeansModel(centroids=centroids, params=params, inertia_history=tuple(history))
 
 
 def predict(model: KMeansModel, point) -> ClusterAssignment:

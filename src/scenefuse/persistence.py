@@ -6,10 +6,16 @@ themselves: `ModelBundle` and everything it holds is written field by field
 under the field's own name, and read back by walking the same type hints.
 Floats are written with full repr precision, so a save/load round trip
 reproduces every number exactly and classification behavior is preserved
-bit for bit.  `format_version` gates compatibility.  The reader ignores
-keys it does not know and converts no value, so a hand-edited value must
-already have the JSON type its field asks for; only matrix entries go
-through NumPy's float conversion.
+bit for bit.  Only facts nothing else determines are stored: a
+classifier's width is read off its centroid matrix, its final inertia off
+the end of `inertia_history`, and the net's hidden width off its weights.
+`format_version` gates compatibility: this build writes version 2 and
+also reads version 1, whose files hold nine more keys that restated other
+values or that nothing read (`dim`, `inertia`, `feature_dim`, `max_iters`,
+`tol`, `n_init`, and the net's `hidden_size`, `learning_rate`, `seed`).
+The reader ignores keys it does not know and converts no value, so a
+hand-edited value must already have the JSON type its field asks for; only
+matrix entries go through NumPy's float conversion.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
@@ -32,7 +38,8 @@ from .errors import BadVersion, IoError, SchemaError, UsageError
 from .fusion import FusionConfig
 from .scene_model import SceneClassifier
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 EVENT_KINDS = ("audio", "image")
 
@@ -164,9 +171,12 @@ def load_bundle(path) -> ModelBundle:
     if not isinstance(document, dict):
         raise SchemaError("bundle document must be a JSON object")
     version = _decode(int, document.get("format_version"), "bundle.format_version")
-    if version != FORMAT_VERSION:
-        raise BadVersion(f"format_version {version} unsupported (expected {FORMAT_VERSION})")
-    return _decode(ModelBundle, document, "bundle")
+    if version not in _READABLE_VERSIONS:
+        raise BadVersion(
+            f"format_version {version} unsupported (expected one of {_READABLE_VERSIONS})"
+        )
+    # a version-1 file differs only in keys the decoder ignores
+    return _decode(ModelBundle, {**document, "format_version": FORMAT_VERSION}, "bundle")
 
 
 # --- event scripts and action pairs ----------------------------------------

@@ -47,10 +47,6 @@ class TrainingSet:
     def scene_names(self) -> tuple[str, ...]:
         return tuple(sorted({name for name, _ in self.items}))
 
-    @property
-    def feature_dim(self) -> int:
-        return len(self.items[0][1]) if self.items else 0
-
 
 @dataclass(frozen=True, eq=False)
 class SceneClassifier:
@@ -59,18 +55,17 @@ class SceneClassifier:
     modality: str
     model: clustering.KMeansModel
     cluster_names: dict[int, str]
-    feature_dim: int
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.feature_dim != self.model.dim:
-            raise ValueError(
-                f"feature_dim {self.feature_dim} disagrees with model dim {self.model.dim}"
-            )
         if sorted(self.cluster_names) != list(range(self.model.params.k)):
             raise ValueError(f"cluster_names must cover labels 0..{self.model.params.k - 1}")
+
+    @property
+    def feature_dim(self) -> int:
+        return self.model.dim
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,8 @@ def train_classifier(
 ) -> SceneClassifier:
     """Fit one cluster per distinct scene name and name the clusters.
 
-    params.k is overridden by the scene count; seed, tolerance, and scale
-    pass through.  Raises TooFewExamples when the set is empty.
+    params.k is overridden by the scene count; seed and scale pass
+    through.  Raises TooFewExamples when the set is empty.
     """
     scenes = training_set.scene_names
     k = len(scenes)
@@ -142,7 +137,6 @@ def train_classifier(
         modality=training_set.modality,
         model=model,
         cluster_names=cluster_names,
-        feature_dim=training_set.feature_dim,
         warnings=tuple(warnings),
     )
 

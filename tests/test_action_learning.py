@@ -85,6 +85,13 @@ def test_empty_training_set_is_rejected():
         train_actions([], iterations=10)
     with pytest.raises(ValueError):
         train_actions([ActionExample("a", "1")], iterations=0)
+    for rate in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            train_actions([ActionExample("a", "1")], iterations=10, learning_rate=rate)
+    with pytest.raises(ValueError), np.errstate(all="ignore"):  # the weights overflow
+        train_actions(
+            [ActionExample("a", "1"), ActionExample("b", "2")], iterations=50, learning_rate=1e308
+        )
 
 
 def test_unknown_labels_are_rejected():

@@ -96,6 +96,8 @@ def test_clip_validation():
         AudioClip(np.array([0.0]), 0)
     with pytest.raises(ValueError):
         AudioClip(np.array([]), 8000)
+    with pytest.raises(ValueError):
+        AudioClip(np.array([0.0, np.nan]), 8000)
 
 
 # --- windowing -------------------------------------------------------------
@@ -172,6 +174,11 @@ def test_spectrum_validation():
         Spectrum(freqs_hz=np.array([0.0, 1.0]), amps=np.array([-0.1, 0.0]))
     with pytest.raises(ValueError):
         Spectrum(freqs_hz=np.array([0.0, 2.0, 1.0]), amps=np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Spectrum(freqs_hz=np.array([0.0, 1.0]), amps=np.array([bad, 0.0]))
+        with pytest.raises(ValueError):
+            Spectrum(freqs_hz=np.array([0.0, bad]), amps=np.zeros(2))
 
 
 # --- feature layout --------------------------------------------------------
@@ -246,6 +253,10 @@ def test_disjoint_profiles_separate_by_an_order_of_magnitude():
         ([((100.0, 5000.0), 1.0)], 1.0, 8000),   # beyond Nyquist
         ([((100.0, 200.0), -0.5)], 1.0, 8000),   # negative gain
         ([((100.0, 200.0), 1.0)], 0.0, 8000),    # zero duration
+        ([((100.0, 200.0), float("nan"))], 1.0, 8000),  # gain that is not a number
+        ([((100.0, 200.0), float("inf"))], 1.0, 8000),  # infinite gain
+        ([((100.0, 200.0), 1.0)], float("inf"), 8000),  # endless clip
+        ([((100.0, 200.0), 1.0)], float("nan"), 8000),  # duration that is not a number
     ],
 )
 def test_synth_rejects_bad_envelopes(profile, seconds, rate):

@@ -390,9 +390,12 @@ def test_bad_synth_parameters_exit_one(tmp_path, capsys):
         ["image", "--color", "1,2:0.5"],
         ["image", "--color", "a,b,c:x"],
         ["image"],
+        ["audio", "--band", "0:100:nan"],
+        ["audio", "--band", "0:100:1", "--seconds", "inf"],
     ],
     ids=["band-one-field", "band-not-numbers", "no-band", "color-no-fraction",
-         "color-two-channels", "color-not-numbers", "no-color"],
+         "color-two-channels", "color-not-numbers", "no-color", "band-nan-gain",
+         "endless-clip"],
 )
 def test_malformed_synth_flags_exit_one(tmp_path, capsys, flags):
     rc = main(["synth", *flags, "--out", str(tmp_path / "x.out")])
@@ -537,6 +540,22 @@ def test_action_train_conflicting_pairs_exit_one(tmp_path, capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "1e308"])
+def test_action_train_non_finite_learning_exits_one(tmp_path, capsys, rate):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")
+    out = tmp_path / "x.json"
+    with np.errstate(all="ignore"):  # 1e308 overflows the weights
+        rc = main(
+            ["action", "train", "--pairs", str(pairs), "--out", str(out),
+             "--iterations", "50", "--lr", rate]
+        )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["coffee\t42\ngym\n", "coffee\t42\n\t10\n"])

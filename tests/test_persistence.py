@@ -1,13 +1,14 @@
 """Bundle serialization and event-script parsing."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scenefuse.action_learning import ActionExample, train_actions
-from scenefuse.clustering import KMeansParams
+from scenefuse.action_learning import ActionExample, ActionNet, train_actions
+from scenefuse.clustering import KMeansModel, KMeansParams
 from scenefuse.errors import BadVersion, IoError, SchemaError
 from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
 from scenefuse.fusion import FusionConfig
@@ -21,7 +22,10 @@ from scenefuse.persistence import (
     parse_event_script,
     save_bundle,
 )
-from scenefuse.scene_model import TrainingSet, classify, train_classifier
+from scenefuse.scene_model import SceneClassifier, TrainingSet, classify, train_classifier
+
+# written by the version-1 `save_bundle` from `_full_bundle()`
+V1_BUNDLE = Path(__file__).parent / "data" / "bundle_v1.json"
 
 
 def _classifier(modality=ACOUSTIC, dim=4, seed=0):
@@ -85,7 +89,7 @@ def test_saved_file_is_stable_json(tmp_path):
     save_bundle(bundle, second)
     assert first.read_bytes() == second.read_bytes()
     raw = json.loads(first.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 1
+    assert raw["format_version"] == 2
     assert set(raw) == {"format_version", "acoustic", "visual", "action", "fusion_config"}
 
 
@@ -116,10 +120,46 @@ def test_unknown_version_is_refused(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["format_version"] = 2
+    raw["format_version"] = 3
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(BadVersion):
         load_bundle(path)
+
+
+def test_version_one_bundle_loads_and_resaves_as_version_two(tmp_path):
+    raw = json.loads(V1_BUNDLE.read_text(encoding="utf-8"))
+    assert raw["format_version"] == 1
+    bundle = load_bundle(V1_BUNDLE)
+    # the values version 1 stored twice are now read off the arrays
+    for name in ("acoustic", "visual"):
+        stored = raw[name]
+        classifier = getattr(bundle, name)
+        assert classifier.feature_dim == stored["feature_dim"] == stored["model"]["dim"]
+        assert classifier.model.inertia == stored["model"]["inertia"]
+    hidden = raw["action"]["hidden_size"]
+    assert bundle.action.weights_ih.shape == (len(raw["action"]["scene_vocab"]), hidden)
+    assert bundle.action.weights_ho.shape == (hidden, len(raw["action"]["action_vocab"]))
+
+    path = tmp_path / "resaved.json"
+    save_bundle(bundle, path)
+    # the nine keys that restated another value, or that nothing read
+    for name in ("acoustic", "visual"):
+        model = raw[name]["model"]
+        del raw[name]["feature_dim"], model["dim"], model["inertia"]
+        del model["params"]["max_iters"], model["params"]["tol"], model["params"]["n_init"]
+    del raw["action"]["hidden_size"], raw["action"]["learning_rate"], raw["action"]["seed"]
+    raw["format_version"] = 2
+    assert json.loads(path.read_text(encoding="utf-8")) == raw
+
+
+def test_model_types_hold_only_what_nothing_else_determines():
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    assert names(KMeansParams) == ["k", "seed", "scale"]
+    assert names(KMeansModel) == ["centroids", "params", "inertia_history"]
+    assert names(SceneClassifier) == ["modality", "model", "cluster_names", "warnings"]
+    assert names(ActionNet) == ["scene_vocab", "action_vocab", "weights_ih", "weights_ho"]
 
 
 def test_missing_file_raises_io_error(tmp_path):
@@ -135,12 +175,12 @@ def test_missing_file_raises_io_error(tmp_path):
         lambda raw: raw["fusion_config"].__setitem__("photos_required", "three"),
         lambda raw: raw.__setitem__("acoustic", {"modality": "acoustic"}),
         # values the model itself refuses, or that would classify as nonsense
-        lambda raw: raw["acoustic"]["model"].__setitem__("inertia", -1.0),
+        lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, -1.0),
         lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, float("nan")),
         lambda raw: raw["acoustic"]["model"]["inertia_history"].append(float("inf")),
         lambda raw: raw["fusion_config"].__setitem__("photo_window_s", float("nan")),
         # integers too large for a float
-        lambda raw: raw["acoustic"]["model"].__setitem__("inertia", 10**400),
+        lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, 10**400),
         lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, 10**400),
         # values of the wrong JSON type are refused, never converted
         lambda raw: raw["acoustic"]["model"]["params"].__setitem__("k", True),
@@ -149,9 +189,9 @@ def test_missing_file_raises_io_error(tmp_path):
         lambda raw: raw["acoustic"]["cluster_names"].__setitem__("x", "near"),
         # checks that span fields, and a value the constructor refuses
         lambda raw: raw["action"].__setitem__("weights_ih", [[0.5]]),
-        lambda raw: raw["acoustic"].__setitem__("feature_dim", 5),
+        lambda raw: raw["action"]["weights_ho"].pop(),
         lambda raw: raw["acoustic"]["model"]["params"].__setitem__("k", 0),
-        lambda raw: raw["action"].pop("seed"),
+        lambda raw: raw["action"].pop("weights_ho"),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):
@@ -189,11 +229,9 @@ def test_types_check_what_spans_their_fields():
     with pytest.raises(ValueError):
         replace(model, centroids=model.centroids[:1])
     with pytest.raises(ValueError):
-        replace(model, dim=model.dim + 1)
+        replace(model, inertia_history=())
     with pytest.raises(ValueError):
         replace(classifier, modality="tactile")
-    with pytest.raises(ValueError):
-        replace(classifier, feature_dim=classifier.feature_dim + 2)
     with pytest.raises(ValueError):
         replace(classifier, cluster_names={0: "near"})
     with pytest.raises(ValueError):
@@ -206,7 +244,7 @@ def test_types_check_what_spans_their_fields():
     with pytest.raises(ValueError):
         replace(net, action_vocab=net.action_vocab + ("extra",))
     with pytest.raises(ValueError):
-        replace(net, hidden_size=net.hidden_size + 1)
+        replace(net, weights_ho=np.full_like(net.weights_ho, np.nan))
 
 
 def test_truncated_json_raises_schema_error(tmp_path):
