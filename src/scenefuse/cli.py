@@ -26,7 +26,7 @@ from .audio_pipeline import (
     magnitude_spectrum,
     synth_ambient,
 )
-from .clustering import KMeansParams
+from .clustering import check_scale
 from .errors import (
     BadProfile,
     BadSpec,
@@ -109,20 +109,20 @@ def _write_bytes(path, data: bytes) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _features(modality, path, color_count, params, dump_spectrum=None):
+def _features(modality, path, color_count, seed, dump_spectrum=None):
     """Decode one input file into its feature vector, plus its sample rate.
 
     Acoustic files become the spectrum of their first WINDOW_SECONDS, which
     `dump_spectrum` (a CSV path) also receives when given; visual files
-    become a palette of `color_count` colors fitted with `params`, and
+    become a palette of `color_count` colors fitted from `seed`, and
     report a sample rate of None.  Acoustic decoding ignores `color_count`
-    and `params`.  Decode failures name the file.
+    and `seed`.  Decode failures name the file.
     """
     data = _read_bytes(path)
     try:
         if modality == VISUAL:
             image = decode_ppm(data)
-            return palette_features(dominant_colors(image, color_count, params)), None
+            return palette_features(dominant_colors(image, color_count, seed)), None
         clip = decode_wav(data, source_id=path)
         spectrum = magnitude_spectrum(analysis_window(clip, WINDOW_SECONDS))
     except InputError as exc:
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
             raise ValueError("--scene needs a name followed by at least one file")
         groups.append((entry[0], entry[1:]))
 
-    params = KMeansParams(k=1, seed=args.seed, scale=args.scale)
+    check_scale(args.scale)  # refused before any file is read
     if args.modality == ACOUSTIC and args.k_override is not None:
         _warn("--k-override only affects visual training; ignored")
     color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
@@ -166,14 +166,14 @@ def cmd_train(args) -> int:
     rates: set[int | None] = set()
     for scene, files in groups:
         for path in files:
-            vector, rate = _features(args.modality, path, color_count, params)
+            vector, rate = _features(args.modality, path, color_count, args.seed)
             items.append((scene, vector))
             rates.add(rate)
     if len(rates) > 1:
         _warn(f"mixed sample rates across training files: {sorted(rates)}")
 
     training_set = TrainingSet(modality=args.modality, items=tuple(items))
-    classifier = train_classifier(training_set, params)
+    classifier = train_classifier(training_set, args.seed, args.scale)
     for message in classifier.warnings:
         _warn(message)
 
@@ -204,7 +204,7 @@ def cmd_predict(args) -> int:
         args.modality,
         args.file,
         classifier.feature_dim // 3,
-        classifier.model.params,
+        classifier.seed,
         args.dump_spectrum,
     )
     prediction = classify(classifier, vector, now=0.0)
@@ -220,15 +220,13 @@ def cmd_fuse(args) -> int:
         raise MissingClassifier("bundle has no acoustic classifier")
     if bundle.visual is None:
         raise MissingClassifier("bundle has no visual classifier")
-    config = bundle.fusion_config
-    if args.window_av is not None:
-        config = replace(config, acoustic_visual_window_s=args.window_av)
-    if args.window_photo is not None:
-        config = replace(config, photo_window_s=args.window_photo)
-    if args.photos_required is not None:
-        config = replace(config, photos_required=args.photos_required)
-    if args.min_confidence is not None:
-        config = replace(config, min_combined_confidence=args.min_confidence)
+    flags = {
+        "acoustic_visual_window_s": args.window_av,
+        "photo_window_s": args.window_photo,
+        "photos_required": args.photos_required,
+        "min_combined_confidence": args.min_confidence,
+    }
+    config = replace(bundle.fusion_config, **{k: v for k, v in flags.items() if v is not None})
 
     script = load_event_script(args.script)
     script_dir = Path(args.script).parent
@@ -240,7 +238,7 @@ def cmd_fuse(args) -> int:
         if not path.is_absolute():
             path = script_dir / path
         modality = ACOUSTIC if event.kind == "audio" else VISUAL
-        vector, _ = _features(modality, str(path), color_count, bundle.visual.model.params)
+        vector, _ = _features(modality, str(path), color_count, bundle.visual.seed)
         prediction = classify(getattr(bundle, modality), vector, now=event.at)
         step = on_acoustic if modality == ACOUSTIC else on_visual_photo
         state, decision = step(state, prediction, config)

@@ -30,22 +30,19 @@ _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
 class KMeansParams:
     """What a fit is asked for: `k` clusters from the stream seeded by `seed`.
 
-    `scale` is the divisor of the confidence score downstream.  The restart
-    count, iteration cap and convergence tolerance are module constants: a
-    fit restarts `_N_INIT` times from fresh k-means++ draws of one seeded
+    Only `fit` reads it; callers build one per fit.  The restart count,
+    iteration cap and convergence tolerance are module constants: a fit
+    restarts `_N_INIT` times from fresh k-means++ draws of one seeded
     stream and keeps the lowest-inertia run, so results stay deterministic
     while single-start local minima get smoothed out.
     """
 
     k: int
     seed: int = 0
-    scale: float = 10000.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ZeroK(f"k must be at least 1, got {self.k}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +51,11 @@ class KMeansModel:
 
     inertia_history holds the within-cluster sum of squared distances
     measured after every assignment pass, final pass included; it never
-    increases.  The width `dim` and the final `inertia` are read off
-    `centroids` and `inertia_history`, so they are stored nowhere else.
+    increases.  The cluster count and the width `dim` are read off
+    `centroids`, the final `inertia` off `inertia_history`; none is stored.
     """
 
-    centroids: np.ndarray  # shape (params.k, dim)
-    params: KMeansParams
+    centroids: np.ndarray  # shape (k, dim)
     inertia_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -69,10 +65,8 @@ class KMeansModel:
             raise ValueError("inertia must be finite and not negative")
         if not np.isfinite(self.centroids).all():
             raise ValueError("centroids must be finite")
-        if self.centroids.ndim != 2 or self.centroids.shape[0] != self.params.k:
-            raise ValueError(
-                f"centroid shape {self.centroids.shape} is not {self.params.k} rows of a matrix"
-            )
+        if self.centroids.ndim != 2 or self.centroids.shape[0] == 0:
+            raise ValueError(f"centroid shape {self.centroids.shape} is not a matrix with rows")
 
     @property
     def dim(self) -> int:
@@ -237,7 +231,7 @@ def fit(points, params: KMeansParams) -> KMeansModel:
             best = (centroids, history)
     centroids, history = best
 
-    return KMeansModel(centroids=centroids, params=params, inertia_history=tuple(history))
+    return KMeansModel(centroids=centroids, inertia_history=tuple(history))
 
 
 def predict(model: KMeansModel, point) -> ClusterAssignment:
@@ -258,6 +252,12 @@ def predict(model: KMeansModel, point) -> ClusterAssignment:
     return ClusterAssignment(label=label, distance=float(np.sqrt(sq[0, label])))
 
 
+def check_scale(scale: float) -> None:
+    """Refuse a confidence divisor that is not finite and positive, with ValueError."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError("scale must be finite and positive")
+
+
 def confidence(distance: float, scale: float = 10000.0) -> float:
     """Scaled-distance confidence: 100 - distance/scale, clamped to [0, 100].
 
@@ -266,6 +266,5 @@ def confidence(distance: float, scale: float = 10000.0) -> float:
     """
     if not distance >= 0.0:
         raise ValueError("distance must be a number, not negative or NaN")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError("scale must be finite and positive")
+    check_scale(scale)
     return min(100.0, max(0.0, 100.0 - distance / scale))

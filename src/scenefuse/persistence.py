@@ -7,15 +7,14 @@ under the field's own name, and read back by walking the same type hints.
 Floats are written with full repr precision, so a save/load round trip
 reproduces every number exactly and classification behavior is preserved
 bit for bit.  Only facts nothing else determines are stored: a
-classifier's width is read off its centroid matrix, its final inertia off
-the end of `inertia_history`, and the net's hidden width off its weights.
-`format_version` gates compatibility: this build writes version 2 and
-also reads version 1, whose files hold nine more keys that restated other
-values or that nothing read (`dim`, `inertia`, `feature_dim`, `max_iters`,
-`tol`, `n_init`, and the net's `hidden_size`, `learning_rate`, `seed`).
-The reader ignores keys it does not know and converts no value, so a
-hand-edited value must already have the JSON type its field asks for; only
-matrix entries go through NumPy's float conversion.
+classifier's cluster count and width are read off its centroid matrix, its
+final inertia off the end of `inertia_history`, and the net's hidden width
+off its weights.  Cluster names are a list indexed by label.
+`save_bundle` alone writes `format_version` 3; versions 1 and 2 still load
+through `_upgrade`.  The reader ignores keys it does not know, such as the
+nine that version 1 stored twice or that nothing read, and converts no
+value, so a hand-edited value must already have the JSON type its field
+asks for; only matrix entries go through NumPy's float conversion.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
@@ -35,24 +34,30 @@ import numpy as np
 
 from .action_learning import ActionExample, ActionNet
 from .errors import BadVersion, IoError, SchemaError, UsageError
+from .features import MODALITIES
 from .fusion import FusionConfig
 from .scene_model import SceneClassifier
 
-FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 
 EVENT_KINDS = ("audio", "image")
 
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Everything one deployment needs, bundled for disk."""
+    """Everything one deployment needs, bundled for disk; each classifier in its own slot."""
 
     acoustic: SceneClassifier | None = None
     visual: SceneClassifier | None = None
     action: ActionNet | None = None
     fusion_config: FusionConfig = field(default_factory=FusionConfig)
-    format_version: int = FORMAT_VERSION
+
+    def __post_init__(self) -> None:
+        for slot in MODALITIES:
+            classifier = getattr(self, slot)
+            if classifier is not None and classifier.modality != slot:
+                raise ValueError(f"a {classifier.modality} classifier in the {slot} slot")
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,6 @@ def _encode(value):
         return value.tolist()
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _encode(item) for key, item in value.items()}
     return value
 
 
@@ -128,17 +131,6 @@ def _decode(hint, raw, where: str):
         if not isinstance(raw, list):
             raise SchemaError(f"{where} must be a list")
         return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
-    if origin is dict:
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where} must be an object")
-        key_type, value_type = args
-        decoded = {}
-        for key, item in raw.items():
-            try:
-                decoded[key_type(key)] = _decode(value_type, item, f"{where}.{key}")
-            except ValueError:
-                raise SchemaError(f"{where} key {key!r} is not a {key_type.__name__}") from None
-        return decoded
     if hint is float:
         try:
             if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
@@ -151,9 +143,28 @@ def _decode(hint, raw, where: str):
     return raw
 
 
+def _upgrade(document: dict) -> None:
+    """Rewrite a version-1 or -2 document's classifiers in the version-3 layout.
+
+    Those versions keep `seed` and `scale` in `model.params`, beside a `k`, and
+    name clusters by an object keyed "0".."k-1"; other shapes raise SchemaError.
+    """
+    for slot in MODALITIES:
+        classifier = document.get(slot)
+        if classifier is None:
+            continue
+        try:
+            params, names = classifier["model"]["params"], classifier["cluster_names"]
+            classifier["seed"], classifier["scale"] = params["seed"], params["scale"]
+            classifier["cluster_names"] = [names[str(label)] for label in range(len(names))]
+        except (TypeError, KeyError) as exc:
+            raise SchemaError(f"bundle.{slot} is not a version-1 or -2 classifier") from exc
+
+
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Write the bundle as indented JSON.  Raises IoError on write failure."""
-    text = json.dumps(_encode(bundle), indent=2, sort_keys=True) + "\n"
+    document = {**_encode(bundle), "format_version": FORMAT_VERSION}
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -175,8 +186,9 @@ def load_bundle(path) -> ModelBundle:
         raise BadVersion(
             f"format_version {version} unsupported (expected one of {_READABLE_VERSIONS})"
         )
-    # a version-1 file differs only in keys the decoder ignores
-    return _decode(ModelBundle, {**document, "format_version": FORMAT_VERSION}, "bundle")
+    if version < FORMAT_VERSION:
+        _upgrade(document)
+    return _decode(ModelBundle, document, "bundle")
 
 
 # --- event scripts and action pairs ----------------------------------------

@@ -11,12 +11,12 @@ they surface as warning strings on the classifier.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import clustering
-from .errors import DimensionMismatch, InconsistentDims, ModalityMismatch, TooFewExamples
+from .errors import InconsistentDims, ModalityMismatch, TooFewExamples
 from .features import MODALITIES, FeatureVector
 
 
@@ -50,18 +50,25 @@ class TrainingSet:
 
 @dataclass(frozen=True, eq=False)
 class SceneClassifier:
-    """A fitted model plus the cluster-index-to-scene-name map."""
+    """A fitted model, the scene each centroid row names, and how it was fitted.
+
+    `seed` seeded the fit and featurizes photos, so prediction sees the
+    palettes training saw; `scale` is the confidence divisor.
+    """
 
     modality: str
     model: clustering.KMeansModel
-    cluster_names: dict[int, str]
+    cluster_names: tuple[str, ...]
+    seed: int
+    scale: float
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if sorted(self.cluster_names) != list(range(self.model.params.k)):
-            raise ValueError(f"cluster_names must cover labels 0..{self.model.params.k - 1}")
+        if len(self.cluster_names) != len(self.model.centroids):
+            raise ValueError("cluster_names must name each centroid row exactly once")
+        clustering.check_scale(self.scale)
 
     @property
     def feature_dim(self) -> int:
@@ -83,12 +90,12 @@ class ScenePrediction:
 
 
 def train_classifier(
-    training_set: TrainingSet, params: clustering.KMeansParams | None = None
+    training_set: TrainingSet, seed: int = 0, scale: float = 10000.0
 ) -> SceneClassifier:
     """Fit one cluster per distinct scene name and name the clusters.
 
-    params.k is overridden by the scene count; seed and scale pass
-    through.  Raises TooFewExamples when the set is empty.
+    The fit draws from `seed`; `scale` becomes the confidence divisor.
+    Raises TooFewExamples when the set is empty.
     """
     scenes = training_set.scene_names
     k = len(scenes)
@@ -96,25 +103,21 @@ def train_classifier(
         raise TooFewExamples("training set holds no examples")
     if len(training_set.items) < k:
         raise TooFewExamples(f"{len(training_set.items)} examples for {k} scenes")
-    if params is None:
-        params = clustering.KMeansParams(k=k)
-    else:
-        params = replace(params, k=k)
 
     names = [name for name, _ in training_set.items]
     matrix = np.vstack([vec.values for _, vec in training_set.items])
-    model = clustering.fit(matrix, params)
+    model = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
     labels, sq = clustering.assign(matrix, model.centroids)
 
     warnings: list[str] = []
-    cluster_names: dict[int, str] = {}
+    cluster_names: list[str] = []
     for c in range(k):
         members = [names[i] for i in np.flatnonzero(labels == c)]
         if members:
             counts = Counter(members)
             top = max(counts.values())
             winners = sorted(name for name, count in counts.items() if count == top)
-            cluster_names[c] = winners[0]
+            cluster_names.append(winners[0])
             if len(winners) > 1:
                 warnings.append(
                     f"cluster {c}: majority tie between {winners}, named "
@@ -122,21 +125,21 @@ def train_classifier(
                 )
         else:
             nearest = int(np.argmin(sq[:, c]))
-            cluster_names[c] = names[nearest]
+            cluster_names.append(names[nearest])
             warnings.append(
                 f"cluster {c} captured no training vectors; named "
                 f"{names[nearest]!r} after its nearest example"
             )
-    if len(set(cluster_names.values())) < k:
-        shared = sorted(
-            name for name, n in Counter(cluster_names.values()).items() if n > 1
-        )
+    if len(set(cluster_names)) < k:
+        shared = sorted(name for name, n in Counter(cluster_names).items() if n > 1)
         warnings.append(f"clusters share scene names: {shared}")
 
     return SceneClassifier(
         modality=training_set.modality,
         model=model,
-        cluster_names=cluster_names,
+        cluster_names=tuple(cluster_names),
+        seed=seed,
+        scale=scale,
         warnings=tuple(warnings),
     )
 
@@ -149,15 +152,10 @@ def classify(
         raise ModalityMismatch(
             f"{features.modality} features against a {classifier.modality} classifier"
         )
-    if len(features) != classifier.feature_dim:
-        raise DimensionMismatch(
-            f"vector of length {len(features)}, classifier expects "
-            f"{classifier.feature_dim}"
-        )
     assignment = clustering.predict(classifier.model, features.values)
     return ScenePrediction(
         scene=classifier.cluster_names[assignment.label],
-        confidence=clustering.confidence(assignment.distance, classifier.model.params.scale),
+        confidence=clustering.confidence(assignment.distance, classifier.scale),
         modality=classifier.modality,
         at=now,
     )

@@ -9,7 +9,7 @@ color triples alone — weights order the palette but do not enter the vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -143,10 +143,8 @@ def encode_ppm(image: Image) -> bytes:
     return header + image.pixels.tobytes()
 
 
-def dominant_colors(
-    image: Image, c: int, params: clustering.KMeansParams | None = None
-) -> ColorPalette:
-    """Cluster a pixel subsample into the image's c dominant colors.
+def dominant_colors(image: Image, c: int, seed: int = 0) -> ColorPalette:
+    """Cluster a pixel subsample into the image's c dominant colors, fitted from `seed`.
 
     Subsampling strides the row-major pixels so at most 10000 survive; the
     stride is a pure function of the pixel count, no randomness.  Weights
@@ -155,11 +153,6 @@ def dominant_colors(
     Raises DegenerateImage when the subsample has fewer than c distinct
     colors.
     """
-    if params is None:
-        params = clustering.KMeansParams(k=c)
-    else:
-        params = replace(params, k=c)
-
     total = image.pixels.shape[0]
     stride = -(-total // _MAX_SAMPLED_PIXELS)  # ceil
     sample = image.pixels[::stride]
@@ -167,9 +160,9 @@ def dominant_colors(
         raise DegenerateImage(f"fewer than {c} distinct colors to separate")
 
     points = sample.astype(np.float64)
-    model = clustering.fit(points, params)
+    model = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
     labels, _ = clustering.assign(points, model.centroids)
-    counts = np.bincount(labels, minlength=params.k)
+    counts = np.bincount(labels, minlength=c)
     weights = counts / counts.sum()
 
     entries = [
@@ -177,7 +170,7 @@ def dominant_colors(
             color=tuple(float(ch) for ch in model.centroids[i]),
             weight=float(weights[i]),
         )
-        for i in range(params.k)
+        for i in range(c)
     ]
     entries.sort(key=lambda e: (-e.weight,) + e.color)
     return ColorPalette(entries=tuple(entries))

@@ -134,11 +134,6 @@ def test_fit_input_validation():
         fit([0.0, 1.0, 2.0], KMeansParams(k=1))
     with pytest.raises(DimensionMismatch):  # points that are matrices
         fit(np.zeros((3, 2, 2)), KMeansParams(k=1))
-    with pytest.raises(ValueError):
-        KMeansParams(k=1, scale=0.0)
-    for value in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            KMeansParams(k=1, scale=value)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):  # NaN would become a centroid and the inertia
             fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))

@@ -1,6 +1,7 @@
 """Fuzzed file loaders and decoders: any input gives a value or a SceneFuseError, nothing else."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,10 +63,14 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@pytest.fixture(scope="module")
-def document(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "valid.json"
-    save_bundle(_full_bundle(), path)
+@pytest.fixture(scope="module", params=[3, 1, 2], ids=["v3", "v1", "v2"])
+def document(request, tmp_path_factory):
+    """A valid bundle document: saved by this build, or an older version's fixture."""
+    if request.param == 3:
+        path = tmp_path_factory.mktemp("fuzz") / "valid.json"
+        save_bundle(_full_bundle(), path)
+    else:
+        path = Path(__file__).parent / "data" / f"bundle_v{request.param}.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 

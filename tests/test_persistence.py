@@ -24,8 +24,8 @@ from scenefuse.persistence import (
 )
 from scenefuse.scene_model import SceneClassifier, TrainingSet, classify, train_classifier
 
-# written by the version-1 `save_bundle` from `_full_bundle()`
-V1_BUNDLE = Path(__file__).parent / "data" / "bundle_v1.json"
+# written by the version-1 and version-2 `save_bundle` from `_full_bundle()`
+DATA = Path(__file__).parent / "data"
 
 
 def _classifier(modality=ACOUSTIC, dim=4, seed=0):
@@ -39,8 +39,7 @@ def _classifier(modality=ACOUSTIC, dim=4, seed=0):
             ("far", FeatureVector(rng.normal(0.0, 1.0, dim) + 50.0, modality))
         )
     return train_classifier(
-        TrainingSet(modality=modality, items=tuple(items)),
-        KMeansParams(k=2, seed=seed, scale=123.456),
+        TrainingSet(modality=modality, items=tuple(items)), seed=seed, scale=123.456
     )
 
 
@@ -70,7 +69,8 @@ def test_round_trip_preserves_every_float_exactly(tmp_path):
     assert np.array_equal(again.acoustic.model.centroids, bundle.acoustic.model.centroids)
     assert again.acoustic.model.inertia == bundle.acoustic.model.inertia
     assert again.acoustic.model.inertia_history == bundle.acoustic.model.inertia_history
-    assert again.acoustic.model.params == bundle.acoustic.model.params
+    assert (again.acoustic.seed, again.acoustic.scale) == (0, 123.456)
+    assert (again.visual.seed, again.visual.scale) == (1, 123.456)
     assert again.acoustic.cluster_names == bundle.acoustic.cluster_names
     assert again.acoustic.warnings == bundle.acoustic.warnings
     assert np.array_equal(again.visual.model.centroids, bundle.visual.model.centroids)
@@ -89,7 +89,7 @@ def test_saved_file_is_stable_json(tmp_path):
     save_bundle(bundle, second)
     assert first.read_bytes() == second.read_bytes()
     raw = json.loads(first.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 2
+    assert raw["format_version"] == 3
     assert set(raw) == {"format_version", "acoustic", "visual", "action", "fusion_config"}
 
 
@@ -120,46 +120,49 @@ def test_unknown_version_is_refused(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["format_version"] = 3
+    raw["format_version"] = 4
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(BadVersion):
         load_bundle(path)
 
 
-def test_version_one_bundle_loads_and_resaves_as_version_two(tmp_path):
-    raw = json.loads(V1_BUNDLE.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 1
-    bundle = load_bundle(V1_BUNDLE)
-    # the values version 1 stored twice are now read off the arrays
-    for name in ("acoustic", "visual"):
-        stored = raw[name]
-        classifier = getattr(bundle, name)
-        assert classifier.feature_dim == stored["feature_dim"] == stored["model"]["dim"]
-        assert classifier.model.inertia == stored["model"]["inertia"]
-    hidden = raw["action"]["hidden_size"]
-    assert bundle.action.weights_ih.shape == (len(raw["action"]["scene_vocab"]), hidden)
-    assert bundle.action.weights_ho.shape == (hidden, len(raw["action"]["action_vocab"]))
-
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_bundle_loads_and_resaves_as_version_three(tmp_path, version):
+    old = DATA / f"bundle_v{version}.json"
+    raw = json.loads(old.read_text(encoding="utf-8"))
+    assert raw["format_version"] == version
     path = tmp_path / "resaved.json"
-    save_bundle(bundle, path)
-    # the nine keys that restated another value, or that nothing read
-    for name in ("acoustic", "visual"):
-        model = raw[name]["model"]
-        del raw[name]["feature_dim"], model["dim"], model["inertia"]
-        del model["params"]["max_iters"], model["params"]["tol"], model["params"]["n_init"]
-    del raw["action"]["hidden_size"], raw["action"]["learning_rate"], raw["action"]["seed"]
-    raw["format_version"] = 2
-    assert json.loads(path.read_text(encoding="utf-8")) == raw
+    save_bundle(load_bundle(old), path)
+    new = json.loads(path.read_text(encoding="utf-8"))
+    assert new["format_version"] == 3
+    for slot in ("acoustic", "visual"):
+        was, now = raw[slot], new[slot]
+        assert now["model"] == {
+            "centroids": was["model"]["centroids"],
+            "inertia_history": was["model"]["inertia_history"],
+        }
+        labels = range(len(was["model"]["centroids"]))
+        assert now["cluster_names"] == [was["cluster_names"][str(label)] for label in labels]
+        assert now["seed"] == was["model"]["params"]["seed"]
+        assert now["scale"] == was["model"]["params"]["scale"]
+    for key in ("scene_vocab", "action_vocab", "weights_ih", "weights_ho"):
+        assert new["action"][key] == raw["action"][key]
+    assert new["fusion_config"] == raw["fusion_config"]
 
 
 def test_model_types_hold_only_what_nothing_else_determines():
     def names(cls):
         return [f.name for f in fields(cls)]
 
-    assert names(KMeansParams) == ["k", "seed", "scale"]
-    assert names(KMeansModel) == ["centroids", "params", "inertia_history"]
-    assert names(SceneClassifier) == ["modality", "model", "cluster_names", "warnings"]
+    assert names(KMeansParams) == ["k", "seed"]
+    assert names(KMeansModel) == ["centroids", "inertia_history"]
+    assert names(SceneClassifier) == [
+        "modality", "model", "cluster_names", "seed", "scale", "warnings"
+    ]
     assert names(ActionNet) == ["scene_vocab", "action_vocab", "weights_ih", "weights_ho"]
+    assert names(ModelBundle) == ["acoustic", "visual", "action", "fusion_config"]
+    with pytest.raises(TypeError):  # the version is save_bundle's to write
+        ModelBundle(format_version=7)
 
 
 def test_missing_file_raises_io_error(tmp_path):
@@ -183,15 +186,17 @@ def test_missing_file_raises_io_error(tmp_path):
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, 10**400),
         lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, 10**400),
         # values of the wrong JSON type are refused, never converted
-        lambda raw: raw["acoustic"]["model"]["params"].__setitem__("k", True),
+        lambda raw: raw["acoustic"].__setitem__("seed", True),
         lambda raw: raw["acoustic"]["warnings"].append(7),
         lambda raw: raw["action"]["scene_vocab"].__setitem__(0, 7),
-        lambda raw: raw["acoustic"]["cluster_names"].__setitem__("x", "near"),
+        lambda raw: raw["acoustic"].__setitem__("cluster_names", {"0": "near", "1": "far"}),
         # checks that span fields, and a value the constructor refuses
         lambda raw: raw["action"].__setitem__("weights_ih", [[0.5]]),
         lambda raw: raw["action"]["weights_ho"].pop(),
-        lambda raw: raw["acoustic"]["model"]["params"].__setitem__("k", 0),
+        lambda raw: raw["acoustic"]["cluster_names"].append("near"),
         lambda raw: raw["action"].pop("weights_ho"),
+        lambda raw: raw["visual"].__setitem__("scale", 0.0),
+        lambda raw: raw["acoustic"].__setitem__("modality", "visual"),  # the wrong slot
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):
@@ -212,30 +217,35 @@ def test_reload_and_save_writes_the_same_bytes(tmp_path):
             (f"scene{i:02d}", FeatureVector(np.full(3, 20.0 * i), VISUAL)) for i in range(12)
         ),
     )
-    bundle = replace(bundle, visual=train_classifier(twelve, KMeansParams(k=12)))
+    bundle = replace(bundle, visual=train_classifier(twelve))
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
     save_bundle(bundle, first)
     save_bundle(load_bundle(first), second)
     assert first.read_bytes() == second.read_bytes()
-    # labels are keyed by their decimal strings, in string order
+    # names are a list in label order, so label 10 follows label 9
     names = json.loads(first.read_text(encoding="utf-8"))["visual"]["cluster_names"]
-    assert list(names)[:4] == ["0", "1", "10", "11"]
+    assert names == list(bundle.visual.cluster_names)
+    assert sorted(names) == [f"scene{i:02d}" for i in range(12)]
 
 
 def test_types_check_what_spans_their_fields():
     classifier = _classifier()
     model = classifier.model
     with pytest.raises(ValueError):
-        replace(model, centroids=model.centroids[:1])
+        replace(classifier, model=replace(model, centroids=model.centroids[:1]))
+    with pytest.raises(ValueError):
+        replace(model, centroids=model.centroids[:0])
     with pytest.raises(ValueError):
         replace(model, inertia_history=())
     with pytest.raises(ValueError):
         replace(classifier, modality="tactile")
     with pytest.raises(ValueError):
-        replace(classifier, cluster_names={0: "near"})
+        replace(classifier, cluster_names=("near",))
     with pytest.raises(ValueError):
-        replace(classifier, cluster_names={0: "near", 2: "far"})
+        replace(classifier, cluster_names=("near", "far", "far"))
+    with pytest.raises(ValueError):
+        ModelBundle(acoustic=_classifier(VISUAL))
     net = _full_bundle().action
     with pytest.raises(ValueError):
         replace(net, weights_ih=net.weights_ih[:1])

@@ -1,9 +1,10 @@
 """Named-scene training and classification on top of the cluster engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scenefuse.clustering import KMeansParams
 from scenefuse.errors import (
     DimensionMismatch,
     InconsistentDims,
@@ -34,9 +35,9 @@ def _two_scene_set(noise=0.0, seed=0, modality=ACOUSTIC):
 
 
 def test_training_forces_one_cluster_per_scene():
-    classifier = train_classifier(_two_scene_set(noise=1.0), KMeansParams(k=9))
-    assert classifier.model.params.k == 2
-    assert sorted(classifier.cluster_names.values()) == ["loud", "quiet"]
+    classifier = train_classifier(_two_scene_set(noise=1.0))
+    assert classifier.model.centroids.shape == (2, 4)
+    assert sorted(classifier.cluster_names) == ["loud", "quiet"]
     assert classifier.warnings == ()
 
 
@@ -60,10 +61,13 @@ def test_prediction_carries_timestamp_and_modality():
 
 
 def test_confidence_honors_the_scale_parameter():
-    classifier = train_classifier(_two_scene_set(), KMeansParams(k=1, scale=100.0))
+    classifier = train_classifier(_two_scene_set(), scale=100.0)
     prediction = classify(classifier, _vec([50.0] * 4), now=0.0)
     # distance to the nearest centroid is 100 in this geometry
     assert prediction.confidence == pytest.approx(100.0 - 100.0 / 100.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            replace(classifier, scale=bad)
 
 
 def test_majority_vote_names_a_mixed_cluster():
@@ -78,7 +82,7 @@ def test_majority_vote_names_a_mixed_cluster():
         ("a", _vec([100.0, 101.0])),  # stray "a" deep in b territory
     )
     classifier = train_classifier(TrainingSet(modality=ACOUSTIC, items=items))
-    assert sorted(classifier.cluster_names.values()) == ["a", "b"]
+    assert sorted(classifier.cluster_names) == ["a", "b"]
     assert classify(classifier, _vec([100.5, 100.5]), now=0.0).scene == "b"
 
 
@@ -89,7 +93,7 @@ def test_identical_examples_tie_break_alphabetically_with_warning():
     )
     classifier = train_classifier(TrainingSet(modality=ACOUSTIC, items=items))
     assert classifier.warnings  # ties and duplicate names must be reported
-    named = sorted(classifier.cluster_names.values())
+    named = sorted(classifier.cluster_names)
     # at least one cluster resolves to "arcade" by the alphabetical rule
     assert named[0] == "arcade"
     # training never raises here; classification still works
