@@ -10,7 +10,6 @@ scenes to action codes.  Everything is seeded and deterministic.
 from .action_learning import (
     ActionExample,
     ActionNet,
-    TrainingTrace,
     action_repl,
     encode_onehot,
     predict_action,
@@ -27,7 +26,6 @@ from .audio_pipeline import (
     synth_ambient,
 )
 from .clustering import (
-    ClusterAssignment,
     KMeansModel,
     KMeansParams,
     assign,
@@ -37,9 +35,7 @@ from .clustering import (
 )
 from .features import ACOUSTIC, VISUAL, FeatureVector
 from .fusion import (
-    AWAITING_VISUAL,
     IDENTIFIED,
-    IDLE,
     NO_SCENE,
     PENDING,
     FusionConfig,

@@ -50,20 +50,6 @@ class ActionNet:
             raise ValueError("weights must be finite")
 
 
-@dataclass(frozen=True)
-class TrainingTrace:
-    """(iteration, mean absolute output error) pairs, iterations ascending."""
-
-    errors: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        its = [it for it, _ in self.errors]
-        if any(b <= a for a, b in zip(its, its[1:])):
-            raise ValueError("trace iterations must ascend")
-        if any(err < 0.0 for _, err in self.errors):
-            raise ValueError("errors cannot be negative")
-
-
 def encode_onehot(label: str, vocab: Sequence[str]) -> np.ndarray:
     """One-hot row for `label`; raises UnknownLabel when absent."""
     try:
@@ -140,8 +126,10 @@ def train_actions(
     hidden_size: int = 8,
     learning_rate: float = 0.5,
     seed: int = 0,
-) -> tuple[ActionNet, TrainingTrace]:
+) -> tuple[ActionNet, tuple[tuple[int, float], ...]]:
     """Fit the net by full-batch gradient descent; repeats weight the batch.
+
+    Returns the net and the module's error trace as (iteration, error) pairs.
 
     Raises:
         EmptyTrainingSet: no examples.
@@ -190,7 +178,7 @@ def train_actions(
         weights_ih=weights_ih,
         weights_ho=weights_ho,
     )
-    return net, TrainingTrace(errors=tuple(trace))
+    return net, tuple(trace)
 
 
 def predict_action(net: ActionNet, scene_label: str) -> str:
@@ -240,7 +228,7 @@ def action_repl(
         learning_rate=learning_rate,
         seed=seed,
     )
-    for iteration, error in trace.errors:
+    for iteration, error in trace:
         stdout.write(f"output layer error after {iteration} iterations: {error!r}\n")
 
     stdout.write("\nPREDICTION PHASE:\n")

@@ -3,7 +3,7 @@
 What lives here:
   * a small RIFF/WAVE parser for 16-bit PCM (mono or stereo, stereo is
     averaged down to mono) plus the matching writer,
-  * the leading analysis window cut,
+  * the cut of the leading WINDOW_SECONDS, the paper's five seconds,
   * a one-sided magnitude spectrum (input zero-padded to the next power of
     two, phase discarded),
   * concatenation of the frequency axis and the amplitudes into the flat
@@ -25,6 +25,7 @@ from .errors import BadProfile, ClipTooShort, EmptyData, MalformedRiff, Unsuppor
 from .features import ACOUSTIC, FeatureVector
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
+WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +34,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate_hz: int
-    source_id: str = ""
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -76,7 +76,7 @@ class Spectrum:
         return int(self.freqs_hz.size)
 
 
-def decode_wav(data: bytes, source_id: str = "") -> AudioClip:
+def decode_wav(data: bytes) -> AudioClip:
     """Parse RIFF/WAVE bytes into a normalized mono clip.
 
     Accepts 16-bit integer PCM with one or two channels; stereo frames are
@@ -143,7 +143,7 @@ def decode_wav(data: bytes, source_id: str = "") -> AudioClip:
     raw = np.frombuffer(data_chunk, dtype="<i2").astype(np.float64) / _PCM_SCALE
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioClip(samples=raw, sample_rate_hz=int(rate), source_id=source_id)
+    return AudioClip(samples=raw, sample_rate_hz=int(rate))
 
 
 def encode_wav(clip: AudioClip) -> bytes:
@@ -170,19 +170,17 @@ def encode_wav(clip: AudioClip) -> bytes:
     return header + payload
 
 
-def analysis_window(clip: AudioClip, seconds: float = 5.0) -> AudioClip:
-    """Cut the leading floor(seconds * rate) samples.
+def analysis_window(clip: AudioClip) -> AudioClip:
+    """Cut the leading floor(WINDOW_SECONDS * rate) samples.
 
     Raises ClipTooShort when the clip cannot cover the window.
     """
-    if seconds <= 0.0:
-        raise ValueError("window length must be positive")
-    n = int(seconds * clip.sample_rate_hz)
+    n = int(WINDOW_SECONDS * clip.sample_rate_hz)
     if clip.samples.size < n:
         raise ClipTooShort(
-            f"clip holds {clip.duration_s:.3f} s, window needs {seconds:.3f} s"
+            f"clip holds {clip.duration_s:.3f} s, window needs {WINDOW_SECONDS:.3f} s"
         )
-    return AudioClip(clip.samples[:n].copy(), clip.sample_rate_hz, clip.source_id)
+    return AudioClip(clip.samples[:n].copy(), clip.sample_rate_hz)
 
 
 def _next_pow2(n: int) -> int:
@@ -262,4 +260,4 @@ def synth_ambient(
             2.0 * math.pi * freqs[:, None] * t[None, :] + phases[:, None]
         ).sum(axis=0)
     np.clip(out, -1.0, 1.0, out=out)
-    return AudioClip(samples=out, sample_rate_hz=rate, source_id=f"synth(seed={seed})")
+    return AudioClip(samples=out, sample_rate_hz=rate)

@@ -59,7 +59,6 @@ from .vision_pipeline import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 
-WINDOW_SECONDS = 5.0
 DEFAULT_COLOR_COUNT = 3
 
 # audio presets are fractions of the Nyquist frequency so they stay valid
@@ -112,7 +111,7 @@ def _write_bytes(path, data: bytes) -> None:
 def _features(modality, path, color_count, seed, dump_spectrum=None):
     """Decode one input file into its feature vector, plus its sample rate.
 
-    Acoustic files become the spectrum of their first WINDOW_SECONDS, which
+    Acoustic files become the spectrum of their analysis window, which
     `dump_spectrum` (a CSV path) also receives when given; visual files
     become a palette of `color_count` colors fitted from `seed`, and
     report a sample rate of None.  Acoustic decoding ignores `color_count`
@@ -123,8 +122,8 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
         if modality == VISUAL:
             image = decode_ppm(data)
             return palette_features(dominant_colors(image, color_count, seed)), None
-        clip = decode_wav(data, source_id=path)
-        spectrum = magnitude_spectrum(analysis_window(clip, WINDOW_SECONDS))
+        clip = decode_wav(data)
+        spectrum = magnitude_spectrum(analysis_window(clip))
     except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     if dump_spectrum is not None:
@@ -185,7 +184,7 @@ def cmd_train(args) -> int:
         print(f"scene={scene} examples={counts[scene]}")
     print(
         f"trained modality={args.modality} k={len(classifier.cluster_names)} "
-        f"dim={classifier.feature_dim} inertia={classifier.model.inertia!r}"
+        f"dim={classifier.model.dim} inertia={classifier.model.inertia!r}"
     )
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -203,7 +202,7 @@ def cmd_predict(args) -> int:
     vector, _ = _features(
         args.modality,
         args.file,
-        classifier.feature_dim // 3,
+        classifier.model.dim // 3,
         classifier.seed,
         args.dump_spectrum,
     )
@@ -230,7 +229,7 @@ def cmd_fuse(args) -> int:
 
     script = load_event_script(args.script)
     script_dir = Path(args.script).parent
-    color_count = bundle.visual.feature_dim // 3
+    color_count = bundle.visual.model.dim // 3
 
     state = initial_state()
     for event in script.events:
@@ -391,8 +390,8 @@ def cmd_action_train(args) -> int:
         f"trained action net scenes={len(net.scene_vocab)} "
         f"actions={len(net.action_vocab)} iterations={args.iterations}"
     )
-    first = trace.errors[0][1]
-    last = trace.errors[-1][1]
+    first = trace[0][1]
+    last = trace[-1][1]
     print(f"error first={first!r} last={last!r}")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -77,12 +77,6 @@ class KMeansModel:
         return self.inertia_history[-1]
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    label: int
-    distance: float
-
-
 def _as_matrix(points) -> np.ndarray:
     try:
         matrix = np.asarray(points, dtype=np.float64)
@@ -186,11 +180,10 @@ def _lloyd_run(
         _repair_empties(matrix, centroids, labels, sq)
         history.append(float(sq[np.arange(n), labels].sum()))
 
-        updated = centroids.copy()
+        # the repair left every cluster at least one member, as n >= k
+        updated = np.empty_like(centroids)
         for c in range(params.k):
-            members = matrix[labels == c]
-            if members.shape[0] > 0:
-                updated[c] = members.mean(axis=0)
+            updated[c] = matrix[labels == c].mean(axis=0)
         shift = float(np.max(np.abs(updated - centroids)))
         centroids = updated
         if shift <= _TOL:
@@ -234,8 +227,8 @@ def fit(points, params: KMeansParams) -> KMeansModel:
     return KMeansModel(centroids=centroids, inertia_history=tuple(history))
 
 
-def predict(model: KMeansModel, point) -> ClusterAssignment:
-    """Nearest centroid for one vector; ties go to the lowest label.
+def predict(model: KMeansModel, point) -> tuple[int, float]:
+    """(label, Euclidean distance) of the centroid nearest one vector; ties to the lowest label.
 
     Raises DimensionMismatch for a vector of the wrong length and
     ValueError for a NaN or infinite coordinate.
@@ -249,7 +242,7 @@ def predict(model: KMeansModel, point) -> ClusterAssignment:
         raise ValueError("point must be finite, not NaN or inf")
     labels, sq = assign(vec[None, :], model.centroids)
     label = int(labels[0])
-    return ClusterAssignment(label=label, distance=float(np.sqrt(sq[0, label])))
+    return label, float(np.sqrt(sq[0, label]))
 
 
 def check_scale(scale: float) -> None:

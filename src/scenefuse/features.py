@@ -11,13 +11,23 @@ VISUAL = "visual"
 MODALITIES = (ACOUSTIC, VISUAL)
 
 
+def check_width(modality: str, width: int) -> None:
+    """Refuse, with ValueError, a width that no `modality` vector can have.
+
+    Acoustic vectors are a spectrum's frequencies followed by its amplitudes,
+    so their length is even (2n for an n-bin spectrum).  Visual vectors are
+    flattened dominant-color triples, length 3C.  Neither is ever empty.
+    """
+    step = 2 if modality == ACOUSTIC else 3
+    if width < 1 or width % step != 0:
+        raise ValueError(f"{modality} width {width} is not a positive multiple of {step}")
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """A flat real-valued vector tagged with the modality that produced it.
 
-    Acoustic vectors are a spectrum's frequencies followed by its amplitudes,
-    so their length is always even (2n for an n-bin spectrum).  Visual
-    vectors are flattened dominant-color triples, length 3C.
+    Its length obeys `check_width`: even for acoustic, 3C for visual.
     """
 
     values: np.ndarray
@@ -30,8 +40,7 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.modality == ACOUSTIC and values.size % 2 != 0:
-            raise ValueError("acoustic feature vectors have even length")
+        check_width(self.modality, values.size)
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -11,6 +11,9 @@ disagreement with the acoustic scene, a photo past either window, or the
 window expiring under a tick — resolves to "no scene" with a combined
 confidence of exactly 0, and the machine restarts.
 
+The state is the pending acoustic anchor (None while idle), its photos and
+the clock; both windows are read from the config each call is given.
+
 Time is injected by the caller through event timestamps and tick() and must
 be finite and never run backward; a stale or non-finite timestamp raises
 ClockSkew.  All three operations return a fresh state, leaving their
@@ -26,9 +29,6 @@ from dataclasses import dataclass, replace
 from .errors import ClockSkew, ModalityMismatch
 from .features import ACOUSTIC, VISUAL
 from .scene_model import ScenePrediction
-
-IDLE = "idle"
-AWAITING_VISUAL = "awaiting_visual"
 
 IDENTIFIED = "identified"
 NO_SCENE = "no_scene"
@@ -77,10 +77,8 @@ _NO_SCENE = SceneDecision(kind=NO_SCENE)
 
 @dataclass(frozen=True, slots=True)
 class FusionState:
-    phase: str = IDLE
     pending_acoustic: ScenePrediction | None = None
     photos: tuple[ScenePrediction, ...] = ()
-    deadline: float | None = None
     last_at: float = float("-inf")
 
 
@@ -99,25 +97,24 @@ def _restart(at: float) -> FusionState:
     return FusionState(last_at=at)
 
 
+def _deadline(anchor: ScenePrediction, config: FusionConfig) -> float:
+    return anchor.at + config.acoustic_visual_window_s
+
+
 def on_acoustic(
     state: FusionState, pred: ScenePrediction, config: FusionConfig
 ) -> tuple[FusionState, SceneDecision]:
     """An acoustic prediction opens (or reopens) the visual window.
 
     A newer acoustic prediction always replaces an in-flight one — the
-    latest anchor wins and any collected photos are dropped.
+    latest anchor wins and any collected photos are dropped.  `config` is
+    not read: photos and ticks check the window, so the three operations
+    keep one signature.
     """
     if pred.modality != ACOUSTIC:
         raise ModalityMismatch(f"on_acoustic got a {pred.modality} prediction")
     _check_clock(state, pred.at)
-    fresh = FusionState(
-        phase=AWAITING_VISUAL,
-        pending_acoustic=pred,
-        photos=(),
-        deadline=pred.at + config.acoustic_visual_window_s,
-        last_at=pred.at,
-    )
-    return fresh, _PENDING
+    return FusionState(pending_acoustic=pred, last_at=pred.at), _PENDING
 
 
 def on_visual_photo(
@@ -132,10 +129,10 @@ def on_visual_photo(
     if pred.modality != VISUAL:
         raise ModalityMismatch(f"on_visual_photo got a {pred.modality} prediction")
     _check_clock(state, pred.at)
-    if state.phase != AWAITING_VISUAL:
+    anchor = state.pending_acoustic
+    if anchor is None:
         return replace(state, last_at=pred.at), _PENDING
-    assert state.deadline is not None and state.pending_acoustic is not None
-    if pred.at > state.deadline:
+    if pred.at > _deadline(anchor, config):
         return _restart(pred.at), _NO_SCENE
     if state.photos and pred.at > state.photos[0].at + config.photo_window_s:
         return _restart(pred.at), _NO_SCENE
@@ -144,7 +141,7 @@ def on_visual_photo(
     if len(photos) < config.photos_required:
         return replace(state, photos=photos, last_at=pred.at), _PENDING
 
-    decision = _decide(state.pending_acoustic, photos, config)
+    decision = _decide(anchor, photos, config)
     return _restart(pred.at), decision
 
 
@@ -153,7 +150,8 @@ def tick(
 ) -> tuple[FusionState, SceneDecision]:
     """Advance the clock; expire the visual window if its deadline passed."""
     _check_clock(state, now)
-    if state.phase == AWAITING_VISUAL and state.deadline is not None and now > state.deadline:
+    anchor = state.pending_acoustic
+    if anchor is not None and now > _deadline(anchor, config):
         return _restart(now), _NO_SCENE
     return replace(state, last_at=now), _PENDING
 

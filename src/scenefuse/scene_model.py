@@ -17,7 +17,7 @@ import numpy as np
 
 from . import clustering
 from .errors import InconsistentDims, ModalityMismatch, TooFewExamples
-from .features import MODALITIES, FeatureVector
+from .features import MODALITIES, FeatureVector, check_width
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,17 +43,14 @@ class TrainingSet:
         if len(dims) > 1:
             raise InconsistentDims(f"mixed feature lengths {sorted(dims)}")
 
-    @property
-    def scene_names(self) -> tuple[str, ...]:
-        return tuple(sorted({name for name, _ in self.items}))
-
 
 @dataclass(frozen=True, eq=False)
 class SceneClassifier:
     """A fitted model, the scene each centroid row names, and how it was fitted.
 
     `seed` seeded the fit and featurizes photos, so prediction sees the
-    palettes training saw; `scale` is the confidence divisor.
+    palettes training saw; `scale` is the confidence divisor.  As after
+    training, names are non-empty and the width obeys `check_width`.
     """
 
     modality: str
@@ -68,11 +65,10 @@ class SceneClassifier:
             raise ValueError(f"unknown modality {self.modality!r}")
         if len(self.cluster_names) != len(self.model.centroids):
             raise ValueError("cluster_names must name each centroid row exactly once")
+        if not all(self.cluster_names):
+            raise ValueError("scene names cannot be empty")
+        check_width(self.modality, self.model.dim)
         clustering.check_scale(self.scale)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.model.dim
 
 
 @dataclass(frozen=True)
@@ -97,14 +93,10 @@ def train_classifier(
     The fit draws from `seed`; `scale` becomes the confidence divisor.
     Raises TooFewExamples when the set is empty.
     """
-    scenes = training_set.scene_names
-    k = len(scenes)
+    names = [name for name, _ in training_set.items]
+    k = len(set(names))
     if k == 0:
         raise TooFewExamples("training set holds no examples")
-    if len(training_set.items) < k:
-        raise TooFewExamples(f"{len(training_set.items)} examples for {k} scenes")
-
-    names = [name for name, _ in training_set.items]
     matrix = np.vstack([vec.values for _, vec in training_set.items])
     model = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
     labels, sq = clustering.assign(matrix, model.centroids)
@@ -152,10 +144,10 @@ def classify(
         raise ModalityMismatch(
             f"{features.modality} features against a {classifier.modality} classifier"
         )
-    assignment = clustering.predict(classifier.model, features.values)
+    label, distance = clustering.predict(classifier.model, features.values)
     return ScenePrediction(
-        scene=classifier.cluster_names[assignment.label],
-        confidence=clustering.confidence(assignment.distance, classifier.scale),
+        scene=classifier.cluster_names[label],
+        confidence=clustering.confidence(distance, classifier.scale),
         modality=classifier.modality,
         at=now,
     )

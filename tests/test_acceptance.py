@@ -219,13 +219,13 @@ def test_criterion_action_session(trained_action_session):
         predict_action(net, "coffee") == "42" and predict_action(net, "gym") == "10"
     )
     final = mean_output_error(net, trained_action_session.examples)
-    initial = trace.errors[0][1]
-    below_initial = all(err < initial for _, err in trace.errors[1:])
+    initial = trace[0][1]
+    below_initial = all(err < initial for _, err in trace[1:])
     check(
         "seven-pair training session learns both actions",
         predictions_ok and final < 0.01 and below_initial,
         f"final error {final:.6f}, initial {initial:.4f}, "
-        f"{len(trace.errors)} trace points all below initial={below_initial}",
+        f"{len(trace)} trace points all below initial={below_initial}",
     )
 
 

@@ -29,9 +29,9 @@ def test_session_pairs_learn_both_mappings(trained_action_session):
 
 def test_error_trace_is_sampled_every_thousand_iterations(trained_action_session):
     trace = trained_action_session.trace
-    iterations = [it for it, _ in trace.errors]
+    iterations = [it for it, _ in trace]
     assert iterations == list(range(0, 100_000, 1000))
-    errors = [err for _, err in trace.errors]
+    errors = [err for _, err in trace]
     assert all(err >= 0.0 for err in errors)
     assert all(later < errors[0] for later in errors[1:])
     assert errors[-1] < 0.01
@@ -51,7 +51,7 @@ def test_training_is_deterministic_per_seed():
     n3, _ = train_actions(pairs, iterations=500, seed=4)
     assert np.array_equal(n1.weights_ih, n2.weights_ih)
     assert np.array_equal(n1.weights_ho, n2.weights_ho)
-    assert t1.errors == t2.errors
+    assert t1 == t2
     assert not np.array_equal(n1.weights_ih, n3.weights_ih)
 
 
@@ -127,7 +127,7 @@ def test_gradient_descent_reduces_the_loss():
     pairs = [ActionExample("a", "1"), ActionExample("b", "2")]
     _, short = train_actions(pairs, iterations=1, seed=0)
     net, long = train_actions(pairs, iterations=5000, seed=0)
-    assert mean_output_error(net, pairs) < short.errors[0][1]
+    assert mean_output_error(net, pairs) < short[0][1]
 
 
 # --- interactive trainer ----------------------------------------------------

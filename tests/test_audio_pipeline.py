@@ -50,11 +50,6 @@ def test_decode_skips_unknown_chunks_with_odd_size_padding():
     assert clip.samples.size == 3
 
 
-def test_decode_keeps_source_id():
-    clip = decode_wav(wav_bytes([0], rate=8000), source_id="field-recorder")
-    assert clip.source_id == "field-recorder"
-
-
 @pytest.mark.parametrize(
     "blob, expected",
     [
@@ -104,7 +99,7 @@ def test_clip_validation():
 
 def test_analysis_window_takes_leading_samples():
     clip = AudioClip(np.arange(16) / 16.0, sample_rate_hz=2)
-    window = analysis_window(clip, seconds=5.0)
+    window = analysis_window(clip)
     assert window.samples.tolist() == (np.arange(10) / 16.0).tolist()
     assert window.sample_rate_hz == 2
 
@@ -112,7 +107,7 @@ def test_analysis_window_takes_leading_samples():
 def test_analysis_window_rejects_short_clips():
     clip = AudioClip(np.zeros(3 * 8000), 8000)  # three seconds
     with pytest.raises(ClipTooShort):
-        analysis_window(clip, seconds=5.0)
+        analysis_window(clip)
     # exactly five seconds is enough
     assert analysis_window(AudioClip(np.zeros(5 * 8000), 8000)).samples.size == 40000
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import io
+import json
 import os
 import re
 import subprocess
@@ -50,8 +51,8 @@ def test_training_both_modalities_merges_one_bundle(matrix_workspace):
     bundle = load_bundle(matrix_workspace.bundle)
     assert bundle.acoustic is not None
     assert bundle.visual is not None
-    assert bundle.acoustic.feature_dim == 32770
-    assert bundle.visual.feature_dim == 9
+    assert bundle.acoustic.model.dim == 32770
+    assert bundle.visual.model.dim == 9
 
 
 def test_predict_acoustic_names_the_right_scene(matrix_workspace, capsys):
@@ -174,7 +175,7 @@ def test_dump_spectrum_matches_the_library_numbers(matrix_workspace, capsys, tmp
     )
     assert rc == 0
     capsys.readouterr()
-    spectrum = magnitude_spectrum(analysis_window(decode_wav(wav.read_bytes()), 5.0))
+    spectrum = magnitude_spectrum(analysis_window(decode_wav(wav.read_bytes())))
     lines = csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "freq_hz,amplitude"
     assert len(lines) == 1 + len(spectrum)
@@ -290,6 +291,21 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
     ):
         assert main(argv) == 3
         assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path, capsys):
+    raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
+    raw["acoustic"]["cluster_names"][0] = ""
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(raw), encoding="utf-8")
+    clip = str(matrix_workspace.data / "test_coffee_1.wav")
+    script = str(matrix_workspace.data / "script_coffee_coffee.tsv")
+    for argv in (
+        ["predict", "--modality", "acoustic", "--bundle", str(damaged), clip],
+        ["fuse", "--bundle", str(damaged), "--script", script],
+    ):
+        assert main(argv) == 3
+        assert "scene names cannot be empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -496,7 +512,7 @@ def test_k_override_changes_visual_dimensions(matrix_workspace, tmp_path, capsys
         args += [str(matrix_workspace.data / f"train_{scene}_{i}.ppm") for i in range(1, 4)]
     assert main(args) == 0
     capsys.readouterr()
-    assert load_bundle(out).visual.feature_dim == 6
+    assert load_bundle(out).visual.model.dim == 6
 
 
 # --- action subcommands -----------------------------------------------------

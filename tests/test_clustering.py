@@ -76,21 +76,21 @@ def test_predict_agrees_with_a_linear_scan():
     points = rng.uniform(0.0, 10.0, (50, 4))
     model = fit(points, KMeansParams(k=5, seed=1))
     for vec in rng.uniform(0.0, 10.0, (50, 4)):
-        assignment = predict(model, vec)
-        label, distance = nearest_centroid_scan(vec, model.centroids)
-        assert assignment.label == label
-        assert assignment.distance == pytest.approx(distance, rel=1e-12)
+        label, distance = predict(model, vec)
+        scan_label, scan_distance = nearest_centroid_scan(vec, model.centroids)
+        assert label == scan_label
+        assert distance == pytest.approx(scan_distance, rel=1e-12)
 
 
 def test_predict_breaks_ties_toward_the_lower_label():
     model = fit([(0.0, 0.0), (2.0, 0.0)], KMeansParams(k=2))
     assert sorted(map(tuple, model.centroids.tolist())) == [(0.0, 0.0), (2.0, 0.0)]
-    assignment = predict(model, (1.0, 0.0))  # exactly between both centroids
-    assert assignment.distance == 1.0
+    label, distance = predict(model, (1.0, 0.0))  # exactly between both centroids
+    assert distance == 1.0
     sq = ((model.centroids - np.array([1.0, 0.0])) ** 2).sum(axis=1)
     equally_near = [i for i in range(2) if sq[i] == sq.min()]
     assert len(equally_near) == 2
-    assert assignment.label == min(equally_near)
+    assert label == min(equally_near)
 
 
 def test_assign_scratch_memory_stays_within_one_points_matrix():
@@ -115,10 +115,10 @@ def test_predict_distance_is_the_square_root_of_assigns_entry():
     points = rng.uniform(0.0, 1.0, (12, 8192))
     model = fit(points, KMeansParams(k=3, seed=2))
     for vec in rng.uniform(0.0, 1.0, (5, 8192)):
-        assignment = predict(model, vec)
+        label, distance = predict(model, vec)
         labels, sq = assign(vec[None, :], model.centroids)
-        assert assignment.label == int(labels[0])
-        assert assignment.distance == float(np.sqrt(sq[0, assignment.label]))
+        assert label == int(labels[0])
+        assert distance == float(np.sqrt(sq[0, label]))
 
 
 def test_fit_input_validation():

@@ -7,11 +7,9 @@ from oracles import fusion_reference
 from scenefuse.errors import ClockSkew, ModalityMismatch
 from scenefuse.features import ACOUSTIC, VISUAL
 from scenefuse.fusion import (
-    AWAITING_VISUAL,
     FusionConfig,
     FusionState,
     IDENTIFIED,
-    IDLE,
     NO_SCENE,
     PENDING,
     initial_state,
@@ -125,7 +123,7 @@ def test_photo_past_the_window_restarts():
         ]
     )
     assert decisions[-1].kind == NO_SCENE
-    assert state.phase == IDLE
+    assert state.pending_acoustic is None
 
 
 def test_photo_burst_must_fit_the_photo_window():
@@ -161,10 +159,22 @@ def test_tick_expires_only_strictly_past_the_deadline():
     assert boundary.kind == PENDING
     state, after = tick(state, 30.1, config)
     assert after.kind == NO_SCENE
-    assert state.phase == IDLE
+    assert state.pending_acoustic is None
     # once idle, further ticks stay quiet
     _, again = tick(state, 60.0, config)
     assert again.kind == PENDING
+
+
+def test_deadline_follows_the_window_of_the_call_that_checks_it():
+    # anchored under the default 30 s window; a later call's 40 s window rules
+    wide = FusionConfig(acoustic_visual_window_s=40.0)
+    anchored, _ = on_acoustic(initial_state(), ap("a", 90.0, 0.0), CONFIG)
+    _, photo = on_visual_photo(anchored, vp("a", 90.0, 35.0), wide)
+    _, clock = tick(anchored, 35.0, wide)
+    assert photo.kind == clock.kind == PENDING
+    # and a narrower window expires the same anchor sooner
+    _, expired = tick(anchored, 25.0, FusionConfig(acoustic_visual_window_s=20.0))
+    assert expired.kind == NO_SCENE
 
 
 def test_fresh_acoustic_prediction_replaces_the_pending_one():
@@ -194,7 +204,7 @@ def test_photos_without_an_anchor_are_ignored():
         ]
     )
     assert [d.kind for d in decisions] == [PENDING] * 3
-    assert state.phase == IDLE
+    assert state.pending_acoustic is None
 
 
 def test_decision_resets_the_machine_for_the_next_round():
@@ -214,7 +224,7 @@ def test_decision_resets_the_machine_for_the_next_round():
     assert decisions[3].kind == IDENTIFIED
     assert decisions[7].kind == IDENTIFIED
     assert decisions[7].combined_confidence == 80.0
-    assert state.phase == IDLE
+    assert state.pending_acoustic is None
 
 
 def test_minimum_combined_confidence_gate():
@@ -272,12 +282,12 @@ def test_operations_validate_prediction_modality():
 def test_operations_leave_their_input_state_untouched():
     state = initial_state()
     mid, _ = on_acoustic(state, ap("a", 90.0, 0.0), CONFIG)
-    snapshot = (mid.phase, mid.pending_acoustic, mid.photos, mid.deadline, mid.last_at)
+    snapshot = (mid.pending_acoustic, mid.photos, mid.last_at)
     on_visual_photo(mid, vp("a", 90.0, 1.0), CONFIG)
     tick(mid, 2.0, CONFIG)
-    assert (mid.phase, mid.pending_acoustic, mid.photos, mid.deadline, mid.last_at) == snapshot
+    assert (mid.pending_acoustic, mid.photos, mid.last_at) == snapshot
     assert state == initial_state()
-    assert mid.phase == AWAITING_VISUAL
+    assert mid.pending_acoustic == ap("a", 90.0, 0.0)
 
 
 def test_config_validation():

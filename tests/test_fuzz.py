@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from scenefuse.audio_pipeline import AudioClip, decode_wav, encode_wav
 from scenefuse.errors import SceneFuseError
+from scenefuse.features import MODALITIES, FeatureVector
 from scenefuse.persistence import load_bundle, load_event_script, load_pairs, save_bundle
+from scenefuse.scene_model import classify
 from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
 from test_persistence import _full_bundle
 
@@ -81,6 +83,19 @@ def _returns_or_refuses(call, arg):
         pass
 
 
+def _usable_or_refused(path):
+    """A bundle `load_bundle` returns holds classifiers that can classify their own modality."""
+    try:
+        bundle = load_bundle(path)
+    except SceneFuseError:
+        return
+    for classifier in (bundle.acoustic, bundle.visual):
+        if classifier is not None:
+            assert all(classifier.cluster_names)
+            zero = FeatureVector(np.zeros(classifier.model.dim), classifier.modality)
+            classify(classifier, zero, now=0.0)
+
+
 @FUZZ
 @given(data=st.data(), value=JSON_VALUES, delete=st.booleans())
 def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_path, data, value, delete):
@@ -95,7 +110,26 @@ def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_p
         holder[key] = value
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    _returns_or_refuses(load_bundle, path)
+    _usable_or_refused(path)
+
+
+@FUZZ
+@given(
+    slot=st.sampled_from(MODALITIES),
+    width=st.integers(0, 8),
+    label=st.integers(0, 1),
+    name=st.text(max_size=2),
+)
+def test_reshaped_classifier_loads_usable_or_raises_scenefuse_error(
+    document, tmp_path, slot, width, label, name
+):
+    raw = json.loads(json.dumps(document))
+    model, names = raw[slot]["model"], raw[slot]["cluster_names"]
+    model["centroids"] = [(row + [0.0] * width)[:width] for row in model["centroids"]]
+    names[label if isinstance(names, list) else str(label)] = name  # v1, v2 key by "0", "1"
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    _usable_or_refused(path)
 
 
 @FUZZ
@@ -103,7 +137,8 @@ def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_p
 def test_arbitrary_bytes_load_or_raise_scenefuse_error(tmp_path, payload):
     path = tmp_path / "input"
     path.write_bytes(payload)
-    for load in (load_bundle, load_event_script, load_pairs):
+    _usable_or_refused(path)
+    for load in (load_event_script, load_pairs):
         _returns_or_refuses(load, path)
     for decode in (decode_wav, decode_ppm):
         _returns_or_refuses(decode, payload)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from scenefuse.action_learning import ActionExample, ActionNet, train_actions
+from scenefuse.audio_pipeline import AudioClip
 from scenefuse.clustering import KMeansModel, KMeansParams
 from scenefuse.errors import BadVersion, IoError, SchemaError
 from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
-from scenefuse.fusion import FusionConfig
+from scenefuse.fusion import FusionConfig, FusionState
 from scenefuse.persistence import (
     EventScript,
     ModelBundle,
@@ -161,8 +162,20 @@ def test_model_types_hold_only_what_nothing_else_determines():
     ]
     assert names(ActionNet) == ["scene_vocab", "action_vocab", "weights_ih", "weights_ho"]
     assert names(ModelBundle) == ["acoustic", "visual", "action", "fusion_config"]
+    assert names(FusionState) == ["pending_acoustic", "photos", "last_at"]
+    assert names(AudioClip) == ["samples", "sample_rate_hz"]
     with pytest.raises(TypeError):  # the version is save_bundle's to write
         ModelBundle(format_version=7)
+
+
+def _centroid_width(slot, width):
+    """Cut every centroid row of the `slot` classifier to its first `width` entries."""
+
+    def mutate(raw):
+        model = raw[slot]["model"]
+        model["centroids"] = [row[:width] for row in model["centroids"]]
+
+    return mutate
 
 
 def test_missing_file_raises_io_error(tmp_path):
@@ -197,6 +210,11 @@ def test_missing_file_raises_io_error(tmp_path):
         lambda raw: raw["action"].pop("weights_ho"),
         lambda raw: raw["visual"].__setitem__("scale", 0.0),
         lambda raw: raw["acoustic"].__setitem__("modality", "visual"),  # the wrong slot
+        # a classifier no training could produce, which could not classify
+        lambda raw: raw["acoustic"]["cluster_names"].__setitem__(0, ""),
+        _centroid_width("acoustic", 3),  # odd: not frequencies plus amplitudes
+        _centroid_width("visual", 4),  # not whole RGB triples
+        _centroid_width("visual", 0),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):

@@ -24,13 +24,13 @@ def _vec(values, modality=ACOUSTIC):
     return FeatureVector(values=np.asarray(values, dtype=np.float64), modality=modality)
 
 
-def _two_scene_set(noise=0.0, seed=0, modality=ACOUSTIC):
+def _two_scene_set(noise=0.0, seed=0, modality=ACOUSTIC, dim=4):
     """Two scenes living around (0, 0, ...) and (100, 100, ...)."""
     rng = np.random.default_rng(seed)
     items = []
     for i in range(4):
-        items.append(("quiet", _vec(rng.normal(0.0, noise, 4) + 0.0, modality)))
-        items.append(("loud", _vec(rng.normal(0.0, noise, 4) + 100.0, modality)))
+        items.append(("quiet", _vec(rng.normal(0.0, noise, dim) + 0.0, modality)))
+        items.append(("loud", _vec(rng.normal(0.0, noise, dim) + 100.0, modality)))
     return TrainingSet(modality=modality, items=tuple(items))
 
 
@@ -53,8 +53,8 @@ def test_training_and_held_out_vectors_classify_correctly():
 
 
 def test_prediction_carries_timestamp_and_modality():
-    classifier = train_classifier(_two_scene_set(modality=VISUAL))
-    prediction = classify(classifier, _vec([0.0] * 4, VISUAL), now=12.5)
+    classifier = train_classifier(_two_scene_set(modality=VISUAL, dim=6))
+    prediction = classify(classifier, _vec([0.0] * 6, VISUAL), now=12.5)
     assert prediction.at == 12.5
     assert prediction.modality == VISUAL
     assert prediction.confidence == 100.0  # exactly on the centroid
@@ -120,7 +120,7 @@ def test_training_set_validation():
             items=(("a", _vec([0.0, 1.0])), ("b", _vec([0.0, 1.0, 2.0, 3.0]))),
         )
     with pytest.raises(ModalityMismatch):
-        TrainingSet(modality=ACOUSTIC, items=(("a", _vec([0.0], VISUAL)),))
+        TrainingSet(modality=ACOUSTIC, items=(("a", _vec([0.0] * 3, VISUAL)),))
     with pytest.raises(ValueError):
         TrainingSet(modality="thermal", items=())
     with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ def test_training_set_validation():
 def test_classify_validates_modality_and_dimension():
     classifier = train_classifier(_two_scene_set())
     with pytest.raises(ModalityMismatch):
-        classify(classifier, _vec([0.0] * 4, VISUAL), now=0.0)
+        classify(classifier, _vec([0.0] * 3, VISUAL), now=0.0)
     with pytest.raises(DimensionMismatch):
         classify(classifier, _vec([0.0] * 6), now=0.0)
 
