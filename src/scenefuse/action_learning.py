@@ -188,20 +188,13 @@ def predict_action(net: ActionNet, scene_label: str) -> str:
     return net.action_vocab[int(np.argmax(outputs[0]))]
 
 
-def action_repl(
-    stdin: TextIO,
-    stdout: TextIO,
-    *,
-    iterations: int = 100000,
-    hidden_size: int = 8,
-    learning_rate: float = 0.5,
-    seed: int = 0,
-) -> ActionNet:
+def action_repl(stdin: TextIO, stdout: TextIO, **training) -> ActionNet:
     """Interactive trainer: collect pairs, train, then answer queries.
 
     Training pairs are read until a blank scene label; the error trace is
     printed, then each queried label gets a prediction until a blank line
-    or end of input.  Returns the trained net so callers can persist it.
+    or end of input.  `training` holds `train_actions`' keyword arguments.
+    Returns the trained net so callers can persist it.
     """
 
     def ask(prompt: str) -> str:
@@ -221,13 +214,7 @@ def action_repl(
         examples.append(ActionExample(scene_label=label, action_code=code))
         stdout.write("\n")
 
-    net, trace = train_actions(
-        examples,
-        iterations,
-        hidden_size=hidden_size,
-        learning_rate=learning_rate,
-        seed=seed,
-    )
+    net, trace = train_actions(examples, **training)
     for iteration, error in trace:
         stdout.write(f"output layer error after {iteration} iterations: {error!r}\n")
 

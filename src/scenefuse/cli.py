@@ -26,7 +26,7 @@ from .audio_pipeline import (
     magnitude_spectrum,
     synth_ambient,
 )
-from .clustering import check_scale
+from .clustering import DEFAULT_SCALE, check_scale
 from .errors import (
     BadProfile,
     BadSpec,
@@ -376,15 +376,14 @@ def _save_net(net, out: str) -> None:
     save_bundle(bundle, out)
 
 
+def _net_settings(args) -> dict:
+    """`train_actions`' keyword arguments, from the flags train and repl share."""
+    return {"hidden_size": args.hidden, "learning_rate": args.lr, "seed": args.seed}
+
+
 def cmd_action_train(args) -> int:
     pairs = load_pairs(args.pairs)
-    net, trace = train_actions(
-        pairs,
-        args.iterations,
-        hidden_size=args.hidden,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
+    net, trace = train_actions(pairs, args.iterations, **_net_settings(args))
     _save_net(net, args.out)
     print(
         f"trained action net scenes={len(net.scene_vocab)} "
@@ -398,14 +397,7 @@ def cmd_action_train(args) -> int:
 
 
 def cmd_action_repl(args) -> int:
-    net = action_repl(
-        sys.stdin,
-        sys.stdout,
-        iterations=args.iterations,
-        hidden_size=args.hidden,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
+    net = action_repl(sys.stdin, sys.stdout, iterations=args.iterations, **_net_settings(args))
     if args.out is not None:
         _save_net(net, args.out)
         print(f"wrote {args.out}")
@@ -438,7 +430,7 @@ def _build_parser() -> _Parser:
     )
     train.add_argument("--out", required=True, help="bundle to create or merge into")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--scale", type=float, default=10000.0, help="confidence divisor")
+    train.add_argument("--scale", type=float, default=DEFAULT_SCALE, help="confidence divisor")
     train.add_argument(
         "--k-override", type=int, default=None, help="dominant colors per image (visual only)"
     )

@@ -3,7 +3,10 @@
 One engine serves every caller: acoustic feature vectors, palette vectors,
 and raw pixel triples.  Everything is deterministic given the seed — the
 k-means++ draw, the lowest-index tie-break on assignment, and the repair
-rule that hands an empty cluster the single worst-represented point.
+rule that hands a cluster left empty inside the Lloyd loop the single
+worst-represented point.  Each run ends, as Lloyd's algorithm does, on a
+plain assignment to its final centroids; `fit` returns that partition with
+the model, and its sum of squares is the model's inertia.
 
 Every squared distance goes through `_sq_distances`, which fills its
 (n, k) result one centroid at a time, so a pass needs O(n·d) scratch
@@ -24,6 +27,7 @@ from .errors import DimensionMismatch, TooFewPoints, ZeroK
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
 _TOL = 1e-6  # a run has converged once no centroid coordinate moves further
 _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
+DEFAULT_SCALE = 10000.0  # confidence divisor unless training is given another
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,8 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     """Label each point with its nearest centroid, ties to the lowest index.
 
     `points` is (n, d) and `centroids` is (k, d).  Returns the (n,) labels
-    and the (n, k) squared distances they were chosen from.  Unlike the
-    labels inside `fit`, these are never repaired: a centroid may own no
-    point, which is exactly how `predict` routes new vectors.
+    and the (n, k) squared distances they were chosen from.  A centroid may
+    own no point.
     """
     sq = _sq_distances(points, centroids)
     return sq.argmin(axis=1), sq
@@ -142,43 +145,41 @@ def _repair_empties(
     points: np.ndarray,
     centroids: np.ndarray,
     labels: np.ndarray,
-    sq: np.ndarray,
+    own: np.ndarray,
 ) -> None:
     """Give every empty cluster the point farthest from its current centroid.
 
-    Empty clusters are visited in ascending index order; each seizes the
+    `own` holds each point's squared distance to its own centroid.  Empty
+    clusters are visited in ascending index order; each seizes the
     worst-represented point whose own cluster still has another member
-    (ties broken by the lowest point index).  `centroids`, `labels` and
-    `sq` are updated in place.  Inertia can only drop: the seized point's
-    distance becomes 0.
+    (ties broken by the lowest point index), so one exists while n >= k.
+    `centroids`, `labels` and `own` are updated in place.  Inertia can only
+    drop: the seized point becomes its cluster's centroid, at distance 0.
     """
-    k = centroids.shape[0]
-    counts = np.bincount(labels, minlength=k)
+    counts = np.bincount(labels, minlength=centroids.shape[0])
     for empty in np.flatnonzero(counts == 0):
-        point_sq = sq[np.arange(points.shape[0]), labels]
-        donors = counts[labels] > 1
-        candidates = np.flatnonzero(donors)
-        if candidates.size == 0:  # unreachable while n >= k, kept defensive
-            continue
-        victim = int(candidates[np.argmax(point_sq[candidates])])
+        candidates = np.flatnonzero(counts[labels] > 1)
+        victim = int(candidates[np.argmax(own[candidates])])
         counts[labels[victim]] -= 1
         labels[victim] = empty
         counts[empty] = 1
         centroids[empty] = points[victim]
-        sq[:, empty] = _sq_distances(points, centroids[empty : empty + 1])[:, 0]
+        own[victim] = 0.0
 
 
 def _lloyd_run(
     matrix: np.ndarray, params: KMeansParams, rng: np.random.Generator
-) -> tuple[np.ndarray, list[float]]:
-    n = matrix.shape[0]
+) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
+    """One seeded run: (centroids, inertia history, closing labels, closing sq)."""
+    rows = np.arange(matrix.shape[0])
     centroids = _init_pp(matrix, params.k, rng)
     history: list[float] = []
 
     for _ in range(_MAX_ITERS):
         labels, sq = assign(matrix, centroids)
-        _repair_empties(matrix, centroids, labels, sq)
-        history.append(float(sq[np.arange(n), labels].sum()))
+        own = sq[rows, labels]
+        _repair_empties(matrix, centroids, labels, own)
+        history.append(float(own.sum()))
 
         # the repair left every cluster at least one member, as n >= k
         updated = np.empty_like(centroids)
@@ -189,16 +190,19 @@ def _lloyd_run(
         if shift <= _TOL:
             break
 
-    # one closing assignment against the final centroids, repaired so that
-    # every cluster owns at least one point
+    # Lloyd's closing assignment against the final centroids: the partition
+    # the run reports and scores, not repaired, so a cluster may own no point
     labels, sq = assign(matrix, centroids)
-    _repair_empties(matrix, centroids, labels, sq)
-    history.append(float(sq[np.arange(n), labels].sum()))
-    return centroids, history
+    history.append(float(sq[rows, labels].sum()))
+    return centroids, history, labels, sq
 
 
-def fit(points, params: KMeansParams) -> KMeansModel:
+def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarray]:
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
+
+    Returns `(model, labels, sq)`: the winning run's model and the closing
+    assignment it was scored on, exactly `assign(points, model.centroids)`.
+    `model.inertia` is that partition's sum of squared distances.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -217,14 +221,10 @@ def fit(points, params: KMeansParams) -> KMeansModel:
         raise TooFewPoints(f"{n} points cannot fill {params.k} clusters")
 
     rng = np.random.default_rng(params.seed)
-    best: tuple[np.ndarray, list[float]] | None = None
-    for _ in range(_N_INIT):
-        centroids, history = _lloyd_run(matrix, params, rng)
-        if best is None or history[-1] < best[1][-1]:
-            best = (centroids, history)
-    centroids, history = best
+    runs = (_lloyd_run(matrix, params, rng) for _ in range(_N_INIT))
+    centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
 
-    return KMeansModel(centroids=centroids, inertia_history=tuple(history))
+    return KMeansModel(centroids=centroids, inertia_history=tuple(history)), labels, sq
 
 
 def predict(model: KMeansModel, point) -> tuple[int, float]:
@@ -251,7 +251,7 @@ def check_scale(scale: float) -> None:
         raise ValueError("scale must be finite and positive")
 
 
-def confidence(distance: float, scale: float = 10000.0) -> float:
+def confidence(distance: float, scale: float = DEFAULT_SCALE) -> float:
     """Scaled-distance confidence: 100 - distance/scale, clamped to [0, 100].
 
     Zero distance scores a perfect 100; anything at or past 100*scale floors

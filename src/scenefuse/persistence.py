@@ -24,8 +24,10 @@ Every file is read as UTF-8 text; one that is not raises SchemaError.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -162,13 +164,21 @@ def _upgrade(document: dict) -> None:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write the bundle as indented JSON.  Raises IoError on write failure."""
+    """Write the bundle as indented JSON.  Raises IoError on write failure.
+
+    The text goes to `<path>.partial`, which then replaces `path` whole, so
+    a failed write leaves the bundle it was merging into as it was.
+    """
     document = {**_encode(bundle), "format_version": FORMAT_VERSION}
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    partial = f"{path}.partial"
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(partial, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.replace(partial, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
         raise IoError(f"cannot write bundle {path}: {exc}") from exc
 
 

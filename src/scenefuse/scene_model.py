@@ -86,7 +86,7 @@ class ScenePrediction:
 
 
 def train_classifier(
-    training_set: TrainingSet, seed: int = 0, scale: float = 10000.0
+    training_set: TrainingSet, seed: int = 0, scale: float = clustering.DEFAULT_SCALE
 ) -> SceneClassifier:
     """Fit one cluster per distinct scene name and name the clusters.
 
@@ -98,8 +98,7 @@ def train_classifier(
     if k == 0:
         raise TooFewExamples("training set holds no examples")
     matrix = np.vstack([vec.values for _, vec in training_set.items])
-    model = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
-    labels, sq = clustering.assign(matrix, model.centroids)
+    model, labels, sq = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
 
     warnings: list[str] = []
     cluster_names: list[str] = []

@@ -160,8 +160,7 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> ColorPalette:
         raise DegenerateImage(f"fewer than {c} distinct colors to separate")
 
     points = sample.astype(np.float64)
-    model = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
-    labels, _ = clustering.assign(points, model.centroids)
+    model, labels, _ = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
     counts = np.bincount(labels, minlength=c)
     weights = counts / counts.sum()
 

@@ -120,7 +120,7 @@ def test_criterion_clustering_near_exhaustive_optimum():
         for k in (1, 2, 3):
             for _ in range(3):
                 points = rng.uniform(0.0, 10.0, (n, 2))
-                model = fit(points, KMeansParams(k=k, seed=1000 + instances))
+                model, _, _ = fit(points, KMeansParams(k=k, seed=1000 + instances))
                 best = brute_force_inertia(points, k)
                 if best > 1e-12:
                     worst_ratio = max(worst_ratio, model.inertia / best)

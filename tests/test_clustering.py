@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_inertia, nearest_centroid_scan
 from scenefuse.clustering import (
@@ -18,7 +20,7 @@ from scenefuse.errors import DimensionMismatch, TooFewPoints, ZeroK
 
 def test_single_cluster_lands_on_the_mean():
     points = [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]
-    model = fit(points, KMeansParams(k=1))
+    model, _, _ = fit(points, KMeansParams(k=1))
     assert model.centroids.tolist() == [[2.0, 0.0]]
     assert model.inertia == 8.0
     assert model.inertia_history[-1] == 8.0
@@ -26,7 +28,7 @@ def test_single_cluster_lands_on_the_mean():
 
 def test_two_separated_pairs_split_cleanly():
     points = [(0.0, 0.0), (0.0, 1.0), (10.0, 0.0), (10.0, 1.0)]
-    model = fit(points, KMeansParams(k=2, seed=0))
+    model, _, _ = fit(points, KMeansParams(k=2, seed=0))
     got = sorted(map(tuple, model.centroids.tolist()))
     assert got == [(0.0, 0.5), (10.0, 0.5)]
     assert model.inertia == 1.0
@@ -35,9 +37,9 @@ def test_two_separated_pairs_split_cleanly():
 def test_fit_is_bit_identical_per_seed():
     rng = np.random.default_rng(17)
     points = rng.uniform(0.0, 10.0, (40, 3))
-    a = fit(points, KMeansParams(k=4, seed=5))
-    b = fit(points, KMeansParams(k=4, seed=5))
-    c = fit(points, KMeansParams(k=4, seed=6))
+    a, _, _ = fit(points, KMeansParams(k=4, seed=5))
+    b, _, _ = fit(points, KMeansParams(k=4, seed=5))
+    c, _, _ = fit(points, KMeansParams(k=4, seed=6))
     assert np.array_equal(a.centroids, b.centroids)
     assert a.inertia_history == b.inertia_history
     # a different seed may legitimately converge to the same optimum, but
@@ -49,24 +51,46 @@ def test_objective_never_increases_during_a_fit():
     rng = np.random.default_rng(23)
     for trial in range(5):
         points = rng.uniform(-5.0, 5.0, (30, 2))
-        model = fit(points, KMeansParams(k=3, seed=trial))
+        model, _, _ = fit(points, KMeansParams(k=3, seed=trial))
         history = model.inertia_history
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))
         assert model.inertia == history[-1]
+
+
+@st.composite
+def _crowded_points(draw):
+    """A few integer points on a 4-wide grid, so duplicates and tied centroids abound."""
+    d = draw(st.integers(1, 2))
+    row = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    return np.asarray(rows, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(points=_crowded_points(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_fit_returns_the_partition_it_scored(points, k, seed):
+    k = min(k, points.shape[0])
+    model, labels, sq = fit(points, KMeansParams(k=k, seed=seed))
+    again_labels, again_sq = assign(points, model.centroids)
+    assert np.array_equal(labels, again_labels)
+    assert np.array_equal(sq, again_sq)
+    assert model.inertia == sq[np.arange(points.shape[0]), labels].sum()
+    history = model.inertia_history
+    assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
 def test_fit_matches_exhaustive_partition_search():
     rng = np.random.default_rng(31)
     for k in (1, 2, 3):
         points = rng.uniform(0.0, 10.0, (7, 2))
-        model = fit(points, KMeansParams(k=k, seed=0))
+        model, _, _ = fit(points, KMeansParams(k=k, seed=0))
         best = brute_force_inertia(points, k)
         assert model.inertia <= 1.05 * best + 1e-9
 
 
 def test_all_identical_points_converge_with_zero_inertia():
     points = np.ones((5, 2)) * 3.0
-    model = fit(points, KMeansParams(k=2))
+    model, _, _ = fit(points, KMeansParams(k=2))
     assert model.inertia == 0.0
     assert np.all(model.centroids == 3.0)
 
@@ -74,7 +98,7 @@ def test_all_identical_points_converge_with_zero_inertia():
 def test_predict_agrees_with_a_linear_scan():
     rng = np.random.default_rng(41)
     points = rng.uniform(0.0, 10.0, (50, 4))
-    model = fit(points, KMeansParams(k=5, seed=1))
+    model, _, _ = fit(points, KMeansParams(k=5, seed=1))
     for vec in rng.uniform(0.0, 10.0, (50, 4)):
         label, distance = predict(model, vec)
         scan_label, scan_distance = nearest_centroid_scan(vec, model.centroids)
@@ -83,7 +107,7 @@ def test_predict_agrees_with_a_linear_scan():
 
 
 def test_predict_breaks_ties_toward_the_lower_label():
-    model = fit([(0.0, 0.0), (2.0, 0.0)], KMeansParams(k=2))
+    model, _, _ = fit([(0.0, 0.0), (2.0, 0.0)], KMeansParams(k=2))
     assert sorted(map(tuple, model.centroids.tolist())) == [(0.0, 0.0), (2.0, 0.0)]
     label, distance = predict(model, (1.0, 0.0))  # exactly between both centroids
     assert distance == 1.0
@@ -113,7 +137,7 @@ def test_assign_scratch_memory_stays_within_one_points_matrix():
 def test_predict_distance_is_the_square_root_of_assigns_entry():
     rng = np.random.default_rng(11)
     points = rng.uniform(0.0, 1.0, (12, 8192))
-    model = fit(points, KMeansParams(k=3, seed=2))
+    model, _, _ = fit(points, KMeansParams(k=3, seed=2))
     for vec in rng.uniform(0.0, 1.0, (5, 8192)):
         label, distance = predict(model, vec)
         labels, sq = assign(vec[None, :], model.centroids)
@@ -142,7 +166,7 @@ def test_fit_input_validation():
 
 
 def test_predict_validates_dimensions():
-    model = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
+    model, _, _ = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
     with pytest.raises(DimensionMismatch):
         predict(model, (0.0, 0.0, 0.0))
     for bad in (float("nan"), float("inf"), float("-inf")):

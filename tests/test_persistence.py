@@ -1,5 +1,6 @@
 """Bundle serialization and event-script parsing."""
 
+import errno
 import json
 from dataclasses import fields, replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scenefuse import persistence
 from scenefuse.action_learning import ActionExample, ActionNet, train_actions
 from scenefuse.audio_pipeline import AudioClip
 from scenefuse.clustering import KMeansModel, KMeansParams
@@ -181,6 +183,49 @@ def _centroid_width(slot, width):
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         load_bundle(tmp_path / "nope.json")
+
+
+class _FullDisk:
+    """A text file that takes half of what it is given, then reports the disk full."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
+    path = tmp_path / "bundle.json"
+    save_bundle(_full_bundle(), path)
+    before = path.read_bytes()
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    # the replacing file gets the mode a plain open would give it
+    assert path.stat().st_mode == plain.stat().st_mode
+    plain.unlink()
+
+    monkeypatch.setattr(
+        persistence,
+        "open",
+        lambda file, mode, **kwargs: _FullDisk(open(file, mode, **kwargs)),
+        raising=False,
+    )
+    with pytest.raises(IoError, match="No space left"):
+        save_bundle(replace(_full_bundle(), action=None), path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert load_bundle(path).action is not None
+    assert list(tmp_path.iterdir()) == [path]  # no partial file left behind
 
 
 @pytest.mark.parametrize(
