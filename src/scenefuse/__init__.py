@@ -59,7 +59,6 @@ from .persistence import (
 from .scene_model import (
     SceneClassifier,
     ScenePrediction,
-    TrainingSet,
     classify,
     train_classifier,
 )

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConflictingExamples, EmptyTrainingSet, UnknownLabel
 
 _TRACE_EVERY = 1000
+DEFAULT_ITERATIONS = 100000
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def _encode_batch(
 
 def train_actions(
     examples: Sequence[ActionExample],
-    iterations: int = 100000,
+    iterations: int = DEFAULT_ITERATIONS,
     *,
     hidden_size: int = 8,
     learning_rate: float = 0.5,

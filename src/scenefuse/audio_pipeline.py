@@ -26,6 +26,11 @@ from .features import ACOUSTIC, FeatureVector
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
 WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
+DEFAULT_COMPONENTS = 16  # sinusoids per band when the caller names no count
+# RIFF fields are unsigned 32-bit: a 16-bit mono file's byte rate (2 * rate)
+# and RIFF size (36 + 2 * samples) must both fit
+_MAX_RATE = 2**31 - 1
+_MAX_SAMPLES = (2**32 - 37) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +152,15 @@ def decode_wav(data: bytes) -> AudioClip:
 
 
 def encode_wav(clip: AudioClip) -> bytes:
-    """Write a clip back out as canonical 44-byte-header mono 16-bit PCM."""
+    """Write a clip back out as canonical 44-byte-header mono 16-bit PCM.
+
+    Raises ValueError for a rate or a length the header's fields cannot hold.
+    """
+    rate = clip.sample_rate_hz
+    if rate > _MAX_RATE or clip.samples.size > _MAX_SAMPLES:
+        raise ValueError(f"{clip.samples.size} samples at {rate} Hz overflow a WAV header")
     quantized = np.clip(np.rint(clip.samples * _PCM_SCALE), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()
-    rate = clip.sample_rate_hz
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -220,7 +230,7 @@ def synth_ambient(
     seconds: float,
     rate: int,
     seed: int,
-    components_per_band: int = 16,
+    components_per_band: int = DEFAULT_COMPONENTS,
 ) -> AudioClip:
     """Render a deterministic ambient-style clip from a band/gain envelope.
 
@@ -230,13 +240,16 @@ def synth_ambient(
     [-1, 1].  Same arguments, same seed: bit-identical samples.
 
     Raises BadProfile for an empty envelope, negative or non-finite gains,
-    inverted bands, bands beyond the Nyquist frequency, or a duration that
-    is not finite or rounds to zero samples.
+    inverted bands, bands beyond the Nyquist frequency, a duration that is
+    not finite or rounds to zero samples, or a rate or sample count that a
+    WAV header cannot hold.
     """
     if components_per_band < 1:
         raise BadProfile("need at least one component per band")
     if rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
         raise BadProfile("rate and duration must be finite and positive")
+    if rate > _MAX_RATE or seconds * rate >= _MAX_SAMPLES + 1:  # before any allocation
+        raise BadProfile(f"a WAV header holds at most {_MAX_SAMPLES} samples and {_MAX_RATE} Hz")
     n = int(seconds * rate)
     if n < 1:
         raise BadProfile("duration rounds to zero samples")

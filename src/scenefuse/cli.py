@@ -17,8 +17,9 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
-from .action_learning import action_repl, predict_action, train_actions
+from .action_learning import DEFAULT_ITERATIONS, action_repl, predict_action, train_actions
 from .audio_pipeline import (
+    DEFAULT_COMPONENTS,
     acoustic_features,
     analysis_window,
     decode_wav,
@@ -47,7 +48,7 @@ from .persistence import (
     load_pairs,
     save_bundle,
 )
-from .scene_model import TrainingSet, classify, train_classifier
+from .scene_model import classify, train_classifier
 from .vision_pipeline import (
     decode_ppm,
     dominant_colors,
@@ -97,14 +98,14 @@ def _warn(message: str) -> None:
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_bytes(path, data: bytes) -> None:
     try:
         Path(path).write_bytes(data)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
@@ -151,11 +152,8 @@ def _load_bundle_required(path: str) -> ModelBundle:
 # --- train -----------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    groups: list[tuple[str, list[str]]] = []
-    for entry in args.scene:
-        if len(entry) < 2:
-            raise ValueError("--scene needs a name followed by at least one file")
-        groups.append((entry[0], entry[1:]))
+    if any(len(entry) < 2 for entry in args.scene):
+        raise ValueError("--scene needs a name followed by at least one file")
 
     check_scale(args.scale)  # refused before any file is read
     if args.modality == ACOUSTIC and args.k_override is not None:
@@ -163,7 +161,7 @@ def cmd_train(args) -> int:
     color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
     items = []
     rates: set[int | None] = set()
-    for scene, files in groups:
+    for scene, *files in args.scene:
         for path in files:
             vector, rate = _features(args.modality, path, color_count, args.seed)
             items.append((scene, vector))
@@ -171,8 +169,7 @@ def cmd_train(args) -> int:
     if len(rates) > 1:
         _warn(f"mixed sample rates across training files: {sorted(rates)}")
 
-    training_set = TrainingSet(modality=args.modality, items=tuple(items))
-    classifier = train_classifier(training_set, args.seed, args.scale)
+    classifier = train_classifier(items, args.seed, args.scale)
     for message in classifier.warnings:
         _warn(message)
 
@@ -377,8 +374,9 @@ def _save_net(net, out: str) -> None:
 
 
 def _net_settings(args) -> dict:
-    """`train_actions`' keyword arguments, from the flags train and repl share."""
-    return {"hidden_size": args.hidden, "learning_rate": args.lr, "seed": args.seed}
+    """`train_actions`' keyword arguments from the flags train and repl share, if set."""
+    flags = {"hidden_size": args.hidden, "learning_rate": args.lr, "seed": args.seed}
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def cmd_action_train(args) -> int:
@@ -466,7 +464,7 @@ def _build_parser() -> _Parser:
     synth_audio.add_argument("--seed", type=int, default=0)
     synth_audio.add_argument("--seconds", type=float, default=5.0)
     synth_audio.add_argument("--rate", type=int, default=8000)
-    synth_audio.add_argument("--components", type=int, default=16)
+    synth_audio.add_argument("--components", type=int, default=DEFAULT_COMPONENTS)
     synth_audio.set_defaults(handler=cmd_synth_audio)
 
     synth_image = synth_kinds.add_parser("image")
@@ -493,10 +491,10 @@ def _build_parser() -> _Parser:
     action_kinds = action.add_subparsers(dest="action_kind", required=True, parser_class=_Parser)
 
     training = _Parser(add_help=False)  # the flags train and repl share
-    training.add_argument("--iterations", type=int, default=100000)
-    training.add_argument("--hidden", type=int, default=8)
-    training.add_argument("--lr", type=float, default=0.5)
-    training.add_argument("--seed", type=int, default=0)
+    training.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    training.add_argument("--hidden", type=int, default=None)
+    training.add_argument("--lr", type=float, default=None)
+    training.add_argument("--seed", type=int, default=None)
 
     action_train = action_kinds.add_parser("train", parents=[training])
     action_train.add_argument("--pairs", required=True, help="TSV of scene<TAB>action")

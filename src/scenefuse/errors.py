@@ -91,12 +91,8 @@ class BadSpec(UsageError):
 
 # --- scene model -----------------------------------------------------------
 
-class InconsistentDims(UsageError):
-    """Training vectors do not all share one length."""
-
-
-class TooFewExamples(UsageError):
-    """Not enough labeled examples to fit one cluster per scene."""
+class EmptyTrainingSet(UsageError):
+    """No labeled examples for `train_classifier` or `train_actions`."""
 
 
 class ModalityMismatch(UsageError):
@@ -110,10 +106,6 @@ class ClockSkew(UsageError):
 
 
 # --- action learning -------------------------------------------------------
-
-class EmptyTrainingSet(UsageError):
-    """No scene/action pairs were provided."""
-
 
 class ConflictingExamples(UsageError):
     """The same scene label maps to two different action codes."""

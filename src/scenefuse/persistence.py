@@ -79,10 +79,10 @@ def _read_text(path, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
 # --- bundles ---------------------------------------------------------------
@@ -176,8 +176,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         with open(partial, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(partial, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        with contextlib.suppress(OSError, ValueError):
             os.remove(partial)
         raise IoError(f"cannot write bundle {path}: {exc}") from exc
 

@@ -1,47 +1,25 @@
 """Named scenes on top of the clustering engine.
 
-A training set is a bag of (scene name, feature vector) pairs of one
-modality.  Fitting forces k to the number of distinct scene names, then
-names each cluster by majority vote over the training members it captured
-(alphabetical tie-break).  Oddities — a majority tie, a cluster that caught
-no training vectors, or two clusters sharing a name — do not fail the fit;
-they surface as warning strings on the classifier.
+A classifier trains on (scene name, feature vector) pairs, all of one
+modality and one width, and takes its modality from the vectors.  Fitting
+forces k to the number of distinct scene names, then names each cluster by
+majority vote over the training members it captured (alphabetical
+tie-break).  Oddities — a majority tie, a cluster that caught no training
+vectors, or two clusters sharing a name — do not fail the fit; they
+surface as warning strings on the classifier.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import clustering
-from .errors import InconsistentDims, ModalityMismatch, TooFewExamples
+from .errors import DimensionMismatch, EmptyTrainingSet, ModalityMismatch
 from .features import MODALITIES, FeatureVector, check_width
-
-
-@dataclass(frozen=True, eq=False)
-class TrainingSet:
-    """Labeled feature vectors, all one modality and one length."""
-
-    modality: str
-    items: tuple[tuple[str, FeatureVector], ...]
-
-    def __post_init__(self) -> None:
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
-        object.__setattr__(self, "items", tuple(self.items))
-        dims = set()
-        for name, vec in self.items:
-            if not name:
-                raise ValueError("scene names cannot be empty")
-            if vec.modality != self.modality:
-                raise ModalityMismatch(
-                    f"{vec.modality} vector in a {self.modality} training set"
-                )
-            dims.add(len(vec))
-        if len(dims) > 1:
-            raise InconsistentDims(f"mixed feature lengths {sorted(dims)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +64,35 @@ class ScenePrediction:
 
 
 def train_classifier(
-    training_set: TrainingSet, seed: int = 0, scale: float = clustering.DEFAULT_SCALE
+    items: Sequence[tuple[str, FeatureVector]],
+    seed: int = 0,
+    scale: float = clustering.DEFAULT_SCALE,
 ) -> SceneClassifier:
     """Fit one cluster per distinct scene name and name the clusters.
 
-    The fit draws from `seed`; `scale` becomes the confidence divisor.
-    Raises TooFewExamples when the set is empty.
+    `items` are (scene name, vector) pairs; the classifier takes the
+    vectors' modality.  The fit draws from `seed`; `scale` becomes the
+    confidence divisor.
+
+    Raises:
+        EmptyTrainingSet: no items.
+        ValueError: an empty scene name.
+        ModalityMismatch: vectors of two modalities.
+        DimensionMismatch: vectors of two widths.
     """
-    names = [name for name, _ in training_set.items]
+    if not items:
+        raise EmptyTrainingSet("training set holds no examples")
+    names = [name for name, _ in items]
+    if not all(names):
+        raise ValueError("scene names cannot be empty")
+    modalities = {vec.modality for _, vec in items}
+    if len(modalities) > 1:
+        raise ModalityMismatch(f"mixed modalities {sorted(modalities)} in one training set")
+    dims = {len(vec) for _, vec in items}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"mixed feature lengths {sorted(dims)}")
     k = len(set(names))
-    if k == 0:
-        raise TooFewExamples("training set holds no examples")
-    matrix = np.vstack([vec.values for _, vec in training_set.items])
+    matrix = np.vstack([vec.values for _, vec in items])
     model, labels, sq = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
 
     warnings: list[str] = []
@@ -126,7 +121,7 @@ def train_classifier(
         warnings.append(f"clusters share scene names: {shared}")
 
     return SceneClassifier(
-        modality=training_set.modality,
+        modality=modalities.pop(),
         model=model,
         cluster_names=tuple(cluster_names),
         seed=seed,

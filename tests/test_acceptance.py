@@ -49,7 +49,6 @@ from scenefuse.fusion import (
 from scenefuse.persistence import ModelBundle, load_bundle, save_bundle
 from scenefuse.scene_model import (
     ScenePrediction,
-    TrainingSet,
     classify,
     train_classifier,
 )
@@ -381,7 +380,7 @@ def test_criterion_round_trips(tmp_path):
     for _ in range(6):
         items.append(("hum", FeatureVector(rng.normal(0.0, 1.0, 8), ACOUSTIC)))
         items.append(("roar", FeatureVector(rng.normal(40.0, 1.0, 8), ACOUSTIC)))
-    classifier = train_classifier(TrainingSet(modality=ACOUSTIC, items=tuple(items)))
+    classifier = train_classifier(items)
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(acoustic=classifier), path)
     reloaded = load_bundle(path).acoustic

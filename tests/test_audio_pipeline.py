@@ -1,6 +1,7 @@
 """Audio container, windowing, spectrum, and synthesizer behavior."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ def test_disjoint_profiles_separate_by_an_order_of_magnitude():
 def test_synth_rejects_bad_envelopes(profile, seconds, rate):
     with pytest.raises(BadProfile):
         synth_ambient(profile, seconds, rate, seed=0)
+
+
+def test_riff_fields_bound_the_rate_and_the_length():
+    # the byte rate (2 * rate) and the chunk sizes are unsigned 32-bit fields
+    band = [((0.0, 100.0), 1.0)]
+    for seconds, rate in ((0.0001, 2**31), (2.0**31, 8000), (1e308, 8000)):
+        with pytest.raises(BadProfile):  # refused before the samples are allocated
+            synth_ambient(band, seconds, rate, seed=0)
+    fastest = synth_ambient(band, 1e-9, 2**31 - 1, seed=0)
+    assert decode_wav(encode_wav(fastest)).sample_rate_hz == 2**31 - 1
+    wav = encode_wav(AudioClip(np.zeros(4), 8000))
+    too_fast = decode_wav(wav[:24] + struct.pack("<II", 3_000_000_000, 0) + wav[32:])
+    assert too_fast.sample_rate_hz == 3_000_000_000
+    with pytest.raises(ValueError):
+        encode_wav(too_fast)
 
 
 def test_synth_output_never_clips_out_of_range():

@@ -24,6 +24,7 @@ from scenefuse import cli
 from scenefuse.cli import main
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.persistence import load_bundle
+from scenefuse.scene_model import train_classifier
 from scenefuse.vision_pipeline import decode_ppm
 
 
@@ -235,23 +236,28 @@ def test_missing_bundle_exits_two(tmp_path, capsys):
 
 
 def test_bundle_without_the_needed_modality_exits_two(matrix_workspace, tmp_path, capsys):
-    out = tmp_path / "audio_only.json"
-    args = ["train", "--modality", "acoustic", "--out", str(out), "--scene", "coffee"]
-    args += [str(matrix_workspace.data / f"train_coffee_{i}.wav") for i in range(1, 5)]
-    args += ["--scene", "gym"]
-    args += [str(matrix_workspace.data / f"train_gym_{i}.wav") for i in range(1, 5)]
-    assert main(args) == 0
-    rc = main(
-        [
-            "fuse",
-            "--bundle",
-            str(out),
-            "--script",
-            str(matrix_workspace.data / "script_coffee_coffee.tsv"),
-        ]
-    )
-    assert rc == 2
+    data = matrix_workspace.data
+    only = {}  # modality -> a bundle holding that classifier alone
+    for modality, suffix in (("acoustic", "wav"), ("visual", "ppm")):
+        only[modality] = str(tmp_path / f"{modality}_only.json")
+        args = ["train", "--modality", modality, "--out", only[modality]]
+        for scene in ("coffee", "gym"):
+            args += ["--scene", scene, *map(str, sorted(data.glob(f"train_{scene}_*.{suffix}")))]
+        assert main(args) == 0
     capsys.readouterr()
+    script = str(data / "script_coffee_coffee.tsv")
+    for argv, missing in (
+        (["fuse", "--bundle", only["acoustic"], "--script", script], "no visual classifier"),
+        (["fuse", "--bundle", only["visual"], "--script", script], "no acoustic classifier"),
+        (
+            ["predict", "--modality", "visual", "--bundle", only["acoustic"],
+             str(data / "test_coffee_1.ppm")],
+            "no visual classifier",
+        ),
+        (["action", "predict", "coffee", "--bundle", only["acoustic"]], "no trained action net"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: bundle has {missing}\n"
 
 
 def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
@@ -291,6 +297,14 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
     ):
         assert main(argv) == 3
         assert "is not UTF-8 text" in capsys.readouterr().err
+
+    # a script naming a path with a NUL byte, which no file can have
+    nul = tmp_path / "nul.tsv"
+    nul.write_bytes(b"0.0\timage\tte\x00st.ppm\n")
+    assert main(["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(nul)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert "te\x00st.ppm" in err
 
 
 def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path, capsys):
@@ -364,8 +378,7 @@ def test_every_error_class_belongs_to_exactly_one_family():
             "DegenerateImage", "IoError", "SchemaError", "BadVersion",
         },
         1: {
-            "BadSpec", "BadProfile", "TooFewExamples", "TooFewPoints",
-            "InconsistentDims", "ModalityMismatch", "DimensionMismatch",
+            "BadSpec", "BadProfile", "TooFewPoints", "ModalityMismatch", "DimensionMismatch",
             "ConflictingExamples", "EmptyTrainingSet", "UnknownLabel", "ZeroK",
             "ClockSkew",
         },
@@ -408,10 +421,12 @@ def test_bad_synth_parameters_exit_one(tmp_path, capsys):
         ["image"],
         ["audio", "--band", "0:100:nan"],
         ["audio", "--band", "0:100:1", "--seconds", "inf"],
+        ["audio", "--band", "0:100:1", "--rate", "2147483648", "--seconds", "0.0001"],
+        ["audio", "--band", "0:100:1", "--seconds", "2147483648"],
     ],
     ids=["band-one-field", "band-not-numbers", "no-band", "color-no-fraction",
          "color-two-channels", "color-not-numbers", "no-color", "band-nan-gain",
-         "endless-clip"],
+         "endless-clip", "rate-beyond-riff", "clip-beyond-riff"],
 )
 def test_malformed_synth_flags_exit_one(tmp_path, capsys, flags):
     rc = main(["synth", *flags, "--out", str(tmp_path / "x.out")])
@@ -501,6 +516,35 @@ def test_mixed_sample_rates_warn_but_train(tmp_path, capsys):
     assert rc == 0
     assert "mixed sample rates" in captured.err
     assert load_bundle(out).acoustic is not None
+
+
+def test_mixed_feature_lengths_are_refused(tmp_path, capsys):
+    # five-second clips at 1000 and 2000 Hz pad to 8192 and 16384 samples
+    for rate, name in ((1000, "a.wav"), (2000, "b.wav")):
+        clip = synth_ambient([((100.0, 400.0), 1.0)], 5.0, rate, seed=1)
+        (tmp_path / name).write_bytes(encode_wav(clip))
+    out = tmp_path / "bundle.json"
+    args = ["train", "--modality", "acoustic", "--out", str(out)]
+    args += ["--scene", "hall", str(tmp_path / "a.wav"), "--scene", "yard", str(tmp_path / "b.wav")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "warning: mixed sample rates across training files: [1000, 2000]\n"
+        "error: mixed feature lengths [8194, 16386]\n"
+    )
+    assert not out.exists()
+
+
+def test_train_passes_classifier_warnings_to_stderr(tmp_path, capsys):
+    # one clip under two scene names: identical vectors cannot be told apart
+    clip = tmp_path / "a.wav"
+    clip.write_bytes(encode_wav(synth_ambient([((100.0, 400.0), 1.0)], 5.0, 1000, seed=1)))
+    vector = acoustic_features(magnitude_spectrum(analysis_window(decode_wav(clip.read_bytes()))))
+    expected = train_classifier([("hall", vector), ("yard", vector)]).warnings
+    assert expected
+    out = tmp_path / "bundle.json"
+    args = ["train", "--modality", "acoustic", "--out", str(out)]
+    assert main(args + ["--scene", "hall", str(clip), "--scene", "yard", str(clip)]) == 0
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in expected)
 
 
 def test_k_override_changes_visual_dimensions(matrix_workspace, tmp_path, capsys):

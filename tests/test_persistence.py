@@ -25,7 +25,7 @@ from scenefuse.persistence import (
     parse_event_script,
     save_bundle,
 )
-from scenefuse.scene_model import SceneClassifier, TrainingSet, classify, train_classifier
+from scenefuse.scene_model import SceneClassifier, classify, train_classifier
 
 # written by the version-1 and version-2 `save_bundle` from `_full_bundle()`
 DATA = Path(__file__).parent / "data"
@@ -41,9 +41,7 @@ def _classifier(modality=ACOUSTIC, dim=4, seed=0):
         items.append(
             ("far", FeatureVector(rng.normal(0.0, 1.0, dim) + 50.0, modality))
         )
-    return train_classifier(
-        TrainingSet(modality=modality, items=tuple(items)), seed=seed, scale=123.456
-    )
+    return train_classifier(items, seed=seed, scale=123.456)
 
 
 def _full_bundle():
@@ -185,6 +183,16 @@ def test_missing_file_raises_io_error(tmp_path):
         load_bundle(tmp_path / "nope.json")
 
 
+def test_a_path_with_a_nul_byte_raises_io_error(tmp_path):
+    path = str(tmp_path / "bun\x00dle.json")
+    with pytest.raises(IoError):
+        load_bundle(path)
+    with pytest.raises(IoError):
+        load_event_script(path)
+    with pytest.raises(IoError):
+        save_bundle(ModelBundle(), path)
+
+
 class _FullDisk:
     """A text file that takes half of what it is given, then reports the disk full."""
 
@@ -274,12 +282,7 @@ def test_structural_damage_raises_schema_error(tmp_path, mutate):
 
 def test_reload_and_save_writes_the_same_bytes(tmp_path):
     bundle = _full_bundle()
-    twelve = TrainingSet(
-        modality=VISUAL,
-        items=tuple(
-            (f"scene{i:02d}", FeatureVector(np.full(3, 20.0 * i), VISUAL)) for i in range(12)
-        ),
-    )
+    twelve = [(f"scene{i:02d}", FeatureVector(np.full(3, 20.0 * i), VISUAL)) for i in range(12)]
     bundle = replace(bundle, visual=train_classifier(twelve))
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"

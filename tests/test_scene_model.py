@@ -5,19 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scenefuse.errors import (
-    DimensionMismatch,
-    InconsistentDims,
-    ModalityMismatch,
-    TooFewExamples,
-)
+from scenefuse.errors import DimensionMismatch, EmptyTrainingSet, ModalityMismatch
 from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
-from scenefuse.scene_model import (
-    ScenePrediction,
-    TrainingSet,
-    classify,
-    train_classifier,
-)
+from scenefuse.scene_model import ScenePrediction, classify, train_classifier
 
 
 def _vec(values, modality=ACOUSTIC):
@@ -31,7 +21,7 @@ def _two_scene_set(noise=0.0, seed=0, modality=ACOUSTIC, dim=4):
     for i in range(4):
         items.append(("quiet", _vec(rng.normal(0.0, noise, dim) + 0.0, modality)))
         items.append(("loud", _vec(rng.normal(0.0, noise, dim) + 100.0, modality)))
-    return TrainingSet(modality=modality, items=tuple(items))
+    return tuple(items)
 
 
 def test_training_forces_one_cluster_per_scene():
@@ -81,7 +71,7 @@ def test_majority_vote_names_a_mixed_cluster():
         ("b", _vec([101.0, 100.0])),
         ("a", _vec([100.0, 101.0])),  # stray "a" deep in b territory
     )
-    classifier = train_classifier(TrainingSet(modality=ACOUSTIC, items=items))
+    classifier = train_classifier(items)
     assert sorted(classifier.cluster_names) == ["a", "b"]
     assert classify(classifier, _vec([100.5, 100.5]), now=0.0).scene == "b"
 
@@ -91,7 +81,7 @@ def test_identical_examples_tie_break_alphabetically_with_warning():
         ("breeze", _vec([5.0, 5.0])),
         ("arcade", _vec([5.0, 5.0])),
     )
-    classifier = train_classifier(TrainingSet(modality=ACOUSTIC, items=items))
+    classifier = train_classifier(items)
     assert classifier.warnings  # ties and duplicate names must be reported
     named = sorted(classifier.cluster_names)
     # at least one cluster resolves to "arcade" by the alphabetical rule
@@ -102,9 +92,7 @@ def test_identical_examples_tie_break_alphabetically_with_warning():
 
 def test_cluster_naming_is_independent_of_example_order():
     base = _two_scene_set(noise=0.5)
-    shuffled = TrainingSet(
-        modality=ACOUSTIC, items=tuple(reversed(base.items))
-    )
+    shuffled = tuple(reversed(base))
     a = train_classifier(base)
     b = train_classifier(shuffled)
     probe = _vec([99.0, 99.5, 100.0, 101.0])
@@ -112,19 +100,28 @@ def test_cluster_naming_is_independent_of_example_order():
 
 
 def test_training_set_validation():
-    with pytest.raises(TooFewExamples):
-        train_classifier(TrainingSet(modality=ACOUSTIC, items=()))
-    with pytest.raises(InconsistentDims):
-        TrainingSet(
-            modality=ACOUSTIC,
-            items=(("a", _vec([0.0, 1.0])), ("b", _vec([0.0, 1.0, 2.0, 3.0]))),
-        )
+    with pytest.raises(EmptyTrainingSet):
+        train_classifier(())
+    with pytest.raises(DimensionMismatch, match=r"mixed feature lengths \[2, 4\]"):
+        train_classifier((("a", _vec([0.0, 1.0])), ("b", _vec([0.0, 1.0, 2.0, 3.0]))))
     with pytest.raises(ModalityMismatch):
-        TrainingSet(modality=ACOUSTIC, items=(("a", _vec([0.0] * 3, VISUAL)),))
+        train_classifier((("a", _vec([0.0] * 6)), ("b", _vec([0.0] * 6, VISUAL))))
     with pytest.raises(ValueError):
-        TrainingSet(modality="thermal", items=())
+        FeatureVector(np.zeros(6), "thermal")
     with pytest.raises(ValueError):
-        TrainingSet(modality=ACOUSTIC, items=(("", _vec([0.0, 0.0])),))
+        train_classifier((("", _vec([0.0, 0.0])),))
+
+
+def test_clusters_that_share_a_name_are_reported():
+    # "b" is outvoted in both well-separated clusters, so both are named "a"
+    items = (
+        [("a", _vec([0.0, 0.0]))] * 3
+        + [("a", _vec([100.0, 100.0]))] * 3
+        + [("b", _vec([100.0, 100.0]))]
+    )
+    classifier = train_classifier(items)
+    assert classifier.cluster_names == ("a", "a")
+    assert classifier.warnings == ("clusters share scene names: ['a']",)
 
 
 def test_classify_validates_modality_and_dimension():
