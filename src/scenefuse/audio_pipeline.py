@@ -204,11 +204,8 @@ def magnitude_spectrum(clip: AudioClip) -> Spectrum:
     N/2 + 1 bins, bin k sitting at k * rate / N Hz with amplitude equal to
     the complex modulus of the transform.  Phase is discarded.
     """
-    n = clip.samples.size
-    size = _next_pow2(n)
-    padded = np.zeros(size, dtype=np.float64)
-    padded[:n] = clip.samples
-    amps = np.abs(np.fft.rfft(padded))
+    size = _next_pow2(clip.samples.size)
+    amps = np.abs(np.fft.rfft(clip.samples, n=size))
     freqs = np.arange(amps.size, dtype=np.float64) * (clip.sample_rate_hz / size)
     return Spectrum(freqs_hz=freqs, amps=amps)
 

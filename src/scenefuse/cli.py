@@ -46,6 +46,7 @@ from .persistence import (
     load_bundle,
     load_event_script,
     load_pairs,
+    read_bytes,
     save_bundle,
 )
 from .scene_model import classify, train_classifier
@@ -95,13 +96,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
 def _write_bytes(path, data: bytes) -> None:
     try:
         Path(path).write_bytes(data)
@@ -118,7 +112,7 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
     report a sample rate of None.  Acoustic decoding ignores `color_count`
     and `seed`.  Decode failures name the file.
     """
-    data = _read_bytes(path)
+    data = read_bytes(path)
     try:
         if modality == VISUAL:
             image = decode_ppm(data)
@@ -137,16 +131,30 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
     return acoustic_features(spectrum), clip.sample_rate_hz
 
 
-def _load_or_new_bundle(path: str) -> ModelBundle:
-    if Path(path).exists():
-        return load_bundle(path)
-    return ModelBundle()
+def _classify_file(classifier, path, at: float, dump_spectrum=None):
+    """Classify one file, featurized with the palette size and seed `classifier` was fitted with."""
+    vector, _ = _features(
+        classifier.modality, path, classifier.model.dim // 3, classifier.seed, dump_spectrum
+    )
+    return classify(classifier, vector, now=at)
 
 
-def _load_bundle_required(path: str) -> ModelBundle:
+def _bundle_with(path: str, *parts: str) -> ModelBundle:
+    """The bundle at `path`; MissingClassifier if there is none or it lacks one of `parts`."""
     if not Path(path).exists():
         raise MissingClassifier(f"bundle {path} not found")
-    return load_bundle(path)
+    bundle = load_bundle(path)
+    for part in parts:
+        if getattr(bundle, part) is None:
+            what = "trained action net" if part == "action" else f"{part} classifier"
+            raise MissingClassifier(f"bundle has no {what}")
+    return bundle
+
+
+def _save_into(path: str, **parts) -> None:
+    """Put `parts` into the bundle at `path`, or into a new one, and save it there."""
+    bundle = load_bundle(path) if Path(path).exists() else ModelBundle()
+    save_bundle(replace(bundle, **parts), path)
 
 
 # --- train -----------------------------------------------------------------
@@ -173,8 +181,7 @@ def cmd_train(args) -> int:
     for message in classifier.warnings:
         _warn(message)
 
-    bundle = replace(_load_or_new_bundle(args.out), **{args.modality: classifier})
-    save_bundle(bundle, args.out)
+    _save_into(args.out, **{args.modality: classifier})
 
     counts = Counter(scene for scene, _ in items)
     for scene in sorted(counts):
@@ -190,20 +197,10 @@ def cmd_train(args) -> int:
 # --- predict ---------------------------------------------------------------
 
 def cmd_predict(args) -> int:
-    bundle = _load_bundle_required(args.bundle)
-    classifier = getattr(bundle, args.modality)
-    if classifier is None:
-        raise MissingClassifier(f"bundle has no {args.modality} classifier")
+    classifier = getattr(_bundle_with(args.bundle, args.modality), args.modality)
     if args.modality == VISUAL and args.dump_spectrum is not None:
         _warn("--dump-spectrum only applies to acoustic prediction; ignored")
-    vector, _ = _features(
-        args.modality,
-        args.file,
-        classifier.model.dim // 3,
-        classifier.seed,
-        args.dump_spectrum,
-    )
-    prediction = classify(classifier, vector, now=0.0)
+    prediction = _classify_file(classifier, args.file, 0.0, args.dump_spectrum)
     print(f"scene={prediction.scene} confidence={prediction.confidence:.3f}")
     return EXIT_OK
 
@@ -211,11 +208,7 @@ def cmd_predict(args) -> int:
 # --- fuse ------------------------------------------------------------------
 
 def cmd_fuse(args) -> int:
-    bundle = _load_bundle_required(args.bundle)
-    if bundle.acoustic is None:
-        raise MissingClassifier("bundle has no acoustic classifier")
-    if bundle.visual is None:
-        raise MissingClassifier("bundle has no visual classifier")
+    bundle = _bundle_with(args.bundle, ACOUSTIC, VISUAL)
     flags = {
         "acoustic_visual_window_s": args.window_av,
         "photo_window_s": args.window_photo,
@@ -226,7 +219,6 @@ def cmd_fuse(args) -> int:
 
     script = load_event_script(args.script)
     script_dir = Path(args.script).parent
-    color_count = bundle.visual.model.dim // 3
 
     state = initial_state()
     for event in script.events:
@@ -234,8 +226,7 @@ def cmd_fuse(args) -> int:
         if not path.is_absolute():
             path = script_dir / path
         modality = ACOUSTIC if event.kind == "audio" else VISUAL
-        vector, _ = _features(modality, str(path), color_count, bundle.visual.seed)
-        prediction = classify(getattr(bundle, modality), vector, now=event.at)
+        prediction = _classify_file(getattr(bundle, modality), str(path), event.at)
         step = on_acoustic if modality == ACOUSTIC else on_visual_photo
         state, decision = step(state, prediction, config)
         if decision.kind == IDENTIFIED:
@@ -318,13 +309,13 @@ def _shifted_fractions(spec, step: int):
 
 def cmd_synth_matrix(args) -> int:
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
     written: list[str] = []
 
     def emit(name: str, payload: bytes) -> None:
+        try:  # only now, so a refused run leaves no empty directory behind
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create {out_dir}: {exc}") from exc
         _write_bytes(out_dir / name, payload)
         written.append(str(out_dir / name))
 
@@ -368,11 +359,6 @@ def cmd_synth_matrix(args) -> int:
 
 # --- action ----------------------------------------------------------------
 
-def _save_net(net, out: str) -> None:
-    bundle = replace(_load_or_new_bundle(out), action=net)
-    save_bundle(bundle, out)
-
-
 def _net_settings(args) -> dict:
     """`train_actions`' keyword arguments from the flags train and repl share, if set."""
     flags = {"hidden_size": args.hidden, "learning_rate": args.lr, "seed": args.seed}
@@ -382,7 +368,7 @@ def _net_settings(args) -> dict:
 def cmd_action_train(args) -> int:
     pairs = load_pairs(args.pairs)
     net, trace = train_actions(pairs, args.iterations, **_net_settings(args))
-    _save_net(net, args.out)
+    _save_into(args.out, action=net)
     print(
         f"trained action net scenes={len(net.scene_vocab)} "
         f"actions={len(net.action_vocab)} iterations={args.iterations}"
@@ -397,16 +383,13 @@ def cmd_action_train(args) -> int:
 def cmd_action_repl(args) -> int:
     net = action_repl(sys.stdin, sys.stdout, iterations=args.iterations, **_net_settings(args))
     if args.out is not None:
-        _save_net(net, args.out)
+        _save_into(args.out, action=net)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_action_predict(args) -> int:
-    bundle = _load_bundle_required(args.bundle)
-    if bundle.action is None:
-        raise MissingClassifier("bundle has no trained action net")
-    print(f"action={predict_action(bundle.action, args.label)}")
+    print(f"action={predict_action(_bundle_with(args.bundle, 'action').action, args.label)}")
     return EXIT_OK
 
 
@@ -521,12 +504,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except SceneFuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:  # a dataclass validator rejected a flag value
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (SceneFuseError, ValueError) as exc:  # ValueError: a validator refused a flag value
+        # escaped as repr would, so a NUL or newline from a file or path cannot reach stderr raw
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error: {message}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, SceneFuseError) else EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -120,8 +120,9 @@ class UnknownLabel(UsageError):
 class IoError(InputError):
     """A bundle, script, input or output file could not be read or written.
 
-    Distinct from the builtin ``IOError`` alias; this one is raised only by
-    scenefuse persistence and CLI helpers and wraps the underlying ``OSError``.
+    Distinct from the builtin ``IOError`` alias.  Raised by ``read_bytes``,
+    ``save_bundle`` and the CLI's writes, it wraps the underlying ``OSError``,
+    or the ``ValueError`` of a path holding a NUL byte.
     """
 
 

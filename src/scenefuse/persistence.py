@@ -20,6 +20,8 @@ Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
 Script timestamps must never decrease and `kind` is `audio` or `image`.
 Every file is read as UTF-8 text; one that is not raises SchemaError.
+`read_bytes` is the one place scenefuse opens a file for reading, for
+these formats and for the CLI's WAV and PPM inputs alike.
 """
 
 from __future__ import annotations
@@ -74,15 +76,22 @@ class EventScript:
     events: tuple[ScriptEvent, ...]
 
 
+def read_bytes(path, what: str = "") -> bytes:
+    """The bytes of the file at `path`; IoError, calling it a `what` if given, when unreadable."""
+    name = f"{what} {path}" if what else path
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise IoError(f"cannot read {name}: {exc}") from exc
+
+
 def _read_text(path, what: str) -> str:
     """The UTF-8 text of a file; IoError if unreadable, SchemaError if not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return read_bytes(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what} {path} is not UTF-8 text: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
 # --- bundles ---------------------------------------------------------------

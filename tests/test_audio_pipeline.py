@@ -63,6 +63,9 @@ def test_decode_skips_unknown_chunks_with_odd_size_padding():
         (wav_bytes([1], bits_per_sample=8), UnsupportedFormat),
         (wav_bytes([1, 2, 3], channels=3), UnsupportedFormat),
         (wav_bytes([], rate=8000), EmptyData),
+        (wav_bytes([1], leading_chunks=((b"fmt ", b"\x01\x00"),)), MalformedRiff),  # fmt < 16
+        (wav_bytes([1], rate=0), MalformedRiff),
+        (wav_bytes([1, 2, 3], channels=2), MalformedRiff),  # half a stereo frame
     ],
 )
 def test_decode_rejects_broken_containers(blob, expected):

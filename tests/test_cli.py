@@ -304,7 +304,8 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
     assert main(["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(nul)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ")
-    assert "te\x00st.ppm" in err
+    assert "te\\x00st.ppm" in err
+    assert "\x00" not in err
 
 
 def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path, capsys):
@@ -346,6 +347,14 @@ def test_failed_writes_exit_three(args, matrix_workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot ")
     assert "Traceback" not in err
+
+
+def test_refused_synth_matrix_leaves_no_directory(tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    argv = ["synth", "matrix", "--rate", "2147483648", "--seconds", "0.0001"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: a WAV header holds")
+    assert not out_dir.exists()
 
 
 # exit code of each error family
@@ -557,6 +566,25 @@ def test_k_override_changes_visual_dimensions(matrix_workspace, tmp_path, capsys
     assert main(args) == 0
     capsys.readouterr()
     assert load_bundle(out).visual.model.dim == 6
+
+
+def test_flags_for_the_other_modality_warn_and_are_ignored(matrix_workspace, tmp_path, capsys):
+    data = matrix_workspace.data
+    out = tmp_path / "bundle.json"
+    args = ["train", "--modality", "acoustic", "--k-override", "2", "--out", str(out)]
+    for scene in ("coffee", "gym"):
+        args += ["--scene", scene, str(data / f"train_{scene}_1.wav")]
+    assert main(args) == 0
+    warning = "warning: --k-override only affects visual training; ignored\n"
+    assert capsys.readouterr().err == warning
+
+    csv = tmp_path / "x.csv"
+    args = ["predict", "--modality", "visual", "--bundle", str(matrix_workspace.bundle)]
+    assert main(args + ["--dump-spectrum", str(csv), str(data / "test_coffee_1.ppm")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: --dump-spectrum only applies to acoustic prediction; ignored\n"
+    assert captured.out.startswith("scene=coffee ")
+    assert not csv.exists()
 
 
 # --- action subcommands -----------------------------------------------------

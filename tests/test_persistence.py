@@ -262,7 +262,7 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         lambda raw: raw["acoustic"]["cluster_names"].append("near"),
         lambda raw: raw["action"].pop("weights_ho"),
         lambda raw: raw["visual"].__setitem__("scale", 0.0),
-        lambda raw: raw["acoustic"].__setitem__("modality", "visual"),  # the wrong slot
+        lambda raw: raw["visual"].__setitem__("modality", "acoustic"),  # the wrong slot
         # a classifier no training could produce, which could not classify
         lambda raw: raw["acoustic"]["cluster_names"].__setitem__(0, ""),
         _centroid_width("acoustic", 3),  # odd: not frequencies plus amplitudes
@@ -305,13 +305,15 @@ def test_types_check_what_spans_their_fields():
     with pytest.raises(ValueError):
         replace(model, inertia_history=())
     with pytest.raises(ValueError):
+        replace(model, centroids=np.full_like(model.centroids, np.nan))
+    with pytest.raises(ValueError):
         replace(classifier, modality="tactile")
     with pytest.raises(ValueError):
         replace(classifier, cluster_names=("near",))
     with pytest.raises(ValueError):
         replace(classifier, cluster_names=("near", "far", "far"))
     with pytest.raises(ValueError):
-        ModelBundle(acoustic=_classifier(VISUAL))
+        ModelBundle(acoustic=_classifier(VISUAL, dim=6))  # a width both modalities allow
     net = _full_bundle().action
     with pytest.raises(ValueError):
         replace(net, weights_ih=net.weights_ih[:1])
