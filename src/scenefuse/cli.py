@@ -11,6 +11,7 @@ warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -141,7 +142,7 @@ def _classify_file(classifier, path, at: float, dump_spectrum=None):
 
 def _bundle_with(path: str, *parts: str) -> ModelBundle:
     """The bundle at `path`; MissingClassifier if there is none or it lacks one of `parts`."""
-    if not Path(path).exists():
+    if not os.path.exists(path):
         raise MissingClassifier(f"bundle {path} not found")
     bundle = load_bundle(path)
     for part in parts:
@@ -153,7 +154,7 @@ def _bundle_with(path: str, *parts: str) -> ModelBundle:
 
 def _save_into(path: str, **parts) -> None:
     """Put `parts` into the bundle at `path`, or into a new one, and save it there."""
-    bundle = load_bundle(path) if Path(path).exists() else ModelBundle()
+    bundle = load_bundle(path) if os.path.exists(path) else ModelBundle()
     save_bundle(replace(bundle, **parts), path)
 
 

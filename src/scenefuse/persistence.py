@@ -10,10 +10,9 @@ bit for bit.  Only facts nothing else determines are stored: a
 classifier's cluster count and width are read off its centroid matrix, its
 final inertia off the end of `inertia_history`, and the net's hidden width
 off its weights.  Cluster names are a list indexed by label.
-`save_bundle` alone writes `format_version` 3; versions 1 and 2 still load
-through `_upgrade`.  The reader ignores keys it does not know, such as the
-nine that version 1 stored twice or that nothing read, and converts no
-value, so a hand-edited value must already have the JSON type its field
+`save_bundle` alone writes `format_version` 3, the one version
+`load_bundle` reads.  The reader ignores keys it does not know and converts
+no value, so a hand-edited value must already have the JSON type its field
 asks for; only matrix entries go through NumPy's float conversion.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
@@ -43,7 +42,6 @@ from .fusion import FusionConfig
 from .scene_model import SceneClassifier
 
 FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
 
 EVENT_KINDS = ("audio", "image")
 
@@ -135,8 +133,6 @@ def _decode(hint, raw, where: str):
             matrix = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{where} is not a numeric matrix: {exc}") from exc
-        if matrix.ndim != 2 or not np.isfinite(matrix).all():
-            raise SchemaError(f"{where} must be a 2-D matrix of finite numbers")
         return matrix
     if origin is tuple:  # `tuple[X, ...]`
         if not isinstance(raw, list):
@@ -152,24 +148,6 @@ def _decode(hint, raw, where: str):
     if not isinstance(raw, hint) or (hint is int and isinstance(raw, bool)):
         raise SchemaError(f"{where} must be of type {hint.__name__}")
     return raw
-
-
-def _upgrade(document: dict) -> None:
-    """Rewrite a version-1 or -2 document's classifiers in the version-3 layout.
-
-    Those versions keep `seed` and `scale` in `model.params`, beside a `k`, and
-    name clusters by an object keyed "0".."k-1"; other shapes raise SchemaError.
-    """
-    for slot in MODALITIES:
-        classifier = document.get(slot)
-        if classifier is None:
-            continue
-        try:
-            params, names = classifier["model"]["params"], classifier["cluster_names"]
-            classifier["seed"], classifier["scale"] = params["seed"], params["scale"]
-            classifier["cluster_names"] = [names[str(label)] for label in range(len(names))]
-        except (TypeError, KeyError) as exc:
-            raise SchemaError(f"bundle.{slot} is not a version-1 or -2 classifier") from exc
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -201,12 +179,8 @@ def load_bundle(path) -> ModelBundle:
     if not isinstance(document, dict):
         raise SchemaError("bundle document must be a JSON object")
     version = _decode(int, document.get("format_version"), "bundle.format_version")
-    if version not in _READABLE_VERSIONS:
-        raise BadVersion(
-            f"format_version {version} unsupported (expected one of {_READABLE_VERSIONS})"
-        )
-    if version < FORMAT_VERSION:
-        _upgrade(document)
+    if version != FORMAT_VERSION:
+        raise BadVersion(f"this build reads only format_version {FORMAT_VERSION}, not {version}")
     return _decode(ModelBundle, document, "bundle")
 
 

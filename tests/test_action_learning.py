@@ -85,6 +85,10 @@ def test_empty_training_set_is_rejected():
         train_actions([], iterations=10)
     with pytest.raises(ValueError):
         train_actions([ActionExample("a", "1")], iterations=0)
+    with pytest.raises(ValueError):
+        train_actions([ActionExample("a", "1")], iterations=10, hidden_size=0)
+    with pytest.raises(ValueError):
+        ActionExample("", "1")
     for rate in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             train_actions([ActionExample("a", "1")], iterations=10, learning_rate=rate)

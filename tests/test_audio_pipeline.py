@@ -168,6 +168,8 @@ def test_spectral_energy_matches_signal_energy():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
+        Spectrum(freqs_hz=np.array([0.0, 1.0]), amps=np.zeros(3))
+    with pytest.raises(ValueError):
         Spectrum(freqs_hz=np.array([1.0, 2.0]), amps=np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         Spectrum(freqs_hz=np.array([0.0, 1.0]), amps=np.array([-0.1, 0.0]))
@@ -256,6 +258,7 @@ def test_disjoint_profiles_separate_by_an_order_of_magnitude():
         ([((100.0, 200.0), float("inf"))], 1.0, 8000),  # infinite gain
         ([((100.0, 200.0), 1.0)], float("inf"), 8000),  # endless clip
         ([((100.0, 200.0), 1.0)], float("nan"), 8000),  # duration that is not a number
+        ([((100.0, 200.0), 1.0)], 0.0001, 8000),  # rounds to zero samples
     ],
 )
 def test_synth_rejects_bad_envelopes(profile, seconds, rate):

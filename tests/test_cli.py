@@ -228,11 +228,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_missing_bundle_exits_two(tmp_path, capsys):
-    rc = main(
-        ["predict", "--modality", "acoustic", "--bundle", str(tmp_path / "none.json"), "x.wav"]
-    )
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for bundle in (str(tmp_path / "none.json"), ""):  # "" is no file, though Path("") is "."
+        for argv in (
+            ["predict", "--modality", "acoustic", "--bundle", bundle, "x.wav"],
+            ["action", "predict", "coffee", "--bundle", bundle],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: bundle {bundle} not found\n"
 
 
 def test_bundle_without_the_needed_modality_exits_two(matrix_workspace, tmp_path, capsys):
@@ -321,6 +323,12 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
     ):
         assert main(argv) == 3
         assert "scene names cannot be empty" in capsys.readouterr().err
+
+    raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
+    raw["fusion_config"] = 5
+    damaged.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["action", "predict", "coffee", "--bundle", str(damaged)]) == 3
+    assert capsys.readouterr().err == "error: bundle.fusion_config must be an object\n"
 
 
 @pytest.mark.parametrize(
@@ -432,10 +440,11 @@ def test_bad_synth_parameters_exit_one(tmp_path, capsys):
         ["audio", "--band", "0:100:1", "--seconds", "inf"],
         ["audio", "--band", "0:100:1", "--rate", "2147483648", "--seconds", "0.0001"],
         ["audio", "--band", "0:100:1", "--seconds", "2147483648"],
+        ["audio", "--band", "0:100:1", "--components", "0"],
     ],
     ids=["band-one-field", "band-not-numbers", "no-band", "color-no-fraction",
          "color-two-channels", "color-not-numbers", "no-color", "band-nan-gain",
-         "endless-clip", "rate-beyond-riff", "clip-beyond-riff"],
+         "endless-clip", "rate-beyond-riff", "clip-beyond-riff", "no-components"],
 )
 def test_malformed_synth_flags_exit_one(tmp_path, capsys, flags):
     rc = main(["synth", *flags, "--out", str(tmp_path / "x.out")])

@@ -12,6 +12,7 @@ from scenefuse.fusion import (
     IDENTIFIED,
     NO_SCENE,
     PENDING,
+    SceneDecision,
     initial_state,
     on_acoustic,
     on_visual_photo,
@@ -306,6 +307,12 @@ def test_config_validation():
             FusionConfig(photo_window_s=value)
         with pytest.raises(ValueError):
             FusionConfig(min_combined_confidence=value)
+    with pytest.raises(ValueError):
+        SceneDecision(kind=IDENTIFIED, combined_confidence=50.0)  # no scene
+    with pytest.raises(ValueError):
+        SceneDecision(kind=NO_SCENE, scene="a")
+    with pytest.raises(ValueError):
+        SceneDecision(kind="maybe")
 
 
 def test_random_event_streams_match_the_reference_replay():

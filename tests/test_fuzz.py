@@ -1,7 +1,6 @@
 """Fuzzed file loaders and decoders: any input gives a value or a SceneFuseError, nothing else."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,14 +64,11 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@pytest.fixture(scope="module", params=[3, 1, 2], ids=["v3", "v1", "v2"])
-def document(request, tmp_path_factory):
-    """A valid bundle document: saved by this build, or an older version's fixture."""
-    if request.param == 3:
-        path = tmp_path_factory.mktemp("fuzz") / "valid.json"
-        save_bundle(_full_bundle(), path)
-    else:
-        path = Path(__file__).parent / "data" / f"bundle_v{request.param}.json"
+@pytest.fixture(scope="module", params=["v3"])  # one id per format version this build reads
+def document(tmp_path_factory):
+    """A valid bundle document, as this build saves it."""
+    path = tmp_path_factory.mktemp("fuzz") / "valid.json"
+    save_bundle(_full_bundle(), path)
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -126,7 +122,7 @@ def test_reshaped_classifier_loads_usable_or_raises_scenefuse_error(
     raw = json.loads(json.dumps(document))
     model, names = raw[slot]["model"], raw[slot]["cluster_names"]
     model["centroids"] = [(row + [0.0] * width)[:width] for row in model["centroids"]]
-    names[label if isinstance(names, list) else str(label)] = name  # v1, v2 key by "0", "1"
+    names[label] = name
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     _usable_or_refused(path)

@@ -3,7 +3,6 @@
 import errno
 import json
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ import pytest
 from scenefuse import persistence
 from scenefuse.action_learning import ActionExample, ActionNet, train_actions
 from scenefuse.audio_pipeline import AudioClip
+from scenefuse.cli import main
 from scenefuse.clustering import KMeansModel, KMeansParams
 from scenefuse.errors import BadVersion, IoError, SchemaError
 from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
@@ -26,9 +26,6 @@ from scenefuse.persistence import (
     save_bundle,
 )
 from scenefuse.scene_model import SceneClassifier, classify, train_classifier
-
-# written by the version-1 and version-2 `save_bundle` from `_full_bundle()`
-DATA = Path(__file__).parent / "data"
 
 
 def _classifier(modality=ACOUSTIC, dim=4, seed=0):
@@ -117,38 +114,39 @@ def test_empty_sections_survive_round_trip(tmp_path):
     assert again.fusion_config == FusionConfig()
 
 
-def test_unknown_version_is_refused(tmp_path):
+def test_unknown_version_is_refused(tmp_path, capsys):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["format_version"] = 4
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(BadVersion):
-        load_bundle(path)
+    for version in (1, 2, 4):  # versions 1 and 2 are older layouts this build no longer reads
+        raw["format_version"] = version
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(BadVersion):
+            load_bundle(path)
+        assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: this build reads only format_version 3, not {version}\n"
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_old_bundle_loads_and_resaves_as_version_three(tmp_path, version):
-    old = DATA / f"bundle_v{version}.json"
-    raw = json.loads(old.read_text(encoding="utf-8"))
-    assert raw["format_version"] == version
-    path = tmp_path / "resaved.json"
-    save_bundle(load_bundle(old), path)
-    new = json.loads(path.read_text(encoding="utf-8"))
-    assert new["format_version"] == 3
-    for slot in ("acoustic", "visual"):
-        was, now = raw[slot], new[slot]
-        assert now["model"] == {
-            "centroids": was["model"]["centroids"],
-            "inertia_history": was["model"]["inertia_history"],
-        }
-        labels = range(len(was["model"]["centroids"]))
-        assert now["cluster_names"] == [was["cluster_names"][str(label)] for label in labels]
-        assert now["seed"] == was["model"]["params"]["seed"]
-        assert now["scale"] == was["model"]["params"]["scale"]
-    for key in ("scene_vocab", "action_vocab", "weights_ih", "weights_ho"):
-        assert new["action"][key] == raw["action"][key]
-    assert new["fusion_config"] == raw["fusion_config"]
+def _with_unknown_keys(node):
+    """`node` with a key no field has added to every object in it, at any depth."""
+    if isinstance(node, dict):
+        extended = {key: _with_unknown_keys(value) for key, value in node.items()}
+        return {"unknown": [1, "two"], **extended}
+    if isinstance(node, list):
+        return [_with_unknown_keys(item) for item in node]
+    return node
+
+
+def test_unknown_keys_are_ignored(tmp_path):
+    path = tmp_path / "bundle.json"
+    save_bundle(_full_bundle(), path)
+    saved = path.read_bytes()
+    extended = _with_unknown_keys(json.loads(saved))
+    assert extended["acoustic"]["model"]["unknown"] == [1, "two"]
+    path.write_text(json.dumps(extended), encoding="utf-8")
+    save_bundle(load_bundle(path), path)
+    assert path.read_bytes() == saved
 
 
 def test_model_types_hold_only_what_nothing_else_determines():
@@ -268,6 +266,10 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         _centroid_width("acoustic", 3),  # odd: not frequencies plus amplitudes
         _centroid_width("visual", 4),  # not whole RGB triples
         _centroid_width("visual", 0),
+        # each refused by the reader's own check, before any constructor sees it
+        lambda raw: raw.__setitem__("fusion_config", 5),
+        lambda raw: raw["acoustic"].__setitem__("model", ["centroids", "inertia_history"]),
+        lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(0, float("nan")),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):

@@ -109,6 +109,8 @@ def test_training_set_validation():
     with pytest.raises(ValueError):
         FeatureVector(np.zeros(6), "thermal")
     with pytest.raises(ValueError):
+        FeatureVector(np.zeros((2, 2)), ACOUSTIC)  # a matrix, though its size is even
+    with pytest.raises(ValueError):
         train_classifier((("", _vec([0.0, 0.0])),))
 
 

@@ -159,6 +159,15 @@ def test_too_few_distinct_colors_raises():
 
 
 def test_palette_validation():
+    with pytest.raises(ValueError, match="at least one entry"):  # not only "must sum to 1"
+        ColorPalette(entries=())
+    with pytest.raises(ValueError):
+        ColorPalette(  # the lighter entry first
+            entries=(
+                PaletteEntry(color=(0.0, 0.0, 0.0), weight=0.3),
+                PaletteEntry(color=(1.0, 1.0, 1.0), weight=0.7),
+            )
+        )
     with pytest.raises(ValueError):
         ColorPalette(entries=(PaletteEntry(color=(0.0, 0.0, 0.0), weight=0.0),))
     with pytest.raises(ValueError):
