@@ -8,8 +8,11 @@ worst-represented point.  Each run ends, as Lloyd's algorithm does, on a
 plain assignment to its final centroids; `fit` returns that partition with
 the model, and its sum of squares is the model's inertia.
 
-Every squared distance goes through `_sq_distances`, which fills its
-(n, k) result one centroid at a time, so a pass needs O(n·d) scratch
+Columns on which every point agrees add exactly 0 to every distance, so
+`fit` finds them once per fit and clusters a contiguous copy of the
+others; an acoustic vector's frequency half is such a block.  Every
+squared distance goes through `_sq_distances`, which fills its (n, k)
+result one centroid at a time, so a pass needs O(n·d_varying) scratch
 memory rather than an (n, k, d) temporary.  Points and query vectors must
 be finite: NaN or inf is refused with ValueError at the boundary.
 """
@@ -201,8 +204,16 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
     Returns `(model, labels, sq)`: the winning run's model and the closing
-    assignment it was scored on, exactly `assign(points, model.centroids)`.
-    `model.inertia` is that partition's sum of squared distances.
+    assignment it was scored on.  `model.inertia` is that partition's sum
+    of squared distances.
+
+    Columns equal across all points are dropped once, before the first
+    run, when some other column varies: every run clusters the varying
+    columns only, and each dropped column's centroid entry is the points'
+    shared value.  So `sq` and every inertia are sums over the varying
+    columns.  They equal `assign(points, model.centroids)` up to summation
+    order, and bit for bit when at most two columns vary.  Scratch memory
+    is O(n·d_varying) on top of that copy.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -220,10 +231,20 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     if n < params.k:
         raise TooFewPoints(f"{n} points cannot fill {params.k} clusters")
 
+    # a column on which every point agrees adds exactly 0 to every distance:
+    # cluster one contiguous copy of the others, when there are both kinds
+    varying = (matrix != matrix[0]).any(axis=0)
+    reduced = 0 < np.count_nonzero(varying) < matrix.shape[1]
+    work = np.compress(varying, matrix, axis=1) if reduced else matrix
+
     rng = np.random.default_rng(params.seed)
-    runs = (_lloyd_run(matrix, params, rng) for _ in range(_N_INIT))
+    runs = (_lloyd_run(work, params, rng) for _ in range(_N_INIT))
     centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
 
+    if reduced:  # the shared value is each constant column's exact mean
+        full = np.repeat(matrix[:1], params.k, axis=0)
+        full[:, varying] = centroids
+        centroids = full
     return KMeansModel(centroids=centroids, inertia_history=tuple(history)), labels, sq
 
 

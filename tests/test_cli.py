@@ -536,6 +536,36 @@ def test_mixed_sample_rates_warn_but_train(tmp_path, capsys):
     assert load_bundle(out).acoustic is not None
 
 
+def test_mixed_rate_training_prints_a_pinned_transcript(tmp_path, capsys, monkeypatch):
+    # five-second clips at 8000 and 10000 Hz both pad to 65536 samples, so
+    # their frequency halves differ everywhere but the 0 Hz bin; that one
+    # shared column is all `fit` may drop.  The frequency axis outweighs
+    # the bands, so the clusters split by rate and each scene name ties.
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--modality", "acoustic", "--out", "bundle.json"]
+    for scene, band in (("hall", (100.0, 400.0)), ("yard", (1000.0, 2000.0))):
+        argv += ["--scene", scene]
+        for seed, rate in enumerate((8000, 10000), start=1):
+            name = f"{scene}_{rate}.wav"
+            clip = synth_ambient([(band, 1.0)], 5.0, rate, seed=seed)
+            (tmp_path / name).write_bytes(encode_wav(clip))
+            argv.append(name)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "scene=hall examples=2\n"
+        "scene=yard examples=2\n"
+        "trained modality=acoustic k=2 dim=65538 inertia=92040162.3393281\n"
+        "wrote bundle.json\n"
+    )
+    assert captured.err == (
+        "warning: mixed sample rates across training files: [8000, 10000]\n"
+        "warning: cluster 0: majority tie between ['hall', 'yard'], named 'hall' alphabetically\n"
+        "warning: cluster 1: majority tie between ['hall', 'yard'], named 'hall' alphabetically\n"
+        "warning: clusters share scene names: ['hall']\n"
+    )
+
+
 def test_mixed_feature_lengths_are_refused(tmp_path, capsys):
     # five-second clips at 1000 and 2000 Hz pad to 8192 and 16384 samples
     for rate, name in ((1000, "a.wav"), (2000, "b.wav")):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_inertia, nearest_centroid_scan
@@ -79,6 +79,32 @@ def test_fit_returns_the_partition_it_scored(points, k, seed):
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    points=_crowded_points(),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    positions=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    value=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_constant_columns_leave_the_fit_unchanged(points, k, seed, positions, value):
+    # with no varying column at all, fit runs on the whole matrix instead
+    assume((points != points[0]).any())
+    k = min(k, points.shape[0])
+    at = [min(p, points.shape[1]) for p in positions]
+    wide = np.insert(points, at, value, axis=1)
+    kept = np.insert(np.ones(points.shape[1], dtype=bool), at, False)
+    model, labels, sq = fit(points, KMeansParams(k=k, seed=seed))
+    wide_model, wide_labels, wide_sq = fit(wide, KMeansParams(k=k, seed=seed))
+    assert np.array_equal(wide_labels, labels)
+    assert np.array_equal(wide_sq, sq)
+    assert wide_model.inertia_history == model.inertia_history
+    assert np.array_equal(wide_model.centroids[:, kept], model.centroids)
+    assert np.all(wide_model.centroids[:, ~kept] == value)
+    # at most two columns vary, so the sums over them are exact in any order
+    assert np.array_equal(assign(wide, wide_model.centroids)[1], wide_sq)
+
+
 def test_fit_matches_exhaustive_partition_search():
     rng = np.random.default_rng(31)
     for k in (1, 2, 3):
@@ -89,10 +115,12 @@ def test_fit_matches_exhaustive_partition_search():
 
 
 def test_all_identical_points_converge_with_zero_inertia():
-    points = np.ones((5, 2)) * 3.0
-    model, _, _ = fit(points, KMeansParams(k=2))
+    points = np.ones((5, 2)) * 3.0  # no column varies: fit clusters the whole matrix
+    model, labels, sq = fit(points, KMeansParams(k=2))
     assert model.inertia == 0.0
     assert np.all(model.centroids == 3.0)
+    assert labels.tolist() == [0] * 5
+    assert not sq.any()
 
 
 def test_predict_agrees_with_a_linear_scan():
@@ -132,6 +160,24 @@ def test_assign_scratch_memory_stays_within_one_points_matrix():
     # one (n, d) difference plus the results, never an (n, k, d) array; the
     # 16 KiB cover array headers and einsum's (n,) column before it is copied
     assert peak <= points.nbytes + sq.nbytes + labels.nbytes + 16_384
+
+
+def test_fit_scratch_memory_shrinks_with_the_constant_columns():
+    rng = np.random.default_rng(7)
+    points = np.empty((64, 8192))
+    points[:, :4096] = np.arange(4096) * 0.125  # the same in every row
+    points[:, 4096:] = rng.standard_normal((64, 4096))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        model, _, _ = fit(points, KMeansParams(k=8, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(model.centroids[:, :4096] == points[0, :4096])
+    # the varying half's copy plus one (n, d_varying) difference; at full
+    # width the difference alone would be a whole points matrix
+    assert peak <= 1.2 * points.nbytes
 
 
 def test_predict_distance_is_the_square_root_of_assigns_entry():

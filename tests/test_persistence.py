@@ -310,6 +310,8 @@ def test_types_check_what_spans_their_fields():
         replace(model, centroids=np.full_like(model.centroids, np.nan))
     with pytest.raises(ValueError):
         replace(classifier, modality="tactile")
+    with pytest.raises(ValueError, match="unknown modality"):  # 9 passes the visual width rule
+        replace(_classifier(VISUAL, dim=9), modality="foo")
     with pytest.raises(ValueError):
         replace(classifier, cluster_names=("near",))
     with pytest.raises(ValueError):
