@@ -21,6 +21,7 @@ from pathlib import Path
 from .action_learning import DEFAULT_ITERATIONS, action_repl, predict_action, train_actions
 from .audio_pipeline import (
     DEFAULT_COMPONENTS,
+    WINDOW_SECONDS,
     acoustic_features,
     analysis_window,
     decode_wav,
@@ -175,8 +176,8 @@ def cmd_train(args) -> int:
             vector, rate = _features(args.modality, path, color_count, args.seed)
             items.append((scene, vector))
             rates.add(rate)
-    if len(rates) > 1:
-        _warn(f"mixed sample rates across training files: {sorted(rates)}")
+    if len(rates) > 1:  # the frequency halves would split the clips by rate, not by scene
+        raise ValueError(f"mixed sample rates across training files: {sorted(rates)}")
 
     classifier = train_classifier(items, args.seed, args.scale)
     for message in classifier.warnings:
@@ -243,29 +244,23 @@ def cmd_fuse(args) -> int:
 # --- synth -----------------------------------------------------------------
 
 def _parse_band(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise BadProfile(f"--band wants LOW:HIGH:GAIN, got {text!r}")
+    """`LOW:HIGH:GAIN` as ((low, high), gain); BadProfile for any other text."""
     try:
-        low, high, gain = (float(p) for p in parts)
+        low, high, gain = (float(p) for p in text.split(":"))
     except ValueError:
-        raise BadProfile(f"--band fields must be numbers, got {text!r}") from None
+        raise BadProfile(f"--band wants three numbers LOW:HIGH:GAIN, got {text!r}") from None
     return (low, high), gain
 
 
 def _parse_color(text: str):
-    head, sep, tail = text.rpartition(":")
-    if not sep:
-        raise BadSpec(f"--color wants R,G,B:FRACTION, got {text!r}")
-    channels = head.split(",")
-    if len(channels) != 3:
-        raise BadSpec(f"--color wants three channels, got {text!r}")
+    """`R,G,B:FRACTION` as ((r, g, b), fraction); BadSpec for any other text, colon-less too."""
+    head, _, tail = text.rpartition(":")
     try:
-        color = tuple(int(c) for c in channels)
+        red, green, blue = (int(c) for c in head.split(","))
         fraction = float(tail)
     except ValueError:
-        raise BadSpec(f"--color fields must be numbers, got {text!r}") from None
-    return color, fraction
+        raise BadSpec(f"--color wants numbers R,G,B:FRACTION, got {text!r}") from None
+    return (red, green, blue), fraction
 
 
 def _preset_profile(name: str, rate: int):
@@ -439,15 +434,17 @@ def _build_parser() -> _Parser:
     synth = commands.add_parser("synth", help="render deterministic fixtures")
     synth_kinds = synth.add_subparsers(dest="synth_kind", required=True, parser_class=_Parser)
 
-    synth_audio = synth_kinds.add_parser("audio")
+    clip = _Parser(add_help=False)  # the flags audio and matrix share
+    clip.add_argument("--rate", type=int, default=8000)
+    clip.add_argument("--seconds", type=float, default=WINDOW_SECONDS)
+
+    synth_audio = synth_kinds.add_parser("audio", parents=[clip])
     synth_audio.add_argument("--preset", choices=tuple(sorted(_AUDIO_PRESETS)), default=None)
     synth_audio.add_argument(
         "--band", action="append", metavar="LOW:HIGH:GAIN", help="explicit band; repeatable"
     )
     synth_audio.add_argument("--out", required=True)
     synth_audio.add_argument("--seed", type=int, default=0)
-    synth_audio.add_argument("--seconds", type=float, default=5.0)
-    synth_audio.add_argument("--rate", type=int, default=8000)
     synth_audio.add_argument("--components", type=int, default=DEFAULT_COMPONENTS)
     synth_audio.set_defaults(handler=cmd_synth_audio)
 
@@ -462,13 +459,11 @@ def _build_parser() -> _Parser:
     synth_image.set_defaults(handler=cmd_synth_image)
 
     synth_matrix = synth_kinds.add_parser(
-        "matrix", help="emit the full two-scene train/test/script set"
+        "matrix", parents=[clip], help="emit the full two-scene train/test/script set"
     )
     synth_matrix.add_argument("--out-dir", required=True)
     synth_matrix.add_argument("--seed", type=int, default=1)
     synth_matrix.add_argument("--trials", type=int, default=3)
-    synth_matrix.add_argument("--rate", type=int, default=8000)
-    synth_matrix.add_argument("--seconds", type=float, default=5.0)
     synth_matrix.set_defaults(handler=cmd_synth_matrix)
 
     action = commands.add_parser("action", help="scene-to-action net")

@@ -188,7 +188,7 @@ def _lloyd_run(
         updated = np.empty_like(centroids)
         for c in range(params.k):
             updated[c] = matrix[labels == c].mean(axis=0)
-        shift = float(np.max(np.abs(updated - centroids)))
+        shift = float(np.max(np.abs(updated - centroids), initial=0.0))  # none if no column varies
         centroids = updated
         if shift <= _TOL:
             break
@@ -208,12 +208,13 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     of squared distances.
 
     Columns equal across all points are dropped once, before the first
-    run, when some other column varies: every run clusters the varying
-    columns only, and each dropped column's centroid entry is the points'
-    shared value.  So `sq` and every inertia are sums over the varying
-    columns.  They equal `assign(points, model.centroids)` up to summation
-    order, and bit for bit when at most two columns vary.  Scratch memory
-    is O(n·d_varying) on top of that copy.
+    run: every run clusters the varying columns only, and each dropped
+    column's centroid entry is the points' shared value.  So `sq` and every
+    inertia are sums over the varying columns.  They equal
+    `assign(points, model.centroids)` up to summation order, and bit for
+    bit when at most two columns vary.  When no column varies, every
+    centroid is the shared point itself and the inertia is 0.  Scratch
+    memory is O(n·d_varying) on top of that copy.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -232,9 +233,9 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
         raise TooFewPoints(f"{n} points cannot fill {params.k} clusters")
 
     # a column on which every point agrees adds exactly 0 to every distance:
-    # cluster one contiguous copy of the others, when there are both kinds
+    # cluster one contiguous copy of the others, which may be none at all
     varying = (matrix != matrix[0]).any(axis=0)
-    reduced = 0 < np.count_nonzero(varying) < matrix.shape[1]
+    reduced = not varying.all()
     work = np.compress(varying, matrix, axis=1) if reduced else matrix
 
     rng = np.random.default_rng(params.seed)

@@ -97,7 +97,7 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _parse_int_field(token: bytes, what: str) -> int:
-    if not token or not all(0x30 <= b <= 0x39 for b in token):
+    if not all(0x30 <= b <= 0x39 for b in token):  # never empty: see _read_token
         raise BadHeader(f"{what} field {token!r} is not a plain decimal number")
     return int(token)
 
@@ -194,9 +194,7 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     Raises BadSpec for an empty spec, out-of-range colors or fractions, or
     fractions that do not sum to 1.
     """
-    spec = list(palette_spec)
-    if not spec:
-        raise BadSpec("palette spec must hold at least one color")
+    spec = list(palette_spec)  # an empty one fails the sum check
     if width < 1 or height < 1:
         raise BadSpec("image dimensions must be positive")
     for color, fraction in spec:

@@ -51,6 +51,11 @@ def test_decode_skips_unknown_chunks_with_odd_size_padding():
     assert clip.samples.size == 3
 
 
+def _with_dangling_bytes(blob: bytes) -> bytes:
+    """`blob` plus 4 trailing bytes that its RIFF size counts: too few for a chunk header."""
+    return blob[:4] + struct.pack("<I", len(blob) - 4) + blob[8:] + b"JUNK"
+
+
 @pytest.mark.parametrize(
     "blob, expected",
     [
@@ -66,6 +71,7 @@ def test_decode_skips_unknown_chunks_with_odd_size_padding():
         (wav_bytes([1], leading_chunks=((b"fmt ", b"\x01\x00"),)), MalformedRiff),  # fmt < 16
         (wav_bytes([1], rate=0), MalformedRiff),
         (wav_bytes([1, 2, 3], channels=2), MalformedRiff),  # half a stereo frame
+        (_with_dangling_bytes(wav_bytes([1])), MalformedRiff),
     ],
 )
 def test_decode_rejects_broken_containers(blob, expected):

@@ -225,6 +225,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+    # also when a later --scene lacks its files
+    clip = tmp_path / "a.wav"
+    clip.write_bytes(encode_wav(synth_ambient([((100.0, 400.0), 1.0)], 5.0, 1000, seed=1)))
+    out = tmp_path / "b.json"
+    argv = ["train", "--modality", "acoustic", "--out", str(out), "--scene", "hall", str(clip)]
+    assert main(argv + ["--scene", "yard"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --scene needs a name followed by at least one file\n"
+    )
+    assert not out.exists()
 
 
 def test_missing_bundle_exits_two(tmp_path, capsys):
@@ -363,6 +373,11 @@ def test_refused_synth_matrix_leaves_no_directory(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: a WAV header holds")
     assert not out_dir.exists()
+    # an --out-dir below a regular file cannot be created
+    blocker = tmp_path / "plain_file"
+    blocker.write_bytes(b"")
+    assert main(["synth", "matrix", "--out-dir", str(blocker / "sub")]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot create ")
 
 
 # exit code of each error family
@@ -508,9 +523,9 @@ def test_synth_matrix_emits_the_full_corpus(matrix_workspace):
             assert (data / f"script_{audio}_{visual}.tsv").exists()
 
 
-def test_mixed_sample_rates_warn_but_train(tmp_path, capsys):
+def test_mixed_sample_rates_are_refused(tmp_path, capsys):
     # five-second clips at 5000 and 6250 Hz both pad to 32768 samples, so
-    # their spectra share a bin count and training can proceed
+    # their spectra share a bin count, but not a frequency axis
     for rate, name in ((5000, "a.wav"), (6250, "b.wav")):
         clip = synth_ambient([((100.0, 400.0), 1.0)], 5.0, rate, seed=1)
         (tmp_path / name).write_bytes(encode_wav(clip))
@@ -530,17 +545,18 @@ def test_mixed_sample_rates_warn_but_train(tmp_path, capsys):
             str(tmp_path / "b.wav"),
         ]
     )
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "mixed sample rates" in captured.err
-    assert load_bundle(out).acoustic is not None
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: mixed sample rates across training files: [5000, 6250]\n"
+    )
+    assert not out.exists()
 
 
 def test_mixed_rate_training_prints_a_pinned_transcript(tmp_path, capsys, monkeypatch):
     # five-second clips at 8000 and 10000 Hz both pad to 65536 samples, so
-    # their frequency halves differ everywhere but the 0 Hz bin; that one
-    # shared column is all `fit` may drop.  The frequency axis outweighs
-    # the bands, so the clusters split by rate and each scene name ties.
+    # their frequency halves differ everywhere but the 0 Hz bin.  The
+    # frequency axis outweighs the bands, so clusters would split by rate
+    # and each scene name would tie: the mix is refused before any fit.
     monkeypatch.chdir(tmp_path)
     argv = ["train", "--modality", "acoustic", "--out", "bundle.json"]
     for scene, band in (("hall", (100.0, 400.0)), ("yard", (1000.0, 2000.0))):
@@ -550,24 +566,16 @@ def test_mixed_rate_training_prints_a_pinned_transcript(tmp_path, capsys, monkey
             clip = synth_ambient([(band, 1.0)], 5.0, rate, seed=seed)
             (tmp_path / name).write_bytes(encode_wav(clip))
             argv.append(name)
-    assert main(argv) == 0
+    assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == (
-        "scene=hall examples=2\n"
-        "scene=yard examples=2\n"
-        "trained modality=acoustic k=2 dim=65538 inertia=92040162.3393281\n"
-        "wrote bundle.json\n"
-    )
-    assert captured.err == (
-        "warning: mixed sample rates across training files: [8000, 10000]\n"
-        "warning: cluster 0: majority tie between ['hall', 'yard'], named 'hall' alphabetically\n"
-        "warning: cluster 1: majority tie between ['hall', 'yard'], named 'hall' alphabetically\n"
-        "warning: clusters share scene names: ['hall']\n"
-    )
+    assert captured.out == ""
+    assert captured.err == "error: mixed sample rates across training files: [8000, 10000]\n"
+    assert not (tmp_path / "bundle.json").exists()
 
 
 def test_mixed_feature_lengths_are_refused(tmp_path, capsys):
-    # five-second clips at 1000 and 2000 Hz pad to 8192 and 16384 samples
+    # five-second clips at 1000 and 2000 Hz pad to 8192 and 16384 samples;
+    # only a mix of rates gives a mix of lengths, and the mix is refused first
     for rate, name in ((1000, "a.wav"), (2000, "b.wav")):
         clip = synth_ambient([((100.0, 400.0), 1.0)], 5.0, rate, seed=1)
         (tmp_path / name).write_bytes(encode_wav(clip))
@@ -576,8 +584,7 @@ def test_mixed_feature_lengths_are_refused(tmp_path, capsys):
     args += ["--scene", "hall", str(tmp_path / "a.wav"), "--scene", "yard", str(tmp_path / "b.wav")]
     assert main(args) == 1
     assert capsys.readouterr().err == (
-        "warning: mixed sample rates across training files: [1000, 2000]\n"
-        "error: mixed feature lengths [8194, 16386]\n"
+        "error: mixed sample rates across training files: [1000, 2000]\n"
     )
     assert not out.exists()
 

@@ -115,12 +115,17 @@ def test_fit_matches_exhaustive_partition_search():
 
 
 def test_all_identical_points_converge_with_zero_inertia():
-    points = np.ones((5, 2)) * 3.0  # no column varies: fit clusters the whole matrix
+    points = np.ones((5, 2)) * 3.0  # no column varies: fit clusters zero columns
     model, labels, sq = fit(points, KMeansParams(k=2))
     assert model.inertia == 0.0
     assert np.all(model.centroids == 3.0)
     assert labels.tolist() == [0] * 5
     assert not sq.any()
+    # a mean of equal values need not be that value, nor fit in a float
+    for value, n, k in ((3.205530898553695, 8, 3), (1.7e308, 3, 1)):
+        model, _, _ = fit(np.full((n, 2), value), KMeansParams(k=k, seed=0))
+        assert np.all(model.centroids == value)
+        assert model.inertia == 0.0
 
 
 def test_predict_agrees_with_a_linear_scan():

@@ -112,6 +112,8 @@ def test_training_set_validation():
         FeatureVector(np.zeros((2, 2)), ACOUSTIC)  # a matrix, though its size is even
     with pytest.raises(ValueError):
         train_classifier((("", _vec([0.0, 0.0])),))
+    with pytest.raises(ValueError, match="scene names cannot be empty"):  # "" names no cluster
+        train_classifier([("a", _vec([0.0, 0.0]))] * 2 + [("", _vec([0.0, 0.0]))])
 
 
 def test_clusters_that_share_a_name_are_reported():

@@ -65,6 +65,7 @@ def test_decode_round_trips_exactly():
         (b"P6\n+2 1\n255\n" + bytes(RED) * 2, BadHeader),
         (b"P6\ntwo 1\n255\n" + bytes(RED) * 2, BadHeader),
         (b"P6\n2 1\n255", BadHeader),
+        (b"P6 2", BadHeader),  # the header ends before the height
     ],
 )
 def test_decode_rejects_broken_containers(blob, expected):
@@ -170,6 +171,13 @@ def test_palette_validation():
         )
     with pytest.raises(ValueError):
         ColorPalette(entries=(PaletteEntry(color=(0.0, 0.0, 0.0), weight=0.0),))
+    with pytest.raises(ValueError, match="outside"):  # a weight of 0 that keeps the sum at 1
+        ColorPalette(
+            entries=(
+                PaletteEntry(color=(0.0, 0.0, 0.0), weight=1.0),
+                PaletteEntry(color=(1.0, 1.0, 1.0), weight=0.0),
+            )
+        )
     with pytest.raises(ValueError):
         ColorPalette(
             entries=(
