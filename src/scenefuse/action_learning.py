@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConflictingExamples, EmptyTrainingSet, UnknownLabel
+from .errors import ConflictingExamples, EmptyTrainingSet, UnknownLabel, UsageError
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -30,7 +30,7 @@ class ActionExample:
 
     def __post_init__(self) -> None:
         if not self.scene_label or not self.action_code:
-            raise ValueError("scene label and action code cannot be empty")
+            raise UsageError("scene label and action code cannot be empty")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +46,9 @@ class ActionNet:
         if self.weights_ih.ndim != 2 or self.weights_ih.shape[0] != len(self.scene_vocab) or (
             self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):
-            raise ValueError("weight shapes disagree with the vocabularies")
+            raise UsageError("weight shapes disagree with the vocabularies")
         if not (np.isfinite(self.weights_ih).all() and np.isfinite(self.weights_ho).all()):
-            raise ValueError("weights must be finite")
+            raise UsageError("weights must be finite")
 
 
 def encode_onehot(label: str, vocab: Sequence[str]) -> np.ndarray:
@@ -135,18 +135,20 @@ def train_actions(
     Raises:
         EmptyTrainingSet: no examples.
         ConflictingExamples: one scene label mapped to two action codes.
-        ValueError: a non-finite learning rate, or one so large that the
-            weights overflow.
+        UsageError: a non-finite learning rate, or one so large that the
+            weights overflow; a negative seed.
     """
     examples = list(examples)
     if not examples:
         raise EmptyTrainingSet("no scene/action pairs to learn from")
     if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+        raise UsageError("iterations must be at least 1")
     if hidden_size < 1:
-        raise ValueError("hidden_size must be at least 1")
+        raise UsageError("hidden_size must be at least 1")
     if not math.isfinite(learning_rate):
-        raise ValueError("learning_rate must be finite")
+        raise UsageError("learning_rate must be finite")
+    if seed < 0:
+        raise UsageError(f"seed must not be negative, got {seed}")
     seen: dict[str, str] = {}
     for example in examples:
         known = seen.setdefault(example.scene_label, example.action_code)
@@ -165,13 +167,15 @@ def train_actions(
     weights_ho = rng.uniform(-1.0, 1.0, (hidden_size, len(action_vocab)))
 
     trace: list[tuple[int, float]] = []
-    for iteration in range(iterations):
-        if iteration % _TRACE_EVERY == 0:
-            _, outputs = _forward(weights_ih, weights_ho, inputs)
-            trace.append((iteration, float(np.mean(np.abs(outputs - targets)))))
-        grad_ih, grad_ho = loss_gradients(weights_ih, weights_ho, inputs, targets)
-        weights_ih -= learning_rate * grad_ih
-        weights_ho -= learning_rate * grad_ho
+    # a huge learning rate overflows the weights; ActionNet then refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(iterations):
+            if iteration % _TRACE_EVERY == 0:
+                _, outputs = _forward(weights_ih, weights_ho, inputs)
+                trace.append((iteration, float(np.mean(np.abs(outputs - targets)))))
+            grad_ih, grad_ho = loss_gradients(weights_ih, weights_ho, inputs, targets)
+            weights_ih -= learning_rate * grad_ih
+            weights_ho -= learning_rate * grad_ho
 
     net = ActionNet(
         scene_vocab=scene_vocab,

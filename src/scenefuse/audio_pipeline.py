@@ -21,7 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadProfile, ClipTooShort, EmptyData, MalformedRiff, UnsupportedFormat
+from .errors import (
+    BadProfile,
+    ClipTooShort,
+    EmptyData,
+    MalformedRiff,
+    UnsupportedFormat,
+    UsageError,
+)
 from .features import ACOUSTIC, FeatureVector
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
@@ -44,12 +51,12 @@ class AudioClip:
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
         if int(self.sample_rate_hz) <= 0:
-            raise ValueError("sample rate must be positive")
+            raise UsageError("sample rate must be positive")
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
         if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("clip must hold at least one sample")
+            raise UsageError("clip must hold at least one sample")
         if not (np.abs(samples) <= 1.0).all():  # NaN fails too
-            raise ValueError("samples must lie within [-1, 1]")
+            raise UsageError("samples must lie within [-1, 1]")
 
     @property
     def duration_s(self) -> float:
@@ -69,13 +76,13 @@ class Spectrum:
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "amps", amps)
         if freqs.ndim != 1 or freqs.size == 0 or freqs.shape != amps.shape:
-            raise ValueError("freqs and amps must be matching non-empty 1-D arrays")
+            raise UsageError("freqs and amps must be matching non-empty 1-D arrays")
         if not (np.isfinite(freqs).all() and np.isfinite(amps).all()):
-            raise ValueError("frequencies and amplitudes must be finite")
+            raise UsageError("frequencies and amplitudes must be finite")
         if freqs[0] != 0.0 or np.any(np.diff(freqs) <= 0.0):
-            raise ValueError("frequencies must start at 0 and ascend strictly")
+            raise UsageError("frequencies must start at 0 and ascend strictly")
         if np.any(amps < 0.0):
-            raise ValueError("amplitudes are magnitudes and cannot be negative")
+            raise UsageError("amplitudes are magnitudes and cannot be negative")
 
     def __len__(self) -> int:
         return int(self.freqs_hz.size)
@@ -154,11 +161,11 @@ def decode_wav(data: bytes) -> AudioClip:
 def encode_wav(clip: AudioClip) -> bytes:
     """Write a clip back out as canonical 44-byte-header mono 16-bit PCM.
 
-    Raises ValueError for a rate or a length the header's fields cannot hold.
+    Raises UsageError for a rate or a length the header's fields cannot hold.
     """
     rate = clip.sample_rate_hz
     if rate > _MAX_RATE or clip.samples.size > _MAX_SAMPLES:
-        raise ValueError(f"{clip.samples.size} samples at {rate} Hz overflow a WAV header")
+        raise UsageError(f"{clip.samples.size} samples at {rate} Hz overflow a WAV header")
     quantized = np.clip(np.rint(clip.samples * _PCM_SCALE), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()
     header = struct.pack(
@@ -238,11 +245,13 @@ def synth_ambient(
 
     Raises BadProfile for an empty envelope, negative or non-finite gains,
     inverted bands, bands beyond the Nyquist frequency, a duration that is
-    not finite or rounds to zero samples, or a rate or sample count that a
-    WAV header cannot hold.
+    not finite or rounds to zero samples, a rate or sample count that a
+    WAV header cannot hold, or a negative seed.
     """
     if components_per_band < 1:
         raise BadProfile("need at least one component per band")
+    if seed < 0:
+        raise BadProfile(f"seed must not be negative, got {seed}")
     if rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
         raise BadProfile("rate and duration must be finite and positive")
     if rate > _MAX_RATE or seconds * rate >= _MAX_SAMPLES + 1:  # before any allocation

@@ -37,6 +37,7 @@ from .errors import (
     IoError,
     MissingClassifier,
     SceneFuseError,
+    UsageError,
 )
 from .features import ACOUSTIC, VISUAL
 from .fusion import IDENTIFIED, NO_SCENE, initial_state, on_acoustic, on_visual_photo
@@ -163,7 +164,7 @@ def _save_into(path: str, **parts) -> None:
 
 def cmd_train(args) -> int:
     if any(len(entry) < 2 for entry in args.scene):
-        raise ValueError("--scene needs a name followed by at least one file")
+        raise UsageError("--scene needs a name followed by at least one file")
 
     check_scale(args.scale)  # refused before any file is read
     if args.modality == ACOUSTIC and args.k_override is not None:
@@ -177,7 +178,7 @@ def cmd_train(args) -> int:
             items.append((scene, vector))
             rates.add(rate)
     if len(rates) > 1:  # the frequency halves would split the clips by rate, not by scene
-        raise ValueError(f"mixed sample rates across training files: {sorted(rates)}")
+        raise UsageError(f"mixed sample rates across training files: {sorted(rates)}")
 
     classifier = train_classifier(items, args.seed, args.scale)
     for message in classifier.warnings:
@@ -500,11 +501,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (SceneFuseError, ValueError) as exc:  # ValueError: a validator refused a flag value
+    except SceneFuseError as exc:
         # escaped as repr would, so a NUL or newline from a file or path cannot reach stderr raw
         message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
         print(f"error: {message}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, SceneFuseError) else EXIT_USAGE
+        return exc.exit_code
 
 
 def entrypoint() -> None:

@@ -14,7 +14,7 @@ others; an acoustic vector's frequency half is such a block.  Every
 squared distance goes through `_sq_distances`, which fills its (n, k)
 result one centroid at a time, so a pass needs O(n·d_varying) scratch
 memory rather than an (n, k, d) temporary.  Points and query vectors must
-be finite: NaN or inf is refused with ValueError at the boundary.
+be finite: NaN or inf is refused with UsageError at the boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints, ZeroK
+from .errors import DimensionMismatch, TooFewPoints, UsageError, ZeroK
 
 
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
@@ -50,6 +50,8 @@ class KMeansParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ZeroK(f"k must be at least 1, got {self.k}")
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise UsageError(f"seed must not be negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +69,13 @@ class KMeansModel:
 
     def __post_init__(self) -> None:
         if not self.inertia_history:
-            raise ValueError("inertia_history cannot be empty")
+            raise UsageError("inertia_history cannot be empty")
         if not (math.isfinite(self.inertia) and self.inertia >= 0.0):
-            raise ValueError("inertia must be finite and not negative")
+            raise UsageError("inertia must be finite and not negative")
         if not np.isfinite(self.centroids).all():
-            raise ValueError("centroids must be finite")
+            raise UsageError("centroids must be finite")
         if self.centroids.ndim != 2 or self.centroids.shape[0] == 0:
-            raise ValueError(f"centroid shape {self.centroids.shape} is not a matrix with rows")
+            raise UsageError(f"centroid shape {self.centroids.shape} is not a matrix with rows")
 
     @property
     def dim(self) -> int:
@@ -94,7 +96,7 @@ def _as_matrix(points) -> np.ndarray:
     if matrix.ndim != 2:
         raise DimensionMismatch(f"points must form one (n, d) matrix, not shape {matrix.shape}")
     if not np.isfinite(matrix).all():
-        raise ValueError("points must be finite, not NaN or inf")
+        raise UsageError("points must be finite, not NaN or inf")
     return matrix
 
 
@@ -208,8 +210,9 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     of squared distances.
 
     Columns equal across all points are dropped once, before the first
-    run: every run clusters the varying columns only, and each dropped
-    column's centroid entry is the points' shared value.  So `sq` and every
+    run: every run clusters one contiguous copy of the varying columns
+    (all of them when every column varies), and each dropped column's
+    centroid entry is the points' shared value.  So `sq` and every
     inertia are sums over the varying columns.  They equal
     `assign(points, model.centroids)` up to summation order, and bit for
     bit when at most two columns vary.  When no column varies, every
@@ -224,7 +227,7 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     Raises:
         TooFewPoints: fewer points than clusters.
         DimensionMismatch: points of mixed lengths, or not one (n, d) matrix.
-        ValueError: a NaN or infinite coordinate, or points so large that
+        UsageError: a NaN or infinite coordinate, or points so large that
             a centroid or the inertia overflows.
     """
     matrix = _as_matrix(points)
@@ -235,25 +238,23 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     # a column on which every point agrees adds exactly 0 to every distance:
     # cluster one contiguous copy of the others, which may be none at all
     varying = (matrix != matrix[0]).any(axis=0)
-    reduced = not varying.all()
-    work = np.compress(varying, matrix, axis=1) if reduced else matrix
+    work = np.compress(varying, matrix, axis=1)
 
     rng = np.random.default_rng(params.seed)
     runs = (_lloyd_run(work, params, rng) for _ in range(_N_INIT))
     centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
 
-    if reduced:  # the shared value is each constant column's exact mean
-        full = np.repeat(matrix[:1], params.k, axis=0)
-        full[:, varying] = centroids
-        centroids = full
-    return KMeansModel(centroids=centroids, inertia_history=tuple(history)), labels, sq
+    # the shared value is each constant column's exact mean
+    full = np.repeat(matrix[:1], params.k, axis=0)
+    full[:, varying] = centroids
+    return KMeansModel(centroids=full, inertia_history=tuple(history)), labels, sq
 
 
 def predict(model: KMeansModel, point) -> tuple[int, float]:
     """(label, Euclidean distance) of the centroid nearest one vector; ties to the lowest label.
 
     Raises DimensionMismatch for a vector of the wrong length and
-    ValueError for a NaN or infinite coordinate.
+    UsageError for a NaN or infinite coordinate.
     """
     vec = np.asarray(point, dtype=np.float64)
     if vec.ndim != 1 or vec.size != model.dim:
@@ -261,16 +262,16 @@ def predict(model: KMeansModel, point) -> tuple[int, float]:
             f"point has {vec.size} dims, model expects {model.dim}"
         )
     if not np.isfinite(vec).all():
-        raise ValueError("point must be finite, not NaN or inf")
+        raise UsageError("point must be finite, not NaN or inf")
     labels, sq = assign(vec[None, :], model.centroids)
     label = int(labels[0])
     return label, float(np.sqrt(sq[0, label]))
 
 
 def check_scale(scale: float) -> None:
-    """Refuse a confidence divisor that is not finite and positive, with ValueError."""
+    """Refuse a confidence divisor that is not finite and positive, with UsageError."""
     if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError("scale must be finite and positive")
+        raise UsageError("scale must be finite and positive")
 
 
 def confidence(distance: float, scale: float = DEFAULT_SCALE) -> float:
@@ -280,6 +281,6 @@ def confidence(distance: float, scale: float = DEFAULT_SCALE) -> float:
     at 0 rather than going negative.
     """
     if not distance >= 0.0:
-        raise ValueError("distance must be a number, not negative or NaN")
+        raise UsageError("distance must be a number, not negative or NaN")
     check_scale(scale)
     return min(100.0, max(0.0, 100.0 - distance / scale))

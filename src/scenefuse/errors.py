@@ -6,6 +6,8 @@ Every class also belongs to one family whose ``exit_code`` the command line
 returns: :class:`InputError` (3) for a file that cannot be read, written or
 decoded, :class:`UsageError` (1) for bad flags, parameters or data, and
 :class:`MissingClassifier` (2) for a bundle without the needed part.
+Every refusal scenefuse makes is one of these classes; any other exception
+escaping it, a builtin ``ValueError`` included, is a bug.
 """
 
 
@@ -21,8 +23,12 @@ class InputError(SceneFuseError):
     exit_code = 3
 
 
-class UsageError(SceneFuseError):
-    """Flags, parameters or training data the operation cannot accept."""
+class UsageError(SceneFuseError, ValueError):
+    """Flags, parameters or training data the operation cannot accept.
+
+    Also a ``ValueError``, so code that catches bad values the builtin way
+    catches these refusals too.
+    """
 
     exit_code = 1
 

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import ClockSkew, ModalityMismatch
+from .errors import ClockSkew, ModalityMismatch, UsageError
 from .features import ACOUSTIC, VISUAL
 from .scene_model import ScenePrediction
 
@@ -45,13 +45,13 @@ class FusionConfig:
     def __post_init__(self) -> None:
         windows = (self.acoustic_visual_window_s, self.photo_window_s)
         if not all(math.isfinite(w) and w > 0.0 for w in windows):
-            raise ValueError("windows must be finite and positive")
+            raise UsageError("windows must be finite and positive")
         if self.photo_window_s > self.acoustic_visual_window_s:
-            raise ValueError("photo window cannot exceed the acoustic-visual window")
+            raise UsageError("photo window cannot exceed the acoustic-visual window")
         if self.photos_required < 1:
-            raise ValueError("photos_required must be at least 1")
+            raise UsageError("photos_required must be at least 1")
         if not (0.0 <= self.min_combined_confidence <= 100.0):
-            raise ValueError("min_combined_confidence must lie in [0, 100]")
+            raise UsageError("min_combined_confidence must lie in [0, 100]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,12 +63,12 @@ class SceneDecision:
     def __post_init__(self) -> None:
         if self.kind == IDENTIFIED:
             if not self.scene or not (0.0 <= self.combined_confidence <= 100.0):
-                raise ValueError("identification needs a scene and a confidence")
+                raise UsageError("identification needs a scene and a confidence")
         elif self.kind in (NO_SCENE, PENDING):
             if self.scene is not None or self.combined_confidence != 0.0:
-                raise ValueError(f"{self.kind} decisions carry no scene and confidence 0")
+                raise UsageError(f"{self.kind} decisions carry no scene and confidence 0")
         else:
-            raise ValueError(f"unknown decision kind {self.kind!r}")
+            raise UsageError(f"unknown decision kind {self.kind!r}")
 
 
 _PENDING = SceneDecision(kind=PENDING)

@@ -59,7 +59,7 @@ class ModelBundle:
         for slot in MODALITIES:
             classifier = getattr(self, slot)
             if classifier is not None and classifier.modality != slot:
-                raise ValueError(f"a {classifier.modality} classifier in the {slot} slot")
+                raise UsageError(f"a {classifier.modality} classifier in the {slot} slot")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _decode(hint, raw, where: str):
             values[f.name] = _decode(hints[f.name], raw[f.name], f"{where}.{f.name}")
         try:
             return hint(**values)
-        except (ValueError, UsageError) as exc:
+        except UsageError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if hint is np.ndarray:
         try:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import DimensionMismatch, EmptyTrainingSet, ModalityMismatch
+from .errors import DimensionMismatch, EmptyTrainingSet, ModalityMismatch, UsageError
 from .features import MODALITIES, FeatureVector, check_width
 
 
@@ -40,11 +40,11 @@ class SceneClassifier:
 
     def __post_init__(self) -> None:
         if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
+            raise UsageError(f"unknown modality {self.modality!r}")
         if len(self.cluster_names) != len(self.model.centroids):
-            raise ValueError("cluster_names must name each centroid row exactly once")
+            raise UsageError("cluster_names must name each centroid row exactly once")
         if not all(self.cluster_names):
-            raise ValueError("scene names cannot be empty")
+            raise UsageError("scene names cannot be empty")
         check_width(self.modality, self.model.dim)
         clustering.check_scale(self.scale)
 
@@ -58,9 +58,9 @@ class ScenePrediction:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.confidence <= 100.0):
-            raise ValueError("confidence must lie in [0, 100]")
+            raise UsageError("confidence must lie in [0, 100]")
         if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
+            raise UsageError(f"unknown modality {self.modality!r}")
 
 
 def train_classifier(
@@ -76,7 +76,7 @@ def train_classifier(
 
     Raises:
         EmptyTrainingSet: no items.
-        ValueError: an empty scene name.
+        UsageError: an empty scene name.
         ModalityMismatch: vectors of two modalities.
         DimensionMismatch: vectors of two widths.
     """
@@ -84,7 +84,7 @@ def train_classifier(
         raise EmptyTrainingSet("training set holds no examples")
     names = [name for name, _ in items]
     if not all(names):
-        raise ValueError("scene names cannot be empty")
+        raise UsageError("scene names cannot be empty")
     modalities = {vec.modality for _, vec in items}
     if len(modalities) > 1:
         raise ModalityMismatch(f"mixed modalities {sorted(modalities)} in one training set")

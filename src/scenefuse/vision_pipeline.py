@@ -22,6 +22,7 @@ from .errors import (
     DegenerateImage,
     TruncatedPixelData,
     UnsupportedMaxval,
+    UsageError,
 )
 from .features import VISUAL, FeatureVector
 
@@ -39,15 +40,15 @@ class Image:
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
+            raise UsageError("image dimensions must be positive")
         pixels = np.asarray(self.pixels)
         if pixels.dtype != np.uint8:
             as_int = np.asarray(pixels, dtype=np.int64)
             if as_int.size and (as_int.min() < 0 or as_int.max() > 255):
-                raise ValueError("channel values must lie in [0, 255]")
+                raise UsageError("channel values must lie in [0, 255]")
             pixels = as_int.astype(np.uint8)
         if pixels.ndim != 2 or pixels.shape != (self.width * self.height, 3):
-            raise ValueError("pixels must be a (width*height, 3) array")
+            raise UsageError("pixels must be a (width*height, 3) array")
         object.__setattr__(self, "pixels", pixels)
 
 
@@ -65,15 +66,15 @@ class ColorPalette:
 
     def __post_init__(self) -> None:
         if not self.entries:
-            raise ValueError("palette needs at least one entry")
+            raise UsageError("palette needs at least one entry")
         for e in self.entries:
             if not (0.0 < e.weight <= 1.0):
-                raise ValueError(f"weight {e.weight} outside (0, 1]")
+                raise UsageError(f"weight {e.weight} outside (0, 1]")
         if abs(sum(e.weight for e in self.entries) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+            raise UsageError("weights must sum to 1")
         keys = [(-e.weight,) + e.color for e in self.entries]
         if any(a > b for a, b in zip(keys, keys[1:])):
-            raise ValueError("entries must descend by weight, ties ascending by color")
+            raise UsageError("entries must descend by weight, ties ascending by color")
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -200,7 +201,7 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     for color, fraction in spec:
         if len(color) != 3 or any(not (0 <= int(ch) <= 255) for ch in color):
             raise BadSpec(f"color {color!r} is not an RGB triple in [0, 255]")
-        if fraction < 0.0:
+        if not fraction >= 0.0:  # NaN too: it would pass the sum check
             raise BadSpec(f"negative fraction {fraction}")
     if abs(sum(fraction for _, fraction in spec) - 1.0) > 1e-9:
         raise BadSpec("fractions must sum to 1")

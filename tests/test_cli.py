@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import ast
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from scenefuse.audio_pipeline import (
     magnitude_spectrum,
     synth_ambient,
 )
-from scenefuse import cli
+from scenefuse import cli, errors
 from scenefuse.cli import main
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.persistence import load_bundle
@@ -429,6 +430,32 @@ def test_main_returns_the_family_exit_code(error, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: boom\n"
 
 
+def test_main_lets_a_builtin_value_error_through(monkeypatch, capsys):
+    def handler(args):
+        raise ValueError("a bug, not a refusal")
+
+    monkeypatch.setattr(cli, "cmd_action_predict", handler)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["action", "predict", "coffee", "--bundle", "b.json"])
+    assert capsys.readouterr().err == ""
+
+
+def test_every_raise_in_the_package_is_a_scenefuse_error():
+    # main prints an `error:` line for a SceneFuseError only; a builtin raised here is a bug
+    strays = []
+    for module in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
+                continue
+            func = node.exc.func if isinstance(node.exc, ast.Call) else None
+            if isinstance(func, ast.Call) and ast.unparse(func) == "type(exc)":
+                continue  # the class of what was caught, with a longer message
+            cls = getattr(errors, func.id, None) if isinstance(func, ast.Name) else None
+            if not (isinstance(cls, type) and issubclass(cls, SceneFuseError)):
+                strays.append(f"{module.name}:{node.lineno}")
+    assert strays == []
+
+
 def test_bad_synth_parameters_exit_one(tmp_path, capsys):
     rc = main(
         ["synth", "audio", "--band", "900:100:1", "--out", str(tmp_path / "x.wav")]
@@ -456,10 +483,12 @@ def test_bad_synth_parameters_exit_one(tmp_path, capsys):
         ["audio", "--band", "0:100:1", "--rate", "2147483648", "--seconds", "0.0001"],
         ["audio", "--band", "0:100:1", "--seconds", "2147483648"],
         ["audio", "--band", "0:100:1", "--components", "0"],
+        ["image", "--color", "1,2,3:nan"],
     ],
     ids=["band-one-field", "band-not-numbers", "no-band", "color-no-fraction",
          "color-two-channels", "color-not-numbers", "no-color", "band-nan-gain",
-         "endless-clip", "rate-beyond-riff", "clip-beyond-riff", "no-components"],
+         "endless-clip", "rate-beyond-riff", "clip-beyond-riff", "no-components",
+         "color-nan-fraction"],
 )
 def test_malformed_synth_flags_exit_one(tmp_path, capsys, flags):
     rc = main(["synth", *flags, "--out", str(tmp_path / "x.out")])
@@ -681,15 +710,36 @@ def test_action_train_non_finite_learning_exits_one(tmp_path, capsys, rate):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")
     out = tmp_path / "x.json"
-    with np.errstate(all="ignore"):  # 1e308 overflows the weights
-        rc = main(
-            ["action", "train", "--pairs", str(pairs), "--out", str(out),
-             "--iterations", "50", "--lr", rate]
-        )
+    rc = main(
+        ["action", "train", "--pairs", str(pairs), "--out", str(out),
+         "--iterations", "50", "--lr", rate]
+    )
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ")
+    # the refusal alone: 1e308 overflows the weights without a numpy warning
+    refused = "weights" if rate == "1e308" else "learning_rate"
+    assert err == f"error: {refused} must be finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "audio", "--preset", "coffee", "--out", "{tmp}/x.wav"],
+        ["synth", "matrix", "--out-dir", "{tmp}/x"],
+        ["train", "--modality", "visual", "--scene", "coffee", "{tmp}/coffee.ppm",
+         "--out", "{tmp}/x"],
+        ["action", "train", "--pairs", "{tmp}/pairs.tsv", "--out", "{tmp}/x"],
+    ],
+    ids=["synth-audio", "synth-matrix", "train", "action-train"],
+)
+def test_negative_seed_exits_one(tmp_path, capsys, args):
+    assert main(["synth", "image", "--preset", "coffee", "--out", str(tmp_path / "coffee.ppm")]) == 0
+    (tmp_path / "pairs.tsv").write_text("coffee\t42\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in args] + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must not be negative, got -")
+    assert not list(tmp_path.glob("x*"))
 
 
 @pytest.mark.parametrize("text", ["coffee\t42\ngym\n", "coffee\t42\n\t10\n"])

@@ -214,6 +214,7 @@ def test_synth_pixel_counts_match_fractions_within_one():
         ([((0, 0, 0), 0.7), ((1, 1, 1), 0.7)], 4, 4),     # fractions sum > 1
         ([((0, 0, 0), -0.2), ((1, 1, 1), 1.2)], 4, 4),    # negative fraction
         ([((0, 0, 0), 1.0)], 0, 4),
+        ([((0, 0, 0), float("nan")), ((1, 1, 1), 1.0)], 4, 4),  # NaN passes the sum check
     ],
 )
 def test_synth_rejects_bad_specs(spec, width, height):

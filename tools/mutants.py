@@ -3,13 +3,15 @@
 Usage: `python tools/mutants.py` (needs numpy, pytest and Hypothesis).
 
 The check works on a temporary copy of src/, tests/, README.md and
-pyproject.toml and never writes into the checkout.  It runs tier-1 once,
-unmutated and traced with `sys.settrace`, to learn which tests execute each
-`raise` statement of src/scenefuse/ (found with `ast`).  Then, for one
-`raise` at a time, it swaps in `pass` and runs just those tests, stopping
-at the first failure.  A mutant that every covering test passes marks a
-check that decides nothing; a `raise` that no test runs is not checked at
-all.
+pyproject.toml and never writes into the checkout.  It runs tier-1 on the
+unmutated copy twice: first as CI runs it, untraced, which must pass; then
+traced with `sys.settrace`, only to learn which tests execute each `raise`
+statement of src/scenefuse/ (found with `ast`).  Tracing slows every test
+several times over, so a test with a time bound may fail in that run; its
+outcome is not checked.  Then, for one `raise` at a time, it swaps in
+`pass` and runs just the tests that execute it, stopping at the first
+failure.  A mutant that every covering test passes marks a check that
+decides nothing; a `raise` that no test runs is not checked at all.
 
 It prints `file:line killed|SURVIVED|not run` per `raise` and exits 0 when
 every mutant is killed, 1 when any survived or was not run, and 2 when the
@@ -117,14 +119,14 @@ def main() -> int:
         trace_out = copy / "trace.json"
         selected = copy / "selected.json"
 
-        unmutated = subprocess.run(
-            PYTEST, cwd=copy, env=dict(env, MUTANTS_TRACE_OUT=str(trace_out)),
-            capture_output=True, text=True,
-        )
+        unmutated = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, text=True)
         if unmutated.returncode != 0:
             print(unmutated.stdout[-3000:] + unmutated.stderr[-3000:])
             print("tier-1 fails on the unmutated copy; no mutant was run")
             return 2
+        subprocess.run(
+            PYTEST, cwd=copy, env=dict(env, MUTANTS_TRACE_OUT=str(trace_out)), capture_output=True
+        )
         trace = {
             test: {tuple(hit) for hit in hits}
             for test, hits in json.loads(trace_out.read_text(encoding="utf-8")).items()
