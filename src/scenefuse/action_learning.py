@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConflictingExamples, EmptyTrainingSet, UnknownLabel, UsageError
+from .errors import UnknownLabel, UsageError
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -132,15 +132,13 @@ def train_actions(
 
     Returns the net and the module's error trace as (iteration, error) pairs.
 
-    Raises:
-        EmptyTrainingSet: no examples.
-        ConflictingExamples: one scene label mapped to two action codes.
-        UsageError: a non-finite learning rate, or one so large that the
-            weights overflow; a negative seed.
+    Raises UsageError for no examples, one scene label mapped to two action
+    codes, fewer than one iteration or hidden unit, a non-finite learning
+    rate or one so large that the weights overflow, or a negative seed.
     """
     examples = list(examples)
     if not examples:
-        raise EmptyTrainingSet("no scene/action pairs to learn from")
+        raise UsageError("no scene/action pairs to learn from")
     if iterations < 1:
         raise UsageError("iterations must be at least 1")
     if hidden_size < 1:
@@ -153,7 +151,7 @@ def train_actions(
     for example in examples:
         known = seen.setdefault(example.scene_label, example.action_code)
         if known != example.action_code:
-            raise ConflictingExamples(
+            raise UsageError(
                 f"scene {example.scene_label!r} maps to both {known!r} "
                 f"and {example.action_code!r}"
             )

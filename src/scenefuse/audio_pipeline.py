@@ -21,14 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadProfile,
-    ClipTooShort,
-    EmptyData,
-    MalformedRiff,
-    UnsupportedFormat,
-    UsageError,
-)
+from .errors import InputError, UsageError
 from .features import ACOUSTIC, FeatureVector
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
@@ -94,20 +87,19 @@ def decode_wav(data: bytes) -> AudioClip:
     Accepts 16-bit integer PCM with one or two channels; stereo frames are
     averaged.  Samples are scaled by 1/32768.
 
-    Raises:
-        MalformedRiff: broken magic, chunk bookkeeping, or truncated payload.
-        UnsupportedFormat: intact container but not 16-bit PCM mono/stereo.
-        EmptyData: data chunk present but holds zero samples.
+    Raises InputError for a broken RIFF container (magic, chunk bookkeeping,
+    a truncated payload), a format other than 16-bit PCM mono or stereo, or a
+    data chunk that holds no samples.
     """
     if len(data) < 12:
-        raise MalformedRiff("too short for a RIFF header")
+        raise InputError("too short for a RIFF header")
     if data[0:4] != b"RIFF":
-        raise MalformedRiff("missing RIFF magic")
+        raise InputError("missing RIFF magic")
     (riff_size,) = struct.unpack_from("<I", data, 4)
     if riff_size < 4 or 8 + riff_size > len(data):
-        raise MalformedRiff(f"RIFF size {riff_size} disagrees with {len(data)} bytes")
+        raise InputError(f"RIFF size {riff_size} disagrees with {len(data)} bytes")
     if data[8:12] != b"WAVE":
-        raise MalformedRiff("missing WAVE form type")
+        raise InputError("missing WAVE form type")
 
     end = 8 + riff_size
     pos = 12
@@ -115,12 +107,12 @@ def decode_wav(data: bytes) -> AudioClip:
     data_chunk: bytes | None = None
     while pos < end:
         if pos + 8 > end:
-            raise MalformedRiff("dangling chunk header")
+            raise InputError("dangling chunk header")
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body_start = pos + 8
         if body_start + chunk_size > end:
-            raise MalformedRiff(f"chunk {chunk_id!r} overruns the container")
+            raise InputError(f"chunk {chunk_id!r} overruns the container")
         body = data[body_start : body_start + chunk_size]
         if chunk_id == b"fmt " and fmt_chunk is None:
             fmt_chunk = body
@@ -130,27 +122,27 @@ def decode_wav(data: bytes) -> AudioClip:
         pos = body_start + chunk_size + (chunk_size & 1)
 
     if fmt_chunk is None:
-        raise MalformedRiff("no fmt chunk")
+        raise InputError("no fmt chunk")
     if data_chunk is None:
-        raise MalformedRiff("no data chunk")
+        raise InputError("no data chunk")
     if len(fmt_chunk) < 16:
-        raise MalformedRiff("fmt chunk shorter than 16 bytes")
+        raise InputError("fmt chunk shorter than 16 bytes")
     audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt_chunk, 0
     )
     if audio_format != 1:
-        raise UnsupportedFormat(f"only PCM (format 1) is supported, got {audio_format}")
+        raise InputError(f"only PCM (format 1) is supported, got {audio_format}")
     if bits != 16:
-        raise UnsupportedFormat(f"only 16-bit samples are supported, got {bits}")
+        raise InputError(f"only 16-bit samples are supported, got {bits}")
     if channels not in (1, 2):
-        raise UnsupportedFormat(f"only mono or stereo is supported, got {channels} channels")
+        raise InputError(f"only mono or stereo is supported, got {channels} channels")
     if rate == 0:
-        raise MalformedRiff("sample rate of zero")
+        raise InputError("sample rate of zero")
     if len(data_chunk) == 0:
-        raise EmptyData("data chunk holds no samples")
+        raise InputError("data chunk holds no samples")
     frame_bytes = 2 * channels
     if len(data_chunk) % frame_bytes != 0:
-        raise MalformedRiff("data chunk is not a whole number of frames")
+        raise InputError("data chunk is not a whole number of frames")
 
     raw = np.frombuffer(data_chunk, dtype="<i2").astype(np.float64) / _PCM_SCALE
     if channels == 2:
@@ -190,11 +182,11 @@ def encode_wav(clip: AudioClip) -> bytes:
 def analysis_window(clip: AudioClip) -> AudioClip:
     """Cut the leading floor(WINDOW_SECONDS * rate) samples.
 
-    Raises ClipTooShort when the clip cannot cover the window.
+    Raises InputError when the clip cannot cover the window.
     """
     n = int(WINDOW_SECONDS * clip.sample_rate_hz)
     if clip.samples.size < n:
-        raise ClipTooShort(
+        raise InputError(
             f"clip holds {clip.duration_s:.3f} s, window needs {WINDOW_SECONDS:.3f} s"
         )
     return AudioClip(clip.samples[:n].copy(), clip.sample_rate_hz)
@@ -243,25 +235,25 @@ def synth_ambient(
     phase and amplitude gain / components_per_band.  The sum is clipped into
     [-1, 1].  Same arguments, same seed: bit-identical samples.
 
-    Raises BadProfile for an empty envelope, negative or non-finite gains,
+    Raises UsageError for an empty envelope, negative or non-finite gains,
     inverted bands, bands beyond the Nyquist frequency, a duration that is
     not finite or rounds to zero samples, a rate or sample count that a
     WAV header cannot hold, or a negative seed.
     """
     if components_per_band < 1:
-        raise BadProfile("need at least one component per band")
+        raise UsageError("need at least one component per band")
     if seed < 0:
-        raise BadProfile(f"seed must not be negative, got {seed}")
+        raise UsageError(f"seed must not be negative, got {seed}")
     if rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
-        raise BadProfile("rate and duration must be finite and positive")
+        raise UsageError("rate and duration must be finite and positive")
     if rate > _MAX_RATE or seconds * rate >= _MAX_SAMPLES + 1:  # before any allocation
-        raise BadProfile(f"a WAV header holds at most {_MAX_SAMPLES} samples and {_MAX_RATE} Hz")
+        raise UsageError(f"a WAV header holds at most {_MAX_SAMPLES} samples and {_MAX_RATE} Hz")
     n = int(seconds * rate)
     if n < 1:
-        raise BadProfile("duration rounds to zero samples")
+        raise UsageError("duration rounds to zero samples")
     bands = list(profile)
     if not bands:
-        raise BadProfile("envelope must hold at least one band")
+        raise UsageError("envelope must hold at least one band")
 
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64) / rate
@@ -270,9 +262,9 @@ def synth_ambient(
     m = components_per_band
     for (low, high), gain in bands:
         if not (math.isfinite(gain) and gain >= 0.0):
-            raise BadProfile(f"gain {gain} must be finite and not negative")
+            raise UsageError(f"gain {gain} must be finite and not negative")
         if not (0.0 <= low <= high <= nyquist):
-            raise BadProfile(f"band ({low}, {high}) outside [0, {nyquist}]")
+            raise UsageError(f"band ({low}, {high}) outside [0, {nyquist}]")
         freqs = low + (np.arange(m) + 0.5) / m * (high - low)
         phases = rng.uniform(0.0, 2.0 * math.pi, m)
         out += (gain / m) * np.sin(

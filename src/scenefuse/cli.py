@@ -30,15 +30,7 @@ from .audio_pipeline import (
     synth_ambient,
 )
 from .clustering import DEFAULT_SCALE, check_scale
-from .errors import (
-    BadProfile,
-    BadSpec,
-    InputError,
-    IoError,
-    MissingClassifier,
-    SceneFuseError,
-    UsageError,
-)
+from .errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from .features import ACOUSTIC, VISUAL
 from .fusion import IDENTIFIED, NO_SCENE, initial_state, on_acoustic, on_visual_photo
 from .persistence import (
@@ -103,7 +95,7 @@ def _write_bytes(path, data: bytes) -> None:
     try:
         Path(path).write_bytes(data)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _features(modality, path, color_count, seed, dump_spectrum=None):
@@ -123,7 +115,7 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
         clip = decode_wav(data)
         spectrum = magnitude_spectrum(analysis_window(clip))
     except InputError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     if dump_spectrum is not None:
         lines = ["freq_hz,amplitude"]
         lines += [
@@ -245,22 +237,22 @@ def cmd_fuse(args) -> int:
 # --- synth -----------------------------------------------------------------
 
 def _parse_band(text: str):
-    """`LOW:HIGH:GAIN` as ((low, high), gain); BadProfile for any other text."""
+    """`LOW:HIGH:GAIN` as ((low, high), gain); UsageError for any other text."""
     try:
         low, high, gain = (float(p) for p in text.split(":"))
     except ValueError:
-        raise BadProfile(f"--band wants three numbers LOW:HIGH:GAIN, got {text!r}") from None
+        raise UsageError(f"--band wants three numbers LOW:HIGH:GAIN, got {text!r}") from None
     return (low, high), gain
 
 
 def _parse_color(text: str):
-    """`R,G,B:FRACTION` as ((r, g, b), fraction); BadSpec for any other text, colon-less too."""
+    """`R,G,B:FRACTION` as ((r, g, b), fraction); UsageError for any other text, colon-less too."""
     head, _, tail = text.rpartition(":")
     try:
         red, green, blue = (int(c) for c in head.split(","))
         fraction = float(tail)
     except ValueError:
-        raise BadSpec(f"--color wants numbers R,G,B:FRACTION, got {text!r}") from None
+        raise UsageError(f"--color wants numbers R,G,B:FRACTION, got {text!r}") from None
     return (red, green, blue), fraction
 
 
@@ -275,7 +267,7 @@ def cmd_synth_audio(args) -> int:
     elif args.band:
         profile = [_parse_band(text) for text in args.band]
     else:
-        raise BadProfile("give either --preset or at least one --band")
+        raise UsageError("give either --preset or at least one --band")
     clip = synth_ambient(
         profile, args.seconds, args.rate, args.seed, components_per_band=args.components
     )
@@ -290,7 +282,7 @@ def cmd_synth_image(args) -> int:
     elif args.color:
         spec = [_parse_color(text) for text in args.color]
     else:
-        raise BadSpec("give either --preset or at least one --color")
+        raise UsageError("give either --preset or at least one --color")
     image = synth_scene_image(spec, args.width, args.height)
     _write_bytes(args.out, encode_ppm(image))
     print(f"wrote {args.out}")
@@ -305,6 +297,8 @@ def _shifted_fractions(spec, step: int):
 
 
 def cmd_synth_matrix(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     out_dir = Path(args.out_dir)
     written: list[str] = []
 
@@ -312,7 +306,7 @@ def cmd_synth_matrix(args) -> int:
         try:  # only now, so a refused run leaves no empty directory behind
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise IoError(f"cannot create {out_dir}: {exc}") from exc
+            raise InputError(f"cannot create {out_dir}: {exc}") from exc
         _write_bytes(out_dir / name, payload)
         written.append(str(out_dir / name))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints, UsageError, ZeroK
+from .errors import UsageError
 
 
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
@@ -49,7 +49,7 @@ class KMeansParams:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ZeroK(f"k must be at least 1, got {self.k}")
+            raise UsageError(f"k must be at least 1, got {self.k}")
         if self.seed < 0:  # numpy's generators take non-negative seeds only
             raise UsageError(f"seed must not be negative, got {self.seed}")
 
@@ -90,11 +90,11 @@ def _as_matrix(points) -> np.ndarray:
     try:
         matrix = np.asarray(points, dtype=np.float64)
     except ValueError as exc:  # ragged rows, or text
-        raise DimensionMismatch(f"points must form one (n, d) matrix: {exc}") from exc
+        raise UsageError(f"points must form one (n, d) matrix: {exc}") from exc
     if matrix.size == 0:
-        raise TooFewPoints("no points at all")
+        raise UsageError("no points at all")
     if matrix.ndim != 2:
-        raise DimensionMismatch(f"points must form one (n, d) matrix, not shape {matrix.shape}")
+        raise UsageError(f"points must form one (n, d) matrix, not shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise UsageError("points must be finite, not NaN or inf")
     return matrix
@@ -224,16 +224,14 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     moved more than `_TOL` (infinity norm) in one update; across runs,
     the lowest final inertia wins, earliest run on a tie.
 
-    Raises:
-        TooFewPoints: fewer points than clusters.
-        DimensionMismatch: points of mixed lengths, or not one (n, d) matrix.
-        UsageError: a NaN or infinite coordinate, or points so large that
-            a centroid or the inertia overflows.
+    Raises UsageError for no points or fewer points than clusters, points
+    of mixed lengths or not one (n, d) matrix, a NaN or infinite coordinate,
+    or points so large that a centroid or the inertia overflows.
     """
     matrix = _as_matrix(points)
     n = matrix.shape[0]
     if n < params.k:
-        raise TooFewPoints(f"{n} points cannot fill {params.k} clusters")
+        raise UsageError(f"{n} points cannot fill {params.k} clusters")
 
     # a column on which every point agrees adds exactly 0 to every distance:
     # cluster one contiguous copy of the others, which may be none at all
@@ -253,12 +251,12 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
 def predict(model: KMeansModel, point) -> tuple[int, float]:
     """(label, Euclidean distance) of the centroid nearest one vector; ties to the lowest label.
 
-    Raises DimensionMismatch for a vector of the wrong length and
-    UsageError for a NaN or infinite coordinate.
+    Raises UsageError for a vector of the wrong length or a NaN or infinite
+    coordinate.
     """
     vec = np.asarray(point, dtype=np.float64)
     if vec.ndim != 1 or vec.size != model.dim:
-        raise DimensionMismatch(
+        raise UsageError(
             f"point has {vec.size} dims, model expects {model.dim}"
         )
     if not np.isfinite(vec).all():

@@ -16,8 +16,8 @@ the clock; both windows are read from the config each call is given.
 
 Time is injected by the caller through event timestamps and tick() and must
 be finite and never run backward; a stale or non-finite timestamp raises
-ClockSkew.  All three operations return a fresh state, leaving their
-argument untouched.
+UsageError, as does a prediction of the wrong modality.  All three
+operations return a fresh state, leaving their argument untouched.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import ClockSkew, ModalityMismatch, UsageError
+from .errors import UsageError
 from .features import ACOUSTIC, VISUAL
 from .scene_model import ScenePrediction
 
@@ -88,9 +88,9 @@ def initial_state() -> FusionState:
 
 def _check_clock(state: FusionState, at: float) -> None:
     if not math.isfinite(at):
-        raise ClockSkew(f"timestamp {at} is not finite")
+        raise UsageError(f"timestamp {at} is not finite")
     if at < state.last_at:
-        raise ClockSkew(f"timestamp {at} precedes already-seen {state.last_at}")
+        raise UsageError(f"timestamp {at} precedes already-seen {state.last_at}")
 
 
 def _restart(at: float) -> FusionState:
@@ -112,7 +112,7 @@ def on_acoustic(
     keep one signature.
     """
     if pred.modality != ACOUSTIC:
-        raise ModalityMismatch(f"on_acoustic got a {pred.modality} prediction")
+        raise UsageError(f"on_acoustic got a {pred.modality} prediction")
     _check_clock(state, pred.at)
     return FusionState(pending_acoustic=pred, last_at=pred.at), _PENDING
 
@@ -127,7 +127,7 @@ def on_visual_photo(
     the machine with a no-scene decision.
     """
     if pred.modality != VISUAL:
-        raise ModalityMismatch(f"on_visual_photo got a {pred.modality} prediction")
+        raise UsageError(f"on_visual_photo got a {pred.modality} prediction")
     _check_clock(state, pred.at)
     anchor = state.pending_acoustic
     if anchor is None:

@@ -18,7 +18,8 @@ asks for; only matrix entries go through NumPy's float conversion.
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
 Script timestamps must never decrease and `kind` is `audio` or `image`.
-Every file is read as UTF-8 text; one that is not raises SchemaError.
+Every file is read as UTF-8 text; one that is not raises InputError, as
+does a file that breaks its format, with the refusal naming the file.
 `read_bytes` is the one place scenefuse opens a file for reading, for
 these formats and for the CLI's WAV and PPM inputs alike.
 """
@@ -36,7 +37,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .action_learning import ActionExample, ActionNet
-from .errors import BadVersion, IoError, SchemaError, UsageError
+from .errors import InputError, UsageError
 from .features import MODALITIES
 from .fusion import FusionConfig
 from .scene_model import SceneClassifier
@@ -75,21 +76,21 @@ class EventScript:
 
 
 def read_bytes(path, what: str = "") -> bytes:
-    """The bytes of the file at `path`; IoError, calling it a `what` if given, when unreadable."""
+    """The bytes of the file at `path`; InputError, calling it a `what` if given, when unreadable."""
     name = f"{what} {path}" if what else path
     try:
         with open(path, "rb") as handle:
             return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise IoError(f"cannot read {name}: {exc}") from exc
+        raise InputError(f"cannot read {name}: {exc}") from exc
 
 
 def _read_text(path, what: str) -> str:
-    """The UTF-8 text of a file; IoError if unreadable, SchemaError if not UTF-8."""
+    """The UTF-8 text of a file; InputError if it is unreadable or not UTF-8."""
     try:
         return read_bytes(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 # --- bundles ---------------------------------------------------------------
@@ -108,7 +109,7 @@ def _encode(value):
 def _decode(hint, raw, where: str):
     """Build a value of type `hint` from its JSON form `raw`, found at `where`.
 
-    Raises SchemaError on a missing key, a value of the wrong JSON type, a
+    Raises InputError on a missing key, a value of the wrong JSON type, a
     non-finite number, or a value the type's own constructor refuses.
     """
     origin, args = get_origin(hint), get_args(hint)
@@ -117,26 +118,26 @@ def _decode(hint, raw, where: str):
         return None if raw is None else _decode(inner, raw, where)
     if is_dataclass(hint):
         if not isinstance(raw, dict):
-            raise SchemaError(f"{where} must be an object")
+            raise InputError(f"{where} must be an object")
         hints = get_type_hints(hint)
         values = {}
         for f in fields(hint):
             if f.name not in raw:
-                raise SchemaError(f"{where} is missing {f.name!r}")
+                raise InputError(f"{where} is missing {f.name!r}")
             values[f.name] = _decode(hints[f.name], raw[f.name], f"{where}.{f.name}")
         try:
             return hint(**values)
         except UsageError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
     if hint is np.ndarray:
         try:
             matrix = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{where} is not a numeric matrix: {exc}") from exc
+            raise InputError(f"{where} is not a numeric matrix: {exc}") from exc
         return matrix
     if origin is tuple:  # `tuple[X, ...]`
         if not isinstance(raw, list):
-            raise SchemaError(f"{where} must be a list")
+            raise InputError(f"{where} must be a list")
         return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
     if hint is float:
         try:
@@ -144,14 +145,14 @@ def _decode(hint, raw, where: str):
                 return float(raw)
         except OverflowError:  # an integer too large for a float
             pass
-        raise SchemaError(f"{where} must be a finite number")
+        raise InputError(f"{where} must be a finite number")
     if not isinstance(raw, hint) or (hint is int and isinstance(raw, bool)):
-        raise SchemaError(f"{where} must be of type {hint.__name__}")
+        raise InputError(f"{where} must be of type {hint.__name__}")
     return raw
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write the bundle as indented JSON.  Raises IoError on write failure.
+    """Write the bundle as indented JSON.  Raises InputError on write failure.
 
     The text goes to `<path>.partial`, which then replaces `path` whole, so
     a failed write leaves the bundle it was merging into as it was.
@@ -166,21 +167,25 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         with contextlib.suppress(OSError, ValueError):
             os.remove(partial)
-        raise IoError(f"cannot write bundle {path}: {exc}") from exc
+        raise InputError(f"cannot write bundle {path}: {exc}") from exc
 
 
 def load_bundle(path) -> ModelBundle:
-    """Read a bundle back.  Raises IoError, BadVersion, or SchemaError."""
+    """Read a bundle back.
+
+    Raises InputError for a file that is unreadable, not JSON, of another
+    format_version, or not shaped like a bundle.
+    """
     text = _read_text(path, "bundle")
     try:
         document = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"bundle {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"bundle {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
-        raise SchemaError("bundle document must be a JSON object")
+        raise InputError("bundle document must be a JSON object")
     version = _decode(int, document.get("format_version"), "bundle.format_version")
     if version != FORMAT_VERSION:
-        raise BadVersion(f"this build reads only format_version {FORMAT_VERSION}, not {version}")
+        raise InputError(f"this build reads only format_version {FORMAT_VERSION}, not {version}")
     return _decode(ModelBundle, document, "bundle")
 
 
@@ -189,7 +194,7 @@ def load_bundle(path) -> ModelBundle:
 def _tsv_rows(text: str, layout: str):
     """(line number, stripped fields) for each line that is not blank or `#`.
 
-    Raises SchemaError when a line does not have the fields `layout` names.
+    Raises InputError when a line does not have the fields `layout` names.
     """
     width = layout.count("<TAB>") + 1
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -198,15 +203,15 @@ def _tsv_rows(text: str, layout: str):
             continue
         parts = raw_line.split("\t")
         if len(parts) != width:
-            raise SchemaError(f"line {lineno}: expected {layout}")
+            raise InputError(f"line {lineno}: expected {layout}")
         yield lineno, [part.strip() for part in parts]
 
 
 def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
 
-    Raises SchemaError on malformed lines, unknown kinds, or timestamps
-    that are not finite or that decrease.
+    Raises InputError on malformed lines, unknown kinds, empty paths, or
+    timestamps that are not finite or that decrease.
     """
     events: list[ScriptEvent] = []
     previous = float("-inf")
@@ -214,22 +219,31 @@ def parse_event_script(text: str) -> EventScript:
         try:
             at = float(at_text)
         except ValueError:
-            raise SchemaError(f"line {lineno}: bad timestamp {at_text!r}") from None
+            raise InputError(f"line {lineno}: bad timestamp {at_text!r}") from None
         if not math.isfinite(at):
-            raise SchemaError(f"line {lineno}: timestamp {at_text!r} is not finite")
+            raise InputError(f"line {lineno}: timestamp {at_text!r} is not finite")
         if kind not in EVENT_KINDS:
-            raise SchemaError(f"line {lineno}: kind must be one of {EVENT_KINDS}, got {kind!r}")
+            raise InputError(f"line {lineno}: kind must be one of {EVENT_KINDS}, got {kind!r}")
         if not path:
-            raise SchemaError(f"line {lineno}: empty path")
+            raise InputError(f"line {lineno}: empty path")
         if at < previous:
-            raise SchemaError(f"line {lineno}: timestamp {at} decreases")
+            raise InputError(f"line {lineno}: timestamp {at} decreases")
         previous = at
         events.append(ScriptEvent(at=at, kind=kind, path=path))
     return EventScript(events=tuple(events))
 
 
+def _load(path, what: str, parse):
+    """`parse` of the text of the file at `path`, with any refusal of the text naming the file."""
+    text = _read_text(path, what)
+    try:
+        return parse(text)
+    except InputError as exc:
+        raise InputError(f"{path} {exc}") from None
+
+
 def load_event_script(path) -> EventScript:
-    return parse_event_script(_read_text(path, "event script"))
+    return _load(path, "event script", parse_event_script)
 
 
 def format_event_script(script: EventScript) -> str:
@@ -237,15 +251,15 @@ def format_event_script(script: EventScript) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_pairs(path) -> list[ActionExample]:
-    """Read `scene<TAB>action` lines into examples.  Errors name the file."""
-    text = _read_text(path, "pairs file")
+def _parse_pairs(text: str) -> list[ActionExample]:
     pairs: list[ActionExample] = []
-    try:
-        for lineno, (scene, action) in _tsv_rows(text, "scene<TAB>action"):
-            if not scene or not action:
-                raise SchemaError(f"line {lineno}: empty field")
-            pairs.append(ActionExample(scene_label=scene, action_code=action))
-    except SchemaError as exc:
-        raise SchemaError(f"{path} {exc}") from None
+    for lineno, (scene, action) in _tsv_rows(text, "scene<TAB>action"):
+        if not scene or not action:
+            raise InputError(f"line {lineno}: empty field")
+        pairs.append(ActionExample(scene_label=scene, action_code=action))
     return pairs
+
+
+def load_pairs(path) -> list[ActionExample]:
+    """Read `scene<TAB>action` lines into examples."""
+    return _load(path, "pairs file", _parse_pairs)

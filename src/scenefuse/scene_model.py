@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import DimensionMismatch, EmptyTrainingSet, ModalityMismatch, UsageError
+from .errors import UsageError
 from .features import MODALITIES, FeatureVector, check_width
 
 
@@ -74,23 +74,20 @@ def train_classifier(
     vectors' modality.  The fit draws from `seed`; `scale` becomes the
     confidence divisor.
 
-    Raises:
-        EmptyTrainingSet: no items.
-        UsageError: an empty scene name.
-        ModalityMismatch: vectors of two modalities.
-        DimensionMismatch: vectors of two widths.
+    Raises UsageError for no items, an empty scene name, or vectors of two
+    modalities or two widths.
     """
     if not items:
-        raise EmptyTrainingSet("training set holds no examples")
+        raise UsageError("training set holds no examples")
     names = [name for name, _ in items]
     if not all(names):
         raise UsageError("scene names cannot be empty")
     modalities = {vec.modality for _, vec in items}
     if len(modalities) > 1:
-        raise ModalityMismatch(f"mixed modalities {sorted(modalities)} in one training set")
+        raise UsageError(f"mixed modalities {sorted(modalities)} in one training set")
     dims = {len(vec) for _, vec in items}
     if len(dims) > 1:
-        raise DimensionMismatch(f"mixed feature lengths {sorted(dims)}")
+        raise UsageError(f"mixed feature lengths {sorted(dims)}")
     k = len(set(names))
     matrix = np.vstack([vec.values for _, vec in items])
     model, labels, sq = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
@@ -133,9 +130,12 @@ def train_classifier(
 def classify(
     classifier: SceneClassifier, features: FeatureVector, now: float
 ) -> ScenePrediction:
-    """Nearest scene plus its scaled-distance confidence, stamped at `now`."""
+    """Nearest scene plus its scaled-distance confidence, stamped at `now`.
+
+    Raises UsageError for features of the other modality or the wrong width.
+    """
     if features.modality != classifier.modality:
-        raise ModalityMismatch(
+        raise UsageError(
             f"{features.modality} features against a {classifier.modality} classifier"
         )
     label, distance = clustering.predict(classifier.model, features.values)

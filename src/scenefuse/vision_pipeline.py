@@ -15,15 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import (
-    BadHeader,
-    BadMagic,
-    BadSpec,
-    DegenerateImage,
-    TruncatedPixelData,
-    UnsupportedMaxval,
-    UsageError,
-)
+from .errors import InputError, UsageError
 from .features import VISUAL, FeatureVector
 
 _MAX_SAMPLED_PIXELS = 10000
@@ -93,13 +85,13 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
         pos += 1
     if start == pos:
-        raise BadHeader("header ended early")
+        raise InputError("header ended early")
     return data[start:pos], pos
 
 
 def _parse_int_field(token: bytes, what: str) -> int:
     if not all(0x30 <= b <= 0x39 for b in token):  # never empty: see _read_token
-        raise BadHeader(f"{what} field {token!r} is not a plain decimal number")
+        raise InputError(f"{what} field {token!r} is not a plain decimal number")
     return int(token)
 
 
@@ -110,10 +102,12 @@ def decode_ppm(data: bytes) -> Image:
     overlong payloads are rejected, so any header mutation that survives
     parsing still fails the size check.
 
-    Raises: BadMagic, BadHeader, UnsupportedMaxval, TruncatedPixelData.
+    Raises InputError for a magic other than P6, a header that is unparseable
+    or names non-positive dimensions, a maxval other than 255, or a payload
+    of the wrong length.
     """
     if data[0:2] != b"P6":
-        raise BadMagic("not a binary P6 image")
+        raise InputError("not a binary P6 image")
     pos = 2
     token, pos = _read_token(data, pos)
     width = _parse_int_field(token, "width")
@@ -122,16 +116,16 @@ def decode_ppm(data: bytes) -> Image:
     token, pos = _read_token(data, pos)
     maxval = _parse_int_field(token, "maxval")
     if width < 1 or height < 1:
-        raise BadHeader(f"dimensions {width}x{height} are not positive")
+        raise InputError(f"dimensions {width}x{height} are not positive")
     if maxval != 255:
-        raise UnsupportedMaxval(f"maxval must be 255, got {maxval}")
+        raise InputError(f"maxval must be 255, got {maxval}")
     if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise BadHeader("maxval must be followed by a single whitespace byte")
+        raise InputError("maxval must be followed by a single whitespace byte")
     pos += 1
     payload = data[pos:]
     expected = width * height * 3
     if len(payload) != expected:
-        raise TruncatedPixelData(
+        raise InputError(
             f"expected {expected} pixel bytes, found {len(payload)}"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
@@ -151,14 +145,13 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> ColorPalette:
     stride is a pure function of the pixel count, no randomness.  Weights
     are the fraction of subsampled pixels each cluster owns.
 
-    Raises DegenerateImage when the subsample has fewer than c distinct
-    colors.
+    Raises InputError when the subsample has fewer than c distinct colors.
     """
     total = image.pixels.shape[0]
     stride = -(-total // _MAX_SAMPLED_PIXELS)  # ceil
     sample = image.pixels[::stride]
     if np.unique(sample, axis=0).shape[0] < c:
-        raise DegenerateImage(f"fewer than {c} distinct colors to separate")
+        raise InputError(f"fewer than {c} distinct colors to separate")
 
     points = sample.astype(np.float64)
     model, labels, _ = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
@@ -192,19 +185,19 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     (largest-remainder rounding, ties to the earlier entry).  The layout is
     fully determined by the spec and dimensions.
 
-    Raises BadSpec for an empty spec, out-of-range colors or fractions, or
-    fractions that do not sum to 1.
+    Raises UsageError for non-positive dimensions, an empty spec,
+    out-of-range colors or fractions, or fractions that do not sum to 1.
     """
     spec = list(palette_spec)  # an empty one fails the sum check
     if width < 1 or height < 1:
-        raise BadSpec("image dimensions must be positive")
+        raise UsageError("image dimensions must be positive")
     for color, fraction in spec:
         if len(color) != 3 or any(not (0 <= int(ch) <= 255) for ch in color):
-            raise BadSpec(f"color {color!r} is not an RGB triple in [0, 255]")
+            raise UsageError(f"color {color!r} is not an RGB triple in [0, 255]")
         if not fraction >= 0.0:  # NaN too: it would pass the sum check
-            raise BadSpec(f"negative fraction {fraction}")
+            raise UsageError(f"negative fraction {fraction}")
     if abs(sum(fraction for _, fraction in spec) - 1.0) > 1e-9:
-        raise BadSpec("fractions must sum to 1")
+        raise UsageError("fractions must sum to 1")
 
     total = width * height
     raw = [fraction * total for _, fraction in spec]

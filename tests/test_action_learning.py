@@ -18,7 +18,7 @@ from scenefuse.action_learning import (
     squared_error_loss,
     train_actions,
 )
-from scenefuse.errors import ConflictingExamples, EmptyTrainingSet, UnknownLabel
+from scenefuse.errors import UnknownLabel, UsageError
 
 
 def test_session_pairs_learn_both_mappings(trained_action_session):
@@ -73,7 +73,7 @@ def test_repeated_examples_weight_the_batch():
 
 
 def test_conflicting_pairs_are_rejected():
-    with pytest.raises(ConflictingExamples):
+    with pytest.raises(UsageError, match="scene 'coffee' maps to both '42' and '17'"):
         train_actions(
             [ActionExample("coffee", "42"), ActionExample("coffee", "17")],
             iterations=10,
@@ -81,7 +81,7 @@ def test_conflicting_pairs_are_rejected():
 
 
 def test_empty_training_set_is_rejected():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(UsageError, match="no scene/action pairs to learn from"):
         train_actions([], iterations=10)
     with pytest.raises(ValueError):
         train_actions([ActionExample("a", "1")], iterations=0)
@@ -171,7 +171,7 @@ def test_repl_reports_unknown_labels_and_recovers():
 
 
 def test_repl_with_no_training_pairs_raises():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(UsageError, match="no scene/action pairs to learn from"):
         _run_repl("\n")
 
 

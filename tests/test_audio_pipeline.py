@@ -18,13 +18,7 @@ from scenefuse.audio_pipeline import (
     magnitude_spectrum,
     synth_ambient,
 )
-from scenefuse.errors import (
-    BadProfile,
-    ClipTooShort,
-    EmptyData,
-    MalformedRiff,
-    UnsupportedFormat,
-)
+from scenefuse.errors import InputError, UsageError
 from scenefuse.features import ACOUSTIC
 
 
@@ -56,26 +50,32 @@ def _with_dangling_bytes(blob: bytes) -> bytes:
     return blob[:4] + struct.pack("<I", len(blob) - 4) + blob[8:] + b"JUNK"
 
 
+_RIFF = "MalformedRiff"
+_FORMAT = "UnsupportedFormat"
+
+
 @pytest.mark.parametrize(
-    "blob, expected",
+    "blob, refusal",
     [
-        (b"RIFX" + wav_bytes([1])[4:], MalformedRiff),
-        (wav_bytes([1], wave_tag=b"WAVX"), MalformedRiff),
-        (wav_bytes([1])[:10], MalformedRiff),
-        (wav_bytes([1], omit_data_chunk=True), MalformedRiff),
-        (wav_bytes([1, 2], truncate_data_by=2), MalformedRiff),
-        (wav_bytes([1], audio_format=3), UnsupportedFormat),
-        (wav_bytes([1], bits_per_sample=8), UnsupportedFormat),
-        (wav_bytes([1, 2, 3], channels=3), UnsupportedFormat),
-        (wav_bytes([], rate=8000), EmptyData),
-        (wav_bytes([1], leading_chunks=((b"fmt ", b"\x01\x00"),)), MalformedRiff),  # fmt < 16
-        (wav_bytes([1], rate=0), MalformedRiff),
-        (wav_bytes([1, 2, 3], channels=2), MalformedRiff),  # half a stereo frame
-        (_with_dangling_bytes(wav_bytes([1])), MalformedRiff),
+        (b"RIFX" + wav_bytes([1])[4:], (_RIFF, "missing RIFF magic")),
+        (wav_bytes([1], wave_tag=b"WAVX"), (_RIFF, "missing WAVE form type")),
+        (wav_bytes([1])[:10], (_RIFF, "too short for a RIFF header")),
+        (wav_bytes([1], omit_data_chunk=True), (_RIFF, "no data chunk")),
+        (wav_bytes([1, 2], truncate_data_by=2), (_RIFF, "chunk b'data' overruns the container")),
+        (wav_bytes([1], audio_format=3), (_FORMAT, r"only PCM \(format 1\) is supported, got 3")),
+        (wav_bytes([1], bits_per_sample=8), (_FORMAT, "only 16-bit samples are supported")),
+        (wav_bytes([1, 2, 3], channels=3), (_FORMAT, "only mono or stereo is supported, got 3")),
+        (wav_bytes([], rate=8000), ("EmptyData", "data chunk holds no samples")),
+        (wav_bytes([1], leading_chunks=((b"fmt ", b"\x01\x00"),)), (_RIFF, "fmt chunk shorter")),
+        (wav_bytes([1], rate=0), (_RIFF, "sample rate of zero")),
+        (wav_bytes([1, 2, 3], channels=2), (_RIFF, "not a whole number of frames")),  # half a frame
+        (_with_dangling_bytes(wav_bytes([1])), (_RIFF, "dangling chunk header")),
     ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,  # a case by its check
 )
-def test_decode_rejects_broken_containers(blob, expected):
-    with pytest.raises(expected):
+def test_decode_rejects_broken_containers(blob, refusal):
+    _, message = refusal
+    with pytest.raises(InputError, match=message):
         decode_wav(blob)
 
 
@@ -116,7 +116,7 @@ def test_analysis_window_takes_leading_samples():
 
 def test_analysis_window_rejects_short_clips():
     clip = AudioClip(np.zeros(3 * 8000), 8000)  # three seconds
-    with pytest.raises(ClipTooShort):
+    with pytest.raises(InputError, match="window needs 5.000 s"):
         analysis_window(clip)
     # exactly five seconds is enough
     assert analysis_window(AudioClip(np.zeros(5 * 8000), 8000)).samples.size == 40000
@@ -268,15 +268,21 @@ def test_disjoint_profiles_separate_by_an_order_of_magnitude():
     ],
 )
 def test_synth_rejects_bad_envelopes(profile, seconds, rate):
-    with pytest.raises(BadProfile):
+    with pytest.raises(UsageError):
         synth_ambient(profile, seconds, rate, seed=0)
+
+
+def test_synth_names_a_duration_that_rounds_to_zero_samples():
+    # unchecked, the empty clip would be refused too, but as a clip without samples
+    with pytest.raises(UsageError, match="duration rounds to zero samples"):
+        synth_ambient([((100.0, 200.0), 1.0)], 0.0001, 8000, seed=0)
 
 
 def test_riff_fields_bound_the_rate_and_the_length():
     # the byte rate (2 * rate) and the chunk sizes are unsigned 32-bit fields
     band = [((0.0, 100.0), 1.0)]
     for seconds, rate in ((0.0001, 2**31), (2.0**31, 8000), (1e308, 8000)):
-        with pytest.raises(BadProfile):  # refused before the samples are allocated
+        with pytest.raises(UsageError, match="a WAV header holds at most"):  # before allocating
             synth_ambient(band, seconds, rate, seed=0)
     fastest = synth_ambient(band, 1e-9, 2**31 - 1, seed=0)
     assert decode_wav(encode_wav(fastest)).sample_rate_hz == 2**31 - 1

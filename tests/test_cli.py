@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import wav_bytes
+from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.audio_pipeline import (
     AudioClip,
     acoustic_features,
@@ -23,10 +25,13 @@ from scenefuse.audio_pipeline import (
 )
 from scenefuse import cli, errors
 from scenefuse.cli import main
+from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from scenefuse.persistence import load_bundle
-from scenefuse.scene_model import train_classifier
-from scenefuse.vision_pipeline import decode_ppm
+from scenefuse.features import VISUAL
+from scenefuse.fusion import FusionConfig, initial_state, on_acoustic, tick
+from scenefuse.persistence import load_bundle, read_bytes
+from scenefuse.scene_model import ScenePrediction, train_classifier
+from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
 
 PREDICT_LINE = re.compile(r"^scene=(\w+) confidence=(\d+\.\d{3})$")
@@ -374,6 +379,11 @@ def test_refused_synth_matrix_leaves_no_directory(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: a WAV header holds")
     assert not out_dir.exists()
+    for trials in ("0", "-1"):  # scripts without events
+        argv = ["synth", "matrix", "--out-dir", str(out_dir), "--trials", trials, "--seconds", "0.01"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --trials must be at least 1, got {trials}\n"
+        assert not out_dir.exists()
     # an --out-dir below a regular file cannot be created
     blocker = tmp_path / "plain_file"
     blocker.write_bytes(b"")
@@ -391,43 +401,129 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-CONCRETE_ERRORS = sorted(
-    (cls for cls in _subclasses(SceneFuseError) if cls not in (InputError, UsageError)),
-    key=lambda cls: cls.__name__,
-)
+ERROR_CLASSES = sorted(_subclasses(SceneFuseError), key=lambda cls: cls.__name__)
 
 
 def test_every_error_class_belongs_to_exactly_one_family():
-    by_code = {1: set(), 2: set(), 3: set()}
-    for cls in CONCRETE_ERRORS:
+    for cls in ERROR_CLASSES:
         families = [family for family in FAMILY_EXIT_CODES if issubclass(cls, family)]
         assert len(families) == 1, cls
         assert cls.exit_code == FAMILY_EXIT_CODES[families[0]]
-        by_code[cls.exit_code].add(cls.__name__)
-    assert by_code == {
-        3: {
-            "MalformedRiff", "UnsupportedFormat", "EmptyData", "ClipTooShort",
-            "BadMagic", "BadHeader", "TruncatedPixelData", "UnsupportedMaxval",
-            "DegenerateImage", "IoError", "SchemaError", "BadVersion",
-        },
-        1: {
-            "BadSpec", "BadProfile", "TooFewPoints", "ModalityMismatch", "DimensionMismatch",
-            "ConflictingExamples", "EmptyTrainingSet", "UnknownLabel", "ZeroK",
-            "ClockSkew",
-        },
-        2: {"MissingClassifier"},
-    }
 
 
-@pytest.mark.parametrize("error", CONCRETE_ERRORS, ids=lambda cls: cls.__name__)
-def test_main_returns_the_family_exit_code(error, monkeypatch, capsys):
-    def handler(args):
-        raise error("boom")
+def test_every_error_class_sets_an_exit_code_or_is_caught():
+    # a class nothing catches by name tells apart only what its message already says
+    caught = set()
+    for module in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(ast.unparse(name) for name in names)
+    idle = [
+        obj.__name__
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+        and "exit_code" not in vars(obj) and obj.__name__ not in caught
+    ]
+    assert idle == []
 
-    monkeypatch.setattr(cli, "cmd_action_predict", handler)
-    family = next(f for f in FAMILY_EXIT_CODES if issubclass(error, f))
-    assert main(["action", "predict", "coffee", "--bundle", "b.json"]) == FAMILY_EXIT_CODES[family]
-    assert capsys.readouterr().err == "error: boom\n"
+
+def _written(tmp_path, text):
+    path = tmp_path / "bundle.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _raising(cls):
+    def refuse(tmp_path):
+        raise cls("boom")
+
+    return refuse
+
+
+# Each error class raised as is, then one real refusal per check, named after the
+# condition it refuses: (exit code, the call that refuses, the start of its message).
+REFUSALS = {
+    **{
+        cls.__name__: (
+            next(code for family, code in FAMILY_EXIT_CODES.items() if issubclass(cls, family)),
+            _raising(cls),
+            "boom",
+        )
+        for cls in ERROR_CLASSES
+    },
+    "BadHeader": (3, lambda tmp: decode_ppm(b"P6 0 1 255 "), "dimensions 0x1 are not positive"),
+    "BadMagic": (3, lambda tmp: decode_ppm(b"P5 1 1 255 "), "not a binary P6 image"),
+    "BadProfile": (1, lambda tmp: synth_ambient([], 1.0, 8000, seed=0), "envelope must hold"),
+    "BadSpec": (1, lambda tmp: synth_scene_image([], 4, 4), "fractions must sum to 1"),
+    "BadVersion": (
+        3,
+        lambda tmp: load_bundle(_written(tmp, '{"format_version": 2}')),
+        "this build reads only format_version 3, not 2",
+    ),
+    "ClipTooShort": (
+        3,
+        lambda tmp: analysis_window(AudioClip(np.zeros(8), 8000)),
+        "clip holds 0.001 s, window needs 5.000 s",
+    ),
+    "ClockSkew": (
+        1,
+        lambda tmp: tick(initial_state(), float("nan"), FusionConfig()),
+        "timestamp nan is not finite",
+    ),
+    "ConflictingExamples": (
+        1,
+        lambda tmp: train_actions([ActionExample("a", "1"), ActionExample("a", "2")]),
+        "scene 'a' maps to both '1' and '2'",
+    ),
+    "DegenerateImage": (
+        3,
+        lambda tmp: dominant_colors(synth_scene_image([((9, 9, 9), 1.0)], 2, 2), 2),
+        "fewer than 2 distinct colors to separate",
+    ),
+    "DimensionMismatch": (
+        1,
+        lambda tmp: fit([(0.0, 0.0), (1.0, 1.0, 1.0)], KMeansParams(k=1)),
+        "points must form one (n, d) matrix",
+    ),
+    "EmptyData": (3, lambda tmp: decode_wav(wav_bytes([])), "data chunk holds no samples"),
+    "EmptyTrainingSet": (1, lambda tmp: train_classifier([]), "training set holds no examples"),
+    "IoError": (3, lambda tmp: read_bytes(tmp / "absent.wav"), "cannot read "),
+    "MalformedRiff": (3, lambda tmp: decode_wav(b""), "too short for a RIFF header"),
+    "ModalityMismatch": (
+        1,
+        lambda tmp: on_acoustic(
+            initial_state(), ScenePrediction("a", 90.0, VISUAL, 0.0), FusionConfig()
+        ),
+        "on_acoustic got a visual prediction",
+    ),
+    "SchemaError": (
+        3,
+        lambda tmp: load_bundle(_written(tmp, "[]")),
+        "bundle document must be a JSON object",
+    ),
+    "TooFewPoints": (
+        1,
+        lambda tmp: fit([(0.0, 0.0)], KMeansParams(k=2)),
+        "1 points cannot fill 2 clusters",
+    ),
+    "TruncatedPixelData": (3, lambda tmp: decode_ppm(b"P6 1 1 255 "), "expected 3 pixel bytes"),
+    "UnsupportedFormat": (
+        3,
+        lambda tmp: decode_wav(wav_bytes([1], bits_per_sample=8)),
+        "only 16-bit samples are supported, got 8",
+    ),
+    "UnsupportedMaxval": (3, lambda tmp: decode_ppm(b"P6 1 1 254 "), "maxval must be 255"),
+    "ZeroK": (1, lambda tmp: KMeansParams(k=0), "k must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_main_returns_the_family_exit_code(refusal, tmp_path, monkeypatch, capsys):
+    code, refuse, message = REFUSALS[refusal]
+    monkeypatch.setattr(cli, "cmd_action_predict", lambda args: refuse(tmp_path))
+    assert main(["action", "predict", "coffee", "--bundle", "b.json"]) == code
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_main_lets_a_builtin_value_error_through(monkeypatch, capsys):
@@ -448,8 +544,6 @@ def test_every_raise_in_the_package_is_a_scenefuse_error():
             if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
                 continue
             func = node.exc.func if isinstance(node.exc, ast.Call) else None
-            if isinstance(func, ast.Call) and ast.unparse(func) == "type(exc)":
-                continue  # the class of what was caught, with a longer message
             cls = getattr(errors, func.id, None) if isinstance(func, ast.Name) else None
             if not (isinstance(cls, type) and issubclass(cls, SceneFuseError)):
                 strays.append(f"{module.name}:{node.lineno}")
@@ -753,6 +847,13 @@ def test_action_train_malformed_pairs_exit_three(tmp_path, capsys, text):
     assert rc == 3
     assert err.startswith(f"error: {pairs} line 2: ")
     assert not (tmp_path / "x.json").exists()
+
+
+def test_fuse_malformed_script_exits_three_naming_the_file(matrix_workspace, tmp_path, capsys):
+    script = tmp_path / "bad.tsv"
+    script.write_text("x\taudio\ta.wav\n", encoding="utf-8")
+    assert main(["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(script)]) == 3
+    assert capsys.readouterr().err == f"error: {script} line 1: bad timestamp 'x'\n"
 
 
 def test_action_repl_via_stdin(tmp_path, capsys, monkeypatch):

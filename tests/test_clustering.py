@@ -15,7 +15,7 @@ from scenefuse.clustering import (
     fit,
     predict,
 )
-from scenefuse.errors import DimensionMismatch, TooFewPoints, ZeroK
+from scenefuse.errors import UsageError
 
 
 def test_single_cluster_lands_on_the_mean():
@@ -197,17 +197,17 @@ def test_predict_distance_is_the_square_root_of_assigns_entry():
 
 
 def test_fit_input_validation():
-    with pytest.raises(ZeroK):
+    with pytest.raises(UsageError, match="k must be at least 1, got 0"):
         KMeansParams(k=0)
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(UsageError, match="1 points cannot fill 2 clusters"):
         fit([(0.0, 0.0)], KMeansParams(k=2))
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(UsageError, match="no points at all"):
         fit([], KMeansParams(k=1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UsageError, match=r"points must form one \(n, d\) matrix: "):  # ragged
         fit([(0.0, 0.0), (1.0, 1.0, 1.0)], KMeansParams(k=1))
-    with pytest.raises(DimensionMismatch):  # one flat vector, not a list of points
+    with pytest.raises(UsageError, match=r"not shape \(3,\)"):  # one flat vector, not points
         fit([0.0, 1.0, 2.0], KMeansParams(k=1))
-    with pytest.raises(DimensionMismatch):  # points that are matrices
+    with pytest.raises(UsageError, match=r"not shape \(3, 2, 2\)"):  # points that are matrices
         fit(np.zeros((3, 2, 2)), KMeansParams(k=1))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):  # NaN would become a centroid and the inertia
@@ -218,7 +218,7 @@ def test_fit_input_validation():
 
 def test_predict_validates_dimensions():
     model, _, _ = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UsageError, match="point has 3 dims, model expects 2"):
         predict(model, (0.0, 0.0, 0.0))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from scenefuse.action_learning import ActionExample, ActionNet, train_actions
 from scenefuse.audio_pipeline import AudioClip
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansModel, KMeansParams
-from scenefuse.errors import BadVersion, IoError, SchemaError
+from scenefuse.errors import InputError
 from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
 from scenefuse.fusion import FusionConfig, FusionState
 from scenefuse.persistence import (
@@ -121,7 +121,7 @@ def test_unknown_version_is_refused(tmp_path, capsys):
     for version in (1, 2, 4):  # versions 1 and 2 are older layouts this build no longer reads
         raw["format_version"] = version
         path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(BadVersion):
+        with pytest.raises(InputError, match="reads only format_version 3"):
             load_bundle(path)
         assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
         err = capsys.readouterr().err
@@ -177,17 +177,17 @@ def _centroid_width(slot, width):
 
 
 def test_missing_file_raises_io_error(tmp_path):
-    with pytest.raises(IoError):
+    with pytest.raises(InputError, match="cannot read bundle .*nope.json"):
         load_bundle(tmp_path / "nope.json")
 
 
 def test_a_path_with_a_nul_byte_raises_io_error(tmp_path):
     path = str(tmp_path / "bun\x00dle.json")
-    with pytest.raises(IoError):
+    with pytest.raises(InputError, match="cannot read bundle .*embedded null byte"):
         load_bundle(path)
-    with pytest.raises(IoError):
+    with pytest.raises(InputError, match="cannot read event script .*embedded null byte"):
         load_event_script(path)
-    with pytest.raises(IoError):
+    with pytest.raises(InputError, match="cannot write bundle .*embedded null byte"):
         save_bundle(ModelBundle(), path)
 
 
@@ -225,7 +225,7 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         lambda file, mode, **kwargs: _FullDisk(open(file, mode, **kwargs)),
         raising=False,
     )
-    with pytest.raises(IoError, match="No space left"):
+    with pytest.raises(InputError, match="cannot write bundle .*No space left"):
         save_bundle(replace(_full_bundle(), action=None), path)
     monkeypatch.undo()
 
@@ -278,7 +278,7 @@ def test_structural_damage_raises_schema_error(tmp_path, mutate):
     raw = json.loads(path.read_text(encoding="utf-8"))
     mutate(raw)
     path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="^bundle"):  # each check names the bundle or a field
         load_bundle(path)
 
 
@@ -333,10 +333,10 @@ def test_truncated_json_raises_schema_error(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     path.write_bytes(path.read_bytes()[:-10])
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="is not valid JSON"):
         load_bundle(path)
     path.write_bytes(b"[" * 100000)  # nested deeper than the JSON parser recurses
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="is not valid JSON"):
         load_bundle(path)
 
 
@@ -346,7 +346,7 @@ def test_centroid_shape_is_checked(tmp_path):
     raw = json.loads(path.read_text(encoding="utf-8"))
     raw["acoustic"]["model"]["centroids"] = [[1.0, 2.0]]  # one row for a k=2 model
     path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="cluster_names must name each centroid row"):
         load_bundle(path)
 
 
@@ -393,15 +393,14 @@ def test_format_and_parse_are_inverse():
     ],
 )
 def test_malformed_script_lines_raise(line):
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="^line [0-9]+: "):
         parse_event_script(line)
 
 
 def test_script_timestamps_must_not_decrease():
     text = "5.0\taudio\ta.wav\n4.0\timage\tb.ppm"
-    with pytest.raises(SchemaError) as excinfo:
+    with pytest.raises(InputError, match="^line 2: timestamp 4.0 decreases$"):
         parse_event_script(text)
-    assert "line 2" in str(excinfo.value)
 
 
 def test_load_event_script_reads_files(tmp_path):
@@ -409,5 +408,5 @@ def test_load_event_script_reads_files(tmp_path):
     path.write_text("1.5\taudio\tx.wav\n", encoding="utf-8")
     script = load_event_script(path)
     assert script.events == (ScriptEvent(at=1.5, kind="audio", path="x.wav"),)
-    with pytest.raises(IoError):
+    with pytest.raises(InputError, match="cannot read event script .*missing.tsv"):
         load_event_script(tmp_path / "missing.tsv")

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ppm_bytes
-from scenefuse.errors import (
-    BadHeader,
-    BadMagic,
-    BadSpec,
-    DegenerateImage,
-    TruncatedPixelData,
-    UnsupportedMaxval,
-)
+from scenefuse.errors import InputError, UsageError
 from scenefuse.features import VISUAL
 from scenefuse.vision_pipeline import (
     ColorPalette,
@@ -52,24 +45,26 @@ def test_decode_round_trips_exactly():
 
 
 @pytest.mark.parametrize(
-    "blob, expected",
+    "blob, refusal",
     [
-        (ppm_bytes(1, 1, [RED], magic=b"P5"), BadMagic),
-        (ppm_bytes(1, 1, [RED], magic=b"P7"), BadMagic),
-        (ppm_bytes(1, 1, [RED], maxval=254), UnsupportedMaxval),
-        (ppm_bytes(1, 1, [RED], maxval=65535), UnsupportedMaxval),
-        (ppm_bytes(2, 2, [RED, BLUE, RED]), TruncatedPixelData),
-        (ppm_bytes(1, 1, [RED], pad_payload=b"\x00"), TruncatedPixelData),
-        (ppm_bytes(0, 1, [RED]), BadHeader),
-        (b"P6\n-2 1\n255\n" + bytes(RED) * 2, BadHeader),
-        (b"P6\n+2 1\n255\n" + bytes(RED) * 2, BadHeader),
-        (b"P6\ntwo 1\n255\n" + bytes(RED) * 2, BadHeader),
-        (b"P6\n2 1\n255", BadHeader),
-        (b"P6 2", BadHeader),  # the header ends before the height
+        (ppm_bytes(1, 1, [RED], magic=b"P5"), ("BadMagic", "not a binary P6 image")),
+        (ppm_bytes(1, 1, [RED], magic=b"P7"), ("BadMagic", "not a binary P6 image")),
+        (ppm_bytes(1, 1, [RED], maxval=254), ("UnsupportedMaxval", "maxval must be 255, got 254")),
+        (ppm_bytes(1, 1, [RED], maxval=65535), ("UnsupportedMaxval", "got 65535")),
+        (ppm_bytes(2, 2, [RED, BLUE, RED]), ("TruncatedPixelData", "expected 12 pixel bytes, found 9")),
+        (ppm_bytes(1, 1, [RED], pad_payload=b"\x00"), ("TruncatedPixelData", "found 4")),
+        (ppm_bytes(0, 1, [RED]), ("BadHeader", "dimensions 0x1 are not positive")),
+        (b"P6\n-2 1\n255\n" + bytes(RED) * 2, ("BadHeader", "width field b'-2' is not a plain")),
+        (b"P6\n+2 1\n255\n" + bytes(RED) * 2, ("BadHeader", r"width field b'\+2' is not a plain")),
+        (b"P6\ntwo 1\n255\n" + bytes(RED) * 2, ("BadHeader", "width field b'two' is not a plain")),
+        (b"P6\n2 1\n255", ("BadHeader", "maxval must be followed by a single whitespace byte")),
+        (b"P6 2", ("BadHeader", "header ended early")),  # the header ends before the height
     ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,  # a case by its check
 )
-def test_decode_rejects_broken_containers(blob, expected):
-    with pytest.raises(expected):
+def test_decode_rejects_broken_containers(blob, refusal):
+    _, message = refusal
+    with pytest.raises(InputError, match=message):
         decode_ppm(blob)
 
 
@@ -78,20 +73,19 @@ def test_every_single_byte_header_mutation_is_rejected():
 
     The pixel payload is pure 0x00/0xFF, so no mutation can quietly turn
     pixel bytes into plausible header tokens — every flip must raise one of
-    the container errors, never return an Image and never escape with an
-    unrelated exception.
+    InputError, never return an Image and never escape with an unrelated
+    exception.
     """
     blob = ppm_bytes(2, 1, [RED, BLUE])  # header b"P6\n2 1\n255\n"
     header_len = blob.index(b"255\n") + 4
     field_positions = [i for i in range(3, header_len) if blob[i : i + 1].isdigit()]
     assert len(field_positions) == 5  # "2", "1", "2", "5", "5"
-    ppm_errors = (BadMagic, BadHeader, UnsupportedMaxval, TruncatedPixelData)
     for pos in field_positions:
         for replacement in range(256):
             if replacement == blob[pos]:
                 continue
             mutated = blob[:pos] + bytes([replacement]) + blob[pos + 1 :]
-            with pytest.raises(ppm_errors):
+            with pytest.raises(InputError):
                 decode_ppm(mutated)
 
 
@@ -145,7 +139,7 @@ def test_subsampling_strides_the_full_frame():
     pixels = np.zeros((20000, 3), dtype=np.uint8)
     pixels[1::2] = RED
     image = Image(width=200, height=100, pixels=pixels)
-    with pytest.raises(DegenerateImage):
+    with pytest.raises(InputError, match="fewer than 2 distinct colors"):
         dominant_colors(image, 2)
     # nudge one even slot to red and both colors are visible again
     pixels[2] = RED
@@ -155,7 +149,7 @@ def test_subsampling_strides_the_full_frame():
 
 def test_too_few_distinct_colors_raises():
     image = synth_scene_image([((9, 9, 9), 1.0)], 8, 8)
-    with pytest.raises(DegenerateImage):
+    with pytest.raises(InputError, match="fewer than 2 distinct colors to separate"):
         dominant_colors(image, 2)
 
 
@@ -215,8 +209,15 @@ def test_synth_pixel_counts_match_fractions_within_one():
         ([((0, 0, 0), -0.2), ((1, 1, 1), 1.2)], 4, 4),    # negative fraction
         ([((0, 0, 0), 1.0)], 0, 4),
         ([((0, 0, 0), float("nan")), ((1, 1, 1), 1.0)], 4, 4),  # NaN passes the sum check
+        ([((0, 0, 0), 1.0)], -2, 3),  # unchecked, np.repeat would get a negative count
     ],
 )
 def test_synth_rejects_bad_specs(spec, width, height):
-    with pytest.raises(BadSpec):
+    with pytest.raises(UsageError):
         synth_scene_image(spec, width, height)
+
+
+def test_synth_names_a_spec_whose_fractions_do_not_sum_to_one():
+    for spec in ([], [((0, 0, 0), 0.5)], [((0, 0, 0), 0.7), ((1, 1, 1), 0.7)]):
+        with pytest.raises(UsageError, match="fractions must sum to 1"):
+            synth_scene_image(spec, 4, 4)
