@@ -1,19 +1,22 @@
 """Saving and loading trained state, plus the replay and pairs text formats.
 
-Bundles are UTF-8 JSON documents — a human-readable key/value tree with
-arrays of decimal numbers.  The schema is the fields of the dataclasses
-themselves: `ModelBundle` and everything it holds is written field by field
-under the field's own name, and read back by walking the same type hints.
-Floats are written with full repr precision, so a save/load round trip
-reproduces every number exactly and classification behavior is preserved
-bit for bit.  Only facts nothing else determines are stored: a
-classifier's cluster count and width are read off its centroid matrix, its
-final inertia off the end of `inertia_history`, and the net's hidden width
-off its weights.  Cluster names are a list indexed by label.
-`save_bundle` alone writes `format_version` 3, the one version
-`load_bundle` reads.  The reader ignores keys it does not know and converts
-no value, so a hand-edited value must already have the JSON type its field
-asks for; only matrix entries go through NumPy's float conversion.
+Bundles are UTF-8 JSON documents: a sorted, indented key/value tree in
+which every array is one node, `{"shape": [...], "base64": "..."}`, its
+entries the base64 of their little-endian float64 bytes.  The schema is the
+fields of the dataclasses themselves: `ModelBundle` and everything it holds
+is written field by field under the field's own name, and read back by
+walking the same type hints.  Arrays keep their bytes and every other float
+is written with full repr precision, so a save/load round trip reproduces
+every number exactly and classification behavior is preserved bit for bit.
+Only facts nothing else determines are stored: a classifier's cluster
+count and width are read off its centroid matrix, its final inertia off the
+end of `inertia_history`, and the net's hidden width off its weights.
+Cluster names are a list indexed by label.  `save_bundle` alone writes
+`format_version` 4, the one version `load_bundle` reads.  The reader
+ignores keys it does not know and converts no value, so a hand-edited value
+must already have the JSON type its field asks for; an array node must hold
+exactly 8 bytes per entry of its shape.  Whether those entries are finite,
+and whether the shapes fit together, is for the types that hold them.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
@@ -26,6 +29,7 @@ these formats and for the CLI's WAV and PPM inputs alike.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -42,7 +46,7 @@ from .features import MODALITIES
 from .fusion import FusionConfig
 from .scene_model import SceneClassifier
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 EVENT_KINDS = ("audio", "image")
 
@@ -95,12 +99,21 @@ def _read_text(path, what: str) -> str:
 
 # --- bundles ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _ArrayNode:
+    """The bundle form of an `np.ndarray` field: base64 of its little-endian float64 bytes."""
+
+    shape: tuple[int, ...]
+    base64: str
+
+
 def _encode(value):
     """The JSON form of a value: dataclasses become objects keyed by field name."""
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        data = np.ascontiguousarray(value, "<f8").tobytes()
+        return _encode(_ArrayNode(value.shape, base64.b64encode(data).decode("ascii")))
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
     return value
@@ -110,7 +123,8 @@ def _decode(hint, raw, where: str):
     """Build a value of type `hint` from its JSON form `raw`, found at `where`.
 
     Raises InputError on a missing key, a value of the wrong JSON type, a
-    non-finite number, or a value the type's own constructor refuses.
+    non-finite number, an array node whose bytes do not fit its shape, or a
+    value the type's own constructor refuses.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):  # `X | None`
@@ -130,11 +144,7 @@ def _decode(hint, raw, where: str):
         except UsageError as exc:
             raise InputError(f"{where}: {exc}") from exc
     if hint is np.ndarray:
-        try:
-            matrix = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{where} is not a numeric matrix: {exc}") from exc
-        return matrix
+        return _decode_array(_decode(_ArrayNode, raw, where), where)
     if origin is tuple:  # `tuple[X, ...]`
         if not isinstance(raw, list):
             raise InputError(f"{where} must be a list")
@@ -149,6 +159,23 @@ def _decode(hint, raw, where: str):
     if not isinstance(raw, hint) or (hint is int and isinstance(raw, bool)):
         raise InputError(f"{where} must be of type {hint.__name__}")
     return raw
+
+
+def _decode_array(node: _ArrayNode, where: str) -> np.ndarray:
+    """The writeable float64 array `node` holds; InputError if its bytes do not fit its shape."""
+    shape = list(node.shape)
+    if any(n < 0 for n in shape):
+        raise InputError(f"{where}.shape {shape} has a negative dimension")
+    try:
+        data = base64.b64decode(node.base64, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise InputError(f"{where}.base64 is not base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise InputError(f"{where} holds {len(data)} bytes, not 8 per entry of shape {shape}")
+    try:
+        return np.frombuffer(data, "<f8").reshape(shape).astype(np.float64)
+    except ValueError as exc:  # over 64 dimensions, or one too large beside a zero
+        raise InputError(f"{where}.shape {shape} is not one numpy can hold: {exc}") from exc
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -29,7 +29,7 @@ from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.features import VISUAL
 from scenefuse.fusion import FusionConfig, initial_state, on_acoustic, tick
-from scenefuse.persistence import load_bundle, read_bytes
+from scenefuse.persistence import load_bundle, load_event_script, read_bytes
 from scenefuse.scene_model import ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
@@ -391,6 +391,21 @@ def test_refused_synth_matrix_leaves_no_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot create ")
 
 
+def test_synth_matrix_with_one_trial_writes_one_trial_scripts(tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    argv = ["synth", "matrix", "--out-dir", str(out_dir), "--trials", "1", "--seconds", "0.01"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    scripts = sorted(out_dir.glob("script_*.tsv"))
+    assert len(scripts) == 4
+    for script in scripts:
+        events = load_event_script(script).events
+        assert [event.kind for event in events] == ["audio", "image", "image", "image"]
+        assert events[0].path.endswith("_1.wav")
+    clips = sorted(path.name for path in out_dir.glob("test_*.wav"))
+    assert clips == ["test_coffee_1.wav", "test_gym_1.wav"]
+
+
 # exit code of each error family
 FAMILY_EXIT_CODES = {InputError: 3, UsageError: 1, MissingClassifier: 2}
 
@@ -459,7 +474,7 @@ REFUSALS = {
     "BadVersion": (
         3,
         lambda tmp: load_bundle(_written(tmp, '{"format_version": 2}')),
-        "this build reads only format_version 3, not 2",
+        "this build reads only format_version 4, not 2",
     ),
     "ClipTooShort": (
         3,

@@ -229,17 +229,17 @@ def test_decision_resets_the_machine_for_the_next_round():
 
 
 def test_minimum_combined_confidence_gate():
-    config = FusionConfig(min_combined_confidence=95.0)
-    _, decisions = run(
-        [
-            ("acoustic", "a", 90.0, 0.0),
-            ("photo", "a", 88.0, 1.0),
-            ("photo", "a", 88.0, 2.0),
-            ("photo", "a", 88.0, 3.0),
-        ],
-        config,
-    )
+    events = [
+        ("acoustic", "a", 90.0, 0.0),
+        ("photo", "a", 88.0, 1.0),
+        ("photo", "a", 88.0, 2.0),
+        ("photo", "a", 88.0, 3.0),
+    ]
+    _, decisions = run(events, FusionConfig(min_combined_confidence=95.0))
     assert decisions[-1].kind == NO_SCENE  # combined 89 < 95
+    # a combined confidence exactly at the gate passes it
+    _, decisions = run(events, FusionConfig(min_combined_confidence=89.0))
+    assert decisions[-1] == SceneDecision(kind=IDENTIFIED, scene="a", combined_confidence=89.0)
 
 
 def test_photos_required_is_configurable():

@@ -13,7 +13,7 @@ from scenefuse.features import MODALITIES, FeatureVector
 from scenefuse.persistence import load_bundle, load_event_script, load_pairs, save_bundle
 from scenefuse.scene_model import classify
 from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
-from test_persistence import _full_bundle
+from test_persistence import _edit_array, _full_bundle
 
 FUZZ = settings(
     max_examples=150,
@@ -64,7 +64,7 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@pytest.fixture(scope="module", params=["v3"])  # one id per format version this build reads
+@pytest.fixture(scope="module", params=["v4"])  # one id per format version this build reads
 def document(tmp_path_factory):
     """A valid bundle document, as this build saves it."""
     path = tmp_path_factory.mktemp("fuzz") / "valid.json"
@@ -120,9 +120,12 @@ def test_reshaped_classifier_loads_usable_or_raises_scenefuse_error(
     document, tmp_path, slot, width, label, name
 ):
     raw = json.loads(json.dumps(document))
-    model, names = raw[slot]["model"], raw[slot]["cluster_names"]
-    model["centroids"] = [(row + [0.0] * width)[:width] for row in model["centroids"]]
-    names[label] = name
+
+    def resized(centroids):  # cut to `width` entries a row, or padded with zeros
+        return np.pad(centroids, ((0, 0), (0, width)))[:, :width]
+
+    _edit_array(raw[slot]["model"], "centroids", resized)
+    raw[slot]["cluster_names"][label] = name
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     _usable_or_refused(path)

@@ -1,7 +1,9 @@
 """Bundle serialization and event-script parsing."""
 
+import base64
 import errno
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -58,22 +60,54 @@ def _full_bundle():
     )
 
 
+def _array(node) -> np.ndarray:
+    """The array a bundle's array node holds, as a writeable copy."""
+    data = base64.b64decode(node["base64"])
+    return np.frombuffer(data, "<f8").reshape(node["shape"]).copy()
+
+
+def _node(array) -> dict:
+    """The array node a bundle holds for `array`: its shape and its little-endian float64 bytes."""
+    data = np.asarray(array, "<f8").tobytes()
+    return {"shape": list(np.shape(array)), "base64": base64.b64encode(data).decode("ascii")}
+
+
+def _edit_array(holder, key, edit):
+    """Replace the array node `holder[key]` with the node of `edit` of its array."""
+    holder[key] = _node(edit(_array(holder[key])))
+
+
+def _set_entry(holder, key, index, value):
+    """Set entry `index` of the array in the node `holder[key]` to `value`."""
+
+    def edit(array):
+        array[index] = value
+        return array
+
+    _edit_array(holder, key, edit)
+
+
 def test_round_trip_preserves_every_float_exactly(tmp_path):
     bundle = _full_bundle()
     path = tmp_path / "bundle.json"
     save_bundle(bundle, path)
     again = load_bundle(path)
 
-    assert np.array_equal(again.acoustic.model.centroids, bundle.acoustic.model.centroids)
+    def arrays(b):
+        return [
+            b.acoustic.model.centroids, b.visual.model.centroids, b.action.weights_ih, b.action.weights_ho
+        ]
+
+    for got, saved in zip(arrays(again), arrays(bundle)):
+        assert got.shape == saved.shape
+        assert got.tobytes() == saved.tobytes()
+        assert got.dtype == np.float64 and got.flags.writeable
     assert again.acoustic.model.inertia == bundle.acoustic.model.inertia
     assert again.acoustic.model.inertia_history == bundle.acoustic.model.inertia_history
     assert (again.acoustic.seed, again.acoustic.scale) == (0, 123.456)
     assert (again.visual.seed, again.visual.scale) == (1, 123.456)
     assert again.acoustic.cluster_names == bundle.acoustic.cluster_names
     assert again.acoustic.warnings == bundle.acoustic.warnings
-    assert np.array_equal(again.visual.model.centroids, bundle.visual.model.centroids)
-    assert np.array_equal(again.action.weights_ih, bundle.action.weights_ih)
-    assert np.array_equal(again.action.weights_ho, bundle.action.weights_ho)
     assert again.action.scene_vocab == bundle.action.scene_vocab
     assert again.action.action_vocab == bundle.action.action_vocab
     assert again.fusion_config == bundle.fusion_config
@@ -87,8 +121,10 @@ def test_saved_file_is_stable_json(tmp_path):
     save_bundle(bundle, second)
     assert first.read_bytes() == second.read_bytes()
     raw = json.loads(first.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 3
+    assert raw["format_version"] == 4
     assert set(raw) == {"format_version", "acoustic", "visual", "action", "fusion_config"}
+    centroids = raw["acoustic"]["model"]["centroids"]
+    assert _node(bundle.acoustic.model.centroids) == centroids
 
 
 def test_classification_is_identical_after_reload(tmp_path):
@@ -118,14 +154,14 @@ def test_unknown_version_is_refused(tmp_path, capsys):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    for version in (1, 2, 4):  # versions 1 and 2 are older layouts this build no longer reads
+    for version in (1, 2, 3, 5):  # versions 1 to 3 are older layouts this build no longer reads
         raw["format_version"] = version
         path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(InputError, match="reads only format_version 3"):
+        with pytest.raises(InputError, match="reads only format_version 4"):
             load_bundle(path)
         assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
         err = capsys.readouterr().err
-        assert err == f"error: this build reads only format_version 3, not {version}\n"
+        assert err == f"error: this build reads only format_version 4, not {version}\n"
 
 
 def _with_unknown_keys(node):
@@ -170,8 +206,7 @@ def _centroid_width(slot, width):
     """Cut every centroid row of the `slot` classifier to its first `width` entries."""
 
     def mutate(raw):
-        model = raw[slot]["model"]
-        model["centroids"] = [row[:width] for row in model["centroids"]]
+        _edit_array(raw[slot]["model"], "centroids", lambda centroids: centroids[:, :width])
 
     return mutate
 
@@ -243,20 +278,20 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         lambda raw: raw.__setitem__("acoustic", {"modality": "acoustic"}),
         # values the model itself refuses, or that would classify as nonsense
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, -1.0),
-        lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, float("nan")),
+        lambda raw: _set_entry(raw["acoustic"]["model"], "centroids", (0, 0), np.nan),
         lambda raw: raw["acoustic"]["model"]["inertia_history"].append(float("inf")),
         lambda raw: raw["fusion_config"].__setitem__("photo_window_s", float("nan")),
-        # integers too large for a float
+        # integers too large for a float, and a dimension too large for the bytes
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, 10**400),
-        lambda raw: raw["acoustic"]["model"]["centroids"][0].__setitem__(0, 10**400),
+        lambda raw: raw["acoustic"]["model"]["centroids"]["shape"].__setitem__(0, 10**400),
         # values of the wrong JSON type are refused, never converted
         lambda raw: raw["acoustic"].__setitem__("seed", True),
         lambda raw: raw["acoustic"]["warnings"].append(7),
         lambda raw: raw["action"]["scene_vocab"].__setitem__(0, 7),
         lambda raw: raw["acoustic"].__setitem__("cluster_names", {"0": "near", "1": "far"}),
         # checks that span fields, and a value the constructor refuses
-        lambda raw: raw["action"].__setitem__("weights_ih", [[0.5]]),
-        lambda raw: raw["action"]["weights_ho"].pop(),
+        lambda raw: raw["action"].__setitem__("weights_ih", _node([[0.5]])),
+        lambda raw: _edit_array(raw["action"], "weights_ho", lambda weights: weights[:-1]),
         lambda raw: raw["acoustic"]["cluster_names"].append("near"),
         lambda raw: raw["action"].pop("weights_ho"),
         lambda raw: raw["visual"].__setitem__("scale", 0.0),
@@ -280,6 +315,101 @@ def test_structural_damage_raises_schema_error(tmp_path, mutate):
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(InputError, match="^bundle"):  # each check names the bundle or a field
         load_bundle(path)
+
+
+def _centroids(edit):
+    """A damage that applies `edit` to the acoustic centroid node."""
+    return lambda raw: edit(raw["acoustic"]["model"]["centroids"])
+
+
+_CENTROIDS = "bundle.acoustic.model.centroids"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(
+            lambda raw: raw["acoustic"]["model"].__setitem__("centroids", [[0.0] * 4] * 2),
+            f"{_CENTROIDS} must be an object",
+            id="format-3-list",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.pop("shape")),
+            f"{_CENTROIDS} is missing 'shape'",
+            id="no-shape",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.pop("base64")),
+            f"{_CENTROIDS} is missing 'base64'",
+            id="no-base64",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.__setitem__("base64", "*" + node["base64"][1:])),
+            f"{_CENTROIDS}.base64 is not base64: ",  # the detail differs between Pythons
+            id="bad-base64-character",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.__setitem__("base64", node["base64"][:-1])),
+            f"{_CENTROIDS}.base64 is not base64: ",
+            id="bad-base64-padding",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.__setitem__("base64", "\xe9" * 88)),
+            f"{_CENTROIDS}.base64 is not base64: string argument should contain only ASCII",
+            id="non-ascii-base64",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.__setitem__("base64", _node(np.zeros(7))["base64"])),
+            rf"{_CENTROIDS} holds 56 bytes, not 8 per entry of shape \[2, 4\]",
+            id="one-entry-short",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.__setitem__("base64", "A" * 80)),  # 60 zero bytes
+            rf"{_CENTROIDS} holds 60 bytes, not 8 per entry of shape \[2, 4\]",
+            id="not-whole-entries",
+        ),
+        pytest.param(  # the product matches the bytes, so only the sign is wrong
+            _centroids(lambda node: node.__setitem__("shape", [-2, -4])),
+            rf"{_CENTROIDS}.shape \[-2, -4\] has a negative dimension",
+            id="negative-dimension",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.update(shape=[0, 2**63], base64="")),
+            rf"{_CENTROIDS}.shape \[0, 9223372036854775808\] is not one numpy can hold",
+            id="no-entries-dimension-too-large",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.update(shape=[1] * 65, base64=_node([0.0])["base64"])),
+            rf"{_CENTROIDS}.shape \[1, 1, .*\] is not one numpy can hold",
+            id="too-many-dimensions",
+        ),
+        pytest.param(
+            lambda raw: _set_entry(raw["acoustic"]["model"], "centroids", (1, 3), np.nan),
+            "bundle.acoustic.model: centroids must be finite",
+            id="nan-bytes",
+        ),
+        pytest.param(
+            lambda raw: _set_entry(raw["visual"]["model"], "centroids", (0, 5), -np.inf),
+            "bundle.visual.model: centroids must be finite",
+            id="inf-bytes",
+        ),
+        pytest.param(
+            lambda raw: _set_entry(raw["action"], "weights_ho", (0, 0), np.inf),
+            "bundle.action: weights must be finite",
+            id="inf-weight-bytes",
+        ),
+    ],
+)
+def test_damaged_array_node_exits_three(tmp_path, capsys, mutate, message):
+    path = tmp_path / "bundle.json"
+    save_bundle(_full_bundle(), path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    mutate(raw)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{message}"):
+        load_bundle(path)
+    assert main(["predict", "--modality", "acoustic", "--bundle", str(path), "x.wav"]) == 3
+    assert re.match(f"error: {message}", capsys.readouterr().err)
 
 
 def test_reload_and_save_writes_the_same_bytes(tmp_path):
@@ -344,7 +474,7 @@ def test_centroid_shape_is_checked(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(acoustic=_classifier()), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["acoustic"]["model"]["centroids"] = [[1.0, 2.0]]  # one row for a k=2 model
+    raw["acoustic"]["model"]["centroids"] = _node([[1.0, 2.0]])  # one row for a k=2 model
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(InputError, match="cluster_names must name each centroid row"):
         load_bundle(path)

@@ -137,6 +137,13 @@ def test_classify_validates_modality_and_dimension():
 
 
 def test_prediction_value_bounds():
+    # both ends of the range are predictions: an exact match and a query far from every centroid
+    classifier = train_classifier(_two_scene_set())
+    assert classify(classifier, _vec([0.0] * 4), now=0.0).confidence == 100.0
+    assert classify(classifier, _vec([1e9] * 4), now=0.0).confidence == 0.0
+    for value in (0.0, 100.0):
+        prediction = ScenePrediction(scene="x", confidence=value, modality=ACOUSTIC, at=0.0)
+        assert prediction.confidence == value
     with pytest.raises(ValueError):
         ScenePrediction(scene="x", confidence=101.0, modality=ACOUSTIC, at=0.0)
     with pytest.raises(ValueError):

@@ -151,6 +151,12 @@ def test_too_few_distinct_colors_raises():
     image = synth_scene_image([((9, 9, 9), 1.0)], 8, 8)
     with pytest.raises(InputError, match="fewer than 2 distinct colors to separate"):
         dominant_colors(image, 2)
+    # colours that differ in one channel each, and in the high bits only, count apart
+    pixels = np.array([(128, 0, 0), (0, 128, 0), (0, 0, 128), (0, 0, 0)] * 4, dtype=np.uint8)
+    image = Image(width=4, height=4, pixels=pixels)
+    assert len(dominant_colors(image, 4).entries) == 4
+    with pytest.raises(InputError, match="fewer than 5 distinct colors to separate"):
+        dominant_colors(image, 5)
 
 
 def test_palette_validation():
