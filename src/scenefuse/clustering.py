@@ -10,11 +10,17 @@ the model, and its sum of squares is the model's inertia.
 
 Columns on which every point agrees add exactly 0 to every distance, so
 `fit` finds them once per fit and clusters a contiguous copy of the
-others; an acoustic vector's frequency half is such a block.  Every
-squared distance goes through `_sq_distances`, which fills its (n, k)
-result one centroid at a time, so a pass needs O(n·d_varying) scratch
-memory rather than an (n, k, d) temporary.  Points and query vectors must
-be finite: NaN or inf is refused with UsageError at the boundary.
+others; an acoustic vector's frequency half is such a block.  That copy
+lays the points along its longer axis, so NumPy's inner loops run long:
+as columns of a (d, n) array when fewer columns vary than there are
+points (a photo's thousands of pixel triples), as rows of an (n, d) array
+otherwise.  The private helpers take that point axis and share one
+distance kernel, which subtracts one centroid at a time, squares in place
+and reduces over the dimension axis into row j of a (k, n) result, so a
+pass needs O(n·(d_varying + k)) scratch memory rather than an (n, k, d)
+temporary.  Labels come from k − 1 `<` comparisons down those rows.
+Points and query vectors must be finite: NaN or inf is refused with
+UsageError at the boundary.
 """
 
 from __future__ import annotations
@@ -100,38 +106,55 @@ def _as_matrix(points) -> np.ndarray:
     return matrix
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every point to every centroid.
+def _sq_distances(points: np.ndarray, axis: int, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every centroid to every point, as (k, n).
 
-    `points` is (n, d), `centroids` is (k, d), the result is (n, k).  One
-    centroid column at a time, so the scratch is a single (n, d) difference.
+    `points` holds one point per index of `axis`: (n, d) rows for 0, (d, n)
+    columns for 1.  `centroids` is (k, d).  One centroid at a time, so the
+    scratch is a single difference the size of `points`; each sum is
+    `np.add.reduce` over the dimension axis.
     """
-    sq = np.empty((points.shape[0], centroids.shape[0]), dtype=np.float64)
+    sq = np.empty((centroids.shape[0], points.shape[axis]), dtype=np.float64)
     diff = np.empty(points.shape, dtype=np.float64)
-    for j, centroid in enumerate(centroids):
+    for j, centroid in enumerate(np.expand_dims(centroids, axis + 1)):
         np.subtract(points, centroid, out=diff)
-        sq[:, j] = np.einsum("nd,nd->n", diff, diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1 - axis, out=sq[j])
     return sq
+
+
+def _nearest(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, own squared distance) per point of the (k, n) `sq`, ties to the lowest index."""
+    labels = np.zeros(sq.shape[1], dtype=np.intp)
+    own = sq[0].copy()
+    for j in range(1, sq.shape[0]):
+        closer = sq[j] < own
+        labels[closer] = j
+        np.minimum(own, sq[j], out=own)
+    return labels, own
 
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label each point with its nearest centroid, ties to the lowest index.
 
-    `points` is (n, d) and `centroids` is (k, d).  Returns the (n,) labels
-    and the (n, k) squared distances they were chosen from.  A centroid may
-    own no point.
+    `points` is (n, d), taken as rows, and `centroids` is (k, d).  Each
+    squared distance sums its row of squared differences with
+    `np.add.reduce`, in NumPy's pairwise order (left to right below eight
+    columns).  Returns the (n,) labels and the (n, k) squared distances they
+    were chosen from, a transposed view of a (k, n) array.  A centroid may
+    own no point.  Scratch memory is O(n·(d + k)).
     """
-    sq = _sq_distances(points, centroids)
-    return sq.argmin(axis=1), sq
+    sq = _sq_distances(points, 0, centroids)
+    return _nearest(sq)[0], sq.T
 
 
-def _init_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _init_pp(points: np.ndarray, axis: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++: each next centroid drawn proportional to squared distance."""
-    n = points.shape[0]
-    chosen = np.empty((k, points.shape[1]), dtype=np.float64)
+    n = points.shape[axis]
+    chosen = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
     idx = int(rng.integers(n))
-    chosen[0] = points[idx]
-    closest_sq = _sq_distances(points, chosen[0:1])[:, 0]
+    chosen[0] = np.take(points, idx, axis)
+    closest_sq = _sq_distances(points, axis, chosen[0:1])[0]
     for j in range(1, k):
         total = float(closest_sq.sum())
         if total > 0.0:
@@ -141,13 +164,14 @@ def _init_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
             idx = min(idx, n - 1)
         else:
             idx = int(rng.integers(n))
-        chosen[j] = points[idx]
-        closest_sq = np.minimum(closest_sq, _sq_distances(points, chosen[j : j + 1])[:, 0])
+        chosen[j] = np.take(points, idx, axis)
+        closest_sq = np.minimum(closest_sq, _sq_distances(points, axis, chosen[j : j + 1])[0])
     return chosen
 
 
 def _repair_empties(
     points: np.ndarray,
+    axis: int,
     centroids: np.ndarray,
     labels: np.ndarray,
     own: np.ndarray,
@@ -168,28 +192,26 @@ def _repair_empties(
         counts[labels[victim]] -= 1
         labels[victim] = empty
         counts[empty] = 1
-        centroids[empty] = points[victim]
+        centroids[empty] = np.take(points, victim, axis)
         own[victim] = 0.0
 
 
 def _lloyd_run(
-    matrix: np.ndarray, params: KMeansParams, rng: np.random.Generator
+    points: np.ndarray, axis: int, params: KMeansParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
-    """One seeded run: (centroids, inertia history, closing labels, closing sq)."""
-    rows = np.arange(matrix.shape[0])
-    centroids = _init_pp(matrix, params.k, rng)
+    """One seeded run: (centroids, inertia history, closing labels, closing (k, n) sq)."""
+    centroids = _init_pp(points, axis, params.k, rng)
     history: list[float] = []
 
     for _ in range(_MAX_ITERS):
-        labels, sq = assign(matrix, centroids)
-        own = sq[rows, labels]
-        _repair_empties(matrix, centroids, labels, own)
+        labels, own = _nearest(_sq_distances(points, axis, centroids))
+        _repair_empties(points, axis, centroids, labels, own)
         history.append(float(own.sum()))
 
         # the repair left every cluster at least one member, as n >= k
         updated = np.empty_like(centroids)
         for c in range(params.k):
-            updated[c] = matrix[labels == c].mean(axis=0)
+            updated[c] = np.compress(labels == c, points, axis).mean(axis)
         shift = float(np.max(np.abs(updated - centroids), initial=0.0))  # none if no column varies
         centroids = updated
         if shift <= _TOL:
@@ -197,8 +219,9 @@ def _lloyd_run(
 
     # Lloyd's closing assignment against the final centroids: the partition
     # the run reports and scores, not repaired, so a cluster may own no point
-    labels, sq = assign(matrix, centroids)
-    history.append(float(sq[rows, labels].sum()))
+    sq = _sq_distances(points, axis, centroids)
+    labels, own = _nearest(sq)
+    history.append(float(own.sum()))
     return centroids, history, labels, sq
 
 
@@ -206,18 +229,21 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
     Returns `(model, labels, sq)`: the winning run's model and the closing
-    assignment it was scored on.  `model.inertia` is that partition's sum
-    of squared distances.
+    assignment it was scored on, with `sq` the (n, k) squared distances.
+    `model.inertia` is that partition's sum of squared distances.
 
     Columns equal across all points are dropped once, before the first
     run: every run clusters one contiguous copy of the varying columns
     (all of them when every column varies), and each dropped column's
-    centroid entry is the points' shared value.  So `sq` and every
-    inertia are sums over the varying columns.  They equal
-    `assign(points, model.centroids)` up to summation order, and bit for
-    bit when at most two columns vary.  When no column varies, every
-    centroid is the shared point itself and the inertia is 0.  Scratch
-    memory is O(n·d_varying) on top of that copy.
+    centroid entry is the points' shared value.  The copy holds the points
+    as columns, a (d_varying, n) array, when d_varying < n, and as rows
+    otherwise; every run keeps that layout.  So `sq` and every inertia are
+    sums over the varying columns: added left to right in the column
+    layout, in NumPy's pairwise order along each row in the row layout.
+    They equal `assign(points, model.centroids)` up to summation order,
+    and bit for bit when at most two columns vary.  When no column varies,
+    every centroid is the shared point itself and the inertia is 0.
+    Scratch memory is O(n·(d_varying + k)) on top of that copy.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -234,18 +260,20 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
         raise UsageError(f"{n} points cannot fill {params.k} clusters")
 
     # a column on which every point agrees adds exactly 0 to every distance:
-    # cluster one contiguous copy of the others, which may be none at all
+    # cluster one contiguous copy of the others, which may be none at all,
+    # with the points along the longer axis
     varying = (matrix != matrix[0]).any(axis=0)
-    work = np.compress(varying, matrix, axis=1)
+    axis = 1 if np.count_nonzero(varying) < n else 0
+    work = np.compress(varying, matrix.T if axis else matrix, axis=1 - axis)
 
     rng = np.random.default_rng(params.seed)
-    runs = (_lloyd_run(work, params, rng) for _ in range(_N_INIT))
+    runs = (_lloyd_run(work, axis, params, rng) for _ in range(_N_INIT))
     centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
 
     # the shared value is each constant column's exact mean
     full = np.repeat(matrix[:1], params.k, axis=0)
     full[:, varying] = centroids
-    return KMeansModel(centroids=full, inertia_history=tuple(history)), labels, sq
+    return KMeansModel(centroids=full, inertia_history=tuple(history)), labels, sq.T
 
 
 def predict(model: KMeansModel, point) -> tuple[int, float]:

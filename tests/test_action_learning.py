@@ -87,6 +87,8 @@ def test_empty_training_set_is_rejected():
         train_actions([ActionExample("a", "1")], iterations=0)
     with pytest.raises(ValueError):
         train_actions([ActionExample("a", "1")], iterations=10, hidden_size=0)
+    net, _ = train_actions([ActionExample("a", "1")], iterations=10, hidden_size=1)
+    assert net.weights_ih.shape == (1, 1)
     with pytest.raises(ValueError):
         ActionExample("", "1")
     for rate in (float("nan"), float("inf"), float("-inf")):

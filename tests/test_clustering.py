@@ -163,7 +163,7 @@ def test_assign_scratch_memory_stays_within_one_points_matrix():
         tracemalloc.stop()
     assert labels.shape == (64,) and sq.shape == (64, 16)
     # one (n, d) difference plus the results, never an (n, k, d) array; the
-    # 16 KiB cover array headers and einsum's (n,) column before it is copied
+    # 16 KiB cover array headers and the nearest distance and mask, (n,) each
     assert peak <= points.nbytes + sq.nbytes + labels.nbytes + 16_384
 
 

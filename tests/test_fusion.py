@@ -301,6 +301,8 @@ def test_config_validation():
         FusionConfig(photo_window_s=40.0)  # photo window beyond the main window
     with pytest.raises(ValueError):
         FusionConfig(acoustic_visual_window_s=0.0)
+    with pytest.raises(UsageError, match="windows must be finite and positive"):
+        FusionConfig(acoustic_visual_window_s=0.0, photo_window_s=0.0)
     with pytest.raises(ValueError):
         FusionConfig(photos_required=0)
     with pytest.raises(ValueError):

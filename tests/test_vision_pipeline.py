@@ -96,6 +96,8 @@ def test_image_validation():
         Image(width=1, height=1, pixels=np.array([[300, 0, 0]]))
     with pytest.raises(ValueError):
         Image(width=0, height=1, pixels=np.zeros((0, 3), dtype=np.uint8))
+    # integers at the top of the range are converted, not refused
+    assert Image(width=1, height=1, pixels=np.array([[255, 0, 0]])).pixels.tolist() == [[255, 0, 0]]
 
 
 # --- dominant colors -------------------------------------------------------
@@ -193,6 +195,9 @@ def test_synth_lays_out_contiguous_blocks():
     spec = [((1, 2, 3), 0.5), ((7, 8, 9), 0.5)]
     image = synth_scene_image(spec, 4, 2)
     assert image.pixels.tolist() == [[1, 2, 3]] * 4 + [[7, 8, 9]] * 4
+    # one pixel, a channel at 255 and a colour that gets no pixel are all accepted
+    image = synth_scene_image([((255, 0, 0), 1.0), ((0, 0, 255), 0.0)], 1, 1)
+    assert image.pixels.tolist() == [[255, 0, 0]]
 
 
 def test_synth_pixel_counts_match_fractions_within_one():
