@@ -4,9 +4,12 @@ One engine serves every caller: acoustic feature vectors, palette vectors,
 and raw pixel triples.  Everything is deterministic given the seed — the
 k-means++ draw, the lowest-index tie-break on assignment, and the repair
 rule that hands a cluster left empty inside the Lloyd loop the single
-worst-represented point.  Each run ends, as Lloyd's algorithm does, on a
-plain assignment to its final centroids; `fit` returns that partition with
-the model, and its sum of squares is the model's inertia.
+worst-represented point.  A run's first assignment uses the distance rows
+its k-means++ draws computed.  Each run ends, as Lloyd's algorithm does, on
+a plain assignment to its final centroids; when the last update moved no
+centroid and nothing was repaired, the last pass already is that
+assignment and is reused.  `fit` returns that partition with the model,
+and its sum of squares is the model's inertia.
 
 Columns on which every point agrees add exactly 0 to every distance, so
 `fit` finds them once per fit and clusters a contiguous copy of the
@@ -65,7 +68,7 @@ class KMeansModel:
     """Fitted centroids plus the objective trace that produced them.
 
     inertia_history holds the within-cluster sum of squared distances
-    measured after every assignment pass, final pass included; it never
+    measured after every assignment, the closing one included; it never
     increases.  The cluster count and the width `dim` are read off
     `centroids`, the final `inertia` off `inertia_history`; none is stored.
     """
@@ -148,13 +151,21 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     return _nearest(sq)[0], sq.T
 
 
-def _init_pp(points: np.ndarray, axis: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++: each next centroid drawn proportional to squared distance."""
+def _init_pp(
+    points: np.ndarray, axis: int, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++: each next centroid drawn proportional to squared distance.
+
+    Returns the (k, d) centroids and the (k, n) squared distances from each
+    to every point: row j is the one computed when centroid j was drawn.
+    """
     n = points.shape[axis]
     chosen = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
+    sq = np.empty((k, n), dtype=np.float64)
     idx = int(rng.integers(n))
     chosen[0] = np.take(points, idx, axis)
-    closest_sq = _sq_distances(points, axis, chosen[0:1])[0]
+    sq[0] = _sq_distances(points, axis, chosen[0:1])[0]
+    closest_sq = sq[0]
     for j in range(1, k):
         total = float(closest_sq.sum())
         if total > 0.0:
@@ -165,8 +176,9 @@ def _init_pp(points: np.ndarray, axis: int, k: int, rng: np.random.Generator) ->
         else:
             idx = int(rng.integers(n))
         chosen[j] = np.take(points, idx, axis)
-        closest_sq = np.minimum(closest_sq, _sq_distances(points, axis, chosen[j : j + 1])[0])
-    return chosen
+        sq[j] = _sq_distances(points, axis, chosen[j : j + 1])[0]
+        closest_sq = np.minimum(closest_sq, sq[j])
+    return chosen, sq
 
 
 def _repair_empties(
@@ -175,7 +187,7 @@ def _repair_empties(
     centroids: np.ndarray,
     labels: np.ndarray,
     own: np.ndarray,
-) -> None:
+) -> bool:
     """Give every empty cluster the point farthest from its current centroid.
 
     `own` holds each point's squared distance to its own centroid.  Empty
@@ -184,9 +196,11 @@ def _repair_empties(
     (ties broken by the lowest point index), so one exists while n >= k.
     `centroids`, `labels` and `own` are updated in place.  Inertia can only
     drop: the seized point becomes its cluster's centroid, at distance 0.
+    Returns whether any cluster was empty, so whether a point was seized.
     """
     counts = np.bincount(labels, minlength=centroids.shape[0])
-    for empty in np.flatnonzero(counts == 0):
+    empties = np.flatnonzero(counts == 0)
+    for empty in empties:
         candidates = np.flatnonzero(counts[labels] > 1)
         victim = int(candidates[np.argmax(own[candidates])])
         counts[labels[victim]] -= 1
@@ -194,18 +208,19 @@ def _repair_empties(
         counts[empty] = 1
         centroids[empty] = np.take(points, victim, axis)
         own[victim] = 0.0
+    return empties.size > 0
 
 
 def _lloyd_run(
     points: np.ndarray, axis: int, params: KMeansParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
     """One seeded run: (centroids, inertia history, closing labels, closing (k, n) sq)."""
-    centroids = _init_pp(points, axis, params.k, rng)
+    centroids, sq = _init_pp(points, axis, params.k, rng)
     history: list[float] = []
 
     for _ in range(_MAX_ITERS):
-        labels, own = _nearest(_sq_distances(points, axis, centroids))
-        _repair_empties(points, axis, centroids, labels, own)
+        labels, own = _nearest(sq)
+        repaired = _repair_empties(points, axis, centroids, labels, own)
         history.append(float(own.sum()))
 
         # the repair left every cluster at least one member, as n >= k
@@ -214,12 +229,17 @@ def _lloyd_run(
             updated[c] = np.compress(labels == c, points, axis).mean(axis)
         shift = float(np.max(np.abs(updated - centroids), initial=0.0))  # none if no column varies
         centroids = updated
+        if shift == 0.0 and not repaired:
+            # `sq` was measured against these very centroids, so this pass,
+            # left unrepaired, already is the closing assignment
+            history.append(history[-1])
+            return centroids, history, labels, sq
+        sq = _sq_distances(points, axis, centroids)
         if shift <= _TOL:
             break
 
     # Lloyd's closing assignment against the final centroids: the partition
     # the run reports and scores, not repaired, so a cluster may own no point
-    sq = _sq_distances(points, axis, centroids)
     labels, own = _nearest(sq)
     history.append(float(own.sum()))
     return centroids, history, labels, sq
@@ -243,7 +263,10 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     They equal `assign(points, model.centroids)` up to summation order,
     and bit for bit when at most two columns vary.  When no column varies,
     every centroid is the shared point itself and the inertia is 0.
-    Scratch memory is O(n·(d_varying + k)) on top of that copy.
+    Scratch memory is O(n·(d_varying + k)) on top of that copy.  The
+    distance work of a run is k single-centroid rows at the k-means++
+    draws, which the first assignment reuses, plus one (k, n) pass per
+    update that moved a centroid or followed a repair.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate

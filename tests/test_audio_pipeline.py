@@ -276,6 +276,12 @@ def test_synth_names_a_duration_that_rounds_to_zero_samples():
     # unchecked, the empty clip would be refused too, but as a clip without samples
     with pytest.raises(UsageError, match="duration rounds to zero samples"):
         synth_ambient([((100.0, 200.0), 1.0)], 0.0001, 8000, seed=0)
+    # one sample is enough, and so are one component, a zero gain, a
+    # zero-width band and a band that ends at Nyquist
+    edge = synth_ambient(
+        [((0.5, 0.5), 0.0), ((0.0, 1.0), 0.5)], seconds=0.5, rate=2, seed=0, components_per_band=1
+    )
+    assert edge.samples.shape == (1,) and edge.sample_rate_hz == 2
 
 
 def test_riff_fields_bound_the_rate_and_the_length():

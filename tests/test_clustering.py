@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_inertia, nearest_centroid_scan
@@ -68,6 +68,11 @@ def _crowded_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(points=_crowded_points(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+# two runs whose last pass measured other centroids, so it cannot close them:
+# an empty cluster seizes a point and then no centroid moves, and the last
+# update moves a centroid by no more than the convergence tolerance
+@example(points=np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.0, 0.0], [3.0, 0.0]]), k=3, seed=0)
+@example(points=np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]]) * 1e-9, k=2, seed=0)
 def test_fit_returns_the_partition_it_scored(points, k, seed):
     k = min(k, points.shape[0])
     model, labels, sq = fit(points, KMeansParams(k=k, seed=seed))
