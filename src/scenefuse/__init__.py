@@ -17,7 +17,6 @@ from .action_learning import (
 )
 from .audio_pipeline import (
     AudioClip,
-    Spectrum,
     acoustic_features,
     analysis_window,
     decode_wav,
@@ -63,9 +62,7 @@ from .scene_model import (
     train_classifier,
 )
 from .vision_pipeline import (
-    ColorPalette,
     Image,
-    PaletteEntry,
     decode_ppm,
     dominant_colors,
     encode_ppm,

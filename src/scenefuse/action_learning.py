@@ -73,37 +73,19 @@ def _forward(
     return hidden, _sigmoid(hidden @ weights_ho)
 
 
-def squared_error_loss(
-    weights_ih: np.ndarray,
-    weights_ho: np.ndarray,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-) -> float:
-    """Mean squared output error — the quantity gradient descent minimizes."""
-    _, outputs = _forward(weights_ih, weights_ho, inputs)
-    return float(np.mean((outputs - targets) ** 2))
-
-
 def loss_gradients(
     weights_ih: np.ndarray,
     weights_ho: np.ndarray,
     inputs: np.ndarray,
     targets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of squared_error_loss w.r.t. both weight matrices."""
+    """Analytic gradients of the mean squared output error w.r.t. both weight matrices."""
     hidden, outputs = _forward(weights_ih, weights_ho, inputs)
     d_out = 2.0 * (outputs - targets) / targets.size * outputs * (1.0 - outputs)
     grad_ho = hidden.T @ d_out
     d_hidden = (d_out @ weights_ho.T) * hidden * (1.0 - hidden)
     grad_ih = inputs.T @ d_hidden
     return grad_ih, grad_ho
-
-
-def mean_output_error(net: ActionNet, examples: Sequence[ActionExample]) -> float:
-    """Mean absolute output error of a net over a batch of examples."""
-    inputs, targets = _encode_batch(examples, net.scene_vocab, net.action_vocab)
-    _, outputs = _forward(net.weights_ih, net.weights_ho, inputs)
-    return float(np.mean(np.abs(outputs - targets)))
 
 
 def _first_appearance(values: Sequence[str]) -> tuple[str, ...]:

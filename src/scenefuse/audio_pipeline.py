@@ -56,31 +56,6 @@ class AudioClip:
         return self.samples.size / self.sample_rate_hz
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """One-sided magnitude spectrum: bin frequencies in Hz plus amplitudes."""
-
-    freqs_hz: np.ndarray
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        freqs = np.asarray(self.freqs_hz, dtype=np.float64)
-        amps = np.asarray(self.amps, dtype=np.float64)
-        object.__setattr__(self, "freqs_hz", freqs)
-        object.__setattr__(self, "amps", amps)
-        if freqs.ndim != 1 or freqs.size == 0 or freqs.shape != amps.shape:
-            raise UsageError("freqs and amps must be matching non-empty 1-D arrays")
-        if not (np.isfinite(freqs).all() and np.isfinite(amps).all()):
-            raise UsageError("frequencies and amplitudes must be finite")
-        if freqs[0] != 0.0 or np.any(np.diff(freqs) <= 0.0):
-            raise UsageError("frequencies must start at 0 and ascend strictly")
-        if np.any(amps < 0.0):
-            raise UsageError("amplitudes are magnitudes and cannot be negative")
-
-    def __len__(self) -> int:
-        return int(self.freqs_hz.size)
-
-
 def decode_wav(data: bytes) -> AudioClip:
     """Parse RIFF/WAVE bytes into a normalized mono clip.
 
@@ -196,25 +171,24 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def magnitude_spectrum(clip: AudioClip) -> Spectrum:
-    """One-sided magnitude spectrum of the clip.
+def magnitude_spectrum(clip: AudioClip) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided magnitude spectrum of the clip, as (freqs_hz, amps).
 
     The signal is zero-padded to the next power of two N; the result has
     N/2 + 1 bins, bin k sitting at k * rate / N Hz with amplitude equal to
-    the complex modulus of the transform.  Phase is discarded.
+    the complex modulus of the transform.  Phase is discarded.  So the axis
+    starts at 0 and rises strictly, and both arrays are finite, since an
+    AudioClip's samples are.
     """
     size = _next_pow2(clip.samples.size)
     amps = np.abs(np.fft.rfft(clip.samples, n=size))
     freqs = np.arange(amps.size, dtype=np.float64) * (clip.sample_rate_hz / size)
-    return Spectrum(freqs_hz=freqs, amps=amps)
+    return freqs, amps
 
 
-def acoustic_features(spectrum: Spectrum) -> FeatureVector:
-    """Concatenate [f1..fn, a1..an] into one flat acoustic vector."""
-    return FeatureVector(
-        values=np.concatenate([spectrum.freqs_hz, spectrum.amps]),
-        modality=ACOUSTIC,
-    )
+def acoustic_features(spectrum: tuple[np.ndarray, np.ndarray]) -> FeatureVector:
+    """Concatenate a (freqs_hz, amps) spectrum into one flat [f1..fn, a1..an] vector."""
+    return FeatureVector(values=np.concatenate(spectrum), modality=ACOUSTIC)
 
 
 Band = tuple[float, float]

@@ -118,10 +118,7 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
         raise InputError(f"{path}: {exc}") from exc
     if dump_spectrum is not None:
         lines = ["freq_hz,amplitude"]
-        lines += [
-            f"{float(f)!r},{float(a)!r}"
-            for f, a in zip(spectrum.freqs_hz, spectrum.amps)
-        ]
+        lines += [f"{float(f)!r},{float(a)!r}" for f, a in zip(*spectrum)]
         _write_bytes(dump_spectrum, ("\n".join(lines) + "\n").encode("utf-8"))
     return acoustic_features(spectrum), clip.sample_rate_hz
 

@@ -2,9 +2,10 @@
 
 Binary P6 images (maxval 255) come in as flat RGB pixel rows.  Dominant
 colors are found by clustering a deterministically strided subsample of the
-pixels; the palette is ordered by weight, heaviest first, with exact weight
-ties broken by ascending (r, g, b).  Palette features are the flattened
-color triples alone — weights order the palette but do not enter the vector.
+pixels; the palette is a (c, 3) array of centroid rows, heaviest first,
+where a row's weight is the number of subsampled pixels its cluster owns.
+Exact weight ties are broken by ascending (r, g, b).  Weights only order
+the rows: palette features are the flattened color triples alone.
 """
 
 from __future__ import annotations
@@ -42,31 +43,6 @@ class Image:
         if pixels.ndim != 2 or pixels.shape != (self.width * self.height, 3):
             raise UsageError("pixels must be a (width*height, 3) array")
         object.__setattr__(self, "pixels", pixels)
-
-
-@dataclass(frozen=True)
-class PaletteEntry:
-    color: tuple[float, float, float]
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
-class ColorPalette:
-    """Dominant colors ordered heaviest-first; weights sum to 1."""
-
-    entries: tuple[PaletteEntry, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise UsageError("palette needs at least one entry")
-        for e in self.entries:
-            if not (0.0 < e.weight <= 1.0):
-                raise UsageError(f"weight {e.weight} outside (0, 1]")
-        if abs(sum(e.weight for e in self.entries) - 1.0) > 1e-9:
-            raise UsageError("weights must sum to 1")
-        keys = [(-e.weight,) + e.color for e in self.entries]
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            raise UsageError("entries must descend by weight, ties ascending by color")
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -138,12 +114,13 @@ def encode_ppm(image: Image) -> bytes:
     return header + image.pixels.tobytes()
 
 
-def dominant_colors(image: Image, c: int, seed: int = 0) -> ColorPalette:
+def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
     """Cluster a pixel subsample into the image's c dominant colors, fitted from `seed`.
 
     Subsampling strides the row-major pixels so at most 10000 survive; the
-    stride is a pure function of the pixel count, no randomness.  Weights
-    are the fraction of subsampled pixels each cluster owns.
+    stride is a pure function of the pixel count, no randomness.  Returns
+    the (c, 3) float64 centroids ordered by how many subsampled pixels each
+    cluster owns, most first, exact ties by ascending (r, g, b).
 
     Raises InputError when the subsample has fewer than c distinct colors.
     """
@@ -157,23 +134,13 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> ColorPalette:
     points = sample.astype(np.float64)
     model, labels, _ = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
     counts = np.bincount(labels, minlength=c)
-    weights = counts / counts.sum()
-
-    entries = [
-        PaletteEntry(
-            color=tuple(float(ch) for ch in model.centroids[i]),
-            weight=float(weights[i]),
-        )
-        for i in range(c)
-    ]
-    entries.sort(key=lambda e: (-e.weight,) + e.color)
-    return ColorPalette(entries=tuple(entries))
+    colors = model.centroids
+    return colors[np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0], -counts))]
 
 
-def palette_features(palette: ColorPalette) -> FeatureVector:
-    """Flatten the palette's colors, in palette order, into a visual vector."""
-    flat = [channel for entry in palette.entries for channel in entry.color]
-    return FeatureVector(values=np.asarray(flat, dtype=np.float64), modality=VISUAL)
+def palette_features(colors: np.ndarray) -> FeatureVector:
+    """Flatten the (c, 3) palette rows, in palette order, into a visual vector."""
+    return FeatureVector(values=colors.ravel(), modality=VISUAL)
 
 
 PaletteSpec = Sequence[tuple[tuple[int, int, int], float]]

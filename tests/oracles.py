@@ -3,9 +3,11 @@
 Nothing here imports the library's own math: the spectrum oracle is a naive
 O(n^2) DFT that never touches numpy.fft, the clustering oracle enumerates
 every possible assignment, the fusion oracle is a straight-line replay of
-the decision narrative, and the gradient oracle is central finite
-differences.  Keep it that way — each pairs with a faster implementation
-in the package and the two must stay independent.
+the decision narrative, the gradient oracle is central finite differences
+of a loss with its own sigmoid and forward pass, and the output-error
+oracle runs that same forward pass over its own one-hot rows.  Keep it
+that way — each pairs with a faster implementation in the package and the
+two must stay independent.
 """
 
 from __future__ import annotations
@@ -170,3 +172,32 @@ def central_difference_gradient(loss, weights: np.ndarray, h: float = 1e-5) -> n
         flat[i] = original
         grad_flat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+# --- action net forward pass ------------------------------------------------
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) in the form whose exponent never exceeds 0, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _net_outputs(weights_ih, weights_ho, inputs) -> np.ndarray:
+    return _logistic(_logistic(inputs @ weights_ih) @ weights_ho)
+
+
+def squared_error_loss(weights_ih, weights_ho, inputs, targets) -> float:
+    """Mean squared output error of the two-layer sigmoid net, no biases."""
+    return float(np.mean((_net_outputs(weights_ih, weights_ho, inputs) - targets) ** 2))
+
+
+def mean_output_error(net, examples) -> float:
+    """Mean absolute output error of a trained net over (scene, action) examples.
+
+    `net` needs `scene_vocab`, `action_vocab`, `weights_ih` and `weights_ho`;
+    each example needs `scene_label` and `action_code`.
+    """
+    inputs = np.array([[float(e.scene_label == s) for s in net.scene_vocab] for e in examples])
+    targets = np.array([[float(e.action_code == a) for a in net.action_vocab] for e in examples])
+    outputs = _net_outputs(net.weights_ih, net.weights_ho, inputs)
+    return float(np.mean(np.abs(outputs - targets)))

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import SESSION_PAIRS
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, mean_output_error, squared_error_loss
 from scenefuse.action_learning import (
     ActionExample,
     action_repl,
     encode_onehot,
     loss_gradients,
-    mean_output_error,
     predict_action,
-    squared_error_loss,
     train_actions,
 )
 from scenefuse.errors import UnknownLabel, UsageError

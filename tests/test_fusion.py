@@ -60,6 +60,16 @@ def test_matched_scene_averages_both_modalities():
     assert final.scene == "coffee"
     assert final.combined_confidence == 89.0  # (90 + mean(86, 88, 90)) / 2
     assert [d.kind for d in decisions[:-1]] == [PENDING] * 3
+    # both edges of the confidence range identify: every far query scores
+    # exactly 0, and the default gate of 0 lets such a round through
+    for edge in (0.0, 100.0):
+        _, decisions = run(
+            [("acoustic", "coffee", edge, 0.0)]
+            + [("photo", "coffee", edge, at) for at in (5.0, 6.0, 7.0)]
+        )
+        assert decisions[-1] == SceneDecision(
+            kind=IDENTIFIED, scene="coffee", combined_confidence=edge
+        )
 
 
 def test_two_of_three_majority_carries_the_vote():

@@ -7,9 +7,7 @@ from conftest import ppm_bytes
 from scenefuse.errors import InputError, UsageError
 from scenefuse.features import VISUAL
 from scenefuse.vision_pipeline import (
-    ColorPalette,
     Image,
-    PaletteEntry,
     decode_ppm,
     dominant_colors,
     encode_ppm,
@@ -104,15 +102,13 @@ def test_image_validation():
 
 def test_solid_image_yields_one_full_weight_color():
     image = Image(width=10, height=10, pixels=np.tile(np.array(RED, np.uint8), (100, 1)))
-    palette = dominant_colors(image, 1)
-    assert palette.entries == (PaletteEntry(color=(255.0, 0.0, 0.0), weight=1.0),)
+    assert dominant_colors(image, 1).tolist() == [[255.0, 0.0, 0.0]]
 
 
 def test_equal_weights_order_by_channel_value():
     pixels = np.array([RED] * 50 + [BLUE] * 50, dtype=np.uint8)
     palette = dominant_colors(Image(width=10, height=10, pixels=pixels), 2)
-    assert [e.color for e in palette.entries] == [(0.0, 0.0, 255.0), (255.0, 0.0, 0.0)]
-    assert [e.weight for e in palette.entries] == [0.5, 0.5]
+    assert palette.tolist() == [[0.0, 0.0, 255.0], [255.0, 0.0, 0.0]]
     vec = palette_features(palette)
     assert vec.modality == VISUAL
     assert vec.values.tolist() == [0.0, 0.0, 255.0, 255.0, 0.0, 0.0]
@@ -121,11 +117,7 @@ def test_equal_weights_order_by_channel_value():
 def test_block_image_recovers_spec_colors_and_weights():
     spec = [((10, 20, 30), 0.6), ((200, 10, 10), 0.3), ((90, 200, 250), 0.1)]
     image = synth_scene_image(spec, 60, 40)
-    palette = dominant_colors(image, 3)
-    slack = 2.0 / (60 * 40)
-    for entry, (color, fraction) in zip(palette.entries, spec):
-        assert entry.color == tuple(float(ch) for ch in color)
-        assert entry.weight == pytest.approx(fraction, abs=slack)
+    assert dominant_colors(image, 3).tolist() == [list(color) for color, _ in spec]
 
 
 def test_palette_features_keep_dominance_order():
@@ -146,7 +138,7 @@ def test_subsampling_strides_the_full_frame():
     # nudge one even slot to red and both colors are visible again
     pixels[2] = RED
     palette = dominant_colors(Image(width=200, height=100, pixels=pixels), 2)
-    assert {e.color for e in palette.entries} == {(0.0, 0.0, 0.0), (255.0, 0.0, 0.0)}
+    assert sorted(palette.tolist()) == [[0.0, 0.0, 0.0], [255.0, 0.0, 0.0]]
 
 
 def test_too_few_distinct_colors_raises():
@@ -156,37 +148,9 @@ def test_too_few_distinct_colors_raises():
     # colours that differ in one channel each, and in the high bits only, count apart
     pixels = np.array([(128, 0, 0), (0, 128, 0), (0, 0, 128), (0, 0, 0)] * 4, dtype=np.uint8)
     image = Image(width=4, height=4, pixels=pixels)
-    assert len(dominant_colors(image, 4).entries) == 4
+    assert dominant_colors(image, 4).shape == (4, 3)
     with pytest.raises(InputError, match="fewer than 5 distinct colors to separate"):
         dominant_colors(image, 5)
-
-
-def test_palette_validation():
-    with pytest.raises(ValueError, match="at least one entry"):  # not only "must sum to 1"
-        ColorPalette(entries=())
-    with pytest.raises(ValueError):
-        ColorPalette(  # the lighter entry first
-            entries=(
-                PaletteEntry(color=(0.0, 0.0, 0.0), weight=0.3),
-                PaletteEntry(color=(1.0, 1.0, 1.0), weight=0.7),
-            )
-        )
-    with pytest.raises(ValueError):
-        ColorPalette(entries=(PaletteEntry(color=(0.0, 0.0, 0.0), weight=0.0),))
-    with pytest.raises(ValueError, match="outside"):  # a weight of 0 that keeps the sum at 1
-        ColorPalette(
-            entries=(
-                PaletteEntry(color=(0.0, 0.0, 0.0), weight=1.0),
-                PaletteEntry(color=(1.0, 1.0, 1.0), weight=0.0),
-            )
-        )
-    with pytest.raises(ValueError):
-        ColorPalette(
-            entries=(
-                PaletteEntry(color=(0.0, 0.0, 0.0), weight=0.3),
-                PaletteEntry(color=(1.0, 1.0, 1.0), weight=0.3),
-            )
-        )
 
 
 # --- synthesizer -----------------------------------------------------------
