@@ -71,7 +71,7 @@ def decode_wav(data: bytes) -> AudioClip:
     if data[0:4] != b"RIFF":
         raise InputError("missing RIFF magic")
     (riff_size,) = struct.unpack_from("<I", data, 4)
-    if riff_size < 4 or 8 + riff_size > len(data):
+    if 8 + riff_size > len(data):
         raise InputError(f"RIFF size {riff_size} disagrees with {len(data)} bytes")
     if data[8:12] != b"WAVE":
         raise InputError("missing WAVE form type")
@@ -241,8 +241,9 @@ def synth_ambient(
             raise UsageError(f"band ({low}, {high}) outside [0, {nyquist}]")
         freqs = low + (np.arange(m) + 0.5) / m * (high - low)
         phases = rng.uniform(0.0, 2.0 * math.pi, m)
-        out += (gain / m) * np.sin(
-            2.0 * math.pi * freqs[:, None] * t[None, :] + phases[:, None]
-        ).sum(axis=0)
+        band = np.zeros(n, dtype=np.float64)  # one sinusoid at a time: scratch stays O(n)
+        for omega, phase in zip(2.0 * math.pi * freqs, phases):
+            band += np.sin(omega * t + phase)
+        out += (gain / m) * band
     np.clip(out, -1.0, 1.0, out=out)
     return AudioClip(samples=out, sample_rate_hz=rate)

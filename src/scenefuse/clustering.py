@@ -156,6 +156,8 @@ def _init_pp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-means++: each next centroid drawn proportional to squared distance.
 
+    Each draw after the first is one inverse-CDF step, clamped to the last
+    point, which is the pick once every point sits on a chosen centroid.
     Returns the (k, d) centroids and the (k, n) squared distances from each
     to every point: row j is the one computed when centroid j was drawn.
     """
@@ -167,14 +169,8 @@ def _init_pp(
     sq[0] = _sq_distances(points, axis, chosen[0:1])[0]
     closest_sq = sq[0]
     for j in range(1, k):
-        total = float(closest_sq.sum())
-        if total > 0.0:
-            # inverse-CDF draw keeps the stream deterministic per seed
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(closest_sq), r, side="right"))
-            idx = min(idx, n - 1)
-        else:
-            idx = int(rng.integers(n))
+        r = rng.random() * float(closest_sq.sum())
+        idx = min(int(np.searchsorted(np.cumsum(closest_sq), r, side="right")), n - 1)
         chosen[j] = np.take(points, idx, axis)
         sq[j] = _sq_distances(points, axis, chosen[j : j + 1])[0]
         closest_sq = np.minimum(closest_sq, sq[j])

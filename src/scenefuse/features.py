@@ -21,7 +21,7 @@ def check_width(modality: str, width: int) -> None:
     flattened dominant-color triples, length 3C.  Neither is ever empty.
     """
     step = 2 if modality == ACOUSTIC else 3
-    if width < 1 or width % step != 0:
+    if not width or width % step:
         raise UsageError(f"{modality} width {width} is not a positive multiple of {step}")
 
 

@@ -3,13 +3,13 @@
 The machine idles until an acoustic prediction arrives, which opens a
 30-second window for visual confirmation.  Photos landing inside that
 window — and within 20 seconds of the first photo — accumulate until
-`photos_required` of them are in hand.  The photos then vote: a unique
-majority scene that matches the acoustic scene yields an identification
-whose combined confidence is the mean of the acoustic confidence and the
-mean confidence of the majority photos.  Anything else — a vote tie, a
-disagreement with the acoustic scene, a photo past either window, or the
-window expiring under a tick — resolves to "no scene" with a combined
-confidence of exactly 0, and the machine restarts.
+`photos_required` of them are in hand.  They vote: a unique majority
+scene that matches the acoustic scene, with a combined confidence (the
+mean of the acoustic one and the majority photos' mean) of at least
+`min_combined_confidence`, is identified.  Anything else — a vote tie, a
+majority for another scene, a combined confidence below that floor, a
+photo past either window, or expiry under a tick — resolves to "no
+scene" with a combined confidence of exactly 0, and the machine restarts.
 
 The state is the pending acoustic anchor (None while idle), its photos and
 the clock; both windows are read from the config each call is given.

@@ -10,6 +10,7 @@ the rows: palette features are the flattened color triples alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -164,7 +165,7 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
             raise UsageError(f"color {color!r} is not an RGB triple in [0, 255]")
         if not fraction >= 0.0:  # NaN too: it would pass the sum check
             raise UsageError(f"negative fraction {fraction}")
-    if abs(sum(fraction for _, fraction in spec) - 1.0) > 1e-9:
+    if not math.isclose(sum(fraction for _, fraction in spec), 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise UsageError("fractions must sum to 1")
 
     total = width * height

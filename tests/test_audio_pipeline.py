@@ -2,12 +2,14 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import wav_bytes
 from oracles import naive_spectrum
+from scenefuse import audio_pipeline
 from scenefuse.audio_pipeline import (
     AudioClip,
     acoustic_features,
@@ -59,6 +61,7 @@ _FORMAT = "UnsupportedFormat"
         (b"RIFX" + wav_bytes([1])[4:], (_RIFF, "missing RIFF magic")),
         (wav_bytes([1], wave_tag=b"WAVX"), (_RIFF, "missing WAVE form type")),
         (wav_bytes([1])[:10], (_RIFF, "too short for a RIFF header")),
+        (b"RIFF\x04\x00\x00\x00WAVE", (_RIFF, "no fmt chunk")),  # a whole header, no chunk
         (wav_bytes([1], omit_data_chunk=True), (_RIFF, "no data chunk")),
         (wav_bytes([1, 2], truncate_data_by=2), (_RIFF, "chunk b'data' overruns the container")),
         (wav_bytes([1], audio_format=3), (_FORMAT, r"only PCM \(format 1\) is supported, got 3")),
@@ -259,6 +262,10 @@ def test_synth_names_a_duration_that_rounds_to_zero_samples():
     # unchecked, the empty clip would be refused too, but as a clip without samples
     with pytest.raises(UsageError, match="duration rounds to zero samples"):
         synth_ambient([((100.0, 200.0), 1.0)], 0.0001, 8000, seed=0)
+    # a zero rate or a zero duration is not positive, which is said first
+    for seconds, rate in ((1.0, 0), (0.0, 8000)):
+        with pytest.raises(UsageError, match="rate and duration must be finite and positive"):
+            synth_ambient([((100.0, 200.0), 1.0)], seconds, rate, seed=0)
     # one sample is enough, and so are one component, a zero gain, a
     # zero-width band and a band that ends at Nyquist
     edge = synth_ambient(
@@ -267,7 +274,7 @@ def test_synth_names_a_duration_that_rounds_to_zero_samples():
     assert edge.samples.shape == (1,) and edge.sample_rate_hz == 2
 
 
-def test_riff_fields_bound_the_rate_and_the_length():
+def test_riff_fields_bound_the_rate_and_the_length(monkeypatch):
     # the byte rate (2 * rate) and the chunk sizes are unsigned 32-bit fields
     band = [((0.0, 100.0), 1.0)]
     for seconds, rate in ((0.0001, 2**31), (2.0**31, 8000), (1e308, 8000)):
@@ -280,6 +287,28 @@ def test_riff_fields_bound_the_rate_and_the_length():
     assert too_fast.sample_rate_hz == 3_000_000_000
     with pytest.raises(ValueError):
         encode_wav(too_fast)
+    # the sample limit's edge, lowered: the real one would take gigabytes to reach
+    monkeypatch.setattr(audio_pipeline, "_MAX_SAMPLES", 100)
+    assert len(encode_wav(AudioClip(np.zeros(100), 8000))) == 44 + 200
+    with pytest.raises(UsageError, match="overflow a WAV header"):
+        encode_wav(AudioClip(np.zeros(101), 8000))
+    with pytest.raises(UsageError, match="a WAV header holds at most 100 samples"):
+        synth_ambient([((0.0, 0.5), 1.0)], 101.0, 1, seed=0)
+    assert synth_ambient([((0.0, 0.5), 1.0)], 100.0, 1, seed=0).samples.size == 100
+
+
+def test_synth_scratch_memory_does_not_grow_with_the_components():
+    for m in (16, 2048):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            clip = synth_ambient([((100.0, 3000.0), 1.0)], 1.0, 8000, seed=0, components_per_band=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few clip-sized buffers, one sinusoid at a time; an (m, n) matrix
+        # of them would be m clips on its own
+        assert peak <= 8 * clip.samples.nbytes
 
 
 def test_synth_output_never_clips_out_of_range():

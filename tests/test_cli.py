@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.features import VISUAL
 from scenefuse.fusion import FusionConfig, initial_state, on_acoustic, tick
-from scenefuse.persistence import load_bundle, load_event_script, read_bytes
+from scenefuse.persistence import load_bundle, load_event_script, read_bytes, save_bundle
 from scenefuse.scene_model import ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
@@ -163,6 +164,27 @@ def test_fuse_flag_overrides_change_the_outcome(matrix_workspace, capsys):
     # a window that never expires is refused
     assert main(base + ["--window-av", "nan"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_fuse_reads_the_fusion_settings_of_its_bundle(matrix_workspace, tmp_path, capsys):
+    strict = tmp_path / "strict.json"
+    bundle = load_bundle(matrix_workspace.bundle)
+    save_bundle(replace(bundle, fusion_config=FusionConfig(min_combined_confidence=100.0)), strict)
+    base = [
+        "fuse",
+        "--bundle",
+        str(strict),
+        "--script",
+        str(matrix_workspace.data / "script_coffee_coffee.tsv"),
+    ]
+    # the bundle's unreachable confidence floor rejects every trial
+    assert main(base) == 0
+    assert capsys.readouterr().out.splitlines() == ["No scene detected"] * matrix_workspace.trials
+    # and a flag still overrides it
+    assert main(base + ["--min-confidence", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == matrix_workspace.trials
+    assert all(DETECTED_LINE.match(line) for line in lines)
 
 
 def test_dump_spectrum_matches_the_library_numbers(matrix_workspace, capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_inertia, nearest_centroid_scan
+from scenefuse import clustering
 from scenefuse.clustering import (
     KMeansParams,
     assign,
@@ -24,6 +25,10 @@ def test_single_cluster_lands_on_the_mean():
     assert model.centroids.tolist() == [[2.0, 0.0]]
     assert model.inertia == 8.0
     assert model.inertia_history[-1] == 8.0
+    # a move of exactly the tolerance, 1e-6, from a point to the mean has
+    # converged: only the closing assignment follows
+    model, _, _ = fit([[0.0], [2e-6]], KMeansParams(k=1))
+    assert model.inertia_history == (4e-12, 2e-12)
 
 
 def test_two_separated_pairs_split_cleanly():
@@ -108,6 +113,30 @@ def test_constant_columns_leave_the_fit_unchanged(points, k, seed, positions, va
     assert np.all(wide_model.centroids[:, ~kept] == value)
     # at most two columns vary, so the sums over them are exact in any order
     assert np.array_equal(assign(wide, wide_model.centroids)[1], wide_sq)
+
+
+def test_as_many_varying_columns_as_points_are_clustered_as_rows():
+    # the row layout sums each distance as `assign` does, so bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        points = rng.standard_normal((8, 8))
+        model, _, sq = fit(points, KMeansParams(k=2))
+        assert np.array_equal(sq, assign(points, model.centroids)[1])
+
+
+def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
+    real = clustering._sq_distances
+    rows = []
+
+    def spy(points, axis, centroids):
+        rows.append(centroids.shape[0])
+        return real(points, axis, centroids)
+
+    monkeypatch.setattr(clustering, "_sq_distances", spy)
+    fit([[0.0], [0.0], [10.0], [10.0]], KMeansParams(k=2))
+    # per run, the two k-means++ draw rows; the first update moves no
+    # centroid, so the first assignment closes the run
+    assert rows == [1] * (2 * clustering._N_INIT)
 
 
 def test_fit_matches_exhaustive_partition_search():

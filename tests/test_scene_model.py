@@ -117,14 +117,16 @@ def test_training_set_validation():
 
 
 def test_clusters_that_share_a_name_are_reported():
-    # "b" is outvoted in both well-separated clusters, so both are named "a"
+    # "b" is outvoted in two well-separated clusters, so both are named "a";
+    # "c" names a third cluster alone, so it shares nothing
     items = (
         [("a", _vec([0.0, 0.0]))] * 3
         + [("a", _vec([100.0, 100.0]))] * 3
         + [("b", _vec([100.0, 100.0]))]
+        + [("c", _vec([-100.0, 100.0]))] * 3
     )
     classifier = train_classifier(items)
-    assert classifier.cluster_names == ("a", "a")
+    assert sorted(classifier.cluster_names) == ["a", "a", "c"]
     assert classifier.warnings == ("clusters share scene names: ['a']",)
 
 

@@ -57,6 +57,7 @@ def test_decode_round_trips_exactly():
         (b"P6\ntwo 1\n255\n" + bytes(RED) * 2, ("BadHeader", "width field b'two' is not a plain")),
         (b"P6\n2 1\n255", ("BadHeader", "maxval must be followed by a single whitespace byte")),
         (b"P6 2", ("BadHeader", "header ended early")),  # the header ends before the height
+        (b"P6 2 2 #c", ("BadHeader", "header ended early")),  # ...inside a comment
     ],
     ids=lambda value: value[0] if isinstance(value, tuple) else None,  # a case by its check
 )

@@ -1,33 +1,42 @@
-"""Mutation check for the refusals: tier-1 must fail when any `raise` is replaced by `pass`.
+"""Mutation check: tier-1 must fail when any `raise` becomes `pass` or any comparison flips.
 
 Usage: `python tools/mutants.py` (needs numpy, pytest and Hypothesis).
 
 The check works on a temporary copy of src/, tests/, README.md and
 pyproject.toml and never writes into the checkout.  It runs tier-1 on the
 unmutated copy twice: first as CI runs it, untraced, which must pass; then
-traced with `sys.settrace`, only to learn which tests execute each `raise`
-statement of src/scenefuse/ (found with `ast`).  Tracing slows every test
-several times over, so a test with a time bound may fail in that run; its
-outcome is not checked.  Then, for one `raise` at a time, it swaps in
-`pass` and runs just the tests that execute it, stopping at the first
-failure.  A mutant that every covering test passes marks a check that
-decides nothing; a `raise` that no test runs is not checked at all.
+traced with `sys.settrace`, only to learn which tests execute each line of
+src/scenefuse/.  Tracing slows every test several times over, so a test
+with a time bound may fail in that run; its outcome is not checked.  Two
+passes of mutants follow, each made one at a time on the decoded source:
 
-It prints `file:line killed|SURVIVED|not run` per `raise` and exits 0 when
-every mutant is killed, 1 when any survived or was not run, and 2 when the
-unmutated suite fails in the copy.  Run by pytest as `-p mutants`, this file
-is also the plugin that traces the suite and narrows a run to given tests.
+  * raise → pass: each `raise` statement (found with `ast`) becomes `pass`;
+  * comparison flip: each ordering operator (found with `tokenize`) moves
+    its boundary, `<` to `<=`, `<=` to `<`, `>` to `>=` and `>=` to `>`.
+
+Each mutant runs just the tests that execute its lines, stopping at the
+first failure.  A mutant that every covering test passes marks a check or
+a comparison that decides nothing; one that no test runs is not checked at
+all.
+
+It prints `file:line:col old → new killed|SURVIVED|not run` per mutant and a
+tally per pass, and exits 0 when every mutant of both passes is killed, 1
+when any survived or was not run, and 2 when the unmutated suite fails in
+the copy.  Run by pytest as `-p mutants`, this file is also the plugin that
+traces the suite and narrows a run to given tests.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -36,6 +45,10 @@ COPIED = ("src", "tests", "README.md", "pyproject.toml")
 PACKAGE = Path("src") / "scenefuse"
 PYTEST = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants")
 MUTANT_TIMEOUT_S = 600  # a mutant that makes a test loop forever counts as killed
+FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+
+Span = tuple[int, int, int, int]  # line, col, end line, end col; columns count characters
+Mutant = tuple[Span, str, str]  # where, the text it starts with, the text that replaces it
 
 # --- the pytest plugin -------------------------------------------------------
 
@@ -85,21 +98,48 @@ def pytest_collection_modifyitems(config, items):
 
 # --- the driver --------------------------------------------------------------
 
-def raise_spans(source: bytes) -> list[tuple[int, int, int, int]]:
-    """(line, col, end line, end col) of each `raise`; `ast` gives columns as UTF-8 byte offsets."""
+def _lines(source: str) -> list[str]:
+    """`source` split after each newline only, as `ast` and `tokenize` number lines."""
+    return io.StringIO(source).readlines()
+
+
+def raise_mutants(source: str) -> list[Mutant]:
+    """Each `raise` statement, to become `pass`."""
+    lines = _lines(source)
+
+    def chars(line: int, col: int) -> int:  # `ast` counts columns in UTF-8 bytes
+        return len(lines[line - 1].encode("utf-8")[:col].decode("utf-8"))
+
     return sorted(
-        (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset)
+        (
+            (node.lineno, chars(node.lineno, node.col_offset),
+             node.end_lineno, chars(node.end_lineno, node.end_col_offset)),
+            "raise",
+            "pass",
+        )
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Raise)
     )
 
 
-def mutate(source: bytes, span: tuple[int, int, int, int]) -> bytes:
-    """`source` with the `raise` statement at `span` replaced by `pass`."""
+def flip_mutants(source: str) -> list[Mutant]:
+    """Each ordering operator, to become its boundary flip."""
+    return [
+        ((*token.start, *token.end), token.string, FLIPS[token.string])
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.OP and token.string in FLIPS
+    ]
+
+
+PASSES = (("raise → pass", raise_mutants), ("comparison flip", flip_mutants))
+
+
+def mutate(source: str, span: Span, replacement: str) -> str:
+    """`source` with the text at `span` replaced by `replacement`."""
     line, col, end_line, end_col = span
-    lines = source.splitlines(keepends=True)
-    lines[line - 1 : end_line] = [lines[line - 1][:col] + b"pass" + lines[end_line - 1][end_col:]]
-    return b"".join(lines)
+    lines = _lines(source)
+    lines[line - 1 : end_line] = [lines[line - 1][:col] + replacement + lines[end_line - 1][end_col:]]
+    return "".join(lines)
 
 
 def main() -> int:
@@ -132,35 +172,40 @@ def main() -> int:
             for test, hits in json.loads(trace_out.read_text(encoding="utf-8")).items()
         }
 
-        tally = {"killed": 0, "SURVIVED": 0, "not run": 0}
-        for module in sorted((copy / PACKAGE).glob("*.py")):
-            path = str(module.relative_to(copy))
-            original = module.read_bytes()
-            for span in raise_spans(original):
-                lines = {(path, n) for n in range(span[0], span[2] + 1)}
-                tests = sorted(test for test, hits in trace.items() if lines & hits)
-                if not tests:
-                    verdict = "not run"
-                else:
-                    selected.write_text(json.dumps(tests), encoding="utf-8")
-                    files = sorted({test.split("::")[0] for test in tests})
-                    module.write_bytes(mutate(original, span))
-                    try:
-                        run = subprocess.run(
-                            PYTEST + ("-x", *files), cwd=copy,
-                            env=dict(env, MUTANTS_SELECTED=str(selected)),
-                            capture_output=True, timeout=MUTANT_TIMEOUT_S,
-                        )
-                        verdict = "killed" if run.returncode != 0 else "SURVIVED"
-                    except subprocess.TimeoutExpired:
-                        verdict = "killed"
-                    finally:
-                        module.write_bytes(original)
-                tally[verdict] += 1
-                print(f"{path}:{span[0]} {verdict}", flush=True)
+        tallies = {}
+        for name, mutants in PASSES:
+            tally = tallies[name] = {"killed": 0, "SURVIVED": 0, "not run": 0}
+            for module in sorted((copy / PACKAGE).glob("*.py")):
+                path = str(module.relative_to(copy))
+                original = module.read_bytes()
+                source = original.decode("utf-8")
+                for span, old, new in mutants(source):
+                    lines = {(path, n) for n in range(span[0], span[2] + 1)}
+                    tests = sorted(test for test, hits in trace.items() if lines & hits)
+                    if not tests:
+                        verdict = "not run"
+                    else:
+                        selected.write_text(json.dumps(tests), encoding="utf-8")
+                        files = sorted({test.split("::")[0] for test in tests})
+                        module.write_bytes(mutate(source, span, new).encode("utf-8"))
+                        try:
+                            run = subprocess.run(
+                                PYTEST + ("-x", *files), cwd=copy,
+                                env=dict(env, MUTANTS_SELECTED=str(selected)),
+                                capture_output=True, timeout=MUTANT_TIMEOUT_S,
+                            )
+                            verdict = "killed" if run.returncode != 0 else "SURVIVED"
+                        except subprocess.TimeoutExpired:
+                            verdict = "killed"
+                        finally:
+                            module.write_bytes(original)
+                    tally[verdict] += 1
+                    print(f"{path}:{span[0]}:{span[1]} {old} → {new} {verdict}", flush=True)
 
-    print(", ".join(f"{count} {verdict}" for verdict, count in tally.items()))
-    return 1 if tally["SURVIVED"] or tally["not run"] else 0
+    for name, tally in tallies.items():
+        print(f"{name}: " + ", ".join(f"{count} {verdict}" for verdict, count in tally.items()))
+    failed = any(tally["SURVIVED"] or tally["not run"] for tally in tallies.values())
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
