@@ -32,7 +32,6 @@ from .clustering import (
     fit,
     predict,
 )
-from .features import ACOUSTIC, VISUAL, FeatureVector
 from .fusion import (
     IDENTIFIED,
     NO_SCENE,
@@ -56,6 +55,8 @@ from .persistence import (
     save_bundle,
 )
 from .scene_model import (
+    ACOUSTIC,
+    VISUAL,
     SceneClassifier,
     ScenePrediction,
     classify,

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, UsageError
-from .features import ACOUSTIC, FeatureVector
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
 WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
@@ -186,9 +185,9 @@ def magnitude_spectrum(clip: AudioClip) -> tuple[np.ndarray, np.ndarray]:
     return freqs, amps
 
 
-def acoustic_features(spectrum: tuple[np.ndarray, np.ndarray]) -> FeatureVector:
-    """Concatenate a (freqs_hz, amps) spectrum into one flat [f1..fn, a1..an] vector."""
-    return FeatureVector(values=np.concatenate(spectrum), modality=ACOUSTIC)
+def acoustic_features(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Concatenate a (freqs_hz, amps) spectrum into one flat float64 [f1..fn, a1..an] vector."""
+    return np.concatenate(spectrum)
 
 
 Band = tuple[float, float]

@@ -18,6 +18,8 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from .action_learning import DEFAULT_ITERATIONS, action_repl, predict_action, train_actions
 from .audio_pipeline import (
     DEFAULT_COMPONENTS,
@@ -31,7 +33,6 @@ from .audio_pipeline import (
 )
 from .clustering import DEFAULT_SCALE, check_scale
 from .errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from .features import ACOUSTIC, VISUAL
 from .fusion import IDENTIFIED, NO_SCENE, initial_state, on_acoustic, on_visual_photo
 from .persistence import (
     EventScript,
@@ -44,7 +45,7 @@ from .persistence import (
     read_bytes,
     save_bundle,
 )
-from .scene_model import classify, train_classifier
+from .scene_model import ACOUSTIC, VISUAL, classify, train_classifier
 from .vision_pipeline import (
     decode_ppm,
     dominant_colors,
@@ -159,23 +160,26 @@ def cmd_train(args) -> int:
     if args.modality == ACOUSTIC and args.k_override is not None:
         _warn("--k-override only affects visual training; ignored")
     color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
-    items = []
+    names, paths = zip(*((scene, path) for scene, *files in args.scene for path in files))
+    matrix = None  # one row per file, allocated once the first file gives the width
     rates: set[int | None] = set()
-    for scene, *files in args.scene:
-        for path in files:
-            vector, rate = _features(args.modality, path, color_count, args.seed)
-            items.append((scene, vector))
-            rates.add(rate)
+    for row, path in enumerate(paths):
+        vector, rate = _features(args.modality, path, color_count, args.seed)
+        rates.add(rate)
+        if matrix is None:
+            matrix = np.empty((len(paths), vector.size))
+        if vector.size == matrix.shape[1]:  # only another sample rate changes it, refused below
+            matrix[row] = vector
     if len(rates) > 1:  # the frequency halves would split the clips by rate, not by scene
         raise UsageError(f"mixed sample rates across training files: {sorted(rates)}")
 
-    classifier = train_classifier(items, args.seed, args.scale)
+    classifier = train_classifier(names, matrix, args.modality, args.seed, args.scale)
     for message in classifier.warnings:
         _warn(message)
 
     _save_into(args.out, **{args.modality: classifier})
 
-    counts = Counter(scene for scene, _ in items)
+    counts = Counter(names)
     for scene in sorted(counts):
         print(f"scene={scene} examples={counts[scene]}")
     print(

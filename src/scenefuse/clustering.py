@@ -298,14 +298,12 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
 def predict(model: KMeansModel, point) -> tuple[int, float]:
     """(label, Euclidean distance) of the centroid nearest one vector; ties to the lowest label.
 
-    Raises UsageError for a vector of the wrong length or a NaN or infinite
-    coordinate.
+    Raises UsageError for anything but a 1-D vector of `model.dim` entries,
+    or a NaN or infinite coordinate.
     """
     vec = np.asarray(point, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != model.dim:
-        raise UsageError(
-            f"point has {vec.size} dims, model expects {model.dim}"
-        )
+    if vec.shape != (model.dim,):
+        raise UsageError(f"point has shape {vec.shape}, model expects ({model.dim},)")
     if not np.isfinite(vec).all():
         raise UsageError("point must be finite, not NaN or inf")
     labels, sq = assign(vec[None, :], model.centroids)

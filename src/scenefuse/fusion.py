@@ -27,8 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import UsageError
-from .features import ACOUSTIC, VISUAL
-from .scene_model import ScenePrediction
+from .scene_model import ACOUSTIC, VISUAL, ScenePrediction
 
 IDENTIFIED = "identified"
 NO_SCENE = "no_scene"

@@ -42,9 +42,8 @@ import numpy as np
 
 from .action_learning import ActionExample, ActionNet
 from .errors import InputError, UsageError
-from .features import MODALITIES
 from .fusion import FusionConfig
-from .scene_model import SceneClassifier
+from .scene_model import MODALITIES, SceneClassifier
 
 FORMAT_VERSION = 4
 

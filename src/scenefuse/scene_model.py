@@ -1,12 +1,11 @@
-"""Named scenes on top of the clustering engine.
+"""Named scenes on top of the clustering engine, and the two modalities.
 
-A classifier trains on (scene name, feature vector) pairs, all of one
-modality and one width, and takes its modality from the vectors.  Fitting
-forces k to the number of distinct scene names, then names each cluster by
-majority vote over the training members it captured (alphabetical
-tie-break).  Oddities — a majority tie, a cluster that caught no training
-vectors, or two clusters sharing a name — do not fail the fit; they
-surface as warning strings on the classifier.
+A classifier trains on one (n, d) matrix of feature rows, one scene name
+per row, all of the modality it is told.  Fitting forces k to the number of
+distinct scene names, then names each cluster by majority vote over the
+training rows it captured (alphabetical tie-break).  Oddities — a majority
+tie, a cluster that caught no training rows, or two clusters sharing a name
+— do not fail the fit; they surface as warning strings on the classifier.
 """
 
 from __future__ import annotations
@@ -19,7 +18,22 @@ import numpy as np
 
 from . import clustering
 from .errors import UsageError
-from .features import MODALITIES, FeatureVector, check_width
+
+ACOUSTIC = "acoustic"
+VISUAL = "visual"
+MODALITIES = (ACOUSTIC, VISUAL)
+
+
+def check_width(modality: str, width: int) -> None:
+    """Refuse, with UsageError, a width that no `modality` vector can have.
+
+    Acoustic vectors are a spectrum's frequencies followed by its amplitudes,
+    so their length is even (2n for an n-bin spectrum).  Visual vectors are
+    flattened dominant-color triples, length 3C.  Neither is ever empty.
+    """
+    step = 2 if modality == ACOUSTIC else 3
+    if not width or width % step:
+        raise UsageError(f"{modality} width {width} is not a positive multiple of {step}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,32 +78,28 @@ class ScenePrediction:
 
 
 def train_classifier(
-    items: Sequence[tuple[str, FeatureVector]],
+    names: Sequence[str],
+    matrix: np.ndarray,
+    modality: str,
     seed: int = 0,
     scale: float = clustering.DEFAULT_SCALE,
 ) -> SceneClassifier:
     """Fit one cluster per distinct scene name and name the clusters.
 
-    `items` are (scene name, vector) pairs; the classifier takes the
-    vectors' modality.  The fit draws from `seed`; `scale` becomes the
-    confidence divisor.
+    Row i of the (n, d) `matrix` is a `modality` feature vector of scene
+    `names[i]`; the fit reads the matrix in place and draws from `seed`.
+    `scale` becomes the confidence divisor.
 
-    Raises UsageError for no items, an empty scene name, or vectors of two
-    modalities or two widths.
+    Raises UsageError for no rows, a name count other than the row count,
+    an empty scene name, or a width or modality `SceneClassifier` refuses.
     """
-    if not items:
+    if not names:
         raise UsageError("training set holds no examples")
-    names = [name for name, _ in items]
+    if len(names) != len(matrix):
+        raise UsageError(f"{len(names)} scene names for {len(matrix)} feature rows")
     if not all(names):
         raise UsageError("scene names cannot be empty")
-    modalities = {vec.modality for _, vec in items}
-    if len(modalities) > 1:
-        raise UsageError(f"mixed modalities {sorted(modalities)} in one training set")
-    dims = {len(vec) for _, vec in items}
-    if len(dims) > 1:
-        raise UsageError(f"mixed feature lengths {sorted(dims)}")
     k = len(set(names))
-    matrix = np.vstack([vec.values for _, vec in items])
     model, labels, sq = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
 
     warnings: list[str] = []
@@ -118,7 +128,7 @@ def train_classifier(
         warnings.append(f"clusters share scene names: {shared}")
 
     return SceneClassifier(
-        modality=modalities.pop(),
+        modality=modality,
         model=model,
         cluster_names=tuple(cluster_names),
         seed=seed,
@@ -127,18 +137,12 @@ def train_classifier(
     )
 
 
-def classify(
-    classifier: SceneClassifier, features: FeatureVector, now: float
-) -> ScenePrediction:
-    """Nearest scene plus its scaled-distance confidence, stamped at `now`.
+def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> ScenePrediction:
+    """Nearest scene to one 1-D feature vector, with its scaled-distance confidence, at `now`.
 
-    Raises UsageError for features of the other modality or the wrong width.
+    Raises UsageError for a vector of the wrong shape or a non-finite entry.
     """
-    if features.modality != classifier.modality:
-        raise UsageError(
-            f"{features.modality} features against a {classifier.modality} classifier"
-        )
-    label, distance = clustering.predict(classifier.model, features.values)
+    label, distance = clustering.predict(classifier.model, vector)
     return ScenePrediction(
         scene=classifier.cluster_names[label],
         confidence=clustering.confidence(distance, classifier.scale),

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import clustering
 from .errors import InputError, UsageError
-from .features import VISUAL, FeatureVector
 
 _MAX_SAMPLED_PIXELS = 10000
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -139,9 +138,9 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
     return colors[np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0], -counts))]
 
 
-def palette_features(colors: np.ndarray) -> FeatureVector:
-    """Flatten the (c, 3) palette rows, in palette order, into a visual vector."""
-    return FeatureVector(values=colors.ravel(), modality=VISUAL)
+def palette_features(colors: np.ndarray) -> np.ndarray:
+    """Flatten the (c, 3) float64 palette rows, in palette order, into one 3c vector."""
+    return colors.ravel()
 
 
 PaletteSpec = Sequence[tuple[tuple[int, int, int], float]]

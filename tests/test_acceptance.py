@@ -32,7 +32,6 @@ from scenefuse.audio_pipeline import (
 from scenefuse.cli import main as cli_main
 from scenefuse.clustering import KMeansParams, confidence, fit
 from scenefuse.errors import UsageError
-from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
 from scenefuse.fusion import (
     FusionConfig,
     IDENTIFIED,
@@ -45,6 +44,8 @@ from scenefuse.fusion import (
 )
 from scenefuse.persistence import ModelBundle, load_bundle, save_bundle
 from scenefuse.scene_model import (
+    ACOUSTIC,
+    VISUAL,
     ScenePrediction,
     classify,
     train_classifier,
@@ -373,17 +374,17 @@ def test_criterion_round_trips(tmp_path):
     again = decode_ppm(encode_ppm(image))
     ppm_ok = np.array_equal(again.pixels, pixels) and encode_ppm(again) == encode_ppm(image)
 
-    items = []
-    for _ in range(6):
-        items.append(("hum", FeatureVector(rng.normal(0.0, 1.0, 8), ACOUSTIC)))
-        items.append(("roar", FeatureVector(rng.normal(40.0, 1.0, 8), ACOUSTIC)))
-    classifier = train_classifier(items)
+    matrix = np.empty((12, 8))
+    for i in range(6):
+        matrix[2 * i] = rng.normal(0.0, 1.0, 8)
+        matrix[2 * i + 1] = rng.normal(40.0, 1.0, 8)
+    classifier = train_classifier(("hum", "roar") * 6, matrix, ACOUSTIC)
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(acoustic=classifier), path)
     reloaded = load_bundle(path).acoustic
     bundle_ok = np.array_equal(reloaded.model.centroids, classifier.model.centroids)
     for _ in range(100):
-        vec = FeatureVector(rng.uniform(-10.0, 50.0, 8), ACOUSTIC)
+        vec = rng.uniform(-10.0, 50.0, 8)
         a = classify(classifier, vec, now=0.0)
         b = classify(reloaded, vec, now=0.0)
         bundle_ok &= (a.scene, a.confidence) == (b.scene, b.confidence)

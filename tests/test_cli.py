@@ -28,10 +28,9 @@ from scenefuse import cli, errors
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from scenefuse.features import VISUAL
 from scenefuse.fusion import FusionConfig, initial_state, on_acoustic, tick
 from scenefuse.persistence import load_bundle, load_event_script, read_bytes, save_bundle
-from scenefuse.scene_model import ScenePrediction, train_classifier
+from scenefuse.scene_model import ACOUSTIC, VISUAL, ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
 
@@ -524,7 +523,11 @@ REFUSALS = {
         "points must form one (n, d) matrix",
     ),
     "EmptyData": (3, lambda tmp: decode_wav(wav_bytes([])), "data chunk holds no samples"),
-    "EmptyTrainingSet": (1, lambda tmp: train_classifier([]), "training set holds no examples"),
+    "EmptyTrainingSet": (
+        1,
+        lambda tmp: train_classifier([], np.empty((0, 2)), ACOUSTIC),
+        "training set holds no examples",
+    ),
     "IoError": (3, lambda tmp: read_bytes(tmp / "absent.wav"), "cannot read "),
     "MalformedRiff": (3, lambda tmp: decode_wav(b""), "too short for a RIFF header"),
     "ModalityMismatch": (
@@ -754,7 +757,7 @@ def test_train_passes_classifier_warnings_to_stderr(tmp_path, capsys):
     clip = tmp_path / "a.wav"
     clip.write_bytes(encode_wav(synth_ambient([((100.0, 400.0), 1.0)], 5.0, 1000, seed=1)))
     vector = acoustic_features(magnitude_spectrum(analysis_window(decode_wav(clip.read_bytes()))))
-    expected = train_classifier([("hall", vector), ("yard", vector)]).warnings
+    expected = train_classifier(("hall", "yard"), np.array([vector, vector]), ACOUSTIC).warnings
     assert expected
     out = tmp_path / "bundle.json"
     args = ["train", "--modality", "acoustic", "--out", str(out)]

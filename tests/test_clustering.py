@@ -1,5 +1,6 @@
 """Clustering engine: worked cases, optimality, determinism, confidence."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,8 +253,10 @@ def test_fit_input_validation():
 
 def test_predict_validates_dimensions():
     model, _, _ = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
-    with pytest.raises(UsageError, match="point has 3 dims, model expects 2"):
-        predict(model, (0.0, 0.0, 0.0))
+    for point in ((0.0, 0.0, 0.0), [[0.0, 0.0]], [[0.0], [0.0]]):
+        message = f"point has shape {np.shape(point)}, model expects (2,)"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            predict(model, point)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             predict(model, (bad, 0.0))

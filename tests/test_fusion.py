@@ -5,7 +5,6 @@ import pytest
 
 from oracles import fusion_reference
 from scenefuse.errors import UsageError
-from scenefuse.features import ACOUSTIC, VISUAL
 from scenefuse.fusion import (
     FusionConfig,
     FusionState,
@@ -18,7 +17,7 @@ from scenefuse.fusion import (
     on_visual_photo,
     tick,
 )
-from scenefuse.scene_model import ScenePrediction
+from scenefuse.scene_model import ACOUSTIC, VISUAL, ScenePrediction
 
 CONFIG = FusionConfig()
 

@@ -15,7 +15,6 @@ from scenefuse.audio_pipeline import AudioClip
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansModel, KMeansParams
 from scenefuse.errors import InputError
-from scenefuse.features import ACOUSTIC, VISUAL, FeatureVector
 from scenefuse.fusion import FusionConfig, FusionState
 from scenefuse.persistence import (
     EventScript,
@@ -27,20 +26,16 @@ from scenefuse.persistence import (
     parse_event_script,
     save_bundle,
 )
-from scenefuse.scene_model import SceneClassifier, classify, train_classifier
+from scenefuse.scene_model import ACOUSTIC, VISUAL, SceneClassifier, classify, train_classifier
 
 
 def _classifier(modality=ACOUSTIC, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    items = []
-    for _ in range(5):
-        items.append(
-            ("near", FeatureVector(rng.normal(0.0, 1.0, dim), modality))
-        )
-        items.append(
-            ("far", FeatureVector(rng.normal(0.0, 1.0, dim) + 50.0, modality))
-        )
-    return train_classifier(items, seed=seed, scale=123.456)
+    matrix = np.empty((10, dim))
+    for i in range(5):
+        matrix[2 * i] = rng.normal(0.0, 1.0, dim)
+        matrix[2 * i + 1] = rng.normal(0.0, 1.0, dim) + 50.0
+    return train_classifier(("near", "far") * 5, matrix, modality, seed=seed, scale=123.456)
 
 
 def _full_bundle():
@@ -134,7 +129,7 @@ def test_classification_is_identical_after_reload(tmp_path):
     again = load_bundle(path)
     rng = np.random.default_rng(77)
     for _ in range(25):
-        vec = FeatureVector(rng.normal(0.0, 30.0, 4), ACOUSTIC)
+        vec = rng.normal(0.0, 30.0, 4)
         a = classify(bundle.acoustic, vec, now=0.0)
         b = classify(again.acoustic, vec, now=0.0)
         assert (a.scene, a.confidence) == (b.scene, b.confidence)
@@ -414,8 +409,9 @@ def test_damaged_array_node_exits_three(tmp_path, capsys, mutate, message):
 
 def test_reload_and_save_writes_the_same_bytes(tmp_path):
     bundle = _full_bundle()
-    twelve = [(f"scene{i:02d}", FeatureVector(np.full(3, 20.0 * i), VISUAL)) for i in range(12)]
-    bundle = replace(bundle, visual=train_classifier(twelve))
+    twelve = [f"scene{i:02d}" for i in range(12)]
+    matrix = np.repeat(20.0 * np.arange(12.0)[:, None], 3, axis=1)
+    bundle = replace(bundle, visual=train_classifier(twelve, matrix, VISUAL))
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
     save_bundle(bundle, first)

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import ppm_bytes
 from scenefuse.errors import InputError, UsageError
-from scenefuse.features import VISUAL
 from scenefuse.vision_pipeline import (
     Image,
     decode_ppm,
@@ -111,8 +110,8 @@ def test_equal_weights_order_by_channel_value():
     palette = dominant_colors(Image(width=10, height=10, pixels=pixels), 2)
     assert palette.tolist() == [[0.0, 0.0, 255.0], [255.0, 0.0, 0.0]]
     vec = palette_features(palette)
-    assert vec.modality == VISUAL
-    assert vec.values.tolist() == [0.0, 0.0, 255.0, 255.0, 0.0, 0.0]
+    assert vec.dtype == np.float64
+    assert vec.tolist() == [0.0, 0.0, 255.0, 255.0, 0.0, 0.0]
 
 
 def test_block_image_recovers_spec_colors_and_weights():
@@ -125,7 +124,7 @@ def test_palette_features_keep_dominance_order():
     spec = [((5, 5, 5), 0.2), ((250, 250, 250), 0.8)]
     image = synth_scene_image(spec, 20, 20)
     vec = palette_features(dominant_colors(image, 2))
-    assert vec.values.tolist() == [250.0, 250.0, 250.0, 5.0, 5.0, 5.0]
+    assert vec.tolist() == [250.0, 250.0, 250.0, 5.0, 5.0, 5.0]
 
 
 def test_subsampling_strides_the_full_frame():
