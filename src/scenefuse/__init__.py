@@ -39,7 +39,6 @@ from .fusion import (
     FusionConfig,
     FusionState,
     SceneDecision,
-    initial_state,
     on_acoustic,
     on_visual_photo,
     tick,

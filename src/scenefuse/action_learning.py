@@ -35,7 +35,7 @@ class ActionExample:
 
 @dataclass(frozen=True, eq=False)
 class ActionNet:
-    """Trained weights over the two vocabularies; the hidden width is their shared axis."""
+    """Trained weights over two non-empty vocabularies; the hidden width is their shared axis."""
 
     scene_vocab: tuple[str, ...]
     action_vocab: tuple[str, ...]
@@ -43,6 +43,8 @@ class ActionNet:
     weights_ho: np.ndarray  # (hidden, len(action_vocab))
 
     def __post_init__(self) -> None:
+        if not (self.scene_vocab and self.action_vocab):
+            raise UsageError("scene and action vocabularies cannot be empty")
         if self.weights_ih.ndim != 2 or self.weights_ih.shape[0] != len(self.scene_vocab) or (
             self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):

@@ -33,7 +33,7 @@ from .audio_pipeline import (
 )
 from .clustering import DEFAULT_SCALE, check_scale
 from .errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from .fusion import IDENTIFIED, NO_SCENE, initial_state, on_acoustic, on_visual_photo
+from .fusion import IDENTIFIED, NO_SCENE, FusionState, on_acoustic, on_visual_photo
 from .persistence import (
     EventScript,
     ModelBundle,
@@ -216,15 +216,17 @@ def cmd_fuse(args) -> int:
     script = load_event_script(args.script)
     script_dir = Path(args.script).parent
 
-    state = initial_state()
+    state = FusionState()
     for event in script.events:
         path = Path(event.path)
         if not path.is_absolute():
             path = script_dir / path
-        modality = ACOUSTIC if event.kind == "audio" else VISUAL
-        prediction = _classify_file(getattr(bundle, modality), str(path), event.at)
-        step = on_acoustic if modality == ACOUSTIC else on_visual_photo
-        state, decision = step(state, prediction, config)
+        if event.kind == "audio":
+            prediction = _classify_file(bundle.acoustic, str(path), event.at)
+            state, decision = on_acoustic(state, prediction)
+        else:
+            prediction = _classify_file(bundle.visual, str(path), event.at)
+            state, decision = on_visual_photo(state, prediction, config)
         if decision.kind == IDENTIFIED:
             print(
                 f"{decision.scene.capitalize()}Scene detected "

@@ -24,12 +24,8 @@ class InputError(SceneFuseError):
     exit_code = 3
 
 
-class UsageError(SceneFuseError, ValueError):
-    """Flags, parameters or training data the operation cannot accept.
-
-    Also a ``ValueError``, so code that catches bad values the builtin way
-    catches these refusals too.
-    """
+class UsageError(SceneFuseError):
+    """Flags, parameters or training data the operation cannot accept."""
 
     exit_code = 1
 

@@ -12,12 +12,13 @@ photo past either window, or expiry under a tick — resolves to "no
 scene" with a combined confidence of exactly 0, and the machine restarts.
 
 The state is the pending acoustic anchor (None while idle), its photos and
-the clock; both windows are read from the config each call is given.
+the clock; both windows are read from the config each photo or tick is
+given.
 
 Time is injected by the caller through event timestamps and tick() and must
 be finite and never run backward; a stale or non-finite timestamp raises
-UsageError, as does a prediction of the wrong modality.  All three
-operations return a fresh state, leaving their argument untouched.
+UsageError.  All three operations return a fresh state, leaving their
+argument untouched.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import UsageError
-from .scene_model import ACOUSTIC, VISUAL, ScenePrediction
+from .scene_model import ScenePrediction
 
 IDENTIFIED = "identified"
 NO_SCENE = "no_scene"
@@ -59,16 +60,6 @@ class SceneDecision:
     scene: str | None = None
     combined_confidence: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.kind == IDENTIFIED:
-            if not self.scene or not (0.0 <= self.combined_confidence <= 100.0):
-                raise UsageError("identification needs a scene and a confidence")
-        elif self.kind in (NO_SCENE, PENDING):
-            if self.scene is not None or self.combined_confidence != 0.0:
-                raise UsageError(f"{self.kind} decisions carry no scene and confidence 0")
-        else:
-            raise UsageError(f"unknown decision kind {self.kind!r}")
-
 
 _PENDING = SceneDecision(kind=PENDING)
 _NO_SCENE = SceneDecision(kind=NO_SCENE)
@@ -79,10 +70,6 @@ class FusionState:
     pending_acoustic: ScenePrediction | None = None
     photos: tuple[ScenePrediction, ...] = ()
     last_at: float = float("-inf")
-
-
-def initial_state() -> FusionState:
-    return FusionState()
 
 
 def _check_clock(state: FusionState, at: float) -> None:
@@ -100,18 +87,13 @@ def _deadline(anchor: ScenePrediction, config: FusionConfig) -> float:
     return anchor.at + config.acoustic_visual_window_s
 
 
-def on_acoustic(
-    state: FusionState, pred: ScenePrediction, config: FusionConfig
-) -> tuple[FusionState, SceneDecision]:
+def on_acoustic(state: FusionState, pred: ScenePrediction) -> tuple[FusionState, SceneDecision]:
     """An acoustic prediction opens (or reopens) the visual window.
 
     A newer acoustic prediction always replaces an in-flight one — the
-    latest anchor wins and any collected photos are dropped.  `config` is
-    not read: photos and ticks check the window, so the three operations
-    keep one signature.
+    latest anchor wins and any collected photos are dropped.  No window is
+    read here: photos and ticks check it against the config they are given.
     """
-    if pred.modality != ACOUSTIC:
-        raise UsageError(f"on_acoustic got a {pred.modality} prediction")
     _check_clock(state, pred.at)
     return FusionState(pending_acoustic=pred, last_at=pred.at), _PENDING
 
@@ -125,8 +107,6 @@ def on_visual_photo(
     deadline, or more than photo_window_s after the first photo, restarts
     the machine with a no-scene decision.
     """
-    if pred.modality != VISUAL:
-        raise UsageError(f"on_visual_photo got a {pred.modality} prediction")
     _check_clock(state, pred.at)
     anchor = state.pending_acoustic
     if anchor is None:

@@ -42,7 +42,8 @@ class SceneClassifier:
 
     `seed` seeded the fit and featurizes photos, so prediction sees the
     palettes training saw; `scale` is the confidence divisor.  As after
-    training, names are non-empty and the width obeys `check_width`.
+    training, names are non-empty, the width obeys `check_width` and the
+    seed is not negative.
     """
 
     modality: str
@@ -60,6 +61,8 @@ class SceneClassifier:
         if not all(self.cluster_names):
             raise UsageError("scene names cannot be empty")
         check_width(self.modality, self.model.dim)
+        if self.seed < 0:  # `fit` refused it, and featurizing a photo would too
+            raise UsageError(f"seed must not be negative, got {self.seed}")
         clustering.check_scale(self.scale)
 
 
@@ -67,14 +70,13 @@ class SceneClassifier:
 class ScenePrediction:
     scene: str
     confidence: float
-    modality: str
     at: float
 
     def __post_init__(self) -> None:
+        if not self.scene:
+            raise UsageError("a prediction needs a scene")
         if not (0.0 <= self.confidence <= 100.0):
             raise UsageError("confidence must lie in [0, 100]")
-        if self.modality not in MODALITIES:
-            raise UsageError(f"unknown modality {self.modality!r}")
 
 
 def train_classifier(
@@ -146,6 +148,5 @@ def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> Sce
     return ScenePrediction(
         scene=classifier.cluster_names[label],
         confidence=clustering.confidence(distance, classifier.scale),
-        modality=classifier.modality,
         at=now,
     )

@@ -34,10 +34,10 @@ from scenefuse.clustering import KMeansParams, confidence, fit
 from scenefuse.errors import UsageError
 from scenefuse.fusion import (
     FusionConfig,
+    FusionState,
     IDENTIFIED,
     NO_SCENE,
     PENDING,
-    initial_state,
     on_acoustic,
     on_visual_photo,
     tick,
@@ -45,7 +45,6 @@ from scenefuse.fusion import (
 from scenefuse.persistence import ModelBundle, load_bundle, save_bundle
 from scenefuse.scene_model import (
     ACOUSTIC,
-    VISUAL,
     ScenePrediction,
     classify,
     train_classifier,
@@ -187,12 +186,11 @@ def test_criterion_confidence_split(matrix_workspace, fuse_outputs):
     # library-level replay of one mismatched trial: the rejection itself must
     # carry a combined confidence of exactly 0, not merely a small number
     bundle = load_bundle(matrix_workspace.bundle)
-    state = initial_state()
     config = bundle.fusion_config
-    acoustic = ScenePrediction(scene="coffee", confidence=90.0, modality=ACOUSTIC, at=0.0)
-    state, _ = on_acoustic(state, acoustic, config)
+    acoustic = ScenePrediction(scene="coffee", confidence=90.0, at=0.0)
+    state, _ = on_acoustic(FusionState(), acoustic)
     for at in (5.0, 6.0, 7.0):
-        photo = ScenePrediction(scene="gym", confidence=100.0, modality=VISUAL, at=at)
+        photo = ScenePrediction(scene="gym", confidence=100.0, at=at)
         state, decision = on_visual_photo(state, photo, config)
     mismatch_ok = (
         decision.kind == NO_SCENE
@@ -231,21 +229,13 @@ def test_criterion_fusion_windows_and_equivalence():
     config = FusionConfig()
 
     def run(events):
-        state = initial_state()
+        state = FusionState()
         out = []
         for kind, scene, conf, at in events:
             if kind == "acoustic":
-                state, d = on_acoustic(
-                    state,
-                    ScenePrediction(scene=scene, confidence=conf, modality=ACOUSTIC, at=at),
-                    config,
-                )
+                state, d = on_acoustic(state, ScenePrediction(scene, conf, at))
             elif kind == "photo":
-                state, d = on_visual_photo(
-                    state,
-                    ScenePrediction(scene=scene, confidence=conf, modality=VISUAL, at=at),
-                    config,
-                )
+                state, d = on_visual_photo(state, ScenePrediction(scene, conf, at), config)
             else:
                 state, d = tick(state, at, config)
             out.append(d)
@@ -271,11 +261,7 @@ def test_criterion_fusion_windows_and_equivalence():
     skew_raises = False
     try:
         armed, _ = run(base)
-        on_acoustic(
-            armed,
-            ScenePrediction(scene="a", confidence=90.0, modality=ACOUSTIC, at=-1.0),
-            config,
-        )
+        on_acoustic(armed, ScenePrediction(scene="a", confidence=90.0, at=-1.0))
     except UsageError as exc:
         skew_raises = "precedes already-seen" in str(exc)
 
@@ -296,17 +282,9 @@ def test_criterion_fusion_windows_and_equivalence():
 
     def step(state, kind, scene, at):
         if kind == "acoustic":
-            return on_acoustic(
-                state,
-                ScenePrediction(scene=scene, confidence=90.0, modality=ACOUSTIC, at=at),
-                config,
-            )
+            return on_acoustic(state, ScenePrediction(scene, 90.0, at))
         if kind == "photo":
-            return on_visual_photo(
-                state,
-                ScenePrediction(scene=scene, confidence=80.0, modality=VISUAL, at=at),
-                config,
-            )
+            return on_visual_photo(state, ScenePrediction(scene, 80.0, at), config)
         return tick(state, at, config)
 
     def dfs(state, now, depth):
@@ -325,7 +303,7 @@ def test_criterion_fusion_windows_and_equivalence():
             dfs(new_state, at, depth + 1)
             events.pop()
 
-    dfs(initial_state(), 0.0, 0)
+    dfs(FusionState(), 0.0, 0)
     elapsed = time.perf_counter() - started
 
     check(

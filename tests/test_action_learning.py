@@ -81,18 +81,18 @@ def test_conflicting_pairs_are_rejected():
 def test_empty_training_set_is_rejected():
     with pytest.raises(UsageError, match="no scene/action pairs to learn from"):
         train_actions([], iterations=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         train_actions([ActionExample("a", "1")], iterations=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         train_actions([ActionExample("a", "1")], iterations=10, hidden_size=0)
     net, _ = train_actions([ActionExample("a", "1")], iterations=10, hidden_size=1)
     assert net.weights_ih.shape == (1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         ActionExample("", "1")
     for rate in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             train_actions([ActionExample("a", "1")], iterations=10, learning_rate=rate)
-    with pytest.raises(ValueError), np.errstate(all="ignore"):  # the weights overflow
+    with pytest.raises(UsageError), np.errstate(all="ignore"):  # the weights overflow
         train_actions(
             [ActionExample("a", "1"), ActionExample("b", "2")], iterations=50, learning_rate=1e308
         )

@@ -96,13 +96,13 @@ def test_encode_output_decodes_identically_twice():
 
 
 def test_clip_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         AudioClip(np.array([1.5]), 8000)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         AudioClip(np.array([0.0]), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         AudioClip(np.array([]), 8000)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         AudioClip(np.array([0.0, np.nan]), 8000)
 
 
@@ -282,7 +282,7 @@ def test_riff_fields_bound_the_rate_and_the_length(monkeypatch):
     wav = encode_wav(AudioClip(np.zeros(4), 8000))
     too_fast = decode_wav(wav[:24] + struct.pack("<II", 3_000_000_000, 0) + wav[32:])
     assert too_fast.sample_rate_hz == 3_000_000_000
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         encode_wav(too_fast)
     # the sample limit's edge, lowered: the real one would take gigabytes to reach
     monkeypatch.setattr(audio_pipeline, "_MAX_SAMPLES", 100)

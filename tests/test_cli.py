@@ -28,9 +28,9 @@ from scenefuse import cli, errors
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from scenefuse.fusion import FusionConfig, initial_state, on_acoustic, tick
+from scenefuse.fusion import FusionConfig, FusionState, tick
 from scenefuse.persistence import load_bundle, load_event_script, read_bytes, save_bundle
-from scenefuse.scene_model import ACOUSTIC, VISUAL, ScenePrediction, train_classifier
+from scenefuse.scene_model import ACOUSTIC, ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
 
@@ -362,10 +362,33 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
         assert "scene names cannot be empty" in capsys.readouterr().err
 
     raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
+    raw["visual"]["seed"] = -1  # featurizing the photo would refuse it with exit 1
+    damaged.write_text(json.dumps(raw), encoding="utf-8")
+    photo = str(matrix_workspace.data / "test_coffee_1.ppm")
+    assert main(["predict", "--modality", "visual", "--bundle", str(damaged), photo]) == 3
+    assert capsys.readouterr().err == "error: bundle.visual: seed must not be negative, got -1\n"
+
+    raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
     raw["fusion_config"] = 5
     damaged.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["action", "predict", "coffee", "--bundle", str(damaged)]) == 3
     assert capsys.readouterr().err == "error: bundle.fusion_config must be an object\n"
+
+
+def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("coffee\t42\n", encoding="utf-8")
+    out = tmp_path / "actions.json"
+    assert main(["action", "train", "--pairs", str(pairs), "--out", str(out), "--iterations", "1"]) == 0
+    raw = json.loads(out.read_text(encoding="utf-8"))
+    hidden = raw["action"]["weights_ho"]["shape"][0]
+    raw["action"]["action_vocab"] = []  # argmax over no actions would crash predict
+    raw["action"]["weights_ho"] = {"shape": [hidden, 0], "base64": ""}
+    out.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["action", "predict", "coffee", "--bundle", str(out)]) == 3
+    message = "error: bundle.action: scene and action vocabularies cannot be empty\n"
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize(
@@ -504,7 +527,7 @@ REFUSALS = {
     ),
     "ClockSkew": (
         1,
-        lambda tmp: tick(initial_state(), float("nan"), FusionConfig()),
+        lambda tmp: tick(FusionState(), float("nan"), FusionConfig()),
         "timestamp nan is not finite",
     ),
     "ConflictingExamples": (
@@ -523,6 +546,7 @@ REFUSALS = {
         "points must form one (n, d) matrix",
     ),
     "EmptyData": (3, lambda tmp: decode_wav(wav_bytes([])), "data chunk holds no samples"),
+    "EmptyScene": (1, lambda tmp: ScenePrediction("", 90.0, 0.0), "a prediction needs a scene"),
     "EmptyTrainingSet": (
         1,
         lambda tmp: train_classifier([], np.empty((0, 2)), ACOUSTIC),
@@ -530,13 +554,6 @@ REFUSALS = {
     ),
     "IoError": (3, lambda tmp: read_bytes(tmp / "absent.wav"), "cannot read "),
     "MalformedRiff": (3, lambda tmp: decode_wav(b""), "too short for a RIFF header"),
-    "ModalityMismatch": (
-        1,
-        lambda tmp: on_acoustic(
-            initial_state(), ScenePrediction("a", 90.0, VISUAL, 0.0), FusionConfig()
-        ),
-        "on_acoustic got a visual prediction",
-    ),
     "SchemaError": (
         3,
         lambda tmp: load_bundle(_written(tmp, "[]")),

@@ -245,9 +245,9 @@ def test_fit_input_validation():
     with pytest.raises(UsageError, match=r"not shape \(3, 2, 2\)"):  # points that are matrices
         fit(np.zeros((3, 2, 2)), KMeansParams(k=1))
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError):  # NaN would become a centroid and the inertia
+        with pytest.raises(UsageError):  # NaN would become a centroid and the inertia
             fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))
-    with pytest.raises(ValueError), np.errstate(all="ignore"):  # the mean overflows to inf
+    with pytest.raises(UsageError), np.errstate(all="ignore"):  # the mean overflows to inf
         fit([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)], KMeansParams(k=1))
 
 
@@ -258,7 +258,7 @@ def test_predict_validates_dimensions():
         with pytest.raises(UsageError, match=re.escape(message)):
             predict(model, point)
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             predict(model, (bad, 0.0))
 
 
@@ -282,12 +282,12 @@ def test_confidence_never_increases_with_distance():
 
 
 def test_confidence_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         confidence(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         confidence(1.0, scale=-2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         confidence(float("nan"))
     for scale in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             confidence(1.0, scale=scale)

@@ -14,7 +14,7 @@ from scenefuse.action_learning import ActionExample, ActionNet, train_actions
 from scenefuse.audio_pipeline import AudioClip
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansModel, KMeansParams
-from scenefuse.errors import InputError
+from scenefuse.errors import InputError, UsageError
 from scenefuse.fusion import FusionConfig, FusionState
 from scenefuse.persistence import (
     EventScript,
@@ -206,6 +206,16 @@ def _centroid_width(slot, width):
     return mutate
 
 
+def _no_vocabulary(vocab, weights, edit):
+    """A damage that empties the action net's `vocab`, with `edit` cutting `weights` to fit."""
+
+    def damage(raw):
+        raw["action"][vocab] = []
+        _edit_array(raw["action"], weights, edit)
+
+    return damage
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(InputError, match="cannot read bundle .*nope.json"):
         load_bundle(tmp_path / "nope.json")
@@ -291,8 +301,11 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         lambda raw: raw["action"].pop("weights_ho"),
         lambda raw: raw["visual"].__setitem__("scale", 0.0),
         lambda raw: raw["visual"].__setitem__("modality", "acoustic"),  # the wrong slot
-        # a classifier no training could produce, which could not classify
+        # a classifier or net no training could produce, which could not predict
         lambda raw: raw["acoustic"]["cluster_names"].__setitem__(0, ""),
+        lambda raw: raw["visual"].__setitem__("seed", -1),
+        _no_vocabulary("scene_vocab", "weights_ih", lambda weights: weights[:0]),
+        _no_vocabulary("action_vocab", "weights_ho", lambda weights: weights[:, :0]),
         _centroid_width("acoustic", 3),  # odd: not frequencies plus amplitudes
         _centroid_width("visual", 4),  # not whole RGB triples
         _centroid_width("visual", 0),
@@ -426,32 +439,32 @@ def test_reload_and_save_writes_the_same_bytes(tmp_path):
 def test_types_check_what_spans_their_fields():
     classifier = _classifier()
     model = classifier.model
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(classifier, model=replace(model, centroids=model.centroids[:1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(model, centroids=model.centroids[:0])
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(model, inertia_history=())
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(model, centroids=np.full_like(model.centroids, np.nan))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(classifier, modality="tactile")
-    with pytest.raises(ValueError, match="unknown modality"):  # 9 passes the visual width rule
+    with pytest.raises(UsageError, match="unknown modality"):  # 9 passes the visual width rule
         replace(_classifier(VISUAL, dim=9), modality="foo")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(classifier, cluster_names=("near",))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(classifier, cluster_names=("near", "far", "far"))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         ModelBundle(acoustic=_classifier(VISUAL, dim=6))  # a width both modalities allow
     net = _full_bundle().action
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(net, weights_ih=net.weights_ih[:1])
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(net, weights_ho=net.weights_ho.T)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(net, action_vocab=net.action_vocab + ("extra",))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         replace(net, weights_ho=np.full_like(net.weights_ho, np.nan))
 
 

@@ -45,12 +45,11 @@ def test_training_and_held_out_vectors_classify_correctly():
         assert 0.0 <= quiet.confidence <= 100.0
 
 
-def test_prediction_carries_timestamp_and_modality():
+def test_prediction_carries_scene_confidence_and_timestamp():
     classifier = _train(_two_scene_set(dim=6), VISUAL)
     prediction = classify(classifier, np.zeros(6), now=12.5)
-    assert prediction.at == 12.5
-    assert prediction.modality == VISUAL
-    assert prediction.confidence == 100.0  # exactly on the centroid
+    # exactly on the centroid
+    assert prediction == ScenePrediction(scene="quiet", confidence=100.0, at=12.5)
 
 
 def test_confidence_honors_the_scale_parameter():
@@ -59,7 +58,7 @@ def test_confidence_honors_the_scale_parameter():
     # distance to the nearest centroid is 100 in this geometry
     assert prediction.confidence == pytest.approx(100.0 - 100.0 / 100.0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             replace(classifier, scale=bad)
 
 
@@ -109,9 +108,9 @@ def test_training_set_validation():
         train_classifier(("a", "b"), np.array([[0.0] * 6, [1.0] * 6]), "thermal")
     with pytest.raises(UsageError, match="acoustic width 3 is not a positive multiple of 2"):
         train_classifier(("a", "b"), np.array([[0.0] * 3, [1.0] * 3]), ACOUSTIC)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         train_classifier(("",), np.zeros((1, 2)), ACOUSTIC)
-    with pytest.raises(ValueError, match="scene names cannot be empty"):  # "" names no cluster
+    with pytest.raises(UsageError, match="scene names cannot be empty"):  # "" names no cluster
         train_classifier(("a", "a", ""), np.zeros((3, 2)), ACOUSTIC)
 
 
@@ -149,14 +148,14 @@ def test_prediction_value_bounds():
     assert classify(classifier, np.zeros(4), now=0.0).confidence == 100.0
     assert classify(classifier, np.full(4, 1e9), now=0.0).confidence == 0.0
     for value in (0.0, 100.0):
-        prediction = ScenePrediction(scene="x", confidence=value, modality=ACOUSTIC, at=0.0)
+        prediction = ScenePrediction(scene="x", confidence=value, at=0.0)
         assert prediction.confidence == value
-    with pytest.raises(ValueError):
-        ScenePrediction(scene="x", confidence=101.0, modality=ACOUSTIC, at=0.0)
-    with pytest.raises(ValueError):
-        ScenePrediction(scene="x", confidence=-0.5, modality=ACOUSTIC, at=0.0)
-    with pytest.raises(ValueError):
-        ScenePrediction(scene="x", confidence=50.0, modality="sonar", at=0.0)
+    with pytest.raises(UsageError):
+        ScenePrediction(scene="x", confidence=101.0, at=0.0)
+    with pytest.raises(UsageError):
+        ScenePrediction(scene="x", confidence=-0.5, at=0.0)
+    with pytest.raises(UsageError, match="a prediction needs a scene"):
+        ScenePrediction(scene="", confidence=50.0, at=0.0)
 
 
 def test_training_fits_the_matrix_without_stacking_a_copy():

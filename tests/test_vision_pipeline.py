@@ -88,11 +88,11 @@ def test_every_single_byte_header_mutation_is_rejected():
 
 
 def test_image_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         Image(width=2, height=2, pixels=np.zeros((3, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         Image(width=1, height=1, pixels=np.array([[300, 0, 0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         Image(width=0, height=1, pixels=np.zeros((0, 3), dtype=np.uint8))
     # integers at the top of the range are converted, not refused
     assert Image(width=1, height=1, pixels=np.array([[255, 0, 0]])).pixels.tolist() == [[255, 0, 0]]
