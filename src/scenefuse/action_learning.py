@@ -35,7 +35,10 @@ class ActionExample:
 
 @dataclass(frozen=True, eq=False)
 class ActionNet:
-    """Trained weights over two non-empty vocabularies; the hidden width is their shared axis."""
+    """Trained weights over two vocabularies; the hidden width is their shared axis.
+
+    As after training, each vocabulary is non-empty and lists an entry once.
+    """
 
     scene_vocab: tuple[str, ...]
     action_vocab: tuple[str, ...]
@@ -45,6 +48,9 @@ class ActionNet:
     def __post_init__(self) -> None:
         if not (self.scene_vocab and self.action_vocab):
             raise UsageError("scene and action vocabularies cannot be empty")
+        for vocab in (self.scene_vocab, self.action_vocab):
+            if len(set(vocab)) < len(vocab):
+                raise UsageError(f"vocabulary {list(vocab)} repeats an entry")
         if self.weights_ih.ndim != 2 or self.weights_ih.shape[0] != len(self.scene_vocab) or (
             self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):

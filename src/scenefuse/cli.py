@@ -33,8 +33,10 @@ from .audio_pipeline import (
 )
 from .clustering import DEFAULT_SCALE, check_scale
 from .errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from .fusion import IDENTIFIED, NO_SCENE, FusionState, on_acoustic, on_visual_photo
+from .fusion import IDENTIFIED, NO_SCENE, FusionConfig, FusionState, on_acoustic, on_visual_photo
 from .persistence import (
+    ACOUSTIC,
+    VISUAL,
     EventScript,
     ModelBundle,
     ScriptEvent,
@@ -45,7 +47,7 @@ from .persistence import (
     read_bytes,
     save_bundle,
 )
-from .scene_model import ACOUSTIC, VISUAL, classify, train_classifier
+from .scene_model import classify, train_classifier
 from .vision_pipeline import (
     decode_ppm,
     dominant_colors,
@@ -124,11 +126,9 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
     return acoustic_features(spectrum), clip.sample_rate_hz
 
 
-def _classify_file(classifier, path, at: float, dump_spectrum=None):
-    """Classify one file, featurized with the palette size and seed `classifier` was fitted with."""
-    vector, _ = _features(
-        classifier.modality, path, classifier.model.dim // 3, classifier.seed, dump_spectrum
-    )
+def _classify_file(modality, classifier, path, at: float, dump_spectrum=None):
+    """Classify one `modality` file, featurized with the palette size and seed of `classifier`."""
+    vector, _ = _features(modality, path, classifier.model.dim // 3, classifier.seed, dump_spectrum)
     return classify(classifier, vector, now=at)
 
 
@@ -173,8 +173,8 @@ def cmd_train(args) -> int:
     if len(rates) > 1:  # the frequency halves would split the clips by rate, not by scene
         raise UsageError(f"mixed sample rates across training files: {sorted(rates)}")
 
-    classifier = train_classifier(names, matrix, args.modality, args.seed, args.scale)
-    for message in classifier.warnings:
+    classifier, warnings = train_classifier(names, matrix, args.seed, args.scale)
+    for message in warnings:
         _warn(message)
 
     _save_into(args.out, **{args.modality: classifier})
@@ -196,7 +196,7 @@ def cmd_predict(args) -> int:
     classifier = getattr(_bundle_with(args.bundle, args.modality), args.modality)
     if args.modality == VISUAL and args.dump_spectrum is not None:
         _warn("--dump-spectrum only applies to acoustic prediction; ignored")
-    prediction = _classify_file(classifier, args.file, 0.0, args.dump_spectrum)
+    prediction = _classify_file(args.modality, classifier, args.file, 0.0, args.dump_spectrum)
     print(f"scene={prediction.scene} confidence={prediction.confidence:.3f}")
     return EXIT_OK
 
@@ -211,7 +211,7 @@ def cmd_fuse(args) -> int:
         "photos_required": args.photos_required,
         "min_combined_confidence": args.min_confidence,
     }
-    config = replace(bundle.fusion_config, **{k: v for k, v in flags.items() if v is not None})
+    config = FusionConfig(**{k: v for k, v in flags.items() if v is not None})
 
     script = load_event_script(args.script)
     script_dir = Path(args.script).parent
@@ -222,10 +222,10 @@ def cmd_fuse(args) -> int:
         if not path.is_absolute():
             path = script_dir / path
         if event.kind == "audio":
-            prediction = _classify_file(bundle.acoustic, str(path), event.at)
+            prediction = _classify_file(ACOUSTIC, bundle.acoustic, str(path), event.at)
             state, decision = on_acoustic(state, prediction)
         else:
-            prediction = _classify_file(bundle.visual, str(path), event.at)
+            prediction = _classify_file(VISUAL, bundle.visual, str(path), event.at)
             state, decision = on_visual_photo(state, prediction, config)
         if decision.kind == IDENTIFIED:
             print(

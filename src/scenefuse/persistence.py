@@ -11,8 +11,11 @@ every number exactly and classification behavior is preserved bit for bit.
 Only facts nothing else determines are stored: a classifier's cluster
 count and width are read off its centroid matrix, its final inertia off the
 end of `inertia_history`, and the net's hidden width off its weights.
-Cluster names are a list indexed by label.  `save_bundle` alone writes
-`format_version` 4, the one version `load_bundle` reads.  The reader
+Cluster names are a list indexed by label.  A classifier's modality is the
+slot that holds it, `acoustic` or `visual`, and fixes the widths its
+centroids may have (`check_width`).  Fusion settings are not stored: they
+come from the `fuse` flags.  `save_bundle` alone writes
+`format_version` 5, the one version `load_bundle` reads.  The reader
 ignores keys it does not know and converts no value, so a hand-edited value
 must already have the JSON type its field asks for; an array node must hold
 exactly 8 bytes per entry of its shape.  Whether those entries are finite,
@@ -34,7 +37,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -42,28 +45,42 @@ import numpy as np
 
 from .action_learning import ActionExample, ActionNet
 from .errors import InputError, UsageError
-from .fusion import FusionConfig
-from .scene_model import MODALITIES, SceneClassifier
+from .scene_model import SceneClassifier
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+ACOUSTIC = "acoustic"
+VISUAL = "visual"
+MODALITIES = (ACOUSTIC, VISUAL)
 
 EVENT_KINDS = ("audio", "image")
 
 
+def check_width(modality: str, width: int) -> None:
+    """Refuse, with UsageError, a width that no `modality` vector can have.
+
+    Acoustic vectors are a spectrum's frequencies followed by its amplitudes,
+    so their length is even (2n for an n-bin spectrum).  Visual vectors are
+    flattened dominant-color triples, length 3C.  Neither is ever empty.
+    """
+    step = 2 if modality == ACOUSTIC else 3
+    if not width or width % step:
+        raise UsageError(f"{modality} width {width} is not a positive multiple of {step}")
+
+
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Everything one deployment needs, bundled for disk; each classifier in its own slot."""
+    """Everything one deployment needs, bundled for disk; a classifier's slot is its modality."""
 
     acoustic: SceneClassifier | None = None
     visual: SceneClassifier | None = None
     action: ActionNet | None = None
-    fusion_config: FusionConfig = field(default_factory=FusionConfig)
 
     def __post_init__(self) -> None:
         for slot in MODALITIES:
             classifier = getattr(self, slot)
-            if classifier is not None and classifier.modality != slot:
-                raise UsageError(f"a {classifier.modality} classifier in the {slot} slot")
+            if classifier is not None:
+                check_width(slot, classifier.model.dim)
 
 
 @dataclass(frozen=True)

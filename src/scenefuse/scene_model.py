@@ -1,11 +1,11 @@
-"""Named scenes on top of the clustering engine, and the two modalities.
+"""Named scenes on top of the clustering engine.
 
 A classifier trains on one (n, d) matrix of feature rows, one scene name
-per row, all of the modality it is told.  Fitting forces k to the number of
-distinct scene names, then names each cluster by majority vote over the
-training rows it captured (alphabetical tie-break).  Oddities — a majority
-tie, a cluster that caught no training rows, or two clusters sharing a name
-— do not fail the fit; they surface as warning strings on the classifier.
+per row.  Fitting forces k to the number of distinct scene names, then
+names each cluster by majority vote over the training rows it captured
+(alphabetical tie-break).  Oddities — a majority tie, a cluster that caught
+no training rows, or two clusters sharing a name — do not fail the fit;
+training returns them as warning strings beside the classifier.
 """
 
 from __future__ import annotations
@@ -19,22 +19,6 @@ import numpy as np
 from . import clustering
 from .errors import UsageError
 
-ACOUSTIC = "acoustic"
-VISUAL = "visual"
-MODALITIES = (ACOUSTIC, VISUAL)
-
-
-def check_width(modality: str, width: int) -> None:
-    """Refuse, with UsageError, a width that no `modality` vector can have.
-
-    Acoustic vectors are a spectrum's frequencies followed by its amplitudes,
-    so their length is even (2n for an n-bin spectrum).  Visual vectors are
-    flattened dominant-color triples, length 3C.  Neither is ever empty.
-    """
-    step = 2 if modality == ACOUSTIC else 3
-    if not width or width % step:
-        raise UsageError(f"{modality} width {width} is not a positive multiple of {step}")
-
 
 @dataclass(frozen=True, eq=False)
 class SceneClassifier:
@@ -42,25 +26,21 @@ class SceneClassifier:
 
     `seed` seeded the fit and featurizes photos, so prediction sees the
     palettes training saw; `scale` is the confidence divisor.  As after
-    training, names are non-empty, the width obeys `check_width` and the
-    seed is not negative.
+    training, names are non-empty and the seed is not negative.  What the
+    feature vectors are, and so which widths the model may have, is for
+    the bundle slot that holds it.
     """
 
-    modality: str
     model: clustering.KMeansModel
     cluster_names: tuple[str, ...]
     seed: int
     scale: float
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.modality not in MODALITIES:
-            raise UsageError(f"unknown modality {self.modality!r}")
         if len(self.cluster_names) != len(self.model.centroids):
             raise UsageError("cluster_names must name each centroid row exactly once")
         if not all(self.cluster_names):
             raise UsageError("scene names cannot be empty")
-        check_width(self.modality, self.model.dim)
         if self.seed < 0:  # `fit` refused it, and featurizing a photo would too
             raise UsageError(f"seed must not be negative, got {self.seed}")
         clustering.check_scale(self.scale)
@@ -82,18 +62,18 @@ class ScenePrediction:
 def train_classifier(
     names: Sequence[str],
     matrix: np.ndarray,
-    modality: str,
     seed: int = 0,
     scale: float = clustering.DEFAULT_SCALE,
-) -> SceneClassifier:
+) -> tuple[SceneClassifier, tuple[str, ...]]:
     """Fit one cluster per distinct scene name and name the clusters.
 
-    Row i of the (n, d) `matrix` is a `modality` feature vector of scene
-    `names[i]`; the fit reads the matrix in place and draws from `seed`.
-    `scale` becomes the confidence divisor.
+    Row i of the (n, d) `matrix` is the feature vector of scene `names[i]`;
+    the fit reads the matrix in place and draws from `seed`.  `scale`
+    becomes the confidence divisor.  Returns the classifier and the
+    warnings its naming raised.
 
     Raises UsageError for no rows, a name count other than the row count,
-    an empty scene name, or a width or modality `SceneClassifier` refuses.
+    an empty scene name, a negative seed, or a scale `check_scale` refuses.
     """
     if not names:
         raise UsageError("training set holds no examples")
@@ -129,14 +109,7 @@ def train_classifier(
         shared = sorted(name for name, n in Counter(cluster_names).items() if n > 1)
         warnings.append(f"clusters share scene names: {shared}")
 
-    return SceneClassifier(
-        modality=modality,
-        model=model,
-        cluster_names=tuple(cluster_names),
-        seed=seed,
-        scale=scale,
-        warnings=tuple(warnings),
-    )
+    return SceneClassifier(model, tuple(cluster_names), seed, scale), tuple(warnings)
 
 
 def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> ScenePrediction:

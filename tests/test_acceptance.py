@@ -43,12 +43,7 @@ from scenefuse.fusion import (
     tick,
 )
 from scenefuse.persistence import ModelBundle, load_bundle, save_bundle
-from scenefuse.scene_model import (
-    ACOUSTIC,
-    ScenePrediction,
-    classify,
-    train_classifier,
-)
+from scenefuse.scene_model import ScenePrediction, classify, train_classifier
 from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
 
 
@@ -175,7 +170,7 @@ def test_criterion_decision_matrix(matrix_workspace, fuse_outputs):
     check("2x2 scene matrix decides every trial correctly", ok, detail)
 
 
-def test_criterion_confidence_split(matrix_workspace, fuse_outputs):
+def test_criterion_confidence_split(fuse_outputs):
     """Matched pairings score >50 every trial; mismatched score exactly 0."""
     confidences = []
     for scene in ("coffee", "gym"):
@@ -185,8 +180,7 @@ def test_criterion_confidence_split(matrix_workspace, fuse_outputs):
 
     # library-level replay of one mismatched trial: the rejection itself must
     # carry a combined confidence of exactly 0, not merely a small number
-    bundle = load_bundle(matrix_workspace.bundle)
-    config = bundle.fusion_config
+    config = FusionConfig()  # the settings `fuse` runs with when no flag is given
     acoustic = ScenePrediction(scene="coffee", confidence=90.0, at=0.0)
     state, _ = on_acoustic(FusionState(), acoustic)
     for at in (5.0, 6.0, 7.0):
@@ -356,7 +350,7 @@ def test_criterion_round_trips(tmp_path):
     for i in range(6):
         matrix[2 * i] = rng.normal(0.0, 1.0, 8)
         matrix[2 * i + 1] = rng.normal(40.0, 1.0, 8)
-    classifier = train_classifier(("hum", "roar") * 6, matrix, ACOUSTIC)
+    classifier, _ = train_classifier(("hum", "roar") * 6, matrix)
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(acoustic=classifier), path)
     reloaded = load_bundle(path).acoustic

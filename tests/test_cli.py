@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,8 @@ from scenefuse.cli import main
 from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.fusion import FusionConfig, FusionState, tick
-from scenefuse.persistence import load_bundle, load_event_script, read_bytes, save_bundle
-from scenefuse.scene_model import ACOUSTIC, ScenePrediction, train_classifier
+from scenefuse.persistence import load_bundle, load_event_script, read_bytes
+from scenefuse.scene_model import ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
 
@@ -163,27 +162,6 @@ def test_fuse_flag_overrides_change_the_outcome(matrix_workspace, capsys):
     # a window that never expires is refused
     assert main(base + ["--window-av", "nan"]) == 1
     assert capsys.readouterr().out == ""
-
-
-def test_fuse_reads_the_fusion_settings_of_its_bundle(matrix_workspace, tmp_path, capsys):
-    strict = tmp_path / "strict.json"
-    bundle = load_bundle(matrix_workspace.bundle)
-    save_bundle(replace(bundle, fusion_config=FusionConfig(min_combined_confidence=100.0)), strict)
-    base = [
-        "fuse",
-        "--bundle",
-        str(strict),
-        "--script",
-        str(matrix_workspace.data / "script_coffee_coffee.tsv"),
-    ]
-    # the bundle's unreachable confidence floor rejects every trial
-    assert main(base) == 0
-    assert capsys.readouterr().out.splitlines() == ["No scene detected"] * matrix_workspace.trials
-    # and a flag still overrides it
-    assert main(base + ["--min-confidence", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == matrix_workspace.trials
-    assert all(DETECTED_LINE.match(line) for line in lines)
 
 
 def test_dump_spectrum_matches_the_library_numbers(matrix_workspace, capsys, tmp_path):
@@ -369,10 +347,10 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
     assert capsys.readouterr().err == "error: bundle.visual: seed must not be negative, got -1\n"
 
     raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
-    raw["fusion_config"] = 5
+    raw["visual"] = 5  # a part the command does not use still fails the whole bundle
     damaged.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["action", "predict", "coffee", "--bundle", str(damaged)]) == 3
-    assert capsys.readouterr().err == "error: bundle.fusion_config must be an object\n"
+    assert capsys.readouterr().err == "error: bundle.visual must be an object\n"
 
 
 def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
@@ -388,6 +366,20 @@ def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
     capsys.readouterr()
     assert main(["action", "predict", "coffee", "--bundle", str(out)]) == 3
     message = "error: bundle.action: scene and action vocabularies cannot be empty\n"
+    assert capsys.readouterr().err == message
+
+
+def test_an_action_net_with_a_repeated_action_exits_three(tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")
+    out = tmp_path / "actions.json"
+    assert main(["action", "train", "--pairs", str(pairs), "--out", str(out), "--iterations", "1"]) == 0
+    raw = json.loads(out.read_text(encoding="utf-8"))
+    raw["action"]["action_vocab"] = ["42", "42"]  # gym would predict coffee's action
+    out.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["action", "predict", "gym", "--bundle", str(out)]) == 3
+    message = "error: bundle.action: vocabulary ['42', '42'] repeats an entry\n"
     assert capsys.readouterr().err == message
 
 
@@ -518,7 +510,7 @@ REFUSALS = {
     "BadVersion": (
         3,
         lambda tmp: load_bundle(_written(tmp, '{"format_version": 2}')),
-        "this build reads only format_version 4, not 2",
+        "this build reads only format_version 5, not 2",
     ),
     "ClipTooShort": (
         3,
@@ -549,7 +541,7 @@ REFUSALS = {
     "EmptyScene": (1, lambda tmp: ScenePrediction("", 90.0, 0.0), "a prediction needs a scene"),
     "EmptyTrainingSet": (
         1,
-        lambda tmp: train_classifier([], np.empty((0, 2)), ACOUSTIC),
+        lambda tmp: train_classifier([], np.empty((0, 2))),
         "training set holds no examples",
     ),
     "IoError": (3, lambda tmp: read_bytes(tmp / "absent.wav"), "cannot read "),
@@ -774,7 +766,7 @@ def test_train_passes_classifier_warnings_to_stderr(tmp_path, capsys):
     clip = tmp_path / "a.wav"
     clip.write_bytes(encode_wav(synth_ambient([((100.0, 400.0), 1.0)], 5.0, 1000, seed=1)))
     vector = acoustic_features(magnitude_spectrum(analysis_window(decode_wav(clip.read_bytes()))))
-    expected = train_classifier(("hall", "yard"), np.array([vector, vector]), ACOUSTIC).warnings
+    _, expected = train_classifier(("hall", "yard"), np.array([vector, vector]))
     assert expected
     out = tmp_path / "bundle.json"
     args = ["train", "--modality", "acoustic", "--out", str(out)]

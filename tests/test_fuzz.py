@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 
 from scenefuse.audio_pipeline import AudioClip, decode_wav, encode_wav
 from scenefuse.errors import SceneFuseError
-from scenefuse.persistence import load_bundle, load_event_script, load_pairs, save_bundle
-from scenefuse.scene_model import MODALITIES, classify
+from scenefuse.persistence import (
+    MODALITIES,
+    load_bundle,
+    load_event_script,
+    load_pairs,
+    save_bundle,
+)
+from scenefuse.scene_model import classify
 from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
 from test_persistence import _edit_array, _full_bundle
 
@@ -63,7 +69,7 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@pytest.fixture(scope="module", params=["v4"])  # one id per format version this build reads
+@pytest.fixture(scope="module", params=["v5"])  # one id per format version this build reads
 def document(tmp_path_factory):
     """A valid bundle document, as this build saves it."""
     path = tmp_path_factory.mktemp("fuzz") / "valid.json"

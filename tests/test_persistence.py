@@ -15,7 +15,7 @@ from scenefuse.audio_pipeline import AudioClip
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansModel, KMeansParams
 from scenefuse.errors import InputError, UsageError
-from scenefuse.fusion import FusionConfig, FusionState
+from scenefuse.fusion import FusionState
 from scenefuse.persistence import (
     EventScript,
     ModelBundle,
@@ -26,16 +26,17 @@ from scenefuse.persistence import (
     parse_event_script,
     save_bundle,
 )
-from scenefuse.scene_model import ACOUSTIC, VISUAL, SceneClassifier, classify, train_classifier
+from scenefuse.scene_model import SceneClassifier, classify, train_classifier
 
 
-def _classifier(modality=ACOUSTIC, dim=4, seed=0):
+def _classifier(dim=4, seed=0):
     rng = np.random.default_rng(seed)
     matrix = np.empty((10, dim))
     for i in range(5):
         matrix[2 * i] = rng.normal(0.0, 1.0, dim)
         matrix[2 * i + 1] = rng.normal(0.0, 1.0, dim) + 50.0
-    return train_classifier(("near", "far") * 5, matrix, modality, seed=seed, scale=123.456)
+    classifier, _ = train_classifier(("near", "far") * 5, matrix, seed=seed, scale=123.456)
+    return classifier
 
 
 def _full_bundle():
@@ -43,15 +44,9 @@ def _full_bundle():
         [ActionExample("near", "n"), ActionExample("far", "f")], iterations=50
     )
     return ModelBundle(
-        acoustic=_classifier(ACOUSTIC),
-        visual=_classifier(VISUAL, dim=6, seed=1),
+        acoustic=_classifier(),
+        visual=_classifier(dim=6, seed=1),
         action=net,
-        fusion_config=FusionConfig(
-            acoustic_visual_window_s=25.0,
-            photo_window_s=15.0,
-            photos_required=2,
-            min_combined_confidence=10.5,
-        ),
     )
 
 
@@ -102,10 +97,8 @@ def test_round_trip_preserves_every_float_exactly(tmp_path):
     assert (again.acoustic.seed, again.acoustic.scale) == (0, 123.456)
     assert (again.visual.seed, again.visual.scale) == (1, 123.456)
     assert again.acoustic.cluster_names == bundle.acoustic.cluster_names
-    assert again.acoustic.warnings == bundle.acoustic.warnings
     assert again.action.scene_vocab == bundle.action.scene_vocab
     assert again.action.action_vocab == bundle.action.action_vocab
-    assert again.fusion_config == bundle.fusion_config
 
 
 def test_saved_file_is_stable_json(tmp_path):
@@ -116,8 +109,8 @@ def test_saved_file_is_stable_json(tmp_path):
     save_bundle(bundle, second)
     assert first.read_bytes() == second.read_bytes()
     raw = json.loads(first.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 4
-    assert set(raw) == {"format_version", "acoustic", "visual", "action", "fusion_config"}
+    assert raw["format_version"] == 5
+    assert set(raw) == {"format_version", "acoustic", "visual", "action"}
     centroids = raw["acoustic"]["model"]["centroids"]
     assert _node(bundle.acoustic.model.centroids) == centroids
 
@@ -142,21 +135,20 @@ def test_empty_sections_survive_round_trip(tmp_path):
     assert again.acoustic is None
     assert again.visual is None
     assert again.action is None
-    assert again.fusion_config == FusionConfig()
 
 
 def test_unknown_version_is_refused(tmp_path, capsys):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    for version in (1, 2, 3, 5):  # versions 1 to 3 are older layouts this build no longer reads
+    for version in (1, 2, 3, 4, 6):  # versions 1 to 4 are older layouts this build no longer reads
         raw["format_version"] = version
         path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(InputError, match="reads only format_version 4"):
+        with pytest.raises(InputError, match="reads only format_version 5"):
             load_bundle(path)
         assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
         err = capsys.readouterr().err
-        assert err == f"error: this build reads only format_version 4, not {version}\n"
+        assert err == f"error: this build reads only format_version 5, not {version}\n"
 
 
 def _with_unknown_keys(node):
@@ -186,11 +178,9 @@ def test_model_types_hold_only_what_nothing_else_determines():
 
     assert names(KMeansParams) == ["k", "seed"]
     assert names(KMeansModel) == ["centroids", "inertia_history"]
-    assert names(SceneClassifier) == [
-        "modality", "model", "cluster_names", "seed", "scale", "warnings"
-    ]
+    assert names(SceneClassifier) == ["model", "cluster_names", "seed", "scale"]
     assert names(ActionNet) == ["scene_vocab", "action_vocab", "weights_ih", "weights_ho"]
-    assert names(ModelBundle) == ["acoustic", "visual", "action", "fusion_config"]
+    assert names(ModelBundle) == ["acoustic", "visual", "action"]
     assert names(FusionState) == ["pending_acoustic", "photos", "last_at"]
     assert names(AudioClip) == ["samples", "sample_rate_hz"]
     with pytest.raises(TypeError):  # the version is save_bundle's to write
@@ -277,21 +267,20 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda raw: raw.pop("fusion_config"),
+        lambda raw: raw.pop("action"),
         lambda raw: raw.pop("acoustic"),
-        lambda raw: raw["fusion_config"].__setitem__("photos_required", "three"),
-        lambda raw: raw.__setitem__("acoustic", {"modality": "acoustic"}),
+        lambda raw: raw["visual"].__setitem__("seed", "one"),
+        lambda raw: raw.__setitem__("acoustic", {"seed": 0}),
         # values the model itself refuses, or that would classify as nonsense
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, -1.0),
         lambda raw: _set_entry(raw["acoustic"]["model"], "centroids", (0, 0), np.nan),
         lambda raw: raw["acoustic"]["model"]["inertia_history"].append(float("inf")),
-        lambda raw: raw["fusion_config"].__setitem__("photo_window_s", float("nan")),
+        lambda raw: raw["visual"].__setitem__("scale", float("nan")),
         # integers too large for a float, and a dimension too large for the bytes
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, 10**400),
         lambda raw: raw["acoustic"]["model"]["centroids"]["shape"].__setitem__(0, 10**400),
         # values of the wrong JSON type are refused, never converted
         lambda raw: raw["acoustic"].__setitem__("seed", True),
-        lambda raw: raw["acoustic"]["warnings"].append(7),
         lambda raw: raw["action"]["scene_vocab"].__setitem__(0, 7),
         lambda raw: raw["acoustic"].__setitem__("cluster_names", {"0": "near", "1": "far"}),
         # checks that span fields, and a value the constructor refuses
@@ -300,17 +289,18 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         lambda raw: raw["acoustic"]["cluster_names"].append("near"),
         lambda raw: raw["action"].pop("weights_ho"),
         lambda raw: raw["visual"].__setitem__("scale", 0.0),
-        lambda raw: raw["visual"].__setitem__("modality", "acoustic"),  # the wrong slot
         # a classifier or net no training could produce, which could not predict
         lambda raw: raw["acoustic"]["cluster_names"].__setitem__(0, ""),
         lambda raw: raw["visual"].__setitem__("seed", -1),
         _no_vocabulary("scene_vocab", "weights_ih", lambda weights: weights[:0]),
         _no_vocabulary("action_vocab", "weights_ho", lambda weights: weights[:, :0]),
+        lambda raw: raw["action"].__setitem__("scene_vocab", ["near", "near"]),
+        lambda raw: raw["action"].__setitem__("action_vocab", ["n", "n"]),
         _centroid_width("acoustic", 3),  # odd: not frequencies plus amplitudes
         _centroid_width("visual", 4),  # not whole RGB triples
         _centroid_width("visual", 0),
         # each refused by the reader's own check, before any constructor sees it
-        lambda raw: raw.__setitem__("fusion_config", 5),
+        lambda raw: raw.__setitem__("action", 5),
         lambda raw: raw["acoustic"].__setitem__("model", ["centroids", "inertia_history"]),
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(0, float("nan")),
     ],
@@ -424,7 +414,7 @@ def test_reload_and_save_writes_the_same_bytes(tmp_path):
     bundle = _full_bundle()
     twelve = [f"scene{i:02d}" for i in range(12)]
     matrix = np.repeat(20.0 * np.arange(12.0)[:, None], 3, axis=1)
-    bundle = replace(bundle, visual=train_classifier(twelve, matrix, VISUAL))
+    bundle = replace(bundle, visual=train_classifier(twelve, matrix)[0])
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
     save_bundle(bundle, first)
@@ -448,15 +438,9 @@ def test_types_check_what_spans_their_fields():
     with pytest.raises(UsageError):
         replace(model, centroids=np.full_like(model.centroids, np.nan))
     with pytest.raises(UsageError):
-        replace(classifier, modality="tactile")
-    with pytest.raises(UsageError, match="unknown modality"):  # 9 passes the visual width rule
-        replace(_classifier(VISUAL, dim=9), modality="foo")
-    with pytest.raises(UsageError):
         replace(classifier, cluster_names=("near",))
     with pytest.raises(UsageError):
         replace(classifier, cluster_names=("near", "far", "far"))
-    with pytest.raises(UsageError):
-        ModelBundle(acoustic=_classifier(VISUAL, dim=6))  # a width both modalities allow
     net = _full_bundle().action
     with pytest.raises(UsageError):
         replace(net, weights_ih=net.weights_ih[:1])
@@ -466,6 +450,15 @@ def test_types_check_what_spans_their_fields():
         replace(net, action_vocab=net.action_vocab + ("extra",))
     with pytest.raises(UsageError):
         replace(net, weights_ho=np.full_like(net.weights_ho, np.nan))
+
+
+def test_a_slot_refuses_a_width_its_modality_cannot_have():
+    """The slot is the modality: acoustic widths are even, visual ones whole RGB triples."""
+    with pytest.raises(UsageError, match="^acoustic width 3 is not a positive multiple of 2$"):
+        ModelBundle(acoustic=_classifier(dim=3))
+    with pytest.raises(UsageError, match="^visual width 4 is not a positive multiple of 3$"):
+        ModelBundle(visual=_classifier(dim=4))
+    ModelBundle(acoustic=_classifier(dim=6), visual=_classifier(dim=6))  # a width both allow
 
 
 def test_truncated_json_raises_schema_error(tmp_path):

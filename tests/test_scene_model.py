@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from scenefuse.errors import UsageError
-from scenefuse.scene_model import ACOUSTIC, VISUAL, ScenePrediction, classify, train_classifier
+from scenefuse.scene_model import ScenePrediction, classify, train_classifier
 
 
-def _train(items, modality=ACOUSTIC, **kwargs):
-    """A classifier fitted on (scene name, vector) pairs, stacked into one matrix."""
+def _train(items, **kwargs):
+    """The classifier and warnings fitted on (scene name, vector) pairs, stacked into one matrix."""
     names = [name for name, _ in items]
-    return train_classifier(names, np.array([vec for _, vec in items]), modality, **kwargs)
+    return train_classifier(names, np.array([vec for _, vec in items]), **kwargs)
 
 
 def _two_scene_set(noise=0.0, seed=0, dim=4):
@@ -28,14 +28,14 @@ def _two_scene_set(noise=0.0, seed=0, dim=4):
 
 
 def test_training_forces_one_cluster_per_scene():
-    classifier = _train(_two_scene_set(noise=1.0))
+    classifier, warnings = _train(_two_scene_set(noise=1.0))
     assert classifier.model.centroids.shape == (2, 4)
     assert sorted(classifier.cluster_names) == ["loud", "quiet"]
-    assert classifier.warnings == ()
+    assert warnings == ()
 
 
 def test_training_and_held_out_vectors_classify_correctly():
-    classifier = _train(_two_scene_set(noise=1.0))
+    classifier, _ = _train(_two_scene_set(noise=1.0))
     rng = np.random.default_rng(99)
     for _ in range(20):
         quiet = classify(classifier, rng.normal(0.0, 1.0, 4), now=1.0)
@@ -46,14 +46,14 @@ def test_training_and_held_out_vectors_classify_correctly():
 
 
 def test_prediction_carries_scene_confidence_and_timestamp():
-    classifier = _train(_two_scene_set(dim=6), VISUAL)
+    classifier, _ = _train(_two_scene_set(dim=6))
     prediction = classify(classifier, np.zeros(6), now=12.5)
     # exactly on the centroid
     assert prediction == ScenePrediction(scene="quiet", confidence=100.0, at=12.5)
 
 
 def test_confidence_honors_the_scale_parameter():
-    classifier = _train(_two_scene_set(), scale=100.0)
+    classifier, _ = _train(_two_scene_set(), scale=100.0)
     prediction = classify(classifier, np.full(4, 50.0), now=0.0)
     # distance to the nearest centroid is 100 in this geometry
     assert prediction.confidence == pytest.approx(100.0 - 100.0 / 100.0)
@@ -73,7 +73,7 @@ def test_majority_vote_names_a_mixed_cluster():
         ("b", [101.0, 100.0]),
         ("a", [100.0, 101.0]),  # stray "a" deep in b territory
     )
-    classifier = _train(items)
+    classifier, _ = _train(items)
     assert sorted(classifier.cluster_names) == ["a", "b"]
     assert classify(classifier, [100.5, 100.5], now=0.0).scene == "b"
 
@@ -83,8 +83,8 @@ def test_identical_examples_tie_break_alphabetically_with_warning():
         ("breeze", [5.0, 5.0]),
         ("arcade", [5.0, 5.0]),
     )
-    classifier = _train(items)
-    assert classifier.warnings  # ties and duplicate names must be reported
+    classifier, warnings = _train(items)
+    assert warnings  # ties and duplicate names must be reported
     named = sorted(classifier.cluster_names)
     # at least one cluster resolves to "arcade" by the alphabetical rule
     assert named[0] == "arcade"
@@ -95,29 +95,25 @@ def test_identical_examples_tie_break_alphabetically_with_warning():
 def test_cluster_naming_is_independent_of_example_order():
     base = _two_scene_set(noise=0.5)
     shuffled = tuple(reversed(base))
-    a = _train(base)
-    b = _train(shuffled)
+    a, _ = _train(base)
+    b, _ = _train(shuffled)
     probe = [99.0, 99.5, 100.0, 101.0]
     assert classify(a, probe, now=0.0).scene == classify(b, probe, now=0.0).scene == "loud"
 
 
 def test_training_set_validation():
     with pytest.raises(UsageError, match="training set holds no examples"):
-        train_classifier((), np.empty((0, 2)), ACOUSTIC)
-    with pytest.raises(UsageError, match="unknown modality 'thermal'"):
-        train_classifier(("a", "b"), np.array([[0.0] * 6, [1.0] * 6]), "thermal")
-    with pytest.raises(UsageError, match="acoustic width 3 is not a positive multiple of 2"):
-        train_classifier(("a", "b"), np.array([[0.0] * 3, [1.0] * 3]), ACOUSTIC)
+        train_classifier((), np.empty((0, 2)))
     with pytest.raises(UsageError):
-        train_classifier(("",), np.zeros((1, 2)), ACOUSTIC)
+        train_classifier(("",), np.zeros((1, 2)))
     with pytest.raises(UsageError, match="scene names cannot be empty"):  # "" names no cluster
-        train_classifier(("a", "a", ""), np.zeros((3, 2)), ACOUSTIC)
+        train_classifier(("a", "a", ""), np.zeros((3, 2)))
 
 
 def test_training_needs_one_name_per_row():
     for names in (("a",), ("a", "b", "b")):
         with pytest.raises(UsageError, match=f"{len(names)} scene names for 2 feature rows"):
-            train_classifier(names, np.array([[0.0, 0.0], [9.0, 9.0]]), ACOUSTIC)
+            train_classifier(names, np.array([[0.0, 0.0], [9.0, 9.0]]))
 
 
 def test_clusters_that_share_a_name_are_reported():
@@ -129,13 +125,13 @@ def test_clusters_that_share_a_name_are_reported():
         + [("b", [100.0, 100.0])]
         + [("c", [-100.0, 100.0])] * 3
     )
-    classifier = _train(items)
+    classifier, warnings = _train(items)
     assert sorted(classifier.cluster_names) == ["a", "a", "c"]
-    assert classifier.warnings == ("clusters share scene names: ['a']",)
+    assert warnings == ("clusters share scene names: ['a']",)
 
 
 def test_classify_validates_shape():
-    classifier = _train(_two_scene_set())
+    classifier, _ = _train(_two_scene_set())
     for shape in ((6,), (1, 4), (2, 2)):
         message = f"point has shape {shape}, model expects (4,)"
         with pytest.raises(UsageError, match=re.escape(message)):
@@ -144,7 +140,7 @@ def test_classify_validates_shape():
 
 def test_prediction_value_bounds():
     # both ends of the range are predictions: an exact match and a query far from every centroid
-    classifier = _train(_two_scene_set())
+    classifier, _ = _train(_two_scene_set())
     assert classify(classifier, np.zeros(4), now=0.0).confidence == 100.0
     assert classify(classifier, np.full(4, 1e9), now=0.0).confidence == 0.0
     for value in (0.0, 100.0):
@@ -169,7 +165,7 @@ def test_training_fits_the_matrix_without_stacking_a_copy():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        train_classifier(names, matrix, ACOUSTIC)
+        train_classifier(names, matrix)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
