@@ -100,16 +100,6 @@ def _first_appearance(values: Sequence[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
-def _encode_batch(
-    examples: Sequence[ActionExample],
-    scene_vocab: Sequence[str],
-    action_vocab: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.vstack([encode_onehot(e.scene_label, scene_vocab) for e in examples])
-    targets = np.vstack([encode_onehot(e.action_code, action_vocab) for e in examples])
-    return inputs, targets
-
-
 def train_actions(
     examples: Sequence[ActionExample],
     iterations: int = DEFAULT_ITERATIONS,
@@ -148,7 +138,8 @@ def train_actions(
 
     scene_vocab = _first_appearance([e.scene_label for e in examples])
     action_vocab = _first_appearance([e.action_code for e in examples])
-    inputs, targets = _encode_batch(examples, scene_vocab, action_vocab)
+    inputs = np.vstack([encode_onehot(e.scene_label, scene_vocab) for e in examples])
+    targets = np.vstack([encode_onehot(e.action_code, action_vocab) for e in examples])
 
     rng = np.random.default_rng(seed)
     weights_ih = rng.uniform(-1.0, 1.0, (len(scene_vocab), hidden_size))

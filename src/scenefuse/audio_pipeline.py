@@ -34,19 +34,26 @@ _MAX_SAMPLES = (2**32 - 37) // 2
 
 @dataclass(frozen=True, eq=False)
 class AudioClip:
-    """Mono samples normalized to [-1, 1] at a fixed sample rate."""
+    """Mono samples normalized to [-1, 1] at a fixed sample rate.
+
+    The fields are checked, never converted: a rate that is not a positive
+    int, or samples that are not a non-empty 1-D float64 array, are refused.
+    """
 
     samples: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if int(self.sample_rate_hz) <= 0:
-            raise UsageError("sample rate must be positive")
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
-        if samples.ndim != 1 or samples.size == 0:
-            raise UsageError("clip must hold at least one sample")
+        if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
+            raise UsageError(f"sample rate {self.sample_rate_hz!r} is not a positive int")
+        samples = self.samples
+        if not (
+            isinstance(samples, np.ndarray)
+            and samples.dtype == np.float64
+            and samples.ndim == 1
+            and samples.size > 0
+        ):
+            raise UsageError("samples must be a 1-D float64 array of at least one sample")
         if not (np.abs(samples) <= 1.0).all():  # NaN fails too
             raise UsageError("samples must lie within [-1, 1]")
 
@@ -121,7 +128,7 @@ def decode_wav(data: bytes) -> AudioClip:
     raw = np.frombuffer(data_chunk, dtype="<i2").astype(np.float64) / _PCM_SCALE
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioClip(samples=raw, sample_rate_hz=int(rate))
+    return AudioClip(samples=raw, sample_rate_hz=rate)
 
 
 def encode_wav(clip: AudioClip) -> bytes:
@@ -209,16 +216,17 @@ def synth_ambient(
     [-1, 1].  Same arguments, same seed: bit-identical samples.
 
     Raises UsageError for an empty envelope, negative or non-finite gains,
-    inverted bands, bands beyond the Nyquist frequency, a duration that is
-    not finite or rounds to zero samples, a rate or sample count that a
-    WAV header cannot hold, or a negative seed.
+    inverted bands, bands beyond the Nyquist frequency, a rate that is not
+    a positive int, a duration that is not finite or rounds to zero
+    samples, a rate or sample count that a WAV header cannot hold, or a
+    negative seed.
     """
     if components_per_band < 1:
         raise UsageError("need at least one component per band")
     if seed < 0:
         raise UsageError(f"seed must not be negative, got {seed}")
-    if rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
-        raise UsageError("rate and duration must be finite and positive")
+    if type(rate) is not int or rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
+        raise UsageError("rate must be a positive int, duration finite and positive")
     if rate > _MAX_RATE or seconds * rate >= _MAX_SAMPLES + 1:  # before any allocation
         raise UsageError(f"a WAV header holds at most {_MAX_SAMPLES} samples and {_MAX_RATE} Hz")
     n = int(seconds * rate)

@@ -7,18 +7,16 @@ window — and within 20 seconds of the first photo — accumulate until
 scene that matches the acoustic scene, with a combined confidence (the
 mean of the acoustic one and the majority photos' mean) of at least
 `min_combined_confidence`, is identified.  Anything else — a vote tie, a
-majority for another scene, a combined confidence below that floor, a
-photo past either window, or expiry under a tick — resolves to "no
-scene" with a combined confidence of exactly 0, and the machine restarts.
+majority for another scene, a combined confidence below that floor, or a
+photo past either window — resolves to "no scene" with a combined
+confidence of exactly 0, and the machine restarts.
 
 The state is the pending acoustic anchor (None while idle), its photos and
-the clock; both windows are read from the config each photo or tick is
-given.
+the clock; both windows are read from the config each photo is given.
 
-Time is injected by the caller through event timestamps and tick() and must
-be finite and never run backward; a stale or non-finite timestamp raises
-UsageError.  All three operations return a fresh state, leaving their
-argument untouched.
+Time comes only from the event timestamps, which must be finite and never
+run backward; a stale or non-finite timestamp raises UsageError.  Both
+operations return a fresh state, leaving their argument untouched.
 """
 
 from __future__ import annotations
@@ -83,16 +81,12 @@ def _restart(at: float) -> FusionState:
     return FusionState(last_at=at)
 
 
-def _deadline(anchor: ScenePrediction, config: FusionConfig) -> float:
-    return anchor.at + config.acoustic_visual_window_s
-
-
 def on_acoustic(state: FusionState, pred: ScenePrediction) -> tuple[FusionState, SceneDecision]:
     """An acoustic prediction opens (or reopens) the visual window.
 
     A newer acoustic prediction always replaces an in-flight one — the
     latest anchor wins and any collected photos are dropped.  No window is
-    read here: photos and ticks check it against the config they are given.
+    read here: photos check it against the config they are given.
     """
     _check_clock(state, pred.at)
     return FusionState(pending_acoustic=pred, last_at=pred.at), _PENDING
@@ -111,9 +105,8 @@ def on_visual_photo(
     anchor = state.pending_acoustic
     if anchor is None:
         return replace(state, last_at=pred.at), _PENDING
-    if pred.at > _deadline(anchor, config):
-        return _restart(pred.at), _NO_SCENE
-    if state.photos and pred.at > state.photos[0].at + config.photo_window_s:
+    late = pred.at > anchor.at + config.acoustic_visual_window_s
+    if late or (state.photos and pred.at > state.photos[0].at + config.photo_window_s):
         return _restart(pred.at), _NO_SCENE
 
     photos = state.photos + (pred,)
@@ -122,17 +115,6 @@ def on_visual_photo(
 
     decision = _decide(anchor, photos, config)
     return _restart(pred.at), decision
-
-
-def tick(
-    state: FusionState, now: float, config: FusionConfig
-) -> tuple[FusionState, SceneDecision]:
-    """Advance the clock; expire the visual window if its deadline passed."""
-    _check_clock(state, now)
-    anchor = state.pending_acoustic
-    if anchor is not None and now > _deadline(anchor, config):
-        return _restart(now), _NO_SCENE
-    return replace(state, last_at=now), _PENDING
 
 
 def _decide(

@@ -25,24 +25,26 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """Row-major RGB pixels, one byte per channel."""
+    """Row-major RGB pixels, one byte per channel.
+
+    The fields are checked, never converted: pixels that are not a
+    (width*height, 3) uint8 array are refused.
+    """
 
     width: int
     height: int
-    pixels: np.ndarray  # shape (width*height, 3), dtype uint8
+    pixels: np.ndarray
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise UsageError("image dimensions must be positive")
-        pixels = np.asarray(self.pixels)
-        if pixels.dtype != np.uint8:
-            as_int = np.asarray(pixels, dtype=np.int64)
-            if as_int.size and (as_int.min() < 0 or as_int.max() > 255):
-                raise UsageError("channel values must lie in [0, 255]")
-            pixels = as_int.astype(np.uint8)
-        if pixels.ndim != 2 or pixels.shape != (self.width * self.height, 3):
-            raise UsageError("pixels must be a (width*height, 3) array")
-        object.__setattr__(self, "pixels", pixels)
+        pixels = self.pixels
+        if not (
+            isinstance(pixels, np.ndarray)
+            and pixels.dtype == np.uint8
+            and pixels.shape == (self.width * self.height, 3)
+        ):
+            raise UsageError("pixels must be a (width*height, 3) uint8 array")
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -153,14 +155,15 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     (largest-remainder rounding, ties to the earlier entry).  The layout is
     fully determined by the spec and dimensions.
 
-    Raises UsageError for non-positive dimensions, an empty spec,
-    out-of-range colors or fractions, or fractions that do not sum to 1.
+    Raises UsageError for non-positive dimensions, an empty spec, a color
+    channel that is not an int in [0, 255], a negative fraction, or
+    fractions that do not sum to 1.
     """
     spec = list(palette_spec)  # an empty one fails the sum check
     if width < 1 or height < 1:
         raise UsageError("image dimensions must be positive")
     for color, fraction in spec:
-        if len(color) != 3 or any(not (0 <= int(ch) <= 255) for ch in color):
+        if len(color) != 3 or any(type(ch) is not int or not 0 <= ch <= 255 for ch in color):
             raise UsageError(f"color {color!r} is not an RGB triple in [0, 255]")
         if not fraction >= 0.0:  # NaN too: it would pass the sum check
             raise UsageError(f"negative fraction {fraction}")

@@ -97,7 +97,7 @@ def fusion_reference(
 ):
     """Straight-line replay of (kind, scene, confidence, at) event tuples.
 
-    kind is "acoustic", "photo", or "tick".  Returns one decision tuple per
+    kind is "acoustic" or "photo".  Returns one decision tuple per
     event: ("pending"|"no_scene", None, 0.0) or ("identified", scene,
     combined).  Deliberately flat local-variable bookkeeping, no state
     objects — this is the reference the state machine is measured against.
@@ -113,15 +113,6 @@ def fusion_reference(
             anchor_scene, anchor_conf, anchor_at = scene, conf, at
             shots = []
             results.append(PENDING)
-            continue
-
-        if kind == "tick":
-            if anchor_scene is not None and at > anchor_at + av_window:
-                anchor_scene = None
-                shots = []
-                results.append(NO_SCENE)
-            else:
-                results.append(PENDING)
             continue
 
         # photo

@@ -37,10 +37,8 @@ from scenefuse.fusion import (
     FusionState,
     IDENTIFIED,
     NO_SCENE,
-    PENDING,
     on_acoustic,
     on_visual_photo,
-    tick,
 )
 from scenefuse.persistence import ModelBundle, load_bundle, save_bundle
 from scenefuse.scene_model import ScenePrediction, classify, train_classifier
@@ -228,10 +226,8 @@ def test_criterion_fusion_windows_and_equivalence():
         for kind, scene, conf, at in events:
             if kind == "acoustic":
                 state, d = on_acoustic(state, ScenePrediction(scene, conf, at))
-            elif kind == "photo":
-                state, d = on_visual_photo(state, ScenePrediction(scene, conf, at), config)
             else:
-                state, d = tick(state, at, config)
+                state, d = on_visual_photo(state, ScenePrediction(scene, conf, at), config)
             out.append(d)
         return state, out
 
@@ -243,14 +239,7 @@ def test_criterion_fusion_windows_and_equivalence():
     ]
     _, inside = run(shots(30.0))
     _, outside = run(shots(30.1))
-    _, tick_ok = run(base + [("tick", None, 0.0, 30.0)])
-    _, tick_late = run(base + [("tick", None, 0.0, 30.1)])
-    boundaries = (
-        inside[-1].kind == IDENTIFIED
-        and outside[-1].kind == NO_SCENE
-        and tick_ok[-1].kind == PENDING
-        and tick_late[-1].kind == NO_SCENE
-    )
+    boundaries = inside[-1].kind == IDENTIFIED and outside[-1].kind == NO_SCENE
 
     skew_raises = False
     try:
@@ -266,8 +255,6 @@ def test_criterion_fusion_windows_and_equivalence():
         ("photo", "b", 5.0),
         ("photo", "a", 25.0),
         ("photo", "b", 25.0),
-        ("tick", None, 5.0),
-        ("tick", None, 31.0),
     )
     nodes = 0
     mismatches = 0
@@ -277,9 +264,7 @@ def test_criterion_fusion_windows_and_equivalence():
     def step(state, kind, scene, at):
         if kind == "acoustic":
             return on_acoustic(state, ScenePrediction(scene, 90.0, at))
-        if kind == "photo":
-            return on_visual_photo(state, ScenePrediction(scene, 80.0, at), config)
-        return tick(state, at, config)
+        return on_visual_photo(state, ScenePrediction(scene, 80.0, at), config)
 
     def dfs(state, now, depth):
         nonlocal nodes, mismatches

@@ -104,6 +104,13 @@ def test_clip_validation():
         AudioClip(np.array([]), 8000)
     with pytest.raises(UsageError):
         AudioClip(np.array([0.0, np.nan]), 8000)
+    # fields are checked, never converted: no other dtype, container or rate type
+    for samples in (np.zeros(4, dtype=np.float32), [0.0, 0.5]):
+        with pytest.raises(UsageError, match="samples must be a 1-D float64 array"):
+            AudioClip(samples, 8000)
+    for rate in (8000.5, "8000", True):
+        with pytest.raises(UsageError, match="is not a positive int"):
+            AudioClip(np.zeros(4), rate)
 
 
 # --- windowing -------------------------------------------------------------
@@ -248,6 +255,8 @@ def test_disjoint_profiles_separate_by_an_order_of_magnitude():
         ([((100.0, 200.0), 1.0)], float("inf"), 8000),  # endless clip
         ([((100.0, 200.0), 1.0)], float("nan"), 8000),  # duration that is not a number
         ([((100.0, 200.0), 1.0)], 0.0001, 8000),  # rounds to zero samples
+        ([((100.0, 200.0), 1.0)], 1.0, float("nan")),  # rate that is not a number
+        ([((100.0, 200.0), 1.0)], 1.0, 1000.5),  # rate that is not a whole number
     ],
 )
 def test_synth_rejects_bad_envelopes(profile, seconds, rate):
@@ -261,7 +270,7 @@ def test_synth_names_a_duration_that_rounds_to_zero_samples():
         synth_ambient([((100.0, 200.0), 1.0)], 0.0001, 8000, seed=0)
     # a zero rate or a zero duration is not positive, which is said first
     for seconds, rate in ((1.0, 0), (0.0, 8000)):
-        with pytest.raises(UsageError, match="rate and duration must be finite and positive"):
+        with pytest.raises(UsageError, match="rate must be a positive int, duration finite and"):
             synth_ambient([((100.0, 200.0), 1.0)], seconds, rate, seed=0)
     # one sample is enough, and so are one component, a zero gain, a
     # zero-width band and a band that ends at Nyquist

@@ -27,7 +27,7 @@ from scenefuse import cli, errors
 from scenefuse.cli import main
 from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
-from scenefuse.fusion import FusionConfig, FusionState, tick
+from scenefuse.fusion import FusionState, on_acoustic
 from scenefuse.persistence import load_bundle, load_event_script, read_bytes
 from scenefuse.scene_model import ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
@@ -519,7 +519,7 @@ REFUSALS = {
     ),
     "ClockSkew": (
         1,
-        lambda tmp: tick(FusionState(), float("nan"), FusionConfig()),
+        lambda tmp: on_acoustic(FusionState(), ScenePrediction("a", 90.0, float("nan"))),
         "timestamp nan is not finite",
     ),
     "ConflictingExamples": (

@@ -14,7 +14,6 @@ from scenefuse.fusion import (
     SceneDecision,
     on_acoustic,
     on_visual_photo,
-    tick,
 )
 from scenefuse.scene_model import ScenePrediction
 
@@ -32,10 +31,8 @@ def run(events, config=CONFIG):
     for kind, scene, conf, at in events:
         if kind == "acoustic":
             state, decision = on_acoustic(state, pred(scene, conf, at))
-        elif kind == "photo":
-            state, decision = on_visual_photo(state, pred(scene, conf, at), config)
         else:
-            state, decision = tick(state, at, config)
+            state, decision = on_visual_photo(state, pred(scene, conf, at), config)
         decisions.append(decision)
     return state, decisions
 
@@ -154,31 +151,15 @@ def test_photo_burst_must_fit_the_photo_window():
     assert late[-1].kind == NO_SCENE
 
 
-def test_tick_expires_only_strictly_past_the_deadline():
-    config = CONFIG
-    state = FusionState()
-    state, _ = on_acoustic(state, pred("a", 90.0, 0.0))
-    state, before = tick(state, 29.9, config)
-    assert before.kind == PENDING
-    state, boundary = tick(state, 30.0, config)
-    assert boundary.kind == PENDING
-    state, after = tick(state, 30.1, config)
-    assert after.kind == NO_SCENE
-    assert state.pending_acoustic is None
-    # once idle, further ticks stay quiet
-    _, again = tick(state, 60.0, config)
-    assert again.kind == PENDING
-
-
 def test_deadline_follows_the_window_of_the_call_that_checks_it():
     # the anchor carries no window; a later call's 40 s window rules
     wide = FusionConfig(acoustic_visual_window_s=40.0)
     anchored, _ = on_acoustic(FusionState(), pred("a", 90.0, 0.0))
     _, photo = on_visual_photo(anchored, pred("a", 90.0, 35.0), wide)
-    _, clock = tick(anchored, 35.0, wide)
-    assert photo.kind == clock.kind == PENDING
+    assert photo.kind == PENDING
     # and a narrower window expires the same anchor sooner
-    _, expired = tick(anchored, 25.0, FusionConfig(acoustic_visual_window_s=20.0))
+    narrow = FusionConfig(acoustic_visual_window_s=20.0)
+    _, expired = on_visual_photo(anchored, pred("a", 90.0, 25.0), narrow)
     assert expired.kind == NO_SCENE
 
 
@@ -269,15 +250,13 @@ def test_time_running_backward_raises():
             on_acoustic(state, pred("a", 90.0, bad))
         with pytest.raises(UsageError, match=skew):
             on_visual_photo(state, pred("a", 90.0, bad), CONFIG)
-        with pytest.raises(UsageError, match=skew):
-            tick(state, bad, CONFIG)
     for bad in (float("nan"), float("inf")):  # even before any event
         with pytest.raises(UsageError, match="is not finite"):
             on_acoustic(FusionState(), pred("a", 90.0, bad))
         with pytest.raises(UsageError, match="is not finite"):
-            tick(FusionState(), bad, CONFIG)
+            on_visual_photo(FusionState(), pred("a", 90.0, bad), CONFIG)
     # equal timestamps are fine
-    _, decision = tick(state, 10.0, CONFIG)
+    _, decision = on_visual_photo(state, pred("a", 90.0, 10.0), CONFIG)
     assert decision.kind == PENDING
 
 
@@ -286,7 +265,7 @@ def test_operations_leave_their_input_state_untouched():
     mid, _ = on_acoustic(state, pred("a", 90.0, 0.0))
     snapshot = (mid.pending_acoustic, mid.photos, mid.last_at)
     on_visual_photo(mid, pred("a", 90.0, 1.0), CONFIG)
-    tick(mid, 2.0, CONFIG)
+    on_visual_photo(mid, pred("a", 90.0, 2.0), CONFIG)
     assert (mid.pending_acoustic, mid.photos, mid.last_at) == snapshot
     assert state == FusionState()
     assert mid.pending_acoustic == pred("a", 90.0, 0.0)
@@ -314,17 +293,17 @@ def test_config_validation():
 
 def test_random_event_streams_match_the_reference_replay():
     rng = np.random.default_rng(2024)
-    kinds = ("acoustic", "photo", "tick")
+    kinds = ("acoustic", "photo")
     scenes = ("a", "b")
     for _ in range(300):
         now = 0.0
         events = []
         for _ in range(rng.integers(1, 12)):
             now += float(rng.uniform(0.0, 18.0))
-            kind = kinds[rng.integers(0, 3)]
+            kind = kinds[rng.integers(0, 2)]
             scene = scenes[rng.integers(0, 2)]
             conf = float(rng.integers(50, 101))
-            events.append((kind, scene if kind != "tick" else None, conf, now))
+            events.append((kind, scene, conf, now))
         _, decisions = run(events)
         expected = fusion_reference(events)
         got = [(d.kind, d.scene, d.combined_confidence) for d in decisions]

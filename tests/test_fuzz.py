@@ -45,7 +45,7 @@ TSV_TEXT = st.lists(
 ).map("\n".join)
 
 VALID_WAV = encode_wav(AudioClip(samples=np.linspace(-0.5, 0.5, 12), sample_rate_hz=8000))
-VALID_PPM = encode_ppm(Image(width=3, height=2, pixels=np.arange(18).reshape(6, 3)))
+VALID_PPM = encode_ppm(Image(width=3, height=2, pixels=np.arange(18, dtype=np.uint8).reshape(6, 3)))
 
 
 def _damaged(valid: bytes):

@@ -91,11 +91,11 @@ def test_image_validation():
     with pytest.raises(UsageError):
         Image(width=2, height=2, pixels=np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(UsageError):
-        Image(width=1, height=1, pixels=np.array([[300, 0, 0]]))
-    with pytest.raises(UsageError):
         Image(width=0, height=1, pixels=np.zeros((0, 3), dtype=np.uint8))
-    # integers at the top of the range are converted, not refused
-    assert Image(width=1, height=1, pixels=np.array([[255, 0, 0]])).pixels.tolist() == [[255, 0, 0]]
+    # pixels are checked, never converted: int64 ones are refused even in range
+    for pixels in (np.array([[300, 0, 0]]), np.array([[255, 0, 0]]), [[255, 0, 0]]):
+        with pytest.raises(UsageError, match="uint8 array"):
+            Image(width=1, height=1, pixels=pixels)
 
 
 # --- dominant colors -------------------------------------------------------
@@ -185,6 +185,10 @@ def test_synth_pixel_counts_match_fractions_within_one():
         ([((0, 0, 0), 1.0)], 0, 4),
         ([((0, 0, 0), float("nan")), ((1, 1, 1), 1.0)], 4, 4),  # NaN passes the sum check
         ([((0, 0, 0), 1.0)], -2, 3),  # unchecked, np.repeat would get a negative count
+        ([((0, 0, float("nan")), 1.0)], 4, 4),  # unchecked, int() raises ValueError
+        ([((0, 0, float("inf")), 1.0)], 4, 4),  # unchecked, int() raises OverflowError
+        ([((0, 0, 254.9), 1.0)], 4, 4),  # unchecked, truncated to 254
+        ([((0, 0, "7"), 1.0)], 4, 4),
     ],
 )
 def test_synth_rejects_bad_specs(spec, width, height):
