@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import UnknownLabel, UsageError
+from .errors import UsageError, check_int
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -60,11 +60,11 @@ class ActionNet:
 
 
 def encode_onehot(label: str, vocab: Sequence[str]) -> np.ndarray:
-    """One-hot row for `label`; raises UnknownLabel when absent."""
+    """One-hot row for `label`; raises UsageError when absent."""
     try:
         index = list(vocab).index(label)
     except ValueError:
-        raise UnknownLabel(f"label {label!r} not in vocabulary {list(vocab)}") from None
+        raise UsageError(f"label {label!r} not in vocabulary {list(vocab)}") from None
     row = np.zeros(len(vocab), dtype=np.float64)
     row[index] = 1.0
     return row
@@ -96,10 +96,6 @@ def loss_gradients(
     return grad_ih, grad_ho
 
 
-def _first_appearance(values: Sequence[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(values))
-
-
 def train_actions(
     examples: Sequence[ActionExample],
     iterations: int = DEFAULT_ITERATIONS,
@@ -113,20 +109,17 @@ def train_actions(
     Returns the net and the module's error trace as (iteration, error) pairs.
 
     Raises UsageError for no examples, one scene label mapped to two action
-    codes, fewer than one iteration or hidden unit, a non-finite learning
-    rate or one so large that the weights overflow, or a negative seed.
+    codes, a non-finite learning rate or one so large that the weights
+    overflow; `errors.check_int` refuses bad counts and seeds.
     """
     examples = list(examples)
     if not examples:
         raise UsageError("no scene/action pairs to learn from")
-    if iterations < 1:
-        raise UsageError("iterations must be at least 1")
-    if hidden_size < 1:
-        raise UsageError("hidden_size must be at least 1")
+    check_int(iterations, 1, "iterations")
+    check_int(hidden_size, 1, "hidden_size")
     if not math.isfinite(learning_rate):
         raise UsageError("learning_rate must be finite")
-    if seed < 0:
-        raise UsageError(f"seed must not be negative, got {seed}")
+    check_int(seed, 0, "seed")
     seen: dict[str, str] = {}
     for example in examples:
         known = seen.setdefault(example.scene_label, example.action_code)
@@ -136,8 +129,9 @@ def train_actions(
                 f"and {example.action_code!r}"
             )
 
-    scene_vocab = _first_appearance([e.scene_label for e in examples])
-    action_vocab = _first_appearance([e.action_code for e in examples])
+    # `seen` lists each scene at its first appearance, with the one action it maps to
+    scene_vocab = tuple(seen)
+    action_vocab = tuple(dict.fromkeys(seen.values()))
     inputs = np.vstack([encode_onehot(e.scene_label, scene_vocab) for e in examples])
     targets = np.vstack([encode_onehot(e.action_code, action_vocab) for e in examples])
 
@@ -166,7 +160,7 @@ def train_actions(
 
 
 def predict_action(net: ActionNet, scene_label: str) -> str:
-    """Highest-activation action code for a known scene label."""
+    """Highest-activation action code for a scene label; UsageError if the net never saw it."""
     row = encode_onehot(scene_label, net.scene_vocab)
     _, outputs = _forward(net.weights_ih, net.weights_ho, row[None, :])
     return net.action_vocab[int(np.argmax(outputs[0]))]
@@ -207,11 +201,9 @@ def action_repl(stdin: TextIO, stdout: TextIO, **training) -> ActionNet:
         label = ask("Tell me something: ")
         if not label:
             break
-        try:
-            code = predict_action(net, label)
-        except UnknownLabel:
+        if label not in net.scene_vocab:
             stdout.write(f"unknown scene label: {label}\n\n")
             continue
         stdout.write("based on your command, here's my action prediction:\n")
-        stdout.write(f"[['{code}']]\n\n")
+        stdout.write(f"[['{predict_action(net, label)}']]\n\n")
     return net

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, UsageError
+from .errors import InputError, UsageError, check_int, check_positive
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
 WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
@@ -44,8 +44,7 @@ class AudioClip:
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
-            raise UsageError(f"sample rate {self.sample_rate_hz!r} is not a positive int")
+        check_int(self.sample_rate_hz, 1, "sample_rate_hz")
         samples = self.samples
         if not (
             isinstance(samples, np.ndarray)
@@ -216,17 +215,14 @@ def synth_ambient(
     [-1, 1].  Same arguments, same seed: bit-identical samples.
 
     Raises UsageError for an empty envelope, negative or non-finite gains,
-    inverted bands, bands beyond the Nyquist frequency, a rate that is not
-    a positive int, a duration that is not finite or rounds to zero
-    samples, a rate or sample count that a WAV header cannot hold, or a
-    negative seed.
+    inverted bands, bands beyond the Nyquist frequency, a duration that
+    rounds to zero samples, or a rate or sample count that a WAV header
+    cannot hold; first, the `errors` checks refuse bad counts and `seconds`.
     """
-    if components_per_band < 1:
-        raise UsageError("need at least one component per band")
-    if seed < 0:
-        raise UsageError(f"seed must not be negative, got {seed}")
-    if type(rate) is not int or rate <= 0 or not (math.isfinite(seconds) and seconds > 0.0):
-        raise UsageError("rate must be a positive int, duration finite and positive")
+    check_int(components_per_band, 1, "components_per_band")
+    check_int(seed, 0, "seed")
+    check_int(rate, 1, "rate")
+    check_positive(seconds, "seconds")
     if rate > _MAX_RATE or seconds * rate >= _MAX_SAMPLES + 1:  # before any allocation
         raise UsageError(f"a WAV header holds at most {_MAX_SAMPLES} samples and {_MAX_RATE} Hz")
     n = int(seconds * rate)

@@ -31,8 +31,9 @@ from .audio_pipeline import (
     magnitude_spectrum,
     synth_ambient,
 )
-from .clustering import DEFAULT_SCALE, check_scale
+from .clustering import DEFAULT_SCALE
 from .errors import InputError, MissingClassifier, SceneFuseError, UsageError
+from .errors import check_int, check_positive
 from .fusion import IDENTIFIED, NO_SCENE, FusionConfig, FusionState, on_acoustic, on_visual_photo
 from .persistence import (
     ACOUSTIC,
@@ -156,7 +157,8 @@ def cmd_train(args) -> int:
     if any(len(entry) < 2 for entry in args.scene):
         raise UsageError("--scene needs a name followed by at least one file")
 
-    check_scale(args.scale)  # refused before any file is read
+    check_positive(args.scale, "scale")  # both refused before any file is read
+    check_int(args.seed, 0, "seed")
     if args.modality == ACOUSTIC and args.k_override is not None:
         _warn("--k-override only affects visual training; ignored")
     color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
@@ -300,8 +302,7 @@ def _shifted_fractions(spec, step: int):
 
 
 def cmd_synth_matrix(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    check_int(args.trials, 1, "--trials")
     out_dir = Path(args.out_dir)
     written: list[str] = []
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_int, check_positive
 
 
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
@@ -50,17 +50,16 @@ class KMeansParams:
     iteration cap and convergence tolerance are module constants: a fit
     restarts `_N_INIT` times from fresh k-means++ draws of one seeded
     stream and keeps the lowest-inertia run, so results stay deterministic
-    while single-start local minima get smoothed out.
+    while single-start local minima get smoothed out.  `errors.check_int`
+    refuses a `k` below 1 and a seed below 0, as numpy's generators would.
     """
 
     k: int
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise UsageError(f"k must be at least 1, got {self.k}")
-        if self.seed < 0:  # numpy's generators take non-negative seeds only
-            raise UsageError(f"seed must not be negative, got {self.seed}")
+        check_int(self.k, 1, "k")
+        check_int(self.seed, 0, "seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,12 +310,6 @@ def predict(model: KMeansModel, point) -> tuple[int, float]:
     return label, float(np.sqrt(sq[0, label]))
 
 
-def check_scale(scale: float) -> None:
-    """Refuse a confidence divisor that is not finite and positive, with UsageError."""
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise UsageError("scale must be finite and positive")
-
-
 def confidence(distance: float, scale: float = DEFAULT_SCALE) -> float:
     """Scaled-distance confidence: 100 - distance/scale, clamped to [0, 100].
 
@@ -325,5 +318,5 @@ def confidence(distance: float, scale: float = DEFAULT_SCALE) -> float:
     """
     if not distance >= 0.0:
         raise UsageError("distance must be a number, not negative or NaN")
-    check_scale(scale)
+    check_positive(scale, "scale")
     return min(100.0, max(0.0, 100.0 - distance / scale))

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by every scenefuse module.
+"""Exception taxonomy shared by every scenefuse module, and the checks most parameters share.
 
 A class exists here only if it sets the exit code the command line returns,
 or if code in scenefuse catches it by name.  The three families are
@@ -8,8 +8,11 @@ or if code in scenefuse catches it by name.  The three families are
 message of each refusal says which check made it.  All derive from
 :class:`SceneFuseError`.  Every refusal scenefuse makes is one of these
 classes; any other exception escaping it, a builtin ``ValueError`` included,
-is a bug.
+is a bug.  Counts, seeds, sizes and rates go through :func:`check_int`, and
+scales, windows and durations through :func:`check_positive`.
 """
+
+import sys
 
 
 class SceneFuseError(Exception):
@@ -36,5 +39,13 @@ class MissingClassifier(SceneFuseError):
     exit_code = 2
 
 
-class UnknownLabel(UsageError):
-    """Scene label absent from the trained vocabulary; `action_repl` catches it to re-prompt."""
+def check_int(value, low: int, name: str) -> None:
+    """Refuse, with UsageError, anything but an int of at least `low`; bools and NumPy ints too."""
+    if not (type(value) is int and value >= low):
+        raise UsageError(f"{name} must be an int of at least {low}, got {value!r}")
+
+
+def check_positive(value, name: str) -> None:
+    """Refuse, with UsageError, anything but a finite int or float above 0; bools too."""
+    if not (type(value) in (int, float) and 0 < value <= sys.float_info.max):
+        raise UsageError(f"{name} must be a finite number above 0, got {value!r}")

@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import UsageError
+from .errors import UsageError, check_int, check_positive
 from .scene_model import ScenePrediction
 
 IDENTIFIED = "identified"
@@ -35,19 +35,19 @@ PENDING = "pending"
 
 @dataclass(frozen=True)
 class FusionConfig:
+    """The `fuse` settings; `errors.check_positive` and `check_int` refuse bad windows and counts."""
+
     acoustic_visual_window_s: float = 30.0
     photo_window_s: float = 20.0
     photos_required: int = 3
     min_combined_confidence: float = 0.0
 
     def __post_init__(self) -> None:
-        windows = (self.acoustic_visual_window_s, self.photo_window_s)
-        if not all(math.isfinite(w) and w > 0.0 for w in windows):
-            raise UsageError("windows must be finite and positive")
+        check_positive(self.acoustic_visual_window_s, "acoustic_visual_window_s")
+        check_positive(self.photo_window_s, "photo_window_s")
         if self.photo_window_s > self.acoustic_visual_window_s:
             raise UsageError("photo window cannot exceed the acoustic-visual window")
-        if self.photos_required < 1:
-            raise UsageError("photos_required must be at least 1")
+        check_int(self.photos_required, 1, "photos_required")
         if not (0.0 <= self.min_combined_confidence <= 100.0):
             raise UsageError("min_combined_confidence must lie in [0, 100]")
 

@@ -37,6 +37,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -85,9 +86,20 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class ScriptEvent:
+    """One script line; UsageError for any event `parse_event_script` would refuse, order aside."""
+
     at: float
     kind: str  # "audio" | "image"
     path: str
+
+    def __post_init__(self) -> None:
+        if not (type(self.at) in (int, float) and abs(self.at) <= sys.float_info.max):
+            raise UsageError(f"timestamp {self.at!r} is not a finite number")
+        if self.kind not in EVENT_KINDS:
+            raise UsageError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+        path = self.path  # one unpadded line without a tab; an empty path has no line at all
+        if not isinstance(path, str) or path.strip().splitlines() != [path] or "\t" in path:
+            raise UsageError(f"path {path!r} is not one line without tabs or outer whitespace")
 
 
 @dataclass(frozen=True)
@@ -253,26 +265,20 @@ def _tsv_rows(text: str, layout: str):
 def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
 
-    Raises InputError on malformed lines, unknown kinds, empty paths, or
-    timestamps that are not finite or that decrease.
+    Raises InputError, naming the line, on malformed lines, timestamps that
+    do not parse or that decrease, and any event `ScriptEvent` refuses.
     """
     events: list[ScriptEvent] = []
-    previous = float("-inf")
     for lineno, (at_text, kind, path) in _tsv_rows(text, "at<TAB>kind<TAB>path"):
         try:
-            at = float(at_text)
-        except ValueError:
+            event = ScriptEvent(float(at_text), kind, path)
+        except ValueError:  # only `float` raises it
             raise InputError(f"line {lineno}: bad timestamp {at_text!r}") from None
-        if not math.isfinite(at):
-            raise InputError(f"line {lineno}: timestamp {at_text!r} is not finite")
-        if kind not in EVENT_KINDS:
-            raise InputError(f"line {lineno}: kind must be one of {EVENT_KINDS}, got {kind!r}")
-        if not path:
-            raise InputError(f"line {lineno}: empty path")
-        if at < previous:
-            raise InputError(f"line {lineno}: timestamp {at} decreases")
-        previous = at
-        events.append(ScriptEvent(at=at, kind=kind, path=path))
+        except UsageError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        if events and event.at < events[-1].at:
+            raise InputError(f"line {lineno}: timestamp {event.at} decreases")
+        events.append(event)
     return EventScript(events=tuple(events))
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import UsageError
+from .errors import UsageError, check_int, check_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +41,8 @@ class SceneClassifier:
             raise UsageError("cluster_names must name each centroid row exactly once")
         if not all(self.cluster_names):
             raise UsageError("scene names cannot be empty")
-        if self.seed < 0:  # `fit` refused it, and featurizing a photo would too
-            raise UsageError(f"seed must not be negative, got {self.seed}")
-        clustering.check_scale(self.scale)
+        check_int(self.seed, 0, "seed")  # `fit` refused it, and featurizing a photo would too
+        check_positive(self.scale, "scale")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def train_classifier(
     warnings its naming raised.
 
     Raises UsageError for no rows, a name count other than the row count,
-    an empty scene name, a negative seed, or a scale `check_scale` refuses.
+    an empty scene name, or a seed or scale the `errors` checks refuse.
     """
     if not names:
         raise UsageError("training set holds no examples")

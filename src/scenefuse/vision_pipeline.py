@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import InputError, UsageError
+from .errors import InputError, UsageError, check_int
 
 _MAX_SAMPLED_PIXELS = 10000
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -27,8 +27,8 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 class Image:
     """Row-major RGB pixels, one byte per channel.
 
-    The fields are checked, never converted: pixels that are not a
-    (width*height, 3) uint8 array are refused.
+    The fields are checked, never converted: sizes by `errors.check_int`,
+    and pixels that are not a (width*height, 3) uint8 array are refused.
     """
 
     width: int
@@ -36,8 +36,8 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise UsageError("image dimensions must be positive")
+        check_int(self.width, 1, "width")
+        check_int(self.height, 1, "height")
         pixels = self.pixels
         if not (
             isinstance(pixels, np.ndarray)
@@ -155,13 +155,13 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     (largest-remainder rounding, ties to the earlier entry).  The layout is
     fully determined by the spec and dimensions.
 
-    Raises UsageError for non-positive dimensions, an empty spec, a color
-    channel that is not an int in [0, 255], a negative fraction, or
+    Raises UsageError for a size `errors.check_int` refuses, an empty spec,
+    a channel that is not an int in [0, 255], a negative fraction, or
     fractions that do not sum to 1.
     """
+    check_int(width, 1, "width")
+    check_int(height, 1, "height")
     spec = list(palette_spec)  # an empty one fails the sum check
-    if width < 1 or height < 1:
-        raise UsageError("image dimensions must be positive")
     for color, fraction in spec:
         if len(color) != 3 or any(type(ch) is not int or not 0 <= ch <= 255 for ch in color):
             raise UsageError(f"color {color!r} is not an RGB triple in [0, 255]")

@@ -16,7 +16,7 @@ from scenefuse.action_learning import (
     predict_action,
     train_actions,
 )
-from scenefuse.errors import UnknownLabel, UsageError
+from scenefuse.errors import UsageError
 
 
 def test_session_pairs_learn_both_mappings(trained_action_session):
@@ -100,9 +100,9 @@ def test_empty_training_set_is_rejected():
 
 def test_unknown_labels_are_rejected():
     net, _ = train_actions([ActionExample("a", "1"), ActionExample("b", "2")], iterations=10)
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(UsageError, match="not in vocabulary"):
         predict_action(net, "z")
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(UsageError, match="not in vocabulary"):
         encode_onehot("z", net.scene_vocab)
 
 

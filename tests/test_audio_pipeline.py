@@ -108,8 +108,8 @@ def test_clip_validation():
     for samples in (np.zeros(4, dtype=np.float32), [0.0, 0.5]):
         with pytest.raises(UsageError, match="samples must be a 1-D float64 array"):
             AudioClip(samples, 8000)
-    for rate in (8000.5, "8000", True):
-        with pytest.raises(UsageError, match="is not a positive int"):
+    for rate in (8000.5, "8000", True, np.int64(8000)):
+        with pytest.raises(UsageError, match="sample_rate_hz must be an int of at least 1"):
             AudioClip(np.zeros(4), rate)
 
 
@@ -257,6 +257,9 @@ def test_disjoint_profiles_separate_by_an_order_of_magnitude():
         ([((100.0, 200.0), 1.0)], 0.0001, 8000),  # rounds to zero samples
         ([((100.0, 200.0), 1.0)], 1.0, float("nan")),  # rate that is not a number
         ([((100.0, 200.0), 1.0)], 1.0, 1000.5),  # rate that is not a whole number
+        ([((100.0, 200.0), 1.0)], 1.0, True),  # rate that is a bool
+        ([((100.0, 200.0), 1.0)], "1.0", 8000),  # duration that is text
+        ([((100.0, 200.0), 1.0)], None, 8000),  # no duration at all
     ],
 )
 def test_synth_rejects_bad_envelopes(profile, seconds, rate):
@@ -269,8 +272,11 @@ def test_synth_names_a_duration_that_rounds_to_zero_samples():
     with pytest.raises(UsageError, match="duration rounds to zero samples"):
         synth_ambient([((100.0, 200.0), 1.0)], 0.0001, 8000, seed=0)
     # a zero rate or a zero duration is not positive, which is said first
-    for seconds, rate in ((1.0, 0), (0.0, 8000)):
-        with pytest.raises(UsageError, match="rate must be a positive int, duration finite and"):
+    for seconds, rate, message in (
+        (1.0, 0, "rate must be an int of at least 1, got 0"),
+        (0.0, 8000, "seconds must be a finite number above 0, got 0.0"),
+    ):
+        with pytest.raises(UsageError, match=message):
             synth_ambient([((100.0, 200.0), 1.0)], seconds, rate, seed=0)
     # one sample is enough, and so are one component, a zero gain, a
     # zero-width band and a band that ends at Nyquist

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import wav_bytes
-from scenefuse.action_learning import ActionExample, train_actions
+from scenefuse.action_learning import ActionExample, encode_onehot, train_actions
 from scenefuse.audio_pipeline import (
     AudioClip,
     acoustic_features,
@@ -344,7 +344,9 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
     damaged.write_text(json.dumps(raw), encoding="utf-8")
     photo = str(matrix_workspace.data / "test_coffee_1.ppm")
     assert main(["predict", "--modality", "visual", "--bundle", str(damaged), photo]) == 3
-    assert capsys.readouterr().err == "error: bundle.visual: seed must not be negative, got -1\n"
+    assert capsys.readouterr().err == (
+        "error: bundle.visual: seed must be an int of at least 0, got -1\n"
+    )
 
     raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
     raw["visual"] = 5  # a part the command does not use still fails the whole bundle
@@ -418,7 +420,8 @@ def test_refused_synth_matrix_leaves_no_directory(tmp_path, capsys):
     for trials in ("0", "-1"):  # scripts without events
         argv = ["synth", "matrix", "--out-dir", str(out_dir), "--trials", trials, "--seconds", "0.01"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: --trials must be at least 1, got {trials}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: --trials must be an int of at least 1, got {trials}\n"
         assert not out_dir.exists()
     # an --out-dir below a regular file cannot be created
     blocker = tmp_path / "plain_file"
@@ -563,7 +566,12 @@ REFUSALS = {
         "only 16-bit samples are supported, got 8",
     ),
     "UnsupportedMaxval": (3, lambda tmp: decode_ppm(b"P6 1 1 254 "), "maxval must be 255"),
-    "ZeroK": (1, lambda tmp: KMeansParams(k=0), "k must be at least 1, got 0"),
+    "UnknownLabel": (
+        1,
+        lambda tmp: encode_onehot("z", ("a", "b")),
+        "label 'z' not in vocabulary ['a', 'b']",
+    ),
+    "ZeroK": (1, lambda tmp: KMeansParams(k=0), "k must be an int of at least 1, got 0"),
 }
 
 
@@ -881,7 +889,7 @@ def test_negative_seed_exits_one(tmp_path, capsys, args):
     (tmp_path / "pairs.tsv").write_text("coffee\t42\n", encoding="utf-8")
     capsys.readouterr()
     assert main([arg.format(tmp=tmp_path) for arg in args] + ["--seed", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("error: seed must not be negative, got -")
+    assert capsys.readouterr().err.startswith("error: seed must be an int of at least 0, got -")
     assert not list(tmp_path.glob("x*"))
 
 

@@ -232,7 +232,7 @@ def test_predict_distance_is_the_square_root_of_assigns_entry():
 
 
 def test_fit_input_validation():
-    with pytest.raises(UsageError, match="k must be at least 1, got 0"):
+    with pytest.raises(UsageError, match="k must be an int of at least 1, got 0"):
         KMeansParams(k=0)
     with pytest.raises(UsageError, match="1 points cannot fill 2 clusters"):
         fit([(0.0, 0.0)], KMeansParams(k=2))

@@ -276,7 +276,7 @@ def test_config_validation():
         FusionConfig(photo_window_s=40.0)  # photo window beyond the main window
     with pytest.raises(UsageError):
         FusionConfig(acoustic_visual_window_s=0.0)
-    with pytest.raises(UsageError, match="windows must be finite and positive"):
+    with pytest.raises(UsageError, match="acoustic_visual_window_s must be a finite number above"):
         FusionConfig(acoustic_visual_window_s=0.0, photo_window_s=0.0)
     with pytest.raises(UsageError):
         FusionConfig(photos_required=0)

@@ -4,6 +4,7 @@ import base64
 import errno
 import json
 import re
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -504,11 +505,41 @@ def test_parse_event_script_with_comments_and_blanks():
 def test_format_and_parse_are_inverse():
     script = EventScript(
         events=(
+            ScriptEvent(at=-sys.float_info.max, kind="image", path="first shot #1.ppm"),
             ScriptEvent(at=0.0, kind="audio", path="a.wav"),
+            ScriptEvent(at=5, kind="audio", path="caf\u00e9/a.wav"),
             ScriptEvent(at=5.5, kind="image", path="b.ppm"),
+            ScriptEvent(at=sys.float_info.max, kind="image", path="c.ppm"),
         )
     )
     assert parse_event_script(format_event_script(script)) == script
+
+
+# field: (the start of its refusal, values `format_event_script` could not write back)
+UNWRITABLE_EVENTS = {
+    "at": ("timestamp ", [float("nan"), float("-inf"), 10**400, True, "1.0", None]),
+    "kind": ("kind must be one of ", ["video", "", "Audio"]),
+    "path": (
+        "path ",
+        ["", " a.wav", "a.wav ", "a\tb.wav", "a\nb.wav", "a.wav\n", "a\rb", "a\x85b", None],
+    ),
+}
+
+
+@pytest.mark.parametrize("field", UNWRITABLE_EVENTS)
+def test_events_that_would_not_read_back_are_refused(field):
+    refusal, values = UNWRITABLE_EVENTS[field]
+    for value in values:
+        event = {"at": 0.0, "kind": "audio", "path": "a.wav", field: value}
+        # the line format_event_script would write unchecked does not parse back to the event
+        line = f"{event['at']!r}\t{event['kind']}\t{event['path']}\n"
+        try:
+            back = [(e.at, e.kind, e.path) for e in parse_event_script(line).events]
+        except InputError:
+            back = None
+        assert back != [tuple(event.values())]
+        with pytest.raises(UsageError, match=f"^{refusal}"):
+            ScriptEvent(**event)
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,10 @@ def test_image_validation():
         Image(width=2, height=2, pixels=np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(UsageError):
         Image(width=0, height=1, pixels=np.zeros((0, 3), dtype=np.uint8))
+    # a size that is not an int is refused, even one that counts the pixels right
+    for width in (True, 1.0, np.int64(1)):
+        with pytest.raises(UsageError, match="^width must be an int of at least 1, got "):
+            Image(width=width, height=1, pixels=np.zeros((1, 3), dtype=np.uint8))
     # pixels are checked, never converted: int64 ones are refused even in range
     for pixels in (np.array([[300, 0, 0]]), np.array([[255, 0, 0]]), [[255, 0, 0]]):
         with pytest.raises(UsageError, match="uint8 array"):
