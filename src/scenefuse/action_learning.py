@@ -11,13 +11,12 @@ sampled every 1000 iterations, starting at iteration 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import UsageError, check_int
+from .errors import UsageError, check_int, check_positive
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -109,16 +108,15 @@ def train_actions(
     Returns the net and the module's error trace as (iteration, error) pairs.
 
     Raises UsageError for no examples, one scene label mapped to two action
-    codes, a non-finite learning rate or one so large that the weights
-    overflow; `errors.check_int` refuses bad counts and seeds.
+    codes, or a learning rate so large that the weights overflow; the `errors`
+    checks refuse bad counts and seeds, and a rate not finite and above 0.
     """
     examples = list(examples)
     if not examples:
         raise UsageError("no scene/action pairs to learn from")
     check_int(iterations, 1, "iterations")
     check_int(hidden_size, 1, "hidden_size")
-    if not math.isfinite(learning_rate):
-        raise UsageError("learning_rate must be finite")
+    check_positive(learning_rate, "learning_rate")
     check_int(seed, 0, "seed")
     seen: dict[str, str] = {}
     for example in examples:
@@ -150,13 +148,7 @@ def train_actions(
             weights_ih -= learning_rate * grad_ih
             weights_ho -= learning_rate * grad_ho
 
-    net = ActionNet(
-        scene_vocab=scene_vocab,
-        action_vocab=action_vocab,
-        weights_ih=weights_ih,
-        weights_ho=weights_ho,
-    )
-    return net, tuple(trace)
+    return ActionNet(scene_vocab, action_vocab, weights_ih, weights_ho), tuple(trace)
 
 
 def predict_action(net: ActionNet, scene_label: str) -> str:

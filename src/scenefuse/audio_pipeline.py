@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, UsageError, check_int, check_positive
+from .errors import InputError, UsageError, check_int, check_positive, check_range
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
 WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
@@ -172,10 +172,6 @@ def analysis_window(clip: AudioClip) -> AudioClip:
     return AudioClip(clip.samples[:n].copy(), clip.sample_rate_hz)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
 def magnitude_spectrum(clip: AudioClip) -> tuple[np.ndarray, np.ndarray]:
     """One-sided magnitude spectrum of the clip, as (freqs_hz, amps).
 
@@ -185,7 +181,7 @@ def magnitude_spectrum(clip: AudioClip) -> tuple[np.ndarray, np.ndarray]:
     starts at 0 and rises strictly, and both arrays are finite, since an
     AudioClip's samples are.
     """
-    size = _next_pow2(clip.samples.size)
+    size = 1 << (clip.samples.size - 1).bit_length()  # the next power of two at or above it
     amps = np.abs(np.fft.rfft(clip.samples, n=size))
     freqs = np.arange(amps.size, dtype=np.float64) * (clip.sample_rate_hz / size)
     return freqs, amps
@@ -214,10 +210,11 @@ def synth_ambient(
     phase and amplitude gain / components_per_band.  The sum is clipped into
     [-1, 1].  Same arguments, same seed: bit-identical samples.
 
-    Raises UsageError for an empty envelope, negative or non-finite gains,
-    inverted bands, bands beyond the Nyquist frequency, a duration that
-    rounds to zero samples, or a rate or sample count that a WAV header
-    cannot hold; first, the `errors` checks refuse bad counts and `seconds`.
+    Raises UsageError for an empty envelope, a duration that rounds to zero
+    samples, or a rate or sample count that a WAV header cannot hold; the
+    `errors` checks refuse bad counts and `seconds` first, then, band by
+    band, a gain that is negative or not finite and band edges outside
+    0 <= low_hz <= high_hz <= the Nyquist frequency.
     """
     check_int(components_per_band, 1, "components_per_band")
     check_int(seed, 0, "seed")
@@ -238,10 +235,9 @@ def synth_ambient(
     nyquist = rate / 2.0
     m = components_per_band
     for (low, high), gain in bands:
-        if not (math.isfinite(gain) and gain >= 0.0):
-            raise UsageError(f"gain {gain} must be finite and not negative")
-        if not (0.0 <= low <= high <= nyquist):
-            raise UsageError(f"band ({low}, {high}) outside [0, {nyquist}]")
+        check_range(gain, "gain", 0.0)
+        check_range(low, "low_hz", 0.0, nyquist)
+        check_range(high, "high_hz", low, nyquist)
         freqs = low + (np.arange(m) + 0.5) / m * (high - low)
         phases = rng.uniform(0.0, 2.0 * math.pi, m)
         band = np.zeros(n, dtype=np.float64)  # one sinusoid at a time: scratch stays O(n)

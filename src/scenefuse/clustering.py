@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_int, check_positive
+from .errors import UsageError, check_int, check_positive, check_range
 
 
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
@@ -68,7 +68,8 @@ class KMeansModel:
 
     inertia_history holds the within-cluster sum of squared distances
     measured after every assignment, the closing one included; it never
-    increases.  The cluster count and the width `dim` are read off
+    increases, and `errors.check_range` finds each entry finite and not
+    negative.  The cluster count and the width `dim` are read off
     `centroids`, the final `inertia` off `inertia_history`; none is stored.
     """
 
@@ -78,8 +79,8 @@ class KMeansModel:
     def __post_init__(self) -> None:
         if not self.inertia_history:
             raise UsageError("inertia_history cannot be empty")
-        if not (math.isfinite(self.inertia) and self.inertia >= 0.0):
-            raise UsageError("inertia must be finite and not negative")
+        for inertia in self.inertia_history:
+            check_range(inertia, "inertia", 0.0)
         if not np.isfinite(self.centroids).all():
             raise UsageError("centroids must be finite")
         if self.centroids.ndim != 2 or self.centroids.shape[0] == 0:
@@ -314,9 +315,8 @@ def confidence(distance: float, scale: float = DEFAULT_SCALE) -> float:
     """Scaled-distance confidence: 100 - distance/scale, clamped to [0, 100].
 
     Zero distance scores a perfect 100; anything at or past 100*scale floors
-    at 0 rather than going negative.
+    at 0 rather than going negative, an infinite distance too.
     """
-    if not distance >= 0.0:
-        raise UsageError("distance must be a number, not negative or NaN")
+    check_range(distance, "distance", 0.0, math.inf)
     check_positive(scale, "scale")
     return min(100.0, max(0.0, 100.0 - distance / scale))

@@ -8,8 +8,10 @@ or if code in scenefuse catches it by name.  The three families are
 message of each refusal says which check made it.  All derive from
 :class:`SceneFuseError`.  Every refusal scenefuse makes is one of these
 classes; any other exception escaping it, a builtin ``ValueError`` included,
-is a bug.  Counts, seeds, sizes and rates go through :func:`check_int`, and
-scales, windows and durations through :func:`check_positive`.
+is a bug.  Counts, seeds, sizes and rates go through :func:`check_int`,
+scales, windows and durations through :func:`check_positive`, and any
+other bounded number, such as a confidence, gain or time, through
+:func:`check_range`.
 """
 
 import sys
@@ -39,13 +41,32 @@ class MissingClassifier(SceneFuseError):
     exit_code = 2
 
 
+_MAX = sys.float_info.max  # the default bounds of a range, so it holds every finite number
+
+
+def _shown(value) -> str:
+    """`repr(value)`, or a stand-in if it holds an int too long for Python to write in decimal."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits(), maybe inside a list
+        return f"<{type(value).__name__} too long to write out>"
+
+
 def check_int(value, low: int, name: str) -> None:
     """Refuse, with UsageError, anything but an int of at least `low`; bools and NumPy ints too."""
     if not (type(value) is int and value >= low):
-        raise UsageError(f"{name} must be an int of at least {low}, got {value!r}")
+        raise UsageError(f"{name} must be an int of at least {low}, got {_shown(value)}")
 
 
 def check_positive(value, name: str) -> None:
     """Refuse, with UsageError, anything but a finite int or float above 0; bools too."""
-    if not (type(value) in (int, float) and 0 < value <= sys.float_info.max):
-        raise UsageError(f"{name} must be a finite number above 0, got {value!r}")
+    if not (type(value) in (int, float) and 0 < value <= _MAX):
+        raise UsageError(f"{name} must be a finite number above 0, got {_shown(value)}")
+
+
+def check_range(value, name: str, low: float = -_MAX, high: float = _MAX) -> None:
+    """Refuse, with UsageError, anything but a float or float-sized int in [low, high]; NaN too."""
+    sized_int = type(value) is int and abs(value) <= _MAX  # not a bool, and no float overflows
+    if not ((type(value) is float or sized_int) and low <= value <= high):
+        span = ", ".join({-_MAX: "-max", _MAX: "max"}.get(end, repr(end)) for end in (low, high))
+        raise UsageError(f"{name} must be a number in [{span}], got {_shown(value)}")

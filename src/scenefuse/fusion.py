@@ -14,18 +14,18 @@ confidence of exactly 0, and the machine restarts.
 The state is the pending acoustic anchor (None while idle), its photos and
 the clock; both windows are read from the config each photo is given.
 
-Time comes only from the event timestamps, which must be finite and never
-run backward; a stale or non-finite timestamp raises UsageError.  Both
-operations return a fresh state, leaving their argument untouched.
+Time comes only from the event timestamps, which never run backward: a
+stale timestamp raises UsageError (a `ScenePrediction` is finite in time
+already).  Both operations return a fresh state, leaving their argument
+untouched.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import UsageError, check_int, check_positive
+from .errors import UsageError, check_int, check_positive, check_range
 from .scene_model import ScenePrediction
 
 IDENTIFIED = "identified"
@@ -35,7 +35,7 @@ PENDING = "pending"
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """The `fuse` settings; `errors.check_positive` and `check_int` refuse bad windows and counts."""
+    """The `fuse` settings; the `errors` checks refuse bad windows, counts and floors."""
 
     acoustic_visual_window_s: float = 30.0
     photo_window_s: float = 20.0
@@ -45,11 +45,9 @@ class FusionConfig:
     def __post_init__(self) -> None:
         check_positive(self.acoustic_visual_window_s, "acoustic_visual_window_s")
         check_positive(self.photo_window_s, "photo_window_s")
-        if self.photo_window_s > self.acoustic_visual_window_s:
-            raise UsageError("photo window cannot exceed the acoustic-visual window")
+        check_range(self.photo_window_s, "photo_window_s", 0.0, self.acoustic_visual_window_s)
         check_int(self.photos_required, 1, "photos_required")
-        if not (0.0 <= self.min_combined_confidence <= 100.0):
-            raise UsageError("min_combined_confidence must lie in [0, 100]")
+        check_range(self.min_combined_confidence, "min_combined_confidence", 0.0, 100.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,14 +69,8 @@ class FusionState:
 
 
 def _check_clock(state: FusionState, at: float) -> None:
-    if not math.isfinite(at):
-        raise UsageError(f"timestamp {at} is not finite")
     if at < state.last_at:
         raise UsageError(f"timestamp {at} precedes already-seen {state.last_at}")
-
-
-def _restart(at: float) -> FusionState:
-    return FusionState(last_at=at)
 
 
 def on_acoustic(state: FusionState, pred: ScenePrediction) -> tuple[FusionState, SceneDecision]:
@@ -107,14 +99,13 @@ def on_visual_photo(
         return replace(state, last_at=pred.at), _PENDING
     late = pred.at > anchor.at + config.acoustic_visual_window_s
     if late or (state.photos and pred.at > state.photos[0].at + config.photo_window_s):
-        return _restart(pred.at), _NO_SCENE
+        return FusionState(last_at=pred.at), _NO_SCENE
 
     photos = state.photos + (pred,)
     if len(photos) < config.photos_required:
         return replace(state, photos=photos, last_at=pred.at), _PENDING
 
-    decision = _decide(anchor, photos, config)
-    return _restart(pred.at), decision
+    return FusionState(last_at=pred.at), _decide(anchor, photos, config)
 
 
 def _decide(

@@ -18,14 +18,15 @@ come from the `fuse` flags.  `save_bundle` alone writes
 `format_version` 5, the one version `load_bundle` reads.  The reader
 ignores keys it does not know and converts no value, so a hand-edited value
 must already have the JSON type its field asks for; an array node must hold
-exactly 8 bytes per entry of its shape.  Whether those entries are finite,
-and whether the shapes fit together, is for the types that hold them.
+exactly 8 bytes per entry of its shape.  Whether those entries and the
+other floats are finite, and whether the shapes fit together, is for the
+types that hold them.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
-Script timestamps must never decrease and `kind` is `audio` or `image`.
-Every file is read as UTF-8 text; one that is not raises InputError, as
-does a file that breaks its format, with the refusal naming the file.
+Each line must build a `ScriptEvent` or `ActionExample`, and a script an
+`EventScript`.  Every file is read as UTF-8 text; one that is not raises
+InputError, as does a file that breaks its format, naming the file.
 `read_bytes` is the one place scenefuse opens a file for reading, for
 these formats and for the CLI's WAV and PPM inputs alike.
 """
@@ -45,7 +46,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .action_learning import ActionExample, ActionNet
-from .errors import InputError, UsageError
+from .errors import InputError, UsageError, check_range
 from .scene_model import SceneClassifier
 
 FORMAT_VERSION = 5
@@ -86,15 +87,14 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class ScriptEvent:
-    """One script line; UsageError for any event `parse_event_script` would refuse, order aside."""
+    """One script line; UsageError for any event `parse_event_script` would refuse."""
 
     at: float
     kind: str  # "audio" | "image"
     path: str
 
     def __post_init__(self) -> None:
-        if not (type(self.at) in (int, float) and abs(self.at) <= sys.float_info.max):
-            raise UsageError(f"timestamp {self.at!r} is not a finite number")
+        check_range(self.at, "timestamp")
         if self.kind not in EVENT_KINDS:
             raise UsageError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
         path = self.path  # one unpadded line without a tab; an empty path has no line at all
@@ -104,7 +104,14 @@ class ScriptEvent:
 
 @dataclass(frozen=True)
 class EventScript:
+    """Events in time order; UsageError for a time that decreases, so every script reads back."""
+
     events: tuple[ScriptEvent, ...]
+
+    def __post_init__(self) -> None:
+        for i, (last, event) in enumerate(zip(self.events, self.events[1:]), start=2):
+            if event.at < last.at:
+                raise UsageError(f"event {i}: timestamp {event.at!r} decreases from {last.at!r}")
 
 
 def read_bytes(path, what: str = "") -> bytes:
@@ -150,9 +157,9 @@ def _encode(value):
 def _decode(hint, raw, where: str):
     """Build a value of type `hint` from its JSON form `raw`, found at `where`.
 
-    Raises InputError on a missing key, a value of the wrong JSON type, a
-    non-finite number, an array node whose bytes do not fit its shape, or a
-    value the type's own constructor refuses.
+    Raises InputError on a missing key, a value of the wrong JSON type, an
+    array node whose bytes do not fit its shape, or a value the type's own
+    constructor refuses, a float that is not finite among them.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):  # `X | None`
@@ -177,13 +184,8 @@ def _decode(hint, raw, where: str):
         if not isinstance(raw, list):
             raise InputError(f"{where} must be a list")
         return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
-    if hint is float:
-        try:
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
-                return float(raw)
-        except OverflowError:  # an integer too large for a float
-            pass
-        raise InputError(f"{where} must be a finite number")
+    if hint is float and type(raw) is int and abs(raw) <= sys.float_info.max:
+        raw = float(raw)  # JSON has one number type, so a float field takes a whole number too
     if not isinstance(raw, hint) or (hint is int and isinstance(raw, bool)):
         raise InputError(f"{where} must be of type {hint.__name__}")
     return raw
@@ -246,12 +248,14 @@ def load_bundle(path) -> ModelBundle:
 
 # --- event scripts and action pairs ----------------------------------------
 
-def _tsv_rows(text: str, layout: str):
-    """(line number, stripped fields) for each line that is not blank or `#`.
+def _tsv_rows(text: str, layout: str, build) -> list:
+    """A list of `build(*fields)`, fields stripped, one per line that is not blank or `#`.
 
-    Raises InputError when a line does not have the fields `layout` names.
+    Raises InputError, naming the line, when a line does not have the
+    fields `layout` names or `build` refuses them with UsageError.
     """
     width = layout.count("<TAB>") + 1
+    rows = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -259,34 +263,39 @@ def _tsv_rows(text: str, layout: str):
         parts = raw_line.split("\t")
         if len(parts) != width:
             raise InputError(f"line {lineno}: expected {layout}")
-        yield lineno, [part.strip() for part in parts]
+        try:
+            rows.append(build(*(part.strip() for part in parts)))
+        except UsageError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+    return rows
+
+
+def _event(at: str, kind: str, path: str) -> ScriptEvent:
+    """The event of one script line; UsageError for a timestamp `float` cannot read."""
+    try:
+        return ScriptEvent(float(at), kind, path)
+    except ValueError:  # only `float` raises it
+        raise UsageError(f"bad timestamp {at!r}") from None
 
 
 def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
 
-    Raises InputError, naming the line, on malformed lines, timestamps that
-    do not parse or that decrease, and any event `ScriptEvent` refuses.
+    Raises InputError for a line `_tsv_rows` refuses, naming the line, and
+    for times that decrease, naming the event.
     """
-    events: list[ScriptEvent] = []
-    for lineno, (at_text, kind, path) in _tsv_rows(text, "at<TAB>kind<TAB>path"):
-        try:
-            event = ScriptEvent(float(at_text), kind, path)
-        except ValueError:  # only `float` raises it
-            raise InputError(f"line {lineno}: bad timestamp {at_text!r}") from None
-        except UsageError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-        if events and event.at < events[-1].at:
-            raise InputError(f"line {lineno}: timestamp {event.at} decreases")
-        events.append(event)
-    return EventScript(events=tuple(events))
+    events = _tsv_rows(text, "at<TAB>kind<TAB>path", _event)
+    try:
+        return EventScript(tuple(events))
+    except UsageError as exc:
+        raise InputError(str(exc)) from None
 
 
-def _load(path, what: str, parse):
-    """`parse` of the text of the file at `path`, with any refusal of the text naming the file."""
+def _load(path, what: str, parse, *args):
+    """`parse(text, *args)` on the text of the file at `path`; its refusals name the file."""
     text = _read_text(path, what)
     try:
-        return parse(text)
+        return parse(text, *args)
     except InputError as exc:
         raise InputError(f"{path} {exc}") from None
 
@@ -300,15 +309,6 @@ def format_event_script(script: EventScript) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_pairs(text: str) -> list[ActionExample]:
-    pairs: list[ActionExample] = []
-    for lineno, (scene, action) in _tsv_rows(text, "scene<TAB>action"):
-        if not scene or not action:
-            raise InputError(f"line {lineno}: empty field")
-        pairs.append(ActionExample(scene_label=scene, action_code=action))
-    return pairs
-
-
 def load_pairs(path) -> list[ActionExample]:
     """Read `scene<TAB>action` lines into examples."""
-    return _load(path, "pairs file", _parse_pairs)
+    return _load(path, "pairs file", _tsv_rows, "scene<TAB>action", ActionExample)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import UsageError, check_int, check_positive
+from .errors import UsageError, check_int, check_positive, check_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +54,8 @@ class ScenePrediction:
     def __post_init__(self) -> None:
         if not self.scene:
             raise UsageError("a prediction needs a scene")
-        if not (0.0 <= self.confidence <= 100.0):
-            raise UsageError("confidence must lie in [0, 100]")
+        check_range(self.confidence, "confidence", 0.0, 100.0)
+        check_range(self.at, "at")
 
 
 def train_classifier(

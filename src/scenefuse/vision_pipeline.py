@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import InputError, UsageError, check_int
+from .errors import InputError, UsageError, check_int, check_range
 
 _MAX_SAMPLED_PIXELS = 10000
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -156,8 +156,8 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     fully determined by the spec and dimensions.
 
     Raises UsageError for a size `errors.check_int` refuses, an empty spec,
-    a channel that is not an int in [0, 255], a negative fraction, or
-    fractions that do not sum to 1.
+    a channel that is not an int in [0, 255], a fraction `errors.check_range`
+    finds outside [0, 1], or fractions that do not sum to 1.
     """
     check_int(width, 1, "width")
     check_int(height, 1, "height")
@@ -165,8 +165,7 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     for color, fraction in spec:
         if len(color) != 3 or any(type(ch) is not int or not 0 <= ch <= 255 for ch in color):
             raise UsageError(f"color {color!r} is not an RGB triple in [0, 255]")
-        if not fraction >= 0.0:  # NaN too: it would pass the sum check
-            raise UsageError(f"negative fraction {fraction}")
+        check_range(fraction, "fraction", 0.0, 1.0)
     if not math.isclose(sum(fraction for _, fraction in spec), 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise UsageError("fractions must sum to 1")
 

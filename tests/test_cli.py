@@ -523,7 +523,7 @@ REFUSALS = {
     "ClockSkew": (
         1,
         lambda tmp: on_acoustic(FusionState(), ScenePrediction("a", 90.0, float("nan"))),
-        "timestamp nan is not finite",
+        "at must be a number in [-max, max], got nan",
     ),
     "ConflictingExamples": (
         1,
@@ -868,8 +868,10 @@ def test_action_train_non_finite_learning_exits_one(tmp_path, capsys, rate):
     err = capsys.readouterr().err
     assert rc == 1
     # the refusal alone: 1e308 overflows the weights without a numpy warning
-    refused = "weights" if rate == "1e308" else "learning_rate"
-    assert err == f"error: {refused} must be finite\n"
+    if rate == "1e308":
+        assert err == "error: weights must be finite\n"
+    else:
+        assert err == f"error: learning_rate must be a finite number above 0, got {rate}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
-"""The two shared checks of `scenefuse.errors`, and every parameter they guard."""
+"""The three shared checks of `scenefuse.errors`, and every parameter they guard."""
 
 import argparse
+import math
 import re
 import sys
 
@@ -11,9 +12,10 @@ from scenefuse import cli
 from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
 from scenefuse.clustering import DEFAULT_SCALE, KMeansModel, KMeansParams, confidence
-from scenefuse.errors import UsageError, check_int, check_positive
+from scenefuse.errors import UsageError, check_int, check_positive, check_range
 from scenefuse.fusion import FusionConfig
-from scenefuse.scene_model import SceneClassifier, train_classifier
+from scenefuse.persistence import ScriptEvent
+from scenefuse.scene_model import SceneClassifier, ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import Image, synth_scene_image
 
 BAND = [((100.0, 200.0), 1.0)]
@@ -26,9 +28,19 @@ def _classifier(seed=0, scale=DEFAULT_SCALE):
     return SceneClassifier(KMeansModel(np.zeros((1, 2)), (0.0,)), ("a",), seed, scale)
 
 
+def _image_with_fraction(fraction):
+    """A 4x4 image of two colours, the first covering `fraction`, the second the rest, if any."""
+    rest = 1.0 - fraction if type(fraction) in (int, float) and 0 <= fraction <= 1 else 0.0
+    return synth_scene_image([((1, 2, 3), fraction), ((4, 5, 6), rest)], 4, 4)
+
+
 def _train_args(**flags):
-    # `train` checks both flags before it reads a file, so the file need not exist
-    return argparse.Namespace(scene=[["a", "absent.wav"]], **{"seed": 0, "scale": 1.0, **flags})
+    # `train` checks both flags before it reads a file, so with good flags it stops at the
+    # missing file, with InputError
+    return argparse.Namespace(
+        scene=[["a", "absent.wav"]], modality="acoustic", k_override=None,
+        **{"seed": 0, "scale": 1.0, **flags},
+    )
 
 
 # call site: (a call with the value in question, the lowest int it takes, the name it refuses)
@@ -71,6 +83,68 @@ FLOAT_SITES = {
     ),
     "FusionConfig.photo_window_s": (lambda v: FusionConfig(photo_window_s=v), "photo_window_s"),
     "synth_ambient.seconds": (lambda v: synth_ambient(BAND, v, 8000, 0), "seconds"),
+    "train_actions.learning_rate": (
+        lambda v: train_actions(PAIRS, 1, learning_rate=v), "learning_rate"
+    ),
+}
+
+MAX = sys.float_info.max
+
+# call site: (a call with the value in question, the start of its refusal, its lowest and
+# highest accepted values)
+RANGE_SITES = {
+    "ScenePrediction.confidence": (
+        lambda v: ScenePrediction("a", v, 0.0),
+        "confidence must be a number in [0.0, 100.0]",
+        0,
+        100,
+    ),
+    "ScenePrediction.at": (
+        lambda v: ScenePrediction("a", 50.0, v), "at must be a number in [-max, max]", -MAX, MAX
+    ),
+    "FusionConfig.min_combined_confidence": (
+        lambda v: FusionConfig(min_combined_confidence=v),
+        "min_combined_confidence must be a number in [0.0, 100.0]",
+        0,
+        100,
+    ),
+    "synth_ambient.gain": (
+        lambda v: synth_ambient([((100.0, 200.0), v)], 0.01, 8000, 0),
+        "gain must be a number in [0.0, max]",
+        0,
+        MAX,
+    ),
+    "synth_ambient.low_hz": (
+        lambda v: synth_ambient([((v, 4000.0), 1.0)], 0.01, 8000, 0),
+        "low_hz must be a number in [0.0, 4000.0]",
+        0,
+        4000,
+    ),
+    "synth_ambient.high_hz": (
+        lambda v: synth_ambient([((100.0, v), 1.0)], 0.01, 8000, 0),
+        "high_hz must be a number in [100.0, 4000.0]",
+        100,
+        4000,
+    ),
+    "synth_scene_image.fraction": (
+        _image_with_fraction, "fraction must be a number in [0.0, 1.0]", 0, 1
+    ),
+    "KMeansModel.inertia_history": (  # every entry, not only the last
+        lambda v: KMeansModel(np.zeros((1, 2)), (v, 0.0)),
+        "inertia must be a number in [0.0, max]",
+        0,
+        MAX,
+    ),
+    # far apart finite points overflow to an infinite distance, which scores 0
+    "confidence.distance": (
+        lambda v: confidence(v, 1.0), "distance must be a number in [0.0, inf]", 0, math.inf
+    ),
+    "ScriptEvent.at": (
+        lambda v: ScriptEvent(v, "audio", "a.wav"),
+        "timestamp must be a number in [-max, max]",
+        -MAX,
+        MAX,
+    ),
 }
 
 
@@ -94,8 +168,54 @@ def test_every_scale_window_and_duration_must_be_a_finite_number_above_zero(site
             call(value)
 
 
+@pytest.mark.parametrize("site", RANGE_SITES)
+def test_every_bounded_number_must_be_an_int_or_float_in_its_range(site):
+    call, refusal, low, high = RANGE_SITES[site]
+    # an int too large for a float is refused even below an infinite bound
+    refused = ["5", None, True, float("nan"), np.float64(low), [low], 10**400, -(10**400)]
+    refused += [math.nextafter(low, -math.inf), math.nextafter(high, math.inf), -math.inf, math.inf]
+    for value in refused:
+        if value == high == math.inf:
+            continue
+        with pytest.raises(UsageError, match=f"^{re.escape(f'{refusal}, got {value!r}')}$"):
+            call(value)
+    call(low)
+    call(high)
+
+
 def test_the_checks_accept_their_bounds():
     check_int(0, 0, "seed")
     check_int(10**400, 1, "k")
     for value in (5e-324, 1, sys.float_info.max):
         check_positive(value, "scale")
+    # the range site tests pin each site's own bounds
+    for value in (-MAX, -int(MAX), 0, 1.5, int(MAX), MAX):
+        check_range(value, "x")
+    assert confidence(math.inf, 1.0) == 0.0 and confidence(0.0, 1.0) == 100.0
+    FusionConfig(acoustic_visual_window_s=5.0, photo_window_s=5.0)
+
+
+def test_the_photo_window_lies_within_the_acoustic_window():
+    longer = math.nextafter(5.0, math.inf)
+    message = f"photo_window_s must be a number in [0.0, 5.0], got {longer!r}"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        FusionConfig(acoustic_visual_window_s=5.0, photo_window_s=longer)
+
+
+def test_an_int_too_long_to_write_out_is_refused_all_the_same():
+    # Python writes no int of over 4,300 digits in decimal, so the message does not either
+    huge = "<int too long to write out>"
+    for call, message in (
+        (lambda: KMeansParams(k=-(10**5000)), f"k must be an int of at least 1, got {huge}"),
+        (
+            lambda: check_positive(10**5000, "scale"),
+            f"scale must be a finite number above 0, got {huge}",
+        ),
+        (lambda: check_range(10**5000, "at"), f"at must be a number in [-max, max], got {huge}"),
+        (
+            lambda: check_range([10**5000], "at"),
+            "at must be a number in [-max, max], got <list too long to write out>",
+        ),
+    ):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,10 +1,12 @@
-"""Fuzzed file loaders and decoders: any input gives a value or a SceneFuseError, nothing else."""
+"""Fuzzed file loaders, decoders and checked parameters: any input gives a value or a
+SceneFuseError, nothing else."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scenefuse.audio_pipeline import AudioClip, decode_wav, encode_wav
@@ -18,6 +20,7 @@ from scenefuse.persistence import (
 )
 from scenefuse.scene_model import classify
 from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
+from test_errors import FLOAT_SITES, INT_SITES, RANGE_SITES
 from test_persistence import _edit_array, _full_bundle
 
 FUZZ = settings(
@@ -43,6 +46,21 @@ SCRIPT_WORDS = ["0", "1.5", "-2", "nan", "inf", "1e999", "audio", "image", "a.wa
 TSV_TEXT = st.lists(
     st.lists(st.sampled_from(SCRIPT_WORDS), max_size=4).map("\t".join), max_size=5
 ).map("\n".join)
+
+# what a caller might pass where a number belongs
+NUMBER_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.integers(min_value=-(10**5000), max_value=10**5000)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    lambda inner: st.lists(inner, max_size=2),
+    max_leaves=3,
+)
+
+SITES = {**INT_SITES, **FLOAT_SITES, **RANGE_SITES}  # each entry starts with its call
 
 VALID_WAV = encode_wav(AudioClip(samples=np.linspace(-0.5, 0.5, 12), sample_rate_hz=8000))
 VALID_PPM = encode_ppm(Image(width=3, height=2, pixels=np.arange(18, dtype=np.uint8).reshape(6, 3)))
@@ -155,3 +173,14 @@ def test_arbitrary_bytes_load_or_raise_scenefuse_error(tmp_path, payload):
 def test_damaged_media_decode_or_raise_scenefuse_error(decode, valid, data):
     decode(valid)
     _returns_or_refuses(decode, data.draw(_damaged(valid)))
+
+
+@settings(FUZZ, max_examples=400)
+@given(site=st.sampled_from(sorted(SITES)), value=NUMBER_LIKE)
+def test_a_checked_parameter_gives_a_value_or_a_scenefuse_error(site, value):
+    # a large count or duration that is valid asks for work, not a refusal, so none is drawn
+    if site in INT_SITES:
+        assume(not (type(value) is int and value >= INT_SITES[site][1]))
+    if site in FLOAT_SITES:
+        assume(not (type(value) in (int, float) and 64 < value <= sys.float_info.max))
+    _returns_or_refuses(SITES[site][0], value)

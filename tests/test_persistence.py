@@ -303,6 +303,7 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         # each refused by the reader's own check, before any constructor sees it
         lambda raw: raw.__setitem__("action", 5),
         lambda raw: raw["acoustic"].__setitem__("model", ["centroids", "inertia_history"]),
+        # and a NaN before the last inertia, which the model refuses entry by entry
         lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(0, float("nan")),
     ],
 )
@@ -315,6 +316,19 @@ def test_structural_damage_raises_schema_error(tmp_path, mutate):
     with pytest.raises(InputError, match="^bundle"):  # each check names the bundle or a field
         load_bundle(path)
 
+
+
+def test_a_whole_number_in_a_float_field_loads_as_that_float(tmp_path):
+    # JSON has one number type; a whole number as large as the largest float still converts
+    path = tmp_path / "bundle.json"
+    save_bundle(_full_bundle(), path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["visual"]["scale"] = int(sys.float_info.max)
+    raw["acoustic"]["model"]["inertia_history"][-1] = 0
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    bundle = load_bundle(path)
+    assert bundle.visual.scale == sys.float_info.max and type(bundle.visual.scale) is float
+    assert bundle.acoustic.model.inertia == 0.0 and type(bundle.acoustic.model.inertia) is float
 
 def _centroids(edit):
     """A damage that applies `edit` to the acoustic centroid node."""
@@ -560,9 +574,22 @@ def test_malformed_script_lines_raise(line):
         parse_event_script(line)
 
 
+def test_only_a_script_format_and_parse_agree_on_can_be_built():
+    # equal times are in order, and a script of them reads back as written
+    tie = EventScript((ScriptEvent(4.0, "audio", "a.wav"), ScriptEvent(4, "image", "b.ppm")))
+    assert parse_event_script(format_event_script(tie)) == tie
+    # a time that decreases is refused where the script is built, before it is ever written
+    events = (ScriptEvent(5.0, "audio", "a.wav"), ScriptEvent(4.5, "image", "b.ppm"))
+    with pytest.raises(UsageError, match=r"^event 2: timestamp 4\.5 decreases from 5\.0$"):
+        EventScript(events)
+    line_by_line = "".join(f"{e.at!r}\t{e.kind}\t{e.path}\n" for e in events)
+    with pytest.raises(InputError, match=r"^event 2: timestamp 4\.5 decreases from 5\.0$"):
+        parse_event_script(line_by_line)
+
+
 def test_script_timestamps_must_not_decrease():
     text = "5.0\taudio\ta.wav\n4.0\timage\tb.ppm"
-    with pytest.raises(InputError, match="^line 2: timestamp 4.0 decreases$"):
+    with pytest.raises(InputError, match="^event 2: timestamp 4.0 decreases from 5.0$"):
         parse_event_script(text)
 
 
