@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import UsageError, check_int, check_positive
+from .errors import UsageError, check_array_size, check_int, check_positive
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -130,6 +130,7 @@ def train_actions(
     # `seen` lists each scene at its first appearance, with the one action it maps to
     scene_vocab = tuple(seen)
     action_vocab = tuple(dict.fromkeys(seen.values()))
+    check_array_size(hidden_size, 8 * max(len(scene_vocab), len(action_vocab)), "hidden_size")
     inputs = np.vstack([encode_onehot(e.scene_label, scene_vocab) for e in examples])
     targets = np.vstack([encode_onehot(e.action_code, action_vocab) for e in examples])
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, UsageError, check_int, check_positive, check_range
+from .errors import InputError, UsageError, check_array_size, check_int, check_positive, check_range
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
 WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
@@ -217,6 +217,7 @@ def synth_ambient(
     0 <= low_hz <= high_hz <= the Nyquist frequency.
     """
     check_int(components_per_band, 1, "components_per_band")
+    check_array_size(components_per_band, 8, "components_per_band")
     check_int(seed, 0, "seed")
     check_int(rate, 1, "rate")
     check_positive(seconds, "seconds")

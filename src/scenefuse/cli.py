@@ -45,8 +45,9 @@ from .persistence import (
     load_bundle,
     load_event_script,
     load_pairs,
-    read_bytes,
+    read_file,
     save_bundle,
+    write_file,
 )
 from .scene_model import classify, train_classifier
 from .vision_pipeline import (
@@ -95,13 +96,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _write_bytes(path, data: bytes) -> None:
-    try:
-        Path(path).write_bytes(data)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot write {path}: {exc}") from exc
-
-
 def _features(modality, path, color_count, seed, dump_spectrum=None):
     """Decode one input file into its feature vector, plus its sample rate.
 
@@ -109,21 +103,17 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
     `dump_spectrum` (a CSV path) also receives when given; visual files
     become a palette of `color_count` colors fitted from `seed`, and
     report a sample rate of None.  Acoustic decoding ignores `color_count`
-    and `seed`.  Decode failures name the file.
+    and `seed`.  `read_file` names the file in a decode failure.
     """
-    data = read_bytes(path)
-    try:
-        if modality == VISUAL:
-            image = decode_ppm(data)
-            return palette_features(dominant_colors(image, color_count, seed)), None
-        clip = decode_wav(data)
-        spectrum = magnitude_spectrum(analysis_window(clip))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    if modality == VISUAL:
+        colors = read_file(path, lambda data: dominant_colors(decode_ppm(data), color_count, seed))
+        return palette_features(colors), None
+    clip = read_file(path, lambda data: analysis_window(decode_wav(data)))
+    spectrum = magnitude_spectrum(clip)
     if dump_spectrum is not None:
         lines = ["freq_hz,amplitude"]
         lines += [f"{float(f)!r},{float(a)!r}" for f, a in zip(*spectrum)]
-        _write_bytes(dump_spectrum, ("\n".join(lines) + "\n").encode("utf-8"))
+        write_file(dump_spectrum, ("\n".join(lines) + "\n").encode("utf-8"))
     return acoustic_features(spectrum), clip.sample_rate_hz
 
 
@@ -157,23 +147,23 @@ def cmd_train(args) -> int:
     if any(len(entry) < 2 for entry in args.scene):
         raise UsageError("--scene needs a name followed by at least one file")
 
-    check_positive(args.scale, "scale")  # both refused before any file is read
+    check_positive(args.scale, "scale")  # the flags are refused before any file is read
     check_int(args.seed, 0, "seed")
-    if args.modality == ACOUSTIC and args.k_override is not None:
-        _warn("--k-override only affects visual training; ignored")
+    if args.k_override is not None:
+        check_int(args.k_override, 1, "--k-override")
+        if args.modality == ACOUSTIC:
+            _warn("--k-override only affects visual training; ignored")
     color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
     names, paths = zip(*((scene, path) for scene, *files in args.scene for path in files))
     matrix = None  # one row per file, allocated once the first file gives the width
-    rates: set[int | None] = set()
     for row, path in enumerate(paths):
         vector, rate = _features(args.modality, path, color_count, args.seed)
-        rates.add(rate)
         if matrix is None:
-            matrix = np.empty((len(paths), vector.size))
-        if vector.size == matrix.shape[1]:  # only another sample rate changes it, refused below
-            matrix[row] = vector
-    if len(rates) > 1:  # the frequency halves would split the clips by rate, not by scene
-        raise UsageError(f"mixed sample rates across training files: {sorted(rates)}")
+            matrix, first_rate = np.empty((len(paths), vector.size)), rate
+        elif rate != first_rate:  # the frequency halves would split the clips by rate, not scene
+            rates = sorted((first_rate, rate))
+            raise UsageError(f"mixed sample rates across training files: {rates}")
+        matrix[row] = vector
 
     classifier, warnings = train_classifier(names, matrix, args.seed, args.scale)
     for message in warnings:
@@ -276,7 +266,7 @@ def cmd_synth_audio(args) -> int:
     clip = synth_ambient(
         profile, args.seconds, args.rate, args.seed, components_per_band=args.components
     )
-    _write_bytes(args.out, encode_wav(clip))
+    write_file(args.out, encode_wav(clip))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -289,7 +279,7 @@ def cmd_synth_image(args) -> int:
     else:
         raise UsageError("give either --preset or at least one --color")
     image = synth_scene_image(spec, args.width, args.height)
-    _write_bytes(args.out, encode_ppm(image))
+    write_file(args.out, encode_ppm(image))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -311,7 +301,7 @@ def cmd_synth_matrix(args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InputError(f"cannot create {out_dir}: {exc}") from exc
-        _write_bytes(out_dir / name, payload)
+        write_file(out_dir / name, payload)
         written.append(str(out_dir / name))
 
     scenes = tuple(sorted(_AUDIO_PRESETS))

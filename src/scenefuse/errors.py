@@ -11,7 +11,8 @@ classes; any other exception escaping it, a builtin ``ValueError`` included,
 is a bug.  Counts, seeds, sizes and rates go through :func:`check_int`,
 scales, windows and durations through :func:`check_positive`, and any
 other bounded number, such as a confidence, gain or time, through
-:func:`check_range`.
+:func:`check_range`.  A count that sizes an array also goes through
+:func:`check_array_size` before the array is made.
 """
 
 import sys
@@ -70,3 +71,9 @@ def check_range(value, name: str, low: float = -_MAX, high: float = _MAX) -> Non
     if not ((type(value) is float or sized_int) and low <= value <= high):
         span = ", ".join({-_MAX: "-max", _MAX: "max"}.get(end, repr(end)) for end in (low, high))
         raise UsageError(f"{name} must be a number in [{span}], got {_shown(value)}")
+
+
+def check_array_size(count: int, item_bytes: int, name: str) -> None:
+    """Refuse, with UsageError, a count of `item_bytes`-byte entries beyond NumPy's size limit."""
+    if count * item_bytes > sys.maxsize:  # the most bytes one NumPy array may span
+        raise UsageError(f"{name} must fit an array in {sys.maxsize} bytes, got {_shown(count)}")

@@ -25,10 +25,10 @@ types that hold them.
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
 Each line must build a `ScriptEvent` or `ActionExample`, and a script an
-`EventScript`.  Every file is read as UTF-8 text; one that is not raises
-InputError, as does a file that breaks its format, naming the file.
-`read_bytes` is the one place scenefuse opens a file for reading, for
-these formats and for the CLI's WAV and PPM inputs alike.
+`EventScript`.  Every such file is read as UTF-8 text.  `read_file` and
+`write_file` are the one place scenefuse opens a file, for these formats and
+the CLI's WAV, PPM and CSV files alike; each refusal of a file starts with
+its path, and every write lands whole or not at all.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -114,22 +114,41 @@ class EventScript:
                 raise UsageError(f"event {i}: timestamp {event.at!r} decreases from {last.at!r}")
 
 
-def read_bytes(path, what: str = "") -> bytes:
-    """The bytes of the file at `path`; InputError, calling it a `what` if given, when unreadable."""
-    name = f"{what} {path}" if what else path
+def read_file(path, parse):
+    """`parse` of the file's bytes; InputError, naming `path`, if it will not read or parse."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            data = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot read {name}: {exc}") from exc
-
-
-def _read_text(path, what: str) -> str:
-    """The UTF-8 text of a file; InputError if it is unreadable or not UTF-8."""
+        raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return read_bytes(path, what).decode("utf-8")
+        return parse(data)
+    except (InputError, UsageError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def write_file(path, data: bytes) -> None:
+    """Write `data` to `<path>.partial`, which then replaces `path`; InputError on failure.
+
+    So a failed write leaves what `path` held as it was, and no partial file.
+    """
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "wb") as handle:
+            handle.write(data)
+        os.replace(partial, path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        with contextlib.suppress(OSError, ValueError):
+            os.remove(partial)
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _text(data: bytes) -> str:
+    """`data` decoded as UTF-8; InputError if it is not UTF-8."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+        raise InputError(f"not UTF-8 text: {exc}") from exc
 
 
 # --- bundles ---------------------------------------------------------------
@@ -162,7 +181,7 @@ def _decode(hint, raw, where: str):
     constructor refuses, a float that is not finite among them.
     """
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):  # `X | None`
+    if origin is UnionType:  # `X | None`
         (inner,) = (arg for arg in args if arg is not type(None))
         return None if raw is None else _decode(inner, raw, where)
     if is_dataclass(hint):
@@ -209,41 +228,33 @@ def _decode_array(node: _ArrayNode, where: str) -> np.ndarray:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write the bundle as indented JSON.  Raises InputError on write failure.
-
-    The text goes to `<path>.partial`, which then replaces `path` whole, so
-    a failed write leaves the bundle it was merging into as it was.
-    """
+    """Write the bundle as indented JSON with `write_file`.  Raises InputError on write failure."""
     document = {**_encode(bundle), "format_version": FORMAT_VERSION}
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    partial = f"{path}.partial"
-    try:
-        with open(partial, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(partial, path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        with contextlib.suppress(OSError, ValueError):
-            os.remove(partial)
-        raise InputError(f"cannot write bundle {path}: {exc}") from exc
+    write_file(path, text.encode("utf-8"))
 
 
-def load_bundle(path) -> ModelBundle:
-    """Read a bundle back.
+def _parse_bundle(data: bytes) -> ModelBundle:
+    """The bundle in `data`.
 
-    Raises InputError for a file that is unreadable, not JSON, of another
+    Raises InputError for a document that is not UTF-8 JSON, of another
     format_version, or not shaped like a bundle.
     """
-    text = _read_text(path, "bundle")
     try:
-        document = json.loads(text)
+        document = json.loads(_text(data))
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"bundle {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise InputError("bundle document must be a JSON object")
     version = _decode(int, document.get("format_version"), "bundle.format_version")
     if version != FORMAT_VERSION:
         raise InputError(f"this build reads only format_version {FORMAT_VERSION}, not {version}")
     return _decode(ModelBundle, document, "bundle")
+
+
+def load_bundle(path) -> ModelBundle:
+    """Read a bundle back; InputError, naming the file, if it will not read or parse."""
+    return read_file(path, _parse_bundle)
 
 
 # --- event scripts and action pairs ----------------------------------------
@@ -282,26 +293,13 @@ def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
 
     Raises InputError for a line `_tsv_rows` refuses, naming the line, and
-    for times that decrease, naming the event.
+    `EventScript`'s UsageError for times that decrease, naming the event.
     """
-    events = _tsv_rows(text, "at<TAB>kind<TAB>path", _event)
-    try:
-        return EventScript(tuple(events))
-    except UsageError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _load(path, what: str, parse, *args):
-    """`parse(text, *args)` on the text of the file at `path`; its refusals name the file."""
-    text = _read_text(path, what)
-    try:
-        return parse(text, *args)
-    except InputError as exc:
-        raise InputError(f"{path} {exc}") from None
+    return EventScript(tuple(_tsv_rows(text, "at<TAB>kind<TAB>path", _event)))
 
 
 def load_event_script(path) -> EventScript:
-    return _load(path, "event script", parse_event_script)
+    return read_file(path, lambda data: parse_event_script(_text(data)))
 
 
 def format_event_script(script: EventScript) -> str:
@@ -311,4 +309,4 @@ def format_event_script(script: EventScript) -> str:
 
 def load_pairs(path) -> list[ActionExample]:
     """Read `scene<TAB>action` lines into examples."""
-    return _load(path, "pairs file", _tsv_rows, "scene<TAB>action", ActionExample)
+    return read_file(path, lambda data: _tsv_rows(_text(data), "scene<TAB>action", ActionExample))

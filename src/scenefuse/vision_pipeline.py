@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import InputError, UsageError, check_int, check_range
+from .errors import InputError, UsageError, check_array_size, check_int, check_range
 
 _MAX_SAMPLED_PIXELS = 10000
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -155,12 +155,13 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     (largest-remainder rounding, ties to the earlier entry).  The layout is
     fully determined by the spec and dimensions.
 
-    Raises UsageError for a size `errors.check_int` refuses, an empty spec,
+    Raises UsageError for a size the `errors` checks refuse, an empty spec,
     a channel that is not an int in [0, 255], a fraction `errors.check_range`
     finds outside [0, 1], or fractions that do not sum to 1.
     """
     check_int(width, 1, "width")
     check_int(height, 1, "height")
+    check_array_size(width * height, 3, "width * height")
     spec = list(palette_spec)  # an empty one fails the sum check
     for color, fraction in spec:
         if len(color) != 3 or any(type(ch) is not int or not 0 <= ch <= 255 for ch in color):

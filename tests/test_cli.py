@@ -28,7 +28,7 @@ from scenefuse.cli import main
 from scenefuse.clustering import KMeansParams, fit
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.fusion import FusionState, on_acoustic
-from scenefuse.persistence import load_bundle, load_event_script, read_bytes
+from scenefuse.persistence import load_bundle, load_event_script, read_file
 from scenefuse.scene_model import ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
 
@@ -307,13 +307,13 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
     pairs.write_bytes(b"coffee\t42\ngym\t\xff\n")
     script = tmp_path / "script.tsv"
     script.write_bytes(b"0.0\taudio\t\xff.wav\n")
-    for argv in (
-        ["predict", "--modality", "acoustic", "--bundle", str(utf16), str(junk)],
-        ["action", "train", "--pairs", str(pairs), "--out", str(tmp_path / "x.json")],
-        ["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(script)],
+    for path, argv in (
+        (utf16, ["predict", "--modality", "acoustic", "--bundle", str(utf16), str(junk)]),
+        (pairs, ["action", "train", "--pairs", str(pairs), "--out", str(tmp_path / "x.json")]),
+        (script, ["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(script)]),
     ):
         assert main(argv) == 3
-        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
 
     # a script naming a path with a NUL byte, which no file can have
     nul = tmp_path / "nul.tsv"
@@ -345,14 +345,14 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
     photo = str(matrix_workspace.data / "test_coffee_1.ppm")
     assert main(["predict", "--modality", "visual", "--bundle", str(damaged), photo]) == 3
     assert capsys.readouterr().err == (
-        "error: bundle.visual: seed must be an int of at least 0, got -1\n"
+        f"error: {damaged}: bundle.visual: seed must be an int of at least 0, got -1\n"
     )
 
     raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
     raw["visual"] = 5  # a part the command does not use still fails the whole bundle
     damaged.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["action", "predict", "coffee", "--bundle", str(damaged)]) == 3
-    assert capsys.readouterr().err == "error: bundle.visual must be an object\n"
+    assert capsys.readouterr().err == f"error: {damaged}: bundle.visual must be an object\n"
 
 
 def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
@@ -367,7 +367,7 @@ def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
     out.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
     assert main(["action", "predict", "coffee", "--bundle", str(out)]) == 3
-    message = "error: bundle.action: scene and action vocabularies cannot be empty\n"
+    message = f"error: {out}: bundle.action: scene and action vocabularies cannot be empty\n"
     assert capsys.readouterr().err == message
 
 
@@ -381,8 +381,41 @@ def test_an_action_net_with_a_repeated_action_exits_three(tmp_path, capsys):
     out.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
     assert main(["action", "predict", "gym", "--bundle", str(out)]) == 3
-    message = "error: bundle.action: vocabulary ['42', '42'] repeats an entry\n"
+    message = f"error: {out}: bundle.action: vocabulary ['42', '42'] repeats an entry\n"
     assert capsys.readouterr().err == message
+
+
+# file kind: (its damaged content, a command that reads it as {file})
+DAMAGED_FILES = {
+    "wav": (
+        b"RIFF",
+        ["train", "--out", "{out}", "--modality", "acoustic", "--scene", "a", "{file}"],
+    ),
+    "ppm": (
+        b"P6 2 2 255\n",
+        ["train", "--out", "{out}", "--modality", "visual", "--scene", "a", "{file}"],
+    ),
+    "bundle": (
+        b'{"format_version": 4}',
+        ["predict", "--modality", "visual", "--bundle", "{file}", "x.ppm"],
+    ),
+    "event-script": (
+        b"5.0\taudio\ta.wav\n4.0\timage\tb.ppm\n",  # refused by EventScript, not by a line
+        ["fuse", "--bundle", "{bundle}", "--script", "{file}"],
+    ),
+    "pairs": (b"coffee\n", ["action", "train", "--pairs", "{file}", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("kind", DAMAGED_FILES)
+def test_every_refusal_of_a_file_names_it_first(kind, matrix_workspace, tmp_path, capsys):
+    content, args = DAMAGED_FILES[kind]
+    damaged = tmp_path / f"damaged.{kind}"
+    damaged.write_bytes(content)
+    places = {"file": damaged, "bundle": matrix_workspace.bundle, "out": tmp_path / "x.json"}
+    assert main([arg.format(**places) for arg in args]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {damaged}: ")
+    assert list(tmp_path.iterdir()) == [damaged]
 
 
 @pytest.mark.parametrize(
@@ -483,9 +516,9 @@ def test_every_error_class_sets_an_exit_code_or_is_caught():
 
 
 def _written(tmp_path, text):
-    path = tmp_path / "bundle.json"
-    path.write_text(text, encoding="utf-8")
-    return path
+    """The relative name of a bundle file of `text` in `tmp_path`, the working directory."""
+    (tmp_path / "bundle.json").write_text(text, encoding="utf-8")
+    return "bundle.json"
 
 
 def _raising(cls):
@@ -513,7 +546,7 @@ REFUSALS = {
     "BadVersion": (
         3,
         lambda tmp: load_bundle(_written(tmp, '{"format_version": 2}')),
-        "this build reads only format_version 5, not 2",
+        "bundle.json: this build reads only format_version 5, not 2",
     ),
     "ClipTooShort": (
         3,
@@ -547,12 +580,12 @@ REFUSALS = {
         lambda tmp: train_classifier([], np.empty((0, 2))),
         "training set holds no examples",
     ),
-    "IoError": (3, lambda tmp: read_bytes(tmp / "absent.wav"), "cannot read "),
+    "IoError": (3, lambda tmp: read_file(tmp / "absent.wav", bytes), "cannot read "),
     "MalformedRiff": (3, lambda tmp: decode_wav(b""), "too short for a RIFF header"),
     "SchemaError": (
         3,
         lambda tmp: load_bundle(_written(tmp, "[]")),
-        "bundle document must be a JSON object",
+        "bundle.json: bundle document must be a JSON object",
     ),
     "TooFewPoints": (
         1,
@@ -578,6 +611,7 @@ REFUSALS = {
 @pytest.mark.parametrize("refusal", REFUSALS)
 def test_main_returns_the_family_exit_code(refusal, tmp_path, monkeypatch, capsys):
     code, refuse, message = REFUSALS[refusal]
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "cmd_action_predict", lambda args: refuse(tmp_path))
     assert main(["action", "predict", "coffee", "--bundle", "b.json"]) == code
     assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -755,14 +789,15 @@ def test_mixed_rate_training_prints_a_pinned_transcript(tmp_path, capsys, monkey
 
 def test_mixed_feature_lengths_are_refused(tmp_path, capsys):
     # five-second clips at 1000 and 2000 Hz pad to 8192 and 16384 samples;
-    # only a mix of rates gives a mix of lengths, and the mix is refused first
+    # only a mix of rates gives a mix of lengths, and the mix is refused first,
+    # at the first clip of a second rate: the absent third file is never read
     for rate, name in ((1000, "a.wav"), (2000, "b.wav")):
         clip = synth_ambient([((100.0, 400.0), 1.0)], 5.0, rate, seed=1)
         (tmp_path / name).write_bytes(encode_wav(clip))
     out = tmp_path / "bundle.json"
     args = ["train", "--modality", "acoustic", "--out", str(out)]
     args += ["--scene", "hall", str(tmp_path / "a.wav"), "--scene", "yard", str(tmp_path / "b.wav")]
-    assert main(args) == 1
+    assert main(args + [str(tmp_path / "absent.wav")]) == 1
     assert capsys.readouterr().err == (
         "error: mixed sample rates across training files: [1000, 2000]\n"
     )
@@ -792,6 +827,12 @@ def test_k_override_changes_visual_dimensions(matrix_workspace, tmp_path, capsys
     assert main(args) == 0
     capsys.readouterr()
     assert load_bundle(out).visual.model.dim == 6
+
+
+def test_a_bad_k_override_is_refused_before_any_file_is_read(tmp_path, capsys):
+    argv = ["train", "--modality", "visual", "--k-override", "0", "--out", str(tmp_path / "x")]
+    assert main(argv + ["--scene", "a", str(tmp_path / "absent.ppm")]) == 1
+    assert capsys.readouterr().err == "error: --k-override must be an int of at least 1, got 0\n"
 
 
 def test_flags_for_the_other_modality_warn_and_are_ignored(matrix_workspace, tmp_path, capsys):
@@ -904,7 +945,7 @@ def test_action_train_malformed_pairs_exit_three(tmp_path, capsys, text):
     )
     err = capsys.readouterr().err
     assert rc == 3
-    assert err.startswith(f"error: {pairs} line 2: ")
+    assert err.startswith(f"error: {pairs}: line 2: ")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -912,7 +953,7 @@ def test_fuse_malformed_script_exits_three_naming_the_file(matrix_workspace, tmp
     script = tmp_path / "bad.tsv"
     script.write_text("x\taudio\ta.wav\n", encoding="utf-8")
     assert main(["fuse", "--bundle", str(matrix_workspace.bundle), "--script", str(script)]) == 3
-    assert capsys.readouterr().err == f"error: {script} line 1: bad timestamp 'x'\n"
+    assert capsys.readouterr().err == f"error: {script}: line 1: bad timestamp 'x'\n"
 
 
 def test_action_repl_via_stdin(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from scenefuse import cli
 from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
 from scenefuse.clustering import DEFAULT_SCALE, KMeansModel, KMeansParams, confidence
-from scenefuse.errors import UsageError, check_int, check_positive, check_range
+from scenefuse.errors import UsageError, check_array_size, check_int, check_positive, check_range
 from scenefuse.fusion import FusionConfig
 from scenefuse.persistence import ScriptEvent
 from scenefuse.scene_model import SceneClassifier, ScenePrediction, train_classifier
@@ -35,11 +35,11 @@ def _image_with_fraction(fraction):
 
 
 def _train_args(**flags):
-    # `train` checks both flags before it reads a file, so with good flags it stops at the
+    # `train` checks its flags before it reads a file, so with good flags it stops at the
     # missing file, with InputError
     return argparse.Namespace(
-        scene=[["a", "absent.wav"]], modality="acoustic", k_override=None,
-        **{"seed": 0, "scale": 1.0, **flags},
+        scene=[["a", "absent.wav"]], modality="acoustic",
+        **{"seed": 0, "scale": 1.0, "k_override": None, **flags},
     )
 
 
@@ -68,6 +68,9 @@ INT_SITES = {
     "synth_scene_image.width": (lambda v: synth_scene_image(SPEC, v, 4), 1, "width"),
     "synth_scene_image.height": (lambda v: synth_scene_image(SPEC, 4, v), 1, "height"),
     "cmd_train.seed": (lambda v: cli.cmd_train(_train_args(seed=v)), 0, "seed"),
+    "cmd_train.k_override": (
+        lambda v: cli.cmd_train(_train_args(k_override=v)), 1, "--k-override"
+    ),
     "cmd_synth_matrix.trials": (
         lambda v: cli.cmd_synth_matrix(argparse.Namespace(trials=v)), 1, "--trials"
     ),
@@ -191,6 +194,7 @@ def test_the_checks_accept_their_bounds():
     # the range site tests pin each site's own bounds
     for value in (-MAX, -int(MAX), 0, 1.5, int(MAX), MAX):
         check_range(value, "x")
+    check_array_size(sys.maxsize, 1, "n")
     assert confidence(math.inf, 1.0) == 0.0 and confidence(0.0, 1.0) == 100.0
     FusionConfig(acoustic_visual_window_s=5.0, photo_window_s=5.0)
 
@@ -217,5 +221,22 @@ def test_an_int_too_long_to_write_out_is_refused_all_the_same():
             "at must be a number in [-max, max], got <list too long to write out>",
         ),
     ):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_count_too_large_for_a_numpy_array_is_refused_before_any_is_made():
+    # NumPy refuses an array of more than sys.maxsize bytes with a builtin ValueError or
+    # OverflowError; each count that sizes one is refused first, by name
+    limit = sys.maxsize
+    for call, name, count in (
+        (lambda: synth_ambient(BAND, 0.01, 8000, 0, 10**20), "components_per_band", 10**20),
+        (lambda: synth_ambient(BAND, 0.01, 8000, 0, limit // 8 + 1), "components_per_band",
+         limit // 8 + 1),
+        (lambda: train_actions(PAIRS, 1, hidden_size=10**20), "hidden_size", 10**20),
+        (lambda: synth_scene_image(SPEC, 10**10, 10**10), "width * height", 10**20),
+        (lambda: check_array_size(limit + 1, 1, "n"), "n", limit + 1),
+    ):
+        message = f"{name} must fit an array in {limit} bytes, got {count}"
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             call()

@@ -1,11 +1,13 @@
 """Bundle serialization and event-script parsing."""
 
+import ast
 import base64
 import errno
 import json
 import re
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ def test_unknown_version_is_refused(tmp_path, capsys):
             load_bundle(path)
         assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
         err = capsys.readouterr().err
-        assert err == f"error: this build reads only format_version 5, not {version}\n"
+        assert err == f"error: {path}: this build reads only format_version 5, not {version}\n"
 
 
 def _with_unknown_keys(node):
@@ -208,17 +210,17 @@ def _no_vocabulary(vocab, weights, edit):
 
 
 def test_missing_file_raises_io_error(tmp_path):
-    with pytest.raises(InputError, match="cannot read bundle .*nope.json"):
+    with pytest.raises(InputError, match="^cannot read .*nope.json: "):
         load_bundle(tmp_path / "nope.json")
 
 
 def test_a_path_with_a_nul_byte_raises_io_error(tmp_path):
     path = str(tmp_path / "bun\x00dle.json")
-    with pytest.raises(InputError, match="cannot read bundle .*embedded null byte"):
+    with pytest.raises(InputError, match="^cannot read .*embedded null byte"):
         load_bundle(path)
-    with pytest.raises(InputError, match="cannot read event script .*embedded null byte"):
+    with pytest.raises(InputError, match="^cannot read .*embedded null byte"):
         load_event_script(path)
-    with pytest.raises(InputError, match="cannot write bundle .*embedded null byte"):
+    with pytest.raises(InputError, match="^cannot write .*embedded null byte"):
         save_bundle(ModelBundle(), path)
 
 
@@ -256,13 +258,51 @@ def test_a_failed_write_leaves_the_previous_bundle_whole(tmp_path, monkeypatch):
         lambda file, mode, **kwargs: _FullDisk(open(file, mode, **kwargs)),
         raising=False,
     )
-    with pytest.raises(InputError, match="cannot write bundle .*No space left"):
+    with pytest.raises(InputError, match="^cannot write .*No space left"):
         save_bundle(replace(_full_bundle(), action=None), path)
     monkeypatch.undo()
 
     assert path.read_bytes() == before
     assert load_bundle(path).action is not None
     assert list(tmp_path.iterdir()) == [path]  # no partial file left behind
+
+
+def test_a_failed_synth_write_leaves_the_previous_file_whole(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scene.ppm"
+    assert main(["synth", "image", "--preset", "coffee", "--out", str(path)]) == 0
+    before = path.read_bytes()
+
+    monkeypatch.setattr(
+        persistence,
+        "open",
+        lambda file, mode, **kwargs: _FullDisk(open(file, mode, **kwargs)),
+        raising=False,
+    )
+    assert main(["synth", "image", "--preset", "gym", "--out", str(path)]) == 3
+    monkeypatch.undo()
+
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no partial file left behind
+
+
+# what opens a file: the builtin, and the `pathlib.Path` shortcuts
+FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
+
+
+def test_only_read_file_and_write_file_open_a_file():
+    openers = set()
+    for module in sorted(Path(persistence.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) not in FILE_CALLS:
+                continue
+            while not isinstance(node, (ast.FunctionDef, ast.Module)):  # the innermost def
+                node = parents[node]
+            openers.add(f"{module.stem}.{getattr(node, 'name', '<module>')}")
+    assert openers == {"persistence.read_file", "persistence.write_file"}
 
 
 @pytest.mark.parametrize(
@@ -313,7 +353,8 @@ def test_structural_damage_raises_schema_error(tmp_path, mutate):
     raw = json.loads(path.read_text(encoding="utf-8"))
     mutate(raw)
     path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(InputError, match="^bundle"):  # each check names the bundle or a field
+    # each check names the file, then the bundle or a field
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: bundle"):
         load_bundle(path)
 
 
@@ -419,10 +460,10 @@ def test_damaged_array_node_exits_three(tmp_path, capsys, mutate, message):
     raw = json.loads(path.read_text(encoding="utf-8"))
     mutate(raw)
     path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(InputError, match=f"^{message}"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}"):
         load_bundle(path)
     assert main(["predict", "--modality", "acoustic", "--bundle", str(path), "x.wav"]) == 3
-    assert re.match(f"error: {message}", capsys.readouterr().err)
+    assert re.match(f"error: {re.escape(str(path))}: {message}", capsys.readouterr().err)
 
 
 def test_reload_and_save_writes_the_same_bytes(tmp_path):
@@ -480,10 +521,10 @@ def test_truncated_json_raises_schema_error(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     path.write_bytes(path.read_bytes()[:-10])
-    with pytest.raises(InputError, match="is not valid JSON"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not valid JSON: "):
         load_bundle(path)
     path.write_bytes(b"[" * 100000)  # nested deeper than the JSON parser recurses
-    with pytest.raises(InputError, match="is not valid JSON"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not valid JSON: "):
         load_bundle(path)
 
 
@@ -583,13 +624,13 @@ def test_only_a_script_format_and_parse_agree_on_can_be_built():
     with pytest.raises(UsageError, match=r"^event 2: timestamp 4\.5 decreases from 5\.0$"):
         EventScript(events)
     line_by_line = "".join(f"{e.at!r}\t{e.kind}\t{e.path}\n" for e in events)
-    with pytest.raises(InputError, match=r"^event 2: timestamp 4\.5 decreases from 5\.0$"):
+    with pytest.raises(UsageError, match=r"^event 2: timestamp 4\.5 decreases from 5\.0$"):
         parse_event_script(line_by_line)
 
 
 def test_script_timestamps_must_not_decrease():
     text = "5.0\taudio\ta.wav\n4.0\timage\tb.ppm"
-    with pytest.raises(InputError, match="^event 2: timestamp 4.0 decreases from 5.0$"):
+    with pytest.raises(UsageError, match="^event 2: timestamp 4.0 decreases from 5.0$"):
         parse_event_script(text)
 
 
@@ -598,5 +639,5 @@ def test_load_event_script_reads_files(tmp_path):
     path.write_text("1.5\taudio\tx.wav\n", encoding="utf-8")
     script = load_event_script(path)
     assert script.events == (ScriptEvent(at=1.5, kind="audio", path="x.wav"),)
-    with pytest.raises(InputError, match="cannot read event script .*missing.tsv"):
+    with pytest.raises(InputError, match="^cannot read .*missing.tsv: "):
         load_event_script(tmp_path / "missing.tsv")
