@@ -24,6 +24,12 @@ pass needs O(n·(d_varying + k)) scratch memory rather than an (n, k, d)
 temporary.  Labels come from k − 1 `<` comparisons down those rows.
 Points and query vectors must be finite: NaN or inf is refused with
 UsageError at the boundary.
+
+A fit of more than `_SEED_POINTS` points runs its restarts on every
+stride-th point only, and one more Lloyd run on all points, started from
+the winner's centroids, refines it (Bradley & Fayyad 1998, "Refining
+Initial Points for K-Means Clustering").  A restart that ends in a poor
+local minimum takes many iterations, which are cheap on the subsample.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .errors import UsageError, check_int, check_positive, check_range
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
 _TOL = 1e-6  # a run has converged once no centroid coordinate moves further
 _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
+_SEED_POINTS = 1000  # the restarts run on at most about this many points of a fit
 DEFAULT_SCALE = 10000.0  # confidence divisor unless training is given another
 
 
@@ -47,11 +54,13 @@ class KMeansParams:
     """What a fit is asked for: `k` clusters from the stream seeded by `seed`.
 
     Only `fit` reads it; callers build one per fit.  The restart count,
-    iteration cap and convergence tolerance are module constants: a fit
-    restarts `_N_INIT` times from fresh k-means++ draws of one seeded
-    stream and keeps the lowest-inertia run, so results stay deterministic
-    while single-start local minima get smoothed out.  `errors.check_int`
-    refuses a `k` below 1 and a seed below 0, as numpy's generators would.
+    subsample size, iteration cap and convergence tolerance are module
+    constants: a fit restarts `_N_INIT` times from fresh k-means++ draws of
+    one seeded stream, on at most about `_SEED_POINTS` of its points, and
+    keeps the lowest-inertia run, refined on all points when it saw fewer,
+    so results stay deterministic while single-start local minima get
+    smoothed out.  `errors.check_int` refuses a `k` below 1 and a seed
+    below 0, as numpy's generators would.
     """
 
     k: int
@@ -67,10 +76,12 @@ class KMeansModel:
     """Fitted centroids plus the objective trace that produced them.
 
     inertia_history holds the within-cluster sum of squared distances
-    measured after every assignment, the closing one included; it never
-    increases, and `errors.check_range` finds each entry finite and not
-    negative.  The cluster count and the width `dim` are read off
-    `centroids`, the final `inertia` off `inertia_history`; none is stored.
+    measured after every assignment of the run `fit` returned, the closing
+    one included (the refinement run when the restarts saw a subsample,
+    not the restart it started from); it never increases, and
+    `errors.check_range` finds each entry finite and not negative.  The
+    cluster count and the width `dim` are read off `centroids`, the final
+    `inertia` off `inertia_history`; none is stored.
     """
 
     centroids: np.ndarray  # shape (k, dim)
@@ -208,10 +219,17 @@ def _repair_empties(
 
 
 def _lloyd_run(
-    points: np.ndarray, axis: int, params: KMeansParams, rng: np.random.Generator
+    points: np.ndarray, axis: int, start: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
-    """One seeded run: (centroids, inertia history, closing labels, closing (k, n) sq)."""
-    centroids, sq = _init_pp(points, axis, params.k, rng)
+    """One run from `start`: (centroids, inertia history, closing labels, closing (k, n) sq).
+
+    `start` is the (k, d) starting centroids and their (k, n) squared
+    distances to `points`; the run updates the centroids in place on a
+    repair.  Pass it as a temporary: the run drops its hold on both arrays
+    as it replaces them, so they need not outlive the first update.
+    """
+    centroids, sq = start
+    del start
     history: list[float] = []
 
     for _ in range(_MAX_ITERS):
@@ -221,7 +239,7 @@ def _lloyd_run(
 
         # the repair left every cluster at least one member, as n >= k
         updated = np.empty_like(centroids)
-        for c in range(params.k):
+        for c in range(centroids.shape[0]):
             updated[c] = np.compress(labels == c, points, axis).mean(axis)
         shift = float(np.max(np.abs(updated - centroids), initial=0.0))  # none if no column varies
         centroids = updated
@@ -244,7 +262,13 @@ def _lloyd_run(
 def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarray]:
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
-    Returns `(model, labels, sq)`: the winning run's model and the closing
+    The `_N_INIT` restarts run on every stride-th point, stride =
+    ceil(n / `_SEED_POINTS`) (lowered, if need be, so they see at least k
+    points); the lowest final inertia wins, earliest run on a tie.  With
+    stride 1 that run is the result.  Otherwise one more Lloyd run on all
+    points, started from the winner's centroids, is the result.
+
+    Returns `(model, labels, sq)`: the resulting run's model and the closing
     assignment it was scored on, with `sq` the (n, k) squared distances.
     `model.inertia` is that partition's sum of squared distances.
 
@@ -262,12 +286,12 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     Scratch memory is O(n·(d_varying + k)) on top of that copy.  The
     distance work of a run is k single-centroid rows at the k-means++
     draws, which the first assignment reuses, plus one (k, n) pass per
-    update that moved a centroid or followed a repair.
+    update that moved a centroid or followed a repair.  A refinement run
+    starts with one (k, n) pass.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
-    moved more than `_TOL` (infinity norm) in one update; across runs,
-    the lowest final inertia wins, earliest run on a tie.
+    moved more than `_TOL` (infinity norm) in one update.
 
     Raises UsageError for no points or fewer points than clusters, points
     of mixed lengths or not one (n, d) matrix, a NaN or infinite coordinate,
@@ -285,9 +309,21 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     axis = 1 if np.count_nonzero(varying) < n else 0
     work = np.compress(varying, matrix.T if axis else matrix, axis=1 - axis)
 
+    # the restarts see every stride-th point, at least k of them: a small
+    # contiguous copy in the column layout, a view of whole rows otherwise;
+    # each k-means++ start goes straight into its run, so no frame here holds it
+    stride = min(-(-n // _SEED_POINTS), n // params.k)
+    sample = np.ascontiguousarray(work[:, ::stride]) if axis else work[::stride]
     rng = np.random.default_rng(params.seed)
-    runs = (_lloyd_run(work, axis, params, rng) for _ in range(_N_INIT))
+    runs = (
+        _lloyd_run(sample, axis, _init_pp(sample, axis, params.k, rng)) for _ in range(_N_INIT)
+    )
     centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
+    if stride > 1:
+        # one Lloyd run on every point refines the winner
+        centroids, history, labels, sq = _lloyd_run(
+            work, axis, (centroids, _sq_distances(work, axis, centroids))
+        )
 
     # the shared value is each constant column's exact mean
     full = np.repeat(matrix[:1], params.k, axis=0)

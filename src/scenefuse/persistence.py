@@ -262,7 +262,7 @@ def load_bundle(path) -> ModelBundle:
 def _tsv_rows(text: str, layout: str, build) -> list:
     """A list of `build(*fields)`, fields stripped, one per line that is not blank or `#`.
 
-    Raises InputError, naming the line, when a line does not have the
+    Raises UsageError, naming the line, when a line does not have the
     fields `layout` names or `build` refuses them with UsageError.
     """
     width = layout.count("<TAB>") + 1
@@ -273,11 +273,11 @@ def _tsv_rows(text: str, layout: str, build) -> list:
             continue
         parts = raw_line.split("\t")
         if len(parts) != width:
-            raise InputError(f"line {lineno}: expected {layout}")
+            raise UsageError(f"line {lineno}: expected {layout}")
         try:
             rows.append(build(*(part.strip() for part in parts)))
         except UsageError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
+            raise UsageError(f"line {lineno}: {exc}") from None
     return rows
 
 
@@ -292,8 +292,8 @@ def _event(at: str, kind: str, path: str) -> ScriptEvent:
 def parse_event_script(text: str) -> EventScript:
     """Parse `at<TAB>kind<TAB>path` lines into an EventScript.
 
-    Raises InputError for a line `_tsv_rows` refuses, naming the line, and
-    `EventScript`'s UsageError for times that decrease, naming the event.
+    Raises UsageError for a line `_tsv_rows` refuses, naming the line, and
+    for times that decrease (`EventScript`'s check), naming the event.
     """
     return EventScript(tuple(_tsv_rows(text, "at<TAB>kind<TAB>path", _event)))
 

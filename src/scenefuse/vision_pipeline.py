@@ -129,8 +129,9 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
     total = image.pixels.shape[0]
     stride = -(-total // _MAX_SAMPLED_PIXELS)  # ceil
     sample = image.pixels[::stride]
-    packed = sample.astype(np.uint32)  # one integer per colour: a 1-D unique is cheaper
-    if np.unique((packed[:, 0] << 16) | (packed[:, 1] << 8) | packed[:, 2]).size < c:
+    packed = sample.astype(np.uint32)  # one integer per colour, sorted: equal ones are adjacent
+    keys = np.sort((packed[:, 0] << 16) | (packed[:, 1] << 8) | packed[:, 2])
+    if np.count_nonzero(keys[1:] != keys[:-1]) + 1 < c:
         raise InputError(f"fewer than {c} distinct colors to separate")
 
     points = sample.astype(np.float64)

@@ -140,6 +140,65 @@ def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
     assert rows == [1] * (2 * clustering._N_INIT)
 
 
+def _spy_on_runs(monkeypatch) -> list[int]:
+    """The point count of each Lloyd run `fit` makes from now on, in order."""
+    real = clustering._lloyd_run
+    seen = []
+
+    def spy(points, axis, start):
+        seen.append(points.shape[axis])
+        return real(points, axis, start)
+
+    monkeypatch.setattr(clustering, "_lloyd_run", spy)
+    return seen
+
+
+def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch):
+    seen = _spy_on_runs(monkeypatch)
+    limit = clustering._SEED_POINTS
+    rng = np.random.default_rng(5)
+    # (n, d): the column layout at and just past the limit and well past
+    # it, and the row layout (d >= n) past it
+    for n, d in ((limit, 3), (limit + 1, 3), (4 * limit + 7, 3), (limit + 1, limit + 1)):
+        seen.clear()
+        points = rng.standard_normal((n, d))
+        model, labels, sq = fit(points, KMeansParams(k=3, seed=1))
+        stride = -(-n // limit)
+        assert seen[: clustering._N_INIT] == [-(-n // stride)] * clustering._N_INIT
+        assert all(count <= limit for count in seen[: clustering._N_INIT])
+        assert seen[clustering._N_INIT :] == ([] if n <= limit else [n])
+        # the returned partition and history are the last run's, on all points
+        assert sq.shape == (n, 3) and np.array_equal(labels, sq.argmin(axis=1))
+        assert model.inertia == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
+
+
+def test_the_restarts_see_at_least_k_points(monkeypatch):
+    seen = _spy_on_runs(monkeypatch)
+    monkeypatch.setattr(clustering, "_SEED_POINTS", 2)
+    points = np.arange(14.0).reshape(7, 2)
+    fit(points, KMeansParams(k=3))  # every 4th point would leave 2: every 2nd leaves 4
+    assert seen == [4] * clustering._N_INIT + [7]
+    seen.clear()
+    fit(points, KMeansParams(k=5))  # no stride leaves 5 of 7 but 1, so no refinement
+    assert seen == [7] * clustering._N_INIT
+
+
+def test_subsampled_restarts_stay_within_5_percent_of_all_point_restarts(monkeypatch):
+    # Gaussian blobs, their count independent of k, so k may split or merge them
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        n, k, d, blobs = (int(rng.integers(*b)) for b in ((1_500, 10_001), (2, 9), (2, 6), (2, 9)))
+        centres = rng.uniform(0.0, 100.0, (blobs, d))
+        noise = rng.normal(0.0, rng.uniform(2.0, 20.0), (n, d))
+        points = centres[rng.integers(blobs, size=n)] + noise
+        params = KMeansParams(k=k, seed=int(rng.integers(2**31)))
+        subsampled, _, _ = fit(points, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_SEED_POINTS", n)
+            everywhere, _, _ = fit(points, params)
+        assert subsampled.inertia <= 1.05 * everywhere.inertia
+
+
 def test_fit_matches_exhaustive_partition_search():
     rng = np.random.default_rng(31)
     for k in (1, 2, 3):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ppm_bytes
+from scenefuse import clustering
 from scenefuse.errors import InputError, UsageError
 from scenefuse.vision_pipeline import (
     Image,
@@ -155,6 +156,40 @@ def test_too_few_distinct_colors_raises():
     assert dominant_colors(image, 4).shape == (4, 3)
     with pytest.raises(InputError, match="fewer than 5 distinct colors to separate"):
         dominant_colors(image, 5)
+
+
+def test_distinct_colours_are_counted_exactly_on_a_subsampled_image():
+    # 12,000 pixels, so the subsample keeps the 6,000 even indices: five
+    # colours in turn, while a sixth lives only at odd indices
+    colours = np.array([(0, 0, 0), (255, 0, 0), (0, 255, 0), (0, 0, 255), (1, 1, 1)], np.uint8)
+    pixels = np.full((12_000, 3), 77, dtype=np.uint8)
+    pixels[::2] = colours[np.arange(6_000) % 5]
+    image = Image(width=120, height=100, pixels=pixels)
+    assert sorted(dominant_colors(image, 5).tolist()) == sorted(colours.tolist())  # exactly c
+    with pytest.raises(InputError, match="^fewer than 6 distinct colors to separate$"):
+        dominant_colors(image, 6)  # exactly c - 1
+
+
+def test_bench_like_noisy_photos_keep_the_all_points_palette(monkeypatch):
+    # camera-like photos of the four bench sizes: three well-separated
+    # colours at 0.5 / 0.3 / 0.2 plus sensor noise of sigma 8.  Restarts on
+    # a subsample refined on all pixels find the palette the restarts on
+    # all pixels find, bit for bit.
+    rng = np.random.default_rng(2018)
+    for width, height in [(64, 48), (96, 72), (128, 96), (160, 120)] * 3:
+        colours = rng.integers(30, 226, size=(3, 3))
+        while min(np.linalg.norm(colours[a] - colours[b]) for a in range(3) for b in range(a)) < 90:
+            colours = rng.integers(30, 226, size=(3, 3))
+        spec = [(tuple(map(int, c)), f) for c, f in zip(colours, (0.5, 0.3, 0.2))]
+        spec[-1] = (spec[-1][0], 1.0 - 0.5 - 0.3)
+        pixels = synth_scene_image(spec, width, height).pixels
+        noisy = np.rint(pixels + rng.normal(0.0, 8.0, pixels.shape))
+        image = Image(width, height, np.clip(noisy, 0, 255).astype(np.uint8))
+        seed = int(rng.integers(2**31))
+        subsampled = dominant_colors(image, 3, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_SEED_POINTS", width * height)
+            assert np.array_equal(subsampled, dominant_colors(image, 3, seed=seed))
 
 
 # --- synthesizer -----------------------------------------------------------
