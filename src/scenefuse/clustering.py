@@ -26,10 +26,12 @@ Points and query vectors must be finite: NaN or inf is refused with
 UsageError at the boundary.
 
 A fit of more than `_SEED_POINTS` points runs its restarts on every
-stride-th point only, and one more Lloyd run on all points, started from
-the winner's centroids, refines it (Bradley & Fayyad 1998, "Refining
-Initial Points for K-Means Clustering").  A restart that ends in a poor
-local minimum takes many iterations, which are cheap on the subsample.
+stride-th point only, each restart from its own offset, and one more
+Lloyd run on all points, started from the winner's centroids, refines it
+(Bradley & Fayyad 1998, "Refining Initial Points for K-Means
+Clustering").  A restart that ends in a poor local minimum takes many
+iterations, which are cheap on a subsample; restarts on different
+subsamples do not share one subsample's pull toward the same poor minimum.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import UsageError, check_int, check_positive, check_range
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
 _TOL = 1e-6  # a run has converged once no centroid coordinate moves further
 _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
-_SEED_POINTS = 1000  # the restarts run on at most about this many points of a fit
+_SEED_POINTS = 1000  # the restarts run on at most this many points of a fit
 DEFAULT_SCALE = 10000.0  # confidence divisor unless training is given another
 
 
@@ -56,7 +58,7 @@ class KMeansParams:
     Only `fit` reads it; callers build one per fit.  The restart count,
     subsample size, iteration cap and convergence tolerance are module
     constants: a fit restarts `_N_INIT` times from fresh k-means++ draws of
-    one seeded stream, on at most about `_SEED_POINTS` of its points, and
+    one seeded stream, on at most `_SEED_POINTS` of its points, and
     keeps the lowest-inertia run, refined on all points when it saw fewer,
     so results stay deterministic while single-start local minima get
     smoothed out.  `errors.check_int` refuses a `k` below 1 and a seed
@@ -264,9 +266,11 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
 
     The `_N_INIT` restarts run on every stride-th point, stride =
     ceil(n / `_SEED_POINTS`) (lowered, if need be, so they see at least k
-    points); the lowest final inertia wins, earliest run on a tie.  With
-    stride 1 that run is the result.  Otherwise one more Lloyd run on all
-    points, started from the winner's centroids, is the result.
+    points): restart i on the n // stride points from offset i % stride,
+    so every restart's inertia sums over as many points.  The lowest final
+    inertia wins, earliest run on a tie.  With stride 1 every restart sees
+    all points and the winner is the result.  Otherwise one more Lloyd run
+    on all points, started from the winner's centroids, is the result.
 
     Returns `(model, labels, sq)`: the resulting run's model and the closing
     assignment it was scored on, with `sq` the (n, k) squared distances.
@@ -309,15 +313,18 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     axis = 1 if np.count_nonzero(varying) < n else 0
     work = np.compress(varying, matrix.T if axis else matrix, axis=1 - axis)
 
-    # the restarts see every stride-th point, at least k of them: a small
-    # contiguous copy in the column layout, a view of whole rows otherwise;
-    # each k-means++ start goes straight into its run, so no frame here holds it
+    # restart i sees every stride-th point from offset i % stride, a view of
+    # n // stride points, at least k; restarts on different subsamples miss a
+    # basin independently.  Each k-means++ start goes straight into its run,
+    # so no frame here holds it
     stride = min(-(-n // _SEED_POINTS), n // params.k)
-    sample = np.ascontiguousarray(work[:, ::stride]) if axis else work[::stride]
-    rng = np.random.default_rng(params.seed)
-    runs = (
-        _lloyd_run(sample, axis, _init_pp(sample, axis, params.k, rng)) for _ in range(_N_INIT)
+    span = n // stride * stride
+    samples = (
+        work[:, i % stride : span : stride] if axis else work[i % stride : span : stride]
+        for i in range(_N_INIT)
     )
+    rng = np.random.default_rng(params.seed)
+    runs = (_lloyd_run(s, axis, _init_pp(s, axis, params.k, rng)) for s in samples)
     centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
     if stride > 1:
         # one Lloyd run on every point refines the winner

@@ -153,6 +153,19 @@ def _spy_on_runs(monkeypatch) -> list[int]:
     return seen
 
 
+def _spy_on_first_points(monkeypatch) -> list[np.ndarray]:
+    """The first point of each Lloyd run `fit` makes from now on, in order."""
+    real = clustering._lloyd_run
+    firsts = []
+
+    def spy(points, axis, start):
+        firsts.append(np.take(points, 0, axis))
+        return real(points, axis, start)
+
+    monkeypatch.setattr(clustering, "_lloyd_run", spy)
+    return firsts
+
+
 def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch):
     seen = _spy_on_runs(monkeypatch)
     limit = clustering._SEED_POINTS
@@ -164,7 +177,7 @@ def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch)
         points = rng.standard_normal((n, d))
         model, labels, sq = fit(points, KMeansParams(k=3, seed=1))
         stride = -(-n // limit)
-        assert seen[: clustering._N_INIT] == [-(-n // stride)] * clustering._N_INIT
+        assert seen[: clustering._N_INIT] == [n // stride] * clustering._N_INIT
         assert all(count <= limit for count in seen[: clustering._N_INIT])
         assert seen[clustering._N_INIT :] == ([] if n <= limit else [n])
         # the returned partition and history are the last run's, on all points
@@ -176,27 +189,54 @@ def test_the_restarts_see_at_least_k_points(monkeypatch):
     seen = _spy_on_runs(monkeypatch)
     monkeypatch.setattr(clustering, "_SEED_POINTS", 2)
     points = np.arange(14.0).reshape(7, 2)
-    fit(points, KMeansParams(k=3))  # every 4th point would leave 2: every 2nd leaves 4
-    assert seen == [4] * clustering._N_INIT + [7]
+    fit(points, KMeansParams(k=3))  # every 4th point would leave 1: every 2nd leaves 3
+    assert seen == [3] * clustering._N_INIT + [7]
     seen.clear()
     fit(points, KMeansParams(k=5))  # no stride leaves 5 of 7 but 1, so no refinement
     assert seen == [7] * clustering._N_INIT
 
 
-def test_subsampled_restarts_stay_within_5_percent_of_all_point_restarts(monkeypatch):
-    # Gaussian blobs, their count independent of k, so k may split or merge them
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n, k, d, blobs = (int(rng.integers(*b)) for b in ((1_500, 10_001), (2, 9), (2, 6), (2, 9)))
-        centres = rng.uniform(0.0, 100.0, (blobs, d))
-        noise = rng.normal(0.0, rng.uniform(2.0, 20.0), (n, d))
-        points = centres[rng.integers(blobs, size=n)] + noise
-        params = KMeansParams(k=k, seed=int(rng.integers(2**31)))
-        subsampled, _, _ = fit(points, params)
-        with monkeypatch.context() as patch:
-            patch.setattr(clustering, "_SEED_POINTS", n)
-            everywhere, _, _ = fit(points, params)
-        assert subsampled.inertia <= 1.05 * everywhere.inertia
+def test_each_restart_draws_from_its_own_offset(monkeypatch):
+    firsts = _spy_on_first_points(monkeypatch)
+    points = np.random.default_rng(3).standard_normal((4 * clustering._SEED_POINTS + 7, 3))
+    fit(points, KMeansParams(k=3, seed=2))
+    # stride 5: restart i starts at point i % 5; the refinement at point 0
+    offsets = [i % 5 for i in range(clustering._N_INIT)] + [0]
+    assert len(firsts) == len(offsets)
+    for first, offset in zip(firsts, offsets):
+        assert np.array_equal(first, points[offset])
+
+
+def _blob_instance(rng):
+    """Gaussian blobs, their count independent of k, so k may split or merge them."""
+    n, k, d, blobs = (int(rng.integers(*b)) for b in ((1_500, 10_001), (2, 9), (2, 6), (2, 9)))
+    centres = rng.uniform(0.0, 100.0, (blobs, d))
+    points = centres[rng.integers(blobs, size=n)] + rng.normal(0.0, rng.uniform(2.0, 20.0), (n, d))
+    return points, KMeansParams(k=k, seed=int(rng.integers(2**31)))
+
+
+def _blob_instances(seed, numbers):
+    """Instances `numbers` (counted from 1) of the stream of `_blob_instance` draws from `seed`."""
+    rng = np.random.default_rng(seed)
+    drawn = [_blob_instance(rng) for _ in range(max(numbers))]
+    return [drawn[number - 1] for number in numbers]
+
+
+# instances 1-10 of seed 7; instance 27 of seed 40 (n 8,424, k 5, d 4),
+# where ten restarts on one shared subsample all ended 1.054x above the
+# all-points fit; and instance 29 of seed 43 (n 8,937, k 6, d 2), the
+# worst of seeds 40-57 with an offset per restart, at 1.046x
+@pytest.mark.parametrize(
+    "seed, number", [(7, number) for number in range(1, 11)] + [(40, 27), (43, 29)]
+)
+def test_subsampled_restarts_stay_within_5_percent_of_all_point_restarts(
+    monkeypatch, seed, number
+):
+    (points, params), = _blob_instances(seed, [number])
+    subsampled, _, _ = fit(points, params)
+    monkeypatch.setattr(clustering, "_SEED_POINTS", len(points))
+    everywhere, _, _ = fit(points, params)
+    assert subsampled.inertia <= 1.05 * everywhere.inertia
 
 
 def test_fit_matches_exhaustive_partition_search():
