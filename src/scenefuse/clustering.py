@@ -32,11 +32,24 @@ Lloyd run on all points, started from the winner's centroids, refines it
 Clustering").  A restart that ends in a poor local minimum takes many
 iterations, which are cheap on a subsample; restarts on different
 subsamples do not share one subsample's pull toward the same poor minimum.
+
+Restarts that see every point (stride 1, as in every fit of at most
+`_SEED_POINTS` points) all cluster the same points, and in the row layout
+they share their distance rows.  A row
+depends only on its centroid, and a centroid only on the points it is the
+mean of, so each distinct k-means++ draw and each distinct member set of
+an update is measured once per fit, and a later restart that repeats one
+copies its row.  This is the narrowest exact form of Elkan (2003), "Using
+the Triangle Inequality to Accelerate k-Means": skip a distance whose
+answer is already known.  Only bit-for-bit repeats are skipped, so every
+output keeps its bits.  In the column layout a row of d_varying < n
+columns costs no more than its key, so there every row is computed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,28 +177,63 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     return _nearest(sq)[0], sq.T
 
 
+def _sq_rows(
+    points: np.ndarray,
+    axis: int,
+    centroids: np.ndarray,
+    keys: Iterable[object],
+    memo: dict[object, np.ndarray] | None,
+) -> np.ndarray:
+    """`_sq_distances(points, axis, centroids)`, each row computed once per `memo`.
+
+    A centroid is the mean of a set of points, so its distance row depends
+    on that member set alone; `keys` names the set of each centroid in turn
+    (a k-means++ draw by its point's index, an update by the bytes of its
+    member mask) and is read only when there is a memo.  A row whose key
+    the memo holds is copied from it; any other is computed on its own and
+    remembered while the memo holds fewer than n rows.  With no memo every
+    row is computed in one pass.
+    """
+    if memo is None:
+        return _sq_distances(points, axis, centroids)
+    sq = np.empty((centroids.shape[0], points.shape[axis]), dtype=np.float64)
+    for j, key in enumerate(keys):
+        row = memo.get(key)
+        if row is None:
+            row = _sq_distances(points, axis, centroids[j : j + 1])[0]
+            if len(memo) < points.shape[axis]:
+                memo[key] = row
+        sq[j] = row
+    return sq
+
+
 def _init_pp(
-    points: np.ndarray, axis: int, k: int, rng: np.random.Generator
+    points: np.ndarray,
+    axis: int,
+    k: int,
+    rng: np.random.Generator,
+    memo: dict[object, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-means++: each next centroid drawn proportional to squared distance.
 
     Each draw after the first is one inverse-CDF step, clamped to the last
     point, which is the pick once every point sits on a chosen centroid.
     Returns the (k, d) centroids and the (k, n) squared distances from each
-    to every point: row j is the one computed when centroid j was drawn.
+    to every point: row j is the one `_sq_rows` gave when centroid j was
+    drawn.
     """
     n = points.shape[axis]
     chosen = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
     sq = np.empty((k, n), dtype=np.float64)
     idx = int(rng.integers(n))
     chosen[0] = np.take(points, idx, axis)
-    sq[0] = _sq_distances(points, axis, chosen[0:1])[0]
+    sq[0] = _sq_rows(points, axis, chosen[0:1], (idx,), memo)[0]
     closest_sq = sq[0]
     for j in range(1, k):
         r = rng.random() * float(closest_sq.sum())
         idx = min(int(np.searchsorted(np.cumsum(closest_sq), r, side="right")), n - 1)
         chosen[j] = np.take(points, idx, axis)
-        sq[j] = _sq_distances(points, axis, chosen[j : j + 1])[0]
+        sq[j] = _sq_rows(points, axis, chosen[j : j + 1], (idx,), memo)[0]
         closest_sq = np.minimum(closest_sq, sq[j])
     return chosen, sq
 
@@ -221,14 +269,18 @@ def _repair_empties(
 
 
 def _lloyd_run(
-    points: np.ndarray, axis: int, start: tuple[np.ndarray, np.ndarray]
+    points: np.ndarray,
+    axis: int,
+    start: tuple[np.ndarray, np.ndarray],
+    memo: dict[object, np.ndarray] | None,
 ) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
     """One run from `start`: (centroids, inertia history, closing labels, closing (k, n) sq).
 
     `start` is the (k, d) starting centroids and their (k, n) squared
     distances to `points`; the run updates the centroids in place on a
     repair.  Pass it as a temporary: the run drops its hold on both arrays
-    as it replaces them, so they need not outlive the first update.
+    as it replaces them, so they need not outlive the first update.  Each
+    update's distance rows come from `_sq_rows` with `memo`.
     """
     centroids, sq = start
     del start
@@ -250,7 +302,8 @@ def _lloyd_run(
             # left unrepaired, already is the closing assignment
             history.append(history[-1])
             return centroids, history, labels, sq
-        sq = _sq_distances(points, axis, centroids)
+        members = ((labels == c).tobytes() for c in range(centroids.shape[0]))
+        sq = _sq_rows(points, axis, centroids, members, memo)
         if shift <= _TOL:
             break
 
@@ -291,7 +344,13 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     distance work of a run is k single-centroid rows at the k-means++
     draws, which the first assignment reuses, plus one (k, n) pass per
     update that moved a centroid or followed a repair.  A refinement run
-    starts with one (k, n) pass.
+    starts with one (k, n) pass.  When the restarts share all points
+    (stride 1) in the row layout, they share one memo of distance rows
+    instead, keyed by the member set whose mean each centroid is (a draw's
+    one point, an update's members): a row is computed once per distinct
+    draw and per distinct member set, and any later restart that needs it
+    copies it, bit for bit.  The memo keeps at most n rows, and n <=
+    d_varying there, so it never outgrows the copy.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -323,13 +382,18 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
         work[:, i % stride : span : stride] if axis else work[i % stride : span : stride]
         for i in range(_N_INIT)
     )
+    # with stride 1 every restart clusters the same points, so a member set's
+    # distance row, once computed, serves every later restart that needs it.
+    # Only in the row layout, where a row's d_varying >= n columns cost more
+    # than its n-byte key: in the column layout keys cost more than they save
+    memo = {} if stride == 1 and axis == 0 else None
     rng = np.random.default_rng(params.seed)
-    runs = (_lloyd_run(s, axis, _init_pp(s, axis, params.k, rng)) for s in samples)
+    runs = (_lloyd_run(s, axis, _init_pp(s, axis, params.k, rng, memo), memo) for s in samples)
     centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
     if stride > 1:
         # one Lloyd run on every point refines the winner
         centroids, history, labels, sq = _lloyd_run(
-            work, axis, (centroids, _sq_distances(work, axis, centroids))
+            work, axis, (centroids, _sq_distances(work, axis, centroids)), None
         )
 
     # the shared value is each constant column's exact mean

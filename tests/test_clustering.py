@@ -116,28 +116,112 @@ def test_constant_columns_leave_the_fit_unchanged(points, k, seed, positions, va
     assert np.array_equal(assign(wide, wide_model.centroids)[1], wide_sq)
 
 
-def test_as_many_varying_columns_as_points_are_clustered_as_rows():
+def _spy_on_rows(monkeypatch) -> tuple[list[bytes], list[bytes]]:
+    """The centroids whose distance rows `fit` computes, and those whose rows it uses.
+
+    Each list holds one centroid's bytes per row, in order, from now on.
+    """
+    real_distances, real_rows = clustering._sq_distances, clustering._sq_rows
+    computed, used = [], []
+
+    def distances(points, axis, centroids, *rest):
+        computed.extend(centroid.tobytes() for centroid in centroids)
+        return real_distances(points, axis, centroids, *rest)
+
+    def rows(points, axis, centroids, *rest):
+        used.extend(centroid.tobytes() for centroid in centroids)
+        return real_rows(points, axis, centroids, *rest)
+
+    monkeypatch.setattr(clustering, "_sq_distances", distances)
+    monkeypatch.setattr(clustering, "_sq_rows", rows)
+    return computed, used
+
+
+def _spy_on_run_results(monkeypatch) -> list[tuple]:
+    """What each Lloyd run `fit` makes from now on returns, in order."""
+    real = clustering._lloyd_run
+    results = []
+
+    def spy(points, axis, start, *rest):
+        results.append(real(points, axis, start, *rest))
+        return results[-1]
+
+    monkeypatch.setattr(clustering, "_lloyd_run", spy)
+    return results
+
+
+def _separated_blobs(n, d, k):
+    """n points in k blobs of unit spread, far apart, blob i % k for point i."""
+    rng = np.random.default_rng(9)
+    centres = rng.uniform(-100.0, 100.0, (k, d))
+    return centres[np.arange(n) % k] + rng.normal(0.0, 1.0, (n, d))
+
+
+def test_as_many_varying_columns_as_points_are_clustered_as_rows(monkeypatch):
     # the row layout sums each distance as `assign` does, so bit for bit
     rng = np.random.default_rng(3)
     for _ in range(5):
         points = rng.standard_normal((8, 8))
         model, _, sq = fit(points, KMeansParams(k=2))
         assert np.array_equal(sq, assign(points, model.centroids)[1])
+    # and so does every restart whose rows the memo served, winner or not
+    results = _spy_on_run_results(monkeypatch)
+    computed, used = _spy_on_rows(monkeypatch)
+    points = _separated_blobs(20, 24, 4)
+    model, _, sq = fit(points, KMeansParams(k=4, seed=5))
+    assert len(computed) < len(used) and len(results) == clustering._N_INIT
+    for centroids, _, labels, run_sq in results:
+        again_labels, again_sq = assign(points, centroids)
+        assert np.array_equal(run_sq.T, again_sq) and np.array_equal(labels, again_labels)
+    assert np.array_equal(sq, assign(points, model.centroids)[1])
 
 
 def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
-    real = clustering._sq_distances
-    rows = []
-
-    def spy(points, axis, centroids):
-        rows.append(centroids.shape[0])
-        return real(points, axis, centroids)
-
-    monkeypatch.setattr(clustering, "_sq_distances", spy)
+    computed, _ = _spy_on_rows(monkeypatch)
+    # the column layout: per run, the two k-means++ draw rows; the first
+    # update moves no centroid, so the first assignment closes the run
     fit([[0.0], [0.0], [10.0], [10.0]], KMeansParams(k=2))
-    # per run, the two k-means++ draw rows; the first update moves no
-    # centroid, so the first assignment closes the run
-    assert rows == [1] * (2 * clustering._N_INIT)
+    assert len(computed) == 2 * clustering._N_INIT
+    # the row layout: every run draws both points, so their two rows, one
+    # per distinct draw, serve all ten runs, and no run makes a (k, n) pass
+    computed.clear()
+    fit([[0.0, 0.0], [10.0, 10.0]], KMeansParams(k=2))
+    assert len(computed) == len(set(computed)) == 2
+
+
+def test_restarts_on_the_same_points_compute_each_row_once(monkeypatch):
+    computed, used = _spy_on_rows(monkeypatch)
+    points = _separated_blobs(60, 80, 4)  # 80 columns: the row layout
+    fit(points, KMeansParams(k=4, seed=3))
+    # each distinct draw and each distinct member set (so each distinct
+    # centroid, on points without duplicates) has its row computed once
+    assert len(computed) == len(set(computed)) == len(set(used)) == 35
+    assert set(computed) == set(used) and len(used) == 80
+    # the memo is for restarts on the same points in the row layout only:
+    # restarts on subsamples, and restarts in the column layout, compute
+    # every row, as many as before the memo (92 and 80)
+    for columns, seed_points, rows in ((80, 30, 92), (3, clustering._SEED_POINTS, 80)):
+        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
+        computed.clear()
+        fit(_separated_blobs(60, columns, 4), KMeansParams(k=4, seed=3))
+        assert len(computed) == rows
+
+
+def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
+    real = clustering._sq_rows
+    memos = []
+
+    def spy(points, axis, centroids, keys, memo):
+        memos.append(memo)
+        return real(points, axis, centroids, keys, memo)
+
+    monkeypatch.setattr(clustering, "_sq_rows", spy)
+    computed, _ = _spy_on_rows(monkeypatch)
+    points = np.random.default_rng(4).standard_normal((8, 8))
+    model, labels, sq = fit(points, KMeansParams(k=3, seed=1))
+    assert len(set(map(id, memos))) == 1
+    assert len(memos[0]) == 8 and len(set(computed)) > 8  # more rows than it may keep
+    assert np.array_equal(sq, assign(points, model.centroids)[1])
 
 
 def _spy_on_runs(monkeypatch) -> list[int]:
@@ -145,9 +229,9 @@ def _spy_on_runs(monkeypatch) -> list[int]:
     real = clustering._lloyd_run
     seen = []
 
-    def spy(points, axis, start):
+    def spy(points, axis, start, *rest):
         seen.append(points.shape[axis])
-        return real(points, axis, start)
+        return real(points, axis, start, *rest)
 
     monkeypatch.setattr(clustering, "_lloyd_run", spy)
     return seen
@@ -158,9 +242,9 @@ def _spy_on_first_points(monkeypatch) -> list[np.ndarray]:
     real = clustering._lloyd_run
     firsts = []
 
-    def spy(points, axis, start):
+    def spy(points, axis, start, *rest):
         firsts.append(np.take(points, 0, axis))
-        return real(points, axis, start)
+        return real(points, axis, start, *rest)
 
     monkeypatch.setattr(clustering, "_lloyd_run", spy)
     return firsts

@@ -3,6 +3,7 @@ SceneFuseError, nothing else."""
 
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -47,12 +48,32 @@ TSV_TEXT = st.lists(
     st.lists(st.sampled_from(SCRIPT_WORDS), max_size=4).map("\t".join), max_size=5
 ).map("\n".join)
 
-# what a caller might pass where a number belongs
+
+class _LongInt(NamedTuple):
+    """sign · 10**exponent, drawn in this form because Hypothesis cannot print an
+    int past 4,300 digits when it reports a failing example; `_built` makes the int."""
+
+    sign: int
+    exponent: int
+
+
+def _built(value):
+    """`value` with every `_LongInt` in it made into its int."""
+    if isinstance(value, _LongInt):
+        return value.sign * 10**value.exponent
+    if isinstance(value, list):
+        return [_built(item) for item in value]
+    return value
+
+
+# what a caller might pass where a number belongs: ints up to ±10**5000 too,
+# about half of those past the 4,300 digits that `str` refuses to write
 NUMBER_LIKE = st.recursive(
     st.none()
     | st.booleans()
     | st.text(max_size=3)
-    | st.integers(min_value=-(10**5000), max_value=10**5000)
+    | st.integers()
+    | st.builds(_LongInt, st.sampled_from((-1, 1)), st.integers(0, 5000) | st.integers(4300, 5000))
     | st.floats()
     | st.floats().map(np.float64)
     | st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -178,9 +199,10 @@ def test_damaged_media_decode_or_raise_scenefuse_error(decode, valid, data):
 @settings(FUZZ, max_examples=400)
 @given(site=st.sampled_from(sorted(SITES)), value=NUMBER_LIKE)
 def test_a_checked_parameter_gives_a_value_or_a_scenefuse_error(site, value):
+    number = _built(value)
     # a large count or duration that is valid asks for work, not a refusal, so none is drawn
     if site in INT_SITES:
-        assume(not (type(value) is int and value >= INT_SITES[site][1]))
+        assume(not (type(number) is int and number >= INT_SITES[site][1]))
     if site in FLOAT_SITES:
-        assume(not (type(value) in (int, float) and 64 < value <= sys.float_info.max))
-    _returns_or_refuses(SITES[site][0], value)
+        assume(not (type(number) in (int, float) and 64 < number <= sys.float_info.max))
+    _returns_or_refuses(SITES[site][0], number)
