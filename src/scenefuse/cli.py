@@ -58,9 +58,6 @@ from .vision_pipeline import (
     synth_scene_image,
 )
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-
 DEFAULT_COLOR_COUNT = 3
 
 # audio presets are fractions of the Nyquist frequency so they stay valid
@@ -89,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_USAGE)
+        sys.exit(UsageError.exit_code)
 
 
 def _warn(message: str) -> None:
@@ -119,7 +116,8 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
 
 def _classify_file(modality, classifier, path, at: float, dump_spectrum=None):
     """Classify one `modality` file, featurized with the palette size and seed of `classifier`."""
-    vector, _ = _features(modality, path, classifier.model.dim // 3, classifier.seed, dump_spectrum)
+    color_count = classifier.centroids.shape[1] // 3  # ignored when acoustic
+    vector, _ = _features(modality, path, color_count, classifier.seed, dump_spectrum)
     return classify(classifier, vector, now=at)
 
 
@@ -143,7 +141,7 @@ def _save_into(path: str, **parts) -> None:
 
 # --- train -----------------------------------------------------------------
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     if any(len(entry) < 2 for entry in args.scene):
         raise UsageError("--scene needs a name followed by at least one file")
 
@@ -165,7 +163,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"mixed sample rates across training files: {rates}")
         matrix[row] = vector
 
-    classifier, warnings = train_classifier(names, matrix, args.seed, args.scale)
+    classifier, inertia, warnings = train_classifier(names, matrix, args.seed, args.scale)
     for message in warnings:
         _warn(message)
 
@@ -176,26 +174,24 @@ def cmd_train(args) -> int:
         print(f"scene={scene} examples={counts[scene]}")
     print(
         f"trained modality={args.modality} k={len(classifier.cluster_names)} "
-        f"dim={classifier.model.dim} inertia={classifier.model.inertia!r}"
+        f"dim={classifier.centroids.shape[1]} inertia={inertia!r}"
     )
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 # --- predict ---------------------------------------------------------------
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     classifier = getattr(_bundle_with(args.bundle, args.modality), args.modality)
     if args.modality == VISUAL and args.dump_spectrum is not None:
         _warn("--dump-spectrum only applies to acoustic prediction; ignored")
     prediction = _classify_file(args.modality, classifier, args.file, 0.0, args.dump_spectrum)
     print(f"scene={prediction.scene} confidence={prediction.confidence:.3f}")
-    return EXIT_OK
 
 
 # --- fuse ------------------------------------------------------------------
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> None:
     bundle = _bundle_with(args.bundle, ACOUSTIC, VISUAL)
     flags = {
         "acoustic_visual_window_s": args.window_av,
@@ -226,7 +222,6 @@ def cmd_fuse(args) -> int:
             )
         elif decision.kind == NO_SCENE:
             print("No scene detected")
-    return EXIT_OK
 
 
 # --- synth -----------------------------------------------------------------
@@ -256,7 +251,7 @@ def _preset_profile(name: str, rate: int):
     return [((low * nyquist, high * nyquist), gain) for (low, high), gain in _AUDIO_PRESETS[name]]
 
 
-def cmd_synth_audio(args) -> int:
+def cmd_synth_audio(args) -> None:
     if args.preset is not None:
         profile = _preset_profile(args.preset, args.rate)
     elif args.band:
@@ -268,10 +263,9 @@ def cmd_synth_audio(args) -> int:
     )
     write_file(args.out, encode_wav(clip))
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def cmd_synth_image(args) -> int:
+def cmd_synth_image(args) -> None:
     if args.preset is not None:
         spec = list(_IMAGE_PRESETS[args.preset])
     elif args.color:
@@ -281,7 +275,6 @@ def cmd_synth_image(args) -> int:
     image = synth_scene_image(spec, args.width, args.height)
     write_file(args.out, encode_ppm(image))
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 def _shifted_fractions(spec, step: int):
@@ -291,7 +284,7 @@ def _shifted_fractions(spec, step: int):
     return [(c0, f0 + delta), (c1, f1 - delta)] + rest
 
 
-def cmd_synth_matrix(args) -> int:
+def cmd_synth_matrix(args) -> None:
     check_int(args.trials, 1, "--trials")
     out_dir = Path(args.out_dir)
     written: list[str] = []
@@ -339,7 +332,6 @@ def cmd_synth_matrix(args) -> int:
 
     for path in written:
         print(f"wrote {path}")
-    return EXIT_OK
 
 
 # --- action ----------------------------------------------------------------
@@ -350,7 +342,7 @@ def _net_settings(args) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def cmd_action_train(args) -> int:
+def cmd_action_train(args) -> None:
     pairs = load_pairs(args.pairs)
     net, trace = train_actions(pairs, args.iterations, **_net_settings(args))
     _save_into(args.out, action=net)
@@ -362,20 +354,17 @@ def cmd_action_train(args) -> int:
     last = trace[-1][1]
     print(f"error first={first!r} last={last!r}")
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def cmd_action_repl(args) -> int:
+def cmd_action_repl(args) -> None:
     net = action_repl(sys.stdin, sys.stdout, iterations=args.iterations, **_net_settings(args))
     if args.out is not None:
         _save_into(args.out, action=net)
         print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def cmd_action_predict(args) -> int:
+def cmd_action_predict(args) -> None:
     print(f"action={predict_action(_bundle_with(args.bundle, 'action').action, args.label)}")
-    return EXIT_OK
 
 
 # --- parser ----------------------------------------------------------------
@@ -486,9 +475,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else UsageError.exit_code
     try:
-        return args.handler(args)
+        args.handler(args)
+        return 0
     except SceneFuseError as exc:
         # escaped as repr would, so a NUL or newline from a file or path cannot reach stderr raw
         message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))

@@ -8,8 +8,8 @@ worst-represented point.  A run's first assignment uses the distance rows
 its k-means++ draws computed.  Each run ends, as Lloyd's algorithm does, on
 a plain assignment to its final centroids; when the last update moved no
 centroid and nothing was repaired, the last pass already is that
-assignment and is reused.  `fit` returns that partition with the model,
-and its sum of squares is the model's inertia.
+assignment and is reused.  `fit` returns the centroids with that
+partition, and the inertia trace that ends on its sum of squares.
 
 Columns on which every point agrees add exactly 0 to every distance, so
 `fit` finds them once per fit and clusters a contiguous copy of the
@@ -84,41 +84,6 @@ class KMeansParams:
     def __post_init__(self) -> None:
         check_int(self.k, 1, "k")
         check_int(self.seed, 0, "seed")
-
-
-@dataclass(frozen=True, eq=False)
-class KMeansModel:
-    """Fitted centroids plus the objective trace that produced them.
-
-    inertia_history holds the within-cluster sum of squared distances
-    measured after every assignment of the run `fit` returned, the closing
-    one included (the refinement run when the restarts saw a subsample,
-    not the restart it started from); it never increases, and
-    `errors.check_range` finds each entry finite and not negative.  The
-    cluster count and the width `dim` are read off `centroids`, the final
-    `inertia` off `inertia_history`; none is stored.
-    """
-
-    centroids: np.ndarray  # shape (k, dim)
-    inertia_history: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.inertia_history:
-            raise UsageError("inertia_history cannot be empty")
-        for inertia in self.inertia_history:
-            check_range(inertia, "inertia", 0.0)
-        if not np.isfinite(self.centroids).all():
-            raise UsageError("centroids must be finite")
-        if self.centroids.ndim != 2 or self.centroids.shape[0] == 0:
-            raise UsageError(f"centroid shape {self.centroids.shape} is not a matrix with rows")
-
-    @property
-    def dim(self) -> int:
-        return int(self.centroids.shape[1])
-
-    @property
-    def inertia(self) -> float:
-        return self.inertia_history[-1]
 
 
 def _as_matrix(points) -> np.ndarray:
@@ -314,7 +279,9 @@ def _lloyd_run(
     return centroids, history, labels, sq
 
 
-def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarray]:
+def fit(
+    points, params: KMeansParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
     The `_N_INIT` restarts run on every stride-th point, stride =
@@ -325,9 +292,11 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     all points and the winner is the result.  Otherwise one more Lloyd run
     on all points, started from the winner's centroids, is the result.
 
-    Returns `(model, labels, sq)`: the resulting run's model and the closing
-    assignment it was scored on, with `sq` the (n, k) squared distances.
-    `model.inertia` is that partition's sum of squared distances.
+    Returns `(centroids, labels, sq, inertia_history)`: the resulting run's
+    (k, d) centroids, the closing assignment it was scored on, with `sq`
+    the (n, k) squared distances, and the within-cluster sum of squares
+    measured after each of its assignments.  The history never increases,
+    and its last entry, the inertia, is that partition's sum of squares.
 
     Columns equal across all points are dropped once, before the first
     run: every run clusters one contiguous copy of the varying columns
@@ -337,7 +306,7 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     otherwise; every run keeps that layout.  So `sq` and every inertia are
     sums over the varying columns: added left to right in the column
     layout, in NumPy's pairwise order along each row in the row layout.
-    They equal `assign(points, model.centroids)` up to summation order,
+    They equal `assign(points, centroids)` up to summation order,
     and bit for bit when at most two columns vary.  When no column varies,
     every centroid is the shared point itself and the inertia is 0.
     Scratch memory is O(n·(d_varying + k)) on top of that copy.  The
@@ -399,21 +368,23 @@ def fit(points, params: KMeansParams) -> tuple[KMeansModel, np.ndarray, np.ndarr
     # the shared value is each constant column's exact mean
     full = np.repeat(matrix[:1], params.k, axis=0)
     full[:, varying] = centroids
-    return KMeansModel(centroids=full, inertia_history=tuple(history)), labels, sq.T
+    if not (np.isfinite(full).all() and np.isfinite(history).all()):
+        raise UsageError("points so large that a centroid or the inertia overflows")
+    return full, labels, sq.T, tuple(history)
 
 
-def predict(model: KMeansModel, point) -> tuple[int, float]:
-    """(label, Euclidean distance) of the centroid nearest one vector; ties to the lowest label.
+def predict(centroids: np.ndarray, point) -> tuple[int, float]:
+    """(label, Euclidean distance) of the nearest of the (k, d) `centroids` to one vector.
 
-    Raises UsageError for anything but a 1-D vector of `model.dim` entries,
-    or a NaN or infinite coordinate.
+    Ties go to the lowest label.  Raises UsageError for anything but a 1-D
+    vector of d entries, or a NaN or infinite coordinate.
     """
     vec = np.asarray(point, dtype=np.float64)
-    if vec.shape != (model.dim,):
-        raise UsageError(f"point has shape {vec.shape}, model expects ({model.dim},)")
+    if vec.shape != centroids.shape[1:]:
+        raise UsageError(f"point has shape {vec.shape}, model expects {centroids.shape[1:]}")
     if not np.isfinite(vec).all():
         raise UsageError("point must be finite, not NaN or inf")
-    labels, sq = assign(vec[None, :], model.centroids)
+    labels, sq = assign(vec[None, :], centroids)
     label = int(labels[0])
     return label, float(np.sqrt(sq[0, label]))
 

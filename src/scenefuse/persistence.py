@@ -8,17 +8,18 @@ is written field by field under the field's own name, and read back by
 walking the same type hints.  Arrays keep their bytes and every other float
 is written with full repr precision, so a save/load round trip reproduces
 every number exactly and classification behavior is preserved bit for bit.
-Only facts nothing else determines are stored: a classifier's cluster
-count and width are read off its centroid matrix, its final inertia off the
-end of `inertia_history`, and the net's hidden width off its weights.
-Cluster names are a list indexed by label.  A classifier's modality is the
-slot that holds it, `acoustic` or `visual`, and fixes the widths its
-centroids may have (`check_width`).  Fusion settings are not stored: they
-come from the `fuse` flags.  `save_bundle` alone writes
-`format_version` 5, the one version `load_bundle` reads.  The reader
-ignores keys it does not know and converts no value, so a hand-edited value
-must already have the JSON type its field asks for; an array node must hold
-exactly 8 bytes per entry of its shape.  Whether those entries and the
+Only facts a command reads back and nothing else determines are stored: a
+classifier is its centroid matrix, whose rows and columns give its cluster
+count and width, the names of its clusters, a list indexed by label, and
+the seed and scale it was trained with; the net's hidden width is read off
+its weights.  A fit's inertia is printed by `train`, not stored.  A
+classifier's modality is the slot that holds it, `acoustic` or `visual`,
+and fixes the widths its centroids may have (`check_width`).  Fusion
+settings are not stored: they come from the `fuse` flags.  `save_bundle`
+alone writes `format_version` 6, the one version `load_bundle` reads.  The
+reader ignores keys it does not know and converts no value, so a
+hand-edited value must already have the JSON type its field asks for; an
+array node must hold exactly 8 bytes per entry of its shape.  Whether those entries and the
 other floats are finite, and whether the shapes fit together, is for the
 types that hold them.
 
@@ -49,7 +50,7 @@ from .action_learning import ActionExample, ActionNet
 from .errors import InputError, UsageError, check_range
 from .scene_model import SceneClassifier
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 ACOUSTIC = "acoustic"
 VISUAL = "visual"
@@ -82,7 +83,7 @@ class ModelBundle:
         for slot in MODALITIES:
             classifier = getattr(self, slot)
             if classifier is not None:
-                check_width(slot, classifier.model.dim)
+                check_width(slot, classifier.centroids.shape[1])
 
 
 @dataclass(frozen=True)

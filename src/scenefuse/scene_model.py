@@ -1,11 +1,12 @@
 """Named scenes on top of the clustering engine.
 
-A classifier trains on one (n, d) matrix of feature rows, one scene name
-per row.  Fitting forces k to the number of distinct scene names, then
-names each cluster by majority vote over the training rows it captured
-(alphabetical tie-break).  Oddities — a majority tie, a cluster that caught
-no training rows, or two clusters sharing a name — do not fail the fit;
-training returns them as warning strings beside the classifier.
+A classifier is its fitted centroids and the scene each one names.  It
+trains on one (n, d) matrix of feature rows, one scene name per row.
+Fitting forces k to the number of distinct scene names, then names each
+cluster by majority vote over the training rows it captured (alphabetical
+tie-break).  Oddities — a majority tie, a cluster that caught no training
+rows, or two clusters sharing a name — do not fail the fit; training
+returns them as warning strings beside the classifier and the inertia.
 """
 
 from __future__ import annotations
@@ -22,22 +23,26 @@ from .errors import UsageError, check_int, check_positive, check_range
 
 @dataclass(frozen=True, eq=False)
 class SceneClassifier:
-    """A fitted model, the scene each centroid row names, and how it was fitted.
+    """Fitted (k, d) centroids, the scene each row names, and how they were fitted.
 
     `seed` seeded the fit and featurizes photos, so prediction sees the
     palettes training saw; `scale` is the confidence divisor.  As after
-    training, names are non-empty and the seed is not negative.  What the
-    feature vectors are, and so which widths the model may have, is for
-    the bundle slot that holds it.
+    training, the centroids are a finite matrix with rows, names are
+    non-empty and the seed is not negative.  What the feature vectors are,
+    and so which widths d may be, is for the bundle slot that holds it.
     """
 
-    model: clustering.KMeansModel
+    centroids: np.ndarray
     cluster_names: tuple[str, ...]
     seed: int
     scale: float
 
     def __post_init__(self) -> None:
-        if len(self.cluster_names) != len(self.model.centroids):
+        if not np.isfinite(self.centroids).all():
+            raise UsageError("centroids must be finite")
+        if self.centroids.ndim != 2 or self.centroids.shape[0] == 0:
+            raise UsageError(f"centroid shape {self.centroids.shape} is not a matrix with rows")
+        if len(self.cluster_names) != len(self.centroids):
             raise UsageError("cluster_names must name each centroid row exactly once")
         if not all(self.cluster_names):
             raise UsageError("scene names cannot be empty")
@@ -63,13 +68,13 @@ def train_classifier(
     matrix: np.ndarray,
     seed: int = 0,
     scale: float = clustering.DEFAULT_SCALE,
-) -> tuple[SceneClassifier, tuple[str, ...]]:
+) -> tuple[SceneClassifier, float, tuple[str, ...]]:
     """Fit one cluster per distinct scene name and name the clusters.
 
     Row i of the (n, d) `matrix` is the feature vector of scene `names[i]`;
     the fit reads the matrix in place and draws from `seed`.  `scale`
-    becomes the confidence divisor.  Returns the classifier and the
-    warnings its naming raised.
+    becomes the confidence divisor.  Returns the classifier, the fit's
+    inertia, and the warnings its naming raised.
 
     Raises UsageError for no rows, a name count other than the row count,
     an empty scene name, or a seed or scale the `errors` checks refuse.
@@ -81,7 +86,7 @@ def train_classifier(
     if not all(names):
         raise UsageError("scene names cannot be empty")
     k = len(set(names))
-    model, labels, sq = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
+    centroids, labels, sq, history = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
 
     warnings: list[str] = []
     cluster_names: list[str] = []
@@ -108,7 +113,8 @@ def train_classifier(
         shared = sorted(name for name, n in Counter(cluster_names).items() if n > 1)
         warnings.append(f"clusters share scene names: {shared}")
 
-    return SceneClassifier(model, tuple(cluster_names), seed, scale), tuple(warnings)
+    classifier = SceneClassifier(centroids, tuple(cluster_names), seed, scale)
+    return classifier, history[-1], tuple(warnings)
 
 
 def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> ScenePrediction:
@@ -116,7 +122,7 @@ def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> Sce
 
     Raises UsageError for a vector of the wrong shape or a non-finite entry.
     """
-    label, distance = clustering.predict(classifier.model, vector)
+    label, distance = clustering.predict(classifier.centroids, vector)
     return ScenePrediction(
         scene=classifier.cluster_names[label],
         confidence=clustering.confidence(distance, classifier.scale),

@@ -135,9 +135,8 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
         raise InputError(f"fewer than {c} distinct colors to separate")
 
     points = sample.astype(np.float64)
-    model, labels, _ = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
+    colors, labels, _, _ = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
     counts = np.bincount(labels, minlength=c)
-    colors = model.centroids
     return colors[np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0], -counts))]
 
 

@@ -175,6 +175,17 @@ def test_repl_with_no_training_pairs_raises():
         _run_repl("\n")
 
 
+def test_a_blank_action_code_ends_the_training_phase():
+    # "gym" gets no code, so it is no pair: training ends and it is the first query
+    script = "coffee\n42\ngym\n\ngym\ncoffee\n\n"
+    net, transcript = _run_repl(script)
+    assert transcript.count("Scene label: ") == 2
+    assert transcript.count("What action should I take? ") == 2
+    assert net.scene_vocab == ("coffee",)
+    assert "unknown scene label: gym" in transcript
+    assert "[['42']]" in transcript
+
+
 def test_repl_stops_cleanly_at_end_of_input():
     # input ends right after training with no prediction queries at all
     script = "coffee\n42\n\n"

@@ -57,8 +57,8 @@ def test_training_both_modalities_merges_one_bundle(matrix_workspace):
     bundle = load_bundle(matrix_workspace.bundle)
     assert bundle.acoustic is not None
     assert bundle.visual is not None
-    assert bundle.acoustic.model.dim == 32770
-    assert bundle.visual.model.dim == 9
+    assert bundle.acoustic.centroids.shape == (2, 32770)
+    assert bundle.visual.centroids.shape == (2, 9)
 
 
 def test_predict_acoustic_names_the_right_scene(matrix_workspace, capsys):
@@ -152,8 +152,15 @@ def test_fuse_flag_overrides_change_the_outcome(matrix_workspace, capsys):
         "--script",
         str(matrix_workspace.data / "script_gym_gym.tsv"),
     ]
+    assert main(base) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == matrix_workspace.trials and all(map(DETECTED_LINE.match, lines))
     # an unreachable confidence floor turns every detection into a rejection
     assert main(base + ["--min-confidence", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["No scene detected"] * matrix_workspace.trials
+    # each trial's three photos span 2 s, so the third falls past a 1.5 s window
+    assert main(base + ["--window-photo", "1.5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["No scene detected"] * matrix_workspace.trials
     # requiring a fourth photo starves every trial of a decision
@@ -396,7 +403,7 @@ DAMAGED_FILES = {
         ["train", "--out", "{out}", "--modality", "visual", "--scene", "a", "{file}"],
     ),
     "bundle": (
-        b'{"format_version": 4}',
+        b'{"format_version": 5}',  # the format before this build's
         ["predict", "--modality", "visual", "--bundle", "{file}", "x.ppm"],
     ),
     "event-script": (
@@ -546,7 +553,7 @@ REFUSALS = {
     "BadVersion": (
         3,
         lambda tmp: load_bundle(_written(tmp, '{"format_version": 2}')),
-        "bundle.json: this build reads only format_version 5, not 2",
+        "bundle.json: this build reads only format_version 6, not 2",
     ),
     "ClipTooShort": (
         3,
@@ -720,6 +727,11 @@ def test_synth_image_presets_write_valid_ppm(tmp_path, capsys):
     image = decode_ppm(out.read_bytes())
     assert (image.width, image.height) == (64, 48)
     assert len(np.unique(image.pixels, axis=0)) == 3
+    argv = ["synth", "image", "--preset", "coffee", "--width", "5", "--height", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    data, header = out.read_bytes(), b"P6\n5 3\n255\n"
+    assert data[: len(header)] == header and len(data) == len(header) + 5 * 3 * 3
 
 
 def test_synth_matrix_emits_the_full_corpus(matrix_workspace):
@@ -809,7 +821,7 @@ def test_train_passes_classifier_warnings_to_stderr(tmp_path, capsys):
     clip = tmp_path / "a.wav"
     clip.write_bytes(encode_wav(synth_ambient([((100.0, 400.0), 1.0)], 5.0, 1000, seed=1)))
     vector = acoustic_features(magnitude_spectrum(analysis_window(decode_wav(clip.read_bytes()))))
-    _, expected = train_classifier(("hall", "yard"), np.array([vector, vector]))
+    *_, expected = train_classifier(("hall", "yard"), np.array([vector, vector]))
     assert expected
     out = tmp_path / "bundle.json"
     args = ["train", "--modality", "acoustic", "--out", str(out)]
@@ -826,7 +838,7 @@ def test_k_override_changes_visual_dimensions(matrix_workspace, tmp_path, capsys
         args += [str(matrix_workspace.data / f"train_{scene}_{i}.ppm") for i in range(1, 4)]
     assert main(args) == 0
     capsys.readouterr()
-    assert load_bundle(out).visual.model.dim == 6
+    assert load_bundle(out).visual.centroids.shape == (2, 6)
 
 
 def test_a_bad_k_override_is_refused_before_any_file_is_read(tmp_path, capsys):
@@ -875,6 +887,17 @@ def test_action_train_and_predict_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == "action=42\n"
     assert main(["action", "predict", "gym", "--bundle", str(out)]) == 0
     assert capsys.readouterr().out == "action=10\n"
+
+
+def test_action_train_hidden_sets_the_hidden_width(tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")
+    out = tmp_path / "actions.json"
+    argv = ["action", "train", "--pairs", str(pairs), "--out", str(out), "--iterations", "10"]
+    assert main(argv + ["--hidden", "3"]) == 0
+    capsys.readouterr()
+    net = load_bundle(out).action
+    assert net.weights_ih.shape == (2, 3) and net.weights_ho.shape == (3, 2)
 
 
 def test_action_predict_unknown_label_exits_one(tmp_path, capsys):

@@ -22,45 +22,42 @@ from scenefuse.errors import UsageError
 
 def test_single_cluster_lands_on_the_mean():
     points = [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]
-    model, _, _ = fit(points, KMeansParams(k=1))
-    assert model.centroids.tolist() == [[2.0, 0.0]]
-    assert model.inertia == 8.0
-    assert model.inertia_history[-1] == 8.0
+    centroids, _, _, history = fit(points, KMeansParams(k=1))
+    assert centroids.tolist() == [[2.0, 0.0]]
+    assert history[-1] == 8.0
     # a move of exactly the tolerance, 1e-6, from a point to the mean has
     # converged: only the closing assignment follows
-    model, _, _ = fit([[0.0], [2e-6]], KMeansParams(k=1))
-    assert model.inertia_history == (4e-12, 2e-12)
+    *_, history = fit([[0.0], [2e-6]], KMeansParams(k=1))
+    assert history == (4e-12, 2e-12)
 
 
 def test_two_separated_pairs_split_cleanly():
     points = [(0.0, 0.0), (0.0, 1.0), (10.0, 0.0), (10.0, 1.0)]
-    model, _, _ = fit(points, KMeansParams(k=2, seed=0))
-    got = sorted(map(tuple, model.centroids.tolist()))
+    centroids, _, _, history = fit(points, KMeansParams(k=2, seed=0))
+    got = sorted(map(tuple, centroids.tolist()))
     assert got == [(0.0, 0.5), (10.0, 0.5)]
-    assert model.inertia == 1.0
+    assert history[-1] == 1.0
 
 
 def test_fit_is_bit_identical_per_seed():
     rng = np.random.default_rng(17)
     points = rng.uniform(0.0, 10.0, (40, 3))
-    a, _, _ = fit(points, KMeansParams(k=4, seed=5))
-    b, _, _ = fit(points, KMeansParams(k=4, seed=5))
-    c, _, _ = fit(points, KMeansParams(k=4, seed=6))
-    assert np.array_equal(a.centroids, b.centroids)
-    assert a.inertia_history == b.inertia_history
+    a, _, _, a_history = fit(points, KMeansParams(k=4, seed=5))
+    b, _, _, b_history = fit(points, KMeansParams(k=4, seed=5))
+    *_, c_history = fit(points, KMeansParams(k=4, seed=6))
+    assert np.array_equal(a, b)
+    assert a_history == b_history
     # a different seed may legitimately converge to the same optimum, but
     # both runs must still be internally consistent
-    assert c.inertia >= 0.0
+    assert c_history[-1] >= 0.0
 
 
 def test_objective_never_increases_during_a_fit():
     rng = np.random.default_rng(23)
     for trial in range(5):
         points = rng.uniform(-5.0, 5.0, (30, 2))
-        model, _, _ = fit(points, KMeansParams(k=3, seed=trial))
-        history = model.inertia_history
+        *_, history = fit(points, KMeansParams(k=3, seed=trial))
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))
-        assert model.inertia == history[-1]
 
 
 @st.composite
@@ -81,12 +78,11 @@ def _crowded_points(draw):
 @example(points=np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]]) * 1e-9, k=2, seed=0)
 def test_fit_returns_the_partition_it_scored(points, k, seed):
     k = min(k, points.shape[0])
-    model, labels, sq = fit(points, KMeansParams(k=k, seed=seed))
-    again_labels, again_sq = assign(points, model.centroids)
+    centroids, labels, sq, history = fit(points, KMeansParams(k=k, seed=seed))
+    again_labels, again_sq = assign(points, centroids)
     assert np.array_equal(labels, again_labels)
     assert np.array_equal(sq, again_sq)
-    assert model.inertia == sq[np.arange(points.shape[0]), labels].sum()
-    history = model.inertia_history
+    assert history[-1] == sq[np.arange(points.shape[0]), labels].sum()
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
@@ -105,15 +101,15 @@ def test_constant_columns_leave_the_fit_unchanged(points, k, seed, positions, va
     at = [min(p, points.shape[1]) for p in positions]
     wide = np.insert(points, at, value, axis=1)
     kept = np.insert(np.ones(points.shape[1], dtype=bool), at, False)
-    model, labels, sq = fit(points, KMeansParams(k=k, seed=seed))
-    wide_model, wide_labels, wide_sq = fit(wide, KMeansParams(k=k, seed=seed))
+    centroids, labels, sq, history = fit(points, KMeansParams(k=k, seed=seed))
+    wide_centroids, wide_labels, wide_sq, wide_history = fit(wide, KMeansParams(k=k, seed=seed))
     assert np.array_equal(wide_labels, labels)
     assert np.array_equal(wide_sq, sq)
-    assert wide_model.inertia_history == model.inertia_history
-    assert np.array_equal(wide_model.centroids[:, kept], model.centroids)
-    assert np.all(wide_model.centroids[:, ~kept] == value)
+    assert wide_history == history
+    assert np.array_equal(wide_centroids[:, kept], centroids)
+    assert np.all(wide_centroids[:, ~kept] == value)
     # at most two columns vary, so the sums over them are exact in any order
-    assert np.array_equal(assign(wide, wide_model.centroids)[1], wide_sq)
+    assert np.array_equal(assign(wide, wide_centroids)[1], wide_sq)
 
 
 def _spy_on_rows(monkeypatch) -> tuple[list[bytes], list[bytes]]:
@@ -162,18 +158,18 @@ def test_as_many_varying_columns_as_points_are_clustered_as_rows(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(5):
         points = rng.standard_normal((8, 8))
-        model, _, sq = fit(points, KMeansParams(k=2))
-        assert np.array_equal(sq, assign(points, model.centroids)[1])
+        centroids, _, sq, _ = fit(points, KMeansParams(k=2))
+        assert np.array_equal(sq, assign(points, centroids)[1])
     # and so does every restart whose rows the memo served, winner or not
     results = _spy_on_run_results(monkeypatch)
     computed, used = _spy_on_rows(monkeypatch)
     points = _separated_blobs(20, 24, 4)
-    model, _, sq = fit(points, KMeansParams(k=4, seed=5))
+    centroids, _, sq, _ = fit(points, KMeansParams(k=4, seed=5))
     assert len(computed) < len(used) and len(results) == clustering._N_INIT
-    for centroids, _, labels, run_sq in results:
-        again_labels, again_sq = assign(points, centroids)
+    for run_centroids, _, labels, run_sq in results:
+        again_labels, again_sq = assign(points, run_centroids)
         assert np.array_equal(run_sq.T, again_sq) and np.array_equal(labels, again_labels)
-    assert np.array_equal(sq, assign(points, model.centroids)[1])
+    assert np.array_equal(sq, assign(points, centroids)[1])
 
 
 def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
@@ -218,10 +214,10 @@ def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
     monkeypatch.setattr(clustering, "_sq_rows", spy)
     computed, _ = _spy_on_rows(monkeypatch)
     points = np.random.default_rng(4).standard_normal((8, 8))
-    model, labels, sq = fit(points, KMeansParams(k=3, seed=1))
+    centroids, labels, sq, _ = fit(points, KMeansParams(k=3, seed=1))
     assert len(set(map(id, memos))) == 1
     assert len(memos[0]) == 8 and len(set(computed)) > 8  # more rows than it may keep
-    assert np.array_equal(sq, assign(points, model.centroids)[1])
+    assert np.array_equal(sq, assign(points, centroids)[1])
 
 
 def _spy_on_runs(monkeypatch) -> list[int]:
@@ -259,14 +255,14 @@ def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch)
     for n, d in ((limit, 3), (limit + 1, 3), (4 * limit + 7, 3), (limit + 1, limit + 1)):
         seen.clear()
         points = rng.standard_normal((n, d))
-        model, labels, sq = fit(points, KMeansParams(k=3, seed=1))
+        centroids, labels, sq, history = fit(points, KMeansParams(k=3, seed=1))
         stride = -(-n // limit)
         assert seen[: clustering._N_INIT] == [n // stride] * clustering._N_INIT
         assert all(count <= limit for count in seen[: clustering._N_INIT])
         assert seen[clustering._N_INIT :] == ([] if n <= limit else [n])
         # the returned partition and history are the last run's, on all points
         assert sq.shape == (n, 3) and np.array_equal(labels, sq.argmin(axis=1))
-        assert model.inertia == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
+        assert history[-1] == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
 
 
 def test_the_restarts_see_at_least_k_points(monkeypatch):
@@ -317,52 +313,52 @@ def test_subsampled_restarts_stay_within_5_percent_of_all_point_restarts(
     monkeypatch, seed, number
 ):
     (points, params), = _blob_instances(seed, [number])
-    subsampled, _, _ = fit(points, params)
+    *_, subsampled = fit(points, params)
     monkeypatch.setattr(clustering, "_SEED_POINTS", len(points))
-    everywhere, _, _ = fit(points, params)
-    assert subsampled.inertia <= 1.05 * everywhere.inertia
+    *_, everywhere = fit(points, params)
+    assert subsampled[-1] <= 1.05 * everywhere[-1]
 
 
 def test_fit_matches_exhaustive_partition_search():
     rng = np.random.default_rng(31)
     for k in (1, 2, 3):
         points = rng.uniform(0.0, 10.0, (7, 2))
-        model, _, _ = fit(points, KMeansParams(k=k, seed=0))
+        centroids, _, _, history = fit(points, KMeansParams(k=k, seed=0))
         best = brute_force_inertia(points, k)
-        assert model.inertia <= 1.05 * best + 1e-9
+        assert history[-1] <= 1.05 * best + 1e-9
 
 
 def test_all_identical_points_converge_with_zero_inertia():
     points = np.ones((5, 2)) * 3.0  # no column varies: fit clusters zero columns
-    model, labels, sq = fit(points, KMeansParams(k=2))
-    assert model.inertia == 0.0
-    assert np.all(model.centroids == 3.0)
+    centroids, labels, sq, history = fit(points, KMeansParams(k=2))
+    assert history[-1] == 0.0
+    assert np.all(centroids == 3.0)
     assert labels.tolist() == [0] * 5
     assert not sq.any()
     # a mean of equal values need not be that value, nor fit in a float
     for value, n, k in ((3.205530898553695, 8, 3), (1.7e308, 3, 1)):
-        model, _, _ = fit(np.full((n, 2), value), KMeansParams(k=k, seed=0))
-        assert np.all(model.centroids == value)
-        assert model.inertia == 0.0
+        centroids, _, _, history = fit(np.full((n, 2), value), KMeansParams(k=k, seed=0))
+        assert np.all(centroids == value)
+        assert history[-1] == 0.0
 
 
 def test_predict_agrees_with_a_linear_scan():
     rng = np.random.default_rng(41)
     points = rng.uniform(0.0, 10.0, (50, 4))
-    model, _, _ = fit(points, KMeansParams(k=5, seed=1))
+    centroids, *_ = fit(points, KMeansParams(k=5, seed=1))
     for vec in rng.uniform(0.0, 10.0, (50, 4)):
-        label, distance = predict(model, vec)
-        scan_label, scan_distance = nearest_centroid_scan(vec, model.centroids)
+        label, distance = predict(centroids, vec)
+        scan_label, scan_distance = nearest_centroid_scan(vec, centroids)
         assert label == scan_label
         assert distance == pytest.approx(scan_distance, rel=1e-12)
 
 
 def test_predict_breaks_ties_toward_the_lower_label():
-    model, _, _ = fit([(0.0, 0.0), (2.0, 0.0)], KMeansParams(k=2))
-    assert sorted(map(tuple, model.centroids.tolist())) == [(0.0, 0.0), (2.0, 0.0)]
-    label, distance = predict(model, (1.0, 0.0))  # exactly between both centroids
+    centroids, *_ = fit([(0.0, 0.0), (2.0, 0.0)], KMeansParams(k=2))
+    assert sorted(map(tuple, centroids.tolist())) == [(0.0, 0.0), (2.0, 0.0)]
+    label, distance = predict(centroids, (1.0, 0.0))  # exactly between both centroids
     assert distance == 1.0
-    sq = ((model.centroids - np.array([1.0, 0.0])) ** 2).sum(axis=1)
+    sq = ((centroids - np.array([1.0, 0.0])) ** 2).sum(axis=1)
     equally_near = [i for i in range(2) if sq[i] == sq.min()]
     assert len(equally_near) == 2
     assert label == min(equally_near)
@@ -393,11 +389,11 @@ def test_fit_scratch_memory_shrinks_with_the_constant_columns():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        model, _, _ = fit(points, KMeansParams(k=8, seed=1))
+        centroids, *_ = fit(points, KMeansParams(k=8, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.all(model.centroids[:, :4096] == points[0, :4096])
+    assert np.all(centroids[:, :4096] == points[0, :4096])
     # the varying half's copy plus one (n, d_varying) difference; at full
     # width the difference alone would be a whole points matrix
     assert peak <= 1.2 * points.nbytes
@@ -406,10 +402,10 @@ def test_fit_scratch_memory_shrinks_with_the_constant_columns():
 def test_predict_distance_is_the_square_root_of_assigns_entry():
     rng = np.random.default_rng(11)
     points = rng.uniform(0.0, 1.0, (12, 8192))
-    model, _, _ = fit(points, KMeansParams(k=3, seed=2))
+    centroids, *_ = fit(points, KMeansParams(k=3, seed=2))
     for vec in rng.uniform(0.0, 1.0, (5, 8192)):
-        label, distance = predict(model, vec)
-        labels, sq = assign(vec[None, :], model.centroids)
+        label, distance = predict(centroids, vec)
+        labels, sq = assign(vec[None, :], centroids)
         assert label == int(labels[0])
         assert distance == float(np.sqrt(sq[0, label]))
 
@@ -430,19 +426,19 @@ def test_fit_input_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(UsageError):  # NaN would become a centroid and the inertia
             fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))
-    with pytest.raises(UsageError), np.errstate(all="ignore"):  # the mean overflows to inf
+    with pytest.raises(UsageError, match="overflows"), np.errstate(all="ignore"):  # to inf
         fit([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)], KMeansParams(k=1))
 
 
 def test_predict_validates_dimensions():
-    model, _, _ = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
+    centroids, *_ = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
     for point in ((0.0, 0.0, 0.0), [[0.0, 0.0]], [[0.0], [0.0]]):
         message = f"point has shape {np.shape(point)}, model expects (2,)"
         with pytest.raises(UsageError, match=re.escape(message)):
-            predict(model, point)
+            predict(centroids, point)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(UsageError):
-            predict(model, (bad, 0.0))
+            predict(centroids, (bad, 0.0))
 
 
 def test_confidence_anchor_points():

@@ -11,7 +11,7 @@ import pytest
 from scenefuse import cli
 from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
-from scenefuse.clustering import DEFAULT_SCALE, KMeansModel, KMeansParams, confidence
+from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence
 from scenefuse.errors import UsageError, check_array_size, check_int, check_positive, check_range
 from scenefuse.fusion import FusionConfig
 from scenefuse.persistence import ScriptEvent
@@ -25,7 +25,7 @@ PIXEL = np.zeros((1, 3), dtype=np.uint8)
 
 
 def _classifier(seed=0, scale=DEFAULT_SCALE):
-    return SceneClassifier(KMeansModel(np.zeros((1, 2)), (0.0,)), ("a",), seed, scale)
+    return SceneClassifier(np.zeros((1, 2)), ("a",), seed, scale)
 
 
 def _image_with_fraction(fraction):
@@ -131,12 +131,6 @@ RANGE_SITES = {
     ),
     "synth_scene_image.fraction": (
         _image_with_fraction, "fraction must be a number in [0.0, 1.0]", 0, 1
-    ),
-    "KMeansModel.inertia_history": (  # every entry, not only the last
-        lambda v: KMeansModel(np.zeros((1, 2)), (v, 0.0)),
-        "inertia must be a number in [0.0, max]",
-        0,
-        MAX,
     ),
     # far apart finite points overflow to an infinite distance, which scores 0
     "confidence.distance": (

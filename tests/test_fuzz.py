@@ -108,7 +108,7 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@pytest.fixture(scope="module", params=["v5"])  # one id per format version this build reads
+@pytest.fixture(scope="module", params=["v6"])  # one id per format version this build reads
 def document(tmp_path_factory):
     """A valid bundle document, as this build saves it."""
     path = tmp_path_factory.mktemp("fuzz") / "valid.json"
@@ -132,7 +132,7 @@ def _usable_or_refused(path):
     for classifier in (bundle.acoustic, bundle.visual):
         if classifier is not None:
             assert all(classifier.cluster_names)
-            classify(classifier, np.zeros(classifier.model.dim), now=0.0)
+            classify(classifier, np.zeros(classifier.centroids.shape[1]), now=0.0)
 
 
 @FUZZ
@@ -167,7 +167,7 @@ def test_reshaped_classifier_loads_usable_or_raises_scenefuse_error(
     def resized(centroids):  # cut to `width` entries a row, or padded with zeros
         return np.pad(centroids, ((0, 0), (0, width)))[:, :width]
 
-    _edit_array(raw[slot]["model"], "centroids", resized)
+    _edit_array(raw[slot], "centroids", resized)
     raw[slot]["cluster_names"][label] = name
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw), encoding="utf-8")

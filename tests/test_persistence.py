@@ -16,7 +16,7 @@ from scenefuse import persistence
 from scenefuse.action_learning import ActionExample, ActionNet, train_actions
 from scenefuse.audio_pipeline import AudioClip
 from scenefuse.cli import main
-from scenefuse.clustering import KMeansModel, KMeansParams
+from scenefuse.clustering import KMeansParams
 from scenefuse.errors import InputError, UsageError
 from scenefuse.fusion import FusionState
 from scenefuse.persistence import (
@@ -38,7 +38,7 @@ def _classifier(dim=4, seed=0):
     for i in range(5):
         matrix[2 * i] = rng.normal(0.0, 1.0, dim)
         matrix[2 * i + 1] = rng.normal(0.0, 1.0, dim) + 50.0
-    classifier, _ = train_classifier(("near", "far") * 5, matrix, seed=seed, scale=123.456)
+    classifier, _, _ = train_classifier(("near", "far") * 5, matrix, seed=seed, scale=123.456)
     return classifier
 
 
@@ -87,16 +87,12 @@ def test_round_trip_preserves_every_float_exactly(tmp_path):
     again = load_bundle(path)
 
     def arrays(b):
-        return [
-            b.acoustic.model.centroids, b.visual.model.centroids, b.action.weights_ih, b.action.weights_ho
-        ]
+        return [b.acoustic.centroids, b.visual.centroids, b.action.weights_ih, b.action.weights_ho]
 
     for got, saved in zip(arrays(again), arrays(bundle)):
         assert got.shape == saved.shape
         assert got.tobytes() == saved.tobytes()
         assert got.dtype == np.float64 and got.flags.writeable
-    assert again.acoustic.model.inertia == bundle.acoustic.model.inertia
-    assert again.acoustic.model.inertia_history == bundle.acoustic.model.inertia_history
     assert (again.acoustic.seed, again.acoustic.scale) == (0, 123.456)
     assert (again.visual.seed, again.visual.scale) == (1, 123.456)
     assert again.acoustic.cluster_names == bundle.acoustic.cluster_names
@@ -112,10 +108,11 @@ def test_saved_file_is_stable_json(tmp_path):
     save_bundle(bundle, second)
     assert first.read_bytes() == second.read_bytes()
     raw = json.loads(first.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 5
+    assert raw["format_version"] == 6
     assert set(raw) == {"format_version", "acoustic", "visual", "action"}
-    centroids = raw["acoustic"]["model"]["centroids"]
-    assert _node(bundle.acoustic.model.centroids) == centroids
+    # a classifier is its centroids and their names: no model level, no inertia trace
+    assert set(raw["acoustic"]) == {"centroids", "cluster_names", "seed", "scale"}
+    assert _node(bundle.acoustic.centroids) == raw["acoustic"]["centroids"]
 
 
 def test_classification_is_identical_after_reload(tmp_path):
@@ -144,14 +141,14 @@ def test_unknown_version_is_refused(tmp_path, capsys):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    for version in (1, 2, 3, 4, 6):  # versions 1 to 4 are older layouts this build no longer reads
+    for version in (1, 2, 3, 4, 5, 7):  # 1 to 5 are older layouts this build no longer reads
         raw["format_version"] = version
         path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(InputError, match="reads only format_version 5"):
+        with pytest.raises(InputError, match="reads only format_version 6"):
             load_bundle(path)
         assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
         err = capsys.readouterr().err
-        assert err == f"error: {path}: this build reads only format_version 5, not {version}\n"
+        assert err == f"error: {path}: this build reads only format_version 6, not {version}\n"
 
 
 def _with_unknown_keys(node):
@@ -169,7 +166,7 @@ def test_unknown_keys_are_ignored(tmp_path):
     save_bundle(_full_bundle(), path)
     saved = path.read_bytes()
     extended = _with_unknown_keys(json.loads(saved))
-    assert extended["acoustic"]["model"]["unknown"] == [1, "two"]
+    assert extended["acoustic"]["centroids"]["unknown"] == [1, "two"]
     path.write_text(json.dumps(extended), encoding="utf-8")
     save_bundle(load_bundle(path), path)
     assert path.read_bytes() == saved
@@ -180,8 +177,7 @@ def test_model_types_hold_only_what_nothing_else_determines():
         return [f.name for f in fields(cls)]
 
     assert names(KMeansParams) == ["k", "seed"]
-    assert names(KMeansModel) == ["centroids", "inertia_history"]
-    assert names(SceneClassifier) == ["model", "cluster_names", "seed", "scale"]
+    assert names(SceneClassifier) == ["centroids", "cluster_names", "seed", "scale"]
     assert names(ActionNet) == ["scene_vocab", "action_vocab", "weights_ih", "weights_ho"]
     assert names(ModelBundle) == ["acoustic", "visual", "action"]
     assert names(FusionState) == ["pending_acoustic", "photos", "last_at"]
@@ -194,7 +190,7 @@ def _centroid_width(slot, width):
     """Cut every centroid row of the `slot` classifier to its first `width` entries."""
 
     def mutate(raw):
-        _edit_array(raw[slot]["model"], "centroids", lambda centroids: centroids[:, :width])
+        _edit_array(raw[slot], "centroids", lambda centroids: centroids[:, :width])
 
     return mutate
 
@@ -312,14 +308,15 @@ def test_only_read_file_and_write_file_open_a_file():
         lambda raw: raw.pop("acoustic"),
         lambda raw: raw["visual"].__setitem__("seed", "one"),
         lambda raw: raw.__setitem__("acoustic", {"seed": 0}),
-        # values the model itself refuses, or that would classify as nonsense
-        lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, -1.0),
-        lambda raw: _set_entry(raw["acoustic"]["model"], "centroids", (0, 0), np.nan),
-        lambda raw: raw["acoustic"]["model"]["inertia_history"].append(float("inf")),
+        # values the classifier itself refuses, or that would classify as nonsense
+        lambda raw: _set_entry(raw["acoustic"], "centroids", (0, 0), np.nan),
         lambda raw: raw["visual"].__setitem__("scale", float("nan")),
+        # a vector of one entry per name, and no rows for no names: neither is a matrix with rows
+        lambda raw: raw["acoustic"].__setitem__("centroids", _node([0.0, 1.0])),
+        lambda raw: raw["visual"].update(centroids=_node(np.zeros((0, 6))), cluster_names=[]),
         # integers too large for a float, and a dimension too large for the bytes
-        lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(-1, 10**400),
-        lambda raw: raw["acoustic"]["model"]["centroids"]["shape"].__setitem__(0, 10**400),
+        lambda raw: raw["visual"].__setitem__("scale", 10**400),
+        lambda raw: raw["acoustic"]["centroids"]["shape"].__setitem__(0, 10**400),
         # values of the wrong JSON type are refused, never converted
         lambda raw: raw["acoustic"].__setitem__("seed", True),
         lambda raw: raw["action"]["scene_vocab"].__setitem__(0, 7),
@@ -342,9 +339,7 @@ def test_only_read_file_and_write_file_open_a_file():
         _centroid_width("visual", 0),
         # each refused by the reader's own check, before any constructor sees it
         lambda raw: raw.__setitem__("action", 5),
-        lambda raw: raw["acoustic"].__setitem__("model", ["centroids", "inertia_history"]),
-        # and a NaN before the last inertia, which the model refuses entry by entry
-        lambda raw: raw["acoustic"]["model"]["inertia_history"].__setitem__(0, float("nan")),
+        lambda raw: raw["acoustic"].__setitem__("centroids", ["shape", "base64"]),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):
@@ -365,25 +360,25 @@ def test_a_whole_number_in_a_float_field_loads_as_that_float(tmp_path):
     save_bundle(_full_bundle(), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
     raw["visual"]["scale"] = int(sys.float_info.max)
-    raw["acoustic"]["model"]["inertia_history"][-1] = 0
+    raw["acoustic"]["scale"] = 1
     path.write_text(json.dumps(raw), encoding="utf-8")
     bundle = load_bundle(path)
     assert bundle.visual.scale == sys.float_info.max and type(bundle.visual.scale) is float
-    assert bundle.acoustic.model.inertia == 0.0 and type(bundle.acoustic.model.inertia) is float
+    assert bundle.acoustic.scale == 1.0 and type(bundle.acoustic.scale) is float
 
 def _centroids(edit):
     """A damage that applies `edit` to the acoustic centroid node."""
-    return lambda raw: edit(raw["acoustic"]["model"]["centroids"])
+    return lambda raw: edit(raw["acoustic"]["centroids"])
 
 
-_CENTROIDS = "bundle.acoustic.model.centroids"
+_CENTROIDS = "bundle.acoustic.centroids"
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
         pytest.param(
-            lambda raw: raw["acoustic"]["model"].__setitem__("centroids", [[0.0] * 4] * 2),
+            lambda raw: raw["acoustic"].__setitem__("centroids", [[0.0] * 4] * 2),
             f"{_CENTROIDS} must be an object",
             id="format-3-list",
         ),
@@ -438,13 +433,13 @@ _CENTROIDS = "bundle.acoustic.model.centroids"
             id="too-many-dimensions",
         ),
         pytest.param(
-            lambda raw: _set_entry(raw["acoustic"]["model"], "centroids", (1, 3), np.nan),
-            "bundle.acoustic.model: centroids must be finite",
+            lambda raw: _set_entry(raw["acoustic"], "centroids", (1, 3), np.nan),
+            "bundle.acoustic: centroids must be finite",
             id="nan-bytes",
         ),
         pytest.param(
-            lambda raw: _set_entry(raw["visual"]["model"], "centroids", (0, 5), -np.inf),
-            "bundle.visual.model: centroids must be finite",
+            lambda raw: _set_entry(raw["visual"], "centroids", (0, 5), -np.inf),
+            "bundle.visual: centroids must be finite",
             id="inf-bytes",
         ),
         pytest.param(
@@ -484,15 +479,13 @@ def test_reload_and_save_writes_the_same_bytes(tmp_path):
 
 def test_types_check_what_spans_their_fields():
     classifier = _classifier()
-    model = classifier.model
+    centroids = classifier.centroids
     with pytest.raises(UsageError):
-        replace(classifier, model=replace(model, centroids=model.centroids[:1]))
+        replace(classifier, centroids=centroids[:1])
     with pytest.raises(UsageError):
-        replace(model, centroids=model.centroids[:0])
+        replace(classifier, centroids=centroids[:0])
     with pytest.raises(UsageError):
-        replace(model, inertia_history=())
-    with pytest.raises(UsageError):
-        replace(model, centroids=np.full_like(model.centroids, np.nan))
+        replace(classifier, centroids=np.full_like(centroids, np.nan))
     with pytest.raises(UsageError):
         replace(classifier, cluster_names=("near",))
     with pytest.raises(UsageError):
@@ -532,7 +525,7 @@ def test_centroid_shape_is_checked(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(acoustic=_classifier()), path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["acoustic"]["model"]["centroids"] = _node([[1.0, 2.0]])  # one row for a k=2 model
+    raw["acoustic"]["centroids"] = _node([[1.0, 2.0]])  # one row for a k=2 classifier
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(InputError, match="cluster_names must name each centroid row"):
         load_bundle(path)

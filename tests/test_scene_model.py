@@ -14,7 +14,8 @@ from scenefuse.scene_model import ScenePrediction, classify, train_classifier
 def _train(items, **kwargs):
     """The classifier and warnings fitted on (scene name, vector) pairs, stacked into one matrix."""
     names = [name for name, _ in items]
-    return train_classifier(names, np.array([vec for _, vec in items]), **kwargs)
+    classifier, _, warnings = train_classifier(names, np.array([vec for _, vec in items]), **kwargs)
+    return classifier, warnings
 
 
 def _two_scene_set(noise=0.0, seed=0, dim=4):
@@ -29,7 +30,7 @@ def _two_scene_set(noise=0.0, seed=0, dim=4):
 
 def test_training_forces_one_cluster_per_scene():
     classifier, warnings = _train(_two_scene_set(noise=1.0))
-    assert classifier.model.centroids.shape == (2, 4)
+    assert classifier.centroids.shape == (2, 4)
     assert sorted(classifier.cluster_names) == ["loud", "quiet"]
     assert warnings == ()
 
