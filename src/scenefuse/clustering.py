@@ -9,7 +9,7 @@ its k-means++ draws computed.  Each run ends, as Lloyd's algorithm does, on
 a plain assignment to its final centroids; when the last update moved no
 centroid and nothing was repaired, the last pass already is that
 assignment and is reused.  `fit` returns the centroids with that
-partition, and the inertia trace that ends on its sum of squares.
+partition and its sum of squares, the inertia.
 
 Columns on which every point agrees add exactly 0 to every distance, so
 `fit` finds them once per fit and clusters a contiguous copy of the
@@ -238,23 +238,22 @@ def _lloyd_run(
     axis: int,
     start: tuple[np.ndarray, np.ndarray],
     memo: dict[object, np.ndarray] | None,
-) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
-    """One run from `start`: (centroids, inertia history, closing labels, closing (k, n) sq).
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """One run from `start`: (centroids, inertia, closing labels, closing (k, n) sq).
 
     `start` is the (k, d) starting centroids and their (k, n) squared
     distances to `points`; the run updates the centroids in place on a
     repair.  Pass it as a temporary: the run drops its hold on both arrays
     as it replaces them, so they need not outlive the first update.  Each
-    update's distance rows come from `_sq_rows` with `memo`.
+    update's distance rows come from `_sq_rows` with `memo`.  The inertia
+    is the closing assignment's sum of squares.
     """
     centroids, sq = start
     del start
-    history: list[float] = []
 
     for _ in range(_MAX_ITERS):
         labels, own = _nearest(sq)
         repaired = _repair_empties(points, axis, centroids, labels, own)
-        history.append(float(own.sum()))
 
         # the repair left every cluster at least one member, as n >= k
         updated = np.empty_like(centroids)
@@ -265,8 +264,7 @@ def _lloyd_run(
         if shift == 0.0 and not repaired:
             # `sq` was measured against these very centroids, so this pass,
             # left unrepaired, already is the closing assignment
-            history.append(history[-1])
-            return centroids, history, labels, sq
+            return centroids, float(own.sum()), labels, sq
         members = ((labels == c).tobytes() for c in range(centroids.shape[0]))
         sq = _sq_rows(points, axis, centroids, members, memo)
         if shift <= _TOL:
@@ -275,28 +273,24 @@ def _lloyd_run(
     # Lloyd's closing assignment against the final centroids: the partition
     # the run reports and scores, not repaired, so a cluster may own no point
     labels, own = _nearest(sq)
-    history.append(float(own.sum()))
-    return centroids, history, labels, sq
+    return centroids, float(own.sum()), labels, sq
 
 
-def fit(
-    points, params: KMeansParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
+def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
     The `_N_INIT` restarts run on every stride-th point, stride =
     ceil(n / `_SEED_POINTS`) (lowered, if need be, so they see at least k
     points): restart i on the n // stride points from offset i % stride,
-    so every restart's inertia sums over as many points.  The lowest final
+    so every restart's inertia sums over as many points.  The lowest
     inertia wins, earliest run on a tie.  With stride 1 every restart sees
     all points and the winner is the result.  Otherwise one more Lloyd run
     on all points, started from the winner's centroids, is the result.
 
-    Returns `(centroids, labels, sq, inertia_history)`: the resulting run's
-    (k, d) centroids, the closing assignment it was scored on, with `sq`
-    the (n, k) squared distances, and the within-cluster sum of squares
-    measured after each of its assignments.  The history never increases,
-    and its last entry, the inertia, is that partition's sum of squares.
+    Returns `(centroids, labels, sq, inertia)`: the resulting run's (k, d)
+    centroids, the closing assignment it was scored on, with `sq` the
+    (n, k) squared distances, and the inertia, that partition's
+    within-cluster sum of squares, as a float.
 
     Columns equal across all points are dropped once, before the first
     run: every run clusters one contiguous copy of the varying columns
@@ -327,7 +321,7 @@ def fit(
 
     Raises UsageError for no points or fewer points than clusters, points
     of mixed lengths or not one (n, d) matrix, a NaN or infinite coordinate,
-    or points so large that a centroid or the inertia overflows.
+    or points so large that a returned centroid or the inertia overflows.
     """
     matrix = _as_matrix(points)
     n = matrix.shape[0]
@@ -358,19 +352,19 @@ def fit(
     memo = {} if stride == 1 and axis == 0 else None
     rng = np.random.default_rng(params.seed)
     runs = (_lloyd_run(s, axis, _init_pp(s, axis, params.k, rng, memo), memo) for s in samples)
-    centroids, history, labels, sq = min(runs, key=lambda run: run[1][-1])  # earliest on a tie
+    centroids, inertia, labels, sq = min(runs, key=lambda run: run[1])  # earliest on a tie
     if stride > 1:
         # one Lloyd run on every point refines the winner
-        centroids, history, labels, sq = _lloyd_run(
+        centroids, inertia, labels, sq = _lloyd_run(
             work, axis, (centroids, _sq_distances(work, axis, centroids)), None
         )
 
     # the shared value is each constant column's exact mean
     full = np.repeat(matrix[:1], params.k, axis=0)
     full[:, varying] = centroids
-    if not (np.isfinite(full).all() and np.isfinite(history).all()):
+    if not (np.isfinite(full).all() and math.isfinite(inertia)):
         raise UsageError("points so large that a centroid or the inertia overflows")
-    return full, labels, sq.T, tuple(history)
+    return full, labels, sq.T, inertia
 
 
 def predict(centroids: np.ndarray, point) -> tuple[int, float]:

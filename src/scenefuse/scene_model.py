@@ -73,8 +73,8 @@ def train_classifier(
 
     Row i of the (n, d) `matrix` is the feature vector of scene `names[i]`;
     the fit reads the matrix in place and draws from `seed`.  `scale`
-    becomes the confidence divisor.  Returns the classifier, the fit's
-    inertia, and the warnings its naming raised.
+    becomes the confidence divisor.  Returns the classifier, the inertia
+    `clustering.fit` reports, and the warnings its naming raised.
 
     Raises UsageError for no rows, a name count other than the row count,
     an empty scene name, or a seed or scale the `errors` checks refuse.
@@ -86,7 +86,7 @@ def train_classifier(
     if not all(names):
         raise UsageError("scene names cannot be empty")
     k = len(set(names))
-    centroids, labels, sq, history = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
+    centroids, labels, sq, inertia = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
 
     warnings: list[str] = []
     cluster_names: list[str] = []
@@ -114,7 +114,7 @@ def train_classifier(
         warnings.append(f"clusters share scene names: {shared}")
 
     classifier = SceneClassifier(centroids, tuple(cluster_names), seed, scale)
-    return classifier, history[-1], tuple(warnings)
+    return classifier, inertia, tuple(warnings)
 
 
 def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> ScenePrediction:

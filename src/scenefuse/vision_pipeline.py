@@ -124,8 +124,10 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
     the (c, 3) float64 centroids ordered by how many subsampled pixels each
     cluster owns, most first, exact ties by ascending (r, g, b).
 
-    Raises InputError when the subsample has fewer than c distinct colors.
+    Raises UsageError for a c or seed `clustering.KMeansParams` refuses, and
+    InputError when the subsample has fewer than c distinct colors.
     """
+    params = clustering.KMeansParams(k=c, seed=seed)  # refuses a bad c before it is compared
     total = image.pixels.shape[0]
     stride = -(-total // _MAX_SAMPLED_PIXELS)  # ceil
     sample = image.pixels[::stride]
@@ -135,7 +137,7 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
         raise InputError(f"fewer than {c} distinct colors to separate")
 
     points = sample.astype(np.float64)
-    colors, labels, _, _ = clustering.fit(points, clustering.KMeansParams(k=c, seed=seed))
+    colors, labels, _, _ = clustering.fit(points, params)
     counts = np.bincount(labels, minlength=c)
     return colors[np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0], -counts))]
 

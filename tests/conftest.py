@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from scenefuse import clustering
 from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.cli import main as cli_main
 
@@ -76,6 +77,39 @@ def ppm_bytes(
     header += f"{width} {height}\n{maxval}".encode("ascii") + after_maxval
     payload = bytes(channel for pixel in pixels for channel in pixel)
     return header + payload + pad_payload
+
+
+@pytest.fixture
+def lloyd_traces(monkeypatch):
+    """The objective trace of each Lloyd run `clustering.fit` makes from now on, in order.
+
+    A run's trace holds the within-cluster sum of squares after each of its
+    assignments, read once the empty-cluster repair has run, then the
+    inertia the run returns, its closing assignment's sum.  When the run's
+    last pass already is the closing assignment, that sum appears twice.
+    Lloyd's algorithm never raises the objective, so a trace never increases.
+    """
+    traces: list[list[float]] = []
+    real_run, real_repair = clustering._lloyd_run, clustering._repair_empties
+
+    def run(*args):
+        traces.append([])
+        result = real_run(*args)
+        traces[-1].append(result[1])
+        return result
+
+    def repair(points, axis, centroids, labels, own):
+        repaired = real_repair(points, axis, centroids, labels, own)
+        traces[-1].append(float(own.sum()))  # `own` as the repair left it
+        return repaired
+
+    monkeypatch.setattr(clustering, "_lloyd_run", run)
+    monkeypatch.setattr(clustering, "_repair_empties", repair)
+    return traces
+
+
+def never_increases(trace) -> bool:
+    return all(later <= earlier for earlier, later in zip(trace, trace[1:]))
 
 
 # Seven-session transcript: three coffee/42 pairs, two gym/10 pairs, then one

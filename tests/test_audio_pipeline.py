@@ -45,6 +45,12 @@ def test_decode_skips_unknown_chunks_with_odd_size_padding():
     assert clip.samples.size == 3
 
 
+def test_decode_reads_the_first_of_two_data_chunks():
+    first = (b"data", struct.pack("<4h", 1, 2, 3, 4))  # ahead of `fmt `, then the builder's
+    clip = decode_wav(wav_bytes([5], leading_chunks=(first,)))
+    assert clip.samples.tolist() == [value / 32768 for value in (1, 2, 3, 4)]
+
+
 def _with_dangling_bytes(blob: bytes) -> bytes:
     """`blob` plus 4 trailing bytes that its RIFF size counts: too few for a chunk header."""
     return blob[:4] + struct.pack("<I", len(blob) - 4) + blob[8:] + b"JUNK"
@@ -62,6 +68,11 @@ _FORMAT = "UnsupportedFormat"
         (wav_bytes([1])[:10], (_RIFF, "too short for a RIFF header")),
         (b"RIFF\x04\x00\x00\x00WAVE", (_RIFF, "no fmt chunk")),  # a whole header, no chunk
         (wav_bytes([1], omit_data_chunk=True), (_RIFF, "no data chunk")),
+        # a chunk that is not `data` holds no samples, even one whose bytes could
+        (
+            wav_bytes([1], leading_chunks=((b"LIST", b"\x01\x00"),), omit_data_chunk=True),
+            (_RIFF, "no data chunk"),
+        ),
         (wav_bytes([1, 2], truncate_data_by=2), (_RIFF, "chunk b'data' overruns the container")),
         (wav_bytes([1], audio_format=3), (_FORMAT, r"only PCM \(format 1\) is supported, got 3")),
         (wav_bytes([1], bits_per_sample=8), (_FORMAT, "only 16-bit samples are supported")),

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import never_increases
 from oracles import brute_force_inertia, nearest_centroid_scan
 from scenefuse import clustering
 from scenefuse.clustering import (
@@ -20,44 +21,49 @@ from scenefuse.clustering import (
 from scenefuse.errors import UsageError
 
 
-def test_single_cluster_lands_on_the_mean():
+def test_single_cluster_lands_on_the_mean(lloyd_traces):
     points = [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]
-    centroids, _, _, history = fit(points, KMeansParams(k=1))
+    centroids, _, _, inertia = fit(points, KMeansParams(k=1))
     assert centroids.tolist() == [[2.0, 0.0]]
-    assert history[-1] == 8.0
+    assert inertia == 8.0
     # a move of exactly the tolerance, 1e-6, from a point to the mean has
-    # converged: only the closing assignment follows
-    *_, history = fit([[0.0], [2e-6]], KMeansParams(k=1))
-    assert history == (4e-12, 2e-12)
+    # converged: only the closing assignment follows, in every run
+    lloyd_traces.clear()
+    *_, inertia = fit([[0.0], [2e-6]], KMeansParams(k=1))
+    assert inertia == 2e-12
+    assert lloyd_traces == [[4e-12, 2e-12]] * clustering._N_INIT
 
 
 def test_two_separated_pairs_split_cleanly():
     points = [(0.0, 0.0), (0.0, 1.0), (10.0, 0.0), (10.0, 1.0)]
-    centroids, _, _, history = fit(points, KMeansParams(k=2, seed=0))
+    centroids, _, _, inertia = fit(points, KMeansParams(k=2, seed=0))
     got = sorted(map(tuple, centroids.tolist()))
     assert got == [(0.0, 0.5), (10.0, 0.5)]
-    assert history[-1] == 1.0
+    assert inertia == 1.0
 
 
 def test_fit_is_bit_identical_per_seed():
     rng = np.random.default_rng(17)
     points = rng.uniform(0.0, 10.0, (40, 3))
-    a, _, _, a_history = fit(points, KMeansParams(k=4, seed=5))
-    b, _, _, b_history = fit(points, KMeansParams(k=4, seed=5))
-    *_, c_history = fit(points, KMeansParams(k=4, seed=6))
+    a, _, _, a_inertia = fit(points, KMeansParams(k=4, seed=5))
+    b, _, _, b_inertia = fit(points, KMeansParams(k=4, seed=5))
+    *_, c_inertia = fit(points, KMeansParams(k=4, seed=6))
     assert np.array_equal(a, b)
-    assert a_history == b_history
+    assert a_inertia == b_inertia
     # a different seed may legitimately converge to the same optimum, but
     # both runs must still be internally consistent
-    assert c_history[-1] >= 0.0
+    assert c_inertia >= 0.0
 
 
-def test_objective_never_increases_during_a_fit():
+def test_objective_never_increases_during_a_fit(lloyd_traces):
     rng = np.random.default_rng(23)
     for trial in range(5):
+        lloyd_traces.clear()
         points = rng.uniform(-5.0, 5.0, (30, 2))
-        *_, history = fit(points, KMeansParams(k=3, seed=trial))
-        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+        *_, inertia = fit(points, KMeansParams(k=3, seed=trial))
+        assert len(lloyd_traces) == clustering._N_INIT
+        assert all(map(never_increases, lloyd_traces))
+        assert inertia == min(trace[-1] for trace in lloyd_traces)
 
 
 @st.composite
@@ -69,21 +75,29 @@ def _crowded_points(draw):
     return np.asarray(rows, dtype=np.float64)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# the test clears the Lloyd traces it shares across examples before each fit
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(points=_crowded_points(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 # two runs whose last pass measured other centroids, so it cannot close them:
 # an empty cluster seizes a point and then no centroid moves, and the last
 # update moves a centroid by no more than the convergence tolerance
 @example(points=np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.0, 0.0], [3.0, 0.0]]), k=3, seed=0)
 @example(points=np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]]) * 1e-9, k=2, seed=0)
-def test_fit_returns_the_partition_it_scored(points, k, seed):
+def test_fit_returns_the_partition_it_scored(lloyd_traces, points, k, seed):
+    lloyd_traces.clear()
     k = min(k, points.shape[0])
-    centroids, labels, sq, history = fit(points, KMeansParams(k=k, seed=seed))
+    centroids, labels, sq, inertia = fit(points, KMeansParams(k=k, seed=seed))
     again_labels, again_sq = assign(points, centroids)
     assert np.array_equal(labels, again_labels)
     assert np.array_equal(sq, again_sq)
-    assert history[-1] == sq[np.arange(points.shape[0]), labels].sum()
-    assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+    assert inertia == sq[np.arange(points.shape[0]), labels].sum()
+    assert all(map(never_increases, lloyd_traces))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -101,11 +115,11 @@ def test_constant_columns_leave_the_fit_unchanged(points, k, seed, positions, va
     at = [min(p, points.shape[1]) for p in positions]
     wide = np.insert(points, at, value, axis=1)
     kept = np.insert(np.ones(points.shape[1], dtype=bool), at, False)
-    centroids, labels, sq, history = fit(points, KMeansParams(k=k, seed=seed))
-    wide_centroids, wide_labels, wide_sq, wide_history = fit(wide, KMeansParams(k=k, seed=seed))
+    centroids, labels, sq, inertia = fit(points, KMeansParams(k=k, seed=seed))
+    wide_centroids, wide_labels, wide_sq, wide_inertia = fit(wide, KMeansParams(k=k, seed=seed))
     assert np.array_equal(wide_labels, labels)
     assert np.array_equal(wide_sq, sq)
-    assert wide_history == history
+    assert wide_inertia == inertia
     assert np.array_equal(wide_centroids[:, kept], centroids)
     assert np.all(wide_centroids[:, ~kept] == value)
     # at most two columns vary, so the sums over them are exact in any order
@@ -255,14 +269,14 @@ def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch)
     for n, d in ((limit, 3), (limit + 1, 3), (4 * limit + 7, 3), (limit + 1, limit + 1)):
         seen.clear()
         points = rng.standard_normal((n, d))
-        centroids, labels, sq, history = fit(points, KMeansParams(k=3, seed=1))
+        centroids, labels, sq, inertia = fit(points, KMeansParams(k=3, seed=1))
         stride = -(-n // limit)
         assert seen[: clustering._N_INIT] == [n // stride] * clustering._N_INIT
         assert all(count <= limit for count in seen[: clustering._N_INIT])
         assert seen[clustering._N_INIT :] == ([] if n <= limit else [n])
-        # the returned partition and history are the last run's, on all points
+        # the returned partition and inertia are the last run's, on all points
         assert sq.shape == (n, 3) and np.array_equal(labels, sq.argmin(axis=1))
-        assert history[-1] == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
+        assert inertia == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
 
 
 def test_the_restarts_see_at_least_k_points(monkeypatch):
@@ -316,30 +330,30 @@ def test_subsampled_restarts_stay_within_5_percent_of_all_point_restarts(
     *_, subsampled = fit(points, params)
     monkeypatch.setattr(clustering, "_SEED_POINTS", len(points))
     *_, everywhere = fit(points, params)
-    assert subsampled[-1] <= 1.05 * everywhere[-1]
+    assert subsampled <= 1.05 * everywhere
 
 
 def test_fit_matches_exhaustive_partition_search():
     rng = np.random.default_rng(31)
     for k in (1, 2, 3):
         points = rng.uniform(0.0, 10.0, (7, 2))
-        centroids, _, _, history = fit(points, KMeansParams(k=k, seed=0))
+        centroids, _, _, inertia = fit(points, KMeansParams(k=k, seed=0))
         best = brute_force_inertia(points, k)
-        assert history[-1] <= 1.05 * best + 1e-9
+        assert inertia <= 1.05 * best + 1e-9
 
 
 def test_all_identical_points_converge_with_zero_inertia():
     points = np.ones((5, 2)) * 3.0  # no column varies: fit clusters zero columns
-    centroids, labels, sq, history = fit(points, KMeansParams(k=2))
-    assert history[-1] == 0.0
+    centroids, labels, sq, inertia = fit(points, KMeansParams(k=2))
+    assert inertia == 0.0
     assert np.all(centroids == 3.0)
     assert labels.tolist() == [0] * 5
     assert not sq.any()
     # a mean of equal values need not be that value, nor fit in a float
     for value, n, k in ((3.205530898553695, 8, 3), (1.7e308, 3, 1)):
-        centroids, _, _, history = fit(np.full((n, 2), value), KMeansParams(k=k, seed=0))
+        centroids, _, _, inertia = fit(np.full((n, 2), value), KMeansParams(k=k, seed=0))
         assert np.all(centroids == value)
-        assert history[-1] == 0.0
+        assert inertia == 0.0
 
 
 def test_predict_agrees_with_a_linear_scan():
@@ -426,8 +440,23 @@ def test_fit_input_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(UsageError):  # NaN would become a centroid and the inertia
             fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))
-    with pytest.raises(UsageError, match="overflows"), np.errstate(all="ignore"):  # to inf
-        fit([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)], KMeansParams(k=1))
+    # first the centroid overflows to inf; then only the inertia, as the mean of
+    # (1e200, 0) and (-1e200, 0) is (0, 0) but each point's square distance is 1e400
+    for points in ([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)], [(1e200, 0.0), (-1e200, 0.0)]):
+        with pytest.raises(UsageError, match="overflows"), np.errstate(all="ignore"):
+            fit(points, KMeansParams(k=1))
+
+
+def test_a_fit_that_overflows_on_the_way_but_ends_finite_is_returned():
+    # restart 0 draws (3e154, 0); the other points' k-means++ weights overflow, so the
+    # clamped draw repeats it, and the run's first assignment sums to inf.  It still
+    # ends, as every restart here does, with every point on a centroid, and wins the tie
+    points = [(-2e154, 0.0), (-2e154, 0.0), (3e154, 0.0)]
+    with np.errstate(all="ignore"):
+        centroids, labels, _, inertia = fit(points, KMeansParams(k=2, seed=0))
+    assert centroids.tolist() == [[3e154, 0.0], [-2e154, 0.0]]
+    assert labels.tolist() == [1, 1, 0]
+    assert inertia == 0.0
 
 
 def test_predict_validates_dimensions():

@@ -16,7 +16,7 @@ from scenefuse.errors import UsageError, check_array_size, check_int, check_posi
 from scenefuse.fusion import FusionConfig
 from scenefuse.persistence import ScriptEvent
 from scenefuse.scene_model import SceneClassifier, ScenePrediction, train_classifier
-from scenefuse.vision_pipeline import Image, synth_scene_image
+from scenefuse.vision_pipeline import Image, dominant_colors, synth_scene_image
 
 BAND = [((100.0, 200.0), 1.0)]
 SPEC = [((1, 2, 3), 1.0)]
@@ -63,6 +63,8 @@ INT_SITES = {
     "FusionConfig.photos_required": (
         lambda v: FusionConfig(photos_required=v), 1, "photos_required"
     ),
+    # `fit` names its cluster count k
+    "dominant_colors.c": (lambda v: dominant_colors(Image(1, 1, PIXEL), v), 1, "k"),
     "Image.width": (lambda v: Image(v, 1, PIXEL), 1, "width"),
     "Image.height": (lambda v: Image(1, v, PIXEL), 1, "height"),
     "synth_scene_image.width": (lambda v: synth_scene_image(SPEC, v, 4), 1, "width"),

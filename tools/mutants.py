@@ -1,4 +1,4 @@
-"""Mutation check: tier-1 must fail when any `raise` becomes `pass` or any comparison flips.
+"""Mutation check: tier-1 must fail when any `raise` becomes `pass` or any operator flips.
 
 Usage: `python tools/mutants.py` (needs numpy, pytest and Hypothesis).
 
@@ -7,23 +7,31 @@ pyproject.toml and never writes into the checkout.  It runs tier-1 on the
 unmutated copy twice: first as CI runs it, untraced, which must pass; then
 traced with `sys.settrace`, only to learn which tests execute each line of
 src/scenefuse/.  Tracing slows every test several times over, so a test
-with a time bound may fail in that run; its outcome is not checked.  Two
+with a time bound may fail in that run; its outcome is not checked.  Three
 passes of mutants follow, each made one at a time on the decoded source:
 
   * raise → pass: each `raise` statement (found with `ast`) becomes `pass`;
   * comparison flip: each ordering operator (found with `tokenize`) moves
-    its boundary, `<` to `<=`, `<=` to `<`, `>` to `>=` and `>=` to `>`.
+    its boundary, `<` to `<=`, `<=` to `<`, `>` to `>=` and `>=` to `>`;
+  * equality and connective swap: each `==` becomes `!=` and each `!=`
+    `==`, each `and` becomes `or` and each `or` `and` (found with
+    `tokenize`).
 
 Each mutant runs just the tests that execute its lines, stopping at the
 first failure.  A mutant that every covering test passes marks a check or
 a comparison that decides nothing; one that no test runs is not checked at
-all.
+all.  A mutant that changes nothing a program could observe is equivalent:
+no test can kill it.  `EQUIVALENT` lists each one with its site and the
+reason.  A listed mutant still runs, and must survive: one a test kills
+is not equivalent, and an entry that matches no mutant names nothing.
 
-It prints `file:line:col old → new killed|SURVIVED|not run` per mutant and a
-tally per pass, and exits 0 when every mutant of both passes is killed, 1
-when any survived or was not run, and 2 when the unmutated suite fails in
-the copy.  Run by pytest as `-p mutants`, this file is also the plugin that
-traces the suite and narrows a run to given tests.
+It prints `file:line:col old → new killed|SURVIVED|not run|equivalent` per
+mutant, a tally per pass, and each entry of `EQUIVALENT` that matched no
+surviving mutant.  It exits 0 when every mutant of the three passes is
+killed or a listed equivalent, 1 when any survived unlisted or was not
+run or an entry of `EQUIVALENT` is stale, and 2 when the unmutated suite
+fails in the copy.  Run by pytest as `-p mutants`, this file is also the
+plugin that traces the suite and narrows a run to given tests.
 """
 
 from __future__ import annotations
@@ -46,9 +54,23 @@ PACKAGE = Path("src") / "scenefuse"
 PYTEST = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants")
 MUTANT_TIMEOUT_S = 600  # a mutant that makes a test loop forever counts as killed
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+SWAPS = {"==": "!=", "!=": "==", "and": "or", "or": "and"}
 
 Span = tuple[int, int, int, int]  # line, col, end line, end col; columns count characters
 Mutant = tuple[Span, str, str]  # where, the text it starts with, the text that replaces it
+
+# mutants no test can kill: (file, a snippet of the mutated line that holds the mutated
+# text once, the text, what replaces it, why the program behaves the same)
+EQUIVALENT = (
+    (
+        "src/scenefuse/clustering.py",
+        "(labels == c).tobytes()",
+        "==",
+        "!=",
+        "a distance-memo key names a member set, and a member mask names it as its "
+        "complement does; a draw's key is an int, so no mask key meets it either way",
+    ),
+)
 
 # --- the pytest plugin -------------------------------------------------------
 
@@ -131,7 +153,32 @@ def flip_mutants(source: str) -> list[Mutant]:
     ]
 
 
-PASSES = (("raise → pass", raise_mutants), ("comparison flip", flip_mutants))
+def swap_mutants(source: str) -> list[Mutant]:
+    """Each `==`, `!=`, `and` and `or`, to become its opposite."""
+    return [
+        ((*token.start, *token.end), token.string, SWAPS[token.string])
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type in (tokenize.OP, tokenize.NAME) and token.string in SWAPS
+    ]
+
+
+PASSES = (
+    ("raise → pass", raise_mutants),
+    ("comparison flip", flip_mutants),
+    ("equality and connective swap", swap_mutants),
+)
+
+
+def listed_equivalent(path: str, source: str, mutant: Mutant) -> tuple[str, ...] | None:
+    """The entry of `EQUIVALENT` that names `mutant` of the file at `path`, if any."""
+    (line, col, _, _), old, new = mutant
+    text = _lines(source)[line - 1]
+    for entry in EQUIVALENT:
+        at = text.find(entry[1])
+        same_site = Path(entry[0]) == Path(path) and 0 <= at <= col < at + len(entry[1])
+        if same_site and entry[2:4] == (old, new):
+            return entry
+    return None
 
 
 def mutate(source: str, span: Span, replacement: str) -> str:
@@ -173,13 +220,15 @@ def main() -> int:
         }
 
         tallies = {}
+        matched = set()  # the entries of EQUIVALENT whose mutant survived
         for name, mutants in PASSES:
-            tally = tallies[name] = {"killed": 0, "SURVIVED": 0, "not run": 0}
+            tally = tallies[name] = {"killed": 0, "SURVIVED": 0, "not run": 0, "equivalent": 0}
             for module in sorted((copy / PACKAGE).glob("*.py")):
                 path = str(module.relative_to(copy))
                 original = module.read_bytes()
                 source = original.decode("utf-8")
                 for span, old, new in mutants(source):
+                    entry = listed_equivalent(path, source, (span, old, new))
                     lines = {(path, n) for n in range(span[0], span[2] + 1)}
                     tests = sorted(test for test, hits in trace.items() if lines & hits)
                     if not tests:
@@ -199,12 +248,18 @@ def main() -> int:
                             verdict = "killed"
                         finally:
                             module.write_bytes(original)
+                    if verdict == "SURVIVED" and entry is not None:
+                        verdict = "equivalent"
+                        matched.add(entry)
                     tally[verdict] += 1
                     print(f"{path}:{span[0]}:{span[1]} {old} → {new} {verdict}", flush=True)
 
     for name, tally in tallies.items():
         print(f"{name}: " + ", ".join(f"{count} {verdict}" for verdict, count in tally.items()))
-    failed = any(tally["SURVIVED"] or tally["not run"] for tally in tallies.values())
+    stale = [entry for entry in EQUIVALENT if entry not in matched]
+    for path, snippet, old, new, _ in stale:
+        print(f"stale EQUIVALENT entry: {path} {snippet!r} {old} → {new}: no mutant survived")
+    failed = stale or any(tally["SURVIVED"] or tally["not run"] for tally in tallies.values())
     return 1 if failed else 0
 
 
