@@ -370,15 +370,25 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def predict(centroids: np.ndarray, point) -> tuple[int, float]:
     """(label, Euclidean distance) of the nearest of the (k, d) `centroids` to one vector.
 
-    Ties go to the lowest label.  Raises UsageError for anything but a 1-D
-    vector of d entries, or a NaN or infinite coordinate.
+    Ties go to the lowest label; finite vectors too far apart for a float
+    distance are an infinite distance apart.  Raises UsageError for
+    centroids that are not a float64 NumPy array of k >= 1 rows, and for
+    anything but a 1-D point of d entries, or a NaN or infinite coordinate.
     """
+    if not (
+        isinstance(centroids, np.ndarray)
+        and centroids.dtype == np.float64
+        and centroids.ndim == 2
+        and len(centroids)
+    ):
+        raise UsageError("centroids must be a (k, d) float64 NumPy array with k >= 1")
     vec = np.asarray(point, dtype=np.float64)
     if vec.shape != centroids.shape[1:]:
         raise UsageError(f"point has shape {vec.shape}, model expects {centroids.shape[1:]}")
     if not np.isfinite(vec).all():
         raise UsageError("point must be finite, not NaN or inf")
-    labels, sq = assign(vec[None, :], centroids)
+    with np.errstate(over="ignore"):  # a difference or its square past the largest float
+        labels, sq = assign(vec[None, :], centroids)
     label = int(labels[0])
     return label, float(np.sqrt(sq[0, label]))
 

@@ -1,27 +1,34 @@
 """Saving and loading trained state, plus the replay and pairs text formats.
 
-Bundles are UTF-8 JSON documents: a sorted, indented key/value tree in
-which every array is one node, `{"shape": [...], "base64": "..."}`, its
-entries the base64 of their little-endian float64 bytes.  The schema is the
-fields of the dataclasses themselves: `ModelBundle` and everything it holds
-is written field by field under the field's own name, and read back by
-walking the same type hints.  Arrays keep their bytes and every other float
-is written with full repr precision, so a save/load round trip reproduces
-every number exactly and classification behavior is preserved bit for bit.
-Only facts a command reads back and nothing else determines are stored: a
-classifier is its centroid matrix, whose rows and columns give its cluster
-count and width, the names of its clusters, a list indexed by label, and
-the seed and scale it was trained with; the net's hidden width is read off
-its weights.  A fit's inertia is printed by `train`, not stored.  A
-classifier's modality is the slot that holds it, `acoustic` or `visual`,
-and fixes the widths its centroids may have (`check_width`).  Fusion
-settings are not stored: they come from the `fuse` flags.  `save_bundle`
-alone writes `format_version` 6, the one version `load_bundle` reads.  The
-reader ignores keys it does not know and converts no value, so a
-hand-edited value must already have the JSON type its field asks for; an
-array node must hold exactly 8 bytes per entry of its shape.  Whether those entries and the
-other floats are finite, and whether the shapes fit together, is for the
-types that hold them.
+A bundle file is a UTF-8 JSON header, one NUL byte, then a payload of
+array bytes.  The header is a sorted, indented key/value tree in which
+every array is one node, `{"shape": [...]}`; the payload holds each
+array's entries as little-endian float64 bytes, concatenated in the order
+the fields are walked, so no offset is stored and none can disagree.  JSON
+text never holds a raw NUL, so the first one ends the header.  The schema
+is the fields of the dataclasses themselves: `ModelBundle` and everything
+it holds is written field by field under the field's own name, and read
+back by walking the same type hints.  Arrays keep their bytes and every
+other float is written with full repr precision, so a save/load round trip
+reproduces every number exactly and classification behavior is preserved
+bit for bit.  Only facts a command reads back and nothing else determines
+are stored: a classifier is its centroid matrix, whose rows and columns
+give its cluster count and width, the names of its clusters, a list
+indexed by label, and the seed and scale it was trained with; the net's
+hidden width is read off its weights.  A fit's inertia is printed by
+`train`, not stored.  A classifier's modality is the slot that holds it,
+`acoustic` or `visual`, and fixes the widths its centroids may have
+(`check_width`).  Fusion settings are not stored: they come from the
+`fuse` flags.  `save_bundle` alone writes `format_version` 7, the one
+version `load_bundle` reads; older bundles are all JSON, with no NUL, and
+are refused by their version.  The header stays editable by hand in an
+editor that keeps every other byte as it was.  The reader ignores keys it
+does not know and converts no value, so a hand-edited value must already
+have the JSON type its field asks for.  Each array node takes 8 bytes per
+entry of its shape from the front of what the payload has left; a node
+that needs more bytes than remain, and bytes that no node takes, are
+refused.  Whether those entries and the other floats are finite, and
+whether the shapes fit together, is for the types that hold them.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
@@ -34,7 +41,6 @@ its path, and every write lands whole or not at all.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import json
 import math
@@ -50,7 +56,7 @@ from .action_learning import ActionExample, ActionNet
 from .errors import InputError, UsageError, check_range
 from .scene_model import SceneClassifier
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 ACOUSTIC = "acoustic"
 VISUAL = "visual"
@@ -156,35 +162,53 @@ def _text(data: bytes) -> str:
 
 @dataclass(frozen=True)
 class _ArrayNode:
-    """The bundle form of an `np.ndarray` field: base64 of its little-endian float64 bytes."""
+    """The header form of an `np.ndarray` field; its entries are in the payload."""
 
     shape: tuple[int, ...]
-    base64: str
 
 
-def _encode(value):
-    """The JSON form of a value: dataclasses become objects keyed by field name."""
+class _Payload:
+    """The bytes after a bundle's header, handed out from the front, one array at a time."""
+
+    def __init__(self, data: memoryview):
+        self.rest = data
+
+    def take(self, size: int, what: str) -> memoryview:
+        """The next `size` bytes; InputError, naming `what` wants them, if fewer remain."""
+        if size > len(self.rest):  # `size` may have more digits than Python will print
+            raise InputError(f"{what} needs more than the {len(self.rest)} bytes left")
+        data, self.rest = self.rest[:size], self.rest[size:]
+        return data
+
+
+def _encode(value, payload: list):
+    """The JSON form of a value: dataclasses become objects keyed by field name.
+
+    An array becomes an `_ArrayNode`, and its little-endian float64 entries
+    are appended to `payload`, so arrays follow one another in field order.
+    """
     if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _encode(getattr(value, f.name), payload) for f in fields(value)}
     if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value, "<f8").tobytes()
-        return _encode(_ArrayNode(value.shape, base64.b64encode(data).decode("ascii")))
+        payload.append(np.ascontiguousarray(value, "<f8"))
+        return _encode(_ArrayNode(value.shape), payload)
     if isinstance(value, tuple):
-        return [_encode(item) for item in value]
+        return [_encode(item, payload) for item in value]
     return value
 
 
-def _decode(hint, raw, where: str):
+def _decode(hint, raw, where: str, payload: _Payload | None):
     """Build a value of type `hint` from its JSON form `raw`, found at `where`.
 
-    Raises InputError on a missing key, a value of the wrong JSON type, an
-    array node whose bytes do not fit its shape, or a value the type's own
-    constructor refuses, a float that is not finite among them.
+    Arrays take their entries from `payload`, in field order, as `_encode`
+    wrote them.  Raises InputError on a missing key, a value of the wrong
+    JSON type, an array node the payload cannot fill, or a value the type's
+    own constructor refuses, a float that is not finite among them.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # `X | None`
         (inner,) = (arg for arg in args if arg is not type(None))
-        return None if raw is None else _decode(inner, raw, where)
+        return None if raw is None else _decode(inner, raw, where, payload)
     if is_dataclass(hint):
         if not isinstance(raw, dict):
             raise InputError(f"{where} must be an object")
@@ -193,17 +217,19 @@ def _decode(hint, raw, where: str):
         for f in fields(hint):
             if f.name not in raw:
                 raise InputError(f"{where} is missing {f.name!r}")
-            values[f.name] = _decode(hints[f.name], raw[f.name], f"{where}.{f.name}")
+            values[f.name] = _decode(hints[f.name], raw[f.name], f"{where}.{f.name}", payload)
         try:
             return hint(**values)
         except UsageError as exc:
             raise InputError(f"{where}: {exc}") from exc
     if hint is np.ndarray:
-        return _decode_array(_decode(_ArrayNode, raw, where), where)
+        return _decode_array(_decode(_ArrayNode, raw, where, payload), where, payload)
     if origin is tuple:  # `tuple[X, ...]`
         if not isinstance(raw, list):
             raise InputError(f"{where} must be a list")
-        return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
+        return tuple(
+            _decode(args[0], item, f"{where}[{i}]", payload) for i, item in enumerate(raw)
+        )
     if hint is float and type(raw) is int and abs(raw) <= sys.float_info.max:
         raw = float(raw)  # JSON has one number type, so a float field takes a whole number too
     if not isinstance(raw, hint) or (hint is int and isinstance(raw, bool)):
@@ -211,46 +237,56 @@ def _decode(hint, raw, where: str):
     return raw
 
 
-def _decode_array(node: _ArrayNode, where: str) -> np.ndarray:
-    """The writeable float64 array `node` holds; InputError if its bytes do not fit its shape."""
+def _decode_array(node: _ArrayNode, where: str, payload: _Payload) -> np.ndarray:
+    """A writeable float64 array of `node`'s shape, from the payload's next 8 bytes per entry.
+
+    Raises InputError for a negative dimension, a shape numpy cannot hold,
+    or a shape that needs more bytes than the payload has left.
+    """
     shape = list(node.shape)
     if any(n < 0 for n in shape):
         raise InputError(f"{where}.shape {shape} has a negative dimension")
-    try:
-        data = base64.b64decode(node.base64, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise InputError(f"{where}.base64 is not base64: {exc}") from exc
-    if len(data) != 8 * math.prod(shape):
-        raise InputError(f"{where} holds {len(data)} bytes, not 8 per entry of shape {shape}")
-    try:
+    data = payload.take(8 * math.prod(shape), f"{where}.shape {shape}")
+    try:  # astype copies, so the array does not keep the file's bytes alive
         return np.frombuffer(data, "<f8").reshape(shape).astype(np.float64)
     except ValueError as exc:  # over 64 dimensions, or one too large beside a zero
         raise InputError(f"{where}.shape {shape} is not one numpy can hold: {exc}") from exc
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write the bundle as indented JSON with `write_file`.  Raises InputError on write failure."""
-    document = {**_encode(bundle), "format_version": FORMAT_VERSION}
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    write_file(path, text.encode("utf-8"))
+    """Write the bundle, header then payload, with `write_file`; InputError on write failure."""
+    payload: list[np.ndarray] = []
+    document = {**_encode(bundle, payload), "format_version": FORMAT_VERSION}
+    header = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # join reads each array's buffer, so its bytes are copied once, into the file's
+    write_file(path, b"".join([header.encode("utf-8"), b"\0", *payload]))
 
 
 def _parse_bundle(data: bytes) -> ModelBundle:
     """The bundle in `data`.
 
-    Raises InputError for a document that is not UTF-8 JSON, of another
-    format_version, or not shaped like a bundle.
+    Raises InputError for a header that is not UTF-8 JSON, of another
+    format_version, not followed by a NUL byte, or not shaped like a
+    bundle, and for a payload that holds fewer or more bytes than its
+    array nodes take.
     """
-    try:
-        document = json.loads(_text(data))
+    nul = data.find(b"\0")
+    try:  # a bundle of an older format has no NUL: it is all header, refused by its version
+        document = json.loads(_text(data if nul == -1 else data[:nul]))
     except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise InputError("bundle document must be a JSON object")
-    version = _decode(int, document.get("format_version"), "bundle.format_version")
+    version = _decode(int, document.get("format_version"), "bundle.format_version", None)
     if version != FORMAT_VERSION:
         raise InputError(f"this build reads only format_version {FORMAT_VERSION}, not {version}")
-    return _decode(ModelBundle, document, "bundle")
+    if nul == -1:
+        raise InputError("no NUL byte follows the JSON header")
+    payload = _Payload(memoryview(data)[nul + 1 :])
+    bundle = _decode(ModelBundle, document, "bundle", payload)
+    if len(payload.rest):
+        raise InputError(f"bundle payload holds {len(payload.rest)} bytes after its last array")
+    return bundle
 
 
 def load_bundle(path) -> ModelBundle:

@@ -76,11 +76,14 @@ def train_classifier(
     becomes the confidence divisor.  Returns the classifier, the inertia
     `clustering.fit` reports, and the warnings its naming raised.
 
-    Raises UsageError for no rows, a name count other than the row count,
-    an empty scene name, or a seed or scale the `errors` checks refuse.
+    Raises UsageError for no rows, a matrix that is not a 2-D NumPy array,
+    a name count other than the row count, an empty scene name, or a seed
+    or scale the `errors` checks refuse.
     """
     if not names:
         raise UsageError("training set holds no examples")
+    if not (isinstance(matrix, np.ndarray) and matrix.ndim == 2):
+        raise UsageError("matrix must be an (n, d) NumPy array of feature rows")
     if len(names) != len(matrix):
         raise UsageError(f"{len(names)} scene names for {len(matrix)} feature rows")
     if not all(names):

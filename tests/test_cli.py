@@ -2,7 +2,6 @@
 
 import ast
 import io
-import json
 import os
 import re
 import subprocess
@@ -31,6 +30,7 @@ from scenefuse.fusion import FusionState, on_acoustic
 from scenefuse.persistence import load_bundle, load_event_script, read_file
 from scenefuse.scene_model import ScenePrediction, train_classifier
 from scenefuse.vision_pipeline import decode_ppm, dominant_colors, synth_scene_image
+from test_persistence import _read_document, _write_document
 
 
 PREDICT_LINE = re.compile(r"^scene=(\w+) confidence=(\d+\.\d{3})$")
@@ -333,10 +333,10 @@ def test_undecodable_inputs_exit_three(matrix_workspace, tmp_path, capsys):
 
 
 def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path, capsys):
-    raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
+    raw, payload = _read_document(matrix_workspace.bundle)
     raw["acoustic"]["cluster_names"][0] = ""
     damaged = tmp_path / "damaged.json"
-    damaged.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(damaged, raw, payload)
     clip = str(matrix_workspace.data / "test_coffee_1.wav")
     script = str(matrix_workspace.data / "script_coffee_coffee.tsv")
     for argv in (
@@ -346,18 +346,18 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
         assert main(argv) == 3
         assert "scene names cannot be empty" in capsys.readouterr().err
 
-    raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
+    raw, payload = _read_document(matrix_workspace.bundle)
     raw["visual"]["seed"] = -1  # featurizing the photo would refuse it with exit 1
-    damaged.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(damaged, raw, payload)
     photo = str(matrix_workspace.data / "test_coffee_1.ppm")
     assert main(["predict", "--modality", "visual", "--bundle", str(damaged), photo]) == 3
     assert capsys.readouterr().err == (
         f"error: {damaged}: bundle.visual: seed must be an int of at least 0, got -1\n"
     )
 
-    raw = json.loads(matrix_workspace.bundle.read_text(encoding="utf-8"))
+    raw, payload = _read_document(matrix_workspace.bundle)
     raw["visual"] = 5  # a part the command does not use still fails the whole bundle
-    damaged.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(damaged, raw, payload)
     assert main(["action", "predict", "coffee", "--bundle", str(damaged)]) == 3
     assert capsys.readouterr().err == f"error: {damaged}: bundle.visual must be an object\n"
 
@@ -367,11 +367,11 @@ def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
     pairs.write_text("coffee\t42\n", encoding="utf-8")
     out = tmp_path / "actions.json"
     assert main(["action", "train", "--pairs", str(pairs), "--out", str(out), "--iterations", "1"]) == 0
-    raw = json.loads(out.read_text(encoding="utf-8"))
-    hidden = raw["action"]["weights_ho"]["shape"][0]
+    raw, payload = _read_document(out)
+    hidden, actions = raw["action"]["weights_ho"]["shape"]
     raw["action"]["action_vocab"] = []  # argmax over no actions would crash predict
-    raw["action"]["weights_ho"] = {"shape": [hidden, 0], "base64": ""}
-    out.write_text(json.dumps(raw), encoding="utf-8")
+    raw["action"]["weights_ho"] = {"shape": [hidden, 0]}
+    _write_document(out, raw, payload[: -8 * hidden * actions])  # weights_ho's entries end it
     capsys.readouterr()
     assert main(["action", "predict", "coffee", "--bundle", str(out)]) == 3
     message = f"error: {out}: bundle.action: scene and action vocabularies cannot be empty\n"
@@ -383,9 +383,9 @@ def test_an_action_net_with_a_repeated_action_exits_three(tmp_path, capsys):
     pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")
     out = tmp_path / "actions.json"
     assert main(["action", "train", "--pairs", str(pairs), "--out", str(out), "--iterations", "1"]) == 0
-    raw = json.loads(out.read_text(encoding="utf-8"))
+    raw, payload = _read_document(out)
     raw["action"]["action_vocab"] = ["42", "42"]  # gym would predict coffee's action
-    out.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(out, raw, payload)
     capsys.readouterr()
     assert main(["action", "predict", "gym", "--bundle", str(out)]) == 3
     message = f"error: {out}: bundle.action: vocabulary ['42', '42'] repeats an entry\n"
@@ -403,7 +403,7 @@ DAMAGED_FILES = {
         ["train", "--out", "{out}", "--modality", "visual", "--scene", "a", "{file}"],
     ),
     "bundle": (
-        b'{"format_version": 5}',  # the format before this build's
+        b'{"format_version": 6}',  # the format before this build's: all JSON, no NUL byte
         ["predict", "--modality", "visual", "--bundle", "{file}", "x.ppm"],
     ),
     "event-script": (
@@ -553,7 +553,7 @@ REFUSALS = {
     "BadVersion": (
         3,
         lambda tmp: load_bundle(_written(tmp, '{"format_version": 2}')),
-        "bundle.json: this build reads only format_version 6, not 2",
+        "bundle.json: this build reads only format_version 7, not 2",
     ),
     "ClipTooShort": (
         3,

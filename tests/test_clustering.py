@@ -1,5 +1,6 @@
 """Clustering engine: worked cases, optimality, determinism, confidence."""
 
+import math
 import re
 import tracemalloc
 
@@ -468,6 +469,13 @@ def test_predict_validates_dimensions():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(UsageError):
             predict(centroids, (bad, 0.0))
+
+
+def test_predict_takes_finite_points_too_far_apart_for_a_float_as_infinitely_far():
+    # the squared difference overflows; warnings are errors in this suite, so none is raised
+    centroids = np.array([[1e154, 0.0], [0.0, 0.0]])
+    assert predict(centroids, (-1e154, 0.0)) == (1, 1e154)
+    assert predict(centroids[:1], (-1e154, 0.0)) == (0, math.inf)
 
 
 def test_confidence_anchor_points():

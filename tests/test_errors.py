@@ -11,7 +11,7 @@ import pytest
 from scenefuse import cli
 from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
-from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence
+from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence, predict
 from scenefuse.errors import UsageError, check_array_size, check_int, check_positive, check_range
 from scenefuse.fusion import FusionConfig
 from scenefuse.persistence import ScriptEvent
@@ -145,6 +145,29 @@ RANGE_SITES = {
         MAX,
     ),
 }
+
+
+# call site: (a call with the value in question, the values it refuses, its refusal)
+ARRAY_SITES = {
+    "train_classifier.matrix": (
+        lambda v: train_classifier(["a"], v),
+        [None, [[0.0, 1.0]], np.float64(0.0), np.zeros(2), np.zeros((1, 1, 2))],
+        "matrix must be an (n, d) NumPy array of feature rows",
+    ),
+    "predict.centroids": (
+        lambda v: predict(v, [0.0]),
+        [None, [[0.0]], np.zeros(1), np.zeros((0, 1)), np.zeros((1, 1), int), np.zeros((1, 1, 1))],
+        "centroids must be a (k, d) float64 NumPy array with k >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_array_argument_must_be_a_numpy_array_of_its_shape(site):
+    call, refused, refusal = ARRAY_SITES[site]
+    for value in refused:
+        with pytest.raises(UsageError, match=f"^{re.escape(refusal)}$"):
+            call(value)
 
 
 @pytest.mark.parametrize("site", INT_SITES)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scenefuse.audio_pipeline import AudioClip, decode_wav, encode_wav
-from scenefuse.errors import SceneFuseError
+from scenefuse.errors import InputError, SceneFuseError
 from scenefuse.persistence import (
     MODALITIES,
     load_bundle,
@@ -21,8 +21,15 @@ from scenefuse.persistence import (
 )
 from scenefuse.scene_model import classify
 from scenefuse.vision_pipeline import Image, decode_ppm, encode_ppm
-from test_errors import FLOAT_SITES, INT_SITES, RANGE_SITES
-from test_persistence import _edit_array, _full_bundle
+from test_errors import ARRAY_SITES, FLOAT_SITES, INT_SITES, RANGE_SITES
+from test_persistence import (
+    _edit_array,
+    _full_bundle,
+    _packed,
+    _read_document,
+    _unpacked,
+    _write_document,
+)
 
 FUZZ = settings(
     max_examples=150,
@@ -81,7 +88,8 @@ NUMBER_LIKE = st.recursive(
     max_leaves=3,
 )
 
-SITES = {**INT_SITES, **FLOAT_SITES, **RANGE_SITES}  # each entry starts with its call
+# each entry starts with its call
+SITES = {**INT_SITES, **FLOAT_SITES, **RANGE_SITES, **ARRAY_SITES}
 
 VALID_WAV = encode_wav(AudioClip(samples=np.linspace(-0.5, 0.5, 12), sample_rate_hz=8000))
 VALID_PPM = encode_ppm(Image(width=3, height=2, pixels=np.arange(18, dtype=np.uint8).reshape(6, 3)))
@@ -108,12 +116,12 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@pytest.fixture(scope="module", params=["v6"])  # one id per format version this build reads
+@pytest.fixture(scope="module", params=["v7"])  # one id per format version this build reads
 def document(tmp_path_factory):
-    """A valid bundle document, as this build saves it."""
+    """The header and payload of a valid bundle, as this build saves it."""
     path = tmp_path_factory.mktemp("fuzz") / "valid.json"
     save_bundle(_full_bundle(), path)
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_document(path)
 
 
 def _returns_or_refuses(call, arg):
@@ -138,7 +146,8 @@ def _usable_or_refused(path):
 @FUZZ
 @given(data=st.data(), value=JSON_VALUES, delete=st.booleans())
 def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_path, data, value, delete):
-    raw = json.loads(json.dumps(document))
+    header, payload = document
+    raw = json.loads(json.dumps(header))
     *parents, key = data.draw(st.sampled_from(sorted(_paths(raw), key=repr)))
     holder = raw
     for step in parents:
@@ -148,7 +157,7 @@ def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_p
     else:
         holder[key] = value
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(path, raw, payload)
     _usable_or_refused(path)
 
 
@@ -162,7 +171,8 @@ def test_one_changed_bundle_node_loads_or_raises_scenefuse_error(document, tmp_p
 def test_reshaped_classifier_loads_usable_or_raises_scenefuse_error(
     document, tmp_path, slot, width, label, name
 ):
-    raw = json.loads(json.dumps(document))
+    header, payload = document
+    raw = _unpacked(json.loads(json.dumps(header)), payload)
 
     def resized(centroids):  # cut to `width` entries a row, or padded with zeros
         return np.pad(centroids, ((0, 0), (0, width)))[:, :width]
@@ -170,7 +180,31 @@ def test_reshaped_classifier_loads_usable_or_raises_scenefuse_error(
     _edit_array(raw[slot], "centroids", resized)
     raw[slot]["cluster_names"][label] = name
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(path, raw, _packed(raw))
+    _usable_or_refused(path)
+
+
+# the bytes of a float64 entry that no classifier or net may hold, and of two that any may
+ENTRIES = [np.array(value, "<f8").tobytes() for value in (np.nan, np.inf, -np.inf, 0.0, -1e308)]
+
+
+@FUZZ
+@given(data=st.data(), edit=st.sampled_from(["truncate", "extend", "overwrite"]))
+def test_a_damaged_payload_loads_usable_or_raises_scenefuse_error(document, tmp_path, data, edit):
+    header, payload = document
+    entry = st.integers(0, len(payload) // 8).map(lambda i: 8 * i)
+    at = data.draw(st.integers(0, len(payload)) | entry)  # any byte, or an entry's first
+    patch = data.draw(st.sampled_from(ENTRIES) | st.binary(min_size=1, max_size=16))
+    damaged = {
+        "truncate": payload[:at],
+        "extend": payload[:at] + patch + payload[at:],
+        "overwrite": (payload[:at] + patch + payload[at + len(patch) :])[: len(payload)],
+    }[edit]
+    path = tmp_path / "bundle.json"
+    _write_document(path, header, damaged)
+    if len(damaged) != len(payload):  # every byte belongs to one array: no other length loads
+        with pytest.raises(InputError):
+            load_bundle(path)
     _usable_or_refused(path)
 
 

@@ -1,9 +1,9 @@
 """Bundle serialization and event-script parsing."""
 
 import ast
-import base64
 import errno
 import json
+import math
 import re
 import sys
 from dataclasses import fields, replace
@@ -53,21 +53,65 @@ def _full_bundle():
     )
 
 
-def _array(node) -> np.ndarray:
-    """The array a bundle's array node holds, as a writeable copy."""
-    data = base64.b64decode(node["base64"])
-    return np.frombuffer(data, "<f8").reshape(node["shape"]).copy()
+# where a full bundle's array nodes are, in the order the payload holds their entries
+ARRAY_NODES = (
+    ("acoustic", "centroids"),
+    ("visual", "centroids"),
+    ("action", "weights_ih"),
+    ("action", "weights_ho"),
+)
+
+
+def _read_document(path):
+    """The parsed JSON header of a bundle file, and the payload after its NUL byte."""
+    header, _, payload = Path(path).read_bytes().partition(b"\0")
+    return json.loads(header), payload
+
+
+def _write_document(path, raw, payload):
+    """Write a bundle file of the header `raw`, a NUL byte and `payload`."""
+    Path(path).write_bytes(json.dumps(raw).encode("utf-8") + b"\0" + payload)
+
+
+def _array_nodes(raw):
+    """Each object at a place of `ARRAY_NODES` in `raw`, in payload order."""
+    for slot, key in ARRAY_NODES:
+        holder = raw.get(slot)
+        node = holder.get(key) if isinstance(holder, dict) else None
+        if isinstance(node, dict):
+            yield node
+
+
+def _unpacked(raw, payload):
+    """`raw` with the array of each array node, read from `payload`, under `entries`."""
+    for node in _array_nodes(raw):
+        size = 8 * math.prod(node["shape"])
+        node["entries"] = np.frombuffer(payload[:size], "<f8").reshape(node["shape"]).copy()
+        payload = payload[size:]
+    return raw
+
+
+def _packed(raw):
+    """The payload of the `entries` in `raw`'s array nodes, each taken out of its node."""
+    nodes = [node for node in _array_nodes(raw) if "entries" in node]
+    return b"".join(np.asarray(node.pop("entries"), "<f8").tobytes() for node in nodes)
+
+
+def _rewrite(path, mutate):
+    """Apply `mutate` to the header of the bundle file at `path`, each array in its node."""
+    raw = _unpacked(*_read_document(path))
+    mutate(raw)
+    _write_document(path, raw, _packed(raw))
 
 
 def _node(array) -> dict:
-    """The array node a bundle holds for `array`: its shape and its little-endian float64 bytes."""
-    data = np.asarray(array, "<f8").tobytes()
-    return {"shape": list(np.shape(array)), "base64": base64.b64encode(data).decode("ascii")}
+    """The array node of `array` as `_unpacked` shows it: its shape, its entries beside it."""
+    return {"shape": list(np.shape(array)), "entries": np.asarray(array, np.float64)}
 
 
 def _edit_array(holder, key, edit):
     """Replace the array node `holder[key]` with the node of `edit` of its array."""
-    holder[key] = _node(edit(_array(holder[key])))
+    holder[key] = _node(edit(holder[key]["entries"]))
 
 
 def _set_entry(holder, key, index, value):
@@ -107,12 +151,24 @@ def test_saved_file_is_stable_json(tmp_path):
     save_bundle(bundle, first)
     save_bundle(bundle, second)
     assert first.read_bytes() == second.read_bytes()
-    raw = json.loads(first.read_text(encoding="utf-8"))
-    assert raw["format_version"] == 6
+    header, nul, payload = first.read_bytes().partition(b"\0")
+    raw = json.loads(header)
+    # the header is sorted, indented JSON, so it stays editable by hand
+    assert nul and header.decode("utf-8") == json.dumps(raw, indent=2, sort_keys=True) + "\n"
+    assert raw["format_version"] == 7
     assert set(raw) == {"format_version", "acoustic", "visual", "action"}
     # a classifier is its centroids and their names: no model level, no inertia trace
     assert set(raw["acoustic"]) == {"centroids", "cluster_names", "seed", "scale"}
-    assert _node(bundle.acoustic.centroids) == raw["acoustic"]["centroids"]
+    assert raw["acoustic"]["centroids"] == {"shape": [2, 4]}
+    # the payload is every array's little-endian float64 entries, in field order
+    arrays = [
+        bundle.acoustic.centroids,
+        bundle.visual.centroids,
+        bundle.action.weights_ih,
+        bundle.action.weights_ho,
+    ]
+    assert len(payload) == 8 * sum(array.size for array in arrays)
+    assert payload == b"".join(array.astype("<f8").tobytes() for array in arrays)
 
 
 def test_classification_is_identical_after_reload(tmp_path):
@@ -140,15 +196,20 @@ def test_empty_sections_survive_round_trip(tmp_path):
 def test_unknown_version_is_refused(tmp_path, capsys):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(), path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    for version in (1, 2, 3, 4, 5, 7):  # 1 to 5 are older layouts this build no longer reads
+    raw, payload = _read_document(path)
+    for version in (1, 2, 3, 4, 5, 6, 8):  # 1 to 6 are older layouts this build no longer reads
         raw["format_version"] = version
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(InputError, match="reads only format_version 6"):
+        _write_document(path, raw, payload)
+        with pytest.raises(InputError, match="reads only format_version 7"):
             load_bundle(path)
         assert main(["predict", "--modality", "visual", "--bundle", str(path), "x.ppm"]) == 3
         err = capsys.readouterr().err
-        assert err == f"error: {path}: this build reads only format_version 6, not {version}\n"
+        assert err == f"error: {path}: this build reads only format_version 7, not {version}\n"
+    # a bundle of an older format is all JSON, with no NUL byte: its version refuses it
+    raw["format_version"] = 6
+    path.write_bytes(json.dumps(raw, indent=2, sort_keys=True).encode("utf-8") + b"\n")
+    with pytest.raises(InputError, match="^.*: this build reads only format_version 7, not 6$"):
+        load_bundle(path)
 
 
 def _with_unknown_keys(node):
@@ -165,9 +226,10 @@ def test_unknown_keys_are_ignored(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(_full_bundle(), path)
     saved = path.read_bytes()
-    extended = _with_unknown_keys(json.loads(saved))
+    raw, payload = _read_document(path)
+    extended = _with_unknown_keys(raw)
     assert extended["acoustic"]["centroids"]["unknown"] == [1, "two"]
-    path.write_text(json.dumps(extended), encoding="utf-8")
+    _write_document(path, extended, payload)
     save_bundle(load_bundle(path), path)
     assert path.read_bytes() == saved
 
@@ -339,15 +401,13 @@ def test_only_read_file_and_write_file_open_a_file():
         _centroid_width("visual", 0),
         # each refused by the reader's own check, before any constructor sees it
         lambda raw: raw.__setitem__("action", 5),
-        lambda raw: raw["acoustic"].__setitem__("centroids", ["shape", "base64"]),
+        lambda raw: raw["acoustic"].__setitem__("centroids", ["shape"]),
     ],
 )
 def test_structural_damage_raises_schema_error(tmp_path, mutate):
     path = tmp_path / "bundle.json"
     save_bundle(_full_bundle(), path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    mutate(raw)
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    _rewrite(path, mutate)
     # each check names the file, then the bundle or a field
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}: bundle"):
         load_bundle(path)
@@ -358,27 +418,39 @@ def test_a_whole_number_in_a_float_field_loads_as_that_float(tmp_path):
     # JSON has one number type; a whole number as large as the largest float still converts
     path = tmp_path / "bundle.json"
     save_bundle(_full_bundle(), path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw, payload = _read_document(path)
     raw["visual"]["scale"] = int(sys.float_info.max)
     raw["acoustic"]["scale"] = 1
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    _write_document(path, raw, payload)
     bundle = load_bundle(path)
     assert bundle.visual.scale == sys.float_info.max and type(bundle.visual.scale) is float
     assert bundle.acoustic.scale == 1.0 and type(bundle.acoustic.scale) is float
 
+def _header(mutate):
+    """A damage that applies `mutate` to the header, each array in its node (`_rewrite`)."""
+    return lambda path: _rewrite(path, mutate)
+
+
 def _centroids(edit):
     """A damage that applies `edit` to the acoustic centroid node."""
-    return lambda raw: edit(raw["acoustic"]["centroids"])
+    return _header(lambda raw: edit(raw["acoustic"]["centroids"]))
+
+
+def _file(edit):
+    """A damage that replaces the file's bytes with `edit` of them."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
 
 
 _CENTROIDS = "bundle.acoustic.centroids"
+# the full bundle's payload: 8 acoustic and 12 visual centroid entries, 16 weights each way
+_PAYLOAD_BYTES = 8 * (8 + 12 + 16 + 16)
 
 
 @pytest.mark.parametrize(
-    "mutate, message",
+    "damage, message",
     [
         pytest.param(
-            lambda raw: raw["acoustic"].__setitem__("centroids", [[0.0] * 4] * 2),
+            _header(lambda raw: raw["acoustic"].__setitem__("centroids", [[0.0] * 4] * 2)),
             f"{_CENTROIDS} must be an object",
             id="format-3-list",
         ),
@@ -388,34 +460,34 @@ _CENTROIDS = "bundle.acoustic.centroids"
             id="no-shape",
         ),
         pytest.param(
-            _centroids(lambda node: node.pop("base64")),
-            f"{_CENTROIDS} is missing 'base64'",
-            id="no-base64",
+            _file(lambda data: data.partition(b"\0")[0]),
+            "no NUL byte follows the JSON header",
+            id="no-nul-byte",
         ),
         pytest.param(
-            _centroids(lambda node: node.__setitem__("base64", "*" + node["base64"][1:])),
-            f"{_CENTROIDS}.base64 is not base64: ",  # the detail differs between Pythons
-            id="bad-base64-character",
+            _file(lambda data: data[: data.index(b"\0") - 2]),
+            "not valid JSON: ",  # the detail is the JSON parser's
+            id="header-cut-before-the-nul",
         ),
         pytest.param(
-            _centroids(lambda node: node.__setitem__("base64", node["base64"][:-1])),
-            f"{_CENTROIDS}.base64 is not base64: ",
-            id="bad-base64-padding",
-        ),
-        pytest.param(
-            _centroids(lambda node: node.__setitem__("base64", "\xe9" * 88)),
-            f"{_CENTROIDS}.base64 is not base64: string argument should contain only ASCII",
-            id="non-ascii-base64",
-        ),
-        pytest.param(
-            _centroids(lambda node: node.__setitem__("base64", _node(np.zeros(7))["base64"])),
-            rf"{_CENTROIDS} holds 56 bytes, not 8 per entry of shape \[2, 4\]",
+            _file(lambda data: data[:-8]),  # the last array, weights_ho, is (8, 2)
+            r"bundle.action.weights_ho.shape \[8, 2\] needs more than the 120 bytes left",
             id="one-entry-short",
         ),
         pytest.param(
-            _centroids(lambda node: node.__setitem__("base64", "A" * 80)),  # 60 zero bytes
-            rf"{_CENTROIDS} holds 60 bytes, not 8 per entry of shape \[2, 4\]",
-            id="not-whole-entries",
+            _file(lambda data: data + bytes(4)),
+            "bundle payload holds 4 bytes after its last array",
+            id="bytes-left-over",
+        ),
+        pytest.param(
+            _centroids(lambda node: node.__setitem__("shape", [2**20, 4])),
+            rf"{_CENTROIDS}.shape \[1048576, 4\] needs more than the {_PAYLOAD_BYTES} bytes left",
+            id="shape-larger-than-the-payload",
+        ),
+        pytest.param(  # a byte count of 8,001 digits, more than Python writes in decimal
+            _centroids(lambda node: node.__setitem__("shape", [10**4000, 10**4000])),
+            rf"{_CENTROIDS}.shape \[1000.*0\] needs more than the {_PAYLOAD_BYTES} bytes left",
+            id="shape-too-large-to-count",
         ),
         pytest.param(  # the product matches the bytes, so only the sign is wrong
             _centroids(lambda node: node.__setitem__("shape", [-2, -4])),
@@ -423,38 +495,36 @@ _CENTROIDS = "bundle.acoustic.centroids"
             id="negative-dimension",
         ),
         pytest.param(
-            _centroids(lambda node: node.update(shape=[0, 2**63], base64="")),
+            _centroids(lambda node: node.update(shape=[0, 2**63], entries=np.zeros(0))),
             rf"{_CENTROIDS}.shape \[0, 9223372036854775808\] is not one numpy can hold",
             id="no-entries-dimension-too-large",
         ),
         pytest.param(
-            _centroids(lambda node: node.update(shape=[1] * 65, base64=_node([0.0])["base64"])),
+            _centroids(lambda node: node.update(shape=[1] * 65, entries=np.zeros(1))),
             rf"{_CENTROIDS}.shape \[1, 1, .*\] is not one numpy can hold",
             id="too-many-dimensions",
         ),
         pytest.param(
-            lambda raw: _set_entry(raw["acoustic"], "centroids", (1, 3), np.nan),
+            _header(lambda raw: _set_entry(raw["acoustic"], "centroids", (1, 3), np.nan)),
             "bundle.acoustic: centroids must be finite",
             id="nan-bytes",
         ),
         pytest.param(
-            lambda raw: _set_entry(raw["visual"], "centroids", (0, 5), -np.inf),
+            _header(lambda raw: _set_entry(raw["visual"], "centroids", (0, 5), -np.inf)),
             "bundle.visual: centroids must be finite",
             id="inf-bytes",
         ),
         pytest.param(
-            lambda raw: _set_entry(raw["action"], "weights_ho", (0, 0), np.inf),
+            _header(lambda raw: _set_entry(raw["action"], "weights_ho", (0, 0), np.inf)),
             "bundle.action: weights must be finite",
             id="inf-weight-bytes",
         ),
     ],
 )
-def test_damaged_array_node_exits_three(tmp_path, capsys, mutate, message):
+def test_damaged_array_node_exits_three(tmp_path, capsys, damage, message):
     path = tmp_path / "bundle.json"
     save_bundle(_full_bundle(), path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    mutate(raw)
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    damage(path)
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}"):
         load_bundle(path)
     assert main(["predict", "--modality", "acoustic", "--bundle", str(path), "x.wav"]) == 3
@@ -472,7 +542,7 @@ def test_reload_and_save_writes_the_same_bytes(tmp_path):
     save_bundle(load_bundle(first), second)
     assert first.read_bytes() == second.read_bytes()
     # names are a list in label order, so label 10 follows label 9
-    names = json.loads(first.read_text(encoding="utf-8"))["visual"]["cluster_names"]
+    names = _read_document(first)[0]["visual"]["cluster_names"]
     assert names == list(bundle.visual.cluster_names)
     assert sorted(names) == [f"scene{i:02d}" for i in range(12)]
 
@@ -524,9 +594,8 @@ def test_truncated_json_raises_schema_error(tmp_path):
 def test_centroid_shape_is_checked(tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(ModelBundle(acoustic=_classifier()), path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["acoustic"]["centroids"] = _node([[1.0, 2.0]])  # one row for a k=2 classifier
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    one_row = _node([[1.0, 2.0]])  # one row for a k=2 classifier
+    _rewrite(path, lambda raw: raw["acoustic"].__setitem__("centroids", one_row))
     with pytest.raises(InputError, match="cluster_names must name each centroid row"):
         load_bundle(path)
 
