@@ -33,6 +33,24 @@ Clustering").  A restart that ends in a poor local minimum takes many
 iterations, which are cheap on a subsample; restarts on different
 subsamples do not share one subsample's pull toward the same poor minimum.
 
+In the column layout those restarts run side by side, as one (R, d, m)
+stack of their R = `_N_INIT` subsamples of m points each, because a photo
+fit's restarts cost NumPy calls more than arithmetic.  Every step is one
+call across the stack: the k-means++ draws (their uniforms drawn first, in
+the order one restart at a time draws them), each distance row, the k − 1
+label comparisons, and each column's sums, one `np.bincount` over all
+restarts and clusters.  A restart leaves the stack when its run closes, so
+later passes cost less, and one that leaves a cluster empty is repaired on
+its own.  The scratch is O(R·m·(d_varying + k)), one centroid's difference
+at a time as above, and never depends on n.  Each restart gives the bits
+it gives when run alone wherever its means are exact: a `np.bincount` sum
+adds in point order and `mean` in NumPy's pairwise order, and the two
+agree on integer coordinates, such as every pixel, whose sums are exact.
+Elsewhere a restart's means may differ in the last bits; only the
+winner's centroids leave the stack, to start the refinement run.  The row
+layout keeps one restart at a time: there a stack would hold R copies of
+d_varying >= m columns.
+
 Restarts that see every point (stride 1, as in every fit of at most
 `_SEED_POINTS` points) all cluster the same points, and in the row layout
 they share their distance rows.  A row
@@ -86,11 +104,22 @@ class KMeansParams:
         check_int(self.seed, 0, "seed")
 
 
-def _as_matrix(points) -> np.ndarray:
+def _real(values, refusal: str) -> np.ndarray:
+    """`values` as a float64 array, or UsageError(`refusal`: why) for anything but real numbers.
+
+    NumPy would cast a complex array by dropping each imaginary part, so a
+    complex one is refused before the cast.
+    """
     try:
-        matrix = np.asarray(points, dtype=np.float64)
-    except ValueError as exc:  # ragged rows, or text
-        raise UsageError(f"points must form one (n, d) matrix: {exc}") from exc
+        if np.asarray(values).dtype.kind != "c":
+            return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, text, an int past any float
+        raise UsageError(f"{refusal}: {exc}") from exc
+    raise UsageError(f"{refusal}: got complex values")
+
+
+def _as_matrix(points) -> np.ndarray:
+    matrix = _real(points, "points must form one (n, d) matrix")
     if matrix.size == 0:
         raise UsageError("no points at all")
     if matrix.ndim != 2:
@@ -101,30 +130,35 @@ def _as_matrix(points) -> np.ndarray:
 
 
 def _sq_distances(points: np.ndarray, axis: int, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every centroid to every point, as (k, n).
+    """Squared Euclidean distance from every centroid to every point, as (..., k, n).
 
-    `points` holds one point per index of `axis`: (n, d) rows for 0, (d, n)
-    columns for 1.  `centroids` is (k, d).  One centroid at a time, so the
-    scratch is a single difference the size of `points`; each sum is
-    `np.add.reduce` over the dimension axis.
+    `points` holds one point per index of `axis` of its last two axes: (n, d)
+    rows for 0, (d, n) columns for 1.  `centroids` is (k, d).  A leading
+    axis, on `points` and `centroids` alike, stacks that many independent
+    sets.  One centroid at a time, so the scratch is a single difference
+    the size of `points`; each sum is `np.add.reduce` over the dimension axis.
     """
-    sq = np.empty((centroids.shape[0], points.shape[axis]), dtype=np.float64)
+    sq = np.empty(centroids.shape[:-1] + (points.shape[axis - 2],), dtype=np.float64)
     diff = np.empty(points.shape, dtype=np.float64)
-    for j, centroid in enumerate(np.expand_dims(centroids, axis + 1)):
-        np.subtract(points, centroid, out=diff)
+    shaped = np.expand_dims(centroids, axis - 2)  # each centroid as a (d, 1) column or (1, d) row
+    for j in range(centroids.shape[-2]):
+        np.subtract(points, shaped[..., j, :, :], out=diff)
         np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=1 - axis, out=sq[j])
+        np.add.reduce(diff, axis=-1 - axis, out=sq[..., j, :])
     return sq
 
 
 def _nearest(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, own squared distance) per point of the (k, n) `sq`, ties to the lowest index."""
-    labels = np.zeros(sq.shape[1], dtype=np.intp)
-    own = sq[0].copy()
-    for j in range(1, sq.shape[0]):
-        closer = sq[j] < own
+    """(labels, own squared distance) per point of the (..., k, n) `sq`.
+
+    Ties go to the lowest label.
+    """
+    labels = np.zeros(sq.shape[:-2] + sq.shape[-1:], dtype=np.intp)
+    own = sq[..., 0, :].copy()
+    for j in range(1, sq.shape[-2]):
+        closer = sq[..., j, :] < own
         labels[closer] = j
-        np.minimum(own, sq[j], out=own)
+        np.minimum(own, sq[..., j, :], out=own)
     return labels, own
 
 
@@ -276,6 +310,84 @@ def _lloyd_run(
     return centroids, float(own.sum()), labels, sq
 
 
+def _stacked_restarts(
+    stack: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each restart's centroids and inertia, restart i clustering plane i of the (R, d, m) `stack`.
+
+    Each plane runs as `_init_pp` and `_lloyd_run` run it, bit for bit
+    wherever its means are exact, as they are on integer coordinates.  The
+    k-means++ uniforms are drawn first, in the order `_init_pp` draws them;
+    each inverse-CDF step counts the cumulative sums at or below its draw,
+    which is where `searchsorted` (side "right") puts it; each mean is a
+    `np.bincount` sum in point order over the member count.  A plane leaves
+    the stack when its run closes, as `_lloyd_run` closes it, so later
+    passes cost less.  Returns the (R, k, d) centroids and (R,) inertias.
+    """
+    restarts, d, m = stack.shape
+    live = np.arange(restarts)  # the restart each plane holds
+
+    idx = np.empty(restarts, dtype=np.intp)
+    uniforms = np.empty((restarts, k - 1), dtype=np.float64)
+    for i in range(restarts):
+        idx[i] = rng.integers(m)
+        uniforms[i] = rng.random(k - 1)
+    centroids = np.empty((restarts, k, d), dtype=np.float64)
+    sq = np.empty((restarts, k, m), dtype=np.float64)
+    for j in range(k):
+        if j:
+            draws = uniforms[:, j - 1] * closest.sum(axis=1)
+            below = np.cumsum(closest, axis=1) <= draws[:, None]
+            idx = np.minimum(np.count_nonzero(below, axis=1), m - 1)
+        centroids[:, j] = stack[live, :, idx]
+        sq[:, j : j + 1] = _sq_distances(stack, 1, centroids[:, j : j + 1])
+        closest = sq[:, 0] if j == 0 else np.minimum(closest, sq[:, j])
+
+    inertias = np.empty(restarts, dtype=np.float64)
+    results = np.empty((restarts, k, d), dtype=np.float64)
+    closing = np.zeros(restarts, dtype=bool)  # planes whose next assignment closes their run
+    for passes in range(_MAX_ITERS + 1):
+        labels, own = _nearest(sq)
+        totals = own.sum(axis=1)
+        if passes == _MAX_ITERS:
+            closing[:] = True
+        if closing.any():
+            # Lloyd's closing assignment against the final centroids, not repaired
+            inertias[live[closing]] = totals[closing]
+            results[live[closing]] = centroids[closing]
+            stack, centroids, labels, own, totals, live = (
+                a[~closing] for a in (stack, centroids, labels, own, totals, live)
+            )
+            if not live.size:
+                break
+
+        bins = labels + k * np.arange(live.size)[:, None]  # each point's (plane, cluster)
+        counts = np.bincount(bins.ravel(), minlength=live.size * k).reshape(-1, k)
+        repaired = (counts == 0).any(axis=1)
+        for i in np.flatnonzero(repaired):
+            _repair_empties(stack[i], 1, centroids[i], labels[i], own[i])
+            bins[i] = labels[i] + k * i
+            counts[i] = np.bincount(labels[i], minlength=k)
+        updated = np.empty_like(centroids)
+        for c in range(d):
+            sums = np.bincount(bins.ravel(), weights=stack[:, c].ravel(), minlength=live.size * k)
+            updated[:, :, c] = sums.reshape(-1, k) / counts
+        shift = np.max(np.abs(updated - centroids), axis=(1, 2), initial=0.0)
+        centroids = updated
+        # a pass that moved and repaired nothing already is its run's closing assignment
+        done = (shift == 0.0) & ~repaired
+        if done.any():
+            inertias[live[done]] = totals[done]
+            results[live[done]] = centroids[done]
+            stack, centroids, shift, live = (a[~done] for a in (stack, centroids, shift, live))
+            if not live.size:
+                break
+        sq = _sq_distances(stack, 1, centroids)
+        closing = shift <= _TOL
+
+    return results, inertias
+
+
 def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
@@ -285,7 +397,13 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     so every restart's inertia sums over as many points.  The lowest
     inertia wins, earliest run on a tie.  With stride 1 every restart sees
     all points and the winner is the result.  Otherwise one more Lloyd run
-    on all points, started from the winner's centroids, is the result.
+    on all points, started from the winner's centroids, is the result, and
+    in the column layout the restarts run as one stack of their
+    subsamples, each step one NumPy call across them, with O(`_N_INIT` ·
+    `_SEED_POINTS` · (d_varying + k)) scratch whatever n is.  Each stacked
+    restart gives the bits it gives alone when its means are exact, as on
+    integer coordinates such as pixels: the stack adds each cluster's sum
+    in point order and a restart alone in NumPy's pairwise order.
 
     Returns `(centroids, labels, sq, inertia)`: the resulting run's (k, d)
     centroids, the closing assignment it was scored on, with `sq` the
@@ -303,10 +421,11 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     They equal `assign(points, centroids)` up to summation order,
     and bit for bit when at most two columns vary.  When no column varies,
     every centroid is the shared point itself and the inertia is 0.
-    Scratch memory is O(n·(d_varying + k)) on top of that copy.  The
-    distance work of a run is k single-centroid rows at the k-means++
-    draws, which the first assignment reuses, plus one (k, n) pass per
-    update that moved a centroid or followed a repair.  A refinement run
+    Scratch memory is O(n·(d_varying + k)) on top of that copy, or the
+    stack's bound if larger.  The distance work of a run is k
+    single-centroid rows at the k-means++ draws, which the first
+    assignment reuses, plus one (k, n) pass per update that moved a
+    centroid or followed a repair.  A refinement run
     starts with one (k, n) pass.  When the restarts share all points
     (stride 1) in the row layout, they share one memo of distance rows
     instead, keyed by the member set whose mean each centroid is (a draw's
@@ -320,8 +439,10 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     moved more than `_TOL` (infinity norm) in one update.
 
     Raises UsageError for no points or fewer points than clusters, points
-    of mixed lengths or not one (n, d) matrix, a NaN or infinite coordinate,
-    or points so large that a returned centroid or the inertia overflows.
+    of mixed lengths or not one (n, d) matrix, a coordinate that is not a
+    real number (complex, text, an int past any float), a NaN or infinite
+    coordinate, or points so large that a returned centroid or the inertia
+    overflows.
     """
     matrix = _as_matrix(points)
     n = matrix.shape[0]
@@ -337,27 +458,34 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     # restart i sees every stride-th point from offset i % stride, a view of
     # n // stride points, at least k; restarts on different subsamples miss a
-    # basin independently.  Each k-means++ start goes straight into its run,
-    # so no frame here holds it
+    # basin independently
     stride = min(-(-n // _SEED_POINTS), n // params.k)
     span = n // stride * stride
-    samples = (
+    samples = [
         work[:, i % stride : span : stride] if axis else work[i % stride : span : stride]
         for i in range(_N_INIT)
-    )
-    # with stride 1 every restart clusters the same points, so a member set's
-    # distance row, once computed, serves every later restart that needs it.
-    # Only in the row layout, where a row's d_varying >= n columns cost more
-    # than its n-byte key: in the column layout keys cost more than they save
-    memo = {} if stride == 1 and axis == 0 else None
+    ]
     rng = np.random.default_rng(params.seed)
-    runs = (_lloyd_run(s, axis, _init_pp(s, axis, params.k, rng, memo), memo) for s in samples)
-    centroids, inertia, labels, sq = min(runs, key=lambda run: run[1])  # earliest on a tie
-    if stride > 1:
-        # one Lloyd run on every point refines the winner
-        centroids, inertia, labels, sq = _lloyd_run(
-            work, axis, (centroids, _sq_distances(work, axis, centroids)), None
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if it ends non-finite
+        if stride > 1 and axis:
+            runs = zip(*_stacked_restarts(np.stack(samples), params.k, rng))
+        else:
+            # with stride 1 every restart clusters the same points, so a member
+            # set's distance row, once computed, serves every later restart that
+            # needs it.  Only in the row layout, where a row's d_varying >= n
+            # columns cost more than its n-byte key: in the column layout keys
+            # cost more than they save.  Each k-means++ start goes straight into
+            # its run, so no frame here holds it
+            memo = {} if stride == 1 and axis == 0 else None
+            runs = (
+                _lloyd_run(s, axis, _init_pp(s, axis, params.k, rng, memo), memo) for s in samples
+            )
+        winner = min(runs, key=lambda run: run[1])  # earliest on a tie
+        if stride > 1:
+            # one Lloyd run on every point refines the winner
+            start = winner[0]
+            winner = _lloyd_run(work, axis, (start, _sq_distances(work, axis, start)), None)
+    centroids, inertia, labels, sq = winner
 
     # the shared value is each constant column's exact mean
     full = np.repeat(matrix[:1], params.k, axis=0)
@@ -373,7 +501,8 @@ def predict(centroids: np.ndarray, point) -> tuple[int, float]:
     Ties go to the lowest label; finite vectors too far apart for a float
     distance are an infinite distance apart.  Raises UsageError for
     centroids that are not a float64 NumPy array of k >= 1 rows, and for
-    anything but a 1-D point of d entries, or a NaN or infinite coordinate.
+    anything but a 1-D point of d real numbers, or a NaN or infinite
+    coordinate.
     """
     if not (
         isinstance(centroids, np.ndarray)
@@ -382,7 +511,7 @@ def predict(centroids: np.ndarray, point) -> tuple[int, float]:
         and len(centroids)
     ):
         raise UsageError("centroids must be a (k, d) float64 NumPy array with k >= 1")
-    vec = np.asarray(point, dtype=np.float64)
+    vec = _real(point, "point must be a vector of real numbers")
     if vec.shape != centroids.shape[1:]:
         raise UsageError(f"point has shape {vec.shape}, model expects {centroids.shape[1:]}")
     if not np.isfinite(vec).all():

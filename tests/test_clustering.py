@@ -136,7 +136,7 @@ def _spy_on_rows(monkeypatch) -> tuple[list[bytes], list[bytes]]:
     computed, used = [], []
 
     def distances(points, axis, centroids, *rest):
-        computed.extend(centroid.tobytes() for centroid in centroids)
+        computed.extend(row.tobytes() for row in centroids.reshape(-1, centroids.shape[-1]))
         return real_distances(points, axis, centroids, *rest)
 
     def rows(points, axis, centroids, *rest):
@@ -193,6 +193,11 @@ def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
     # update moves no centroid, so the first assignment closes the run
     fit([[0.0], [0.0], [10.0], [10.0]], KMeansParams(k=2))
     assert len(computed) == 2 * clustering._N_INIT
+    # and so in a stack of restarts, after which the refinement's first pass
+    # is its last
+    computed.clear()
+    fit([[0.0], [0.0], [10.0], [10.0]] * 300, KMeansParams(k=2))
+    assert len(computed) == 2 * clustering._N_INIT + 2
     # the row layout: every run draws both points, so their two rows, one
     # per distinct draw, serve all ten runs, and no run makes a (k, n) pass
     computed.clear()
@@ -235,71 +240,186 @@ def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
     assert np.array_equal(sq, assign(points, centroids)[1])
 
 
-def _spy_on_runs(monkeypatch) -> list[int]:
-    """The point count of each Lloyd run `fit` makes from now on, in order."""
+def _spy_on_runs(monkeypatch) -> list[np.ndarray]:
+    """The points of each Lloyd run `fit` makes from now on, in order, as (n, d) rows."""
     real = clustering._lloyd_run
     seen = []
 
     def spy(points, axis, start, *rest):
-        seen.append(points.shape[axis])
+        seen.append(points.T if axis else points)
         return real(points, axis, start, *rest)
 
     monkeypatch.setattr(clustering, "_lloyd_run", spy)
     return seen
 
 
-def _spy_on_first_points(monkeypatch) -> list[np.ndarray]:
-    """The first point of each Lloyd run `fit` makes from now on, in order."""
-    real = clustering._lloyd_run
-    firsts = []
+def _spy_on_stacks(monkeypatch) -> list[np.ndarray]:
+    """The (R, d, m) stack of restart subsamples of each stacked fit from now on, in order."""
+    real = clustering._stacked_restarts
+    stacks = []
 
-    def spy(points, axis, start, *rest):
-        firsts.append(np.take(points, 0, axis))
-        return real(points, axis, start, *rest)
+    def spy(stack, *rest):
+        stacks.append(stack)
+        return real(stack, *rest)
 
-    monkeypatch.setattr(clustering, "_lloyd_run", spy)
-    return firsts
+    monkeypatch.setattr(clustering, "_stacked_restarts", spy)
+    return stacks
 
 
 def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch):
-    seen = _spy_on_runs(monkeypatch)
+    runs, stacks = _spy_on_runs(monkeypatch), _spy_on_stacks(monkeypatch)
     limit = clustering._SEED_POINTS
     rng = np.random.default_rng(5)
-    # (n, d): the column layout at and just past the limit and well past
-    # it, and the row layout (d >= n) past it
-    for n, d in ((limit, 3), (limit + 1, 3), (4 * limit + 7, 3), (limit + 1, limit + 1)):
-        seen.clear()
+    # (n, d): the column layout just past the limit and well past it, whose
+    # restarts run as one stack, then at the limit, and the row layout
+    # (d >= n) past it, whose restarts each run on their own
+    for n, d in ((limit + 1, 3), (4 * limit + 7, 3), (limit, 3), (limit + 1, limit + 1)):
+        runs.clear()
+        stacks.clear()
         points = rng.standard_normal((n, d))
         centroids, labels, sq, inertia = fit(points, KMeansParams(k=3, seed=1))
         stride = -(-n // limit)
-        assert seen[: clustering._N_INIT] == [n // stride] * clustering._N_INIT
-        assert all(count <= limit for count in seen[: clustering._N_INIT])
-        assert seen[clustering._N_INIT :] == ([] if n <= limit else [n])
+        if stride > 1 and d < n:
+            assert len(stacks) == 1
+            assert stacks[0].shape == (clustering._N_INIT, d, n // stride)
+            assert [len(run) for run in runs] == [n]
+        else:
+            assert stacks == []
+            restarts = [len(run) for run in runs[: clustering._N_INIT]]
+            assert restarts == [n // stride] * clustering._N_INIT
+            assert [len(run) for run in runs[clustering._N_INIT :]] == ([] if n <= limit else [n])
+        assert n // stride <= limit
         # the returned partition and inertia are the last run's, on all points
         assert sq.shape == (n, 3) and np.array_equal(labels, sq.argmin(axis=1))
         assert inertia == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
 
 
 def test_the_restarts_see_at_least_k_points(monkeypatch):
-    seen = _spy_on_runs(monkeypatch)
+    runs, stacks = _spy_on_runs(monkeypatch), _spy_on_stacks(monkeypatch)
     monkeypatch.setattr(clustering, "_SEED_POINTS", 2)
     points = np.arange(14.0).reshape(7, 2)
     fit(points, KMeansParams(k=3))  # every 4th point would leave 1: every 2nd leaves 3
-    assert seen == [3] * clustering._N_INIT + [7]
-    seen.clear()
+    assert [stack.shape for stack in stacks] == [(clustering._N_INIT, 2, 3)]
+    assert [len(run) for run in runs] == [7]
+    runs.clear()
+    stacks.clear()
     fit(points, KMeansParams(k=5))  # no stride leaves 5 of 7 but 1, so no refinement
-    assert seen == [7] * clustering._N_INIT
+    assert stacks == []
+    assert [len(run) for run in runs] == [7] * clustering._N_INIT
 
 
 def test_each_restart_draws_from_its_own_offset(monkeypatch):
-    firsts = _spy_on_first_points(monkeypatch)
+    runs, stacks = _spy_on_runs(monkeypatch), _spy_on_stacks(monkeypatch)
     points = np.random.default_rng(3).standard_normal((4 * clustering._SEED_POINTS + 7, 3))
     fit(points, KMeansParams(k=3, seed=2))
-    # stride 5: restart i starts at point i % 5; the refinement at point 0
-    offsets = [i % 5 for i in range(clustering._N_INIT)] + [0]
-    assert len(firsts) == len(offsets)
-    for first, offset in zip(firsts, offsets):
-        assert np.array_equal(first, points[offset])
+    # stride 5: restart i sees every 5th point from point i % 5, 801 in all;
+    # the refinement sees every point
+    (stack,) = stacks
+    assert stack.shape == (clustering._N_INIT, 3, 801)
+    for i, plane in enumerate(stack):
+        assert np.array_equal(plane.T, points[i % 5 : 5 * 801 : 5])
+    assert len(runs) == 1 and np.array_equal(runs[0], points)
+
+
+def _pixel_stack(rng, m, colours, sigma):
+    """An (R, 3, m) stack of integer pixels, each plane drawn from `colours` plus rounded noise."""
+    picks = rng.integers(len(colours), size=(clustering._N_INIT, m))
+    noise = np.rint(rng.normal(0.0, sigma, (clustering._N_INIT, m, 3)))
+    pixels = np.asarray(colours, dtype=np.float64)[picks] + noise
+    return np.ascontiguousarray(pixels.swapaxes(1, 2))
+
+
+def _one_restart_at_a_time(stack, k, seed):
+    """Each plane's (centroids, inertia) from `_init_pp` and `_lloyd_run`, in restart order."""
+    rng = np.random.default_rng(seed)
+    return [
+        clustering._lloyd_run(plane, 1, clustering._init_pp(plane, 1, k, rng, None), None)[:2]
+        for plane in stack
+    ]
+
+
+def _assert_stack_runs_as_one_restart_at_a_time(stack, k, seed):
+    rng = np.random.default_rng(seed)
+    centroids, inertias = clustering._stacked_restarts(stack, k, rng)
+    expected = _one_restart_at_a_time(stack, k, seed)
+    assert centroids.shape == (clustering._N_INIT, k, stack.shape[1])
+    for i, (own_centroids, own_inertia) in enumerate(expected):
+        assert np.array_equal(centroids[i], own_centroids), i
+        assert inertias[i] == own_inertia, i
+
+
+def test_stacked_restarts_give_each_restarts_bits_on_integer_pixels(monkeypatch):
+    rng = np.random.default_rng(12)
+    palette = [(40, 60, 200), (210, 40, 40), (90, 200, 90), (128, 128, 128)]
+    stacked, repaired = [], []
+    real_nearest, real_repair = clustering._nearest, clustering._repair_empties
+
+    def nearest(sq):
+        stacked.append(sq.shape[:-2])  # the planes an assignment measures, () for one run
+        return real_nearest(sq)
+
+    def repair(points, *rest):
+        repaired.append(points.shape)
+        return real_repair(points, *rest)
+
+    monkeypatch.setattr(clustering, "_nearest", nearest)
+    monkeypatch.setattr(clustering, "_repair_empties", repair)
+    # noisy palettes: runs that close on an update that moved nothing, after
+    # different numbers of passes, so the stack shrinks as they close
+    for k, m, sigma, seed in ((3, 960, 8.0, 0), (4, 1000, 20.0, 1), (6, 500, 30.0, 2)):
+        stacked.clear()
+        _assert_stack_runs_as_one_restart_at_a_time(_pixel_stack(rng, m, palette, sigma), k, seed)
+        planes = [shape[0] for shape in stacked if shape]
+        assert planes[0] == clustering._N_INIT and planes[-1] < clustering._N_INIT
+    # a few colours, each repeated: k-means++ draws a colour twice, so a
+    # cluster is left empty and seizes a point, in the stack and in a run alone
+    repaired.clear()
+    _assert_stack_runs_as_one_restart_at_a_time(_pixel_stack(rng, 300, palette[:3], 0.0), 5, 3)
+    assert len(repaired) >= 2
+    # integers scaled by 2**-30 keep every sum exact, and no update moves a
+    # centroid further than the tolerance: each run closes after one more pass
+    tiny = _pixel_stack(rng, 400, palette, 10.0) * 2.0**-30
+    _assert_stack_runs_as_one_restart_at_a_time(tiny, 3, 4)
+    # with a tolerance of 1, small integer coordinates often move a centroid
+    # by exactly the tolerance, which closes the run too
+    with monkeypatch.context() as patch:
+        patch.setattr(clustering, "_TOL", 1.0)
+        for seed in range(4):
+            small = rng.integers(0, 7, (clustering._N_INIT, 2, 8)).astype(np.float64)
+            _assert_stack_runs_as_one_restart_at_a_time(small, 2, seed)
+    # the iteration cap: every run stops after at most none, one or two updates
+    for cap in (0, 1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_MAX_ITERS", cap)
+            stack = _pixel_stack(rng, 700, palette, 40.0)
+            _assert_stack_runs_as_one_restart_at_a_time(stack, 4, cap)
+
+
+def _squares_adding_up_to(total: int) -> list[float]:
+    """Powers of two whose squares, added left to right, are exactly `total` < 2**53."""
+    # 2**b is (2**(b // 2))**2 for an even b and twice that for an odd one
+    bits = [b for b in range(total.bit_length()) if total >> b & 1]
+    return [2.0 ** (b // 2) for b in bits for _ in range(1 + b % 2)]
+
+
+def test_a_draw_on_a_cumulative_sum_takes_the_next_point():
+    # restart 0 draws point 0 first, then u; its other two points weigh j = u * 2**53
+    # and 2**53 - j, every sum exact, so the draw u * 2**53 is the cumulative sum
+    # after point 1, and `searchsorted(side="right")` takes point 2
+    seed = next(s for s in range(100) if np.random.default_rng(s).integers(3) == 0)
+    rng = np.random.default_rng(seed)
+    rng.integers(3)
+    j = int(rng.random() * 2**53)
+    near, far = _squares_adding_up_to(j), _squares_adding_up_to(2**53 - j)
+    plane = np.zeros((len(near) + len(far), 3))
+    plane[: len(near), 1] = near
+    plane[len(near) :, 2] = far
+    stack = np.repeat(plane[None], clustering._N_INIT, axis=0)
+    centroids, inertias = clustering._stacked_restarts(stack, 2, np.random.default_rng(seed))
+    # point 1 joins point 0, not the drawn point 2
+    assert np.array_equal(centroids[0], [plane[:, 1] / 2, plane[:, 2]])
+    assert inertias[0] == j / 2
+    _assert_stack_runs_as_one_restart_at_a_time(stack, 2, seed)
 
 
 def _blob_instance(rng):
@@ -414,6 +534,38 @@ def test_fit_scratch_memory_shrinks_with_the_constant_columns():
     assert peak <= 1.2 * points.nbytes
 
 
+def test_stacked_restart_scratch_memory_does_not_grow_with_n(monkeypatch):
+    real = clustering._stacked_restarts
+    peaks = []
+
+    def measured(stack, *rest):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = real(stack, *rest)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return result
+
+    monkeypatch.setattr(clustering, "_stacked_restarts", measured)
+    rng = np.random.default_rng(8)
+    # a wide column-layout fit and a large-k one, each at two n with the same
+    # 1,000-point subsamples
+    for d, k, sizes in ((200, 4, (3_000, 9_000)), (3, 40, (20_000, 40_000))):
+        stack_bytes = clustering._N_INIT * d * clustering._SEED_POINTS * 8
+        sq_bytes = clustering._N_INIT * k * clustering._SEED_POINTS * 8
+        # a copy of the stack as restarts leave it, one difference of its size,
+        # and two (R, k, m) distance arrays; never an (R, k, d, m) array
+        bound = 2 * stack_bytes + 2 * sq_bytes + 512 * 1024
+        assert bound < k * stack_bytes
+        for n in sizes:
+            points = rng.permutation(_separated_blobs(n, d, k))  # every subsample meets every blob
+            tracemalloc.start()
+            try:
+                fit(points, KMeansParams(k=k, seed=1))
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] <= bound
+
+
 def test_predict_distance_is_the_square_root_of_assigns_entry():
     rng = np.random.default_rng(11)
     points = rng.uniform(0.0, 1.0, (12, 8192))
@@ -439,12 +591,20 @@ def test_fit_input_validation():
     with pytest.raises(UsageError, match=r"not shape \(3, 2, 2\)"):  # points that are matrices
         fit(np.zeros((3, 2, 2)), KMeansParams(k=1))
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(UsageError):  # NaN would become a centroid and the inertia
+        # NaN would become a centroid and the inertia
+        with pytest.raises(UsageError, match="^points must be finite, not NaN or inf$"):
             fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))
     # first the centroid overflows to inf; then only the inertia, as the mean of
-    # (1e200, 0) and (-1e200, 0) is (0, 0) but each point's square distance is 1e400
-    for points in ([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)], [(1e200, 0.0), (-1e200, 0.0)]):
-        with pytest.raises(UsageError, match="overflows"), np.errstate(all="ignore"):
+    # (1e200, 0) and (-1e200, 0) is (0, 0) but each point's square distance is
+    # 1e400; then the same in the column layout, past `_SEED_POINTS`, where the
+    # restarts run as one stack.  Warnings are errors in this suite, so an
+    # overflow warning on the way would fail the case
+    for points in (
+        [(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0)],
+        [(1e200, 0.0), (-1e200, 0.0)],
+        [(1e200, 0.0), (-1e200, 0.0)] * 600,
+    ):
+        with pytest.raises(UsageError, match="overflows"):
             fit(points, KMeansParams(k=1))
 
 
@@ -453,8 +613,7 @@ def test_a_fit_that_overflows_on_the_way_but_ends_finite_is_returned():
     # clamped draw repeats it, and the run's first assignment sums to inf.  It still
     # ends, as every restart here does, with every point on a centroid, and wins the tie
     points = [(-2e154, 0.0), (-2e154, 0.0), (3e154, 0.0)]
-    with np.errstate(all="ignore"):
-        centroids, labels, _, inertia = fit(points, KMeansParams(k=2, seed=0))
+    centroids, labels, _, inertia = fit(points, KMeansParams(k=2, seed=0))
     assert centroids.tolist() == [[3e154, 0.0], [-2e154, 0.0]]
     assert labels.tolist() == [1, 1, 0]
     assert inertia == 0.0

@@ -11,7 +11,7 @@ import pytest
 from scenefuse import cli
 from scenefuse.action_learning import ActionExample, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
-from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence, predict
+from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence, fit, predict
 from scenefuse.errors import UsageError, check_array_size, check_int, check_positive, check_range
 from scenefuse.fusion import FusionConfig
 from scenefuse.persistence import ScriptEvent
@@ -258,4 +258,26 @@ def test_a_count_too_large_for_a_numpy_array_is_refused_before_any_is_made():
     ):
         message = f"{name} must fit an array in {limit} bytes, got {count}"
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_complex_values_are_refused_not_cast():
+    # a cast to float64 would drop each imaginary part with only a ComplexWarning, and a
+    # complex number in a list would raise a builtin TypeError
+    matrix = re.escape("points must form one (n, d) matrix: ")
+    point = re.escape("point must be a vector of real numbers: ")
+    complex_values, too_large = "got complex values", "int too large to convert to float"
+    one, centroids = KMeansParams(k=1), np.zeros((1, 1))
+    for call, message in (
+        (lambda: fit([[1j], [2j]], one), matrix + complex_values),
+        (lambda: fit(np.array([[1.0], [2.0 + 0j]]), one), matrix + complex_values),
+        (lambda: train_classifier(["a", "b"], np.array([[1.0], [1j]])), matrix + complex_values),
+        (lambda: predict(centroids, [1j]), point + complex_values),
+        (lambda: predict(centroids, np.array([0j])), point + complex_values),
+        # a complex entry among other objects, and an int past any float: NumPy's reason
+        (lambda: fit([[1j, None]], one), matrix + r"float\(\) argument .*'complex'"),
+        (lambda: fit([[10**400]], one), matrix + too_large),
+        (lambda: predict(centroids, [10**400]), point + too_large),
+    ):
+        with pytest.raises(UsageError, match=f"^{message}$"):
             call()

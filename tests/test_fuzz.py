@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scenefuse.audio_pipeline import AudioClip, decode_wav, encode_wav
+from scenefuse.clustering import KMeansParams, fit, predict
 from scenefuse.errors import InputError, SceneFuseError
 from scenefuse.persistence import (
     MODALITIES,
@@ -240,3 +242,18 @@ def test_a_checked_parameter_gives_a_value_or_a_scenefuse_error(site, value):
     if site in FLOAT_SITES:
         assume(not (type(number) in (int, float) and 64 < number <= sys.float_info.max))
     _returns_or_refuses(SITES[site][0], number)
+
+
+# any number NumPy may meet as a coordinate: ints past every float, NaN and inf, and
+# complex numbers, whose cast to a float would drop the imaginary part
+ANY_NUMBER = st.integers() | st.floats() | st.complex_numbers()
+
+
+@FUZZ
+@given(
+    points=st.lists(st.lists(ANY_NUMBER, min_size=2, max_size=2), min_size=1, max_size=4)
+    | arrays(st.sampled_from(["i8", "f8", "c16"]), st.tuples(st.integers(1, 4), st.just(2)))
+)
+def test_any_numbers_fit_and_predict_or_raise_scenefuse_error(points):
+    _returns_or_refuses(lambda v: fit(v, KMeansParams(k=1)), points)
+    _returns_or_refuses(lambda v: predict(np.zeros((1, 2)), v), points[0])
