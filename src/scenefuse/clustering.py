@@ -17,13 +17,22 @@ others; an acoustic vector's frequency half is such a block.  That copy
 lays the points along its longer axis, so NumPy's inner loops run long:
 as columns of a (d, n) array when fewer columns vary than there are
 points (a photo's thousands of pixel triples), as rows of an (n, d) array
-otherwise.  The private helpers take that point axis and share one
+otherwise.  Rows whose columns all vary need no copy: the fit clusters
+the points themselves, as a C-contiguous float64 matrix, and no run
+writes to them.  The private helpers take that point axis and share one
 distance kernel, which subtracts one centroid at a time, squares in place
 and reduces over the dimension axis into row j of a (k, n) result, so a
-pass needs O(n·(d_varying + k)) scratch memory rather than an (n, k, d)
-temporary.  Labels come from k − 1 `<` comparisons down those rows.
-Points and query vectors must be finite: NaN or inf is refused with
-UsageError at the boundary.
+pass never holds an (n, k, d) temporary.  Columns subtract into one
+difference of their size.  Rows go through blocks of at most
+`_BLOCK_BYTES` (Lam, Rothberg & Wolf 1991, "The cache performance and
+optimizations of blocked algorithms"), each block's difference from every
+centroid in turn, so the scratch is one block that stays in cache
+whatever n is, and each point's sum is still one `np.add.reduce` over
+its own row.  Labels come from k − 1 `<` comparisons down the rows of
+that (k, n) result.  A row-layout update adds each cluster's member rows
+in place, in point order, as NumPy's `mean` of their copy would, so it
+copies no rows either.  Points and query vectors must be finite: NaN or
+inf is refused with UsageError at the boundary.
 
 A fit of more than `_SEED_POINTS` points runs its restarts on every
 stride-th point only, each restart from its own offset, and one more
@@ -79,6 +88,7 @@ _MAX_ITERS = 300  # Lloyd iterations per run, at most
 _TOL = 1e-6  # a run has converged once no centroid coordinate moves further
 _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
 _SEED_POINTS = 1000  # the restarts run on at most this many points of a fit
+_BLOCK_BYTES = 1 << 20  # the row layout's difference buffer: an L2-sized block of points
 DEFAULT_SCALE = 10000.0  # confidence divisor unless training is given another
 
 
@@ -135,16 +145,30 @@ def _sq_distances(points: np.ndarray, axis: int, centroids: np.ndarray) -> np.nd
     `points` holds one point per index of `axis` of its last two axes: (n, d)
     rows for 0, (d, n) columns for 1.  `centroids` is (k, d).  A leading
     axis, on `points` and `centroids` alike, stacks that many independent
-    sets.  One centroid at a time, so the scratch is a single difference
-    the size of `points`; each sum is `np.add.reduce` over the dimension axis.
+    sets of columns.  One centroid at a time, so no (n, k, d) temporary;
+    each sum is `np.add.reduce` over the dimension axis.  Columns subtract
+    into one difference the size of `points`.  Rows go through blocks of at
+    most `_BLOCK_BYTES` (one row, if a row is larger), so their scratch is
+    one block whatever n is.
     """
     sq = np.empty(centroids.shape[:-1] + (points.shape[axis - 2],), dtype=np.float64)
-    diff = np.empty(points.shape, dtype=np.float64)
-    shaped = np.expand_dims(centroids, axis - 2)  # each centroid as a (d, 1) column or (1, d) row
-    for j in range(centroids.shape[-2]):
-        np.subtract(points, shaped[..., j, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=-1 - axis, out=sq[..., j, :])
+    if axis:
+        diff = np.empty(points.shape, dtype=np.float64)
+        for j in range(centroids.shape[-2]):
+            np.subtract(points, centroids[..., j, :, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=-2, out=sq[..., j, :])
+        return sq
+    n, d = points.shape
+    rows = max(1, _BLOCK_BYTES // (8 * max(d, 1)))
+    diff = np.empty((min(rows, n), d), dtype=np.float64)
+    for start in range(0, n, rows):
+        block = points[start : start + rows]
+        part = diff[: len(block)]
+        for j, centroid in enumerate(centroids):
+            np.subtract(block, centroid, out=part)
+            np.multiply(part, part, out=part)
+            np.add.reduce(part, axis=1, out=sq[j, start : start + rows])
     return sq
 
 
@@ -170,7 +194,8 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     `np.add.reduce`, in NumPy's pairwise order (left to right below eight
     columns).  Returns the (n,) labels and the (n, k) squared distances they
     were chosen from, a transposed view of a (k, n) array.  A centroid may
-    own no point.  Scratch memory is O(n·(d + k)).
+    own no point.  Scratch memory is one block of at most `_BLOCK_BYTES`
+    (one row, if a row is larger) plus O(n·k), whatever d is.
     """
     sq = _sq_distances(points, 0, centroids)
     return _nearest(sq)[0], sq.T
@@ -206,6 +231,14 @@ def _sq_rows(
     return sq
 
 
+def _point(points: np.ndarray, axis: int, idx: int) -> np.ndarray:
+    """Point `idx` of `points` along `axis`, as a view.
+
+    Basic indexing: `np.take` would first copy a strided subsample whole.
+    """
+    return points[:, idx] if axis else points[idx]
+
+
 def _init_pp(
     points: np.ndarray,
     axis: int,
@@ -225,13 +258,13 @@ def _init_pp(
     chosen = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
     sq = np.empty((k, n), dtype=np.float64)
     idx = int(rng.integers(n))
-    chosen[0] = np.take(points, idx, axis)
+    chosen[0] = _point(points, axis, idx)
     sq[0] = _sq_rows(points, axis, chosen[0:1], (idx,), memo)[0]
     closest_sq = sq[0]
     for j in range(1, k):
         r = rng.random() * float(closest_sq.sum())
         idx = min(int(np.searchsorted(np.cumsum(closest_sq), r, side="right")), n - 1)
-        chosen[j] = np.take(points, idx, axis)
+        chosen[j] = _point(points, axis, idx)
         sq[j] = _sq_rows(points, axis, chosen[j : j + 1], (idx,), memo)[0]
         closest_sq = np.minimum(closest_sq, sq[j])
     return chosen, sq
@@ -262,7 +295,7 @@ def _repair_empties(
         counts[labels[victim]] -= 1
         labels[victim] = empty
         counts[empty] = 1
-        centroids[empty] = np.take(points, victim, axis)
+        centroids[empty] = _point(points, axis, victim)
         own[victim] = 0.0
     return empties.size > 0
 
@@ -291,8 +324,17 @@ def _lloyd_run(
 
         # the repair left every cluster at least one member, as n >= k
         updated = np.empty_like(centroids)
-        for c in range(centroids.shape[0]):
-            updated[c] = np.compress(labels == c, points, axis).mean(axis)
+        for c, mean in enumerate(updated):
+            if axis:
+                mean[:] = np.compress(labels == c, points, axis).mean(axis)
+            else:
+                # the `mean` of the member rows' copy, without the copy: NumPy
+                # sums an axis-0 reduction from the first row on, in point order
+                members = np.flatnonzero(labels == c)
+                mean[:] = points[members[0]]
+                for i in members[1:]:
+                    mean += points[i]
+                mean /= members.size
         shift = float(np.max(np.abs(updated - centroids), initial=0.0))  # none if no column varies
         centroids = updated
         if shift == 0.0 and not repaired:
@@ -411,28 +453,32 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     within-cluster sum of squares, as a float.
 
     Columns equal across all points are dropped once, before the first
-    run: every run clusters one contiguous copy of the varying columns
-    (all of them when every column varies), and each dropped column's
-    centroid entry is the points' shared value.  The copy holds the points
-    as columns, a (d_varying, n) array, when d_varying < n, and as rows
-    otherwise; every run keeps that layout.  So `sq` and every inertia are
-    sums over the varying columns: added left to right in the column
-    layout, in NumPy's pairwise order along each row in the row layout.
-    They equal `assign(points, centroids)` up to summation order,
+    run: every run clusters one contiguous copy of the varying columns,
+    and each dropped column's centroid entry is the points' shared value.
+    The copy holds the points as columns, a (d_varying, n) array, when
+    d_varying < n, and as rows otherwise; every run keeps that layout.
+    When every column varies and n <= d there is nothing to drop or
+    transpose: the runs cluster the points as given, copied only if they
+    are not already a C-contiguous float64 matrix.  So `sq` and every
+    inertia are sums over the varying columns: added left to right in the
+    column layout, in NumPy's pairwise order along each row in the row
+    layout.  They equal `assign(points, centroids)` up to summation order,
     and bit for bit when at most two columns vary.  When no column varies,
     every centroid is the shared point itself and the inertia is 0.
-    Scratch memory is O(n·(d_varying + k)) on top of that copy, or the
-    stack's bound if larger.  The distance work of a run is k
-    single-centroid rows at the k-means++ draws, which the first
-    assignment reuses, plus one (k, n) pass per update that moved a
-    centroid or followed a repair.  A refinement run
-    starts with one (k, n) pass.  When the restarts share all points
-    (stride 1) in the row layout, they share one memo of distance rows
-    instead, keyed by the member set whose mean each centroid is (a draw's
-    one point, an update's members): a row is computed once per distinct
-    draw and per distinct member set, and any later restart that needs it
-    copies it, bit for bit.  The memo keeps at most n rows, and n <=
-    d_varying there, so it never outgrows the copy.
+    Beyond the copy, if any, and the input checks' masks of one byte per
+    coordinate, the scratch memory is, in the row layout, one block of at
+    most `_BLOCK_BYTES`, O(k·(n + d)) and the memo below, never a copy of
+    the points; in the column layout O(n·(d_varying + k)), or the stack's
+    bound if larger.  The distance work of a run is k single-centroid rows
+    at the k-means++ draws, which the first assignment reuses, plus one
+    (k, n) pass per update that moved a centroid or followed a repair.  A
+    refinement run starts with one (k, n) pass.  When the restarts share
+    all points (stride 1) in the row layout, they share one memo of
+    distance rows instead, keyed by the member set whose mean each
+    centroid is (a draw's one point, an update's members): a row is
+    computed once per distinct draw and per distinct member set, and any
+    later restart that needs it copies it, bit for bit.  The memo keeps at
+    most n rows, and n <= d_varying there, so it never outgrows the points.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -454,7 +500,12 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # with the points along the longer axis
     varying = (matrix != matrix[0]).any(axis=0)
     axis = 1 if np.count_nonzero(varying) < n else 0
-    work = np.compress(varying, matrix.T if axis else matrix, axis=1 - axis)
+    if axis:
+        work = np.compress(varying, matrix.T, axis=0)
+    elif varying.all():
+        work = np.ascontiguousarray(matrix)  # no run writes to its points
+    else:
+        work = np.compress(varying, matrix, axis=1)
 
     # restart i sees every stride-th point from offset i % stride, a view of
     # n // stride points, at least k; restarts on different subsamples miss a

@@ -511,9 +511,33 @@ def test_assign_scratch_memory_stays_within_one_points_matrix():
     finally:
         tracemalloc.stop()
     assert labels.shape == (64,) and sq.shape == (64, 16)
-    # one (n, d) difference plus the results, never an (n, k, d) array; the
-    # 16 KiB cover array headers and the nearest distance and mask, (n,) each
-    assert peak <= points.nbytes + sq.nbytes + labels.nbytes + 16_384
+    # one block's difference plus the results, never an (n, d) or (n, k, d)
+    # array; the 16 KiB cover array headers and the nearest distance and
+    # mask, (n,) each
+    assert clustering._BLOCK_BYTES < points.nbytes
+    assert peak <= clustering._BLOCK_BYTES + sq.nbytes + labels.nbytes + 16_384
+
+
+def _unblocked_row_distances(points, centroids):
+    """The row-layout kernel without blocks: one (n, d) difference per centroid."""
+    sq = np.empty((len(centroids), len(points)))
+    for j, centroid in enumerate(centroids):
+        diff = points - centroid
+        np.add.reduce(diff * diff, axis=1, out=sq[j])
+    return sq
+
+
+def test_row_distances_in_blocks_equal_one_unblocked_pass(monkeypatch):
+    rng = np.random.default_rng(12)
+    points = rng.standard_normal((50, 300)) * 1e3  # 2,400 bytes a row
+    centroids = rng.standard_normal((5, 300))
+    # 7 rows a block, so the last block holds 1 row; a block smaller than one
+    # row, so one row at a time; and every row in one block
+    for block_bytes in (7 * 2400, 1000, 50 * 2400):
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_bytes)
+        for rows in (points, points[1::3]):  # and a strided subsample's view
+            expected = _unblocked_row_distances(rows, centroids)
+            assert np.array_equal(clustering._sq_distances(rows, 0, centroids), expected)
 
 
 def test_fit_scratch_memory_shrinks_with_the_constant_columns():
@@ -529,9 +553,44 @@ def test_fit_scratch_memory_shrinks_with_the_constant_columns():
     finally:
         tracemalloc.stop()
     assert np.all(centroids[:, :4096] == points[0, :4096])
-    # the varying half's copy plus one (n, d_varying) difference; at full
-    # width the difference alone would be a whole points matrix
+    # the varying half's copy plus one block; at full width the copy alone
+    # would be a whole points matrix
     assert peak <= 1.2 * points.nbytes
+
+
+def test_fit_scratch_memory_of_all_varying_rows_is_a_fraction_of_the_input():
+    rng = np.random.default_rng(7)
+    # restarts on all points, sharing distance rows; and on every 2nd point
+    for n in (256, 1024):
+        points = rng.standard_normal((n, 8192))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fit(points, KMeansParams(k=8, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the points are clustered in place: the scratch is the input checks'
+        # (n, d) masks of one byte a coordinate, one block, (k, d) centroids
+        # and the memo's at most n rows of n; never a copy of the points
+        assert peak <= 0.25 * points.nbytes
+
+
+def test_fit_of_all_varying_rows_gives_the_bits_of_a_contiguous_float_copy(monkeypatch):
+    rng = np.random.default_rng(13)
+    ints = rng.integers(-1000, 1000, (24, 40))
+    floats = ints.astype(np.float64)
+    assert (floats != floats[0]).any(axis=0).all()  # every column varies: the row layout
+    read_only = floats.copy()
+    read_only.flags.writeable = False  # a write to the points would raise
+    # restarts on all points, and on every 3rd point before one refining run
+    for seed_points in (clustering._SEED_POINTS, 10):
+        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
+        expected = fit(floats, KMeansParams(k=3, seed=2))
+        for matrix in (read_only, np.asfortranarray(floats), ints):
+            got = fit(matrix, KMeansParams(k=3, seed=2))
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert np.array_equal(read_only, floats)
 
 
 def test_stacked_restart_scratch_memory_does_not_grow_with_n(monkeypatch):

@@ -4,11 +4,12 @@ Usage: `python tools/mutants.py` (needs numpy, pytest and Hypothesis).
 
 The check works on a temporary copy of src/, tests/, README.md and
 pyproject.toml and never writes into the checkout.  It runs tier-1 on the
-unmutated copy twice: first as CI runs it, untraced, which must pass; then
-traced with `sys.settrace`, only to learn which tests execute each line of
-src/scenefuse/.  Tracing slows every test several times over, so a test
-with a time bound may fail in that run; its outcome is not checked.  Three
-passes of mutants follow, each made one at a time on the decoded source:
+unmutated copy twice: first as CI runs it, untraced, which must pass and
+times each test; then traced with `sys.settrace`, only to learn which
+tests execute each line of src/scenefuse/.  Tracing slows every test
+several times over, so a test with a time bound may fail in that run; its
+outcome is not checked.  Three passes of mutants follow, each made one at
+a time on the decoded source:
 
   * raise → pass: each `raise` statement (found with `ast`) becomes `pass`;
   * comparison flip: each ordering operator (found with `tokenize`) moves
@@ -17,13 +18,15 @@ passes of mutants follow, each made one at a time on the decoded source:
     `==`, each `and` becomes `or` and each `or` `and` (found with
     `tokenize`).
 
-Each mutant runs just the tests that execute its lines, stopping at the
-first failure.  A mutant that every covering test passes marks a check or
-a comparison that decides nothing; one that no test runs is not checked at
-all.  A mutant that changes nothing a program could observe is equivalent:
-no test can kill it.  `EQUIVALENT` lists each one with its site and the
-reason.  A listed mutant still runs, and must survive: one a test kills
-is not equivalent, and an entry that matches no mutant names nothing.
+Each mutant runs just the tests that execute its lines, fastest first by
+their untraced time, stopping at the first failure, so a mutant that a
+quick test kills never waits for a slow one.  A mutant that every
+covering test passes marks a check or a comparison that decides nothing;
+one that no test runs is not checked at all.  A mutant that changes
+nothing a program could observe is equivalent: no test can kill it.
+`EQUIVALENT` lists each one with its site and the reason.  A listed
+mutant still runs, and must survive: one a test kills is not equivalent,
+and an entry that matches no mutant names nothing.
 
 It prints `file:line:col old → new killed|SURVIVED|not run|equivalent` per
 mutant, a tally per pass, and each entry of `EQUIVALENT` that matched no
@@ -31,7 +34,8 @@ surviving mutant.  It exits 0 when every mutant of the three passes is
 killed or a listed equivalent, 1 when any survived unlisted or was not
 run or an entry of `EQUIVALENT` is stale, and 2 when the unmutated suite
 fails in the copy.  Run by pytest as `-p mutants`, this file is also the
-plugin that traces the suite and narrows a run to given tests.
+plugin that times or traces the suite and narrows a run to given tests,
+in the order given.
 """
 
 from __future__ import annotations
@@ -74,9 +78,11 @@ EQUIVALENT = (
 
 # --- the pytest plugin -------------------------------------------------------
 
+_DURATIONS_OUT = os.environ.get("MUTANTS_DURATIONS_OUT")  # write each test's seconds here
 _TRACE_OUT = os.environ.get("MUTANTS_TRACE_OUT")  # write each test's executed package lines here
-_SELECTED = os.environ.get("MUTANTS_SELECTED")  # run only the node ids listed in this file
+_SELECTED = os.environ.get("MUTANTS_SELECTED")  # run only the node ids listed here, in order
 _lines_by_test: dict[str, set[tuple[str, int]]] = {}
+_seconds_by_test: dict[str, float] = {}
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -102,7 +108,15 @@ def pytest_runtest_protocol(item, nextitem):
         sys.settrace(None)
 
 
+def pytest_runtest_logreport(report):
+    if _DURATIONS_OUT:  # setup, call and teardown
+        seconds = _seconds_by_test.get(report.nodeid, 0.0)
+        _seconds_by_test[report.nodeid] = seconds + report.duration
+
+
 def pytest_sessionfinish(session):
+    if _DURATIONS_OUT:
+        Path(_DURATIONS_OUT).write_text(json.dumps(_seconds_by_test), encoding="utf-8")
     if _TRACE_OUT:
         root = Path.cwd().resolve()
         by_test = {
@@ -112,10 +126,14 @@ def pytest_sessionfinish(session):
         Path(_TRACE_OUT).write_text(json.dumps(by_test), encoding="utf-8")
 
 
+@pytest.hookimpl(trylast=True)  # after pytest groups items by fixture
 def pytest_collection_modifyitems(config, items):
     if _SELECTED:
-        wanted = set(json.loads(Path(_SELECTED).read_text(encoding="utf-8")))
-        items[:] = [item for item in items if item.nodeid in wanted]
+        wanted = json.loads(Path(_SELECTED).read_text(encoding="utf-8"))
+        order = {test: i for i, test in enumerate(wanted)}
+        items[:] = sorted(
+            (item for item in items if item.nodeid in order), key=lambda item: order[item.nodeid]
+        )
 
 
 # --- the driver --------------------------------------------------------------
@@ -203,10 +221,14 @@ def main() -> int:
         # no bytecode cache: a mutant of the same size and mtime as the last could reuse its .pyc
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(copy / "src"), str(copy)]))
         env["PYTHONDONTWRITEBYTECODE"] = "1"
+        durations_out = copy / "durations.json"
         trace_out = copy / "trace.json"
         selected = copy / "selected.json"
 
-        unmutated = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, text=True)
+        unmutated = subprocess.run(
+            PYTEST, cwd=copy, env=dict(env, MUTANTS_DURATIONS_OUT=str(durations_out)),
+            capture_output=True, text=True,
+        )
         if unmutated.returncode != 0:
             print(unmutated.stdout[-3000:] + unmutated.stderr[-3000:])
             print("tier-1 fails on the unmutated copy; no mutant was run")
@@ -214,6 +236,7 @@ def main() -> int:
         subprocess.run(
             PYTEST, cwd=copy, env=dict(env, MUTANTS_TRACE_OUT=str(trace_out)), capture_output=True
         )
+        seconds = json.loads(durations_out.read_text(encoding="utf-8"))
         trace = {
             test: {tuple(hit) for hit in hits}
             for test, hits in json.loads(trace_out.read_text(encoding="utf-8")).items()
@@ -230,7 +253,10 @@ def main() -> int:
                 for span, old, new in mutants(source):
                     entry = listed_equivalent(path, source, (span, old, new))
                     lines = {(path, n) for n in range(span[0], span[2] + 1)}
-                    tests = sorted(test for test, hits in trace.items() if lines & hits)
+                    tests = sorted(
+                        (test for test, hits in trace.items() if lines & hits),
+                        key=lambda test: (seconds[test], test),
+                    )
                     if not tests:
                         verdict = "not run"
                     else:
