@@ -7,6 +7,14 @@ on the mean squared output error at a default learning rate of 0.5.
 Weights start uniform in [-1, 1] from a seeded generator, so training is
 bit-reproducible.  The trace reports the mean absolute output error
 sampled every 1000 iterations, starting at iteration 0.
+
+A training step runs in place: a fixed sequence of NumPy calls writes the
+forward pass and both gradients into buffers allocated once per training
+call.  Both weight matrices are views of one flat vector and both
+gradients views of another, so the update is two calls.  The step
+computes each value as the plain expressions would, in the same order,
+so its weights and trace keep their bits; `loss_gradients` returns the
+gradients of that same step.
 """
 
 from __future__ import annotations
@@ -50,7 +58,15 @@ class ActionNet:
         for vocab in (self.scene_vocab, self.action_vocab):
             if len(set(vocab)) < len(vocab):
                 raise UsageError(f"vocabulary {list(vocab)} repeats an entry")
-        if self.weights_ih.ndim != 2 or self.weights_ih.shape[0] != len(self.scene_vocab) or (
+        for name, weights, axes in (
+            ("weights_ih", self.weights_ih, "(scenes, hidden)"),
+            ("weights_ho", self.weights_ho, "(hidden, actions)"),
+        ):
+            if not (
+                isinstance(weights, np.ndarray) and weights.dtype == np.float64 and weights.ndim == 2
+            ):
+                raise UsageError(f"{name} must be a {axes} float64 NumPy array")
+        if self.weights_ih.shape[0] != len(self.scene_vocab) or (
             self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):
             raise UsageError("weight shapes disagree with the vocabularies")
@@ -70,14 +86,63 @@ def encode_onehot(label: str, vocab: Sequence[str]) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    """1 / (1 + e^-x) over `x` clipped to [-60, 60], written into `x`, which it returns."""
+    np.maximum(x, -60.0, out=x)
+    np.minimum(x, 60.0, out=x)
+    np.negative(x, x)
+    np.exp(x, x)
+    np.add(x, 1.0, x)
+    return np.divide(1.0, x, x)
 
 
-def _forward(
-    weights_ih: np.ndarray, weights_ho: np.ndarray, inputs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    hidden = _sigmoid(inputs @ weights_ih)
-    return hidden, _sigmoid(hidden @ weights_ho)
+def _matrices(flat: np.ndarray, first: tuple[int, int], second: tuple[int, int]):
+    """Views of `flat` as a `first`-shaped matrix followed by a `second`-shaped one."""
+    split = first[0] * first[1]
+    return flat[:split].reshape(first), flat[split:].reshape(second)
+
+
+def _kernel(inputs: np.ndarray, targets: np.ndarray, hidden_size: int):
+    """One training call's buffers, allocated once, and the step that fills them.
+
+    Returns the flat weight vector, the flat gradient vector (both in the
+    `_matrices` layout), the outputs buffer and `step`.  `step` runs the
+    forward pass from the weights into the outputs and both gradients of
+    the mean squared output error into the gradient vector, in place.
+    """
+    (rows, scenes), actions = inputs.shape, targets.shape[1]
+    params = np.empty(hidden_size * (scenes + actions))
+    grads = np.empty_like(params)
+    shapes = (scenes, hidden_size), (hidden_size, actions)
+    weights_ih, weights_ho = _matrices(params, *shapes)
+    grad_ih, grad_ho = _matrices(grads, *shapes)
+    # hidden then outputs in one buffer, so one subtraction gives both complements
+    layers = np.empty(rows * (hidden_size + actions))
+    complements = np.empty_like(layers)
+    shapes = (rows, hidden_size), (rows, actions)
+    hidden, outputs = _matrices(layers, *shapes)
+    hidden_c, outputs_c = _matrices(complements, *shapes)
+    d_out = np.empty_like(outputs)
+    d_hidden = np.empty_like(hidden)
+    inputs_t, hidden_t, weights_ho_t = inputs.T, hidden.T, weights_ho.T
+    half = targets.size / 2  # 2 * e / size rounds the same real quotient as e / (size / 2)
+
+    def step() -> None:
+        np.dot(inputs, weights_ih, hidden)
+        _sigmoid(hidden)
+        np.dot(hidden, weights_ho, outputs)
+        _sigmoid(outputs)
+        np.subtract(1.0, layers, complements)
+        np.subtract(outputs, targets, d_out)
+        np.divide(d_out, half, d_out)
+        np.multiply(d_out, outputs, d_out)
+        np.multiply(d_out, outputs_c, d_out)
+        np.dot(hidden_t, d_out, grad_ho)
+        np.dot(d_out, weights_ho_t, d_hidden)
+        np.multiply(d_hidden, hidden, d_hidden)
+        np.multiply(d_hidden, hidden_c, d_hidden)
+        np.dot(inputs_t, d_hidden, grad_ih)
+
+    return params, grads, outputs, step
 
 
 def loss_gradients(
@@ -87,12 +152,11 @@ def loss_gradients(
     targets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the mean squared output error w.r.t. both weight matrices."""
-    hidden, outputs = _forward(weights_ih, weights_ho, inputs)
-    d_out = 2.0 * (outputs - targets) / targets.size * outputs * (1.0 - outputs)
-    grad_ho = hidden.T @ d_out
-    d_hidden = (d_out @ weights_ho.T) * hidden * (1.0 - hidden)
-    grad_ih = inputs.T @ d_hidden
-    return grad_ih, grad_ho
+    params, grads, _, step = _kernel(inputs, targets, weights_ih.shape[1])
+    params[:] = np.concatenate((weights_ih, weights_ho), axis=None)
+    step()
+    grad_ih, grad_ho = _matrices(grads, weights_ih.shape, weights_ho.shape)
+    return grad_ih.copy(), grad_ho.copy()
 
 
 def train_actions(
@@ -107,11 +171,15 @@ def train_actions(
 
     Returns the net and the module's error trace as (iteration, error) pairs.
 
-    Raises UsageError for no examples, one scene label mapped to two action
-    codes, or a learning rate so large that the weights overflow; the `errors`
+    Raises UsageError for examples that are not a list or tuple of
+    ActionExample, no examples, one scene label mapped to two action codes,
+    or a learning rate so large that the weights overflow; the `errors`
     checks refuse bad counts and seeds, and a rate not finite and above 0.
     """
-    examples = list(examples)
+    if not (
+        isinstance(examples, (list, tuple)) and all(isinstance(e, ActionExample) for e in examples)
+    ):
+        raise UsageError("examples must be a list or tuple of ActionExample pairs")
     if not examples:
         raise UsageError("no scene/action pairs to learn from")
     check_int(iterations, 1, "iterations")
@@ -130,24 +198,30 @@ def train_actions(
     # `seen` lists each scene at its first appearance, with the one action it maps to
     scene_vocab = tuple(seen)
     action_vocab = tuple(dict.fromkeys(seen.values()))
-    check_array_size(hidden_size, 8 * max(len(scene_vocab), len(action_vocab)), "hidden_size")
+    # the weight vector holds hidden_size * (scenes + actions) floats, the hidden layer
+    # hidden_size * rows
+    widths = len(scene_vocab) + len(action_vocab) + len(examples)
+    check_array_size(hidden_size, 8 * widths, "hidden_size")
     inputs = np.vstack([encode_onehot(e.scene_label, scene_vocab) for e in examples])
     targets = np.vstack([encode_onehot(e.action_code, action_vocab) for e in examples])
 
+    params, grads, outputs, step = _kernel(inputs, targets, hidden_size)
+    weights_ih, weights_ho = _matrices(
+        params, (len(scene_vocab), hidden_size), (hidden_size, len(action_vocab))
+    )
     rng = np.random.default_rng(seed)
-    weights_ih = rng.uniform(-1.0, 1.0, (len(scene_vocab), hidden_size))
-    weights_ho = rng.uniform(-1.0, 1.0, (hidden_size, len(action_vocab)))
+    weights_ih[...] = rng.uniform(-1.0, 1.0, weights_ih.shape)
+    weights_ho[...] = rng.uniform(-1.0, 1.0, weights_ho.shape)
 
     trace: list[tuple[int, float]] = []
     # a huge learning rate overflows the weights; ActionNet then refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(iterations):
+            step()
             if iteration % _TRACE_EVERY == 0:
-                _, outputs = _forward(weights_ih, weights_ho, inputs)
                 trace.append((iteration, float(np.mean(np.abs(outputs - targets)))))
-            grad_ih, grad_ho = loss_gradients(weights_ih, weights_ho, inputs, targets)
-            weights_ih -= learning_rate * grad_ih
-            weights_ho -= learning_rate * grad_ho
+            grads *= learning_rate
+            params -= grads
 
     return ActionNet(scene_vocab, action_vocab, weights_ih, weights_ho), tuple(trace)
 
@@ -155,7 +229,7 @@ def train_actions(
 def predict_action(net: ActionNet, scene_label: str) -> str:
     """Highest-activation action code for a scene label; UsageError if the net never saw it."""
     row = encode_onehot(scene_label, net.scene_vocab)
-    _, outputs = _forward(net.weights_ih, net.weights_ho, row[None, :])
+    outputs = _sigmoid(_sigmoid(row[None, :] @ net.weights_ih) @ net.weights_ho)
     return net.action_vocab[int(np.argmax(outputs[0]))]
 
 

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success; 3 for an input error (a file that will not read or
 decode, a bad bundle or script, or a failed write); 1 for a usage error (bad
-flags, parameters or training data); 2 for a missing bundle, or a bundle
-without the classifier or net the command needs.  Every run with identical
-inputs, flags, and seeds produces byte-identical stdout and output files;
-warnings go to stderr.
+flags, parameters or training data, or a command that runs out of memory);
+2 for a missing bundle, or a bundle without the classifier or net the
+command needs.  Every run with identical inputs, flags, and seeds produces
+byte-identical stdout and output files; warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -484,6 +484,10 @@ def main(argv=None) -> int:
         message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
         print(f"error: {message}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        # flags such as --hidden or --width can ask for more memory than the machine has
+        print("error: not enough memory for this command", file=sys.stderr)
+        return UsageError.exit_code
 
 
 def entrypoint() -> None:

@@ -4,8 +4,10 @@ Nothing here imports the library's own math: the spectrum oracle is a naive
 O(n^2) DFT that never touches numpy.fft, the clustering oracle enumerates
 every possible assignment, the fusion oracle is a straight-line replay of
 the decision narrative, the gradient oracle is central finite differences
-of a loss with its own sigmoid and forward pass, and the output-error
-oracle runs that same forward pass over its own one-hot rows.  Keep it
+of a loss with its own sigmoid and forward pass, the output-error
+oracle runs that same forward pass over its own one-hot rows, and the
+reference trainer is the action net's gradient descent written as plain
+whole-array expressions, each step allocating its own results.  Keep it
 that way — each pairs with a faster implementation in the package and the
 two must stay independent.
 """
@@ -192,3 +194,40 @@ def mean_output_error(net, examples) -> float:
     targets = np.array([[float(e.action_code == a) for a in net.action_vocab] for e in examples])
     outputs = _net_outputs(net.weights_ih, net.weights_ho, inputs)
     return float(np.mean(np.abs(outputs - targets)))
+
+
+# --- action net training ----------------------------------------------------
+
+def _clipped_sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def reference_training(pairs, iterations: int, hidden_size: int, learning_rate: float, seed: int):
+    """Full-batch gradient descent of the action net, one plain expression per value.
+
+    `pairs` are (scene, action) tuples; each vocabulary lists its labels in
+    first-appearance order.  Weights start uniform in [-1, 1] from
+    `np.random.default_rng(seed)`, input-to-hidden first.  Before every
+    thousandth step the mean absolute output error joins the trace.
+    Returns (weights_ih, weights_ho, trace), trace as (iteration, error).
+    """
+    scenes = list(dict.fromkeys(scene for scene, _ in pairs))
+    actions = list(dict.fromkeys(action for _, action in pairs))
+    inputs = np.array([[float(scene == s) for s in scenes] for scene, _ in pairs])
+    targets = np.array([[float(action == a) for a in actions] for _, action in pairs])
+    rng = np.random.default_rng(seed)
+    weights_ih = rng.uniform(-1.0, 1.0, (len(scenes), hidden_size))
+    weights_ho = rng.uniform(-1.0, 1.0, (hidden_size, len(actions)))
+    trace = []
+    for iteration in range(iterations):
+        hidden = _clipped_sigmoid(inputs @ weights_ih)
+        outputs = _clipped_sigmoid(hidden @ weights_ho)
+        if iteration % 1000 == 0:
+            trace.append((iteration, float(np.mean(np.abs(outputs - targets)))))
+        d_out = 2.0 * (outputs - targets) / targets.size * outputs * (1.0 - outputs)
+        grad_ho = hidden.T @ d_out
+        d_hidden = (d_out @ weights_ho.T) * hidden * (1.0 - hidden)
+        grad_ih = inputs.T @ d_hidden
+        weights_ih = weights_ih - learning_rate * grad_ih
+        weights_ho = weights_ho - learning_rate * grad_ho
+    return weights_ih, weights_ho, trace

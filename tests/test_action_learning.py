@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import SESSION_PAIRS
-from oracles import central_difference_gradient, mean_output_error, squared_error_loss
+from oracles import (
+    central_difference_gradient,
+    mean_output_error,
+    reference_training,
+    squared_error_loss,
+)
 from scenefuse.action_learning import (
     ActionExample,
     action_repl,
@@ -96,6 +101,48 @@ def test_empty_training_set_is_rejected():
         train_actions(
             [ActionExample("a", "1"), ActionExample("b", "2")], iterations=50, learning_rate=1e308
         )
+
+
+def test_examples_must_be_a_list_or_tuple_of_pairs():
+    message = "examples must be a list or tuple of ActionExample pairs"
+    pair = ActionExample("a", "1")
+    for examples in (None, "ab", ["ab"], [("a", "1")], pair, iter([pair]), [pair, None]):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            train_actions(examples, iterations=10)
+    train_actions((pair,), iterations=10)
+
+
+# (scene, action) pair sets: repeats, shuffled repeats, a single pair, more scenes than actions
+TRAINING_SETS = {
+    "repeated": [("coffee", "42")] * 6 + [("gym", "10")],
+    "shuffled": [("c", "3"), ("a", "1"), ("b", "2"), ("a", "1"), ("c", "3"), ("b", "2")],
+    "single": [("a", "1")],
+    "more_scenes": [("a", "1"), ("b", "2"), ("c", "1"), ("d", "2"), ("e", "1")],
+}
+
+
+@pytest.mark.parametrize("name", TRAINING_SETS)
+def test_training_keeps_the_bits_of_the_reference_trainer(name):
+    pairs = TRAINING_SETS[name]
+    examples = [ActionExample(scene, action) for scene, action in pairs]
+    # a Latin square: each width and each rate meets every step count once; 1 and 1001
+    # steps end on a trace sample (steps 0 and 1000), 1234 between samples
+    settings = [
+        (hidden_size, rate, (1, 1001, 1234)[(i + j) % 3])
+        for i, hidden_size in enumerate((1, 8, 22))
+        for j, rate in enumerate((0.05, 0.5, 3.0))
+    ]
+    for hidden_size, rate, iterations in settings:
+        net, trace = train_actions(
+            examples, iterations, hidden_size=hidden_size, learning_rate=rate, seed=7
+        )
+        weights_ih, weights_ho, expected = reference_training(
+            pairs, iterations, hidden_size, rate, seed=7
+        )
+        case = (hidden_size, rate, iterations)
+        assert net.weights_ih.tobytes() == weights_ih.tobytes(), case
+        assert net.weights_ho.tobytes() == weights_ho.tobytes(), case
+        assert list(trace) == expected, case
 
 
 def test_unknown_labels_are_rejected():

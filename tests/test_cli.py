@@ -940,6 +940,27 @@ def test_action_train_non_finite_learning_exits_one(tmp_path, capsys, rate):
 
 
 @pytest.mark.parametrize(
+    "handler, args",
+    [
+        ("train_actions", ["action", "train", "--pairs", "{tmp}/pairs.tsv", "--out",
+                           "{tmp}/b.json", "--hidden", "1000000000000"]),
+        ("synth_scene_image", ["synth", "image", "--color", "1,2,3:1", "--width", "200000",
+                               "--height", "200000", "--out", "{tmp}/x.ppm"]),
+    ],
+)
+def test_running_out_of_memory_prints_one_error_line(handler, args, tmp_path, monkeypatch, capsys):
+    # whether a huge allocation fails depends on the machine, so the handler fails instead
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    (tmp_path / "pairs.tsv").write_text("coffee\t42\n", encoding="utf-8")
+    monkeypatch.setattr(cli, handler, exhausted)
+    assert main([a.format(tmp=tmp_path) for a in args]) == 1
+    assert capsys.readouterr().err == "error: not enough memory for this command\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["synth", "audio", "--preset", "coffee", "--out", "{tmp}/x.wav"],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scenefuse import cli
-from scenefuse.action_learning import ActionExample, train_actions
+from scenefuse.action_learning import ActionExample, ActionNet, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
 from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence, fit, predict
 from scenefuse.errors import UsageError, check_array_size, check_int, check_positive, check_range
@@ -147,6 +147,12 @@ RANGE_SITES = {
 }
 
 
+# what a float64 matrix site refuses: no array, an array of ints, complex numbers or
+# text, and arrays of one or three axes
+NOT_FLOAT_MATRICES = [
+    None, [[0.0]], np.zeros((1, 1), int), np.zeros((1, 1), complex), np.array([["x"]]),
+    np.zeros(1), np.zeros((1, 1, 1)),
+]
 # call site: (a call with the value in question, the values it refuses, its refusal)
 ARRAY_SITES = {
     "train_classifier.matrix": (
@@ -158,6 +164,16 @@ ARRAY_SITES = {
         lambda v: predict(v, [0.0]),
         [None, [[0.0]], np.zeros(1), np.zeros((0, 1)), np.zeros((1, 1), int), np.zeros((1, 1, 1))],
         "centroids must be a (k, d) float64 NumPy array with k >= 1",
+    ),
+    "ActionNet.weights_ih": (
+        lambda v: ActionNet(("a",), ("1",), v, np.zeros((1, 1))),
+        NOT_FLOAT_MATRICES,
+        "weights_ih must be a (scenes, hidden) float64 NumPy array",
+    ),
+    "ActionNet.weights_ho": (
+        lambda v: ActionNet(("a",), ("1",), np.zeros((1, 1)), v),
+        NOT_FLOAT_MATRICES,
+        "weights_ho must be a (hidden, actions) float64 NumPy array",
     ),
 }
 
