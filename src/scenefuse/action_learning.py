@@ -44,7 +44,8 @@ class ActionExample:
 class ActionNet:
     """Trained weights over two vocabularies; the hidden width is their shared axis.
 
-    As after training, each vocabulary is non-empty and lists an entry once.
+    As after training, each vocabulary is non-empty and lists an entry once,
+    and the hidden layer has at least one unit.
     """
 
     scene_vocab: tuple[str, ...]
@@ -70,6 +71,8 @@ class ActionNet:
             self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):
             raise UsageError("weight shapes disagree with the vocabularies")
+        if not self.weights_ih.shape[1]:  # every output would be sigmoid(0), argmax the first
+            raise UsageError("the hidden layer needs at least one unit")
         if not (np.isfinite(self.weights_ih).all() and np.isfinite(self.weights_ho).all()):
             raise UsageError("weights must be finite")
 

@@ -164,6 +164,7 @@ def cmd_train(args) -> None:
         matrix[row] = vector
 
     classifier, inertia, warnings = train_classifier(names, matrix, args.seed, args.scale)
+    del matrix  # so the bundle save below does not peak on top of it
     for message in warnings:
         _warn(message)
 

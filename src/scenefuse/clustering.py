@@ -12,27 +12,33 @@ assignment and is reused.  `fit` returns the centroids with that
 partition and its sum of squares, the inertia.
 
 Columns on which every point agrees add exactly 0 to every distance, so
-`fit` finds them once per fit and clusters a contiguous copy of the
-others; an acoustic vector's frequency half is such a block.  That copy
-lays the points along its longer axis, so NumPy's inner loops run long:
-as columns of a (d, n) array when fewer columns vary than there are
-points (a photo's thousands of pixel triples), as rows of an (n, d) array
-otherwise.  Rows whose columns all vary need no copy: the fit clusters
-the points themselves, as a C-contiguous float64 matrix, and no run
-writes to them.  The private helpers take that point axis and share one
-distance kernel, which subtracts one centroid at a time, squares in place
-and reduces over the dimension axis into row j of a (k, n) result, so a
-pass never holds an (n, k, d) temporary.  Columns subtract into one
-difference of their size.  Rows go through blocks of at most
-`_BLOCK_BYTES` (Lam, Rothberg & Wolf 1991, "The cache performance and
-optimizations of blocked algorithms"), each block's difference from every
-centroid in turn, so the scratch is one block that stays in cache
-whatever n is, and each point's sum is still one `np.add.reduce` over
-its own row.  Labels come from k − 1 `<` comparisons down the rows of
-that (k, n) result.  A row-layout update adds each cluster's member rows
-in place, in point order, as NumPy's `mean` of their copy would, so it
-copies no rows either.  Points and query vectors must be finite: NaN or
-inf is refused with UsageError at the boundary.
+`fit` finds them once per fit and clusters only the others; an acoustic
+vector's frequency half is such a block.  The points lie along the
+longer axis, so NumPy's inner loops run long: as columns of a (d, n)
+copy when fewer columns vary than there are points (a photo's thousands
+of pixel triples), as rows otherwise.  Rows need no copy when their
+varying columns form one run and each row's coordinates are contiguous,
+as in every acoustic fit (the amplitude half) and every fit whose columns
+all vary: the fit clusters a view of the caller's points, and no run
+writes to them.  Scattered varying columns, or rows that are not
+contiguous, are copied into one contiguous (n, d_varying) array.  The
+input checks and the search for varying columns also read the points a
+block of rows at a time, so neither holds a mask of the whole input.  The
+private helpers take that point axis and share one distance kernel,
+which subtracts one centroid at a time, squares in place and reduces over
+the dimension axis into row j of a (k, n) result, so a pass never holds
+an (n, k, d) temporary.  Columns subtract into one difference of their
+size.  Rows go through blocks of at most `_BLOCK_BYTES` (Lam, Rothberg &
+Wolf 1991, "The cache performance and optimizations of blocked
+algorithms"), each block's difference from every centroid in turn, so
+the scratch is one block that stays in cache whatever n is, and each
+point's sum is still one `np.add.reduce` over its own row of that
+contiguous block, whether the block came from a view or a copy.  Labels
+come from k − 1 `<` comparisons down the rows of that (k, n) result.  A
+row-layout update adds each cluster's member rows in place, in point
+order, as NumPy's `mean` of their copy would, so it copies no rows
+either.  Points and query vectors must be finite: NaN or inf is refused
+with UsageError at the boundary.
 
 A fit of more than `_SEED_POINTS` points runs its restarts on every
 stride-th point only, each restart from its own offset, and one more
@@ -128,13 +134,19 @@ def _real(values, refusal: str) -> np.ndarray:
     raise UsageError(f"{refusal}: got complex values")
 
 
+def _block_rows(d: int) -> int:
+    """How many rows of d float64 coordinates fill `_BLOCK_BYTES`: at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(d, 1)))
+
+
 def _as_matrix(points) -> np.ndarray:
     matrix = _real(points, "points must form one (n, d) matrix")
     if matrix.size == 0:
         raise UsageError("no points at all")
     if matrix.ndim != 2:
         raise UsageError(f"points must form one (n, d) matrix, not shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
+    rows = _block_rows(matrix.shape[1])
+    if not all(np.isfinite(matrix[i : i + rows]).all() for i in range(0, len(matrix), rows)):
         raise UsageError("points must be finite, not NaN or inf")
     return matrix
 
@@ -160,7 +172,7 @@ def _sq_distances(points: np.ndarray, axis: int, centroids: np.ndarray) -> np.nd
             np.add.reduce(diff, axis=-2, out=sq[..., j, :])
         return sq
     n, d = points.shape
-    rows = max(1, _BLOCK_BYTES // (8 * max(d, 1)))
+    rows = _block_rows(d)
     diff = np.empty((min(rows, n), d), dtype=np.float64)
     for start in range(0, n, rows):
         block = points[start : start + rows]
@@ -309,9 +321,11 @@ def _lloyd_run(
     """One run from `start`: (centroids, inertia, closing labels, closing (k, n) sq).
 
     `start` is the (k, d) starting centroids and their (k, n) squared
-    distances to `points`; the run updates the centroids in place on a
-    repair.  Pass it as a temporary: the run drops its hold on both arrays
-    as it replaces them, so they need not outlive the first update.  Each
+    distances to `points`; the run writes into the centroids, on a repair
+    and to measure the first update's shift.  Pass it as a temporary: the
+    run drops its hold on both arrays as it replaces them, so they need not
+    outlive the first update.  Each update measures its shift in the old
+    centroids' buffer, so a run holds two (k, d) arrays at a time.  Each
     update's distance rows come from `_sq_rows` with `memo`.  The inertia
     is the closing assignment's sum of squares.
     """
@@ -335,7 +349,9 @@ def _lloyd_run(
                 for i in members[1:]:
                     mean += points[i]
                 mean /= members.size
-        shift = float(np.max(np.abs(updated - centroids), initial=0.0))  # none if no column varies
+        # each coordinate's move, measured in the old centroids' buffer
+        np.abs(np.subtract(updated, centroids, out=centroids), out=centroids)
+        shift = float(np.max(centroids, initial=0.0))  # none if no column varies
         centroids = updated
         if shift == 0.0 and not repaired:
             # `sq` was measured against these very centroids, so this pass,
@@ -452,23 +468,25 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (n, k) squared distances, and the inertia, that partition's
     within-cluster sum of squares, as a float.
 
-    Columns equal across all points are dropped once, before the first
-    run: every run clusters one contiguous copy of the varying columns,
-    and each dropped column's centroid entry is the points' shared value.
-    The copy holds the points as columns, a (d_varying, n) array, when
-    d_varying < n, and as rows otherwise; every run keeps that layout.
-    When every column varies and n <= d there is nothing to drop or
-    transpose: the runs cluster the points as given, copied only if they
-    are not already a C-contiguous float64 matrix.  So `sq` and every
+    Columns equal across all points are dropped once, before the first run:
+    every run clusters the varying columns only, and each dropped column's
+    centroid entry is the points' shared value.  They hold the points as
+    columns, a (d_varying, n) copy, when d_varying < n, and as rows
+    otherwise; every run keeps that layout.  As rows, the runs cluster a
+    view of the points when the varying columns form one run and each row's
+    coordinates are contiguous in float64 (a C-contiguous float64 input
+    qualifies), and otherwise one contiguous (n, d_varying) copy.  The view
+    gives the copy's bits: each distance sums a row of a contiguous block,
+    and each update adds whole rows element by element.  So `sq` and every
     inertia are sums over the varying columns: added left to right in the
     column layout, in NumPy's pairwise order along each row in the row
     layout.  They equal `assign(points, centroids)` up to summation order,
     and bit for bit when at most two columns vary.  When no column varies,
-    every centroid is the shared point itself and the inertia is 0.
-    Beyond the copy, if any, and the input checks' masks of one byte per
-    coordinate, the scratch memory is, in the row layout, one block of at
-    most `_BLOCK_BYTES`, O(k·(n + d)) and the memo below, never a copy of
-    the points; in the column layout O(n·(d_varying + k)), or the stack's
+    every centroid is the shared point itself and the inertia is 0.  Beyond
+    the copy, if any, and the input checks' masks of one byte per coordinate
+    of a block of rows, the scratch memory is, in the row layout, one block
+    of at most `_BLOCK_BYTES`, O(k·(n + d)) and the memo below, never a copy
+    of the points; in the column layout O(n·(d_varying + k)), or the stack's
     bound if larger.  The distance work of a run is k single-centroid rows
     at the k-means++ draws, which the first assignment reuses, plus one
     (k, n) pass per update that moved a centroid or followed a repair.  A
@@ -496,16 +514,21 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise UsageError(f"{n} points cannot fill {params.k} clusters")
 
     # a column on which every point agrees adds exactly 0 to every distance:
-    # cluster one contiguous copy of the others, which may be none at all,
-    # with the points along the longer axis
-    varying = (matrix != matrix[0]).any(axis=0)
-    axis = 1 if np.count_nonzero(varying) < n else 0
-    if axis:
-        work = np.compress(varying, matrix.T, axis=0)
-    elif varying.all():
-        work = np.ascontiguousarray(matrix)  # no run writes to its points
-    else:
-        work = np.compress(varying, matrix, axis=1)
+    # cluster only the others, which may be none at all, with the points
+    # along the longer axis; the mask is taken a block of rows at a time
+    rows = _block_rows(matrix.shape[1])
+    varying = (matrix[:rows] != matrix[0]).any(axis=0)
+    for start in range(rows, n, rows):
+        varying |= (matrix[start : start + rows] != matrix[0]).any(axis=0)
+    count = np.count_nonzero(varying)
+    axis = 1 if count < n else 0
+    if not axis:
+        # the points' own rows when the varying columns form one run and
+        # each row's coordinates are contiguous; no run writes to its points
+        columns = np.flatnonzero(varying)
+        work = matrix[:, columns[0] : columns[-1] + 1]
+    if axis or work.shape[1] != count or work.strides[1] != work.itemsize:
+        work = np.compress(varying, matrix.T if axis else matrix, axis=1 - axis)
 
     # restart i sees every stride-th point from offset i % stride, a view of
     # n // stride points, at least k; restarts on different subsamples miss a

@@ -378,6 +378,23 @@ def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+def test_an_action_net_with_no_hidden_unit_exits_three(tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")
+    out = tmp_path / "actions.json"
+    assert main(["action", "train", "--pairs", str(pairs), "--out", str(out), "--iterations", "1"]) == 0
+    raw, payload = _read_document(out)
+    scenes, hidden = raw["action"]["weights_ih"]["shape"]
+    actions = raw["action"]["weights_ho"]["shape"][1]
+    raw["action"]["weights_ih"] = {"shape": [scenes, 0]}  # every output would be sigmoid(0),
+    raw["action"]["weights_ho"] = {"shape": [0, actions]}  # so gym would get action 42
+    _write_document(out, raw, payload[: -8 * hidden * (scenes + actions)])  # the net's entries end it
+    capsys.readouterr()
+    assert main(["action", "predict", "gym", "--bundle", str(out)]) == 3
+    message = f"error: {out}: bundle.action: the hidden layer needs at least one unit\n"
+    assert capsys.readouterr().err == message
+
+
 def test_an_action_net_with_a_repeated_action_exits_three(tmp_path, capsys):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("coffee\t42\ngym\t10\n", encoding="utf-8")

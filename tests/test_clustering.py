@@ -553,15 +553,15 @@ def test_fit_scratch_memory_shrinks_with_the_constant_columns():
     finally:
         tracemalloc.stop()
     assert np.all(centroids[:, :4096] == points[0, :4096])
-    # the varying half's copy plus one block; at full width the copy alone
-    # would be a whole points matrix
-    assert peak <= 1.2 * points.nbytes
+    # the varying half is one run of columns, clustered as a view of the
+    # points: one block and the centroids, less than a copy of that half
+    assert peak < 0.5 * points.nbytes
 
 
 def test_fit_scratch_memory_of_all_varying_rows_is_a_fraction_of_the_input():
     rng = np.random.default_rng(7)
     # restarts on all points, sharing distance rows; and on every 2nd point
-    for n in (256, 1024):
+    for n, share in ((256, 0.25), (1024, 0.0625)):
         points = rng.standard_normal((n, 8192))
         tracemalloc.start()
         try:
@@ -570,10 +570,12 @@ def test_fit_scratch_memory_of_all_varying_rows_is_a_fraction_of_the_input():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the points are clustered in place: the scratch is the input checks'
-        # (n, d) masks of one byte a coordinate, one block, (k, d) centroids
-        # and the memo's at most n rows of n; never a copy of the points
-        assert peak <= 0.25 * points.nbytes
+        # the points are clustered in place and the input checks' masks are
+        # taken a block of rows at a time: the scratch is one block, (k, d)
+        # centroids and, with stride 1, the memo's at most n rows of n; never a
+        # copy of the points, nor an (n, d) mask of one byte a coordinate,
+        # 0.125× the points
+        assert peak <= share * points.nbytes
 
 
 def test_fit_of_all_varying_rows_gives_the_bits_of_a_contiguous_float_copy(monkeypatch):
@@ -591,6 +593,62 @@ def test_fit_of_all_varying_rows_gives_the_bits_of_a_contiguous_float_copy(monke
             got = fit(matrix, KMeansParams(k=3, seed=2))
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     assert np.array_equal(read_only, floats)
+
+
+def test_one_run_of_varying_columns_gives_the_bits_of_their_copy(monkeypatch):
+    rng = np.random.default_rng(14)
+    run = rng.standard_normal((24, 40)) * 1e3
+    # constant columns before and after one run of 40 varying ones, which the
+    # fit clusters as a view of the points; one more constant column inside
+    # the run splits it, so that fit clusters a copy of the same 40 columns.
+    # The mean of most counts of copies of 0.1 is not 0.1, so a constant
+    # column clustered as a varying one would show
+    viewed = np.hstack([np.full((24, 3), 0.1), run, np.full((24, 2), -7.5)])
+    copied = np.insert(viewed, 20, 0.1, axis=1)
+    kept = np.insert(np.ones(viewed.shape[1], dtype=bool), 20, False)
+    runs = _spy_on_runs(monkeypatch)
+    # restarts on all points, and on every 3rd point before one refining run;
+    # each in row blocks of 5 points too, so the constant columns are found
+    # across blocks
+    for seed_points in (clustering._SEED_POINTS, 10):
+        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
+        for block_bytes in (clustering._BLOCK_BYTES, 5 * 8 * copied.shape[1]):
+            monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_bytes)
+            runs.clear()
+            view_fit = fit(viewed, KMeansParams(k=3, seed=2))
+            assert all(np.may_share_memory(points, viewed) for points in runs)
+            runs.clear()
+            copy_fit = fit(copied, KMeansParams(k=3, seed=2))
+            assert not any(np.may_share_memory(points, copied) for points in runs)
+            assert {points.shape[1] for points in runs} == {run.shape[1]}
+            assert np.array_equal(copy_fit[0][:, kept], view_fit[0])
+            assert all(np.array_equal(a, b) for a, b in zip(copy_fit[1:], view_fit[1:]))
+            assert np.all(view_fit[0][:, :3] == 0.1) and np.all(view_fit[0][:, -2:] == -7.5)
+
+
+def test_a_half_constant_input_is_never_written(monkeypatch):
+    rng = np.random.default_rng(15)
+    # an acoustic vector's layout: a constant frequency half, a varying
+    # amplitude half; a write to the read-only points would raise
+    points = np.empty((16, 66))
+    points[:, :33] = np.arange(33) * 0.3
+    points[:, 33:] = rng.standard_normal((16, 33))
+    expected = points.copy()
+    points.flags.writeable = False
+    for seed_points in (clustering._SEED_POINTS, 5):
+        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
+        centroids, *_ = fit(points, KMeansParams(k=4, seed=3))
+        assert np.array_equal(points, expected)
+        assert np.all(centroids[:, :33] == expected[0, :33])
+
+
+def test_a_non_finite_coordinate_in_a_later_row_block_is_refused(monkeypatch):
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 2 * 8 * 4)  # two rows of four
+    points = np.arange(40.0).reshape(10, 4)
+    for bad in (np.nan, np.inf):
+        points[-1, -1] = bad
+        with pytest.raises(UsageError, match="finite"):
+            fit(points, KMeansParams(k=2))
 
 
 def test_stacked_restart_scratch_memory_does_not_grow_with_n(monkeypatch):

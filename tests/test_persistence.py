@@ -569,6 +569,8 @@ def test_types_check_what_spans_their_fields():
         replace(net, action_vocab=net.action_vocab + ("extra",))
     with pytest.raises(UsageError):
         replace(net, weights_ho=np.full_like(net.weights_ho, np.nan))
+    with pytest.raises(UsageError, match="at least one unit"):  # it would answer every scene alike
+        replace(net, weights_ih=net.weights_ih[:, :0], weights_ho=net.weights_ho[:0])
 
 
 def test_a_slot_refuses_a_width_its_modality_cannot_have():
