@@ -8,8 +8,11 @@ worst-represented point.  A run's first assignment uses the distance rows
 its k-means++ draws computed.  Each run ends, as Lloyd's algorithm does, on
 a plain assignment to its final centroids; when the last update moved no
 centroid and nothing was repaired, the last pass already is that
-assignment and is reused.  `fit` returns the centroids with that
-partition and its sum of squares, the inertia.
+assignment and is reused.  So is a pass that, unrepaired, finds the very
+partition its centroids were averaged from: averaging it again would add
+the same points in the same order, so the run closes without that update.
+`fit` returns the centroids with that partition and its sum of squares,
+the inertia.
 
 Columns on which every point agrees add exactly 0 to every distance, so
 `fit` finds them once per fit and clusters only the others; an acoustic
@@ -72,10 +75,15 @@ they share their distance rows.  A row
 depends only on its centroid, and a centroid only on the points it is the
 mean of, so each distinct k-means++ draw and each distinct member set of
 an update is measured once per fit, and a later restart that repeats one
-copies its row.  This is the narrowest exact form of Elkan (2003), "Using
-the Triangle Inequality to Accelerate k-Means": skip a distance whose
-answer is already known.  Only bit-for-bit repeats are skipped, so every
-output keeps its bits.  In the column layout a row of d_varying < n
+copies its row.  A draw is a point, and a draw's row that the memo lacks
+copies its entry for every point whose own draw row the memo holds:
+(x_i − x_j)² and (x_j − x_i)² are equal bit for bit, and each entry sums
+the same row of squares in the same order.  Only the other entries go
+through the block kernel, on views of the points, one run of consecutive
+points at a time.  This is the narrowest exact form of Elkan (2003),
+"Using the Triangle Inequality to Accelerate k-Means": skip a distance
+whose answer is already known.  Only bit-for-bit repeats are skipped, so
+every output keeps its bits.  In the column layout a row of d_varying < n
 columns costs no more than its key, so there every row is computed.
 """
 
@@ -94,7 +102,12 @@ _MAX_ITERS = 300  # Lloyd iterations per run, at most
 _TOL = 1e-6  # a run has converged once no centroid coordinate moves further
 _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
 _SEED_POINTS = 1000  # the restarts run on at most this many points of a fit
-_BLOCK_BYTES = 1 << 20  # the row layout's difference buffer: an L2-sized block of points
+# The row layout's difference buffer, a block of points that stays in L2.  On the
+# bench's acoustic shape, (64, 32,769) varying columns, on a 2-core x86_64 with 2 MiB of
+# L2 a core, one distance row took 2.48 ms in 512 KiB blocks (one 256 KiB row each),
+# 2.67 ms in 1 MiB blocks (three rows) and 2.47 ms in 256 KiB blocks (one row).  512 KiB
+# keeps a photo's input, at most about 240 KB, one block of the input checks.
+_BLOCK_BYTES = 1 << 19
 DEFAULT_SCALE = 10000.0  # confidence divisor unless training is given another
 
 
@@ -225,10 +238,12 @@ def _sq_rows(
     A centroid is the mean of a set of points, so its distance row depends
     on that member set alone; `keys` names the set of each centroid in turn
     (a k-means++ draw by its point's index, an update by the bytes of its
-    member mask) and is read only when there is a memo.  A row whose key
-    the memo holds is copied from it; any other is computed on its own and
-    remembered while the memo holds fewer than n rows.  With no memo every
-    row is computed in one pass.
+    member mask) and is read only when there is a memo, which only the row
+    layout keeps.  A row whose key the memo holds is copied from it.  Any
+    other is computed on its own, a draw's through `_draw_row`, which
+    copies its entries of the earlier draws; each is remembered while the
+    memo holds fewer than n rows.  With no memo every row is computed in
+    one pass.
     """
     if memo is None:
         return _sq_distances(points, axis, centroids)
@@ -236,11 +251,36 @@ def _sq_rows(
     for j, key in enumerate(keys):
         row = memo.get(key)
         if row is None:
-            row = _sq_distances(points, axis, centroids[j : j + 1])[0]
+            if isinstance(key, int):
+                row = _draw_row(points, key, memo)
+            else:
+                row = _sq_distances(points, axis, centroids[j : j + 1])[0]
             if len(memo) < points.shape[axis]:
                 memo[key] = row
         sq[j] = row
     return sq
+
+
+def _draw_row(points: np.ndarray, idx: int, memo: dict[object, np.ndarray]) -> np.ndarray:
+    """The distance row of point `idx` of the (n, d) rows `points`, drawn by k-means++.
+
+    Entry j is copied from point j's own draw row wherever `memo` holds one:
+    (x_idx − x_j)² and (x_j − x_idx)² are equal bit for bit, and each entry
+    sums the same row of squares in the same order.  The other entries go
+    through `_sq_distances` on views of `points`, one run of consecutive
+    points at a time, so nothing is gathered.
+    """
+    row = np.empty(points.shape[0], dtype=np.float64)
+    missing = np.ones(points.shape[0], dtype=bool)
+    for j, other in memo.items():
+        if isinstance(j, int):  # a draw's point; an update's key is its member mask
+            row[j] = other[idx]
+            missing[j] = False
+    # each run of missing points as its (start, stop) pair
+    edges = np.flatnonzero(np.diff(missing, prepend=False, append=False)).reshape(-1, 2)
+    for start, stop in edges:
+        row[start:stop] = _sq_distances(points[start:stop], 0, points[idx : idx + 1])[0]
+    return row
 
 
 def _point(points: np.ndarray, axis: int, idx: int) -> np.ndarray:
@@ -312,6 +352,27 @@ def _repair_empties(
     return empties.size > 0
 
 
+def _means(points: np.ndarray, axis: int, labels: np.ndarray, k: int) -> np.ndarray:
+    """The (k, d) means of the points each of labels 0..k-1 names; each must name one.
+
+    A column-layout mean is NumPy's `mean` of its members' copy.  A
+    row-layout mean is that `mean` without the copy: NumPy sums an axis-0
+    reduction from the first row on, in point order, so the member rows are
+    added in place in that order.
+    """
+    means = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
+    for c, mean in enumerate(means):
+        if axis:
+            mean[:] = np.compress(labels == c, points, axis).mean(axis)
+        else:
+            members = np.flatnonzero(labels == c)
+            mean[:] = points[members[0]]
+            for i in members[1:]:
+                mean += points[i]
+            mean /= members.size
+    return means
+
+
 def _lloyd_run(
     points: np.ndarray,
     axis: int,
@@ -327,32 +388,34 @@ def _lloyd_run(
     outlive the first update.  Each update measures its shift in the old
     centroids' buffer, so a run holds two (k, d) arrays at a time.  Each
     update's distance rows come from `_sq_rows` with `memo`.  The inertia
-    is the closing assignment's sum of squares.
+    is the closing assignment's sum of squares.  A pass that needs no
+    repair and finds the partition the centroids were averaged from closes
+    the run, as the update it skips would find no centroid moved; with a
+    centroid past the largest float that update's shift is NaN, and the
+    run would go on to `_MAX_ITERS` and close on the same state.
     """
     centroids, sq = start
     del start
+    averaged = None  # the labels `centroids` are the means of, once an update made them
 
     for _ in range(_MAX_ITERS):
         labels, own = _nearest(sq)
         repaired = _repair_empties(points, axis, centroids, labels, own)
+        if not repaired and np.array_equal(labels, averaged):
+            # the update would average the same members, in the same order,
+            # into these very centroids: this pass already is the closing
+            # assignment, as the `shift == 0.0` below would find.  They go
+            # back in a new buffer, as from that update, and this one is
+            # freed for the next run: returned as they are, they left a heap
+            # hole that raised `train` peak RSS by about 2 MB
+            return centroids.copy(), float(own.sum()), labels, sq
 
         # the repair left every cluster at least one member, as n >= k
-        updated = np.empty_like(centroids)
-        for c, mean in enumerate(updated):
-            if axis:
-                mean[:] = np.compress(labels == c, points, axis).mean(axis)
-            else:
-                # the `mean` of the member rows' copy, without the copy: NumPy
-                # sums an axis-0 reduction from the first row on, in point order
-                members = np.flatnonzero(labels == c)
-                mean[:] = points[members[0]]
-                for i in members[1:]:
-                    mean += points[i]
-                mean /= members.size
+        updated = _means(points, axis, labels, centroids.shape[0])
         # each coordinate's move, measured in the old centroids' buffer
         np.abs(np.subtract(updated, centroids, out=centroids), out=centroids)
         shift = float(np.max(centroids, initial=0.0))  # none if no column varies
-        centroids = updated
+        centroids, averaged = updated, labels
         if shift == 0.0 and not repaired:
             # `sq` was measured against these very centroids, so this pass,
             # left unrepaired, already is the closing assignment
@@ -490,13 +553,18 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     bound if larger.  The distance work of a run is k single-centroid rows
     at the k-means++ draws, which the first assignment reuses, plus one
     (k, n) pass per update that moved a centroid or followed a repair.  A
-    refinement run starts with one (k, n) pass.  When the restarts share
-    all points (stride 1) in the row layout, they share one memo of
-    distance rows instead, keyed by the member set whose mean each
-    centroid is (a draw's one point, an update's members): a row is
-    computed once per distinct draw and per distinct member set, and any
-    later restart that needs it copies it, bit for bit.  The memo keeps at
-    most n rows, and n <= d_varying there, so it never outgrows the points.
+    refinement run starts with one (k, n) pass.  A run averages its
+    clusters once per pass, except on a pass that needs no repair and finds
+    the partition its centroids were averaged from: that pass closes it.
+    When the restarts share all points (stride 1) in the row layout, they
+    share one memo of distance rows instead, keyed by the member set whose
+    mean each centroid is (a draw's one point, an update's members): a row
+    is computed once per distinct draw and per distinct member set, and any
+    later restart that needs it copies it, bit for bit.  A draw's row also
+    copies its entry of every point whose own draw row the memo holds, so
+    while the memo keeps them the i-th distinct draw computes n − i
+    entries.  The memo keeps at most n rows, and n <= d_varying there, so
+    it never outgrows the points.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -508,6 +576,8 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     coordinate, or points so large that a returned centroid or the inertia
     overflows.
     """
+    if not isinstance(params, KMeansParams):
+        raise UsageError(f"params must be a KMeansParams, not {type(params).__name__}")
     matrix = _as_matrix(points)
     n = matrix.shape[0]
     if n < params.k:

@@ -148,6 +148,38 @@ def _spy_on_rows(monkeypatch) -> tuple[list[bytes], list[bytes]]:
     return computed, used
 
 
+def _spy_on_work(monkeypatch) -> dict[str, int]:
+    """How many point-to-centroid distances `fit` computes and uses, and how many means it computes.
+
+    Each count starts at 0 and covers every call from now on.
+    """
+    real_distances, real_rows, real_means = (
+        clustering._sq_distances,
+        clustering._sq_rows,
+        clustering._means,
+    )
+    work = {"computed": 0, "used": 0, "means": 0}
+
+    def distances(*args):
+        sq = real_distances(*args)
+        work["computed"] += sq.size
+        return sq
+
+    def rows(*args):
+        sq = real_rows(*args)
+        work["used"] += sq.size
+        return sq
+
+    def means(points, axis, labels, k):
+        work["means"] += k
+        return real_means(points, axis, labels, k)
+
+    monkeypatch.setattr(clustering, "_sq_distances", distances)
+    monkeypatch.setattr(clustering, "_sq_rows", rows)
+    monkeypatch.setattr(clustering, "_means", means)
+    return work
+
+
 def _spy_on_run_results(monkeypatch) -> list[tuple]:
     """What each Lloyd run `fit` makes from now on returns, in order."""
     real = clustering._lloyd_run
@@ -177,10 +209,10 @@ def test_as_many_varying_columns_as_points_are_clustered_as_rows(monkeypatch):
         assert np.array_equal(sq, assign(points, centroids)[1])
     # and so does every restart whose rows the memo served, winner or not
     results = _spy_on_run_results(monkeypatch)
-    computed, used = _spy_on_rows(monkeypatch)
+    work = _spy_on_work(monkeypatch)
     points = _separated_blobs(20, 24, 4)
     centroids, _, sq, _ = fit(points, KMeansParams(k=4, seed=5))
-    assert len(computed) < len(used) and len(results) == clustering._N_INIT
+    assert work["computed"] < work["used"] and len(results) == clustering._N_INIT
     for run_centroids, _, labels, run_sq in results:
         again_labels, again_sq = assign(points, run_centroids)
         assert np.array_equal(run_sq.T, again_sq) and np.array_equal(labels, again_labels)
@@ -205,22 +237,73 @@ def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
     assert len(computed) == len(set(computed)) == 2
 
 
+def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeypatch):
+    work = _spy_on_work(monkeypatch)
+    rng = np.random.default_rng(22)
+    # two blobs of four points; the start sits off both, so the first update
+    # moves every centroid and the next pass finds the same partition.  Eight
+    # columns are the row layout, two the column layout
+    for d in (8, 2):
+        points = np.repeat([[0.0] * d, [50.0] * d], 4, axis=0) + rng.standard_normal((8, d))
+        axis = int(d < len(points))
+        layout = points.T.copy() if axis else points
+        start = points[[0, 4]] + 0.5
+        work["means"] = 0
+        centroids, inertia, labels, sq = clustering._lloyd_run(
+            layout, axis, (start, clustering._sq_distances(layout, axis, start)), None
+        )
+        assert work["means"] == 2  # one update of two clusters, not two
+        assert labels.tolist() == [0] * 4 + [1] * 4
+        again_labels, again_sq = assign(points, centroids)
+        assert np.array_equal(labels, again_labels) and np.array_equal(sq.T, again_sq)
+        assert inertia == sq.T[np.arange(8), labels].sum()
+        assert np.array_equal(centroids, [points[:4].mean(axis=0), points[4:].mean(axis=0)])
+        # a mean that overflows to inf is a fixed point: every later update
+        # would give it again, yet its shift, inf - inf, is NaN and never
+        # converges.  The run closes on its second pass, as it would after
+        # `_MAX_ITERS` updates, on the same centroids and partition
+        huge = np.zeros((3, d))
+        huge[:, 0] = (1e308, 1e308, -1e308)
+        axis = int(d < len(huge))
+        layout = huge.T.copy() if axis else huge
+        start = huge[:1].copy()
+        work["means"] = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroids, inertia, labels, sq = clustering._lloyd_run(
+                layout, axis, (start, clustering._sq_distances(layout, axis, start)), None
+            )
+        assert work["means"] == 1
+        assert centroids.tolist() == [[math.inf] + [0.0] * (d - 1)] and inertia == math.inf
+        assert labels.tolist() == [0, 0, 0] and np.all(sq == math.inf)
+
+
 def test_restarts_on_the_same_points_compute_each_row_once(monkeypatch):
-    computed, used = _spy_on_rows(monkeypatch)
+    work = _spy_on_work(monkeypatch)
     points = _separated_blobs(60, 80, 4)  # 80 columns: the row layout
     fit(points, KMeansParams(k=4, seed=3))
-    # each distinct draw and each distinct member set (so each distinct
-    # centroid, on points without duplicates) has its row computed once
-    assert len(computed) == len(set(computed)) == len(set(used)) == 35
-    assert set(computed) == set(used) and len(used) == 80
+    # each of ten restarts uses 8 rows of 60 distances: its 4 draws' rows, and
+    # the rows of one update, after which one pass closes the run.  Each of the
+    # 31 distinct draws and 4 distinct member sets (so each distinct centroid,
+    # on points without duplicates) has its row computed once, 35 rows; and
+    # the i-th distinct draw copies its entries of the i before it from their
+    # own rows, so it computes 60 - i.  Every row whole would be 2,100
+    assert work["used"] == 10 * 8 * 60
+    assert work["computed"] == 35 * 60 - 31 * 30 // 2 == 1_635
+    # each restart's closing pass finds the partition its centroids were
+    # averaged from, and averages no cluster again: 40 means, not 80
+    assert work["means"] == 4 * 10
     # the memo is for restarts on the same points in the row layout only:
     # restarts on subsamples, and restarts in the column layout, compute
-    # every row, as many as before the memo (92 and 80)
-    for columns, seed_points, rows in ((80, 30, 92), (3, clustering._SEED_POINTS, 80)):
+    # every row, as many distances as before the memo (92 rows of 30 or 60
+    # points, and 80 rows of 60); each run's closing pass skips its update too
+    for columns, seed_points, computed, means in (
+        (80, 30, 3_120, 48),
+        (3, clustering._SEED_POINTS, 80 * 60, 40),
+    ):
         monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
-        computed.clear()
+        work.update(computed=0, means=0)
         fit(_separated_blobs(60, columns, 4), KMeansParams(k=4, seed=3))
-        assert len(computed) == rows
+        assert (work["computed"], work["means"]) == (computed, means)
 
 
 def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
@@ -238,6 +321,44 @@ def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
     assert len(set(map(id, memos))) == 1
     assert len(memos[0]) == 8 and len(set(computed)) > 8  # more rows than it may keep
     assert np.array_equal(sq, assign(points, centroids)[1])
+
+
+def test_a_draw_row_filled_from_earlier_rows_has_the_bits_of_a_computed_one(monkeypatch):
+    real = clustering._draw_row
+    filled = []  # (the row, the row computed whole, how many of its entries were copied)
+
+    def spy(points, idx, memo):
+        row = real(points, idx, memo)
+        whole = clustering._sq_distances(points, 0, points[idx : idx + 1])[0]
+        filled.append((row, whole, sum(isinstance(key, int) for key in memo)))
+        return row
+
+    monkeypatch.setattr(clustering, "_draw_row", spy)
+    rng = np.random.default_rng(21)
+    # two groups 2e154 apart, so every distance across them overflows to inf
+    side = np.where(np.arange(12)[:, None] < 6, 1e154, -1e154)
+    overflowing = side + rng.standard_normal((12, 16)) * 1e153
+    # rows that are not contiguous, and constant columns between varying
+    # ones: both are clustered as a compressed copy
+    fortran = np.asfortranarray(rng.standard_normal((10, 30)) * 1e3)
+    scattered = np.insert(rng.standard_normal((10, 30)), [0, 7, 7, 19, 30], 2.5, axis=1)
+    for points, k in ((overflowing, 2), (overflowing, 3), (fortran, 4), (scattered, 4)):
+        filled.clear()
+        fit(points, KMeansParams(k=k, seed=1))
+        assert all(np.array_equal(row, whole) for row, whole, _ in filled)
+        assert sum(copied for *_, copied in filled) >= 10
+        if points is overflowing:  # inf entries as well as finite ones
+            assert all(np.isinf(row).any() and np.isfinite(row).any() for row, *_ in filled)
+    # a draw fills its row from draw rows only: an update's row in the memo,
+    # keyed by its member mask, holds distances to a mean, not to a point
+    points = rng.standard_normal((6, 8))
+    memo = {}
+    mask = np.array([True, True, False, False, False, False])
+    clustering._sq_rows(points, 0, points[mask].mean(axis=0)[None], [mask.tobytes()], memo)
+    for i in (3, 0, 5, 1, 4, 2):
+        row = clustering._sq_rows(points, 0, points[i : i + 1], [i], memo)[0]
+        assert np.array_equal(row, clustering._sq_distances(points, 0, points[i : i + 1])[0])
+    assert len(memo) == 6
 
 
 def _spy_on_runs(monkeypatch) -> list[np.ndarray]:
@@ -723,6 +844,12 @@ def test_fit_input_validation():
     ):
         with pytest.raises(UsageError, match="overflows"):
             fit(points, KMeansParams(k=1))
+
+
+def test_fit_refuses_params_that_are_not_kmeans_params():
+    for params, name in ((None, "NoneType"), (3, "int"), ({"k": 1}, "dict")):
+        with pytest.raises(UsageError, match=f"^params must be a KMeansParams, not {name}$"):
+            fit([[1.0], [2.0]], params)
 
 
 def test_a_fit_that_overflows_on_the_way_but_ends_finite_is_returned():

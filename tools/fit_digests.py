@@ -1,0 +1,133 @@
+"""Digests of every `clustering.fit` result: a change that keeps every bit prints the same lines.
+
+Usage:
+
+    python tools/fit_digests.py [--scan N] ['CLI ARGS' ...]
+
+Each quoted argument is one `scenefuse` command line, split as a shell
+would split it and run in turn through `scenefuse.cli.main` in the current
+directory.  Every `clustering.fit` call a command makes prints one line:
+the command's and the call's number, n, d, k and seed, and the SHA-256 of
+the returned centroids, labels and sq and the inertia, or the refusal's
+message.  Each command then prints its exit code and the SHA-256 of its
+stdout.  A fixed seeded scan of N library fits follows (default 400), on
+small matrices of both layouts: random, duplicated and integer points,
+constant columns, and points near 1e154 and 1e308, where distances and
+means overflow.
+
+The program under test is the `src/` of the checkout this file is in.  Run
+it in two checkouts on the same inputs and `diff` the outputs: no
+difference means every fit kept its bits.  Commands that write files (a
+`train --out`) should run in a scratch directory, once per checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import shlex
+import struct
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from scenefuse import clustering  # noqa: E402
+from scenefuse.cli import main as cli_main  # noqa: E402
+from scenefuse.errors import UsageError  # noqa: E402
+
+SCALES = (1.0, 1e3, 1e150, 1e154, 1e300, 1e307)
+
+
+def outcome(fit, points, params):
+    """`fit(points, params)`, or the UsageError it raised."""
+    try:
+        return fit(points, params)
+    except UsageError as exc:
+        return exc
+
+
+def digest(points, params, result) -> str:
+    """One fit's line: its shape and params, then its result's SHA-256 or its refusal."""
+    matrix = np.asarray(points)
+    head = f"n={matrix.shape[0]} d={matrix.shape[-1]} k={params.k} seed={params.seed}"
+    if isinstance(result, UsageError):
+        return f"{head} refused: {result}"
+    centroids, labels, sq, inertia = result
+    sha = hashlib.sha256()
+    for array in (centroids, labels.astype(np.int64), sq):
+        sha.update(np.ascontiguousarray(array).tobytes())
+    sha.update(struct.pack("<d", inertia))
+    return f"{head} {sha.hexdigest()}"
+
+
+def run_commands(commands: list[str]) -> None:
+    """Run each command line, printing a digest line per fit, then its exit code and stdout's."""
+    real_fit = clustering.fit
+    lines: list[str] = []
+
+    def recorded(points, params):
+        result = outcome(real_fit, points, params)
+        lines.append(digest(points, params, result))
+        if isinstance(result, UsageError):
+            raise result
+        return result
+
+    clustering.fit = recorded
+    try:
+        for number, command in enumerate(commands, 1):
+            lines.clear()
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = cli_main(shlex.split(command))
+            for call, line in enumerate(lines, 1):
+                print(f"command {number} fit {call} {line}")
+            stdout_sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            print(f"command {number} exit {code} stdout {stdout_sha}")
+    finally:
+        clustering.fit = real_fit
+
+
+def scan_instance(rng: np.random.Generator) -> tuple[np.ndarray, clustering.KMeansParams]:
+    """One seeded library fit: points of either layout, some near overflow."""
+    n = int(rng.integers(2, 25))
+    d = int(rng.integers(1, 2 * n + 1))  # fewer columns than points, or at least as many
+    kind = int(rng.integers(3))
+    if kind == 0:
+        points = rng.standard_normal((n, d))
+    elif kind == 1:  # a few distinct points, each repeated
+        distinct = int(rng.integers(1, n + 1))
+        points = rng.standard_normal((distinct, d))[rng.integers(0, distinct, n)]
+    else:
+        points = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    points *= SCALES[int(rng.integers(len(SCALES)))]
+    constant = rng.random(d) < 0.3
+    points[:, constant] = points[0, constant]
+    k = int(rng.integers(1, n + 1))
+    return points, clustering.KMeansParams(k=min(k, 6), seed=int(rng.integers(2**31)))
+
+
+def scan(count: int) -> None:
+    rng = np.random.default_rng(2003)
+    with np.errstate(over="ignore"):  # the scan's own near-overflow points
+        instances = [scan_instance(rng) for _ in range(count)]
+    for number, (points, params) in enumerate(instances, 1):
+        print(f"scan {number} {digest(points, params, outcome(clustering.fit, points, params))}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("commands", nargs="*", help="scenefuse command lines, one per argument")
+    parser.add_argument("--scan", type=int, default=400, help="library fits to scan (default 400)")
+    args = parser.parse_args(argv)
+    run_commands(args.commands)
+    scan(args.scan)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
