@@ -14,7 +14,14 @@ call.  Both weight matrices are views of one flat vector and both
 gradients views of another, so the update is two calls.  The step
 computes each value as the plain expressions would, in the same order,
 so its weights and trace keep their bits; `loss_gradients` returns the
-gradients of that same step.
+gradients of that same step, and `predict_action` runs its forward pass.
+Its arrays hold 8 x 8 entries or fewer, so a step costs what its NumPy
+calls cost, not their arithmetic: every constant it uses (the clip
+bounds, 1, the error's divisor and the learning rate) is a read-only 0-d
+float64 array made once, because a ufunc converts a Python float operand
+again on every call, and the ufuncs are bound once, positional `out`
+wherever the ufunc takes it.  The clipped sigmoid is written inline in
+the forward pass, the one place that computes it.
 """
 
 from __future__ import annotations
@@ -36,16 +43,18 @@ class ActionExample:
     action_code: str
 
     def __post_init__(self) -> None:
-        if not self.scene_label or not self.action_code:
-            raise UsageError("scene label and action code cannot be empty")
+        for name, label in (("scene label", self.scene_label), ("action code", self.action_code)):
+            if not (isinstance(label, str) and label):
+                got = "an empty str" if isinstance(label, str) else type(label).__name__
+                raise UsageError(f"{name} must be a non-empty str, not {got}")
 
 
 @dataclass(frozen=True, eq=False)
 class ActionNet:
     """Trained weights over two vocabularies; the hidden width is their shared axis.
 
-    As after training, each vocabulary is non-empty and lists an entry once,
-    and the hidden layer has at least one unit.
+    As after training, each vocabulary is a non-empty tuple of non-empty str
+    that lists an entry once, and the hidden layer has at least one unit.
     """
 
     scene_vocab: tuple[str, ...]
@@ -54,11 +63,14 @@ class ActionNet:
     weights_ho: np.ndarray  # (hidden, len(action_vocab))
 
     def __post_init__(self) -> None:
-        if not (self.scene_vocab and self.action_vocab):
-            raise UsageError("scene and action vocabularies cannot be empty")
         for vocab in (self.scene_vocab, self.action_vocab):
+            # a str would read as one label per character
+            if not (type(vocab) is tuple and all(isinstance(e, str) and e for e in vocab)):
+                raise UsageError("a vocabulary must be a tuple of non-empty str")
             if len(set(vocab)) < len(vocab):
                 raise UsageError(f"vocabulary {list(vocab)} repeats an entry")
+        if not (self.scene_vocab and self.action_vocab):
+            raise UsageError("scene and action vocabularies cannot be empty")
         for name, weights, axes in (
             ("weights_ih", self.weights_ih, "(scenes, hidden)"),
             ("weights_ho", self.weights_ho, "(hidden, actions)"),
@@ -88,14 +100,17 @@ def encode_onehot(label: str, vocab: Sequence[str]) -> np.ndarray:
     return row
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) over `x` clipped to [-60, 60], written into `x`, which it returns."""
-    np.maximum(x, -60.0, out=x)
-    np.minimum(x, 60.0, out=x)
-    np.negative(x, x)
-    np.exp(x, x)
-    np.add(x, 1.0, x)
-    return np.divide(1.0, x, x)
+def _constant(value) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array, a ufunc operand that needs no conversion.
+
+    The dtype is explicit: `np.array(2**70)` would be an object array.
+    """
+    array = np.array(value, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+_LOW, _HIGH, _ONE = _constant(-60.0), _constant(60.0), _constant(1.0)  # the sigmoid's clip
 
 
 def _matrices(flat: np.ndarray, first: tuple[int, int], second: tuple[int, int]):
@@ -105,12 +120,13 @@ def _matrices(flat: np.ndarray, first: tuple[int, int], second: tuple[int, int])
 
 
 def _kernel(inputs: np.ndarray, targets: np.ndarray, hidden_size: int):
-    """One training call's buffers, allocated once, and the step that fills them.
+    """One training call's buffers, allocated once, and the two passes that fill them.
 
     Returns the flat weight vector, the flat gradient vector (both in the
-    `_matrices` layout), the outputs buffer and `step`.  `step` runs the
-    forward pass from the weights into the outputs and both gradients of
-    the mean squared output error into the gradient vector, in place.
+    `_matrices` layout), the outputs buffer, `forward` and `step`.
+    `forward` runs the forward pass from the weights into the outputs;
+    `step` runs it, then both gradients of the mean squared output error
+    into the gradient vector, in place.
     """
     (rows, scenes), actions = inputs.shape, targets.shape[1]
     params = np.empty(hidden_size * (scenes + actions))
@@ -127,25 +143,44 @@ def _kernel(inputs: np.ndarray, targets: np.ndarray, hidden_size: int):
     d_out = np.empty_like(outputs)
     d_hidden = np.empty_like(hidden)
     inputs_t, hidden_t, weights_ho_t = inputs.T, hidden.T, weights_ho.T
-    half = targets.size / 2  # 2 * e / size rounds the same real quotient as e / (size / 2)
+    # 2 * e / size rounds the same real quotient as e / (size / 2)
+    half = _constant(targets.size / 2)
+    dot, add, subtract, multiply, divide = np.dot, np.add, np.subtract, np.multiply, np.divide
+    maximum, minimum, negative, exp = np.maximum, np.minimum, np.negative, np.exp
+
+    def forward() -> None:
+        # each layer is 1 / (1 + e^-x) over x clipped to [-60, 60], written out
+        # for both, as a loop over the two costs about 2% of a step; NumPy
+        # deprecates a positional `out` for np.maximum and np.minimum
+        dot(inputs, weights_ih, hidden)
+        maximum(hidden, _LOW, out=hidden)
+        minimum(hidden, _HIGH, out=hidden)
+        negative(hidden, hidden)
+        exp(hidden, hidden)
+        add(hidden, _ONE, hidden)
+        divide(_ONE, hidden, hidden)
+        dot(hidden, weights_ho, outputs)
+        maximum(outputs, _LOW, out=outputs)
+        minimum(outputs, _HIGH, out=outputs)
+        negative(outputs, outputs)
+        exp(outputs, outputs)
+        add(outputs, _ONE, outputs)
+        divide(_ONE, outputs, outputs)
 
     def step() -> None:
-        np.dot(inputs, weights_ih, hidden)
-        _sigmoid(hidden)
-        np.dot(hidden, weights_ho, outputs)
-        _sigmoid(outputs)
-        np.subtract(1.0, layers, complements)
-        np.subtract(outputs, targets, d_out)
-        np.divide(d_out, half, d_out)
-        np.multiply(d_out, outputs, d_out)
-        np.multiply(d_out, outputs_c, d_out)
-        np.dot(hidden_t, d_out, grad_ho)
-        np.dot(d_out, weights_ho_t, d_hidden)
-        np.multiply(d_hidden, hidden, d_hidden)
-        np.multiply(d_hidden, hidden_c, d_hidden)
-        np.dot(inputs_t, d_hidden, grad_ih)
+        forward()
+        subtract(_ONE, layers, complements)
+        subtract(outputs, targets, d_out)
+        divide(d_out, half, d_out)
+        multiply(d_out, outputs, d_out)
+        multiply(d_out, outputs_c, d_out)
+        dot(hidden_t, d_out, grad_ho)
+        dot(d_out, weights_ho_t, d_hidden)
+        multiply(d_hidden, hidden, d_hidden)
+        multiply(d_hidden, hidden_c, d_hidden)
+        dot(inputs_t, d_hidden, grad_ih)
 
-    return params, grads, outputs, step
+    return params, grads, outputs, forward, step
 
 
 def loss_gradients(
@@ -155,7 +190,7 @@ def loss_gradients(
     targets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the mean squared output error w.r.t. both weight matrices."""
-    params, grads, _, step = _kernel(inputs, targets, weights_ih.shape[1])
+    params, grads, _, _, step = _kernel(inputs, targets, weights_ih.shape[1])
     params[:] = np.concatenate((weights_ih, weights_ho), axis=None)
     step()
     grad_ih, grad_ho = _matrices(grads, weights_ih.shape, weights_ho.shape)
@@ -208,7 +243,7 @@ def train_actions(
     inputs = np.vstack([encode_onehot(e.scene_label, scene_vocab) for e in examples])
     targets = np.vstack([encode_onehot(e.action_code, action_vocab) for e in examples])
 
-    params, grads, outputs, step = _kernel(inputs, targets, hidden_size)
+    params, grads, outputs, _, step = _kernel(inputs, targets, hidden_size)
     weights_ih, weights_ho = _matrices(
         params, (len(scene_vocab), hidden_size), (hidden_size, len(action_vocab))
     )
@@ -216,6 +251,8 @@ def train_actions(
     weights_ih[...] = rng.uniform(-1.0, 1.0, weights_ih.shape)
     weights_ho[...] = rng.uniform(-1.0, 1.0, weights_ho.shape)
 
+    rate = _constant(learning_rate)  # float64 even for an int no int64 holds, such as 2**70
+    multiply, subtract = np.multiply, np.subtract
     trace: list[tuple[int, float]] = []
     # a huge learning rate overflows the weights; ActionNet then refuses them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,8 +260,8 @@ def train_actions(
             step()
             if iteration % _TRACE_EVERY == 0:
                 trace.append((iteration, float(np.mean(np.abs(outputs - targets)))))
-            grads *= learning_rate
-            params -= grads
+            multiply(grads, rate, grads)
+            subtract(params, grads, params)
 
     return ActionNet(scene_vocab, action_vocab, weights_ih, weights_ho), tuple(trace)
 
@@ -232,7 +269,10 @@ def train_actions(
 def predict_action(net: ActionNet, scene_label: str) -> str:
     """Highest-activation action code for a scene label; UsageError if the net never saw it."""
     row = encode_onehot(scene_label, net.scene_vocab)
-    outputs = _sigmoid(_sigmoid(row[None, :] @ net.weights_ih) @ net.weights_ho)
+    targets = np.empty((1, len(net.action_vocab)))  # sizes the outputs; the forward pass reads none
+    params, _, outputs, forward, _ = _kernel(row[None, :], targets, net.weights_ih.shape[1])
+    params[:] = np.concatenate((net.weights_ih, net.weights_ho), axis=None)
+    forward()
     return net.action_vocab[int(np.argmax(outputs[0]))]
 
 

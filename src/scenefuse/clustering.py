@@ -240,10 +240,11 @@ def _sq_rows(
     (a k-means++ draw by its point's index, an update by the bytes of its
     member mask) and is read only when there is a memo, which only the row
     layout keeps.  A row whose key the memo holds is copied from it.  Any
-    other is computed on its own, a draw's through `_draw_row`, which
-    copies its entries of the earlier draws; each is remembered while the
-    memo holds fewer than n rows.  With no memo every row is computed in
-    one pass.
+    other is computed on its own and remembered: a draw's through
+    `_draw_row`, which copies its entries of the earlier draws, always, as
+    a fit draws at most n distinct points; an update's while the memo holds
+    fewer than n rows.  So the memo holds at most 2n rows.  With no memo
+    every row is computed in one pass.
     """
     if memo is None:
         return _sq_distances(points, axis, centroids)
@@ -252,11 +253,11 @@ def _sq_rows(
         row = memo.get(key)
         if row is None:
             if isinstance(key, int):
-                row = _draw_row(points, key, memo)
+                row = memo[key] = _draw_row(points, key, memo)
             else:
                 row = _sq_distances(points, axis, centroids[j : j + 1])[0]
-            if len(memo) < points.shape[axis]:
-                memo[key] = row
+                if len(memo) < points.shape[axis]:
+                    memo[key] = row
         sq[j] = row
     return sq
 
@@ -561,10 +562,11 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     mean each centroid is (a draw's one point, an update's members): a row
     is computed once per distinct draw and per distinct member set, and any
     later restart that needs it copies it, bit for bit.  A draw's row also
-    copies its entry of every point whose own draw row the memo holds, so
-    while the memo keeps them the i-th distinct draw computes n − i
-    entries.  The memo keeps at most n rows, and n <= d_varying there, so
-    it never outgrows the points.
+    copies its entry of every earlier distinct draw from that draw's row,
+    so the i-th distinct draw computes n − i entries.  The memo keeps every
+    distinct draw's row, at most n, and update rows while it holds fewer
+    than n, so at most 2n rows of n; n <= d_varying there, so it never
+    outgrows twice the points.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate

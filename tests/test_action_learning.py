@@ -15,6 +15,7 @@ from oracles import (
 )
 from scenefuse.action_learning import (
     ActionExample,
+    ActionNet,
     action_repl,
     encode_onehot,
     loss_gradients,
@@ -112,12 +113,29 @@ def test_examples_must_be_a_list_or_tuple_of_pairs():
     train_actions((pair,), iterations=10)
 
 
-# (scene, action) pair sets: repeats, shuffled repeats, a single pair, more scenes than actions
+def test_labels_and_vocabularies_are_non_empty_str():
+    labels = ((1, 2), (1, "2"), ("1", 2), (None, "a"), (b"a", "1"), ("a", ""), ("", "1"))
+    for scene, action in labels:
+        with pytest.raises(UsageError, match="must be a non-empty str, not "):
+            ActionExample(scene, action)
+    weights_ih, weights_ho = np.zeros((2, 1)), np.zeros((1, 2))
+    # "ab" would read as the two labels a and b
+    for vocab in ("ab", ["a", "b"], (5, 6), ("a", ""), ("a", None), (["a"], "b")):
+        for vocabs in ((vocab, ("1", "2")), (("a", "b"), vocab)):
+            with pytest.raises(UsageError, match="^a vocabulary must be a tuple of non-empty str$"):
+                ActionNet(*vocabs, weights_ih, weights_ho)
+    ActionNet(("a", "b"), ("1", "2"), weights_ih, weights_ho)
+
+
+# (scene, action) pair sets: repeats, shuffled repeats, a single pair, more scenes than
+# actions, and eight scenes to eight actions, whose one-hot inputs are the identity, as
+# in the benchmark's `action train`
 TRAINING_SETS = {
     "repeated": [("coffee", "42")] * 6 + [("gym", "10")],
     "shuffled": [("c", "3"), ("a", "1"), ("b", "2"), ("a", "1"), ("c", "3"), ("b", "2")],
     "single": [("a", "1")],
     "more_scenes": [("a", "1"), ("b", "2"), ("c", "1"), ("d", "2"), ("e", "1")],
+    "one_to_one": [(scene, str(code)) for code, scene in enumerate("efghabcd")],
 }
 
 
@@ -143,6 +161,34 @@ def test_training_keeps_the_bits_of_the_reference_trainer(name):
         assert net.weights_ih.tobytes() == weights_ih.tobytes(), case
         assert net.weights_ho.tobytes() == weights_ho.tobytes(), case
         assert list(trace) == expected, case
+
+
+def test_twenty_thousand_steps_at_the_cli_defaults_keep_the_reference_bits():
+    # the benchmark's `action train`: 20,000 steps, 8 hidden units, rate 0.5, seed 0
+    pairs = TRAINING_SETS["one_to_one"]
+    net, trace = train_actions([ActionExample(*pair) for pair in pairs], 20_000)
+    weights_ih, weights_ho, expected = reference_training(pairs, 20_000, 8, 0.5, seed=0)
+    assert net.weights_ih.tobytes() == weights_ih.tobytes()
+    assert net.weights_ho.tobytes() == weights_ho.tobytes()
+    assert list(trace) == expected
+
+
+def _trained_or_refused(examples, rate):
+    """The weights' and trace's bits of training at `rate`, or the refusal's message."""
+    try:
+        net, trace = train_actions(examples, 1234, hidden_size=3, learning_rate=rate, seed=7)
+    except UsageError as exc:
+        return str(exc)
+    return net.weights_ih.tobytes(), net.weights_ho.tobytes(), trace
+
+
+def test_an_int_learning_rate_trains_as_its_float():
+    examples = [ActionExample(scene, action) for scene, action in TRAINING_SETS["shuffled"]]
+    # 2**70 is past any int64: it must still reach the step as a float64
+    for rate in (3, 2**70):
+        trained = _trained_or_refused(examples, rate)
+        assert trained == _trained_or_refused(examples, float(rate)), rate
+    assert not isinstance(_trained_or_refused(examples, 3), str)
 
 
 def test_unknown_labels_are_rejected():

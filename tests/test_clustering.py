@@ -306,12 +306,14 @@ def test_restarts_on_the_same_points_compute_each_row_once(monkeypatch):
         assert (work["computed"], work["means"]) == (computed, means)
 
 
-def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
+def test_the_distance_memo_holds_every_draw_and_at_most_n_update_rows(monkeypatch):
     real = clustering._sq_rows
-    memos = []
+    memos, drawn = [], set()
 
     def spy(points, axis, centroids, keys, memo):
         memos.append(memo)
+        keys = list(keys)  # an iterable, maybe read once
+        drawn.update(key for key in keys if isinstance(key, int))
         return real(points, axis, centroids, keys, memo)
 
     monkeypatch.setattr(clustering, "_sq_rows", spy)
@@ -319,7 +321,13 @@ def test_the_distance_memo_holds_at_most_one_row_per_point(monkeypatch):
     points = np.random.default_rng(4).standard_normal((8, 8))
     centroids, labels, sq, _ = fit(points, KMeansParams(k=3, seed=1))
     assert len(set(map(id, memos))) == 1
-    assert len(memos[0]) == 8 and len(set(computed)) > 8  # more rows than it may keep
+    keys = list(memos[0])  # in the order the memo took them
+    # every distinct draw's row stays, at most one per point, so a later
+    # draw can copy its entries from them all; an update's row joins only
+    # while the memo holds fewer than n rows, so it holds at most 2n
+    assert {key for key in keys if isinstance(key, int)} == drawn and len(drawn) == 8
+    assert all(i < 8 for i, key in enumerate(keys) if not isinstance(key, int))
+    assert 8 < len(keys) < len(set(computed))  # more rows than it may keep
     assert np.array_equal(sq, assign(points, centroids)[1])
 
 
@@ -346,7 +354,9 @@ def test_a_draw_row_filled_from_earlier_rows_has_the_bits_of_a_computed_one(monk
         filled.clear()
         fit(points, KMeansParams(k=k, seed=1))
         assert all(np.array_equal(row, whole) for row, whole, _ in filled)
-        assert sum(copied for *_, copied in filled) >= 10
+        # each distinct draw is filled once, and copies from every draw before it
+        assert [copied for *_, copied in filled] == list(range(len(filled)))
+        assert len(filled) >= 5
         if points is overflowing:  # inf entries as well as finite ones
             assert all(np.isinf(row).any() and np.isfinite(row).any() for row, *_ in filled)
     # a draw fills its row from draw rows only: an update's row in the memo,
@@ -358,7 +368,7 @@ def test_a_draw_row_filled_from_earlier_rows_has_the_bits_of_a_computed_one(monk
     for i in (3, 0, 5, 1, 4, 2):
         row = clustering._sq_rows(points, 0, points[i : i + 1], [i], memo)[0]
         assert np.array_equal(row, clustering._sq_distances(points, 0, points[i : i + 1])[0])
-    assert len(memo) == 6
+    assert len(memo) == 7  # the update's row and every draw's: no draw is left out
 
 
 def _spy_on_runs(monkeypatch) -> list[np.ndarray]:

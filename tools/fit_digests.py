@@ -1,4 +1,4 @@
-"""Digests of every `clustering.fit` result: a change that keeps every bit prints the same lines.
+"""Digests of every fit and net a run makes: a change that keeps every bit prints the same lines.
 
 Usage:
 
@@ -9,22 +9,27 @@ would split it and run in turn through `scenefuse.cli.main` in the current
 directory.  Every `clustering.fit` call a command makes prints one line:
 the command's and the call's number, n, d, k and seed, and the SHA-256 of
 the returned centroids, labels and sq and the inertia, or the refusal's
-message.  Each command then prints its exit code and the SHA-256 of its
-stdout.  A fixed seeded scan of N library fits follows (default 400), on
-small matrices of both layouts: random, duplicated and integer points,
-constant columns, and points near 1e154 and 1e308, where distances and
-means overflow.
+message.  Every `train_actions` call (an `action train` or `action repl`)
+prints one too: the command's and the call's number, the pair count and
+every training setting, and the SHA-256 of the net's `weights_ih` and
+`weights_ho` and of its error trace, or the refusal's message.  Each
+command then prints its exit code and the SHA-256 of its stdout.  A fixed
+seeded scan of N library fits follows (default 400), on small matrices of
+both layouts: random, duplicated and integer points, constant columns,
+and points near 1e154 and 1e308, where distances and means overflow.
 
 The program under test is the `src/` of the checkout this file is in.  Run
 it in two checkouts on the same inputs and `diff` the outputs: no
-difference means every fit kept its bits.  Commands that write files (a
-`train --out`) should run in a scratch directory, once per checkout.
+difference means every fit and every net kept its bits.  Commands that
+write files (a `train --out`, an `action train`) should run in a scratch
+directory, once per checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import shlex
 import struct
@@ -36,17 +41,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from scenefuse import clustering  # noqa: E402
-from scenefuse.cli import main as cli_main  # noqa: E402
+from scenefuse import action_learning, cli, clustering  # noqa: E402
 from scenefuse.errors import UsageError  # noqa: E402
 
 SCALES = (1.0, 1e3, 1e150, 1e154, 1e300, 1e307)
 
 
-def outcome(fit, points, params):
-    """`fit(points, params)`, or the UsageError it raised."""
+def outcome(call, *args, **kwargs):
+    """`call(*args, **kwargs)`, or the UsageError it raised."""
     try:
-        return fit(points, params)
+        return call(*args, **kwargs)
     except UsageError as exc:
         return exc
 
@@ -65,31 +69,69 @@ def digest(points, params, result) -> str:
     return f"{head} {sha.hexdigest()}"
 
 
-def run_commands(commands: list[str]) -> None:
-    """Run each command line, printing a digest line per fit, then its exit code and stdout's."""
-    real_fit = clustering.fit
-    lines: list[str] = []
+def net_digest(settings: dict, result) -> str:
+    """One training's line: its pair count and settings, then its net's SHA-256 or its refusal.
 
-    def recorded(points, params):
+    `settings` holds every argument of the call, defaults too, in order.
+    The SHA-256 covers `weights_ih`, `weights_ho` and the error trace.
+    """
+    (_, examples), *rest = settings.items()
+    head = " ".join([f"pairs={len(examples)}"] + [f"{name}={value!r}" for name, value in rest])
+    if isinstance(result, UsageError):
+        return f"{head} refused: {result}"
+    net, trace = result
+    sha = hashlib.sha256()
+    for array in (net.weights_ih, net.weights_ho):
+        sha.update(np.ascontiguousarray(array).tobytes())
+    for iteration, error in trace:
+        sha.update(struct.pack("<qd", iteration, error))
+    return f"{head} {sha.hexdigest()}"
+
+
+def run_commands(commands: list[str]) -> None:
+    """Run each command line: a digest line per fit and per net, then its exit code and stdout's."""
+    real_fit, real_train = clustering.fit, action_learning.train_actions
+    lines: dict[str, list[str]] = {"fit": [], "train": []}
+
+    def recorded_fit(points, params):
         result = outcome(real_fit, points, params)
-        lines.append(digest(points, params, result))
+        lines["fit"].append(digest(points, params, result))
         if isinstance(result, UsageError):
             raise result
         return result
 
-    clustering.fit = recorded
+    def recorded_train(*args, **kwargs):
+        bound = inspect.signature(real_train).bind(*args, **kwargs)
+        bound.apply_defaults()
+        result = outcome(real_train, *args, **kwargs)
+        lines["train"].append(net_digest(bound.arguments, result))
+        if isinstance(result, UsageError):
+            raise result
+        return result
+
+    # `cli` calls the `train_actions` it imported, `action_repl` its own module's
+    sites = (
+        (clustering, "fit", real_fit, recorded_fit),
+        (action_learning, "train_actions", real_train, recorded_train),
+        (cli, "train_actions", real_train, recorded_train),
+    )
+    for module, name, _, recorder in sites:
+        setattr(module, name, recorder)
     try:
         for number, command in enumerate(commands, 1):
-            lines.clear()
+            for kind_lines in lines.values():
+                kind_lines.clear()
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                code = cli_main(shlex.split(command))
-            for call, line in enumerate(lines, 1):
-                print(f"command {number} fit {call} {line}")
+                code = cli.main(shlex.split(command))
+            for kind, kind_lines in lines.items():
+                for call, line in enumerate(kind_lines, 1):
+                    print(f"command {number} {kind} {call} {line}")
             stdout_sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
             print(f"command {number} exit {code} stdout {stdout_sha}")
     finally:
-        clustering.fit = real_fit
+        for module, name, real, _ in sites:
+            setattr(module, name, real)
 
 
 def scan_instance(rng: np.random.Generator) -> tuple[np.ndarray, clustering.KMeansParams]:
