@@ -153,18 +153,29 @@ def cmd_train(args) -> None:
             _warn("--k-override only affects visual training; ignored")
     color_count = args.k_override if args.k_override is not None else DEFAULT_COLOR_COUNT
     names, paths = zip(*((scene, path) for scene, *files in args.scene for path in files))
+    # an acoustic vector's frequency half depends on the rate alone, and mixed
+    # rates are refused, so the matrix holds each clip's amplitude half and the
+    # first clip's frequency half is kept once; a visual vector shares no
+    # prefix.  `fit` gives each constant column its first row's value, so the
+    # shared half put back in front of the centroids gives the bits of a fit on
+    # the full vectors.  ROADMAP item 4 deletes this split once the acoustic
+    # vector itself is the amplitude half.
     matrix = None  # one row per file, allocated once the first file gives the width
     for row, path in enumerate(paths):
         vector, rate = _features(args.modality, path, color_count, args.seed)
         if matrix is None:
-            matrix, first_rate = np.empty((len(paths), vector.size)), rate
+            split = vector.size // 2 if args.modality == ACOUSTIC else 0
+            shared, first_rate = vector[:split], rate
+            matrix = np.empty((len(paths), vector.size - split))
         elif rate != first_rate:  # the frequency halves would split the clips by rate, not scene
             rates = sorted((first_rate, rate))
             raise UsageError(f"mixed sample rates across training files: {rates}")
-        matrix[row] = vector
+        matrix[row] = vector[split:]
 
     classifier, inertia, warnings = train_classifier(names, matrix, args.seed, args.scale)
     del matrix  # so the bundle save below does not peak on top of it
+    prefix = np.broadcast_to(shared, (len(classifier.centroids), split))
+    classifier = replace(classifier, centroids=np.hstack((prefix, classifier.centroids)))
     for message in warnings:
         _warn(message)
 

@@ -79,17 +79,27 @@ def check_width(modality: str, width: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Everything one deployment needs, bundled for disk; a classifier's slot is its modality."""
+    """Everything one deployment needs, bundled for disk; a classifier's slot is its modality.
+
+    Each slot holds what its type hint names, or None.
+    """
 
     acoustic: SceneClassifier | None = None
     visual: SceneClassifier | None = None
     action: ActionNet | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _SLOT_TYPES[f.name]):
+                raise UsageError(f"{f.name} must hold {f.type}, not {type(value).__name__}")
         for slot in MODALITIES:
             classifier = getattr(self, slot)
             if classifier is not None:
                 check_width(slot, classifier.centroids.shape[1])
+
+
+_SLOT_TYPES = get_type_hints(ModelBundle)  # resolved once, not per bundle
 
 
 @dataclass(frozen=True)

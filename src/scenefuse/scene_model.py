@@ -27,9 +27,10 @@ class SceneClassifier:
 
     `seed` seeded the fit and featurizes photos, so prediction sees the
     palettes training saw; `scale` is the confidence divisor.  As after
-    training, the centroids are a finite matrix with rows, names are
-    non-empty and the seed is not negative.  What the feature vectors are,
-    and so which widths d may be, is for the bundle slot that holds it.
+    training, the centroids are a finite float64 NumPy matrix with rows,
+    the names a tuple of non-empty str, one per row, and the seed is not
+    negative.  What the feature vectors are, and so which widths d may be,
+    is for the bundle slot that holds it.
     """
 
     centroids: np.ndarray
@@ -38,13 +39,19 @@ class SceneClassifier:
     scale: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.centroids).all():
+        centroids, names = self.centroids, self.cluster_names
+        if not (isinstance(centroids, np.ndarray) and centroids.dtype == np.float64):
+            raise UsageError("centroids must be a float64 NumPy array")
+        if not np.isfinite(centroids).all():
             raise UsageError("centroids must be finite")
-        if self.centroids.ndim != 2 or self.centroids.shape[0] == 0:
-            raise UsageError(f"centroid shape {self.centroids.shape} is not a matrix with rows")
-        if len(self.cluster_names) != len(self.centroids):
+        if centroids.ndim != 2 or centroids.shape[0] == 0:
+            raise UsageError(f"centroid shape {centroids.shape} is not a matrix with rows")
+        # a str would read as one name per character
+        if not (type(names) is tuple and all(isinstance(name, str) for name in names)):
+            raise UsageError("cluster_names must be a tuple of str")
+        if len(names) != len(centroids):
             raise UsageError("cluster_names must name each centroid row exactly once")
-        if not all(self.cluster_names):
+        if not all(names):
             raise UsageError("scene names cannot be empty")
         check_int(self.seed, 0, "seed")  # `fit` refused it, and featurizing a photo would too
         check_positive(self.scale, "scale")

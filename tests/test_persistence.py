@@ -573,6 +573,37 @@ def test_types_check_what_spans_their_fields():
         replace(net, weights_ih=net.weights_ih[:, :0], weights_ho=net.weights_ho[:0])
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"centroids": [[1.0], [2.0]]}, id="centroids-a-list"),
+        pytest.param({"centroids": np.zeros((2, 4), dtype=np.int64)}, id="int-centroids"),
+        pytest.param({"cluster_names": "ab"}, id="names-a-str"),
+        pytest.param({"cluster_names": ["near", "far"]}, id="names-a-list"),
+        pytest.param({"cluster_names": ("near", 5)}, id="a-name-not-a-str"),
+        pytest.param({"cluster_names": None}, id="names-none"),
+    ],
+)
+def test_a_classifier_refuses_fields_of_the_wrong_type(change):
+    """Only what training writes and `load_bundle` decodes: float64 arrays, tuples of str."""
+    (field,) = change
+    what = "a float64 NumPy array" if field == "centroids" else "a tuple of str"
+    with pytest.raises(UsageError, match=f"^{field} must be {what}$"):
+        replace(_classifier(), **change)
+
+
+def test_a_slot_refuses_a_value_of_the_wrong_type():
+    bundle = _full_bundle()
+    for slot, value, kind in (
+        ("acoustic", "x", "str"),
+        ("visual", bundle.action, "ActionNet"),
+        ("action", bundle.acoustic, "SceneClassifier"),
+    ):
+        hint = "ActionNet | None" if slot == "action" else "SceneClassifier | None"
+        with pytest.raises(UsageError, match=re.escape(f"{slot} must hold {hint}, not {kind}")):
+            replace(bundle, **{slot: value})
+
+
 def test_a_slot_refuses_a_width_its_modality_cannot_have():
     """The slot is the modality: acoustic widths are even, visual ones whole RGB triples."""
     with pytest.raises(UsageError, match="^acoustic width 3 is not a positive multiple of 2$"):

@@ -1,4 +1,4 @@
-"""Digests of every fit and net a run makes: a change that keeps every bit prints the same lines.
+"""Digests of every fit, net and `--out` file a run makes: same bits, same lines.
 
 Usage:
 
@@ -13,7 +13,11 @@ message.  Every `train_actions` call (an `action train` or `action repl`)
 prints one too: the command's and the call's number, the pair count and
 every training setting, and the SHA-256 of the net's `weights_ih` and
 `weights_ho` and of its error trace, or the refusal's message.  Each
-command then prints its exit code and the SHA-256 of its stdout.  A fixed
+command then prints its exit code and the SHA-256 of its stdout and, when
+it names a file with `--out`, the SHA-256 of that file as the command left
+it, or `absent` if there is none.  So a change that alters what a fit
+sees but not what a command writes, such as the matrix `train` hands
+`clustering.fit`, shows as changed fit lines beside equal file hashes.  A fixed
 seeded scan of N library fits follows (default 400), on small matrices of
 both layouts: random, duplicated and integer points, constant columns,
 and points near 1e154 and 1e308, where distances and means overflow.
@@ -88,6 +92,17 @@ def net_digest(settings: dict, result) -> str:
     return f"{head} {sha.hexdigest()}"
 
 
+def written(words: list[str]) -> str:
+    """` out SHA` for the file named after a command's `--out` word, ` out absent` if none.
+
+    An empty string for a command without an `--out` word.
+    """
+    if "--out" not in words[:-1]:
+        return ""
+    path = Path(words[words.index("--out") + 1])
+    return f" out {hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else 'absent'}"
+
+
 def run_commands(commands: list[str]) -> None:
     """Run each command line: a digest line per fit and per net, then its exit code and stdout's."""
     real_fit, real_train = clustering.fit, action_learning.train_actions
@@ -121,14 +136,14 @@ def run_commands(commands: list[str]) -> None:
         for number, command in enumerate(commands, 1):
             for kind_lines in lines.values():
                 kind_lines.clear()
-            out = io.StringIO()
+            out, words = io.StringIO(), shlex.split(command)
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                code = cli.main(shlex.split(command))
+                code = cli.main(words)
             for kind, kind_lines in lines.items():
                 for call, line in enumerate(kind_lines, 1):
                     print(f"command {number} {kind} {call} {line}")
             stdout_sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-            print(f"command {number} exit {code} stdout {stdout_sha}")
+            print(f"command {number} exit {code} stdout {stdout_sha}{written(words)}")
     finally:
         for module, name, real, _ in sites:
             setattr(module, name, real)
