@@ -31,7 +31,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import UsageError, check_array_size, check_int, check_positive
+from .errors import UsageError, check_array, check_array_size, check_int, check_positive
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -71,20 +71,13 @@ class ActionNet:
                 raise UsageError(f"vocabulary {list(vocab)} repeats an entry")
         if not (self.scene_vocab and self.action_vocab):
             raise UsageError("scene and action vocabularies cannot be empty")
-        for name, weights, axes in (
-            ("weights_ih", self.weights_ih, "(scenes, hidden)"),
-            ("weights_ho", self.weights_ho, "(hidden, actions)"),
-        ):
-            if not (
-                isinstance(weights, np.ndarray) and weights.dtype == np.float64 and weights.ndim == 2
-            ):
-                raise UsageError(f"{name} must be a {axes} float64 NumPy array")
+        # a hidden width of 0 is an empty axis: every output would be sigmoid(0), argmax the first
+        check_array(self.weights_ih, "weights_ih", np.float64, 2)
+        check_array(self.weights_ho, "weights_ho", np.float64, 2)
         if self.weights_ih.shape[0] != len(self.scene_vocab) or (
             self.weights_ho.shape != (self.weights_ih.shape[1], len(self.action_vocab))
         ):
             raise UsageError("weight shapes disagree with the vocabularies")
-        if not self.weights_ih.shape[1]:  # every output would be sigmoid(0), argmax the first
-            raise UsageError("the hidden layer needs at least one unit")
         if not (np.isfinite(self.weights_ih).all() and np.isfinite(self.weights_ho).all()):
             raise UsageError("weights must be finite")
 

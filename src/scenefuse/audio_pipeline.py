@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, UsageError, check_array_size, check_int, check_positive, check_range
+from .errors import InputError, UsageError, check_array, check_array_size, check_int
+from .errors import check_positive, check_range
 
 _PCM_SCALE = 32768.0  # one LSB of a 16-bit sample maps to 1/32768 full scale
 WINDOW_SECONDS = 5.0  # every clip is classified by its first five seconds
@@ -45,15 +46,8 @@ class AudioClip:
 
     def __post_init__(self) -> None:
         check_int(self.sample_rate_hz, 1, "sample_rate_hz")
-        samples = self.samples
-        if not (
-            isinstance(samples, np.ndarray)
-            and samples.dtype == np.float64
-            and samples.ndim == 1
-            and samples.size > 0
-        ):
-            raise UsageError("samples must be a 1-D float64 array of at least one sample")
-        if not (np.abs(samples) <= 1.0).all():  # NaN fails too
+        check_array(self.samples, "samples", np.float64, 1)
+        if not (np.abs(self.samples) <= 1.0).all():  # NaN fails too
             raise UsageError("samples must lie within [-1, 1]")
 
     @property

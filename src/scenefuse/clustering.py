@@ -95,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_int, check_positive, check_range
+from .errors import UsageError, check_array, check_int, check_positive, check_range
 
 
 _MAX_ITERS = 300  # Lloyd iterations per run, at most
@@ -154,10 +154,7 @@ def _block_rows(d: int) -> int:
 
 def _as_matrix(points) -> np.ndarray:
     matrix = _real(points, "points must form one (n, d) matrix")
-    if matrix.size == 0:
-        raise UsageError("no points at all")
-    if matrix.ndim != 2:
-        raise UsageError(f"points must form one (n, d) matrix, not shape {matrix.shape}")
+    check_array(matrix, "points", np.float64, 2)
     rows = _block_rows(matrix.shape[1])
     if not all(np.isfinite(matrix[i : i + rows]).all() for i in range(0, len(matrix), rows)):
         raise UsageError("points must be finite, not NaN or inf")
@@ -646,17 +643,11 @@ def predict(centroids: np.ndarray, point) -> tuple[int, float]:
 
     Ties go to the lowest label; finite vectors too far apart for a float
     distance are an infinite distance apart.  Raises UsageError for
-    centroids that are not a float64 NumPy array of k >= 1 rows, and for
-    anything but a 1-D point of d real numbers, or a NaN or infinite
+    centroids that `errors.check_array` refuses as a float64 matrix, and
+    for anything but a 1-D point of d real numbers, or a NaN or infinite
     coordinate.
     """
-    if not (
-        isinstance(centroids, np.ndarray)
-        and centroids.dtype == np.float64
-        and centroids.ndim == 2
-        and len(centroids)
-    ):
-        raise UsageError("centroids must be a (k, d) float64 NumPy array with k >= 1")
+    check_array(centroids, "centroids", np.float64, 2)
     vec = _real(point, "point must be a vector of real numbers")
     if vec.shape != centroids.shape[1:]:
         raise UsageError(f"point has shape {vec.shape}, model expects {centroids.shape[1:]}")

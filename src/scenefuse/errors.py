@@ -12,10 +12,19 @@ is a bug.  Counts, seeds, sizes and rates go through :func:`check_int`,
 scales, windows and durations through :func:`check_positive`, and any
 other bounded number, such as a confidence, gain or time, through
 :func:`check_range`.  A count that sizes an array also goes through
-:func:`check_array_size` before the array is made.
+:func:`check_array_size` before the array is made, and an array handed in
+goes through :func:`check_array`, which tests its class, dtype and rank and
+that no axis is empty; finiteness is each caller's own test.
+
+Numbers, text and arrays are checked wherever they cross a public
+boundary.  An argument typed as one of scenefuse's own classes is trusted:
+each of those classes checks its fields when it is built, so an object of
+another class in its place, such as ``None``, may raise a builtin error.
 """
 
 import sys
+
+import numpy as np
 
 
 class SceneFuseError(Exception):
@@ -77,3 +86,11 @@ def check_array_size(count: int, item_bytes: int, name: str) -> None:
     """Refuse, with UsageError, a count of `item_bytes`-byte entries beyond NumPy's size limit."""
     if count * item_bytes > sys.maxsize:  # the most bytes one NumPy array may span
         raise UsageError(f"{name} must fit an array in {sys.maxsize} bytes, got {_shown(count)}")
+
+
+def check_array(value, name: str, dtype, ndim: int) -> None:
+    """Refuse, with UsageError, anything but an `ndim`-D `dtype` NumPy array with no axis empty."""
+    shaped = isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == ndim
+    if not (shaped and value.size):
+        kind = f"{ndim}-D {np.dtype(dtype)} NumPy array"
+        raise UsageError(f"{name} must be a {kind} with no empty axis")

@@ -126,7 +126,10 @@ class EventScript:
     events: tuple[ScriptEvent, ...]
 
     def __post_init__(self) -> None:
-        for i, (last, event) in enumerate(zip(self.events, self.events[1:]), start=2):
+        events = self.events
+        if not (type(events) is tuple and all(isinstance(e, ScriptEvent) for e in events)):
+            raise UsageError("events must be a tuple of ScriptEvent")
+        for i, (last, event) in enumerate(zip(events, events[1:]), start=2):
             if event.at < last.at:
                 raise UsageError(f"event {i}: timestamp {event.at!r} decreases from {last.at!r}")
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import UsageError, check_int, check_positive, check_range
+from .errors import UsageError, check_array, check_int, check_positive, check_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class SceneClassifier:
 
     `seed` seeded the fit and featurizes photos, so prediction sees the
     palettes training saw; `scale` is the confidence divisor.  As after
-    training, the centroids are a finite float64 NumPy matrix with rows,
+    training, the centroids are a finite float64 NumPy matrix with no empty axis,
     the names a tuple of non-empty str, one per row, and the seed is not
     negative.  What the feature vectors are, and so which widths d may be,
     is for the bundle slot that holds it.
@@ -40,12 +40,9 @@ class SceneClassifier:
 
     def __post_init__(self) -> None:
         centroids, names = self.centroids, self.cluster_names
-        if not (isinstance(centroids, np.ndarray) and centroids.dtype == np.float64):
-            raise UsageError("centroids must be a float64 NumPy array")
+        check_array(centroids, "centroids", np.float64, 2)
         if not np.isfinite(centroids).all():
             raise UsageError("centroids must be finite")
-        if centroids.ndim != 2 or centroids.shape[0] == 0:
-            raise UsageError(f"centroid shape {centroids.shape} is not a matrix with rows")
         # a str would read as one name per character
         if not (type(names) is tuple and all(isinstance(name, str) for name in names)):
             raise UsageError("cluster_names must be a tuple of str")
@@ -64,8 +61,9 @@ class ScenePrediction:
     at: float
 
     def __post_init__(self) -> None:
-        if not self.scene:
-            raise UsageError("a prediction needs a scene")
+        if not (isinstance(self.scene, str) and self.scene):
+            got = "an empty str" if isinstance(self.scene, str) else type(self.scene).__name__
+            raise UsageError(f"scene must be a non-empty str, not {got}")
         check_range(self.confidence, "confidence", 0.0, 100.0)
         check_range(self.at, "at")
 
@@ -83,14 +81,13 @@ def train_classifier(
     becomes the confidence divisor.  Returns the classifier, the inertia
     `clustering.fit` reports, and the warnings its naming raised.
 
-    Raises UsageError for no rows, a matrix that is not a 2-D NumPy array,
-    a name count other than the row count, an empty scene name, or a seed
-    or scale the `errors` checks refuse.
+    Raises UsageError for no rows, a matrix `errors.check_array` refuses as
+    a float64 matrix, a name count other than the row count, an empty scene
+    name, or a seed or scale the `errors` checks refuse.
     """
     if not names:
         raise UsageError("training set holds no examples")
-    if not (isinstance(matrix, np.ndarray) and matrix.ndim == 2):
-        raise UsageError("matrix must be an (n, d) NumPy array of feature rows")
+    check_array(matrix, "matrix", np.float64, 2)
     if len(names) != len(matrix):
         raise UsageError(f"{len(names)} scene names for {len(matrix)} feature rows")
     if not all(names):

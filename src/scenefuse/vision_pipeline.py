@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .errors import InputError, UsageError, check_array_size, check_int, check_range
+from .errors import InputError, UsageError, check_array, check_array_size, check_int, check_range
 
 _MAX_SAMPLED_PIXELS = 10000
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -38,13 +38,9 @@ class Image:
     def __post_init__(self) -> None:
         check_int(self.width, 1, "width")
         check_int(self.height, 1, "height")
-        pixels = self.pixels
-        if not (
-            isinstance(pixels, np.ndarray)
-            and pixels.dtype == np.uint8
-            and pixels.shape == (self.width * self.height, 3)
-        ):
-            raise UsageError("pixels must be a (width*height, 3) uint8 array")
+        check_array(self.pixels, "pixels", np.uint8, 2)
+        if self.pixels.shape != (self.width * self.height, 3):
+            raise UsageError(f"pixels must have shape (width*height, 3), not {self.pixels.shape}")
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -144,6 +140,7 @@ def dominant_colors(image: Image, c: int, seed: int = 0) -> np.ndarray:
 
 def palette_features(colors: np.ndarray) -> np.ndarray:
     """Flatten the (c, 3) float64 palette rows, in palette order, into one 3c vector."""
+    check_array(colors, "colors", np.float64, 2)
     return colors.ravel()
 
 

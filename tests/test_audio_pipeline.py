@@ -112,13 +112,8 @@ def test_clip_validation():
     with pytest.raises(UsageError):
         AudioClip(np.array([0.0]), 0)
     with pytest.raises(UsageError):
-        AudioClip(np.array([]), 8000)
-    with pytest.raises(UsageError):
         AudioClip(np.array([0.0, np.nan]), 8000)
-    # fields are checked, never converted: no other dtype, container or rate type
-    for samples in (np.zeros(4, dtype=np.float32), [0.0, 0.5]):
-        with pytest.raises(UsageError, match="samples must be a 1-D float64 array"):
-            AudioClip(samples, 8000)
+    # fields are checked, never converted: no other rate type (test_errors checks the samples)
     for rate in (8000.5, "8000", True, np.int64(8000)):
         with pytest.raises(UsageError, match="sample_rate_hz must be an int of at least 1"):
             AudioClip(np.zeros(4), rate)

@@ -392,7 +392,8 @@ def test_an_action_net_with_no_hidden_unit_exits_three(tmp_path, capsys):
     _write_document(out, raw, payload[: -8 * hidden * (scenes + actions)])  # the net's entries end it
     capsys.readouterr()
     assert main(["action", "predict", "gym", "--bundle", str(out)]) == 3
-    message = f"error: {out}: bundle.action: the hidden layer needs at least one unit\n"
+    refusal = "weights_ih must be a 2-D float64 NumPy array with no empty axis"
+    message = f"error: {out}: bundle.action: {refusal}\n"
     assert capsys.readouterr().err == message
 
 
@@ -599,7 +600,9 @@ REFUSALS = {
         "points must form one (n, d) matrix",
     ),
     "EmptyData": (3, lambda tmp: decode_wav(wav_bytes([])), "data chunk holds no samples"),
-    "EmptyScene": (1, lambda tmp: ScenePrediction("", 90.0, 0.0), "a prediction needs a scene"),
+    "EmptyScene": (
+        1, lambda tmp: ScenePrediction("", 90.0, 0.0), "scene must be a non-empty str, not "
+    ),
     "EmptyTrainingSet": (
         1,
         lambda tmp: train_classifier([], np.empty((0, 2))),

@@ -1,4 +1,4 @@
-"""The three shared checks of `scenefuse.errors`, and every parameter they guard."""
+"""The five shared checks of `scenefuse.errors`, and every parameter they guard."""
 
 import argparse
 import math
@@ -16,7 +16,7 @@ from scenefuse.errors import UsageError, check_array_size, check_int, check_posi
 from scenefuse.fusion import FusionConfig
 from scenefuse.persistence import ScriptEvent
 from scenefuse.scene_model import SceneClassifier, ScenePrediction, train_classifier
-from scenefuse.vision_pipeline import Image, dominant_colors, synth_scene_image
+from scenefuse.vision_pipeline import Image, dominant_colors, palette_features, synth_scene_image
 
 BAND = [((100.0, 200.0), 1.0)]
 SPEC = [((1, 2, 3), 1.0)]
@@ -147,40 +147,67 @@ RANGE_SITES = {
 }
 
 
-# what a float64 matrix site refuses: no array, an array of ints, complex numbers or
-# text, and arrays of one or three axes
-NOT_FLOAT_MATRICES = [
-    None, [[0.0]], np.zeros((1, 1), int), np.zeros((1, 1), complex), np.array([["x"]]),
-    np.zeros(1), np.zeros((1, 1, 1)),
-]
-# call site: (a call with the value in question, the values it refuses, its refusal)
+def _site(call, good, refused, refusal):
+    """An `ARRAY_SITES` entry that also refuses one value per condition `check_array` tests."""
+    other = np.float32 if good.dtype == np.float64 else np.float64
+    # not an array, another dtype, one axis more, an empty last axis: each breaks `good` alone
+    misfits = [good.tolist(), good.astype(other), good[..., None], good[..., :0]]
+    return call, good, misfits + refused, refusal
+
+
+ONE = np.zeros((1, 1))
+# call site: (a call with the value in question, a value it accepts, the values it refuses,
+# its refusal)
 ARRAY_SITES = {
-    "train_classifier.matrix": (
-        lambda v: train_classifier(["a"], v),
-        [None, [[0.0, 1.0]], np.float64(0.0), np.zeros(2), np.zeros((1, 1, 2))],
-        "matrix must be an (n, d) NumPy array of feature rows",
+    "ActionNet.weights_ih": _site(
+        lambda v: ActionNet(("a",), ("1",), v, ONE), ONE, [None, np.array([["x"]])],
+        "weights_ih must be a 2-D float64 NumPy array with no empty axis",
     ),
-    "predict.centroids": (
-        lambda v: predict(v, [0.0]),
-        [None, [[0.0]], np.zeros(1), np.zeros((0, 1)), np.zeros((1, 1), int), np.zeros((1, 1, 1))],
-        "centroids must be a (k, d) float64 NumPy array with k >= 1",
+    "ActionNet.weights_ho": _site(
+        lambda v: ActionNet(("a",), ("1",), ONE, v), ONE, [np.zeros((1, 1), int), np.zeros(1)],
+        "weights_ho must be a 2-D float64 NumPy array with no empty axis",
     ),
-    "ActionNet.weights_ih": (
-        lambda v: ActionNet(("a",), ("1",), v, np.zeros((1, 1))),
-        NOT_FLOAT_MATRICES,
-        "weights_ih must be a (scenes, hidden) float64 NumPy array",
+    "AudioClip.samples": _site(
+        lambda v: AudioClip(v, 8000), np.zeros(4), [[0.0, 0.5], np.zeros(())],
+        "samples must be a 1-D float64 NumPy array with no empty axis",
     ),
-    "ActionNet.weights_ho": (
-        lambda v: ActionNet(("a",), ("1",), np.zeros((1, 1)), v),
-        NOT_FLOAT_MATRICES,
-        "weights_ho must be a (hidden, actions) float64 NumPy array",
+    # a point as wide as the centroids: with none, it would be 0 from the first, label 0
+    "predict.centroids": _site(
+        lambda v: predict(v, np.zeros(np.shape(v)[1:2])), ONE,
+        [None, np.zeros((0, 1)), np.zeros((1, 1), int)],
+        "centroids must be a 2-D float64 NumPy array with no empty axis",
+    ),
+    "SceneClassifier.centroids": _site(
+        lambda v: SceneClassifier(v, ("a",), 0, 1.0), ONE, [np.zeros((1, 4), dtype=np.int64)],
+        "centroids must be a 2-D float64 NumPy array with no empty axis",
+    ),
+    # a complex matrix is refused, not cast, and so are the int ones `cmd_train` never builds
+    "train_classifier.matrix": _site(
+        lambda v: train_classifier(["a"], v), ONE,
+        [None, np.float64(0.0), np.zeros((1, 1), complex), np.zeros((1, 1), int)],
+        "matrix must be a 2-D float64 NumPy array with no empty axis",
+    ),
+    "Image.pixels": _site(
+        lambda v: Image(1, 1, v), PIXEL, [np.array([[300, 0, 0]]), np.array([[255, 0, 0]])],
+        "pixels must be a 2-D uint8 NumPy array with no empty axis",
+    ),
+    "palette_features.colors": _site(
+        palette_features, np.zeros((1, 3)), [[[1, 2, 3]]],
+        "colors must be a 2-D float64 NumPy array with no empty axis",
+    ),
+    # `fit` casts any real numbers, lists too, so only the rank and the axes are its own
+    "fit.points": (
+        lambda v: fit(v, KMeansParams(k=1)), [[0.0, 1.0]],
+        [[], [0.0, 1.0, 2.0], np.zeros((3, 2, 2)), np.zeros((1, 0)), [[]]],
+        "points must be a 2-D float64 NumPy array with no empty axis",
     ),
 }
 
 
 @pytest.mark.parametrize("site", ARRAY_SITES)
 def test_every_array_argument_must_be_a_numpy_array_of_its_shape(site):
-    call, refused, refusal = ARRAY_SITES[site]
+    call, good, refused, refusal = ARRAY_SITES[site]
+    call(good)
     for value in refused:
         with pytest.raises(UsageError, match=f"^{re.escape(refusal)}$"):
             call(value)
@@ -287,7 +314,6 @@ def test_complex_values_are_refused_not_cast():
     for call, message in (
         (lambda: fit([[1j], [2j]], one), matrix + complex_values),
         (lambda: fit(np.array([[1.0], [2.0 + 0j]]), one), matrix + complex_values),
-        (lambda: train_classifier(["a", "b"], np.array([[1.0], [1j]])), matrix + complex_values),
         (lambda: predict(centroids, [1j]), point + complex_values),
         (lambda: predict(centroids, np.array([0j])), point + complex_values),
         # a complex entry among other objects, and an int past any float: NumPy's reason

@@ -151,8 +151,10 @@ def test_prediction_value_bounds():
         ScenePrediction(scene="x", confidence=101.0, at=0.0)
     with pytest.raises(UsageError):
         ScenePrediction(scene="x", confidence=-0.5, at=0.0)
-    with pytest.raises(UsageError, match="a prediction needs a scene"):
-        ScenePrediction(scene="", confidence=50.0, at=0.0)
+    # fusion would vote on any scene, so it must be one a classifier names
+    for scene, got in (("", "an empty str"), (5, "int"), (("a",), "tuple"), (None, "NoneType")):
+        with pytest.raises(UsageError, match=f"^scene must be a non-empty str, not {got}$"):
+            ScenePrediction(scene=scene, confidence=50.0, at=0.0)
 
 
 def test_training_fits_the_matrix_without_stacking_a_copy():

@@ -1,5 +1,7 @@
 """P6 container handling, dominant-color extraction, and the image synth."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,9 @@ def test_every_single_byte_header_mutation_is_rejected():
 
 
 def test_image_validation():
-    with pytest.raises(UsageError):
+    # test_errors checks the pixels' class, dtype and rank; their shape is the image's own rule
+    message = "pixels must have shape (width*height, 3), not (3, 3)"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         Image(width=2, height=2, pixels=np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(UsageError):
         Image(width=0, height=1, pixels=np.zeros((0, 3), dtype=np.uint8))
@@ -97,10 +101,6 @@ def test_image_validation():
     for width in (True, 1.0, np.int64(1)):
         with pytest.raises(UsageError, match="^width must be an int of at least 1, got "):
             Image(width=width, height=1, pixels=np.zeros((1, 3), dtype=np.uint8))
-    # pixels are checked, never converted: int64 ones are refused even in range
-    for pixels in (np.array([[300, 0, 0]]), np.array([[255, 0, 0]]), [[255, 0, 0]]):
-        with pytest.raises(UsageError, match="uint8 array"):
-            Image(width=1, height=1, pixels=pixels)
 
 
 # --- dominant colors -------------------------------------------------------
