@@ -103,9 +103,11 @@ def _features(modality, path, color_count, seed, dump_spectrum=None):
     and `seed`.  `read_file` names the file in a decode failure.
     """
     if modality == VISUAL:
-        colors = read_file(path, lambda data: dominant_colors(decode_ppm(data), color_count, seed))
+        colors = read_file(
+            path, lambda handle: dominant_colors(decode_ppm(handle.read()), color_count, seed)
+        )
         return palette_features(colors), None
-    clip = read_file(path, lambda data: analysis_window(decode_wav(data)))
+    clip = read_file(path, lambda handle: analysis_window(decode_wav(handle.read())))
     spectrum = magnitude_spectrum(clip)
     if dump_spectrum is not None:
         lines = ["freq_hz,amplitude"]

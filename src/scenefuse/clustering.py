@@ -40,8 +40,20 @@ contiguous block, whether the block came from a view or a copy.  Labels
 come from k − 1 `<` comparisons down the rows of that (k, n) result.  A
 row-layout update adds each cluster's member rows in place, in point
 order, as NumPy's `mean` of their copy would, so it copies no rows
-either.  Points and query vectors must be finite: NaN or inf is refused
-with UsageError at the boundary.
+either.  Points, centroids and query vectors must be finite: NaN or inf
+is refused with UsageError at the boundary.
+
+Every run of a fit draws into and updates one (k, d_varying) centroid
+buffer, which `fit` allocates once.  A k-means++ start overwrites it, and
+an update replaces it row by row: each mean is built in one (d_varying,)
+scratch row, its move is measured in the old row, and only then does it
+overwrite that row.  So a run holds no second (k, d_varying) array, and
+`fit` keeps none for the winner: a run returns the partition its
+centroids are the means of, and after the last restart `fit` averages
+the winner's into the buffer once more, the same sums in the same order,
+so the same bits.  The stacked restarts below keep their own centroids.
+When every column varies, as in every acoustic fit, that buffer is what
+`fit` returns.
 
 A fit of more than `_SEED_POINTS` points runs its restarts on every
 stride-th point only, each restart from its own offset, and one more
@@ -292,32 +304,30 @@ def _point(points: np.ndarray, axis: int, idx: int) -> np.ndarray:
 def _init_pp(
     points: np.ndarray,
     axis: int,
-    k: int,
+    centroids: np.ndarray,
     rng: np.random.Generator,
     memo: dict[object, np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++: each next centroid drawn proportional to squared distance.
+) -> np.ndarray:
+    """k-means++ into the (k, d) `centroids`: each next one drawn proportional to squared distance.
 
     Each draw after the first is one inverse-CDF step, clamped to the last
     point, which is the pick once every point sits on a chosen centroid.
-    Returns the (k, d) centroids and the (k, n) squared distances from each
-    to every point: row j is the one `_sq_rows` gave when centroid j was
-    drawn.
+    Returns the (k, n) squared distances from each drawn centroid to every
+    point: row j is the one `_sq_rows` gave when centroid j was drawn.
     """
     n = points.shape[axis]
-    chosen = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
-    sq = np.empty((k, n), dtype=np.float64)
+    sq = np.empty((centroids.shape[0], n), dtype=np.float64)
     idx = int(rng.integers(n))
-    chosen[0] = _point(points, axis, idx)
-    sq[0] = _sq_rows(points, axis, chosen[0:1], (idx,), memo)[0]
+    centroids[0] = _point(points, axis, idx)
+    sq[0] = _sq_rows(points, axis, centroids[0:1], (idx,), memo)[0]
     closest_sq = sq[0]
-    for j in range(1, k):
+    for j in range(1, centroids.shape[0]):
         r = rng.random() * float(closest_sq.sum())
         idx = min(int(np.searchsorted(np.cumsum(closest_sq), r, side="right")), n - 1)
-        chosen[j] = _point(points, axis, idx)
-        sq[j] = _sq_rows(points, axis, chosen[j : j + 1], (idx,), memo)[0]
+        centroids[j] = _point(points, axis, idx)
+        sq[j] = _sq_rows(points, axis, centroids[j : j + 1], (idx,), memo)[0]
         closest_sq = np.minimum(closest_sq, sq[j])
-    return chosen, sq
+    return sq
 
 
 def _repair_empties(
@@ -350,50 +360,50 @@ def _repair_empties(
     return empties.size > 0
 
 
-def _means(points: np.ndarray, axis: int, labels: np.ndarray, k: int) -> np.ndarray:
-    """The (k, d) means of the points each of labels 0..k-1 names; each must name one.
+def _mean(points: np.ndarray, axis: int, members: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (d,) `out` the mean of the points the mask `members` names; it names one.
 
     A column-layout mean is NumPy's `mean` of its members' copy.  A
     row-layout mean is that `mean` without the copy: NumPy sums an axis-0
     reduction from the first row on, in point order, so the member rows are
     added in place in that order.
     """
-    means = np.empty((k, points.shape[1 - axis]), dtype=np.float64)
-    for c, mean in enumerate(means):
-        if axis:
-            mean[:] = np.compress(labels == c, points, axis).mean(axis)
-        else:
-            members = np.flatnonzero(labels == c)
-            mean[:] = points[members[0]]
-            for i in members[1:]:
-                mean += points[i]
-            mean /= members.size
-    return means
+    if axis:
+        out[:] = np.compress(members, points, axis).mean(axis)
+        return
+    rows = np.flatnonzero(members)
+    out[:] = points[rows[0]]
+    for i in rows[1:]:
+        out += points[i]
+    out /= rows.size
 
 
 def _lloyd_run(
     points: np.ndarray,
     axis: int,
-    start: tuple[np.ndarray, np.ndarray],
+    centroids: np.ndarray,
+    sq: np.ndarray,
     memo: dict[object, np.ndarray] | None,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """One run from `start`: (centroids, inertia, closing labels, closing (k, n) sq).
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """One run from the (k, d) `centroids`, updated in place: (inertia, labels, sq, averaged).
 
-    `start` is the (k, d) starting centroids and their (k, n) squared
-    distances to `points`; the run writes into the centroids, on a repair
-    and to measure the first update's shift.  Pass it as a temporary: the
-    run drops its hold on both arrays as it replaces them, so they need not
-    outlive the first update.  Each update measures its shift in the old
-    centroids' buffer, so a run holds two (k, d) arrays at a time.  Each
-    update's distance rows come from `_sq_rows` with `memo`.  The inertia
-    is the closing assignment's sum of squares.  A pass that needs no
-    repair and finds the partition the centroids were averaged from closes
-    the run, as the update it skips would find no centroid moved; with a
-    centroid past the largest float that update's shift is NaN, and the
-    run would go on to `_MAX_ITERS` and close on the same state.
+    `sq` is the (k, n) squared distances from the starting centroids to
+    `points`.  The run returns its closing assignment's labels, its (k, n)
+    sq and its sum of squares, the inertia, and `averaged`, the partition
+    the final centroids are the means of, so that a caller can average it
+    again into a buffer a later run has overwritten.  A repair writes its
+    seized points into `centroids`.  An update replaces them row by row:
+    each mean is built in one (d,) scratch row, its move is measured in the
+    old row, and then it overwrites that row, so the run's scratch is one
+    row, not a second (k, d) array.  Each update's distance rows come from
+    `_sq_rows` with `memo`.  A pass that needs no repair and finds the
+    partition the centroids were averaged from closes the run, as the
+    update it skips would find no centroid moved; with a centroid past the
+    largest float that update's shift is NaN, and the run would go on to
+    `_MAX_ITERS` and close on the same state.
     """
-    centroids, sq = start
-    del start
+    row = np.empty(centroids.shape[1], dtype=np.float64)
+    moves = np.empty(centroids.shape[0], dtype=np.float64)  # each centroid's largest move
     averaged = None  # the labels `centroids` are the means of, once an update made them
 
     for _ in range(_MAX_ITERS):
@@ -402,22 +412,21 @@ def _lloyd_run(
         if not repaired and np.array_equal(labels, averaged):
             # the update would average the same members, in the same order,
             # into these very centroids: this pass already is the closing
-            # assignment, as the `shift == 0.0` below would find.  They go
-            # back in a new buffer, as from that update, and this one is
-            # freed for the next run: returned as they are, they left a heap
-            # hole that raised `train` peak RSS by about 2 MB
-            return centroids.copy(), float(own.sum()), labels, sq
+            # assignment, as the `shift == 0.0` below would find
+            return float(own.sum()), labels, sq, averaged
 
         # the repair left every cluster at least one member, as n >= k
-        updated = _means(points, axis, labels, centroids.shape[0])
-        # each coordinate's move, measured in the old centroids' buffer
-        np.abs(np.subtract(updated, centroids, out=centroids), out=centroids)
-        shift = float(np.max(centroids, initial=0.0))  # none if no column varies
-        centroids, averaged = updated, labels
+        for c, centroid in enumerate(centroids):
+            _mean(points, axis, labels == c, row)
+            np.abs(np.subtract(row, centroid, out=centroid), out=centroid)
+            moves[c] = np.max(centroid, initial=0.0)  # none if no column varies
+            centroid[:] = row
+        shift = float(np.max(moves))  # NaN, as inf - inf, when a mean overflows
+        averaged = labels
         if shift == 0.0 and not repaired:
             # `sq` was measured against these very centroids, so this pass,
             # left unrepaired, already is the closing assignment
-            return centroids, float(own.sum()), labels, sq
+            return float(own.sum()), labels, sq, averaged
         members = ((labels == c).tobytes() for c in range(centroids.shape[0]))
         sq = _sq_rows(points, axis, centroids, members, memo)
         if shift <= _TOL:
@@ -426,7 +435,7 @@ def _lloyd_run(
     # Lloyd's closing assignment against the final centroids: the partition
     # the run reports and scores, not repaired, so a cluster may own no point
     labels, own = _nearest(sq)
-    return centroids, float(own.sum()), labels, sq
+    return float(own.sum()), labels, sq, averaged
 
 
 def _stacked_restarts(
@@ -545,10 +554,15 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     and bit for bit when at most two columns vary.  When no column varies,
     every centroid is the shared point itself and the inertia is 0.  Beyond
     the copy, if any, and the input checks' masks of one byte per coordinate
-    of a block of rows, the scratch memory is, in the row layout, one block
-    of at most `_BLOCK_BYTES`, O(k·(n + d)) and the memo below, never a copy
-    of the points; in the column layout O(n·(d_varying + k)), or the stack's
-    bound if larger.  The distance work of a run is k single-centroid rows
+    of a block of rows, the scratch memory is the one (k, d_varying)
+    centroid buffer every run draws into and updates in place, the array
+    returned when every column varies, and a (k, d) one beside it when some
+    do not; in the row layout, one (d_varying,) row, one block of at most
+    `_BLOCK_BYTES`, O(k·n) and the memo below, never a copy of the points;
+    in the column layout O(n·(d_varying + k)), or the stack's bound if
+    larger.  The winning restart is kept as its partition, not as a copy
+    of its centroids, and averaged again into the buffer after the last
+    restart, to the same bits.  The distance work of a run is k single-centroid rows
     at the k-means++ draws, which the first assignment reuses, plus one
     (k, n) pass per update that moved a centroid or followed a repair.  A
     refinement run starts with one (k, n) pass.  A run averages its
@@ -608,34 +622,43 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
         work[:, i % stride : span : stride] if axis else work[i % stride : span : stride]
         for i in range(_N_INIT)
     ]
+    # every run draws into and updates this one buffer; it is what `fit` returns
+    centroids = np.empty((params.k, count), dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if it ends non-finite
         if stride > 1 and axis:
-            runs = zip(*_stacked_restarts(np.stack(samples), params.k, rng))
+            results, inertias = _stacked_restarts(np.stack(samples), params.k, rng)
+            winner = min(range(_N_INIT), key=inertias.__getitem__)  # earliest on a tie
+            centroids[:] = results[winner]
         else:
             # with stride 1 every restart clusters the same points, so a member
             # set's distance row, once computed, serves every later restart that
             # needs it.  Only in the row layout, where a row's d_varying >= n
             # columns cost more than its n-byte key: in the column layout keys
-            # cost more than they save.  Each k-means++ start goes straight into
-            # its run, so no frame here holds it
+            # cost more than they save
             memo = {} if stride == 1 and axis == 0 else None
             runs = (
-                _lloyd_run(s, axis, _init_pp(s, axis, params.k, rng, memo), memo) for s in samples
+                (s, *_lloyd_run(s, axis, centroids, _init_pp(s, axis, centroids, rng, memo), memo))
+                for s in samples
             )
-        winner = min(runs, key=lambda run: run[1])  # earliest on a tie
+            sample, inertia, labels, sq, averaged = min(runs, key=lambda run: run[1])
+            # runs after the winner overwrote its centroids: they are the means
+            # of its partition, added again in the same order to the same bits
+            for c, centroid in enumerate(centroids):
+                _mean(sample, axis, averaged == c, centroid)
         if stride > 1:
             # one Lloyd run on every point refines the winner
-            start = winner[0]
-            winner = _lloyd_run(work, axis, (start, _sq_distances(work, axis, start)), None)
-    centroids, inertia, labels, sq = winner
+            start_sq = _sq_distances(work, axis, centroids)
+            inertia, labels, sq, _ = _lloyd_run(work, axis, centroids, start_sq, None)
 
-    # the shared value is each constant column's exact mean
-    full = np.repeat(matrix[:1], params.k, axis=0)
-    full[:, varying] = centroids
-    if not (np.isfinite(full).all() and math.isfinite(inertia)):
+    if not (np.isfinite(centroids).all() and math.isfinite(inertia)):
         raise UsageError("points so large that a centroid or the inertia overflows")
-    return full, labels, sq.T, inertia
+    if count < matrix.shape[1]:
+        # the shared value is each constant column's exact mean
+        full = np.repeat(matrix[:1], params.k, axis=0)
+        full[:, varying] = centroids
+        centroids = full
+    return centroids, labels, sq.T, inertia
 
 
 def predict(centroids: np.ndarray, point) -> tuple[int, float]:
@@ -643,9 +666,9 @@ def predict(centroids: np.ndarray, point) -> tuple[int, float]:
 
     Ties go to the lowest label; finite vectors too far apart for a float
     distance are an infinite distance apart.  Raises UsageError for
-    centroids that `errors.check_array` refuses as a float64 matrix, and
-    for anything but a 1-D point of d real numbers, or a NaN or infinite
-    coordinate.
+    centroids that `errors.check_array` refuses as a float64 matrix or that
+    hold a NaN or infinite entry, and for anything but a 1-D point of d real
+    numbers, or a NaN or infinite coordinate.
     """
     check_array(centroids, "centroids", np.float64, 2)
     vec = _real(point, "point must be a vector of real numbers")
@@ -655,6 +678,11 @@ def predict(centroids: np.ndarray, point) -> tuple[int, float]:
         raise UsageError("point must be finite, not NaN or inf")
     with np.errstate(over="ignore"):  # a difference or its square past the largest float
         labels, sq = assign(vec[None, :], centroids)
+    # a NaN or infinite centroid is a NaN or infinite distance away, so the k·d
+    # centroids are scanned only when one of the k distances is not finite;
+    # finite centroids too far away are an infinite distance away as well
+    if not np.isfinite(sq).all() and not np.isfinite(centroids).all():
+        raise UsageError("centroids must be finite, not NaN or inf")
     label = int(labels[0])
     return label, float(np.sqrt(sq[0, label]))
 

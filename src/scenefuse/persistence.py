@@ -28,7 +28,11 @@ have the JSON type its field asks for.  Each array node takes 8 bytes per
 entry of its shape from the front of what the payload has left; a node
 that needs more bytes than remain, and bytes that no node takes, are
 refused.  Whether those entries and the other floats are finite, and
-whether the shapes fit together, is for the types that hold them.
+whether the shapes fit together, is for the types that hold them.  A
+bundle is written one array buffer at a time and read back into each
+array straight from the file, so neither holds the file's bytes whole.
+It is read from a regular file only, whose size tells what the payload
+has left before an array is allocated; a pipe is refused.
 
 Event scripts are tab-separated lines `at<TAB>kind<TAB>path` and action
 pairs are lines `scene<TAB>action`; both allow `#` comments and blank lines.
@@ -45,6 +49,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from types import UnionType
@@ -57,6 +62,7 @@ from .errors import InputError, UsageError, check_range
 from .scene_model import SceneClassifier
 
 FORMAT_VERSION = 7
+_HEADER_CHUNK = 1 << 16  # bytes read at a time while looking for the header's NUL
 
 ACOUSTIC = "acoustic"
 VISUAL = "visual"
@@ -135,27 +141,36 @@ class EventScript:
 
 
 def read_file(path, parse):
-    """`parse` of the file's bytes; InputError, naming `path`, if it will not read or parse."""
+    """`parse` of the file, opened for binary reads; InputError, naming `path`, on failure.
+
+    `parse` reads what it needs from the open file, most parsers all of it
+    with `.read()`.  A failure to open or read is refused as `cannot read`,
+    and a refusal of what was read as the parser's own message.
+    """
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        handle = open(path, "rb")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse(data)
-    except (InputError, UsageError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with handle:
+        try:
+            return parse(handle)
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        except (InputError, UsageError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
-def write_file(path, data: bytes) -> None:
-    """Write `data` to `<path>.partial`, which then replaces `path`; InputError on failure.
+def write_file(path, *chunks) -> None:
+    """Write each bytes-like chunk in turn to `<path>.partial`, which then replaces `path`.
 
-    So a failed write leaves what `path` held as it was, and no partial file.
+    InputError on failure, and a failed write leaves what `path` held as it
+    was, and no partial file.
     """
     partial = f"{path}.partial"
     try:
         with open(partial, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(partial, path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         with contextlib.suppress(OSError, ValueError):
@@ -181,17 +196,26 @@ class _ArrayNode:
 
 
 class _Payload:
-    """The bytes after a bundle's header, handed out from the front, one array at a time."""
+    """The bytes after a bundle's header, read from the front, one array at a time."""
 
-    def __init__(self, data: memoryview):
-        self.rest = data
+    def __init__(self, handle, left: int):
+        self.handle = handle
+        self.left = left  # bytes not yet read
 
-    def take(self, size: int, what: str) -> memoryview:
-        """The next `size` bytes; InputError, naming `what` wants them, if fewer remain."""
-        if size > len(self.rest):  # `size` may have more digits than Python will print
-            raise InputError(f"{what} needs more than the {len(self.rest)} bytes left")
-        data, self.rest = self.rest[:size], self.rest[size:]
-        return data
+    def take(self, count: int, what: str) -> np.ndarray:
+        """The next `count` little-endian float64 entries, read into a new array.
+
+        InputError, naming `what` wants them, if fewer bytes remain.
+        """
+        size = 8 * count
+        if size > self.left:  # `size` may have more digits than Python will print
+            raise InputError(f"{what} needs more than the {self.left} bytes left")
+        entries = np.empty(count, "<f8")
+        read = self.handle.readinto(memoryview(entries).cast("B"))
+        if read != size:  # the file shrank since its size was read
+            raise InputError(f"{what} needs more than the {read} bytes left")
+        self.left -= size
+        return entries
 
 
 def _encode(value, payload: list):
@@ -259,9 +283,9 @@ def _decode_array(node: _ArrayNode, where: str, payload: _Payload) -> np.ndarray
     shape = list(node.shape)
     if any(n < 0 for n in shape):
         raise InputError(f"{where}.shape {shape} has a negative dimension")
-    data = payload.take(8 * math.prod(shape), f"{where}.shape {shape}")
-    try:  # astype copies, so the array does not keep the file's bytes alive
-        return np.frombuffer(data, "<f8").reshape(shape).astype(np.float64)
+    entries = payload.take(math.prod(shape), f"{where}.shape {shape}")
+    try:  # native float64 already on a little-endian machine, so no copy there
+        return entries.reshape(shape).astype(np.float64, copy=False)
     except ValueError as exc:  # over 64 dimensions, or one too large beside a zero
         raise InputError(f"{where}.shape {shape} is not one numpy can hold: {exc}") from exc
 
@@ -271,21 +295,28 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     payload: list[np.ndarray] = []
     document = {**_encode(bundle, payload), "format_version": FORMAT_VERSION}
     header = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    # join reads each array's buffer, so its bytes are copied once, into the file's
-    write_file(path, b"".join([header.encode("utf-8"), b"\0", *payload]))
+    # each array's buffer goes to the file as it is, with no joined copy of them all
+    write_file(path, header.encode("utf-8"), b"\0", *payload)
 
 
-def _parse_bundle(data: bytes) -> ModelBundle:
-    """The bundle in `data`.
+def _parse_bundle(handle) -> ModelBundle:
+    """The bundle in the open binary file `handle`: its header up to the NUL, then its arrays.
 
-    Raises InputError for a header that is not UTF-8 JSON, of another
-    format_version, not followed by a NUL byte, or not shaped like a
-    bundle, and for a payload that holds fewer or more bytes than its
-    array nodes take.
+    Raises InputError for a file that is not a regular file, a header that
+    is not UTF-8 JSON, of another format_version, not followed by a NUL
+    byte, or not shaped like a bundle, and for a payload that holds fewer
+    or more bytes than its array nodes take.
     """
-    nul = data.find(b"\0")
+    status = os.fstat(handle.fileno())
+    if not stat.S_ISREG(status.st_mode):
+        raise InputError("a bundle must be a regular file, not a pipe or device")
+    header = bytearray()
+    nul = -1
+    while nul == -1 and (chunk := handle.read(_HEADER_CHUNK)):
+        nul = chunk.find(b"\0")
+        header += chunk if nul == -1 else chunk[:nul]
     try:  # a bundle of an older format has no NUL: it is all header, refused by its version
-        document = json.loads(_text(data if nul == -1 else data[:nul]))
+        document = json.loads(_text(header))
     except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
@@ -295,10 +326,11 @@ def _parse_bundle(data: bytes) -> ModelBundle:
         raise InputError(f"this build reads only format_version {FORMAT_VERSION}, not {version}")
     if nul == -1:
         raise InputError("no NUL byte follows the JSON header")
-    payload = _Payload(memoryview(data)[nul + 1 :])
+    handle.seek(len(header) + 1)
+    payload = _Payload(handle, status.st_size - len(header) - 1)
     bundle = _decode(ModelBundle, document, "bundle", payload)
-    if len(payload.rest):
-        raise InputError(f"bundle payload holds {len(payload.rest)} bytes after its last array")
+    if payload.left:
+        raise InputError(f"bundle payload holds {payload.left} bytes after its last array")
     return bundle
 
 
@@ -349,7 +381,7 @@ def parse_event_script(text: str) -> EventScript:
 
 
 def load_event_script(path) -> EventScript:
-    return read_file(path, lambda data: parse_event_script(_text(data)))
+    return read_file(path, lambda handle: parse_event_script(_text(handle.read())))
 
 
 def format_event_script(script: EventScript) -> str:
@@ -359,4 +391,6 @@ def format_event_script(script: EventScript) -> str:
 
 def load_pairs(path) -> list[ActionExample]:
     """Read `scene<TAB>action` lines into examples."""
-    return read_file(path, lambda data: _tsv_rows(_text(data), "scene<TAB>action", ActionExample))
+    return read_file(
+        path, lambda handle: _tsv_rows(_text(handle.read()), "scene<TAB>action", ActionExample)
+    )

@@ -81,12 +81,16 @@ def train_classifier(
     becomes the confidence divisor.  Returns the classifier, the inertia
     `clustering.fit` reports, and the warnings its naming raised.
 
-    Raises UsageError for no rows, a matrix `errors.check_array` refuses as
-    a float64 matrix, a name count other than the row count, an empty scene
-    name, or a seed or scale the `errors` checks refuse.
+    Raises UsageError for no rows, names given as one str or holding
+    anything but str, a matrix `errors.check_array` refuses as a float64
+    matrix, a name count other than the row count, or an empty scene name,
+    each before the fit, and for a seed or scale the `errors` checks refuse.
     """
     if not names:
         raise UsageError("training set holds no examples")
+    # a str would read as one name per character
+    if isinstance(names, str) or not all(isinstance(name, str) for name in names):
+        raise UsageError("names must be a sequence of str, one scene name per row")
     check_array(matrix, "matrix", np.float64, 2)
     if len(names) != len(matrix):
         raise UsageError(f"{len(names)} scene names for {len(matrix)} feature rows")

@@ -95,7 +95,7 @@ def lloyd_traces(monkeypatch):
     def run(*args):
         traces.append([])
         result = real_run(*args)
-        traces[-1].append(result[1])
+        traces[-1].append(result[0])
         return result
 
     def repair(points, axis, centroids, labels, own):

@@ -153,10 +153,10 @@ def _spy_on_work(monkeypatch) -> dict[str, int]:
 
     Each count starts at 0 and covers every call from now on.
     """
-    real_distances, real_rows, real_means = (
+    real_distances, real_rows, real_mean = (
         clustering._sq_distances,
         clustering._sq_rows,
-        clustering._means,
+        clustering._mean,
     )
     work = {"computed": 0, "used": 0, "means": 0}
 
@@ -170,24 +170,29 @@ def _spy_on_work(monkeypatch) -> dict[str, int]:
         work["used"] += sq.size
         return sq
 
-    def means(points, axis, labels, k):
-        work["means"] += k
-        return real_means(points, axis, labels, k)
+    def mean(*args):
+        work["means"] += 1
+        return real_mean(*args)
 
     monkeypatch.setattr(clustering, "_sq_distances", distances)
     monkeypatch.setattr(clustering, "_sq_rows", rows)
-    monkeypatch.setattr(clustering, "_means", means)
+    monkeypatch.setattr(clustering, "_mean", mean)
     return work
 
 
 def _spy_on_run_results(monkeypatch) -> list[tuple]:
-    """What each Lloyd run `fit` makes from now on returns, in order."""
+    """A copy of each Lloyd run's final centroids, then what it returns, for every run from now on.
+
+    A run updates its centroids in place, in the buffer every run of the fit
+    shares, so they are copied as the run ends.
+    """
     real = clustering._lloyd_run
     results = []
 
-    def spy(points, axis, start, *rest):
-        results.append(real(points, axis, start, *rest))
-        return results[-1]
+    def spy(points, axis, centroids, *rest):
+        result = real(points, axis, centroids, *rest)
+        results.append((centroids.copy(), *result))
+        return result
 
     monkeypatch.setattr(clustering, "_lloyd_run", spy)
     return results
@@ -213,7 +218,7 @@ def test_as_many_varying_columns_as_points_are_clustered_as_rows(monkeypatch):
     points = _separated_blobs(20, 24, 4)
     centroids, _, sq, _ = fit(points, KMeansParams(k=4, seed=5))
     assert work["computed"] < work["used"] and len(results) == clustering._N_INIT
-    for run_centroids, _, labels, run_sq in results:
+    for run_centroids, _, labels, run_sq, _ in results:
         again_labels, again_sq = assign(points, run_centroids)
         assert np.array_equal(run_sq.T, again_sq) and np.array_equal(labels, again_labels)
     assert np.array_equal(sq, assign(points, centroids)[1])
@@ -247,12 +252,13 @@ def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeyp
         points = np.repeat([[0.0] * d, [50.0] * d], 4, axis=0) + rng.standard_normal((8, d))
         axis = int(d < len(points))
         layout = points.T.copy() if axis else points
-        start = points[[0, 4]] + 0.5
+        centroids = points[[0, 4]] + 0.5  # updated in place
         work["means"] = 0
-        centroids, inertia, labels, sq = clustering._lloyd_run(
-            layout, axis, (start, clustering._sq_distances(layout, axis, start)), None
+        inertia, labels, sq, averaged = clustering._lloyd_run(
+            layout, axis, centroids, clustering._sq_distances(layout, axis, centroids), None
         )
         assert work["means"] == 2  # one update of two clusters, not two
+        assert np.array_equal(averaged, labels)
         assert labels.tolist() == [0] * 4 + [1] * 4
         again_labels, again_sq = assign(points, centroids)
         assert np.array_equal(labels, again_labels) and np.array_equal(sq.T, again_sq)
@@ -266,11 +272,11 @@ def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeyp
         huge[:, 0] = (1e308, 1e308, -1e308)
         axis = int(d < len(huge))
         layout = huge.T.copy() if axis else huge
-        start = huge[:1].copy()
+        centroids = huge[:1].copy()
         work["means"] = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            centroids, inertia, labels, sq = clustering._lloyd_run(
-                layout, axis, (start, clustering._sq_distances(layout, axis, start)), None
+            inertia, labels, sq, _ = clustering._lloyd_run(
+                layout, axis, centroids, clustering._sq_distances(layout, axis, centroids), None
             )
         assert work["means"] == 1
         assert centroids.tolist() == [[math.inf] + [0.0] * (d - 1)] and inertia == math.inf
@@ -290,15 +296,16 @@ def test_restarts_on_the_same_points_compute_each_row_once(monkeypatch):
     assert work["used"] == 10 * 8 * 60
     assert work["computed"] == 35 * 60 - 31 * 30 // 2 == 1_635
     # each restart's closing pass finds the partition its centroids were
-    # averaged from, and averages no cluster again: 40 means, not 80
-    assert work["means"] == 4 * 10
+    # averaged from, and averages no cluster again: 40 means, not 80.  The
+    # runs share one buffer, so the winner's 4 are averaged once more
+    assert work["means"] == 4 * 10 + 4
     # the memo is for restarts on the same points in the row layout only:
     # restarts on subsamples, and restarts in the column layout, compute
     # every row, as many distances as before the memo (92 rows of 30 or 60
     # points, and 80 rows of 60); each run's closing pass skips its update too
     for columns, seed_points, computed, means in (
-        (80, 30, 3_120, 48),
-        (3, clustering._SEED_POINTS, 80 * 60, 40),
+        (80, 30, 3_120, 48 + 4),
+        (3, clustering._SEED_POINTS, 80 * 60, 40 + 4),
     ):
         monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
         work.update(computed=0, means=0)
@@ -463,10 +470,12 @@ def _pixel_stack(rng, m, colours, sigma):
 def _one_restart_at_a_time(stack, k, seed):
     """Each plane's (centroids, inertia) from `_init_pp` and `_lloyd_run`, in restart order."""
     rng = np.random.default_rng(seed)
-    return [
-        clustering._lloyd_run(plane, 1, clustering._init_pp(plane, 1, k, rng, None), None)[:2]
-        for plane in stack
-    ]
+    results = []
+    for plane in stack:
+        centroids = np.empty((k, plane.shape[0]))  # drawn into and updated in place
+        sq = clustering._init_pp(plane, 1, centroids, rng, None)
+        results.append((centroids, clustering._lloyd_run(plane, 1, centroids, sq, None)[0]))
+    return results
 
 
 def _assert_stack_runs_as_one_restart_at_a_time(stack, k, seed):
@@ -709,6 +718,24 @@ def test_fit_scratch_memory_of_all_varying_rows_is_a_fraction_of_the_input():
         assert peak <= share * points.nbytes
 
 
+def test_every_run_of_a_fit_draws_into_and_updates_one_centroid_buffer():
+    # the bench's acoustic shape: its amplitude half, every column varying
+    k, n, d = 8, 64, 32_769
+    points = np.random.default_rng(7).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        centroids, *_ = fit(points, KMeansParams(k=k, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (k, d) buffer, returned as it is, one (d,) scratch row and one block;
+    # a second (k, d) array, for a start, an update or the returned copy,
+    # would pass two
+    assert centroids.shape == (k, d)
+    assert peak < 2 * centroids.nbytes
+
+
 def test_fit_of_all_varying_rows_gives_the_bits_of_a_contiguous_float_copy(monkeypatch):
     rng = np.random.default_rng(13)
     ints = rng.integers(-1000, 1000, (24, 40))
@@ -876,6 +903,15 @@ def test_predict_validates_dimensions():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(UsageError):
             predict(centroids, (bad, 0.0))
+
+
+def test_predict_refuses_centroids_that_are_not_finite():
+    message = "^centroids must be finite, not NaN or inf$"
+    for bad in (math.nan, math.inf, -math.inf):
+        # the nearest centroid is finite, and so is its distance: a bad one anywhere refuses
+        for centroids in (np.full((1, 1), bad), np.array([[0.0, 0.0], [bad, 1.0]])):
+            with pytest.raises(UsageError, match=message):
+                predict(centroids, np.zeros(centroids.shape[1]))
 
 
 def test_predict_takes_finite_points_too_far_apart_for_a_float_as_infinitely_far():

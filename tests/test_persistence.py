@@ -4,8 +4,10 @@ import ast
 import errno
 import json
 import math
+import os
 import re
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -280,6 +282,99 @@ def test_a_path_with_a_nul_byte_raises_io_error(tmp_path):
         load_event_script(path)
     with pytest.raises(InputError, match="^cannot write .*embedded null byte"):
         save_bundle(ModelBundle(), path)
+
+
+def test_a_bundle_that_is_not_a_regular_file_is_refused(tmp_path, capsys):
+    # what `--bundle <(cat bundle)` names: the read end of a pipe, which has no
+    # size to check an array node against before its array is allocated
+    path = tmp_path / "bundle.json"
+    save_bundle(ModelBundle(), path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        piped = f"/dev/fd/{read_end}"
+        message = f"{piped}: a bundle must be a regular file, not a pipe or device"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_bundle(piped)
+        assert main(["predict", "--modality", "visual", "--bundle", piped, "x.ppm"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+    finally:
+        os.close(read_end)
+
+
+def test_a_bundle_is_saved_and_loaded_without_a_second_copy_of_its_arrays(tmp_path):
+    path = tmp_path / "bundle.json"
+    centroids = np.random.default_rng(1).standard_normal((2, 65538))
+    bundle = ModelBundle(acoustic=SceneClassifier(centroids, ("a", "b"), 0, 1.0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        save_bundle(bundle, path)
+        _, saved = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        again = load_bundle(path)
+        _, loaded = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each array goes to the file from its own buffer, and comes back read
+    # straight into a new one: no joined or whole-file bytes beside them
+    size = path.stat().st_size
+    assert saved < 0.5 * size and loaded < 1.5 * size
+    assert np.array_equal(again.acoustic.centroids, centroids)
+    assert again.acoustic.centroids.flags.writeable
+
+
+class _FailingReads:
+    """A binary file whose every read fails as a failing disk's would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def fileno(self):
+        return self.handle.fileno()
+
+    def read(self, *size):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def test_a_read_that_fails_after_the_open_raises_io_error(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "script.tsv"
+    script.write_text("0.0\taudio\ta.wav\n")
+    bundle = tmp_path / "bundle.json"
+    save_bundle(ModelBundle(), bundle)
+    monkeypatch.setattr(
+        persistence, "open", lambda file, mode: _FailingReads(open(file, mode)), raising=False
+    )
+    for path, load in ((script, load_event_script), (bundle, load_bundle)):
+        message = f"^cannot read {re.escape(str(path))}: .*Input/output error"
+        with pytest.raises(InputError, match=message):
+            load(path)
+    assert main(["predict", "--modality", "visual", "--bundle", str(bundle), "x.ppm"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bundle}: ")
+
+
+def test_a_bundle_that_shrinks_while_it_is_read_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "bundle.json"
+    save_bundle(_full_bundle(), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+
+    def fstat_before_the_cut(fd):  # the size the file had when its size was read
+        status = list(real_fstat(fd))
+        status[6] += 8  # st_size
+        return os.stat_result(status)
+
+    monkeypatch.setattr(persistence.os, "fstat", fstat_before_the_cut)
+    message = r"bundle.action.weights_ho.shape \[8, 2\] needs more than the 120 bytes left"
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_bundle(path)
 
 
 class _FullDisk:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scenefuse import clustering
 from scenefuse.errors import UsageError
 from scenefuse.scene_model import ScenePrediction, classify, train_classifier
 
@@ -109,6 +110,18 @@ def test_training_set_validation():
         train_classifier(("",), np.zeros((1, 2)))
     with pytest.raises(UsageError, match="scene names cannot be empty"):  # "" names no cluster
         train_classifier(("a", "a", ""), np.zeros((3, 2)))
+
+
+def test_names_that_are_not_a_sequence_of_str_are_refused_before_the_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(clustering, "fit", no_fit)
+    message = "^names must be a sequence of str, one scene name per row$"
+    # a str reads as one name per character; a name that is no str names nothing
+    for names in ("ab", [5, 5], ("a", None)):
+        with pytest.raises(UsageError, match=message):
+            train_classifier(names, np.array([[0.0], [1.0]]))
 
 
 def test_training_needs_one_name_per_row():

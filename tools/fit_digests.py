@@ -21,6 +21,9 @@ sees but not what a command writes, such as the matrix `train` hands
 seeded scan of N library fits follows (default 400), on small matrices of
 both layouts: random, duplicated and integer points, constant columns,
 and points near 1e154 and 1e308, where distances and means overflow.
+Those have at most 24 points, so every restart sees every point; a fixed
+tail of larger fits follows whatever N is, whose restarts see every 2nd
+to 4th point before one run refines on all, in both layouts.
 
 The program under test is the `src/` of the checkout this file is in.  Run
 it in two checkouts on the same inputs and `diff` the outputs: no
@@ -168,12 +171,38 @@ def scan_instance(rng: np.random.Generator) -> tuple[np.ndarray, clustering.KMea
     return points, clustering.KMeansParams(k=min(k, 6), seed=int(rng.integers(2**31)))
 
 
+# (n, d, k, scale, integer points) of each tail fit: n past `clustering._SEED_POINTS`, so
+# its restarts see every 2nd to 4th point; d >= n is the row layout, d < n the column layout
+TAIL = (
+    (1001, 1001, 3, 1.0, False),
+    (1001, 1600, 5, 1e3, False),
+    (1001, 1001, 2, 1e150, True),
+    (2001, 2001, 2, 1.0, True),
+    (2001, 3, 4, 1.0, True),
+    (3001, 5, 5, 1e3, False),
+    (4001, 2, 3, 1e307, False),
+)
+
+
+def tail_instance(rng: np.random.Generator, n, d, k, scale, integer):
+    """One seeded tail fit: normal or small integer points, about a fifth of columns constant."""
+    points = rng.integers(-3, 4, (n, d)) * 1.0 if integer else rng.standard_normal((n, d))
+    constant = rng.random(d) < 0.2
+    points[:, constant] = points[0, constant]
+    return points * scale, clustering.KMeansParams(k=k, seed=int(rng.integers(2**31)))
+
+
 def scan(count: int) -> None:
+    """The seeded scan of `count` small fits, then the fixed tail of subsampled ones."""
     rng = np.random.default_rng(2003)
     with np.errstate(over="ignore"):  # the scan's own near-overflow points
         instances = [scan_instance(rng) for _ in range(count)]
     for number, (points, params) in enumerate(instances, 1):
         print(f"scan {number} {digest(points, params, outcome(clustering.fit, points, params))}")
+    rng = np.random.default_rng(1998)  # the tail is the same whatever the count
+    for number, spec in enumerate(TAIL, 1):
+        points, params = tail_instance(rng, *spec)  # one at a time: the largest is 32 MB
+        print(f"tail {number} {digest(points, params, outcome(clustering.fit, points, params))}")
 
 
 def main(argv=None) -> int:
