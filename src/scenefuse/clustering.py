@@ -522,7 +522,12 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     The `_N_INIT` restarts run on every stride-th point, stride =
     ceil(n / `_SEED_POINTS`) (lowered, if need be, so they see at least k
     points): restart i on the n // stride points from offset i % stride,
-    so every restart's inertia sums over as many points.  The lowest
+    so every restart's inertia sums over as many points.  The restarts
+    draw in turn from one `np.random.default_rng(seed)` stream: restart i
+    takes its first start with `integers(m)`, m being its point count, and
+    each later one with one `random()` u, as the first point whose
+    cumulative sum in point order of squared distances to its nearest start
+    exceeds u times their NumPy sum, clamped to the last point.  The lowest
     inertia wins, earliest run on a tie.  With stride 1 every restart sees
     all points and the winner is the result.  Otherwise one more Lloyd run
     on all points, started from the winner's centroids, is the result, and
@@ -531,7 +536,10 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     `_SEED_POINTS` · (d_varying + k)) scratch whatever n is.  Each stacked
     restart gives the bits it gives alone when its means are exact, as on
     integer coordinates such as pixels: the stack adds each cluster's sum
-    in point order and a restart alone in NumPy's pairwise order.
+    in point order and a restart alone in NumPy's pairwise order.  Outside
+    the stack, every column-layout run, the refinement too, takes each mean
+    as NumPy's pairwise `mean` of each column of its members, and every
+    row-layout run as a running sum of its member rows in point order.
 
     Returns `(centroids, labels, sq, inertia)`: the resulting run's (k, d)
     centroids, the closing assignment it was scored on, with `sq` the
@@ -545,7 +553,9 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     otherwise; every run keeps that layout.  As rows, the runs cluster a
     view of the points when the varying columns form one run and each row's
     coordinates are contiguous in float64 (a C-contiguous float64 input
-    qualifies), and otherwise one contiguous (n, d_varying) copy.  The view
+    qualifies), and otherwise one C-ordered (n, d_varying) copy, gathered
+    with `np.compress`: a boolean column index gives an F-ordered copy,
+    whose row sums run in another order.  The view
     gives the copy's bits: each distance sums a row of a contiguous block,
     and each update adds whole rows element by element.  So `sq` and every
     inertia are sums over the varying columns: added left to right in the
@@ -581,7 +591,17 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
-    moved more than `_TOL` (infinity norm) in one update.
+    moved more than `_TOL` (infinity norm) in one update.  Each pass assigns
+    every point to its nearest centroid, the lowest label on a tie; then
+    each cluster left empty, in label order, seizes the point farthest from
+    its own centroid among those whose cluster keeps another member, the
+    lowest index on a tie, and becomes that point; then every centroid
+    becomes the mean of its members.  A run makes at most `_MAX_ITERS`
+    updates and ends on one more assignment, which is not repaired, so a
+    cluster may own no point.  Its inertia is NumPy's pairwise sum, in point
+    order, of each point's squared distance to its own centroid.
+    `reference_fit` in `tests/oracles.py` is this docstring written as
+    plain NumPy, and changes with it.
 
     Raises UsageError for no points or fewer points than clusters, points
     of mixed lengths or not one (n, d) matrix, a coordinate that is not a

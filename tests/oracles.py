@@ -1,15 +1,20 @@
 """Independent reference implementations the test suite checks against.
 
 Nothing here imports the library's own math: the spectrum oracle is a naive
-O(n^2) DFT that never touches numpy.fft, the clustering oracle enumerates
-every possible assignment, the fusion oracle is a straight-line replay of
+O(n^2) DFT that never touches numpy.fft, one clustering oracle enumerates
+every possible assignment, and the k-means reference is `clustering.fit`
+written from its docstring as one plain Lloyd loop, with none of its
+engines (the column stack, the row blocks, the distance memo, the shared
+centroid buffer, the repeated-partition close), only the summation orders
+that its bits depend on.  The fusion oracle is a straight-line replay of
 the decision narrative, the gradient oracle is central finite differences
 of a loss with its own sigmoid and forward pass, the output-error
 oracle runs that same forward pass over its own one-hot rows, and the
 reference trainer is the action net's gradient descent written as plain
 whole-array expressions, each step allocating its own results.  Keep it
 that way — each pairs with a faster implementation in the package and the
-two must stay independent.
+two must stay independent: this module imports NumPy and the standard
+library only, as a tier-1 test checks.
 """
 
 from __future__ import annotations
@@ -82,6 +87,144 @@ def nearest_centroid_scan(point, centroids) -> tuple[int, float]:
             best_sq = sq
             best_label = label
     return best_label, best_sq**0.5
+
+
+# --- k-means from its specification ------------------------------------------
+
+def _squared_distances(x: np.ndarray, centroids: np.ndarray, columns: bool) -> np.ndarray:
+    """(n, k) squared distances from the (n, d) rows `x` to each centroid.
+
+    In the column layout each point's squares are added left to right over
+    the columns; in the row layout each row of squares is one NumPy sum
+    along that C-ordered row, in NumPy's pairwise order.
+    """
+    sq = np.empty((len(x), len(centroids)))
+    for j, centroid in enumerate(centroids):
+        diff = x - centroid
+        squares = diff * diff
+        if columns:
+            total = np.zeros(len(x))
+            for column in squares.T:
+                total += column
+            sq[:, j] = total
+        else:
+            sq[:, j] = squares.sum(axis=1)
+    return sq
+
+
+def _column_means(rows: np.ndarray, pairwise: bool) -> np.ndarray:
+    """Each column's mean over the (m, d) `rows`.
+
+    The sum runs in NumPy's pairwise order along a C-ordered copy of each
+    column, or as one running sum in row order.
+    """
+    total = np.ascontiguousarray(rows.T).sum(axis=1) if pairwise else np.cumsum(rows, axis=0)[-1]
+    return total / len(rows)
+
+
+def _lloyd(x, centroids, columns, pairwise, tol, max_iters):
+    """One Lloyd run from `centroids`: (centroids, labels, (n, k) sq, inertia).
+
+    Each pass assigns every point to its nearest centroid, the lowest label
+    on a tie; each empty cluster in turn, in label order, then seizes the
+    point farthest from its own centroid among those whose cluster keeps
+    another member, the lowest index on a tie, and becomes that point; then
+    every centroid becomes the mean of its members.  The run stops after
+    `max_iters` updates, or after one that moved no coordinate more than
+    `tol`, on one more assignment, which is not repaired.  The inertia is
+    NumPy's pairwise sum of each point's squared distance to its centroid.
+    """
+    sq = _squared_distances(x, centroids, columns)
+    for _ in range(max_iters):
+        labels = np.argmin(sq, axis=1)
+        own = sq[np.arange(len(x)), labels]
+        counts = np.bincount(labels, minlength=len(centroids))
+        for empty in np.flatnonzero(counts == 0):
+            victim = int(np.argmax(np.where(counts[labels] > 1, own, -np.inf)))
+            counts[labels[victim]] -= 1
+            counts[empty] = 1
+            labels[victim] = empty
+            own[victim] = 0.0
+            centroids[empty] = x[victim]
+        means = np.array([_column_means(x[labels == c], pairwise) for c in range(len(centroids))])
+        shift = np.max(np.abs(means - centroids), initial=0.0)
+        centroids = means
+        sq = _squared_distances(x, centroids, columns)
+        if shift <= tol:
+            break
+    labels = np.argmin(sq, axis=1)
+    return centroids, labels, sq, float(sq[np.arange(len(x)), labels].sum())
+
+
+def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator, columns: bool) -> np.ndarray:
+    """k-means++ starts from `rng`: a uniform first point, then inverse-CDF draws.
+
+    Each later draw takes a uniform u and the first point whose cumulative
+    sum of squared distances to its nearest start exceeds u times their
+    total, clamped to the last point.
+    """
+    picks = [int(rng.integers(len(x)))]
+    closest = _squared_distances(x, x[picks], columns)[:, 0]
+    for _ in range(1, k):
+        draw = rng.random() * float(closest.sum())
+        picks.append(min(int(np.searchsorted(np.cumsum(closest), draw, side="right")), len(x) - 1))
+        closest = np.minimum(closest, _squared_distances(x, x[picks[-1:]], columns)[:, 0])
+    return x[picks]
+
+
+def reference_fit(points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_iters=300):
+    """`clustering.fit` as its docstring specifies it, or None where it refuses.
+
+    Returns (centroids, labels, (n, k) sq, inertia) with the bits `fit`
+    returns; None when n < k or when a centroid or the inertia is not
+    finite.  `seed_points`, `tol` and `max_iters` stand for `fit`'s
+    `_SEED_POINTS`, `_TOL` and `_MAX_ITERS`, for tests that patch them.  The points become float64, and columns on which every point
+    agrees are dropped: the rest are gathered into a C-ordered (n, d) copy
+    and every centroid keeps the shared value of each dropped column.  With
+    fewer varying columns than points the fit is in the column layout, and
+    otherwise in the row layout.  Ten restarts, each k-means++ then Lloyd,
+    draw in turn from one `np.random.default_rng(seed)`; restart i sees rows
+    i % stride : span : stride, with stride = min(ceil(n / seed_points),
+    n // k) and span = n // stride * stride.  The lowest inertia wins, the
+    earliest on a tie (NaN never wins but a first one is never beaten), and
+    when stride > 1 one more Lloyd run on all points, from the winner's
+    centroids, is the result.
+
+    The summation orders are part of the bits:
+      * a squared distance adds its squares left to right over the columns
+        in the column layout, and in NumPy's pairwise order along the row in
+        the row layout;
+      * a mean sums its members in point order, as one running sum, except
+        in the column layout's runs on every point (stride 1, and the
+        refinement), which sum each column in NumPy's pairwise order;
+      * a k-means++ total and an inertia are NumPy's pairwise sum over points.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    n = len(x)
+    if n < k:
+        return None
+    varying = (x != x[0]).any(axis=0)
+    work = np.ascontiguousarray(np.compress(varying, x, axis=1))
+    columns = work.shape[1] < n
+    stride = min(-(-n // seed_points), n // k)
+    span = n // stride * stride
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = None
+        for i in range(10):
+            sample = work[i % stride : span : stride]
+            start = _kmeans_pp(sample, k, rng, columns)
+            run = _lloyd(sample, start, columns, columns and stride == 1, tol, max_iters)
+            if best is None or run[3] < best[3]:
+                best = run
+        if stride > 1:
+            best = _lloyd(work, best[0], columns, columns, tol, max_iters)
+    centroids, labels, sq, inertia = best
+    if not (np.isfinite(centroids).all() and np.isfinite(inertia)):
+        return None
+    full = np.repeat(x[:1], k, axis=0)
+    full[:, varying] = centroids
+    return full, labels, sq, inertia
 
 
 # --- fusion replay ---------------------------------------------------------

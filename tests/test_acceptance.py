@@ -6,9 +6,12 @@ The reference implementations live in oracles.py and never share code with
 the library paths they judge.
 """
 
+import ast
 import io
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +79,23 @@ def fuse_outputs(matrix_workspace):
             assert rc == 0
             outputs[(audio, visual)] = lines
     return outputs
+
+
+def test_criterion_oracles_stay_independent_of_the_package():
+    """oracles.py imports nothing but NumPy and the standard library, relative imports none."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").partition(".")[0])
+    foreign = sorted(imported - sys.stdlib_module_names - {"numpy"})
+    check(
+        "the oracles import only NumPy and the standard library",
+        not foreign,
+        f"imports {sorted(imported)}, foreign {foreign}",
+    )
 
 
 def test_criterion_spectrum_agrees_with_direct_dft():

@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import never_increases
-from oracles import brute_force_inertia, nearest_centroid_scan
+from oracles import brute_force_inertia, nearest_centroid_scan, reference_fit
 from scenefuse import clustering
 from scenefuse.clustering import (
     KMeansParams,
@@ -101,32 +101,6 @@ def test_fit_returns_the_partition_it_scored(lloyd_traces, points, k, seed):
     assert all(map(never_increases, lloyd_traces))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    points=_crowded_points(),
-    k=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    positions=st.lists(st.integers(0, 2), min_size=1, max_size=4),
-    value=st.floats(allow_nan=False, allow_infinity=False),
-)
-def test_constant_columns_leave_the_fit_unchanged(points, k, seed, positions, value):
-    # with no varying column at all, fit runs on the whole matrix instead
-    assume((points != points[0]).any())
-    k = min(k, points.shape[0])
-    at = [min(p, points.shape[1]) for p in positions]
-    wide = np.insert(points, at, value, axis=1)
-    kept = np.insert(np.ones(points.shape[1], dtype=bool), at, False)
-    centroids, labels, sq, inertia = fit(points, KMeansParams(k=k, seed=seed))
-    wide_centroids, wide_labels, wide_sq, wide_inertia = fit(wide, KMeansParams(k=k, seed=seed))
-    assert np.array_equal(wide_labels, labels)
-    assert np.array_equal(wide_sq, sq)
-    assert wide_inertia == inertia
-    assert np.array_equal(wide_centroids[:, kept], centroids)
-    assert np.all(wide_centroids[:, ~kept] == value)
-    # at most two columns vary, so the sums over them are exact in any order
-    assert np.array_equal(assign(wide, wide_centroids)[1], wide_sq)
-
-
 def _spy_on_rows(monkeypatch) -> tuple[list[bytes], list[bytes]]:
     """The centroids whose distance rows `fit` computes, and those whose rows it uses.
 
@@ -180,48 +154,11 @@ def _spy_on_work(monkeypatch) -> dict[str, int]:
     return work
 
 
-def _spy_on_run_results(monkeypatch) -> list[tuple]:
-    """A copy of each Lloyd run's final centroids, then what it returns, for every run from now on.
-
-    A run updates its centroids in place, in the buffer every run of the fit
-    shares, so they are copied as the run ends.
-    """
-    real = clustering._lloyd_run
-    results = []
-
-    def spy(points, axis, centroids, *rest):
-        result = real(points, axis, centroids, *rest)
-        results.append((centroids.copy(), *result))
-        return result
-
-    monkeypatch.setattr(clustering, "_lloyd_run", spy)
-    return results
-
-
 def _separated_blobs(n, d, k):
     """n points in k blobs of unit spread, far apart, blob i % k for point i."""
     rng = np.random.default_rng(9)
     centres = rng.uniform(-100.0, 100.0, (k, d))
     return centres[np.arange(n) % k] + rng.normal(0.0, 1.0, (n, d))
-
-
-def test_as_many_varying_columns_as_points_are_clustered_as_rows(monkeypatch):
-    # the row layout sums each distance as `assign` does, so bit for bit
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        points = rng.standard_normal((8, 8))
-        centroids, _, sq, _ = fit(points, KMeansParams(k=2))
-        assert np.array_equal(sq, assign(points, centroids)[1])
-    # and so does every restart whose rows the memo served, winner or not
-    results = _spy_on_run_results(monkeypatch)
-    work = _spy_on_work(monkeypatch)
-    points = _separated_blobs(20, 24, 4)
-    centroids, _, sq, _ = fit(points, KMeansParams(k=4, seed=5))
-    assert work["computed"] < work["used"] and len(results) == clustering._N_INIT
-    for run_centroids, _, labels, run_sq, _ in results:
-        again_labels, again_sq = assign(points, run_centroids)
-        assert np.array_equal(run_sq.T, again_sq) and np.array_equal(labels, again_labels)
-    assert np.array_equal(sq, assign(points, centroids)[1])
 
 
 def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
@@ -338,17 +275,8 @@ def test_the_distance_memo_holds_every_draw_and_at_most_n_update_rows(monkeypatc
     assert np.array_equal(sq, assign(points, centroids)[1])
 
 
-def test_a_draw_row_filled_from_earlier_rows_has_the_bits_of_a_computed_one(monkeypatch):
-    real = clustering._draw_row
-    filled = []  # (the row, the row computed whole, how many of its entries were copied)
-
-    def spy(points, idx, memo):
-        row = real(points, idx, memo)
-        whole = clustering._sq_distances(points, 0, points[idx : idx + 1])[0]
-        filled.append((row, whole, sum(isinstance(key, int) for key in memo)))
-        return row
-
-    monkeypatch.setattr(clustering, "_draw_row", spy)
+def _draw_row_cases():
+    """Row-layout points whose k-means++ draw rows copy entries, with each k."""
     rng = np.random.default_rng(21)
     # two groups 2e154 apart, so every distance across them overflows to inf
     side = np.where(np.arange(12)[:, None] < 6, 1e154, -1e154)
@@ -357,18 +285,30 @@ def test_a_draw_row_filled_from_earlier_rows_has_the_bits_of_a_computed_one(monk
     # ones: both are clustered as a compressed copy
     fortran = np.asfortranarray(rng.standard_normal((10, 30)) * 1e3)
     scattered = np.insert(rng.standard_normal((10, 30)), [0, 7, 7, 19, 30], 2.5, axis=1)
-    for points, k in ((overflowing, 2), (overflowing, 3), (fortran, 4), (scattered, 4)):
+    return ((overflowing, 2), (overflowing, 3), (fortran, 4), (scattered, 4))
+
+
+def test_a_draw_row_copies_its_entry_of_every_earlier_draw(monkeypatch):
+    real = clustering._draw_row
+    filled = []  # (the row, how many of its entries were copied)
+
+    def spy(points, idx, memo):
+        row = real(points, idx, memo)
+        filled.append((row, sum(isinstance(key, int) for key in memo)))
+        return row
+
+    monkeypatch.setattr(clustering, "_draw_row", spy)
+    for points, k in _draw_row_cases():
         filled.clear()
         fit(points, KMeansParams(k=k, seed=1))
-        assert all(np.array_equal(row, whole) for row, whole, _ in filled)
         # each distinct draw is filled once, and copies from every draw before it
-        assert [copied for *_, copied in filled] == list(range(len(filled)))
+        assert [copied for _, copied in filled] == list(range(len(filled)))
         assert len(filled) >= 5
-        if points is overflowing:  # inf entries as well as finite ones
-            assert all(np.isinf(row).any() and np.isfinite(row).any() for row, *_ in filled)
+        if np.abs(points).max() > 1e150:  # inf entries as well as finite ones
+            assert all(np.isinf(row).any() and np.isfinite(row).any() for row, _ in filled)
     # a draw fills its row from draw rows only: an update's row in the memo,
     # keyed by its member mask, holds distances to a mean, not to a point
-    points = rng.standard_normal((6, 8))
+    points = np.random.default_rng(21).standard_normal((6, 8))
     memo = {}
     mask = np.array([True, True, False, False, False, False])
     clustering._sq_rows(points, 0, points[mask].mean(axis=0)[None], [mask.tobytes()], memo)
@@ -459,80 +399,32 @@ def test_each_restart_draws_from_its_own_offset(monkeypatch):
     assert len(runs) == 1 and np.array_equal(runs[0], points)
 
 
-def _pixel_stack(rng, m, colours, sigma):
-    """An (R, 3, m) stack of integer pixels, each plane drawn from `colours` plus rounded noise."""
+_PALETTE = ((40, 60, 200), (210, 40, 40), (90, 200, 90), (128, 128, 128))
+
+
+def _interleaved_pixels(rng, m, colours, sigma):
+    """10·m integer pixels from `colours` plus rounded noise: with stride 10, restart i's are i::10."""
     picks = rng.integers(len(colours), size=(clustering._N_INIT, m))
     noise = np.rint(rng.normal(0.0, sigma, (clustering._N_INIT, m, 3)))
     pixels = np.asarray(colours, dtype=np.float64)[picks] + noise
-    return np.ascontiguousarray(pixels.swapaxes(1, 2))
+    return pixels.swapaxes(0, 1).reshape(-1, 3)
 
 
-def _one_restart_at_a_time(stack, k, seed):
-    """Each plane's (centroids, inertia) from `_init_pp` and `_lloyd_run`, in restart order."""
-    rng = np.random.default_rng(seed)
-    results = []
-    for plane in stack:
-        centroids = np.empty((k, plane.shape[0]))  # drawn into and updated in place
-        sq = clustering._init_pp(plane, 1, centroids, rng, None)
-        results.append((centroids, clustering._lloyd_run(plane, 1, centroids, sq, None)[0]))
-    return results
-
-
-def _assert_stack_runs_as_one_restart_at_a_time(stack, k, seed):
-    rng = np.random.default_rng(seed)
-    centroids, inertias = clustering._stacked_restarts(stack, k, rng)
-    expected = _one_restart_at_a_time(stack, k, seed)
-    assert centroids.shape == (clustering._N_INIT, k, stack.shape[1])
-    for i, (own_centroids, own_inertia) in enumerate(expected):
-        assert np.array_equal(centroids[i], own_centroids), i
-        assert inertias[i] == own_inertia, i
-
-
-def test_stacked_restarts_give_each_restarts_bits_on_integer_pixels(monkeypatch):
-    rng = np.random.default_rng(12)
-    palette = [(40, 60, 200), (210, 40, 40), (90, 200, 90), (128, 128, 128)]
-    stacked, repaired = [], []
-    real_nearest, real_repair = clustering._nearest, clustering._repair_empties
+def test_a_stacked_restart_leaves_the_stack_when_its_run_closes(monkeypatch):
+    real = clustering._nearest
+    stacked = []
 
     def nearest(sq):
         stacked.append(sq.shape[:-2])  # the planes an assignment measures, () for one run
-        return real_nearest(sq)
-
-    def repair(points, *rest):
-        repaired.append(points.shape)
-        return real_repair(points, *rest)
+        return real(sq)
 
     monkeypatch.setattr(clustering, "_nearest", nearest)
-    monkeypatch.setattr(clustering, "_repair_empties", repair)
-    # noisy palettes: runs that close on an update that moved nothing, after
+    monkeypatch.setattr(clustering, "_SEED_POINTS", 960)
+    # a noisy palette: runs close on an update that moved nothing, after
     # different numbers of passes, so the stack shrinks as they close
-    for k, m, sigma, seed in ((3, 960, 8.0, 0), (4, 1000, 20.0, 1), (6, 500, 30.0, 2)):
-        stacked.clear()
-        _assert_stack_runs_as_one_restart_at_a_time(_pixel_stack(rng, m, palette, sigma), k, seed)
-        planes = [shape[0] for shape in stacked if shape]
-        assert planes[0] == clustering._N_INIT and planes[-1] < clustering._N_INIT
-    # a few colours, each repeated: k-means++ draws a colour twice, so a
-    # cluster is left empty and seizes a point, in the stack and in a run alone
-    repaired.clear()
-    _assert_stack_runs_as_one_restart_at_a_time(_pixel_stack(rng, 300, palette[:3], 0.0), 5, 3)
-    assert len(repaired) >= 2
-    # integers scaled by 2**-30 keep every sum exact, and no update moves a
-    # centroid further than the tolerance: each run closes after one more pass
-    tiny = _pixel_stack(rng, 400, palette, 10.0) * 2.0**-30
-    _assert_stack_runs_as_one_restart_at_a_time(tiny, 3, 4)
-    # with a tolerance of 1, small integer coordinates often move a centroid
-    # by exactly the tolerance, which closes the run too
-    with monkeypatch.context() as patch:
-        patch.setattr(clustering, "_TOL", 1.0)
-        for seed in range(4):
-            small = rng.integers(0, 7, (clustering._N_INIT, 2, 8)).astype(np.float64)
-            _assert_stack_runs_as_one_restart_at_a_time(small, 2, seed)
-    # the iteration cap: every run stops after at most none, one or two updates
-    for cap in (0, 1, 2):
-        with monkeypatch.context() as patch:
-            patch.setattr(clustering, "_MAX_ITERS", cap)
-            stack = _pixel_stack(rng, 700, palette, 40.0)
-            _assert_stack_runs_as_one_restart_at_a_time(stack, 4, cap)
+    fit(_interleaved_pixels(np.random.default_rng(12), 960, _PALETTE, 8.0), KMeansParams(k=3))
+    planes = [shape[0] for shape in stacked if shape]
+    assert planes[0] == clustering._N_INIT and planes[-1] < clustering._N_INIT
 
 
 def _squares_adding_up_to(total: int) -> list[float]:
@@ -559,7 +451,6 @@ def test_a_draw_on_a_cumulative_sum_takes_the_next_point():
     # point 1 joins point 0, not the drawn point 2
     assert np.array_equal(centroids[0], [plane[:, 1] / 2, plane[:, 2]])
     assert inertias[0] == j / 2
-    _assert_stack_runs_as_one_restart_at_a_time(stack, 2, seed)
 
 
 def _blob_instance(rng):
@@ -658,28 +549,6 @@ def test_assign_scratch_memory_stays_within_one_points_matrix():
     assert peak <= clustering._BLOCK_BYTES + sq.nbytes + labels.nbytes + 16_384
 
 
-def _unblocked_row_distances(points, centroids):
-    """The row-layout kernel without blocks: one (n, d) difference per centroid."""
-    sq = np.empty((len(centroids), len(points)))
-    for j, centroid in enumerate(centroids):
-        diff = points - centroid
-        np.add.reduce(diff * diff, axis=1, out=sq[j])
-    return sq
-
-
-def test_row_distances_in_blocks_equal_one_unblocked_pass(monkeypatch):
-    rng = np.random.default_rng(12)
-    points = rng.standard_normal((50, 300)) * 1e3  # 2,400 bytes a row
-    centroids = rng.standard_normal((5, 300))
-    # 7 rows a block, so the last block holds 1 row; a block smaller than one
-    # row, so one row at a time; and every row in one block
-    for block_bytes in (7 * 2400, 1000, 50 * 2400):
-        monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_bytes)
-        for rows in (points, points[1::3]):  # and a strided subsample's view
-            expected = _unblocked_row_distances(rows, centroids)
-            assert np.array_equal(clustering._sq_distances(rows, 0, centroids), expected)
-
-
 def test_fit_scratch_memory_shrinks_with_the_constant_columns():
     rng = np.random.default_rng(7)
     points = np.empty((64, 8192))
@@ -736,52 +605,37 @@ def test_every_run_of_a_fit_draws_into_and_updates_one_centroid_buffer():
     assert peak < 2 * centroids.nbytes
 
 
-def test_fit_of_all_varying_rows_gives_the_bits_of_a_contiguous_float_copy(monkeypatch):
-    rng = np.random.default_rng(13)
-    ints = rng.integers(-1000, 1000, (24, 40))
-    floats = ints.astype(np.float64)
-    assert (floats != floats[0]).any(axis=0).all()  # every column varies: the row layout
-    read_only = floats.copy()
-    read_only.flags.writeable = False  # a write to the points would raise
+def _integer_rows():
+    """(24, 40) integers in which every column varies: the row layout."""
+    return np.random.default_rng(13).integers(-1000, 1000, (24, 40))
+
+
+def _view_and_copy():
+    """One run of 40 varying columns between constant ones, and that run split by one more.
+
+    The mean of most counts of copies of 0.1 is not 0.1, so a constant
+    column clustered as a varying one would show.
+    """
+    run = np.random.default_rng(14).standard_normal((24, 40)) * 1e3
+    viewed = np.hstack([np.full((24, 3), 0.1), run, np.full((24, 2), -7.5)])
+    return viewed, np.insert(viewed, 20, 0.1, axis=1)
+
+
+def test_one_run_of_varying_columns_is_clustered_as_a_view_and_a_split_one_as_a_copy(
+    monkeypatch,
+):
+    viewed, copied = _view_and_copy()
+    runs = _spy_on_runs(monkeypatch)
     # restarts on all points, and on every 3rd point before one refining run
     for seed_points in (clustering._SEED_POINTS, 10):
         monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
-        expected = fit(floats, KMeansParams(k=3, seed=2))
-        for matrix in (read_only, np.asfortranarray(floats), ints):
-            got = fit(matrix, KMeansParams(k=3, seed=2))
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-    assert np.array_equal(read_only, floats)
-
-
-def test_one_run_of_varying_columns_gives_the_bits_of_their_copy(monkeypatch):
-    rng = np.random.default_rng(14)
-    run = rng.standard_normal((24, 40)) * 1e3
-    # constant columns before and after one run of 40 varying ones, which the
-    # fit clusters as a view of the points; one more constant column inside
-    # the run splits it, so that fit clusters a copy of the same 40 columns.
-    # The mean of most counts of copies of 0.1 is not 0.1, so a constant
-    # column clustered as a varying one would show
-    viewed = np.hstack([np.full((24, 3), 0.1), run, np.full((24, 2), -7.5)])
-    copied = np.insert(viewed, 20, 0.1, axis=1)
-    kept = np.insert(np.ones(viewed.shape[1], dtype=bool), 20, False)
-    runs = _spy_on_runs(monkeypatch)
-    # restarts on all points, and on every 3rd point before one refining run;
-    # each in row blocks of 5 points too, so the constant columns are found
-    # across blocks
-    for seed_points in (clustering._SEED_POINTS, 10):
-        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
-        for block_bytes in (clustering._BLOCK_BYTES, 5 * 8 * copied.shape[1]):
-            monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_bytes)
-            runs.clear()
-            view_fit = fit(viewed, KMeansParams(k=3, seed=2))
-            assert all(np.may_share_memory(points, viewed) for points in runs)
-            runs.clear()
-            copy_fit = fit(copied, KMeansParams(k=3, seed=2))
-            assert not any(np.may_share_memory(points, copied) for points in runs)
-            assert {points.shape[1] for points in runs} == {run.shape[1]}
-            assert np.array_equal(copy_fit[0][:, kept], view_fit[0])
-            assert all(np.array_equal(a, b) for a, b in zip(copy_fit[1:], view_fit[1:]))
-            assert np.all(view_fit[0][:, :3] == 0.1) and np.all(view_fit[0][:, -2:] == -7.5)
+        runs.clear()
+        fit(viewed, KMeansParams(k=3, seed=2))
+        assert all(np.may_share_memory(points, viewed) for points in runs)
+        runs.clear()
+        fit(copied, KMeansParams(k=3, seed=2))
+        assert not any(np.may_share_memory(points, copied) for points in runs)
+        assert {points.shape[1] for points in runs} == {40}
 
 
 def test_a_half_constant_input_is_never_written(monkeypatch):
@@ -892,6 +746,190 @@ def test_a_fit_that_overflows_on_the_way_but_ends_finite_is_returned():
     assert centroids.tolist() == [[3e154, 0.0], [-2e154, 0.0]]
     assert labels.tolist() == [1, 1, 0]
     assert inertia == 0.0
+
+
+# --- fit against the reference written from its docstring -------------------
+
+_SCALES = (1.0, 1e3, 1e150, 1e154, 1e300, 1e307)  # past 1e154 squares overflow, near 1e308 sums
+
+
+def _scan_cases(count=100):
+    """`count` seeded small fits of both layouts, scaled, about a third of their columns constant.
+
+    Normal, duplicated or small integer points; at most 24, so every restart
+    sees every point.
+    """
+    rng = np.random.default_rng(2003)
+    for _ in range(count):
+        n = int(rng.integers(2, 25))
+        d = int(rng.integers(1, 2 * n + 1))  # fewer columns than points, or at least as many
+        kind = int(rng.integers(3))
+        if kind == 0:
+            points = rng.standard_normal((n, d))
+        elif kind == 1:  # a few distinct points, each repeated
+            distinct = int(rng.integers(1, n + 1))
+            points = rng.standard_normal((distinct, d))[rng.integers(0, distinct, n)]
+        else:
+            points = rng.integers(-3, 4, (n, d)).astype(np.float64)
+        points *= _SCALES[int(rng.integers(len(_SCALES)))]
+        constant = rng.random(d) < 0.3
+        points[:, constant] = points[0, constant]
+        yield points, min(int(rng.integers(1, n + 1)), 6), int(rng.integers(2**31)), {}
+
+
+def _strided_cases():
+    """Restarts on every 2nd to 10th point, then one run on all of them, in both layouts."""
+    rng = np.random.default_rng(1998)
+    # (n, d, k, scale, integer points, `_SEED_POINTS`): d >= n is the row layout
+    for n, d, k, scale, integer, seed_points in (
+        (1500, 4, 3, 1.0, False, 1000),
+        (2001, 3, 4, 1.0, True, 1000),
+        (3001, 5, 5, 1e3, False, 1000),
+        (4001, 2, 3, 1e307, False, 1000),
+        (30, 45, 3, 1.0, False, 15),
+        (41, 80, 3, 1e150, True, 20),
+        (60, 100, 5, 1e3, False, 15),
+    ):
+        points = rng.integers(-3, 4, (n, d)) * 1.0 if integer else rng.standard_normal((n, d))
+        constant = rng.random(d) < 0.2
+        points[:, constant] = points[0, constant]
+        yield points * scale, k, int(rng.integers(2**31)), {"_SEED_POINTS": seed_points}
+    # ten restarts' subsamples of integer pixels: noisy palettes, whose runs
+    # close after different numbers of passes; a few colours, each repeated,
+    # so k-means++ draws one twice and an empty cluster seizes a point; and
+    # pixels scaled by 2**-30, every sum exact, whose runs close once no
+    # update moves a centroid further than the tolerance
+    for seed, (k, m, colours, sigma, scale) in enumerate(
+        (
+            (3, 960, _PALETTE, 8.0, 1.0),
+            (4, 1000, _PALETTE, 20.0, 1.0),
+            (6, 500, _PALETTE, 30.0, 1.0),
+            (5, 300, _PALETTE[:3], 0.0, 1.0),
+            (3, 400, _PALETTE, 10.0, 2.0**-30),
+        )
+    ):
+        pixels = _interleaved_pixels(rng, m, colours, sigma) * scale
+        yield pixels, k, seed, {"_SEED_POINTS": m}
+
+
+def _photo_cases():
+    """Noisy three-colour photos of the bench's sizes, sampled as `dominant_colors` samples them."""
+    rng = np.random.default_rng(2018)
+    for width, height in ((64, 48), (96, 72), (128, 96), (160, 120)):
+        total = width * height
+        counts = [total // 2, total * 3 // 10]
+        pixels = np.repeat(rng.integers(30, 226, (3, 3)), counts + [total - sum(counts)], axis=0)
+        noisy = np.clip(np.rint(pixels + rng.normal(0.0, 8.0, pixels.shape)), 0.0, 255.0)
+        # every stride-th pixel, so that at most 10,000 remain
+        yield noisy[:: -(-total // 10_000)], 3, int(rng.integers(2**31)), {}
+
+
+def _palette_cases():
+    """The bench's visual fit: two 9-value palette vectors per scene, k = 8 scenes."""
+    rng = np.random.default_rng(16)
+    palettes = rng.integers(30, 226, (8, 9))
+    for seed in range(3):
+        yield np.repeat(palettes, 2, axis=0) + rng.normal(0.0, 2.0, (16, 9)), 8, seed, {}
+
+
+def _acoustic_cases():
+    """An acoustic fit's shape: a constant frequency half, then three clips' amplitudes a scene."""
+    rng = np.random.default_rng(65)
+    bins = 4097
+    scenes = np.repeat(rng.uniform(0.0, 50.0, (8, bins)), 3, axis=0)
+    amplitudes = np.abs(scenes + rng.normal(0.0, 10.0, scenes.shape))
+    frequencies = np.broadcast_to(np.arange(bins) * (4000.0 / (bins - 1)), amplitudes.shape)
+    # row blocks of 16 rows, the last one short, of 7 rows, and of one row
+    for block_bytes in (clustering._BLOCK_BYTES, 7 * 8 * bins, 1000):
+        yield np.hstack([frequencies, amplitudes]), 8, 1, {"_BLOCK_BYTES": block_bytes}
+
+
+def _input_cases():
+    """Read-only, Fortran-ordered and int points, and constant columns anywhere."""
+    ints = _integer_rows()
+    floats = ints.astype(np.float64)
+    read_only = floats.copy()
+    read_only.flags.writeable = False  # a write to the points would raise
+    viewed, copied = _view_and_copy()
+    # restarts on all points, and on every 3rd point before one refining run;
+    # each in row blocks of 5 points too, so constant columns are found across blocks
+    for seed_points in (clustering._SEED_POINTS, 10):
+        for points in (floats, read_only, np.asfortranarray(floats), ints):
+            yield points, 3, 2, {"_SEED_POINTS": seed_points}
+        for block_bytes in (clustering._BLOCK_BYTES, 5 * 8 * copied.shape[1]):
+            for points in (viewed, copied):
+                yield points, 3, 2, {"_SEED_POINTS": seed_points, "_BLOCK_BYTES": block_bytes}
+    for points, k in _draw_row_cases():
+        yield points, k, 1, {}
+    # fewer points than clusters, and NaN and inf, which the reference does not
+    # check: it ends on a centroid that is not finite
+    yield [[0.0, 1.0]], 2, 0, {}
+    for bad in (math.nan, math.inf):
+        yield [[bad, 0.0], [1.0, 1.0], [2.0, 2.0]], 2, 0, {}
+    # a few points on a 4-wide grid, constant columns of any value inserted
+    rng = np.random.default_rng(112)
+    for value in (0.1, -7.5, 1e308, -0.0, 3.0):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+        grid = rng.integers(0, 4, (n, d)).astype(np.float64)
+        wide = np.insert(grid, rng.integers(0, d + 1, int(rng.integers(1, 5))), value, axis=1)
+        yield wide, int(rng.integers(1, min(n, 4) + 1)), int(rng.integers(2**32)), {}
+
+
+def _constant_cases():
+    """Another tolerance and iteration cap, in `fit` and the reference alike."""
+    rng = np.random.default_rng(12)
+    # with a tolerance of 1, small integer coordinates often move a centroid
+    # by exactly the tolerance, which closes the run too.  The refinement
+    # undoes most such closes, so it takes many fits to show a few
+    for _ in range(40):
+        small = rng.integers(0, 7, (80, 2)).astype(np.float64)
+        for seed in range(3):
+            yield small, 2, seed, {"_TOL": 1.0, "_SEED_POINTS": 8}
+    # every run stops after at most none, one or two updates.  Only the
+    # stacked restarts take no update: a run alone must end on a partition
+    for cap in (0, 1, 2):
+        pixels = _interleaved_pixels(rng, 700, _PALETTE, 40.0)
+        yield pixels, 4, cap, {"_MAX_ITERS": cap, "_SEED_POINTS": 700}
+    for cap in (1, 2):
+        yield _integer_rows(), 3, cap, {"_MAX_ITERS": cap, "_SEED_POINTS": 10}
+
+
+_REFERENCE_CASES = {
+    "scan": _scan_cases,
+    "strided": _strided_cases,
+    "photos": _photo_cases,
+    "palette": _palette_cases,
+    "acoustic": _acoustic_cases,
+    "inputs": _input_cases,
+    "constants": _constant_cases,
+}
+
+
+def _bits(value) -> tuple:
+    array = np.asarray(value)
+    return array.dtype, array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize("group", list(_REFERENCE_CASES))
+def test_fit_gives_the_bits_of_the_reference_or_both_refuse(monkeypatch, group):
+    # each case patches the module constants it names, and the reference
+    # takes the same values; the reference knows no row blocks
+    for number, (points, k, seed, constants) in enumerate(_REFERENCE_CASES[group]()):
+        with monkeypatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(clustering, name, value)
+            try:
+                got = fit(points, KMeansParams(k=k, seed=seed))
+            except UsageError:
+                got = None
+        same = {name.strip("_").lower(): v for name, v in constants.items() if name != "_BLOCK_BYTES"}
+        want = reference_fit(points, k, seed, **same)
+        if got is None or want is None:
+            assert got is want, (group, number)
+        else:
+            names = ("centroids", "labels", "sq", "inertia")
+            differ = [name for name, a, b in zip(names, got, want) if _bits(a) != _bits(b)]
+            assert differ == [], (group, number)
 
 
 def test_predict_validates_dimensions():

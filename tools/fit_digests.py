@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tools/fit_digests.py [--scan N] ['CLI ARGS' ...]
+    python tools/fit_digests.py ['CLI ARGS' ...]
 
 Each quoted argument is one `scenefuse` command line, split as a shell
 would split it and run in turn through `scenefuse.cli.main` in the current
@@ -17,13 +17,9 @@ command then prints its exit code and the SHA-256 of its stdout and, when
 it names a file with `--out`, the SHA-256 of that file as the command left
 it, or `absent` if there is none.  So a change that alters what a fit
 sees but not what a command writes, such as the matrix `train` hands
-`clustering.fit`, shows as changed fit lines beside equal file hashes.  A fixed
-seeded scan of N library fits follows (default 400), on small matrices of
-both layouts: random, duplicated and integer points, constant columns,
-and points near 1e154 and 1e308, where distances and means overflow.
-Those have at most 24 points, so every restart sees every point; a fixed
-tail of larger fits follows whatever N is, whose restarts see every 2nd
-to 4th point before one run refines on all, in both layouts.
+`clustering.fit`, shows as changed fit lines beside equal file hashes.
+Library fits on their own are checked in tier-1, against the reference
+that `tests/oracles.py` writes from `fit`'s docstring.
 
 The program under test is the `src/` of the checkout this file is in.  Run
 it in two checkouts on the same inputs and `diff` the outputs: no
@@ -50,8 +46,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scenefuse import action_learning, cli, clustering  # noqa: E402
 from scenefuse.errors import UsageError  # noqa: E402
-
-SCALES = (1.0, 1e3, 1e150, 1e154, 1e300, 1e307)
 
 
 def outcome(call, *args, **kwargs):
@@ -152,66 +146,11 @@ def run_commands(commands: list[str]) -> None:
             setattr(module, name, real)
 
 
-def scan_instance(rng: np.random.Generator) -> tuple[np.ndarray, clustering.KMeansParams]:
-    """One seeded library fit: points of either layout, some near overflow."""
-    n = int(rng.integers(2, 25))
-    d = int(rng.integers(1, 2 * n + 1))  # fewer columns than points, or at least as many
-    kind = int(rng.integers(3))
-    if kind == 0:
-        points = rng.standard_normal((n, d))
-    elif kind == 1:  # a few distinct points, each repeated
-        distinct = int(rng.integers(1, n + 1))
-        points = rng.standard_normal((distinct, d))[rng.integers(0, distinct, n)]
-    else:
-        points = rng.integers(-3, 4, (n, d)).astype(np.float64)
-    points *= SCALES[int(rng.integers(len(SCALES)))]
-    constant = rng.random(d) < 0.3
-    points[:, constant] = points[0, constant]
-    k = int(rng.integers(1, n + 1))
-    return points, clustering.KMeansParams(k=min(k, 6), seed=int(rng.integers(2**31)))
-
-
-# (n, d, k, scale, integer points) of each tail fit: n past `clustering._SEED_POINTS`, so
-# its restarts see every 2nd to 4th point; d >= n is the row layout, d < n the column layout
-TAIL = (
-    (1001, 1001, 3, 1.0, False),
-    (1001, 1600, 5, 1e3, False),
-    (1001, 1001, 2, 1e150, True),
-    (2001, 2001, 2, 1.0, True),
-    (2001, 3, 4, 1.0, True),
-    (3001, 5, 5, 1e3, False),
-    (4001, 2, 3, 1e307, False),
-)
-
-
-def tail_instance(rng: np.random.Generator, n, d, k, scale, integer):
-    """One seeded tail fit: normal or small integer points, about a fifth of columns constant."""
-    points = rng.integers(-3, 4, (n, d)) * 1.0 if integer else rng.standard_normal((n, d))
-    constant = rng.random(d) < 0.2
-    points[:, constant] = points[0, constant]
-    return points * scale, clustering.KMeansParams(k=k, seed=int(rng.integers(2**31)))
-
-
-def scan(count: int) -> None:
-    """The seeded scan of `count` small fits, then the fixed tail of subsampled ones."""
-    rng = np.random.default_rng(2003)
-    with np.errstate(over="ignore"):  # the scan's own near-overflow points
-        instances = [scan_instance(rng) for _ in range(count)]
-    for number, (points, params) in enumerate(instances, 1):
-        print(f"scan {number} {digest(points, params, outcome(clustering.fit, points, params))}")
-    rng = np.random.default_rng(1998)  # the tail is the same whatever the count
-    for number, spec in enumerate(TAIL, 1):
-        points, params = tail_instance(rng, *spec)  # one at a time: the largest is 32 MB
-        print(f"tail {number} {digest(points, params, outcome(clustering.fit, points, params))}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("commands", nargs="*", help="scenefuse command lines, one per argument")
-    parser.add_argument("--scan", type=int, default=400, help="library fits to scan (default 400)")
     args = parser.parse_args(argv)
     run_commands(args.commands)
-    scan(args.scan)
     return 0
 
 
