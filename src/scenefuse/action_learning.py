@@ -31,7 +31,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import UsageError, check_array, check_array_size, check_int, check_positive
+from .errors import (
+    UsageError, check_array, check_array_size, check_int, check_positive, check_text, check_texts
+)
 
 _TRACE_EVERY = 1000
 DEFAULT_ITERATIONS = 100000
@@ -43,10 +45,8 @@ class ActionExample:
     action_code: str
 
     def __post_init__(self) -> None:
-        for name, label in (("scene label", self.scene_label), ("action code", self.action_code)):
-            if not (isinstance(label, str) and label):
-                got = "an empty str" if isinstance(label, str) else type(label).__name__
-                raise UsageError(f"{name} must be a non-empty str, not {got}")
+        check_text(self.scene_label, "scene label")
+        check_text(self.action_code, "action code")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +63,10 @@ class ActionNet:
     weights_ho: np.ndarray  # (hidden, len(action_vocab))
 
     def __post_init__(self) -> None:
-        for vocab in (self.scene_vocab, self.action_vocab):
-            # a str would read as one label per character
-            if not (type(vocab) is tuple and all(isinstance(e, str) and e for e in vocab)):
-                raise UsageError("a vocabulary must be a tuple of non-empty str")
+        for name, vocab in (("scene_vocab", self.scene_vocab), ("action_vocab", self.action_vocab)):
+            check_texts(vocab, name)
             if len(set(vocab)) < len(vocab):
                 raise UsageError(f"vocabulary {list(vocab)} repeats an entry")
-        if not (self.scene_vocab and self.action_vocab):
-            raise UsageError("scene and action vocabularies cannot be empty")
         # a hidden width of 0 is an empty axis: every output would be sigmoid(0), argmax the first
         check_array(self.weights_ih, "weights_ih", np.float64, 2)
         check_array(self.weights_ho, "weights_ho", np.float64, 2)
@@ -82,8 +78,12 @@ class ActionNet:
             raise UsageError("weights must be finite")
 
 
-def encode_onehot(label: str, vocab: Sequence[str]) -> np.ndarray:
-    """One-hot row for `label`; raises UsageError when absent."""
+def encode_onehot(label: str, vocab: tuple[str, ...]) -> np.ndarray:
+    """One-hot row for `label` over the `vocab` tuple.
+
+    Raises UsageError for a vocab `errors.check_texts` refuses or a label absent from it.
+    """
+    check_texts(vocab, "vocab")
     try:
         index = list(vocab).index(label)
     except ValueError:

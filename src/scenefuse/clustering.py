@@ -145,32 +145,9 @@ class KMeansParams:
         check_int(self.seed, 0, "seed")
 
 
-def _real(values, refusal: str) -> np.ndarray:
-    """`values` as a float64 array, or UsageError(`refusal`: why) for anything but real numbers.
-
-    NumPy would cast a complex array by dropping each imaginary part, so a
-    complex one is refused before the cast.
-    """
-    try:
-        if np.asarray(values).dtype.kind != "c":
-            return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged, text, an int past any float
-        raise UsageError(f"{refusal}: {exc}") from exc
-    raise UsageError(f"{refusal}: got complex values")
-
-
 def _block_rows(d: int) -> int:
     """How many rows of d float64 coordinates fill `_BLOCK_BYTES`: at least one."""
     return max(1, _BLOCK_BYTES // (8 * max(d, 1)))
-
-
-def _as_matrix(points) -> np.ndarray:
-    matrix = _real(points, "points must form one (n, d) matrix")
-    check_array(matrix, "points", np.float64, 2)
-    rows = _block_rows(matrix.shape[1])
-    if not all(np.isfinite(matrix[i : i + rows]).all() for i in range(0, len(matrix), rows)):
-        raise UsageError("points must be finite, not NaN or inf")
-    return matrix
 
 
 def _sq_distances(points: np.ndarray, axis: int, centroids: np.ndarray) -> np.ndarray:
@@ -220,7 +197,7 @@ def _nearest(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, own
 
 
-def assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label each point with its nearest centroid, ties to the lowest index.
 
     `points` is (n, d), taken as rows, and `centroids` is (k, d).  Each
@@ -560,7 +537,7 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     and each update adds whole rows element by element.  So `sq` and every
     inertia are sums over the varying columns: added left to right in the
     column layout, in NumPy's pairwise order along each row in the row
-    layout.  They equal `assign(points, centroids)` up to summation order,
+    layout.  They equal `_assign(points, centroids)` up to summation order,
     and bit for bit when at most two columns vary.  When no column varies,
     every centroid is the shared point itself and the inertia is 0.  Beyond
     the copy, if any, and the input checks' masks of one byte per coordinate
@@ -603,35 +580,37 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     `reference_fit` in `tests/oracles.py` is this docstring written as
     plain NumPy, and changes with it.
 
-    Raises UsageError for no points or fewer points than clusters, points
-    of mixed lengths or not one (n, d) matrix, a coordinate that is not a
-    real number (complex, text, an int past any float), a NaN or infinite
+    Raises UsageError for points that `errors.check_array` refuses as a
+    float64 matrix, fewer points than clusters, a NaN or infinite
     coordinate, or points so large that a returned centroid or the inertia
     overflows.
     """
     if not isinstance(params, KMeansParams):
         raise UsageError(f"params must be a KMeansParams, not {type(params).__name__}")
-    matrix = _as_matrix(points)
-    n = matrix.shape[0]
+    check_array(points, "points", np.float64, 2)
+    n = points.shape[0]
+    # the finiteness test and the mask below each read a block of rows at a time
+    rows = _block_rows(points.shape[1])
+    if not all(np.isfinite(points[i : i + rows]).all() for i in range(0, n, rows)):
+        raise UsageError("points must be finite, not NaN or inf")
     if n < params.k:
         raise UsageError(f"{n} points cannot fill {params.k} clusters")
 
     # a column on which every point agrees adds exactly 0 to every distance:
     # cluster only the others, which may be none at all, with the points
-    # along the longer axis; the mask is taken a block of rows at a time
-    rows = _block_rows(matrix.shape[1])
-    varying = (matrix[:rows] != matrix[0]).any(axis=0)
+    # along the longer axis
+    varying = (points[:rows] != points[0]).any(axis=0)
     for start in range(rows, n, rows):
-        varying |= (matrix[start : start + rows] != matrix[0]).any(axis=0)
+        varying |= (points[start : start + rows] != points[0]).any(axis=0)
     count = np.count_nonzero(varying)
     axis = 1 if count < n else 0
     if not axis:
         # the points' own rows when the varying columns form one run and
         # each row's coordinates are contiguous; no run writes to its points
         columns = np.flatnonzero(varying)
-        work = matrix[:, columns[0] : columns[-1] + 1]
+        work = points[:, columns[0] : columns[-1] + 1]
     if axis or work.shape[1] != count or work.strides[1] != work.itemsize:
-        work = np.compress(varying, matrix.T if axis else matrix, axis=1 - axis)
+        work = np.compress(varying, points.T if axis else points, axis=1 - axis)
 
     # restart i sees every stride-th point from offset i % stride, a view of
     # n // stride points, at least k; restarts on different subsamples miss a
@@ -673,31 +652,31 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     if not (np.isfinite(centroids).all() and math.isfinite(inertia)):
         raise UsageError("points so large that a centroid or the inertia overflows")
-    if count < matrix.shape[1]:
+    if count < points.shape[1]:
         # the shared value is each constant column's exact mean
-        full = np.repeat(matrix[:1], params.k, axis=0)
+        full = np.repeat(points[:1], params.k, axis=0)
         full[:, varying] = centroids
         centroids = full
     return centroids, labels, sq.T, inertia
 
 
-def predict(centroids: np.ndarray, point) -> tuple[int, float]:
+def predict(centroids: np.ndarray, point: np.ndarray) -> tuple[int, float]:
     """(label, Euclidean distance) of the nearest of the (k, d) `centroids` to one vector.
 
     Ties go to the lowest label; finite vectors too far apart for a float
     distance are an infinite distance apart.  Raises UsageError for
-    centroids that `errors.check_array` refuses as a float64 matrix or that
-    hold a NaN or infinite entry, and for anything but a 1-D point of d real
-    numbers, or a NaN or infinite coordinate.
+    centroids or a point that `errors.check_array` refuses as a float64
+    matrix and vector, centroids that hold a NaN or infinite entry, a point
+    of another width than the centroids, or a NaN or infinite coordinate.
     """
     check_array(centroids, "centroids", np.float64, 2)
-    vec = _real(point, "point must be a vector of real numbers")
-    if vec.shape != centroids.shape[1:]:
-        raise UsageError(f"point has shape {vec.shape}, model expects {centroids.shape[1:]}")
-    if not np.isfinite(vec).all():
+    check_array(point, "point", np.float64, 1)
+    if point.shape != centroids.shape[1:]:
+        raise UsageError(f"point has shape {point.shape}, model expects {centroids.shape[1:]}")
+    if not np.isfinite(point).all():
         raise UsageError("point must be finite, not NaN or inf")
     with np.errstate(over="ignore"):  # a difference or its square past the largest float
-        labels, sq = assign(vec[None, :], centroids)
+        labels, sq = _assign(point[None, :], centroids)
     # a NaN or infinite centroid is a NaN or infinite distance away, so the k·d
     # centroids are scanned only when one of the k distances is not finite;
     # finite centroids too far away are an infinite distance away as well

@@ -14,7 +14,11 @@ other bounded number, such as a confidence, gain or time, through
 :func:`check_range`.  A count that sizes an array also goes through
 :func:`check_array_size` before the array is made, and an array handed in
 goes through :func:`check_array`, which tests its class, dtype and rank and
-that no axis is empty; finiteness is each caller's own test.
+that no axis is empty; finiteness is each caller's own test.  A label or
+name goes through :func:`check_text`, a non-empty str, and a vocabulary or
+list of names through :func:`check_texts`, a non-empty tuple of them.  No
+check converts: a value of a near type, such as a list for an array or a
+tuple, or an int array for a float64 one, is refused, not cast.
 
 Numbers, text and arrays are checked wherever they cross a public
 boundary.  An argument typed as one of scenefuse's own classes is trusted:
@@ -94,3 +98,15 @@ def check_array(value, name: str, dtype, ndim: int) -> None:
     if not (shaped and value.size):
         kind = f"{ndim}-D {np.dtype(dtype)} NumPy array"
         raise UsageError(f"{name} must be a {kind} with no empty axis")
+
+
+def check_text(value, name: str) -> None:
+    """Refuse, with UsageError, anything but a non-empty str."""
+    if not (isinstance(value, str) and value):
+        raise UsageError(f"{name} must be a non-empty str, got {_shown(value)}")
+
+
+def check_texts(value, name: str) -> None:
+    """Refuse, with UsageError, anything but a non-empty tuple of non-empty str; a str too."""
+    if not (type(value) is tuple and value and all(isinstance(e, str) and e for e in value)):
+        raise UsageError(f"{name} must be a non-empty tuple of non-empty str, got {_shown(value)}")

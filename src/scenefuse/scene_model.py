@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import clustering
-from .errors import UsageError, check_array, check_int, check_positive, check_range
+from .errors import (
+    UsageError, check_array, check_int, check_positive, check_range, check_text, check_texts
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,13 +44,9 @@ class SceneClassifier:
         check_array(centroids, "centroids", np.float64, 2)
         if not np.isfinite(centroids).all():
             raise UsageError("centroids must be finite")
-        # a str would read as one name per character
-        if not (type(names) is tuple and all(isinstance(name, str) for name in names)):
-            raise UsageError("cluster_names must be a tuple of str")
+        check_texts(names, "cluster_names")
         if len(names) != len(centroids):
             raise UsageError("cluster_names must name each centroid row exactly once")
-        if not all(names):
-            raise UsageError("scene names cannot be empty")
         check_int(self.seed, 0, "seed")  # `fit` refused it, and featurizing a photo would too
         check_positive(self.scale, "scale")
 
@@ -61,15 +58,13 @@ class ScenePrediction:
     at: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.scene, str) and self.scene):
-            got = "an empty str" if isinstance(self.scene, str) else type(self.scene).__name__
-            raise UsageError(f"scene must be a non-empty str, not {got}")
+        check_text(self.scene, "scene")
         check_range(self.confidence, "confidence", 0.0, 100.0)
         check_range(self.at, "at")
 
 
 def train_classifier(
-    names: Sequence[str],
+    names: list[str] | tuple[str, ...],
     matrix: np.ndarray,
     seed: int = 0,
     scale: float = clustering.DEFAULT_SCALE,
@@ -81,21 +76,16 @@ def train_classifier(
     becomes the confidence divisor.  Returns the classifier, the inertia
     `clustering.fit` reports, and the warnings its naming raised.
 
-    Raises UsageError for no rows, names given as one str or holding
-    anything but str, a matrix `errors.check_array` refuses as a float64
-    matrix, a name count other than the row count, or an empty scene name,
-    each before the fit, and for a seed or scale the `errors` checks refuse.
+    Raises UsageError, each before the fit, for names that are not a
+    non-empty list or tuple of non-empty str (`errors.check_texts`, a list
+    read as a tuple), a matrix `errors.check_array` refuses as a float64
+    matrix, or a name count other than the row count, and for a seed or
+    scale the `errors` checks refuse.
     """
-    if not names:
-        raise UsageError("training set holds no examples")
-    # a str would read as one name per character
-    if isinstance(names, str) or not all(isinstance(name, str) for name in names):
-        raise UsageError("names must be a sequence of str, one scene name per row")
+    check_texts(tuple(names) if type(names) is list else names, "names")
     check_array(matrix, "matrix", np.float64, 2)
     if len(names) != len(matrix):
         raise UsageError(f"{len(names)} scene names for {len(matrix)} feature rows")
-    if not all(names):
-        raise UsageError("scene names cannot be empty")
     k = len(set(names))
     centroids, labels, sq, inertia = clustering.fit(matrix, clustering.KMeansParams(k=k, seed=seed))
 
@@ -131,7 +121,9 @@ def train_classifier(
 def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> ScenePrediction:
     """Nearest scene to one 1-D feature vector, with its scaled-distance confidence, at `now`.
 
-    Raises UsageError for a vector of the wrong shape or a non-finite entry.
+    Raises UsageError for a vector that is not a 1-D float64 NumPy array
+    `errors.check_array` accepts, one of another width than the centroids,
+    or a NaN or infinite entry.
     """
     label, distance = clustering.predict(classifier.centroids, vector)
     return ScenePrediction(

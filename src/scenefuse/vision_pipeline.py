@@ -154,16 +154,23 @@ def synth_scene_image(palette_spec: PaletteSpec, width: int, height: int) -> Ima
     (largest-remainder rounding, ties to the earlier entry).  The layout is
     fully determined by the spec and dimensions.
 
-    Raises UsageError for a size the `errors` checks refuse, an empty spec,
-    a channel that is not an int in [0, 255], a fraction `errors.check_range`
-    finds outside [0, 1], or fractions that do not sum to 1.
+    Raises UsageError for a size the `errors` checks refuse, a spec that is
+    not a list or tuple of (color, fraction) pairs, an empty one, a color
+    that is not a list or tuple of three ints in [0, 255], a fraction
+    `errors.check_range` finds outside [0, 1], or fractions that do not sum to 1.
     """
     check_int(width, 1, "width")
     check_int(height, 1, "height")
     check_array_size(width * height, 3, "width * height")
-    spec = list(palette_spec)  # an empty one fails the sum check
+    spec = palette_spec  # an empty one fails the sum check
+    if not isinstance(spec, (list, tuple)) or any(
+        not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in spec
+    ):
+        raise UsageError("palette_spec must be a list or tuple of (color, fraction) pairs")
     for color, fraction in spec:
-        if len(color) != 3 or any(type(ch) is not int or not 0 <= ch <= 255 for ch in color):
+        if not isinstance(color, (list, tuple)) or len(color) != 3 or any(
+            type(ch) is not int or not 0 <= ch <= 255 for ch in color
+        ):
             raise UsageError(f"color {color!r} is not an RGB triple in [0, 255]")
         check_range(fraction, "fraction", 0.0, 1.0)
     if not math.isclose(sum(fraction for _, fraction in spec), 1.0, rel_tol=0.0, abs_tol=1e-9):

@@ -176,9 +176,11 @@ def reference_fit(points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_
     """`clustering.fit` as its docstring specifies it, or None where it refuses.
 
     Returns (centroids, labels, (n, k) sq, inertia) with the bits `fit`
-    returns; None when n < k or when a centroid or the inertia is not
-    finite.  `seed_points`, `tol` and `max_iters` stand for `fit`'s
-    `_SEED_POINTS`, `_TOL` and `_MAX_ITERS`, for tests that patch them.  The points become float64, and columns on which every point
+    returns; None for points that are not a float64 NumPy matrix with no
+    empty axis, which are never cast, when n < k, or when a centroid or the
+    inertia is not finite.  `seed_points`, `tol` and `max_iters` stand for
+    `fit`'s `_SEED_POINTS`, `_TOL` and `_MAX_ITERS`, for tests that patch
+    them.  Columns on which every point
     agrees are dropped: the rest are gathered into a C-ordered (n, d) copy
     and every centroid keeps the shared value of each dropped column.  With
     fewer varying columns than points the fit is in the column layout, and
@@ -199,9 +201,11 @@ def reference_fit(points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_
         refinement), which sum each column in NumPy's pairwise order;
       * a k-means++ total and an inertia are NumPy's pairwise sum over points.
     """
-    x = np.asarray(points, dtype=np.float64)
+    if not (isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 2):
+        return None
+    x = points
     n = len(x)
-    if n < k:
+    if n < k or not x.size:
         return None
     varying = (x != x[0]).any(axis=0)
     work = np.ascontiguousarray(np.compress(varying, x, axis=1))

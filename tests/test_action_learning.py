@@ -113,20 +113,6 @@ def test_examples_must_be_a_list_or_tuple_of_pairs():
     train_actions((pair,), iterations=10)
 
 
-def test_labels_and_vocabularies_are_non_empty_str():
-    labels = ((1, 2), (1, "2"), ("1", 2), (None, "a"), (b"a", "1"), ("a", ""), ("", "1"))
-    for scene, action in labels:
-        with pytest.raises(UsageError, match="must be a non-empty str, not "):
-            ActionExample(scene, action)
-    weights_ih, weights_ho = np.zeros((2, 1)), np.zeros((1, 2))
-    # "ab" would read as the two labels a and b
-    for vocab in ("ab", ["a", "b"], (5, 6), ("a", ""), ("a", None), (["a"], "b")):
-        for vocabs in ((vocab, ("1", "2")), (("a", "b"), vocab)):
-            with pytest.raises(UsageError, match="^a vocabulary must be a tuple of non-empty str$"):
-                ActionNet(*vocabs, weights_ih, weights_ho)
-    ActionNet(("a", "b"), ("1", "2"), weights_ih, weights_ho)
-
-
 # (scene, action) pair sets: repeats, shuffled repeats, a single pair, more scenes than
 # actions, and eight scenes to eight actions, whose one-hot inputs are the identity, as
 # in the benchmark's `action train`

@@ -25,7 +25,7 @@ from scenefuse.audio_pipeline import (
 )
 from scenefuse import cli, errors
 from scenefuse.cli import main
-from scenefuse.clustering import KMeansParams, fit
+from scenefuse.clustering import KMeansParams, fit, predict
 from scenefuse.errors import InputError, MissingClassifier, SceneFuseError, UsageError
 from scenefuse.fusion import FusionState, on_acoustic
 from scenefuse.persistence import load_bundle, load_event_script, read_file
@@ -345,7 +345,8 @@ def test_a_bundle_no_training_could_write_exits_three(matrix_workspace, tmp_path
         ["fuse", "--bundle", str(damaged), "--script", script],
     ):
         assert main(argv) == 3
-        assert "scene names cannot be empty" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bundle.acoustic: cluster_names must be a non-empty tuple of non-empty str" in err
 
     raw, payload = _read_document(matrix_workspace.bundle)
     raw["visual"]["seed"] = -1  # featurizing the photo would refuse it with exit 1
@@ -375,7 +376,8 @@ def test_an_action_net_with_no_actions_exits_three(tmp_path, capsys):
     _write_document(out, raw, payload[: -8 * hidden * actions])  # weights_ho's entries end it
     capsys.readouterr()
     assert main(["action", "predict", "coffee", "--bundle", str(out)]) == 3
-    message = f"error: {out}: bundle.action: scene and action vocabularies cannot be empty\n"
+    refusal = "action_vocab must be a non-empty tuple of non-empty str, got ()"
+    message = f"error: {out}: bundle.action: {refusal}\n"
     assert capsys.readouterr().err == message
 
 
@@ -596,17 +598,17 @@ REFUSALS = {
     ),
     "DimensionMismatch": (
         1,
-        lambda tmp: fit([(0.0, 0.0), (1.0, 1.0, 1.0)], KMeansParams(k=1)),
-        "points must form one (n, d) matrix",
+        lambda tmp: predict(np.zeros((1, 2)), np.zeros(3)),
+        "point has shape (3,), model expects (2,)",
     ),
     "EmptyData": (3, lambda tmp: decode_wav(wav_bytes([])), "data chunk holds no samples"),
     "EmptyScene": (
-        1, lambda tmp: ScenePrediction("", 90.0, 0.0), "scene must be a non-empty str, not "
+        1, lambda tmp: ScenePrediction("", 90.0, 0.0), "scene must be a non-empty str, got ''"
     ),
     "EmptyTrainingSet": (
         1,
-        lambda tmp: train_classifier([], np.empty((0, 2))),
-        "training set holds no examples",
+        lambda tmp: train_classifier((), np.empty((0, 2))),
+        "names must be a non-empty tuple of non-empty str, got ()",
     ),
     "IoError": (3, lambda tmp: read_file(tmp / "absent.wav", bytes), "cannot read "),
     "MalformedRiff": (3, lambda tmp: decode_wav(b""), "too short for a RIFF header"),
@@ -617,7 +619,7 @@ REFUSALS = {
     ),
     "TooFewPoints": (
         1,
-        lambda tmp: fit([(0.0, 0.0)], KMeansParams(k=2)),
+        lambda tmp: fit(np.zeros((1, 2)), KMeansParams(k=2)),
         "1 points cannot fill 2 clusters",
     ),
     "TruncatedPixelData": (3, lambda tmp: decode_ppm(b"P6 1 1 255 "), "expected 3 pixel bytes"),

@@ -14,7 +14,7 @@ from oracles import brute_force_inertia, nearest_centroid_scan, reference_fit
 from scenefuse import clustering
 from scenefuse.clustering import (
     KMeansParams,
-    assign,
+    _assign,
     confidence,
     fit,
     predict,
@@ -23,20 +23,20 @@ from scenefuse.errors import UsageError
 
 
 def test_single_cluster_lands_on_the_mean(lloyd_traces):
-    points = [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]
+    points = np.array([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
     centroids, _, _, inertia = fit(points, KMeansParams(k=1))
     assert centroids.tolist() == [[2.0, 0.0]]
     assert inertia == 8.0
     # a move of exactly the tolerance, 1e-6, from a point to the mean has
     # converged: only the closing assignment follows, in every run
     lloyd_traces.clear()
-    *_, inertia = fit([[0.0], [2e-6]], KMeansParams(k=1))
+    *_, inertia = fit(np.array([[0.0], [2e-6]]), KMeansParams(k=1))
     assert inertia == 2e-12
     assert lloyd_traces == [[4e-12, 2e-12]] * clustering._N_INIT
 
 
 def test_two_separated_pairs_split_cleanly():
-    points = [(0.0, 0.0), (0.0, 1.0), (10.0, 0.0), (10.0, 1.0)]
+    points = np.array([(0.0, 0.0), (0.0, 1.0), (10.0, 0.0), (10.0, 1.0)])
     centroids, _, _, inertia = fit(points, KMeansParams(k=2, seed=0))
     got = sorted(map(tuple, centroids.tolist()))
     assert got == [(0.0, 0.5), (10.0, 0.5)]
@@ -94,7 +94,7 @@ def test_fit_returns_the_partition_it_scored(lloyd_traces, points, k, seed):
     lloyd_traces.clear()
     k = min(k, points.shape[0])
     centroids, labels, sq, inertia = fit(points, KMeansParams(k=k, seed=seed))
-    again_labels, again_sq = assign(points, centroids)
+    again_labels, again_sq = _assign(points, centroids)
     assert np.array_equal(labels, again_labels)
     assert np.array_equal(sq, again_sq)
     assert inertia == sq[np.arange(points.shape[0]), labels].sum()
@@ -165,17 +165,17 @@ def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
     computed, _ = _spy_on_rows(monkeypatch)
     # the column layout: per run, the two k-means++ draw rows; the first
     # update moves no centroid, so the first assignment closes the run
-    fit([[0.0], [0.0], [10.0], [10.0]], KMeansParams(k=2))
+    fit(np.array([[0.0], [0.0], [10.0], [10.0]]), KMeansParams(k=2))
     assert len(computed) == 2 * clustering._N_INIT
     # and so in a stack of restarts, after which the refinement's first pass
     # is its last
     computed.clear()
-    fit([[0.0], [0.0], [10.0], [10.0]] * 300, KMeansParams(k=2))
+    fit(np.array([[0.0], [0.0], [10.0], [10.0]] * 300), KMeansParams(k=2))
     assert len(computed) == 2 * clustering._N_INIT + 2
     # the row layout: every run draws both points, so their two rows, one
     # per distinct draw, serve all ten runs, and no run makes a (k, n) pass
     computed.clear()
-    fit([[0.0, 0.0], [10.0, 10.0]], KMeansParams(k=2))
+    fit(np.array([[0.0, 0.0], [10.0, 10.0]]), KMeansParams(k=2))
     assert len(computed) == len(set(computed)) == 2
 
 
@@ -197,7 +197,7 @@ def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeyp
         assert work["means"] == 2  # one update of two clusters, not two
         assert np.array_equal(averaged, labels)
         assert labels.tolist() == [0] * 4 + [1] * 4
-        again_labels, again_sq = assign(points, centroids)
+        again_labels, again_sq = _assign(points, centroids)
         assert np.array_equal(labels, again_labels) and np.array_equal(sq.T, again_sq)
         assert inertia == sq.T[np.arange(8), labels].sum()
         assert np.array_equal(centroids, [points[:4].mean(axis=0), points[4:].mean(axis=0)])
@@ -272,7 +272,7 @@ def test_the_distance_memo_holds_every_draw_and_at_most_n_update_rows(monkeypatc
     assert {key for key in keys if isinstance(key, int)} == drawn and len(drawn) == 8
     assert all(i < 8 for i, key in enumerate(keys) if not isinstance(key, int))
     assert 8 < len(keys) < len(set(computed))  # more rows than it may keep
-    assert np.array_equal(sq, assign(points, centroids)[1])
+    assert np.array_equal(sq, _assign(points, centroids)[1])
 
 
 def _draw_row_cases():
@@ -520,9 +520,9 @@ def test_predict_agrees_with_a_linear_scan():
 
 
 def test_predict_breaks_ties_toward_the_lower_label():
-    centroids, *_ = fit([(0.0, 0.0), (2.0, 0.0)], KMeansParams(k=2))
+    centroids, *_ = fit(np.array([(0.0, 0.0), (2.0, 0.0)]), KMeansParams(k=2))
     assert sorted(map(tuple, centroids.tolist())) == [(0.0, 0.0), (2.0, 0.0)]
-    label, distance = predict(centroids, (1.0, 0.0))  # exactly between both centroids
+    label, distance = predict(centroids, np.array([1.0, 0.0]))  # exactly between both centroids
     assert distance == 1.0
     sq = ((centroids - np.array([1.0, 0.0])) ** 2).sum(axis=1)
     equally_near = [i for i in range(2) if sq[i] == sq.min()]
@@ -537,7 +537,7 @@ def test_assign_scratch_memory_stays_within_one_points_matrix():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        labels, sq = assign(points, centroids)
+        labels, sq = _assign(points, centroids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -606,8 +606,8 @@ def test_every_run_of_a_fit_draws_into_and_updates_one_centroid_buffer():
 
 
 def _integer_rows():
-    """(24, 40) integers in which every column varies: the row layout."""
-    return np.random.default_rng(13).integers(-1000, 1000, (24, 40))
+    """(24, 40) integers as float64, in which every column varies: the row layout."""
+    return np.random.default_rng(13).integers(-1000, 1000, (24, 40)).astype(np.float64)
 
 
 def _view_and_copy():
@@ -701,7 +701,7 @@ def test_predict_distance_is_the_square_root_of_assigns_entry():
     centroids, *_ = fit(points, KMeansParams(k=3, seed=2))
     for vec in rng.uniform(0.0, 1.0, (5, 8192)):
         label, distance = predict(centroids, vec)
-        labels, sq = assign(vec[None, :], centroids)
+        labels, sq = _assign(vec[None, :], centroids)
         assert label == int(labels[0])
         assert distance == float(np.sqrt(sq[0, label]))
 
@@ -710,13 +710,11 @@ def test_fit_input_validation():
     with pytest.raises(UsageError, match="k must be an int of at least 1, got 0"):
         KMeansParams(k=0)
     with pytest.raises(UsageError, match="1 points cannot fill 2 clusters"):
-        fit([(0.0, 0.0)], KMeansParams(k=2))
-    with pytest.raises(UsageError, match=r"points must form one \(n, d\) matrix: "):  # ragged
-        fit([(0.0, 0.0), (1.0, 1.0, 1.0)], KMeansParams(k=1))
+        fit(np.zeros((1, 2)), KMeansParams(k=2))
     for bad in (float("nan"), float("inf"), float("-inf")):
         # NaN would become a centroid and the inertia
         with pytest.raises(UsageError, match="^points must be finite, not NaN or inf$"):
-            fit([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)], KMeansParams(k=2))
+            fit(np.array([(bad, 0.0), (1.0, 1.0), (2.0, 2.0)]), KMeansParams(k=2))
     # first the centroid overflows to inf; then only the inertia, as the mean of
     # (1e200, 0) and (-1e200, 0) is (0, 0) but each point's square distance is
     # 1e400; then the same in the column layout, past `_SEED_POINTS`, where the
@@ -728,7 +726,7 @@ def test_fit_input_validation():
         [(1e200, 0.0), (-1e200, 0.0)] * 600,
     ):
         with pytest.raises(UsageError, match="overflows"):
-            fit(points, KMeansParams(k=1))
+            fit(np.array(points), KMeansParams(k=1))
 
 
 def test_fit_refuses_params_that_are_not_kmeans_params():
@@ -741,7 +739,7 @@ def test_a_fit_that_overflows_on_the_way_but_ends_finite_is_returned():
     # restart 0 draws (3e154, 0); the other points' k-means++ weights overflow, so the
     # clamped draw repeats it, and the run's first assignment sums to inf.  It still
     # ends, as every restart here does, with every point on a centroid, and wins the tie
-    points = [(-2e154, 0.0), (-2e154, 0.0), (3e154, 0.0)]
+    points = np.array([(-2e154, 0.0), (-2e154, 0.0), (3e154, 0.0)])
     centroids, labels, _, inertia = fit(points, KMeansParams(k=2, seed=0))
     assert centroids.tolist() == [[3e154, 0.0], [-2e154, 0.0]]
     assert labels.tolist() == [1, 1, 0]
@@ -845,9 +843,9 @@ def _acoustic_cases():
 
 
 def _input_cases():
-    """Read-only, Fortran-ordered and int points, and constant columns anywhere."""
-    ints = _integer_rows()
-    floats = ints.astype(np.float64)
+    """Read-only and Fortran-ordered points, refused int ones, and constant columns anywhere."""
+    floats = _integer_rows()
+    ints = floats.astype(np.int64)
     read_only = floats.copy()
     read_only.flags.writeable = False  # a write to the points would raise
     viewed, copied = _view_and_copy()
@@ -863,9 +861,9 @@ def _input_cases():
         yield points, k, 1, {}
     # fewer points than clusters, and NaN and inf, which the reference does not
     # check: it ends on a centroid that is not finite
-    yield [[0.0, 1.0]], 2, 0, {}
+    yield np.array([[0.0, 1.0]]), 2, 0, {}
     for bad in (math.nan, math.inf):
-        yield [[bad, 0.0], [1.0, 1.0], [2.0, 2.0]], 2, 0, {}
+        yield np.array([[bad, 0.0], [1.0, 1.0], [2.0, 2.0]]), 2, 0, {}
     # a few points on a 4-wide grid, constant columns of any value inserted
     rng = np.random.default_rng(112)
     for value in (0.1, -7.5, 1e308, -0.0, 3.0):
@@ -933,14 +931,14 @@ def test_fit_gives_the_bits_of_the_reference_or_both_refuse(monkeypatch, group):
 
 
 def test_predict_validates_dimensions():
-    centroids, *_ = fit([(0.0, 0.0), (1.0, 1.0)], KMeansParams(k=1))
-    for point in ((0.0, 0.0, 0.0), [[0.0, 0.0]], [[0.0], [0.0]]):
-        message = f"point has shape {np.shape(point)}, model expects (2,)"
+    centroids, *_ = fit(np.array([(0.0, 0.0), (1.0, 1.0)]), KMeansParams(k=1))
+    for width in (1, 3):
+        message = f"point has shape ({width},), model expects (2,)"
         with pytest.raises(UsageError, match=re.escape(message)):
-            predict(centroids, point)
+            predict(centroids, np.zeros(width))
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(UsageError):
-            predict(centroids, (bad, 0.0))
+        with pytest.raises(UsageError, match="^point must be finite, not NaN or inf$"):
+            predict(centroids, np.array([bad, 0.0]))
 
 
 def test_predict_refuses_centroids_that_are_not_finite():
@@ -955,8 +953,9 @@ def test_predict_refuses_centroids_that_are_not_finite():
 def test_predict_takes_finite_points_too_far_apart_for_a_float_as_infinitely_far():
     # the squared difference overflows; warnings are errors in this suite, so none is raised
     centroids = np.array([[1e154, 0.0], [0.0, 0.0]])
-    assert predict(centroids, (-1e154, 0.0)) == (1, 1e154)
-    assert predict(centroids[:1], (-1e154, 0.0)) == (0, math.inf)
+    point = np.array([-1e154, 0.0])
+    assert predict(centroids, point) == (1, 1e154)
+    assert predict(centroids[:1], point) == (0, math.inf)
 
 
 def test_confidence_anchor_points():

@@ -1,4 +1,4 @@
-"""The five shared checks of `scenefuse.errors`, and every parameter they guard."""
+"""The seven shared checks of `scenefuse.errors`, and every parameter they guard."""
 
 import argparse
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scenefuse import cli
-from scenefuse.action_learning import ActionExample, ActionNet, train_actions
+from scenefuse.action_learning import ActionExample, ActionNet, encode_onehot, train_actions
 from scenefuse.audio_pipeline import AudioClip, synth_ambient
 from scenefuse.clustering import DEFAULT_SCALE, KMeansParams, confidence, fit, predict
 from scenefuse.errors import UsageError, check_array_size, check_int, check_positive, check_range
@@ -181,7 +181,7 @@ ARRAY_SITES = {
         lambda v: SceneClassifier(v, ("a",), 0, 1.0), ONE, [np.zeros((1, 4), dtype=np.int64)],
         "centroids must be a 2-D float64 NumPy array with no empty axis",
     ),
-    # a complex matrix is refused, not cast, and so are the int ones `cmd_train` never builds
+    # no array is cast: not a complex one, nor the int ones `cmd_train` never builds
     "train_classifier.matrix": _site(
         lambda v: train_classifier(["a"], v), ONE,
         [None, np.float64(0.0), np.zeros((1, 1), complex), np.zeros((1, 1), int)],
@@ -195,11 +195,55 @@ ARRAY_SITES = {
         palette_features, np.zeros((1, 3)), [[[1, 2, 3]]],
         "colors must be a 2-D float64 NumPy array with no empty axis",
     ),
-    # `fit` casts any real numbers, lists too, so only the rank and the axes are its own
-    "fit.points": (
-        lambda v: fit(v, KMeansParams(k=1)), [[0.0, 1.0]],
-        [[], [0.0, 1.0, 2.0], np.zeros((3, 2, 2)), np.zeros((1, 0)), [[]]],
+    # a complex cast would drop each imaginary part, and an int past any float has no cast
+    "fit.points": _site(
+        lambda v: fit(v, KMeansParams(k=1)), np.zeros((1, 2)),
+        [None, 1, [[1j], [2j]], np.array([[1.0], [2.0 + 0j]]), [[10**400]], np.zeros((1, 1), int)],
         "points must be a 2-D float64 NumPy array with no empty axis",
+    ),
+    "predict.point": _site(
+        lambda v: predict(ONE, v), np.zeros(1), [None, (0.0,), [1j], np.array([0j]), [10**400]],
+        "point must be a 1-D float64 NumPy array with no empty axis",
+    ),
+}
+
+TEXT = [None, 5, "", b"a"]
+# a str would read as one name per character; a tuple needs at least one name
+TEXTS = [None, 5, "", "ab", ("a", ""), ("a", None), ()]
+# what training stores is a tuple, and a bundle decodes one, so a list is refused too
+STORED = TEXTS + [["a"]]
+# call site: (a call with the value in question, a value it accepts, the values it refuses,
+# its refusal)
+TEXT_SITES = {
+    "ActionExample.scene_label": (
+        lambda v: ActionExample(v, "1"), "a", TEXT, "scene label must be a non-empty str"
+    ),
+    "ActionExample.action_code": (
+        lambda v: ActionExample("a", v), "1", TEXT, "action code must be a non-empty str"
+    ),
+    "ScenePrediction.scene": (
+        lambda v: ScenePrediction(v, 50.0, 0.0), "a", TEXT, "scene must be a non-empty str"
+    ),
+    "ActionNet.scene_vocab": (
+        lambda v: ActionNet(v, ("1",), ONE, ONE), ("a",), STORED,
+        "scene_vocab must be a non-empty tuple of non-empty str",
+    ),
+    "ActionNet.action_vocab": (
+        lambda v: ActionNet(("a",), v, ONE, ONE), ("1",), STORED,
+        "action_vocab must be a non-empty tuple of non-empty str",
+    ),
+    "SceneClassifier.cluster_names": (
+        lambda v: SceneClassifier(ONE, v, 0, 1.0), ("a",), STORED,
+        "cluster_names must be a non-empty tuple of non-empty str",
+    ),
+    "encode_onehot.vocab": (
+        lambda v: encode_onehot("a", v), ("a",), STORED,
+        "vocab must be a non-empty tuple of non-empty str",
+    ),
+    # a list of names is read as a tuple
+    "train_classifier.names": (
+        lambda v: train_classifier(v, ONE), ["a"], TEXTS,
+        "names must be a non-empty tuple of non-empty str",
     ),
 }
 
@@ -211,6 +255,28 @@ def test_every_array_argument_must_be_a_numpy_array_of_its_shape(site):
     for value in refused:
         with pytest.raises(UsageError, match=f"^{re.escape(refusal)}$"):
             call(value)
+
+
+@pytest.mark.parametrize("site", TEXT_SITES)
+def test_every_label_and_name_must_be_non_empty_text(site):
+    call, good, refused, refusal = TEXT_SITES[site]
+    call(good)
+    for value in refused:
+        with pytest.raises(UsageError, match=f"^{re.escape(f'{refusal}, got {value!r}')}$"):
+            call(value)
+
+
+def test_calls_that_raised_a_builtin_error_on_a_wrong_type_refuse_it():
+    for call in (
+        lambda: train_classifier(5, ONE),
+        lambda: train_classifier({"a": 1}, ONE),
+        lambda: train_classifier(iter(["a"]), ONE),
+        lambda: synth_scene_image(5, 2, 2),
+        lambda: synth_scene_image([((1, 2, 3),)], 2, 2),
+        lambda: encode_onehot("a", 5),
+    ):
+        with pytest.raises(UsageError):
+            call()
 
 
 @pytest.mark.parametrize("site", INT_SITES)
@@ -303,23 +369,3 @@ def test_a_count_too_large_for_a_numpy_array_is_refused_before_any_is_made():
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             call()
 
-
-def test_complex_values_are_refused_not_cast():
-    # a cast to float64 would drop each imaginary part with only a ComplexWarning, and a
-    # complex number in a list would raise a builtin TypeError
-    matrix = re.escape("points must form one (n, d) matrix: ")
-    point = re.escape("point must be a vector of real numbers: ")
-    complex_values, too_large = "got complex values", "int too large to convert to float"
-    one, centroids = KMeansParams(k=1), np.zeros((1, 1))
-    for call, message in (
-        (lambda: fit([[1j], [2j]], one), matrix + complex_values),
-        (lambda: fit(np.array([[1.0], [2.0 + 0j]]), one), matrix + complex_values),
-        (lambda: predict(centroids, [1j]), point + complex_values),
-        (lambda: predict(centroids, np.array([0j])), point + complex_values),
-        # a complex entry among other objects, and an int past any float: NumPy's reason
-        (lambda: fit([[1j, None]], one), matrix + r"float\(\) argument .*'complex'"),
-        (lambda: fit([[10**400]], one), matrix + too_large),
-        (lambda: predict(centroids, [10**400]), point + too_large),
-    ):
-        with pytest.raises(UsageError, match=f"^{message}$"):
-            call()

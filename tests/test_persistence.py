@@ -681,7 +681,8 @@ def test_types_check_what_spans_their_fields():
 def test_a_classifier_refuses_fields_of_the_wrong_type(change):
     """Only what training writes and `load_bundle` decodes: tuples of str; test_errors checks
     the centroids."""
-    with pytest.raises(UsageError, match="^cluster_names must be a tuple of str$"):
+    refusal = "cluster_names must be a non-empty tuple of non-empty str, got "
+    with pytest.raises(UsageError, match=f"^{re.escape(refusal + repr(*change.values()))}$"):
         replace(_classifier(), **change)
 
 

@@ -77,7 +77,7 @@ def test_majority_vote_names_a_mixed_cluster():
     )
     classifier, _ = _train(items)
     assert sorted(classifier.cluster_names) == ["a", "b"]
-    assert classify(classifier, [100.5, 100.5], now=0.0).scene == "b"
+    assert classify(classifier, np.array([100.5, 100.5]), now=0.0).scene == "b"
 
 
 def test_identical_examples_tie_break_alphabetically_with_warning():
@@ -91,7 +91,7 @@ def test_identical_examples_tie_break_alphabetically_with_warning():
     # at least one cluster resolves to "arcade" by the alphabetical rule
     assert named[0] == "arcade"
     # training never raises here; classification still works
-    assert classify(classifier, [5.0, 5.0], now=0.0).scene in ("arcade", "breeze")
+    assert classify(classifier, np.array([5.0, 5.0]), now=0.0).scene in ("arcade", "breeze")
 
 
 def test_cluster_naming_is_independent_of_example_order():
@@ -99,16 +99,17 @@ def test_cluster_naming_is_independent_of_example_order():
     shuffled = tuple(reversed(base))
     a, _ = _train(base)
     b, _ = _train(shuffled)
-    probe = [99.0, 99.5, 100.0, 101.0]
+    probe = np.array([99.0, 99.5, 100.0, 101.0])
     assert classify(a, probe, now=0.0).scene == classify(b, probe, now=0.0).scene == "loud"
 
 
 def test_training_set_validation():
-    with pytest.raises(UsageError, match="training set holds no examples"):
+    refusal = "names must be a non-empty tuple of non-empty str, got "
+    with pytest.raises(UsageError, match=re.escape(f"{refusal}()")):
         train_classifier((), np.empty((0, 2)))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=re.escape(refusal)):
         train_classifier(("",), np.zeros((1, 2)))
-    with pytest.raises(UsageError, match="scene names cannot be empty"):  # "" names no cluster
+    with pytest.raises(UsageError, match=re.escape(refusal)):  # "" names no cluster
         train_classifier(("a", "a", ""), np.zeros((3, 2)))
 
 
@@ -117,9 +118,10 @@ def test_names_that_are_not_a_sequence_of_str_are_refused_before_the_fit(monkeyp
         raise AssertionError("the fit ran")
 
     monkeypatch.setattr(clustering, "fit", no_fit)
-    message = "^names must be a sequence of str, one scene name per row$"
-    # a str reads as one name per character; a name that is no str names nothing
-    for names in ("ab", [5, 5], ("a", None)):
+    message = "^names must be a non-empty tuple of non-empty str, got "
+    # a str reads as one name per character; a name that is no str names nothing, and
+    # names that are neither a list nor a tuple are refused, not iterated
+    for names in ("ab", [5, 5], ("a", None), 5, {"a": 1, "b": 2}, iter(["a", "b"])):
         with pytest.raises(UsageError, match=message):
             train_classifier(names, np.array([[0.0], [1.0]]))
 
@@ -146,10 +148,14 @@ def test_clusters_that_share_a_name_are_reported():
 
 def test_classify_validates_shape():
     classifier, _ = _train(_two_scene_set())
-    for shape in ((6,), (1, 4), (2, 2)):
-        message = f"point has shape {shape}, model expects (4,)"
+    for width in (6, 3):
+        message = f"point has shape ({width},), model expects (4,)"
         with pytest.raises(UsageError, match=re.escape(message)):
-            classify(classifier, np.zeros(shape), now=0.0)
+            classify(classifier, np.zeros(width), now=0.0)
+    message = "point must be a 1-D float64 NumPy array with no empty axis"
+    for vector in (np.zeros((1, 4)), [0.0] * 4):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            classify(classifier, vector, now=0.0)
 
 
 def test_prediction_value_bounds():
@@ -164,10 +170,6 @@ def test_prediction_value_bounds():
         ScenePrediction(scene="x", confidence=101.0, at=0.0)
     with pytest.raises(UsageError):
         ScenePrediction(scene="x", confidence=-0.5, at=0.0)
-    # fusion would vote on any scene, so it must be one a classifier names
-    for scene, got in (("", "an empty str"), (5, "int"), (("a",), "tuple"), (None, "NoneType")):
-        with pytest.raises(UsageError, match=f"^scene must be a non-empty str, not {got}$"):
-            ScenePrediction(scene=scene, confidence=50.0, at=0.0)
 
 
 def test_training_fits_the_matrix_without_stacking_a_copy():

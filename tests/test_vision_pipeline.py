@@ -228,6 +228,8 @@ def test_synth_pixel_counts_match_fractions_within_one():
         ([((0, 0, float("inf")), 1.0)], 4, 4),  # unchecked, int() raises OverflowError
         ([((0, 0, 254.9), 1.0)], 4, 4),  # unchecked, truncated to 254
         ([((0, 0, "7"), 1.0)], 4, 4),
+        ([((0, 0), 1.0)], 4, 4),
+        ([(5, 1.0)], 4, 4),  # unchecked, len() raises TypeError
     ],
 )
 def test_synth_rejects_bad_specs(spec, width, height):
