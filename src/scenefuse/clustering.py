@@ -44,16 +44,16 @@ either.  Points, centroids and query vectors must be finite: NaN or inf
 is refused with UsageError at the boundary.
 
 Every run of a fit draws into and updates one (k, d_varying) centroid
-buffer, which `fit` allocates once.  A k-means++ start overwrites it, and
-an update replaces it row by row: each mean is built in one (d_varying,)
-scratch row, its move is measured in the old row, and only then does it
-overwrite that row.  So a run holds no second (k, d_varying) array, and
-`fit` keeps none for the winner: a run returns the partition its
-centroids are the means of, and after the last restart `fit` averages
-the winner's into the buffer once more, the same sums in the same order,
-so the same bits.  The stacked restarts below keep their own centroids.
-When every column varies, as in every acoustic fit, that buffer is what
-`fit` returns.
+buffer, which `fit` allocates once, or one (k, n) buffer for runs in the
+span below.  A k-means++ start overwrites it, and an update replaces it
+row by row: each mean is built in one scratch row, its move is measured
+in the old row, and only then does it overwrite that row.  So a run holds
+no second (k, d_varying) array, and `fit` keeps none for the winner: a
+run returns the partition its centroids are the means of, and after the
+last restart `fit` averages the winner's into the (k, d_varying) buffer
+once more, the same sums in the same order, so the same bits.  The
+stacked restarts below keep their own centroids.  When every column
+varies, as in every acoustic fit, that buffer is what `fit` returns.
 
 A fit of more than `_SEED_POINTS` points runs its restarts on every
 stride-th point only, each restart from its own offset, and one more
@@ -82,27 +82,25 @@ layout keeps one restart at a time: there a stack would hold R copies of
 d_varying >= m columns.
 
 Restarts that see every point (stride 1, as in every fit of at most
-`_SEED_POINTS` points) all cluster the same points, and in the row layout
-they share their distance rows.  A row
-depends only on its centroid, and a centroid only on the points it is the
-mean of, so each distinct k-means++ draw and each distinct member set of
-an update is measured once per fit, and a later restart that repeats one
-copies its row.  A draw is a point, and a draw's row that the memo lacks
-copies its entry for every point whose own draw row the memo holds:
-(x_i − x_j)² and (x_j − x_i)² are equal bit for bit, and each entry sums
-the same row of squares in the same order.  Only the other entries go
-through the block kernel, on views of the points, one run of consecutive
-points at a time.  This is the narrowest exact form of Elkan (2003),
-"Using the Triangle Inequality to Accelerate k-Means": skip a distance
-whose answer is already known.  Only bit-for-bit repeats are skipped, so
-every output keeps its bits.  In the column layout a row of d_varying < n
-columns costs no more than its key, so there every row is computed.
+`_SEED_POINTS` points) in the row layout run in the span of the points
+instead, on n coordinates a point rather than d_varying >= n (Dhillon,
+Guan & Kulis 2004, "Kernel k-means, spectral clustering and normalized
+cuts").  k-means sees only distances between points and means of points,
+and every mean lies in the points' span, so coordinates with the points'
+pairwise distances serve as well in exact arithmetic.  They come from the
+eigen-decomposition of the points' centred (n, n) Gram matrix, summed
+over column blocks of at most `_BLOCK_BYTES` after one exact power-of-two
+scale that keeps every sum finite, and the restarts run on them in the
+column layout.  Only the winning restart's partition reaches the full
+space: it is averaged into the (k, d_varying) buffer as a row-layout
+update averages it, and one block-kernel pass gives the closing
+assignment.  So a fit's output is that partition's, bit for bit, and
+rounding in the span changes it only where it leads a restart elsewhere.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,64 +210,6 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     return _nearest(sq)[0], sq.T
 
 
-def _sq_rows(
-    points: np.ndarray,
-    axis: int,
-    centroids: np.ndarray,
-    keys: Iterable[object],
-    memo: dict[object, np.ndarray] | None,
-) -> np.ndarray:
-    """`_sq_distances(points, axis, centroids)`, each row computed once per `memo`.
-
-    A centroid is the mean of a set of points, so its distance row depends
-    on that member set alone; `keys` names the set of each centroid in turn
-    (a k-means++ draw by its point's index, an update by the bytes of its
-    member mask) and is read only when there is a memo, which only the row
-    layout keeps.  A row whose key the memo holds is copied from it.  Any
-    other is computed on its own and remembered: a draw's through
-    `_draw_row`, which copies its entries of the earlier draws, always, as
-    a fit draws at most n distinct points; an update's while the memo holds
-    fewer than n rows.  So the memo holds at most 2n rows.  With no memo
-    every row is computed in one pass.
-    """
-    if memo is None:
-        return _sq_distances(points, axis, centroids)
-    sq = np.empty((centroids.shape[0], points.shape[axis]), dtype=np.float64)
-    for j, key in enumerate(keys):
-        row = memo.get(key)
-        if row is None:
-            if isinstance(key, int):
-                row = memo[key] = _draw_row(points, key, memo)
-            else:
-                row = _sq_distances(points, axis, centroids[j : j + 1])[0]
-                if len(memo) < points.shape[axis]:
-                    memo[key] = row
-        sq[j] = row
-    return sq
-
-
-def _draw_row(points: np.ndarray, idx: int, memo: dict[object, np.ndarray]) -> np.ndarray:
-    """The distance row of point `idx` of the (n, d) rows `points`, drawn by k-means++.
-
-    Entry j is copied from point j's own draw row wherever `memo` holds one:
-    (x_idx − x_j)² and (x_j − x_idx)² are equal bit for bit, and each entry
-    sums the same row of squares in the same order.  The other entries go
-    through `_sq_distances` on views of `points`, one run of consecutive
-    points at a time, so nothing is gathered.
-    """
-    row = np.empty(points.shape[0], dtype=np.float64)
-    missing = np.ones(points.shape[0], dtype=bool)
-    for j, other in memo.items():
-        if isinstance(j, int):  # a draw's point; an update's key is its member mask
-            row[j] = other[idx]
-            missing[j] = False
-    # each run of missing points as its (start, stop) pair
-    edges = np.flatnonzero(np.diff(missing, prepend=False, append=False)).reshape(-1, 2)
-    for start, stop in edges:
-        row[start:stop] = _sq_distances(points[start:stop], 0, points[idx : idx + 1])[0]
-    return row
-
-
 def _point(points: np.ndarray, axis: int, idx: int) -> np.ndarray:
     """Point `idx` of `points` along `axis`, as a view.
 
@@ -283,26 +223,25 @@ def _init_pp(
     axis: int,
     centroids: np.ndarray,
     rng: np.random.Generator,
-    memo: dict[object, np.ndarray] | None,
 ) -> np.ndarray:
     """k-means++ into the (k, d) `centroids`: each next one drawn proportional to squared distance.
 
     Each draw after the first is one inverse-CDF step, clamped to the last
     point, which is the pick once every point sits on a chosen centroid.
     Returns the (k, n) squared distances from each drawn centroid to every
-    point: row j is the one `_sq_rows` gave when centroid j was drawn.
+    point: row j is measured when centroid j is drawn.
     """
     n = points.shape[axis]
     sq = np.empty((centroids.shape[0], n), dtype=np.float64)
     idx = int(rng.integers(n))
     centroids[0] = _point(points, axis, idx)
-    sq[0] = _sq_rows(points, axis, centroids[0:1], (idx,), memo)[0]
+    sq[0] = _sq_distances(points, axis, centroids[0:1])[0]
     closest_sq = sq[0]
     for j in range(1, centroids.shape[0]):
         r = rng.random() * float(closest_sq.sum())
         idx = min(int(np.searchsorted(np.cumsum(closest_sq), r, side="right")), n - 1)
         centroids[j] = _point(points, axis, idx)
-        sq[j] = _sq_rows(points, axis, centroids[j : j + 1], (idx,), memo)[0]
+        sq[j] = _sq_distances(points, axis, centroids[j : j + 1])[0]
         closest_sq = np.minimum(closest_sq, sq[j])
     return sq
 
@@ -360,7 +299,6 @@ def _lloyd_run(
     axis: int,
     centroids: np.ndarray,
     sq: np.ndarray,
-    memo: dict[object, np.ndarray] | None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """One run from the (k, d) `centroids`, updated in place: (inertia, labels, sq, averaged).
 
@@ -372,8 +310,7 @@ def _lloyd_run(
     seized points into `centroids`.  An update replaces them row by row:
     each mean is built in one (d,) scratch row, its move is measured in the
     old row, and then it overwrites that row, so the run's scratch is one
-    row, not a second (k, d) array.  Each update's distance rows come from
-    `_sq_rows` with `memo`.  A pass that needs no repair and finds the
+    row, not a second (k, d) array.  A pass that needs no repair and finds the
     partition the centroids were averaged from closes the run, as the
     update it skips would find no centroid moved; with a centroid past the
     largest float that update's shift is NaN, and the run would go on to
@@ -404,8 +341,7 @@ def _lloyd_run(
             # `sq` was measured against these very centroids, so this pass,
             # left unrepaired, already is the closing assignment
             return float(own.sum()), labels, sq, averaged
-        members = ((labels == c).tobytes() for c in range(centroids.shape[0]))
-        sq = _sq_rows(points, axis, centroids, members, memo)
+        sq = _sq_distances(points, axis, centroids)
         if shift <= _TOL:
             break
 
@@ -493,6 +429,35 @@ def _stacked_restarts(
     return results, inertias
 
 
+def _span_coordinates(rows: np.ndarray) -> np.ndarray:
+    """The (n, d) `rows` as n coordinates each in their span, one column a point, (n, n) C-ordered.
+
+    The rows are scaled by 2**-e, e the `math.frexp` exponent of their
+    largest |coordinate| (at least −1022, so that the factor is finite),
+    so that no sum below overflows.  Each block of w = `_block_rows(n)`
+    consecutive columns, copied scaled into one reused C-ordered (n, w)
+    scratch block (the last one narrower), is centred by its own
+    `mean(axis=0)`, and its `block @ block.T` is added into an (n, n) Gram
+    matrix.  `np.linalg.eigh` of that gives eigenvalues λ and vectors V, and
+    row i of V · sqrt(max(λ, 0)) is point i: in exact arithmetic its
+    distances are those of the scaled rows.  Scratch: one block and O(n²).
+    """
+    n, d = rows.shape
+    largest = max(float(rows.max()), -float(rows.min()))
+    scale = math.ldexp(1.0, -max(math.frexp(largest)[1], -1022))
+    width = _block_rows(n)
+    scratch = np.empty(n * min(width, d), dtype=np.float64)
+    gram = np.zeros((n, n), dtype=np.float64)
+    for start in range(0, d, width):
+        block = scratch[: n * min(width, d - start)].reshape(n, -1)
+        np.multiply(rows[:, start : start + width], scale, out=block)
+        block -= block.mean(axis=0)
+        gram += block @ block.T
+    values, vectors = np.linalg.eigh(gram)
+    vectors *= np.sqrt(np.maximum(values, 0.0))
+    return np.ascontiguousarray(vectors.T)
+
+
 def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Run Lloyd's algorithm from seeded k-means++ starts, keeping the best.
 
@@ -506,8 +471,10 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     cumulative sum in point order of squared distances to its nearest start
     exceeds u times their NumPy sum, clamped to the last point.  The lowest
     inertia wins, earliest run on a tie.  With stride 1 every restart sees
-    all points and the winner is the result.  Otherwise one more Lloyd run
-    on all points, started from the winner's centroids, is the result, and
+    all points and the winner is the result, except in the row layout,
+    below, where the restarts run in the points' span.  Otherwise one more
+    Lloyd run on all points, started from the winner's centroids, is the
+    result, and
     in the column layout the restarts run as one stack of their
     subsamples, each step one NumPy call across them, with O(`_N_INIT` ·
     `_SEED_POINTS` · (d_varying + k)) scratch whatever n is.  Each stacked
@@ -517,6 +484,23 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     the stack, every column-layout run, the refinement too, takes each mean
     as NumPy's pairwise `mean` of each column of its members, and every
     row-layout run as a running sum of its member rows in point order.
+
+    With stride 1 in the row layout (d_varying >= n), the restarts run in
+    the column layout on n span coordinates a point instead.  The varying
+    columns are multiplied by 2**-e, e being the `math.frexp` exponent of
+    their largest |coordinate| but at least −1022, so no sum overflows.
+    Each block of w = max(1, `_BLOCK_BYTES` // (8n)) consecutive columns,
+    the last one narrower, is copied so scaled into a C-ordered (n, w)
+    array, centred by subtracting its `mean(axis=0)`, and its
+    `block @ block.T` added into an (n, n) Gram matrix that starts at 0.
+    With λ and V the eigenvalues and eigenvectors `np.linalg.eigh` gives
+    for that sum, row i of V · sqrt(max(λ, 0)) holds point i's coordinates:
+    the same distances in exact arithmetic.  The lowest inertia there wins, earliest on a tie, and
+    its last averaged partition is the result: each centroid is the running
+    sum of its member rows in point order over their count, and one
+    row-layout assignment to those centroids gives labels, `sq` and the
+    inertia.  The result is that partition's, bit for bit; rounding in the
+    span changes only which partition wins, and only in a near tie.
 
     Returns `(centroids, labels, sq, inertia)`: the resulting run's (k, d)
     centroids, the closing assignment it was scored on, with `sq` the
@@ -545,9 +529,9 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     centroid buffer every run draws into and updates in place, the array
     returned when every column varies, and a (k, d) one beside it when some
     do not; in the row layout, one (d_varying,) row, one block of at most
-    `_BLOCK_BYTES`, O(k·n) and the memo below, never a copy of the points;
-    in the column layout O(n·(d_varying + k)), or the stack's bound if
-    larger.  The winning restart is kept as its partition, not as a copy
+    `_BLOCK_BYTES`, O(k·n), and O(n²) in the span, never a copy of the
+    points; in the column layout O(n·(d_varying + k)), or the stack's bound
+    if larger.  The winning restart is kept as its partition, not as a copy
     of its centroids, and averaged again into the buffer after the last
     restart, to the same bits.  The distance work of a run is k single-centroid rows
     at the k-means++ draws, which the first assignment reuses, plus one
@@ -555,16 +539,6 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     refinement run starts with one (k, n) pass.  A run averages its
     clusters once per pass, except on a pass that needs no repair and finds
     the partition its centroids were averaged from: that pass closes it.
-    When the restarts share all points (stride 1) in the row layout, they
-    share one memo of distance rows instead, keyed by the member set whose
-    mean each centroid is (a draw's one point, an update's members): a row
-    is computed once per distinct draw and per distinct member set, and any
-    later restart that needs it copies it, bit for bit.  A draw's row also
-    copies its entry of every earlier distinct draw from that draw's row,
-    so the i-th distinct draw computes n − i entries.  The memo keeps every
-    distinct draw's row, at most n, and update rows while it holds fewer
-    than n, so at most 2n rows of n; n <= d_varying there, so it never
-    outgrows twice the points.
 
     Deterministic: identical points and params give bit-identical centroids.
     Within each run, convergence is declared when no centroid coordinate
@@ -607,9 +581,9 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if not axis:
         # the points' own rows when the varying columns form one run and
         # each row's coordinates are contiguous; no run writes to its points
-        columns = np.flatnonzero(varying)
-        work = points[:, columns[0] : columns[-1] + 1]
-    if axis or work.shape[1] != count or work.strides[1] != work.itemsize:
+        first = int(np.argmax(varying))
+        work = points[:, first : first + count]
+    if axis or not varying[first : first + count].all() or work.strides[1] != work.itemsize:
         work = np.compress(varying, points.T if axis else points, axis=1 - axis)
 
     # restart i sees every stride-th point from offset i % stride, a view of
@@ -621,7 +595,8 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
         work[:, i % stride : span : stride] if axis else work[i % stride : span : stride]
         for i in range(_N_INIT)
     ]
-    # every run draws into and updates this one buffer; it is what `fit` returns
+    # every run on the varying columns draws into and updates this one buffer,
+    # and the span's winner is averaged into it; it is what `fit` returns
     centroids = np.empty((params.k, count), dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if it ends non-finite
@@ -630,25 +605,34 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
             winner = min(range(_N_INIT), key=inertias.__getitem__)  # earliest on a tie
             centroids[:] = results[winner]
         else:
-            # with stride 1 every restart clusters the same points, so a member
-            # set's distance row, once computed, serves every later restart that
-            # needs it.  Only in the row layout, where a row's d_varying >= n
-            # columns cost more than its n-byte key: in the column layout keys
-            # cost more than they save
-            memo = {} if stride == 1 and axis == 0 else None
-            runs = (
-                (s, *_lloyd_run(s, axis, centroids, _init_pp(s, axis, centroids, rng, memo), memo))
-                for s in samples
-            )
+            if stride == 1 and not axis:
+                # every restart clusters all points: in their span, on n
+                # coordinates a point, in the column layout and a (k, n) buffer
+                reduced, buffer = _span_coordinates(work), np.empty((params.k, n))
+                runs = (
+                    (work, *_lloyd_run(reduced, 1, buffer, _init_pp(reduced, 1, buffer, rng)))
+                    for _ in samples
+                )
+            else:
+                runs = (
+                    (s, *_lloyd_run(s, axis, centroids, _init_pp(s, axis, centroids, rng)))
+                    for s in samples
+                )
             sample, inertia, labels, sq, averaged = min(runs, key=lambda run: run[1])
-            # runs after the winner overwrote its centroids: they are the means
-            # of its partition, added again in the same order to the same bits
+            # runs after the winner overwrote its centroids, or ran in the span:
+            # they are the means of its partition, added in the same order to
+            # the same bits
             for c, centroid in enumerate(centroids):
                 _mean(sample, axis, averaged == c, centroid)
         if stride > 1:
             # one Lloyd run on every point refines the winner
             start_sq = _sq_distances(work, axis, centroids)
-            inertia, labels, sq, _ = _lloyd_run(work, axis, centroids, start_sq, None)
+            inertia, labels, sq, _ = _lloyd_run(work, axis, centroids, start_sq)
+        elif not axis:
+            # the closing assignment of the span's winner, on the d_varying columns
+            sq = _sq_distances(work, 0, centroids)
+            labels, own = _nearest(sq)
+            inertia = float(own.sum())
 
     if not (np.isfinite(centroids).all() and math.isfinite(inertia)):
         raise UsageError("points so large that a centroid or the inertia overflows")

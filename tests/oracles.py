@@ -4,13 +4,13 @@ Nothing here imports the library's own math: the spectrum oracle is a naive
 O(n^2) DFT that never touches numpy.fft, one clustering oracle enumerates
 every possible assignment, and the k-means reference is `clustering.fit`
 written from its docstring as one plain Lloyd loop, with none of its
-engines (the column stack, the row blocks, the distance memo, the shared
-centroid buffer, the repeated-partition close), only the summation orders
-that its bits depend on.  The fusion oracle is a straight-line replay of
-the decision narrative, the gradient oracle is central finite differences
-of a loss with its own sigmoid and forward pass, the output-error
-oracle runs that same forward pass over its own one-hot rows, and the
-reference trainer is the action net's gradient descent written as plain
+engines (the column stack, the row blocks, the shared centroid buffer,
+the repeated-partition close), only the summation orders and the span
+coordinates that its bits depend on.  The fusion oracle is a
+straight-line replay of the decision narrative, the gradient oracle is
+central finite differences of a loss with its own sigmoid and forward
+pass, the output-error oracle runs that same forward pass over its own
+one-hot rows, and the reference trainer is the action net's gradient descent written as plain
 whole-array expressions, each step allocating its own results.  Keep it
 that way — each pairs with a faster implementation in the package and the
 two must stay independent: this module imports NumPy and the standard
@@ -123,7 +123,7 @@ def _column_means(rows: np.ndarray, pairwise: bool) -> np.ndarray:
 
 
 def _lloyd(x, centroids, columns, pairwise, tol, max_iters):
-    """One Lloyd run from `centroids`: (centroids, labels, (n, k) sq, inertia).
+    """One Lloyd run from `centroids`: (centroids, labels, (n, k) sq, inertia, averaged).
 
     Each pass assigns every point to its nearest centroid, the lowest label
     on a tie; each empty cluster in turn, in label order, then seizes the
@@ -133,8 +133,10 @@ def _lloyd(x, centroids, columns, pairwise, tol, max_iters):
     `max_iters` updates, or after one that moved no coordinate more than
     `tol`, on one more assignment, which is not repaired.  The inertia is
     NumPy's pairwise sum of each point's squared distance to its centroid.
+    `averaged` is the partition the returned centroids are the means of.
     """
     sq = _squared_distances(x, centroids, columns)
+    averaged = None
     for _ in range(max_iters):
         labels = np.argmin(sq, axis=1)
         own = sq[np.arange(len(x)), labels]
@@ -147,13 +149,35 @@ def _lloyd(x, centroids, columns, pairwise, tol, max_iters):
             own[victim] = 0.0
             centroids[empty] = x[victim]
         means = np.array([_column_means(x[labels == c], pairwise) for c in range(len(centroids))])
+        averaged = labels
         shift = np.max(np.abs(means - centroids), initial=0.0)
         centroids = means
         sq = _squared_distances(x, centroids, columns)
         if shift <= tol:
             break
     labels = np.argmin(sq, axis=1)
-    return centroids, labels, sq, float(sq[np.arange(len(x)), labels].sum())
+    return centroids, labels, sq, float(sq[np.arange(len(x)), labels].sum()), averaged
+
+
+def _span_coordinates(x: np.ndarray, block_bytes: int) -> np.ndarray:
+    """(n, n) rows with the pairwise distances of the (n, d) `x`, scaled, in exact arithmetic.
+
+    `x` is scaled by 2**-e, e the exponent of its largest |coordinate| (at
+    least -1022); each block of max(1, block_bytes // (8 n)) consecutive
+    columns is centred by its own column means and its Gram matrix added
+    into one sum, whose eigenvectors V, each scaled by the root of its
+    eigenvalue clipped at 0, give the rows.
+    """
+    n = len(x)
+    scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(x).max())[1]), -1022))
+    width = max(1, block_bytes // (8 * n))
+    gram = np.zeros((n, n))
+    for start in range(0, x.shape[1], width):
+        block = x[:, start : start + width] * scale
+        block -= block.mean(axis=0)
+        gram += block @ block.T
+    values, vectors = np.linalg.eigh(gram)
+    return vectors * np.sqrt(np.maximum(values, 0.0))
 
 
 def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator, columns: bool) -> np.ndarray:
@@ -172,15 +196,17 @@ def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator, columns: bool) -
     return x[picks]
 
 
-def reference_fit(points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_iters=300):
+def reference_fit(
+    points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_iters=300, block_bytes=1 << 19
+):
     """`clustering.fit` as its docstring specifies it, or None where it refuses.
 
     Returns (centroids, labels, (n, k) sq, inertia) with the bits `fit`
     returns; None for points that are not a float64 NumPy matrix with no
     empty axis, which are never cast, when n < k, or when a centroid or the
-    inertia is not finite.  `seed_points`, `tol` and `max_iters` stand for
-    `fit`'s `_SEED_POINTS`, `_TOL` and `_MAX_ITERS`, for tests that patch
-    them.  Columns on which every point
+    inertia is not finite.  `seed_points`, `tol`, `max_iters` and
+    `block_bytes` stand for `fit`'s `_SEED_POINTS`, `_TOL`, `_MAX_ITERS` and
+    `_BLOCK_BYTES`, for tests that patch them.  Columns on which every point
     agrees are dropped: the rest are gathered into a C-ordered (n, d) copy
     and every centroid keeps the shared value of each dropped column.  With
     fewer varying columns than points the fit is in the column layout, and
@@ -190,7 +216,10 @@ def reference_fit(points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_
     n // k) and span = n // stride * stride.  The lowest inertia wins, the
     earliest on a tie (NaN never wins but a first one is never beaten), and
     when stride > 1 one more Lloyd run on all points, from the winner's
-    centroids, is the result.
+    centroids, is the result.  With stride 1 in the row layout the
+    restarts run in the column layout on the rows `_span_coordinates`
+    gives, and the result is the winner's last averaged partition: its
+    means over the varying columns, and one row-layout assignment to them.
 
     The summation orders are part of the bits:
       * a squared distance adds its squares left to right over the columns
@@ -213,17 +242,24 @@ def reference_fit(points, k: int, seed: int, *, seed_points=1000, tol=1e-6, max_
     stride = min(-(-n // seed_points), n // k)
     span = n // stride * stride
     rng = np.random.default_rng(seed)
+    reduced = stride == 1 and not columns
+    restarted = _span_coordinates(work, block_bytes) if reduced else work
     with np.errstate(over="ignore", invalid="ignore"):
         best = None
         for i in range(10):
-            sample = work[i % stride : span : stride]
-            start = _kmeans_pp(sample, k, rng, columns)
-            run = _lloyd(sample, start, columns, columns and stride == 1, tol, max_iters)
+            sample = restarted[i % stride : span : stride]
+            start = _kmeans_pp(sample, k, rng, columns or reduced)
+            run = _lloyd(sample, start, columns or reduced, stride == 1, tol, max_iters)
             if best is None or run[3] < best[3]:
                 best = run
         if stride > 1:
             best = _lloyd(work, best[0], columns, columns, tol, max_iters)
-    centroids, labels, sq, inertia = best
+        elif reduced:
+            means = np.array([_column_means(work[best[4] == c], False) for c in range(k)])
+            sq = _squared_distances(work, means, False)
+            labels = np.argmin(sq, axis=1)
+            best = means, labels, sq, float(sq[np.arange(n), labels].sum())
+    centroids, labels, sq, inertia = best[:4]
     if not (np.isfinite(centroids).all() and np.isfinite(inertia)):
         return None
     full = np.repeat(x[:1], k, axis=0)

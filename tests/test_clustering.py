@@ -101,57 +101,30 @@ def test_fit_returns_the_partition_it_scored(lloyd_traces, points, k, seed):
     assert all(map(never_increases, lloyd_traces))
 
 
-def _spy_on_rows(monkeypatch) -> tuple[list[bytes], list[bytes]]:
-    """The centroids whose distance rows `fit` computes, and those whose rows it uses.
+def _spy_on_rows(monkeypatch) -> list[bytes]:
+    """The centroids whose distance rows `fit` computes from now on, one centroid's bytes a row."""
+    real = clustering._sq_distances
+    computed = []
 
-    Each list holds one centroid's bytes per row, in order, from now on.
-    """
-    real_distances, real_rows = clustering._sq_distances, clustering._sq_rows
-    computed, used = [], []
-
-    def distances(points, axis, centroids, *rest):
+    def distances(points, axis, centroids):
         computed.extend(row.tobytes() for row in centroids.reshape(-1, centroids.shape[-1]))
-        return real_distances(points, axis, centroids, *rest)
-
-    def rows(points, axis, centroids, *rest):
-        used.extend(centroid.tobytes() for centroid in centroids)
-        return real_rows(points, axis, centroids, *rest)
+        return real(points, axis, centroids)
 
     monkeypatch.setattr(clustering, "_sq_distances", distances)
-    monkeypatch.setattr(clustering, "_sq_rows", rows)
-    return computed, used
+    return computed
 
 
-def _spy_on_work(monkeypatch) -> dict[str, int]:
-    """How many point-to-centroid distances `fit` computes and uses, and how many means it computes.
-
-    Each count starts at 0 and covers every call from now on.
-    """
-    real_distances, real_rows, real_mean = (
-        clustering._sq_distances,
-        clustering._sq_rows,
-        clustering._mean,
-    )
-    work = {"computed": 0, "used": 0, "means": 0}
-
-    def distances(*args):
-        sq = real_distances(*args)
-        work["computed"] += sq.size
-        return sq
-
-    def rows(*args):
-        sq = real_rows(*args)
-        work["used"] += sq.size
-        return sq
+def _spy_on_means(monkeypatch) -> list[int]:
+    """How many means `fit` computes from now on, as the one count of a list."""
+    real = clustering._mean
+    means = [0]
 
     def mean(*args):
-        work["means"] += 1
-        return real_mean(*args)
+        means[0] += 1
+        return real(*args)
 
-    monkeypatch.setattr(clustering, "_sq_distances", distances)
-    monkeypatch.setattr(clustering, "_sq_rows", rows)
     monkeypatch.setattr(clustering, "_mean", mean)
-    return work
+    return means
 
 
 def _separated_blobs(n, d, k):
@@ -162,7 +135,7 @@ def _separated_blobs(n, d, k):
 
 
 def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
-    computed, _ = _spy_on_rows(monkeypatch)
+    computed = _spy_on_rows(monkeypatch)
     # the column layout: per run, the two k-means++ draw rows; the first
     # update moves no centroid, so the first assignment closes the run
     fit(np.array([[0.0], [0.0], [10.0], [10.0]]), KMeansParams(k=2))
@@ -172,15 +145,15 @@ def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
     computed.clear()
     fit(np.array([[0.0], [0.0], [10.0], [10.0]] * 300), KMeansParams(k=2))
     assert len(computed) == 2 * clustering._N_INIT + 2
-    # the row layout: every run draws both points, so their two rows, one
-    # per distinct draw, serve all ten runs, and no run makes a (k, n) pass
+    # the row layout: every run, in the span, draws both points, and no run
+    # makes a (k, n) pass; one pass on the columns closes the winner
     computed.clear()
     fit(np.array([[0.0, 0.0], [10.0, 10.0]]), KMeansParams(k=2))
-    assert len(computed) == len(set(computed)) == 2
+    assert len(computed) == 2 * clustering._N_INIT + 2
 
 
 def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeypatch):
-    work = _spy_on_work(monkeypatch)
+    means = _spy_on_means(monkeypatch)
     rng = np.random.default_rng(22)
     # two blobs of four points; the start sits off both, so the first update
     # moves every centroid and the next pass finds the same partition.  Eight
@@ -190,11 +163,11 @@ def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeyp
         axis = int(d < len(points))
         layout = points.T.copy() if axis else points
         centroids = points[[0, 4]] + 0.5  # updated in place
-        work["means"] = 0
+        means[0] = 0
         inertia, labels, sq, averaged = clustering._lloyd_run(
-            layout, axis, centroids, clustering._sq_distances(layout, axis, centroids), None
+            layout, axis, centroids, clustering._sq_distances(layout, axis, centroids)
         )
-        assert work["means"] == 2  # one update of two clusters, not two
+        assert means[0] == 2  # one update of two clusters, not two
         assert np.array_equal(averaged, labels)
         assert labels.tolist() == [0] * 4 + [1] * 4
         again_labels, again_sq = _assign(points, centroids)
@@ -210,112 +183,14 @@ def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeyp
         axis = int(d < len(huge))
         layout = huge.T.copy() if axis else huge
         centroids = huge[:1].copy()
-        work["means"] = 0
+        means[0] = 0
         with np.errstate(over="ignore", invalid="ignore"):
             inertia, labels, sq, _ = clustering._lloyd_run(
-                layout, axis, centroids, clustering._sq_distances(layout, axis, centroids), None
+                layout, axis, centroids, clustering._sq_distances(layout, axis, centroids)
             )
-        assert work["means"] == 1
+        assert means[0] == 1
         assert centroids.tolist() == [[math.inf] + [0.0] * (d - 1)] and inertia == math.inf
         assert labels.tolist() == [0, 0, 0] and np.all(sq == math.inf)
-
-
-def test_restarts_on_the_same_points_compute_each_row_once(monkeypatch):
-    work = _spy_on_work(monkeypatch)
-    points = _separated_blobs(60, 80, 4)  # 80 columns: the row layout
-    fit(points, KMeansParams(k=4, seed=3))
-    # each of ten restarts uses 8 rows of 60 distances: its 4 draws' rows, and
-    # the rows of one update, after which one pass closes the run.  Each of the
-    # 31 distinct draws and 4 distinct member sets (so each distinct centroid,
-    # on points without duplicates) has its row computed once, 35 rows; and
-    # the i-th distinct draw copies its entries of the i before it from their
-    # own rows, so it computes 60 - i.  Every row whole would be 2,100
-    assert work["used"] == 10 * 8 * 60
-    assert work["computed"] == 35 * 60 - 31 * 30 // 2 == 1_635
-    # each restart's closing pass finds the partition its centroids were
-    # averaged from, and averages no cluster again: 40 means, not 80.  The
-    # runs share one buffer, so the winner's 4 are averaged once more
-    assert work["means"] == 4 * 10 + 4
-    # the memo is for restarts on the same points in the row layout only:
-    # restarts on subsamples, and restarts in the column layout, compute
-    # every row, as many distances as before the memo (92 rows of 30 or 60
-    # points, and 80 rows of 60); each run's closing pass skips its update too
-    for columns, seed_points, computed, means in (
-        (80, 30, 3_120, 48 + 4),
-        (3, clustering._SEED_POINTS, 80 * 60, 40 + 4),
-    ):
-        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
-        work.update(computed=0, means=0)
-        fit(_separated_blobs(60, columns, 4), KMeansParams(k=4, seed=3))
-        assert (work["computed"], work["means"]) == (computed, means)
-
-
-def test_the_distance_memo_holds_every_draw_and_at_most_n_update_rows(monkeypatch):
-    real = clustering._sq_rows
-    memos, drawn = [], set()
-
-    def spy(points, axis, centroids, keys, memo):
-        memos.append(memo)
-        keys = list(keys)  # an iterable, maybe read once
-        drawn.update(key for key in keys if isinstance(key, int))
-        return real(points, axis, centroids, keys, memo)
-
-    monkeypatch.setattr(clustering, "_sq_rows", spy)
-    computed, _ = _spy_on_rows(monkeypatch)
-    points = np.random.default_rng(4).standard_normal((8, 8))
-    centroids, labels, sq, _ = fit(points, KMeansParams(k=3, seed=1))
-    assert len(set(map(id, memos))) == 1
-    keys = list(memos[0])  # in the order the memo took them
-    # every distinct draw's row stays, at most one per point, so a later
-    # draw can copy its entries from them all; an update's row joins only
-    # while the memo holds fewer than n rows, so it holds at most 2n
-    assert {key for key in keys if isinstance(key, int)} == drawn and len(drawn) == 8
-    assert all(i < 8 for i, key in enumerate(keys) if not isinstance(key, int))
-    assert 8 < len(keys) < len(set(computed))  # more rows than it may keep
-    assert np.array_equal(sq, _assign(points, centroids)[1])
-
-
-def _draw_row_cases():
-    """Row-layout points whose k-means++ draw rows copy entries, with each k."""
-    rng = np.random.default_rng(21)
-    # two groups 2e154 apart, so every distance across them overflows to inf
-    side = np.where(np.arange(12)[:, None] < 6, 1e154, -1e154)
-    overflowing = side + rng.standard_normal((12, 16)) * 1e153
-    # rows that are not contiguous, and constant columns between varying
-    # ones: both are clustered as a compressed copy
-    fortran = np.asfortranarray(rng.standard_normal((10, 30)) * 1e3)
-    scattered = np.insert(rng.standard_normal((10, 30)), [0, 7, 7, 19, 30], 2.5, axis=1)
-    return ((overflowing, 2), (overflowing, 3), (fortran, 4), (scattered, 4))
-
-
-def test_a_draw_row_copies_its_entry_of_every_earlier_draw(monkeypatch):
-    real = clustering._draw_row
-    filled = []  # (the row, how many of its entries were copied)
-
-    def spy(points, idx, memo):
-        row = real(points, idx, memo)
-        filled.append((row, sum(isinstance(key, int) for key in memo)))
-        return row
-
-    monkeypatch.setattr(clustering, "_draw_row", spy)
-    for points, k in _draw_row_cases():
-        filled.clear()
-        fit(points, KMeansParams(k=k, seed=1))
-        # each distinct draw is filled once, and copies from every draw before it
-        assert [copied for _, copied in filled] == list(range(len(filled)))
-        assert len(filled) >= 5
-        if np.abs(points).max() > 1e150:  # inf entries as well as finite ones
-            assert all(np.isinf(row).any() and np.isfinite(row).any() for row, _ in filled)
-    # a draw fills its row from draw rows only: an update's row in the memo,
-    # keyed by its member mask, holds distances to a mean, not to a point
-    points = np.random.default_rng(21).standard_normal((6, 8))
-    memo = {}
-    mask = np.array([True, True, False, False, False, False])
-    clustering._sq_rows(points, 0, points[mask].mean(axis=0)[None], [mask.tobytes()], memo)
-    for i in (3, 0, 5, 1, 4, 2):
-        row = clustering._sq_rows(points, 0, points[i : i + 1], [i], memo)[0]
-        assert np.array_equal(row, clustering._sq_distances(points, 0, points[i : i + 1])[0])
-    assert len(memo) == 7  # the update's row and every draw's: no draw is left out
 
 
 def _spy_on_runs(monkeypatch) -> list[np.ndarray]:
@@ -384,6 +259,96 @@ def test_the_restarts_see_at_least_k_points(monkeypatch):
     fit(points, KMeansParams(k=5))  # no stride leaves 5 of 7 but 1, so no refinement
     assert stacks == []
     assert [len(run) for run in runs] == [7] * clustering._N_INIT
+
+
+def _spy_on_spans(monkeypatch) -> list[np.ndarray]:
+    """The (n, d_varying) rows `fit` takes span coordinates of from now on, in order."""
+    real = clustering._span_coordinates
+    rows = []
+
+    def spy(points):
+        rows.append(points)
+        return real(points)
+
+    monkeypatch.setattr(clustering, "_span_coordinates", spy)
+    return rows
+
+
+def test_only_restarts_on_every_point_in_the_row_layout_run_in_the_span(monkeypatch):
+    runs, spans = _spy_on_runs(monkeypatch), _spy_on_spans(monkeypatch)
+    rng = np.random.default_rng(9)
+    # (n, d, `_SEED_POINTS`): stride 1 with d_varying > n and d_varying == n,
+    # the span's two cases; then the column layout, and strided rows
+    for n, d, seed_points, spanned in (
+        (12, 30, clustering._SEED_POINTS, True),
+        (12, 12, clustering._SEED_POINTS, True),
+        (30, 3, clustering._SEED_POINTS, False),
+        (30, 45, 10, False),
+    ):
+        monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
+        runs.clear()
+        spans.clear()
+        points = rng.standard_normal((n, d))
+        centroids, labels, sq, _ = fit(points, KMeansParams(k=3, seed=4))
+        if spanned:
+            # the points' own rows, once; every restart on n coordinates a
+            # point, and no refining run: the winner closes on the d columns
+            assert len(spans) == 1 and np.may_share_memory(spans[0], points)
+            assert [run.shape for run in runs] == [(n, n)] * clustering._N_INIT
+        else:
+            assert spans == []
+        assert centroids.shape == (3, d) and sq.shape == (n, 3)
+        assert np.array_equal(labels, sq.argmin(axis=1))
+    # constant columns leave the span: it sees the varying ones only
+    monkeypatch.setattr(clustering, "_SEED_POINTS", 1000)
+    points = np.insert(rng.standard_normal((8, 20)), [0, 5, 5, 20], 3.0, axis=1)
+    fit(points, KMeansParams(k=2, seed=1))
+    assert [rows.shape for rows in spans] == [(8, 20)]
+
+
+def test_span_coordinates_keep_the_pairwise_distances_of_the_scaled_rows(monkeypatch):
+    rng = np.random.default_rng(45)
+    normal, integer = rng.standard_normal((9, 23)), rng.integers(-3, 4, (9, 23)) * 1.0
+    # near the largest float an unscaled column sum would overflow; subnormal
+    # rows take the clamped factor 2**1022.  Each with the default block, a
+    # block of 3 columns and a block of one column
+    wide = (normal * 1e307, 1.7e307 + normal * 1e303, normal * 1e-300, integer * 5e-324)
+    for rows in (normal, *wide):
+        scale = math.ldexp(1.0, -max(math.frexp(float(np.abs(rows).max()))[1], -1022))
+        scaled = rows * scale
+        want = ((scaled[:, None] - scaled[None]) ** 2).sum(axis=2)
+        for block_bytes in (clustering._BLOCK_BYTES, 8 * 9 * 3, 8):
+            monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_bytes)
+            coordinates = clustering._span_coordinates(rows)
+            # one column a point, C-ordered, as the column layout takes them
+            assert coordinates.shape == (9, 9) and coordinates.flags.c_contiguous
+            points = coordinates.T
+            got = ((points[:, None] - points[None]) ** 2).sum(axis=2)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
+
+
+def test_restarts_in_the_span_of_rows_near_the_largest_float_stay_finite(lloyd_traces):
+    rng = np.random.default_rng(61)
+    # rows whose every column sums past the largest float: without the scale
+    # the Gram matrix would hold inf and NaN.  Spread 1e150 apart, their
+    # squared distances fit a float and the fit returns; spread 1e306 apart,
+    # they do not, and the one refusal is UsageError
+    for spread, refused in ((1e150, False), (1e306, True)):
+        points = 1.5e307 + rng.random((12, 40)) * spread
+        for k in (1, 3, 6):
+            lloyd_traces.clear()
+            if refused:
+                with pytest.raises(UsageError, match="overflows"):
+                    fit(points, KMeansParams(k=k, seed=1))
+            else:
+                centroids, _, _, inertia = fit(points, KMeansParams(k=k, seed=1))
+                assert np.isfinite(centroids).all() and math.isfinite(inertia)
+            # every restart ran on scaled coordinates: a finite objective
+            # that never rises, closing well short of `_MAX_ITERS`
+            assert len(lloyd_traces) == clustering._N_INIT
+            for trace in lloyd_traces:
+                assert all(map(math.isfinite, trace)) and never_increases(trace)
+                assert len(trace) < clustering._MAX_ITERS // 10
 
 
 def test_each_restart_draws_from_its_own_offset(monkeypatch):
@@ -569,7 +534,7 @@ def test_fit_scratch_memory_shrinks_with_the_constant_columns():
 
 def test_fit_scratch_memory_of_all_varying_rows_is_a_fraction_of_the_input():
     rng = np.random.default_rng(7)
-    # restarts on all points, sharing distance rows; and on every 2nd point
+    # restarts in the span of all points; and on every 2nd point
     for n, share in ((256, 0.25), (1024, 0.0625)):
         points = rng.standard_normal((n, 8192))
         tracemalloc.start()
@@ -581,9 +546,9 @@ def test_fit_scratch_memory_of_all_varying_rows_is_a_fraction_of_the_input():
             tracemalloc.stop()
         # the points are clustered in place and the input checks' masks are
         # taken a block of rows at a time: the scratch is one block, (k, d)
-        # centroids and, with stride 1, the memo's at most n rows of n; never a
-        # copy of the points, nor an (n, d) mask of one byte a coordinate,
-        # 0.125× the points
+        # centroids and, with stride 1, a few (n, n) arrays for the span
+        # coordinates; never a copy of the points, nor an (n, d) mask of one
+        # byte a coordinate, 0.125× the points
         assert peak <= share * points.nbytes
 
 
@@ -598,11 +563,14 @@ def test_every_run_of_a_fit_draws_into_and_updates_one_centroid_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one (k, d) buffer, returned as it is, one (d,) scratch row and one block;
-    # a second (k, d) array, for a start, an update or the returned copy,
-    # would pass two
+    # one (k, d) buffer, returned as it is, and one block of the Gram matrix's
+    # columns, beside which the restarts in the span hold only O(n²): a few
+    # (n, n) arrays, the k-means++ rows and the (k, n) centroids.  A second
+    # (k, d) array, for the full-space means, or an (n, d) copy of the points
+    # would pass the bound
     assert centroids.shape == (k, d)
-    assert peak < 2 * centroids.nbytes
+    assert peak <= centroids.nbytes + clustering._BLOCK_BYTES + 8 * n * n * 8
+    assert 8 * n * n * 8 < clustering._BLOCK_BYTES
 
 
 def _integer_rows():
@@ -625,17 +593,28 @@ def test_one_run_of_varying_columns_is_clustered_as_a_view_and_a_split_one_as_a_
     monkeypatch,
 ):
     viewed, copied = _view_and_copy()
-    runs = _spy_on_runs(monkeypatch)
-    # restarts on all points, and on every 3rd point before one refining run
-    for seed_points in (clustering._SEED_POINTS, 10):
+    real = clustering._sq_distances
+    passes = []  # the points of each distance pass on the varying columns
+
+    def distances(points, axis, centroids):
+        if not axis:  # restarts in the span run in the column layout
+            passes.append(points)
+        return real(points, axis, centroids)
+
+    monkeypatch.setattr(clustering, "_sq_distances", distances)
+    # restarts in the span of all points, then one pass on their columns; and
+    # restarts on every 3rd point before one refining run
+    for seed_points, stride in ((clustering._SEED_POINTS, 1), (10, 3)):
         monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
-        runs.clear()
+        passes.clear()
         fit(viewed, KMeansParams(k=3, seed=2))
-        assert all(np.may_share_memory(points, viewed) for points in runs)
-        runs.clear()
+        assert all(np.may_share_memory(points, viewed) for points in passes)
+        passes.clear()
         fit(copied, KMeansParams(k=3, seed=2))
-        assert not any(np.may_share_memory(points, copied) for points in runs)
-        assert {points.shape[1] for points in runs} == {40}
+        assert not any(np.may_share_memory(points, copied) for points in passes)
+        assert {points.shape[1] for points in passes} == {40}
+        if stride == 1:
+            assert len(passes) == 1
 
 
 def test_a_half_constant_input_is_never_written(monkeypatch):
@@ -842,6 +821,19 @@ def _acoustic_cases():
         yield np.hstack([frequencies, amplitudes]), 8, 1, {"_BLOCK_BYTES": block_bytes}
 
 
+def _wide_row_cases():
+    """Row-layout points, each with a k: overflowing distances, or rows clustered as a copy."""
+    rng = np.random.default_rng(21)
+    # two groups 2e154 apart, so every distance across them overflows to inf
+    side = np.where(np.arange(12)[:, None] < 6, 1e154, -1e154)
+    overflowing = side + rng.standard_normal((12, 16)) * 1e153
+    # rows that are not contiguous, and constant columns between varying
+    # ones: both are clustered as a compressed copy
+    fortran = np.asfortranarray(rng.standard_normal((10, 30)) * 1e3)
+    scattered = np.insert(rng.standard_normal((10, 30)), [0, 7, 7, 19, 30], 2.5, axis=1)
+    return ((overflowing, 2), (overflowing, 3), (fortran, 4), (scattered, 4))
+
+
 def _input_cases():
     """Read-only and Fortran-ordered points, refused int ones, and constant columns anywhere."""
     floats = _integer_rows()
@@ -857,8 +849,10 @@ def _input_cases():
         for block_bytes in (clustering._BLOCK_BYTES, 5 * 8 * copied.shape[1]):
             for points in (viewed, copied):
                 yield points, 3, 2, {"_SEED_POINTS": seed_points, "_BLOCK_BYTES": block_bytes}
-    for points, k in _draw_row_cases():
+    for points, k in _wide_row_cases():
         yield points, k, 1, {}
+    # subnormal rows, whose span scale 2**1022 is clamped: 2**-e would overflow
+    yield floats * 5e-324, 3, 2, {}
     # fewer points than clusters, and NaN and inf, which the reference does not
     # check: it ends on a centroid that is not finite
     yield np.array([[0.0, 1.0]]), 2, 0, {}
@@ -911,7 +905,8 @@ def _bits(value) -> tuple:
 @pytest.mark.parametrize("group", list(_REFERENCE_CASES))
 def test_fit_gives_the_bits_of_the_reference_or_both_refuse(monkeypatch, group):
     # each case patches the module constants it names, and the reference
-    # takes the same values; the reference knows no row blocks
+    # takes the same values: the row blocks leave every bit as it is, but the
+    # Gram matrix's column blocks are part of the span coordinates
     for number, (points, k, seed, constants) in enumerate(_REFERENCE_CASES[group]()):
         with monkeypatch.context() as patch:
             for name, value in constants.items():
@@ -920,7 +915,7 @@ def test_fit_gives_the_bits_of_the_reference_or_both_refuse(monkeypatch, group):
                 got = fit(points, KMeansParams(k=k, seed=seed))
             except UsageError:
                 got = None
-        same = {name.strip("_").lower(): v for name, v in constants.items() if name != "_BLOCK_BYTES"}
+        same = {name.strip("_").lower(): v for name, v in constants.items()}
         want = reference_fit(points, k, seed, **same)
         if got is None or want is None:
             assert got is want, (group, number)

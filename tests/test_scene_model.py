@@ -1,5 +1,6 @@
 """Named-scene training and classification on top of the cluster engine."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -147,15 +148,19 @@ def test_clusters_that_share_a_name_are_reported():
 
 
 def test_classify_validates_shape():
+    # each refusal names classify's own parameter, not predict's
     classifier, _ = _train(_two_scene_set())
     for width in (6, 3):
-        message = f"point has shape ({width},), model expects (4,)"
-        with pytest.raises(UsageError, match=re.escape(message)):
+        message = f"vector has shape ({width},), model expects (4,)"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             classify(classifier, np.zeros(width), now=0.0)
-    message = "point must be a 1-D float64 NumPy array with no empty axis"
-    for vector in (np.zeros((1, 4)), [0.0] * 4):
+    message = "vector must be a 1-D float64 NumPy array with no empty axis"
+    for vector in (np.zeros((1, 4)), [0.0] * 4, [0.0]):
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             classify(classifier, vector, now=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="^vector must be finite, not NaN or inf$"):
+            classify(classifier, np.array([0.0, 0.0, bad, 0.0]), now=0.0)
 
 
 def test_prediction_value_bounds():

@@ -65,16 +65,7 @@ Mutant = tuple[Span, str, str]  # where, the text it starts with, the text that 
 
 # mutants no test can kill: (file, a snippet of the mutated line that holds the mutated
 # text once, the text, what replaces it, why the program behaves the same)
-EQUIVALENT = (
-    (
-        "src/scenefuse/clustering.py",
-        "(labels == c).tobytes()",
-        "==",
-        "!=",
-        "a distance-memo key names a member set, and a member mask names it as its "
-        "complement does; a draw's key is an int, so no mask key meets it either way",
-    ),
-)
+EQUIVALENT: tuple[tuple[str, str, str, str, str], ...] = ()
 
 # --- the pytest plugin -------------------------------------------------------
 
