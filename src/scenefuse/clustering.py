@@ -11,8 +11,8 @@ centroid and nothing was repaired, the last pass already is that
 assignment and is reused.  So is a pass that, unrepaired, finds the very
 partition its centroids were averaged from: averaging it again would add
 the same points in the same order, so the run closes without that update.
-`fit` returns the centroids with that partition and its sum of squares,
-the inertia.
+`fit` returns its last run's centroids with that partition and its sum of
+squares, the inertia.
 
 Columns on which every point agrees add exactly 0 to every distance, so
 `fit` finds them once per fit and clusters only the others; an acoustic
@@ -48,20 +48,25 @@ buffer, which `fit` allocates once, or one (k, n) buffer for runs in the
 span below.  A k-means++ start overwrites it, and an update replaces it
 row by row: each mean is built in one scratch row, its move is measured
 in the old row, and only then does it overwrite that row.  So a run holds
-no second (k, d_varying) array, and `fit` keeps none for the winner: a
-run returns the partition its centroids are the means of, and after the
-last restart `fit` averages the winner's into the (k, d_varying) buffer
-once more, the same sums in the same order, so the same bits.  The
-stacked restarts below keep their own centroids.  When every column
-varies, as in every acoustic fit, that buffer is what `fit` returns.
+no second (k, d_varying) array.  The stacked restarts below keep their
+own centroids.  When every column varies, as in every acoustic fit, that
+buffer is what `fit` returns.
+
+Every fit ends the same way: one more Lloyd run on all its points gives
+the result.  It starts from the winning restart's centroids when the
+restarts ran as a stack, and otherwise from the winner's partition, which
+a run returns and `fit` keeps in place of a copy of its centroids,
+averaged into the (k, d_varying) buffer over that restart's points.  A
+winner that saw every point and closed on a fixed point of them gives
+back the same partition, after one pass and one update.
 
 A fit of more than `_SEED_POINTS` points runs its restarts on every
-stride-th point only, each restart from its own offset, and one more
-Lloyd run on all points, started from the winner's centroids, refines it
-(Bradley & Fayyad 1998, "Refining Initial Points for K-Means
-Clustering").  A restart that ends in a poor local minimum takes many
-iterations, which are cheap on a subsample; restarts on different
-subsamples do not share one subsample's pull toward the same poor minimum.
+stride-th point only, each restart from its own offset, and the last run
+refines the winner on all points (Bradley & Fayyad 1998, "Refining
+Initial Points for K-Means Clustering").  A restart that ends in a poor
+local minimum takes many iterations, which are cheap on a subsample;
+restarts on different subsamples do not share one subsample's pull toward
+the same poor minimum.
 
 In the column layout those restarts run side by side, as one (R, d, m)
 stack of their R = `_N_INIT` subsamples of m points each, because a photo
@@ -77,7 +82,7 @@ it gives when run alone wherever its means are exact: a `np.bincount` sum
 adds in point order and `mean` in NumPy's pairwise order, and the two
 agree on integer coordinates, such as every pixel, whose sums are exact.
 Elsewhere a restart's means may differ in the last bits; only the
-winner's centroids leave the stack, to start the refinement run.  The row
+winner's centroids leave the stack, to start the last run.  The row
 layout keeps one restart at a time: there a stack would hold R copies of
 d_varying >= m columns.
 
@@ -87,15 +92,14 @@ instead, on n coordinates a point rather than d_varying >= n (Dhillon,
 Guan & Kulis 2004, "Kernel k-means, spectral clustering and normalized
 cuts").  k-means sees only distances between points and means of points,
 and every mean lies in the points' span, so coordinates with the points'
-pairwise distances serve as well in exact arithmetic.  They come from the
-eigen-decomposition of the points' centred (n, n) Gram matrix, summed
-over column blocks of at most `_BLOCK_BYTES` after one exact power-of-two
-scale that keeps every sum finite, and the restarts run on them in the
-column layout.  Only the winning restart's partition reaches the full
-space: it is averaged into the (k, d_varying) buffer as a row-layout
-update averages it, and one block-kernel pass gives the closing
-assignment.  So a fit's output is that partition's, bit for bit, and
-rounding in the span changes it only where it leads a restart elsewhere.
+pairwise distances serve as well in exact arithmetic.  They are the rows
+of an (n, n) array, from the eigen-decomposition of the points' centred
+(n, n) Gram matrix, summed over column blocks of at most `_BLOCK_BYTES`
+after one exact power-of-two scale that keeps every sum finite, and the
+restarts run on them as on any rows, with a (k, n) buffer.  Only the
+winner's partition reaches the full space, to start the last run, so
+rounding in the span changes a fit only where it leads a restart
+elsewhere.
 """
 
 from __future__ import annotations
@@ -108,7 +112,8 @@ import numpy as np
 from .errors import UsageError, check_array, check_int, check_positive, check_range
 
 
-_MAX_ITERS = 300  # Lloyd iterations per run, at most
+# Lloyd iterations per run, at most; at least 1, so a run ends on an averaged partition
+_MAX_ITERS = 300
 _TOL = 1e-6  # a run has converged once no centroid coordinate moves further
 _N_INIT = 10  # k-means++ restarts per fit; the lowest-inertia run wins
 _SEED_POINTS = 1000  # the restarts run on at most this many points of a fit
@@ -129,8 +134,8 @@ class KMeansParams:
     subsample size, iteration cap and convergence tolerance are module
     constants: a fit restarts `_N_INIT` times from fresh k-means++ draws of
     one seeded stream, on at most `_SEED_POINTS` of its points, and
-    keeps the lowest-inertia run, refined on all points when it saw fewer,
-    so results stay deterministic while single-start local minima get
+    ends with one run on all points from the lowest-inertia one, so
+    results stay deterministic while single-start local minima get
     smoothed out.  `errors.check_int` refuses a `k` below 1 and a seed
     below 0, as numpy's generators would.
     """
@@ -306,15 +311,15 @@ def _lloyd_run(
     `points`.  The run returns its closing assignment's labels, its (k, n)
     sq and its sum of squares, the inertia, and `averaged`, the partition
     the final centroids are the means of, so that a caller can average it
-    again into a buffer a later run has overwritten.  A repair writes its
-    seized points into `centroids`.  An update replaces them row by row:
-    each mean is built in one (d,) scratch row, its move is measured in the
-    old row, and then it overwrites that row, so the run's scratch is one
-    row, not a second (k, d) array.  A pass that needs no repair and finds the
-    partition the centroids were averaged from closes the run, as the
-    update it skips would find no centroid moved; with a centroid past the
-    largest float that update's shift is NaN, and the run would go on to
-    `_MAX_ITERS` and close on the same state.
+    again, into a buffer a later run has overwritten or over other points.
+    A repair writes its seized points into `centroids`.  An update replaces
+    them row by row: each mean is built in one (d,) scratch row, its move is
+    measured in the old row, and then it overwrites that row, so the run's
+    scratch is one row, not a second (k, d) array.  A pass that needs no
+    repair and finds the partition the centroids were averaged from closes
+    the run, as the update it skips would find no centroid moved; with a
+    centroid past the largest float that update's shift is NaN, and the run
+    would go on to `_MAX_ITERS` and close on the same state.
     """
     row = np.empty(centroids.shape[1], dtype=np.float64)
     moves = np.empty(centroids.shape[0], dtype=np.float64)  # each centroid's largest move
@@ -430,7 +435,7 @@ def _stacked_restarts(
 
 
 def _span_coordinates(rows: np.ndarray) -> np.ndarray:
-    """The (n, d) `rows` as n coordinates each in their span, one column a point, (n, n) C-ordered.
+    """The (n, d) `rows` as n coordinates each in their span, one row a point, (n, n) C-ordered.
 
     The rows are scaled by 2**-e, e the `math.frexp` exponent of their
     largest |coordinate| (at least −1022, so that the factor is finite),
@@ -455,7 +460,7 @@ def _span_coordinates(rows: np.ndarray) -> np.ndarray:
         gram += block @ block.T
     values, vectors = np.linalg.eigh(gram)
     vectors *= np.sqrt(np.maximum(values, 0.0))
-    return np.ascontiguousarray(vectors.T)
+    return vectors
 
 
 def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -470,39 +475,37 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     each later one with one `random()` u, as the first point whose
     cumulative sum in point order of squared distances to its nearest start
     exceeds u times their NumPy sum, clamped to the last point.  The lowest
-    inertia wins, earliest run on a tie.  With stride 1 every restart sees
-    all points and the winner is the result, except in the row layout,
-    below, where the restarts run in the points' span.  Otherwise one more
-    Lloyd run on all points, started from the winner's centroids, is the
-    result, and
-    in the column layout the restarts run as one stack of their
-    subsamples, each step one NumPy call across them, with O(`_N_INIT` ·
-    `_SEED_POINTS` · (d_varying + k)) scratch whatever n is.  Each stacked
-    restart gives the bits it gives alone when its means are exact, as on
-    integer coordinates such as pixels: the stack adds each cluster's sum
-    in point order and a restart alone in NumPy's pairwise order.  Outside
-    the stack, every column-layout run, the refinement too, takes each mean
-    as NumPy's pairwise `mean` of each column of its members, and every
-    row-layout run as a running sum of its member rows in point order.
+    inertia wins, earliest run on a tie.
 
-    With stride 1 in the row layout (d_varying >= n), the restarts run in
-    the column layout on n span coordinates a point instead.  The varying
-    columns are multiplied by 2**-e, e being the `math.frexp` exponent of
-    their largest |coordinate| but at least −1022, so no sum overflows.
+    Every fit ends with one more Lloyd run on all points, whose result is
+    the fit's.  It starts from the winner's centroids when the restarts ran
+    as one stack, and otherwise from the winner's last averaged partition,
+    its means over that restart's points.  The restarts run as a stack of
+    their subsamples in the column layout with stride > 1, each step one
+    NumPy call across them, with O(`_N_INIT` · `_SEED_POINTS` ·
+    (d_varying + k)) scratch whatever n is.  Each stacked restart gives the
+    bits it gives alone when its means are exact, as on integer coordinates
+    such as pixels: the stack adds each cluster's sum in point order and a
+    restart alone in NumPy's pairwise order.  Outside the stack, every
+    column-layout run, the last one too, takes each mean as NumPy's pairwise
+    `mean` of each column of its members, and every row-layout run as a
+    running sum of its member rows in point order.
+
+    With stride 1 in the row layout (d_varying >= n), the restarts run on n
+    span coordinates a point instead, as rows.  The varying columns are
+    multiplied by 2**-e, e being the `math.frexp` exponent of their largest
+    |coordinate| but at least −1022, so no sum overflows.
     Each block of w = max(1, `_BLOCK_BYTES` // (8n)) consecutive columns,
     the last one narrower, is copied so scaled into a C-ordered (n, w)
     array, centred by subtracting its `mean(axis=0)`, and its
     `block @ block.T` added into an (n, n) Gram matrix that starts at 0.
     With λ and V the eigenvalues and eigenvectors `np.linalg.eigh` gives
     for that sum, row i of V · sqrt(max(λ, 0)) holds point i's coordinates:
-    the same distances in exact arithmetic.  The lowest inertia there wins, earliest on a tie, and
-    its last averaged partition is the result: each centroid is the running
-    sum of its member rows in point order over their count, and one
-    row-layout assignment to those centroids gives labels, `sq` and the
-    inertia.  The result is that partition's, bit for bit; rounding in the
-    span changes only which partition wins, and only in a near tie.
+    the same distances in exact arithmetic.  The winner's partition is
+    averaged over the varying columns to start the last run, so rounding
+    in the span changes only which partition wins, and only in a near tie.
 
-    Returns `(centroids, labels, sq, inertia)`: the resulting run's (k, d)
+    Returns `(centroids, labels, sq, inertia)`: the last run's (k, d)
     centroids, the closing assignment it was scored on, with `sq` the
     (n, k) squared distances, and the inertia, that partition's
     within-cluster sum of squares, as a float.
@@ -532,11 +535,11 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     `_BLOCK_BYTES`, O(k·n), and O(n²) in the span, never a copy of the
     points; in the column layout O(n·(d_varying + k)), or the stack's bound
     if larger.  The winning restart is kept as its partition, not as a copy
-    of its centroids, and averaged again into the buffer after the last
-    restart, to the same bits.  The distance work of a run is k single-centroid rows
-    at the k-means++ draws, which the first assignment reuses, plus one
-    (k, n) pass per update that moved a centroid or followed a repair.  A
-    refinement run starts with one (k, n) pass.  A run averages its
+    of its centroids, and averaged into the buffer after the last restart.
+    The distance work of a run is k single-centroid rows at the k-means++
+    draws, which the first assignment reuses, plus one (k, n) pass per
+    update that moved a centroid or followed a repair.  The last run
+    starts with one (k, n) pass.  A run averages its
     clusters once per pass, except on a pass that needs no repair and finds
     the partition its centroids were averaged from: that pass closes it.
 
@@ -548,8 +551,8 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     its own centroid among those whose cluster keeps another member, the
     lowest index on a tie, and becomes that point; then every centroid
     becomes the mean of its members.  A run makes at most `_MAX_ITERS`
-    updates and ends on one more assignment, which is not repaired, so a
-    cluster may own no point.  Its inertia is NumPy's pairwise sum, in point
+    updates, at least 1, and ends on one more assignment, which is not
+    repaired, so a cluster may own no point.  Its inertia is NumPy's pairwise sum, in point
     order, of each point's squared distance to its own centroid.
     `reference_fit` in `tests/oracles.py` is this docstring written as
     plain NumPy, and changes with it.
@@ -596,7 +599,7 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
         for i in range(_N_INIT)
     ]
     # every run on the varying columns draws into and updates this one buffer,
-    # and the span's winner is averaged into it; it is what `fit` returns
+    # the last one on all points too; it is what `fit` returns
     centroids = np.empty((params.k, count), dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if it ends non-finite
@@ -607,32 +610,23 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
         else:
             if stride == 1 and not axis:
                 # every restart clusters all points: in their span, on n
-                # coordinates a point, in the column layout and a (k, n) buffer
-                reduced, buffer = _span_coordinates(work), np.empty((params.k, n))
-                runs = (
-                    (work, *_lloyd_run(reduced, 1, buffer, _init_pp(reduced, 1, buffer, rng)))
-                    for _ in samples
-                )
+                # coordinates a point, with a (k, n) buffer of their own
+                coordinates = [_span_coordinates(work)] * _N_INIT
+                buffer = np.empty((params.k, n))
             else:
-                runs = (
-                    (s, *_lloyd_run(s, axis, centroids, _init_pp(s, axis, centroids, rng)))
-                    for s in samples
-                )
-            sample, inertia, labels, sq, averaged = min(runs, key=lambda run: run[1])
-            # runs after the winner overwrote its centroids, or ran in the span:
-            # they are the means of its partition, added in the same order to
-            # the same bits
+                coordinates, buffer = samples, centroids
+            runs = (
+                (sample, *_lloyd_run(coords, axis, buffer, _init_pp(coords, axis, buffer, rng)))
+                for sample, coords in zip(samples, coordinates)
+            )
+            sample, *_, averaged = min(runs, key=lambda run: run[1])
+            # runs after the winner overwrote its centroids, or it ran in the
+            # span: they are the means of its partition over its points
             for c, centroid in enumerate(centroids):
                 _mean(sample, axis, averaged == c, centroid)
-        if stride > 1:
-            # one Lloyd run on every point refines the winner
-            start_sq = _sq_distances(work, axis, centroids)
-            inertia, labels, sq, _ = _lloyd_run(work, axis, centroids, start_sq)
-        elif not axis:
-            # the closing assignment of the span's winner, on the d_varying columns
-            sq = _sq_distances(work, 0, centroids)
-            labels, own = _nearest(sq)
-            inertia = float(own.sum())
+        # one Lloyd run on every point ends every fit
+        start_sq = _sq_distances(work, axis, centroids)
+        inertia, labels, sq, _ = _lloyd_run(work, axis, centroids, start_sq)
 
     if not (np.isfinite(centroids).all() and math.isfinite(inertia)):
         raise UsageError("points so large that a centroid or the inertia overflows")
@@ -644,23 +638,23 @@ def fit(points, params: KMeansParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return centroids, labels, sq.T, inertia
 
 
-def predict(centroids: np.ndarray, point: np.ndarray) -> tuple[int, float]:
+def predict(centroids: np.ndarray, vector: np.ndarray) -> tuple[int, float]:
     """(label, Euclidean distance) of the nearest of the (k, d) `centroids` to one vector.
 
     Ties go to the lowest label; finite vectors too far apart for a float
     distance are an infinite distance apart.  Raises UsageError for
-    centroids or a point that `errors.check_array` refuses as a float64
-    matrix and vector, centroids that hold a NaN or infinite entry, a point
-    of another width than the centroids, or a NaN or infinite coordinate.
+    centroids or a vector that `errors.check_array` refuses as a float64
+    matrix and vector, centroids that hold a NaN or infinite entry, a vector
+    of another width than the centroids, or a NaN or infinite entry.
     """
     check_array(centroids, "centroids", np.float64, 2)
-    check_array(point, "point", np.float64, 1)
-    if point.shape != centroids.shape[1:]:
-        raise UsageError(f"point has shape {point.shape}, model expects {centroids.shape[1:]}")
-    if not np.isfinite(point).all():
-        raise UsageError("point must be finite, not NaN or inf")
+    check_array(vector, "vector", np.float64, 1)
+    if vector.shape != centroids.shape[1:]:
+        raise UsageError(f"vector has shape {vector.shape}, model expects {centroids.shape[1:]}")
+    if not np.isfinite(vector).all():
+        raise UsageError("vector must be finite, not NaN or inf")
     with np.errstate(over="ignore"):  # a difference or its square past the largest float
-        labels, sq = _assign(point[None, :], centroids)
+        labels, sq = _assign(vector[None, :], centroids)
     # a NaN or infinite centroid is a NaN or infinite distance away, so the k·d
     # centroids are scanned only when one of the k distances is not finite;
     # finite centroids too far away are an infinite distance away as well

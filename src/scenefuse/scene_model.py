@@ -121,17 +121,10 @@ def train_classifier(
 def classify(classifier: SceneClassifier, vector: np.ndarray, now: float) -> ScenePrediction:
     """Nearest scene to one 1-D feature vector, with its scaled-distance confidence, at `now`.
 
-    Raises UsageError, naming `vector`, for one that is not a 1-D float64
-    NumPy array `errors.check_array` accepts, one of another width than the
-    centroids, or a NaN or infinite entry.
+    `clustering.predict` raises UsageError, naming `vector`, for one that is
+    not a 1-D float64 NumPy array `errors.check_array` accepts, one of
+    another width than the centroids, or a NaN or infinite entry.
     """
-    check_array(vector, "vector", np.float64, 1)
-    if vector.shape != classifier.centroids.shape[1:]:
-        raise UsageError(
-            f"vector has shape {vector.shape}, model expects {classifier.centroids.shape[1:]}"
-        )
-    if not np.isfinite(vector).all():
-        raise UsageError("vector must be finite, not NaN or inf")
     label, distance = clustering.predict(classifier.centroids, vector)
     return ScenePrediction(
         scene=classifier.cluster_names[label],

@@ -214,20 +214,20 @@ def reference_fit(
     draw in turn from one `np.random.default_rng(seed)`; restart i sees rows
     i % stride : span : stride, with stride = min(ceil(n / seed_points),
     n // k) and span = n // stride * stride.  The lowest inertia wins, the
-    earliest on a tie (NaN never wins but a first one is never beaten), and
-    when stride > 1 one more Lloyd run on all points, from the winner's
-    centroids, is the result.  With stride 1 in the row layout the
-    restarts run in the column layout on the rows `_span_coordinates`
-    gives, and the result is the winner's last averaged partition: its
-    means over the varying columns, and one row-layout assignment to them.
+    earliest on a tie (NaN never wins but a first one is never beaten).
+    With stride 1 in the row layout the restarts run, in the row layout, on
+    the rows `_span_coordinates` gives.  Every fit then ends with one more
+    Lloyd run on all points, from the winner's centroids: the means of its
+    last averaged partition over its points, taken over the varying columns
+    for a span winner.
 
     The summation orders are part of the bits:
       * a squared distance adds its squares left to right over the columns
         in the column layout, and in NumPy's pairwise order along the row in
         the row layout;
       * a mean sums its members in point order, as one running sum, except
-        in the column layout's runs on every point (stride 1, and the
-        refinement), which sum each column in NumPy's pairwise order;
+        in the column layout's runs on every point (stride 1, and the last
+        run), which sum each column in NumPy's pairwise order;
       * a k-means++ total and an inertia are NumPy's pairwise sum over points.
     """
     if not (isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 2):
@@ -248,18 +248,15 @@ def reference_fit(
         best = None
         for i in range(10):
             sample = restarted[i % stride : span : stride]
-            start = _kmeans_pp(sample, k, rng, columns or reduced)
-            run = _lloyd(sample, start, columns or reduced, stride == 1, tol, max_iters)
+            start = _kmeans_pp(sample, k, rng, columns)
+            run = _lloyd(sample, start, columns, columns and stride == 1, tol, max_iters)
             if best is None or run[3] < best[3]:
                 best = run
-        if stride > 1:
-            best = _lloyd(work, best[0], columns, columns, tol, max_iters)
-        elif reduced:
-            means = np.array([_column_means(work[best[4] == c], False) for c in range(k)])
-            sq = _squared_distances(work, means, False)
-            labels = np.argmin(sq, axis=1)
-            best = means, labels, sq, float(sq[np.arange(n), labels].sum())
-    centroids, labels, sq, inertia = best[:4]
+        start = best[0]
+        if reduced:
+            # the span winner's partition, averaged over the varying columns
+            start = np.array([_column_means(work[best[4] == c], False) for c in range(k)])
+        centroids, labels, sq, inertia, _ = _lloyd(work, start, columns, columns, tol, max_iters)
     if not (np.isfinite(centroids).all() and np.isfinite(inertia)):
         return None
     full = np.repeat(x[:1], k, axis=0)

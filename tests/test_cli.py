@@ -599,7 +599,7 @@ REFUSALS = {
     "DimensionMismatch": (
         1,
         lambda tmp: predict(np.zeros((1, 2)), np.zeros(3)),
-        "point has shape (3,), model expects (2,)",
+        "vector has shape (3,), model expects (2,)",
     ),
     "EmptyData": (3, lambda tmp: decode_wav(wav_bytes([])), "data chunk holds no samples"),
     "EmptyScene": (

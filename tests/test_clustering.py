@@ -28,11 +28,12 @@ def test_single_cluster_lands_on_the_mean(lloyd_traces):
     assert centroids.tolist() == [[2.0, 0.0]]
     assert inertia == 8.0
     # a move of exactly the tolerance, 1e-6, from a point to the mean has
-    # converged: only the closing assignment follows, in every run
+    # converged: only the closing assignment follows, in every restart; the
+    # last run, on all points, starts on the mean and moves nothing
     lloyd_traces.clear()
     *_, inertia = fit(np.array([[0.0], [2e-6]]), KMeansParams(k=1))
     assert inertia == 2e-12
-    assert lloyd_traces == [[4e-12, 2e-12]] * clustering._N_INIT
+    assert lloyd_traces == [[4e-12, 2e-12]] * clustering._N_INIT + [[2e-12, 2e-12]]
 
 
 def test_two_separated_pairs_split_cleanly():
@@ -62,9 +63,11 @@ def test_objective_never_increases_during_a_fit(lloyd_traces):
         lloyd_traces.clear()
         points = rng.uniform(-5.0, 5.0, (30, 2))
         *_, inertia = fit(points, KMeansParams(k=3, seed=trial))
-        assert len(lloyd_traces) == clustering._N_INIT
+        # the restarts, then one run on all points from the winner's partition
+        *restarts, last = lloyd_traces
+        assert len(restarts) == clustering._N_INIT
         assert all(map(never_increases, lloyd_traces))
-        assert inertia == min(trace[-1] for trace in lloyd_traces)
+        assert inertia == last[-1] and last[0] <= min(trace[-1] for trace in restarts)
 
 
 @st.composite
@@ -136,20 +139,18 @@ def _separated_blobs(n, d, k):
 
 def test_a_run_that_moves_and_repairs_nothing_makes_no_full_pass(monkeypatch):
     computed = _spy_on_rows(monkeypatch)
-    # the column layout: per run, the two k-means++ draw rows; the first
-    # update moves no centroid, so the first assignment closes the run
-    fit(np.array([[0.0], [0.0], [10.0], [10.0]]), KMeansParams(k=2))
-    assert len(computed) == 2 * clustering._N_INIT
-    # and so in a stack of restarts, after which the refinement's first pass
-    # is its last
-    computed.clear()
-    fit(np.array([[0.0], [0.0], [10.0], [10.0]] * 300), KMeansParams(k=2))
-    assert len(computed) == 2 * clustering._N_INIT + 2
-    # the row layout: every run, in the span, draws both points, and no run
-    # makes a (k, n) pass; one pass on the columns closes the winner
-    computed.clear()
-    fit(np.array([[0.0, 0.0], [10.0, 10.0]]), KMeansParams(k=2))
-    assert len(computed) == 2 * clustering._N_INIT + 2
+    # per restart, the two k-means++ draw rows; the first update moves no
+    # centroid, so the first assignment closes the run.  The last run, on
+    # all points, makes its starting pass only: the column layout, a stack
+    # of restarts, and the row layout, whose restarts run in the span
+    for points in (
+        np.array([[0.0], [0.0], [10.0], [10.0]]),
+        np.array([[0.0], [0.0], [10.0], [10.0]] * 300),
+        np.array([[0.0, 0.0], [10.0, 10.0]]),
+    ):
+        computed.clear()
+        fit(points, KMeansParams(k=2))
+        assert len(computed) == 2 * clustering._N_INIT + 2
 
 
 def test_a_run_that_repeats_its_partition_closes_without_averaging_again(monkeypatch):
@@ -232,17 +233,17 @@ def test_restarts_see_a_subsample_and_one_run_refines_on_all_points(monkeypatch)
         points = rng.standard_normal((n, d))
         centroids, labels, sq, inertia = fit(points, KMeansParams(k=3, seed=1))
         stride = -(-n // limit)
+        *restarts, last = runs
         if stride > 1 and d < n:
             assert len(stacks) == 1
             assert stacks[0].shape == (clustering._N_INIT, d, n // stride)
-            assert [len(run) for run in runs] == [n]
+            assert restarts == []
         else:
             assert stacks == []
-            restarts = [len(run) for run in runs[: clustering._N_INIT]]
-            assert restarts == [n // stride] * clustering._N_INIT
-            assert [len(run) for run in runs[clustering._N_INIT :]] == ([] if n <= limit else [n])
+            assert [len(run) for run in restarts] == [n // stride] * clustering._N_INIT
         assert n // stride <= limit
         # the returned partition and inertia are the last run's, on all points
+        assert len(last) == n
         assert sq.shape == (n, 3) and np.array_equal(labels, sq.argmin(axis=1))
         assert inertia == pytest.approx(float(sq.min(axis=1).sum()), rel=1e-12)
 
@@ -256,9 +257,9 @@ def test_the_restarts_see_at_least_k_points(monkeypatch):
     assert [len(run) for run in runs] == [7]
     runs.clear()
     stacks.clear()
-    fit(points, KMeansParams(k=5))  # no stride leaves 5 of 7 but 1, so no refinement
+    fit(points, KMeansParams(k=5))  # no stride leaves 5 of 7 but 1: all see every point
     assert stacks == []
-    assert [len(run) for run in runs] == [7] * clustering._N_INIT
+    assert [len(run) for run in runs] == [7] * (clustering._N_INIT + 1)
 
 
 def _spy_on_spans(monkeypatch) -> list[np.ndarray]:
@@ -292,9 +293,9 @@ def test_only_restarts_on_every_point_in_the_row_layout_run_in_the_span(monkeypa
         centroids, labels, sq, _ = fit(points, KMeansParams(k=3, seed=4))
         if spanned:
             # the points' own rows, once; every restart on n coordinates a
-            # point, and no refining run: the winner closes on the d columns
+            # point, and the last run on the d columns
             assert len(spans) == 1 and np.may_share_memory(spans[0], points)
-            assert [run.shape for run in runs] == [(n, n)] * clustering._N_INIT
+            assert [run.shape for run in runs] == [(n, n)] * clustering._N_INIT + [(n, d)]
         else:
             assert spans == []
         assert centroids.shape == (3, d) and sq.shape == (n, 3)
@@ -319,10 +320,9 @@ def test_span_coordinates_keep_the_pairwise_distances_of_the_scaled_rows(monkeyp
         want = ((scaled[:, None] - scaled[None]) ** 2).sum(axis=2)
         for block_bytes in (clustering._BLOCK_BYTES, 8 * 9 * 3, 8):
             monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_bytes)
-            coordinates = clustering._span_coordinates(rows)
-            # one column a point, C-ordered, as the column layout takes them
-            assert coordinates.shape == (9, 9) and coordinates.flags.c_contiguous
-            points = coordinates.T
+            points = clustering._span_coordinates(rows)
+            # one row a point, C-ordered, as the row layout takes them
+            assert points.shape == (9, 9) and points.flags.c_contiguous
             got = ((points[:, None] - points[None]) ** 2).sum(axis=2)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
 
@@ -344,11 +344,15 @@ def test_restarts_in_the_span_of_rows_near_the_largest_float_stay_finite(lloyd_t
                 centroids, _, _, inertia = fit(points, KMeansParams(k=k, seed=1))
                 assert np.isfinite(centroids).all() and math.isfinite(inertia)
             # every restart ran on scaled coordinates: a finite objective
-            # that never rises, closing well short of `_MAX_ITERS`
-            assert len(lloyd_traces) == clustering._N_INIT
+            # that never rises, closing well short of `_MAX_ITERS`.  So did
+            # the last run, on the points themselves, unless it overflowed
+            *restarts, last = lloyd_traces
+            assert len(restarts) == clustering._N_INIT
+            for trace in restarts:
+                assert all(map(math.isfinite, trace))
             for trace in lloyd_traces:
-                assert all(map(math.isfinite, trace)) and never_increases(trace)
-                assert len(trace) < clustering._MAX_ITERS // 10
+                assert never_increases(trace) and len(trace) < clustering._MAX_ITERS // 10
+            assert refused or all(map(math.isfinite, last))
 
 
 def test_each_restart_draws_from_its_own_offset(monkeypatch):
@@ -593,17 +597,23 @@ def test_one_run_of_varying_columns_is_clustered_as_a_view_and_a_split_one_as_a_
     monkeypatch,
 ):
     viewed, copied = _view_and_copy()
-    real = clustering._sq_distances
-    passes = []  # the points of each distance pass on the varying columns
+    real, real_span = clustering._sq_distances, clustering._span_coordinates
+    spans, passes = [], []  # the span coordinates, and each distance pass on the varying columns
 
     def distances(points, axis, centroids):
-        if not axis:  # restarts in the span run in the column layout
+        if not any(points is coordinates for coordinates in spans):
             passes.append(points)
         return real(points, axis, centroids)
 
+    def span(rows):
+        spans.append(real_span(rows))
+        return spans[-1]
+
     monkeypatch.setattr(clustering, "_sq_distances", distances)
-    # restarts in the span of all points, then one pass on their columns; and
-    # restarts on every 3rd point before one refining run
+    monkeypatch.setattr(clustering, "_span_coordinates", span)
+    # restarts in the span of all points, then one run on their columns that
+    # starts on a fixed point, so makes one pass; and restarts on every 3rd
+    # point before one run on all points
     for seed_points, stride in ((clustering._SEED_POINTS, 1), (10, 3)):
         monkeypatch.setattr(clustering, "_SEED_POINTS", seed_points)
         passes.clear()
@@ -672,6 +682,39 @@ def test_stacked_restart_scratch_memory_does_not_grow_with_n(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peaks[-1] <= bound
+
+
+def test_a_span_fit_holds_its_gram_matrix_and_blocks_but_no_n_by_n_difference(monkeypatch):
+    real = clustering._span_coordinates
+    phases = []  # (peak while the span coordinates were made, memory held once they were)
+
+    def measured(rows):
+        coordinates = real(rows)
+        held, peak = tracemalloc.get_traced_memory()
+        phases.append((peak, held))
+        tracemalloc.reset_peak()
+        return coordinates
+
+    monkeypatch.setattr(clustering, "_span_coordinates", measured)
+    rng = np.random.default_rng(46)
+    k = 8
+    for n in (400, 600):
+        points = rng.standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            fit(points, KMeansParams(k=k, seed=1))
+            runs_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coordinates_peak, held = phases[-1]
+        # the runs' (k, n) distance rows, labels and centroid buffers
+        small = 16 * 8 * k * n
+        # the Gram matrix, one (n, n) product to add into it, which the
+        # eigenvectors then replace, and one scaled column block
+        assert coordinates_peak <= 2 * 8 * n * n + clustering._BLOCK_BYTES + small
+        # the restarts on the coordinates and the last run on the points: one
+        # block of rows at a time, never an (n, n) difference
+        assert runs_peak - held <= clustering._BLOCK_BYTES + small
 
 
 def test_predict_distance_is_the_square_root_of_assigns_entry():
@@ -877,8 +920,9 @@ def _constant_cases():
         small = rng.integers(0, 7, (80, 2)).astype(np.float64)
         for seed in range(3):
             yield small, 2, seed, {"_TOL": 1.0, "_SEED_POINTS": 8}
-    # every run stops after at most none, one or two updates.  Only the
-    # stacked restarts take no update: a run alone must end on a partition
+    # every run stops after at most none, one or two updates.  The cap is at
+    # least 1, so that a restart run alone ends on a partition to average
+    # again; a stacked fit averages none, so it still takes a cap of none
     for cap in (0, 1, 2):
         pixels = _interleaved_pixels(rng, 700, _PALETTE, 40.0)
         yield pixels, 4, cap, {"_MAX_ITERS": cap, "_SEED_POINTS": 700}
@@ -928,11 +972,11 @@ def test_fit_gives_the_bits_of_the_reference_or_both_refuse(monkeypatch, group):
 def test_predict_validates_dimensions():
     centroids, *_ = fit(np.array([(0.0, 0.0), (1.0, 1.0)]), KMeansParams(k=1))
     for width in (1, 3):
-        message = f"point has shape ({width},), model expects (2,)"
+        message = f"vector has shape ({width},), model expects (2,)"
         with pytest.raises(UsageError, match=re.escape(message)):
             predict(centroids, np.zeros(width))
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(UsageError, match="^point must be finite, not NaN or inf$"):
+        with pytest.raises(UsageError, match="^vector must be finite, not NaN or inf$"):
             predict(centroids, np.array([bad, 0.0]))
 
 

@@ -171,7 +171,7 @@ ARRAY_SITES = {
         lambda v: AudioClip(v, 8000), np.zeros(4), [[0.0, 0.5], np.zeros(())],
         "samples must be a 1-D float64 NumPy array with no empty axis",
     ),
-    # a point as wide as the centroids: with none, it would be 0 from the first, label 0
+    # a vector as wide as the centroids: with none, it would be 0 from the first, label 0
     "predict.centroids": _site(
         lambda v: predict(v, np.zeros(np.shape(v)[1:2])), ONE,
         [None, np.zeros((0, 1)), np.zeros((1, 1), int)],
@@ -201,9 +201,9 @@ ARRAY_SITES = {
         [None, 1, [[1j], [2j]], np.array([[1.0], [2.0 + 0j]]), [[10**400]], np.zeros((1, 1), int)],
         "points must be a 2-D float64 NumPy array with no empty axis",
     ),
-    "predict.point": _site(
+    "predict.vector": _site(
         lambda v: predict(ONE, v), np.zeros(1), [None, (0.0,), [1j], np.array([0j]), [10**400]],
-        "point must be a 1-D float64 NumPy array with no empty axis",
+        "vector must be a 1-D float64 NumPy array with no empty axis",
     ),
 }
 

@@ -148,7 +148,7 @@ def test_clusters_that_share_a_name_are_reported():
 
 
 def test_classify_validates_shape():
-    # each refusal names classify's own parameter, not predict's
+    # each refusal names `vector`, the parameter of classify and of the predict that checks it
     classifier, _ = _train(_two_scene_set())
     for width in (6, 3):
         message = f"vector has shape ({width},), model expects (4,)"
